@@ -395,6 +395,7 @@ def from_bytes(buf: bytes) -> CompressedModel:
     qtensors: list[QuantizedTensor] = []
     mask_layers: list[np.ndarray] = []
 
+    fan_out = 0
     for t in range(n_tensors):
         rows, cols = struct.unpack("<II", r.take(8))
         is_weight = t % 2 == 0
@@ -402,6 +403,14 @@ def from_bytes(buf: bytes) -> CompressedModel:
             raise SerializationError(f"tensor {t}: expected a matrix, got a vector")
         if not is_weight and cols != 0:
             raise SerializationError(f"tensor {t}: expected a vector, got a matrix")
+        if is_weight and t > 0 and cols != fan_out:
+            raise SerializationError(
+                f"tensor {t}: fan-in {cols} does not match previous fan-out {fan_out}"
+            )
+        if not is_weight and rows != fan_out:
+            raise SerializationError(f"tensor {t}: bias length {rows} != weight rows {fan_out}")
+        if is_weight:
+            fan_out = rows
         n = rows * cols if cols else rows
         shape = (rows, cols) if cols else (rows,)
 

@@ -611,7 +611,7 @@ def calibrate_tau(
         else:
             inter.append(value)
     if not intra or not inter:
-        raise ValueError(
+        raise ConfigError(
             "calibration needs both intra- and inter-region topology edges "
             f"(got {len(intra)} intra, {len(inter)} inter)"
         )

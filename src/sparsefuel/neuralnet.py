@@ -9,6 +9,7 @@ explicit seeds, so identical calls are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class Architecture:
 
 @dataclass
 class ParameterSet:
-    """Per-layer weight matrices (out x in) and bias vectors of one MLP.
+    """Per-layer weight matrices (out x in) and bias vectors of one MLP, or of
+    D MLPs of one architecture stacked on a leading axis: weights (D, out, in)
+    and biases (D, out).
 
     An empty ParameterSet (zero layers) is permitted so that serialization of
     header-only payloads has a value to round-trip.
@@ -63,16 +66,19 @@ class ParameterSet:
             raise ValueError("weights and biases must have the same layer count")
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
+        lead = self.weights[0].shape[:-2] if self.weights else ()
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1:
-                raise ValueError(f"layer {i}: weights must be 2-d and biases 1-d")
-            if w.shape[0] != b.shape[0]:
+            if w.ndim not in (2, 3) or w.shape[:-2] != lead or b.shape[:-1] != lead:
                 raise ValueError(
-                    f"layer {i}: weight rows {w.shape[0]} != bias length {b.shape[0]}"
+                    f"layer {i}: weights must be 2-d and biases 1-d, with one shared stack axis"
                 )
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if w.shape[-2] != b.shape[-1]:
                 raise ValueError(
-                    f"layer {i}: fan-in {w.shape[1]} does not match previous fan-out"
+                    f"layer {i}: weight rows {w.shape[-2]} != bias length {b.shape[-1]}"
+                )
+            if i > 0 and w.shape[-1] != self.weights[i - 1].shape[-2]:
+                raise ValueError(
+                    f"layer {i}: fan-in {w.shape[-1]} does not match previous fan-out"
                 )
 
     @property
@@ -83,10 +89,14 @@ class ParameterSet:
     def num_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
+    @property
+    def stacked(self) -> bool:
+        return bool(self.weights) and self.weights[0].ndim == 3
+
     def architecture(self) -> Architecture:
         if not self.weights:
             raise ValueError("empty parameter set has no architecture")
-        sizes = (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+        sizes = (self.weights[0].shape[-1],) + tuple(w.shape[-2] for w in self.weights)
         return Architecture(sizes)
 
     def copy(self) -> "ParameterSet":
@@ -99,10 +109,26 @@ class ParameterSet:
             and all(a.shape == b.shape for a, b in zip(self.biases, other.biases))
         )
 
+    @staticmethod
+    def stack(models: Sequence["ParameterSet"]) -> "ParameterSet":
+        """Stack single models of one architecture on a new leading axis."""
+        return ParameterSet(
+            [_stack(ws) for ws in zip(*(m.weights for m in models))],
+            [_stack(bs) for bs in zip(*(m.biases for m in models))],
+        )
+
+    def __getitem__(self, k) -> "ParameterSet":
+        """Model k of a stack (a view), or a sub-stack for a slice or index array."""
+        return ParameterSet([w[k] for w in self.weights], [b[k] for b in self.biases])
+
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix (n x d) with integer class labels (n,)."""
+    """Feature matrix (n x d) with integer class labels (n,), or D datasets of
+    one length stacked on a leading axis: features (D, n, d), labels (D, n).
+
+    len() counts samples over the whole stack.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -110,23 +136,34 @@ class LabeledDataset:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-d array")
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be a 1-d array")
-        if self.features.shape[0] != self.labels.shape[0]:
+        if self.features.ndim not in (2, 3):
+            raise ValueError("features must be a 2-d array (or a stack of them)")
+        if self.labels.ndim != self.features.ndim - 1:
+            raise ValueError("labels must be a 1-d array (or a stack of them)")
+        if self.features.shape[:-1] != self.labels.shape:
             raise ValueError(
-                f"row mismatch: {self.features.shape[0]} feature rows, "
-                f"{self.labels.shape[0]} labels"
+                f"row mismatch: {self.features.shape[-2]} feature rows, "
+                f"{self.labels.shape[-1]} labels"
             )
-        if len(self.labels) and self.labels.min() < 0:
+        if self.labels.size and self.labels.min() < 0:
             raise ValueError("labels must be non-negative class indices")
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.labels.size
 
     def subset(self, idx: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[idx], self.labels[idx])
+
+    @staticmethod
+    def stack(parts: Sequence["LabeledDataset"]) -> "LabeledDataset":
+        """Stack single datasets of one length on a new leading axis."""
+        return LabeledDataset(_stack([p.features for p in parts]), _stack([p.labels for p in parts]))
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """np.stack, except that a lone array is not copied: it becomes a view
+    with a leading axis of one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True)
@@ -158,18 +195,30 @@ def init_parameters(arch: Architecture, seed: int) -> ParameterSet:
     return ParameterSet(weights, biases)
 
 
-def _forward_batch(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch (n x input_dim); hidden ReLU, linear output."""
+def _as_stack(params: ParameterSet, data: LabeledDataset) -> tuple[ParameterSet, LabeledDataset]:
+    """The models and datasets as stacks; a single model and dataset become a
+    stack of one (views, no copies)."""
     if not params.weights:
         raise ValueError("cannot run a forward pass on an empty parameter set")
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != params.weights[0].shape[1]:
+    if not params.stacked:
+        params = params[None]
+        data = LabeledDataset(data.features[None], data.labels[None])
+    x = data.features
+    if x.ndim != 3 or x.shape[0] != params.weights[0].shape[0] or x.shape[2] != params.weights[0].shape[2]:
         raise ValueError(
-            f"input has shape {a.shape}, expected (*, {params.weights[0].shape[1]})"
+            f"input has shape {x.shape}, expected ({params.weights[0].shape[0]}, *, "
+            f"{params.weights[0].shape[2]}) for this stack of models"
         )
+    return params, data
+
+
+def _forward_batch(params: ParameterSet, x: np.ndarray) -> np.ndarray:
+    """Logits of stacked models on stacked batches: (D, n, input_dim) ->
+    (D, n, classes); hidden ReLU, linear output."""
+    a = x
     last = params.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w.T + b
+        a = a @ w.transpose(0, 2, 1) + b[:, None, :]
         if i != last:
             np.maximum(a, 0.0, out=a)
     return a
@@ -180,71 +229,82 @@ def forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("forward expects a 1-d feature vector")
-    return _forward_batch(params, x[None, :])[0]
+    params, data = _as_stack(params, LabeledDataset(x[None, :], np.zeros(1, dtype=np.int64)))
+    return _forward_batch(params, data.features)[0, 0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_and_accuracy(params: ParameterSet, data: LabeledDataset) -> tuple[float, float]:
-    """Mean cross-entropy (softmax on logits) and argmax accuracy.
-
-    Argmax ties resolve to the lowest class index.
-    """
-    if len(data) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    num_classes = params.weights[-1].shape[0] if params.weights else 0
-    if len(data.labels) and data.labels.max() >= num_classes:
+def _check_labels(params: ParameterSet, data: LabeledDataset, action: str) -> None:
+    if data.labels.shape[-1] == 0:
+        raise ValueError(f"cannot {action}")
+    num_classes = params.weights[-1].shape[-2] if params.weights else 0
+    if data.labels.max() >= num_classes:
         raise ValueError(
             f"label {int(data.labels.max())} out of range for {num_classes} classes"
         )
+
+
+def loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
+    """Mean cross-entropy (softmax on logits) and argmax accuracy.
+
+    Stacked models score stacked datasets pairwise (model k on dataset k), and
+    the two results come back as arrays of length D; a single model gives two
+    floats.  Argmax ties resolve to the lowest class index.
+    """
+    _check_labels(params, data, "evaluate on an empty dataset")
+    stacked = params.stacked
+    params, data = _as_stack(params, data)
     logits = _forward_batch(params, data.features)
     logp = _log_softmax(logits)
-    n = len(data)
-    loss = float(-logp[np.arange(n), data.labels].mean())
-    acc = float((logits.argmax(axis=1) == data.labels).mean())
-    return loss, acc
+    d, n = data.labels.shape
+    loss = -logp[np.arange(d)[:, None], np.arange(n), data.labels].mean(axis=1)
+    acc = (logits.argmax(axis=2) == data.labels).mean(axis=1)
+    if stacked:
+        return loss, acc
+    return float(loss[0]), float(acc[0])
 
 
 def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
-    """Exact gradient of the mean cross-entropy over the batch (backprop)."""
-    if len(batch) == 0:
-        raise ValueError("cannot take gradients on an empty batch")
-    num_classes = params.weights[-1].shape[0] if params.weights else 0
-    if batch.labels.max() >= num_classes:
-        raise ValueError(
-            f"label {int(batch.labels.max())} out of range for {num_classes} classes"
-        )
+    """Exact gradient of the mean cross-entropy over the batch (backprop).
+
+    Stacked models and batches give the stacked gradients of model k on batch k.
+    """
+    _check_labels(params, batch, "take gradients on an empty batch")
+    stacked = params.stacked
+    params, batch = _as_stack(params, batch)
     x = batch.features
-    n = len(batch)
+    d, n = batch.labels.shape
     last = params.num_layers - 1
 
     activations = [x]
     pre = []
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
+        z = a @ w.transpose(0, 2, 1) + b[:, None, :]
         pre.append(z)
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
 
-    shifted = pre[-1] - pre[-1].max(axis=1, keepdims=True)
+    shifted = pre[-1] - pre[-1].max(axis=2, keepdims=True)
     probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= probs.sum(axis=2, keepdims=True)
     delta = probs
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta.reshape(d * n, -1)[np.arange(d * n), batch.labels.ravel()] -= 1.0
     delta /= n
 
     grad_w = [np.empty(0)] * params.num_layers
     grad_b = [np.empty(0)] * params.num_layers
     for i in range(last, -1, -1):
-        grad_w[i] = delta.T @ activations[i]
-        grad_b[i] = delta.sum(axis=0)
+        grad_w[i] = delta.transpose(0, 2, 1) @ activations[i]
+        grad_b[i] = delta.sum(axis=1)
         if i > 0:
             delta = (delta @ params.weights[i]) * (pre[i - 1] > 0.0)
-    return ParameterSet(grad_w, grad_b)
+    grads = ParameterSet(grad_w, grad_b)
+    return grads if stacked else grads[0]
 
 
 def local_training(
@@ -253,16 +313,20 @@ def local_training(
     cfg: TrainingConfig,
     mask=None,
     round_index: int = 0,
+    seeds: Sequence[int] | None = None,
 ) -> ParameterSet:
     """Minibatch SGD for cfg.local_epochs epochs; returns new parameters.
 
-    The shuffle order is derived from (cfg.rng_seed, round_index) only, so the
-    call is deterministic.  When a mask is given (a SparseMask or a per-layer
-    sequence of 0/1 arrays congruent to the weights), weight gradients and the
-    updated weights are zeroed at masked positions after every step; biases
-    always stay dense.
+    Stacked models train in lockstep, model k on stacked dataset k, and come
+    back stacked: every step does for each model exactly the arithmetic it
+    would do alone.  Model k's shuffle order is derived from (seeds[k],
+    round_index) only, so the call is deterministic; seeds defaults to
+    cfg.rng_seed for every model.  When a mask is given (a SparseMask or a
+    per-layer sequence of 0/1 arrays congruent to the weights), weight
+    gradients and the updated weights are zeroed at masked positions after
+    every step; biases always stay dense.
     """
-    if len(data) == 0:
+    if data.labels.shape[-1] == 0:
         raise ValueError("cannot train on an empty dataset")
     mask_layers = None
     if mask is not None:
@@ -273,18 +337,31 @@ def local_training(
             if m.shape != w.shape:
                 raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
 
-    rng = np.random.default_rng((int(cfg.rng_seed), int(round_index)))
+    stacked = params.stacked
+    params, data = _as_stack(params, data)
+    if not stacked and mask_layers is not None:
+        mask_layers = [m[None] for m in mask_layers]
+    d, n = data.labels.shape
+    seeds = [cfg.rng_seed] * d if seeds is None else list(seeds)
+    if len(seeds) != d:
+        raise ValueError(f"{len(seeds)} shuffle seeds for {d} models")
+    rngs = [np.random.default_rng((int(seed), int(round_index))) for seed in seeds]
+    # row k*n + i of the flattened stack is sample i of dataset k
+    features = data.features.reshape(d * n, -1)
+    labels = data.labels.reshape(d * n)
+    offsets = np.arange(0, d * n, n)[:, None]
     out = params.copy()
-    n = len(data)
     lr = cfg.learning_rate
     for _ in range(cfg.local_epochs):
-        perm = rng.permutation(n)
+        perms = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            g = gradients(out, data.subset(idx))
+            idx = perms[:, start : start + cfg.batch_size]
+            g = gradients(out, LabeledDataset(features[idx], labels[idx]))
             for i in range(out.num_layers):
-                out.weights[i] -= lr * g.weights[i]
+                # g is this step's own array: scaling it in place saves a
+                # temporary and computes the same lr * g
+                out.weights[i] -= np.multiply(g.weights[i], lr, out=g.weights[i])
                 if mask_layers is not None:
                     out.weights[i] *= mask_layers[i]
-                out.biases[i] -= lr * g.biases[i]
-    return out
+                out.biases[i] -= np.multiply(g.biases[i], lr, out=g.biases[i])
+    return out if stacked else out[0]

@@ -12,7 +12,7 @@ iterated in uid order and all aggregation happens in uid order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -205,7 +205,9 @@ def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = No
 
 @dataclass
 class DeviceState:
-    """One device: its uid, train/validation split, and current model."""
+    """One device: its uid, train/validation split, and current model.
+
+    train and val are views into the simulation state's data banks."""
 
     uid: int
     train: LabeledDataset
@@ -218,13 +220,54 @@ class DeviceState:
 
 
 @dataclass
+class DataBank:
+    """Equal-length datasets of several devices, stacked in uid order."""
+
+    uids: list[int]
+    data: LabeledDataset
+
+
+@dataclass
 class SimulationState:
-    """Everything that evolves across rounds."""
+    """Everything that evolves across rounds, plus the devices' train and
+    validation splits stacked into banks by length (run_round reads these)."""
 
     topology: Topology
     devices: list[DeviceState]
+    train_banks: list[DataBank]
+    val_banks: list[DataBank]
     round_index: int = 0
     bytes_total: int = 0
+
+
+# Lockstep work on a stack of models holds, per model, its float64 parameters
+# and the activations of its rows of input; a stack is cut into chunks of at
+# most this many bytes so that only one chunk's temporaries live at a time.
+LOCKSTEP_BUDGET_BYTES = 256 * 1024
+
+
+def lockstep_chunk(model: ParameterSet, rows: int) -> int:
+    """How many models of this architecture run in lockstep on `rows` input
+    rows each within LOCKSTEP_BUDGET_BYTES (at least one)."""
+    per_model = 8 * (model.num_params + rows * sum(model.architecture().layer_sizes))
+    return max(1, LOCKSTEP_BUDGET_BYTES // per_model)
+
+
+def _stack_by_length(parts: Sequence[LabeledDataset], slab: int) -> tuple[list[DataBank], list[LabeledDataset]]:
+    """Banks of at most `slab` equal-length datasets, and each dataset again
+    as a view into its bank."""
+    groups: dict[int, list[int]] = {}
+    for uid, part in enumerate(parts):
+        groups.setdefault(len(part), []).append(uid)
+    banks, views = [], [None] * len(parts)
+    for group in groups.values():
+        for lo in range(0, len(group), slab):
+            uids = group[lo : lo + slab]
+            bank = DataBank(uids, LabeledDataset.stack([parts[uid] for uid in uids]))
+            for k, uid in enumerate(uids):
+                views[uid] = bank.data.subset(k)
+            banks.append(bank)
+    return banks, views
 
 
 def make_state(
@@ -238,26 +281,30 @@ def make_state(
 
     The validation split is the first floor(fraction * m) rows (at least one
     row each side), which is deterministic because dataset sampling is.
+    Equal-length splits are stacked into banks of at most as many devices
+    as a lockstep chunk can hold, so a chunk is always a view of one bank
+    and no bank is one allocation of the whole population's data (a fresh
+    allocation of hundreds of MB is zeroed page by page on every state).
+    A bank of one device is a view of that device's dataset.
     """
     if len(datasets) != topology.n:
         raise ValueError("one dataset per device required")
     if not (0.0 < validation_fraction < 1.0):
         raise ValueError("validation_fraction must be in (0, 1)")
-    devices = []
+    trains, vals = [], []
     for uid, data in enumerate(datasets):
         if len(data) < 2:
             raise ValueError(f"device {uid}: need at least 2 samples to split")
         n_val = min(len(data) - 1, max(1, int(validation_fraction * len(data))))
-        idx = np.arange(len(data))
-        devices.append(
-            DeviceState(
-                uid=uid,
-                train=data.subset(idx[n_val:]),
-                val=data.subset(idx[:n_val]),
-                params=init_params.copy(),
-            )
-        )
-    return SimulationState(topology, devices)
+        trains.append(data.subset(slice(n_val, None)))
+        vals.append(data.subset(slice(None, n_val)))
+    slab = lockstep_chunk(init_params, rows=1)
+    train_banks, trains = _stack_by_length(trains, slab)
+    val_banks, vals = _stack_by_length(vals, slab)
+    devices = [
+        DeviceState(uid, trains[uid], vals[uid], init_params.copy()) for uid in range(len(datasets))
+    ]
+    return SimulationState(topology, devices, train_banks, val_banks)
 
 
 @dataclass
@@ -307,22 +354,37 @@ def run_round(
         raise ValueError(f"unknown arm {arm!r}, expected one of {ARMS}")
     topo = state.topology
 
-    # compress, train under the mask, and encode the wire artifact
+    # per chunk of equal-length devices: compress, train in lockstep under the
+    # masks, then encode, serialize and parse the wire artifacts
     trained: dict[int, ParameterSet] = {}
     decoded: dict[int, ParameterSet] = {}
     wire_blobs: dict[int, bytes] = {}
-    for dev in state.devices:
-        cm = compress(dev.params, cfg.strategy)
-        start = decompress(cm)
-        tcfg = replace(cfg.training, rng_seed=derive_seed(cfg.training.rng_seed, dev.uid))
-        params = local_training(start, dev.train, tcfg, mask=cm.mask, round_index=round_index)
-        trained[dev.uid] = params
-        wire = encode_wire(params, cfg.strategy, cm.mask)
-        if not cfg.similarity_uses_compressed:
-            wire = CompressedModel("dense", params=params.copy())
-        blob = to_bytes(wire)
-        wire_blobs[dev.uid] = blob
-        decoded[dev.uid] = decompress(from_bytes(blob))
+    for bank in state.train_banks:
+        size = lockstep_chunk(state.devices[bank.uids[0]].params, cfg.training.batch_size)
+        for lo in range(0, len(bank.uids), size):
+            uids = bank.uids[lo : lo + size]
+            cms = [compress(state.devices[uid].params, cfg.strategy) for uid in uids]
+            start = ParameterSet.stack([decompress(cm) for cm in cms])
+            masks = None
+            if cms[0].mask is not None:
+                masks = [np.stack(layer) for layer in zip(*(cm.mask.layers for cm in cms))]
+            out = local_training(
+                start,
+                bank.data.subset(slice(lo, lo + size)),
+                cfg.training,
+                mask=masks,
+                round_index=round_index,
+                seeds=[derive_seed(cfg.training.rng_seed, uid) for uid in uids],
+            )
+            for k, (uid, cm) in enumerate(zip(uids, cms)):
+                params = out[k]
+                trained[uid] = params
+                wire = encode_wire(params, cfg.strategy, cm.mask)
+                if not cfg.similarity_uses_compressed:
+                    wire = CompressedModel("dense", params=params.copy())
+                blob = to_bytes(wire)
+                wire_blobs[uid] = blob
+                decoded[uid] = decompress(from_bytes(blob))
 
     if arm == "isolated":
         for dev in state.devices:
@@ -343,11 +405,7 @@ def run_round(
         bytes_broadcast = sum(
             len(wire_blobs[dev.uid]) * len(topo.neighbors(dev.uid)) for dev in state.devices
         )
-        ds = DissimilarityMatrix()
-        for i, j in topo.edges():
-            loss_ij, _ = loss_and_accuracy(decoded[j], state.devices[i].val)
-            loss_ji, _ = loss_and_accuracy(decoded[i], state.devices[j].val)
-            ds.put(i, j, loss_ij + loss_ji)
+        ds = _edge_dissimilarity(state, decoded)
         graph = similarity_graph(topo, ds, cfg.tau)
     else:
         graph = fields.FieldGraph.from_topology(topo)
@@ -410,6 +468,38 @@ def run_round(
         macs,
         ds,
     )
+
+
+def _edge_dissimilarity(state: SimulationState, decoded: Mapping[int, ParameterSet]) -> DissimilarityMatrix:
+    """cross_similarity of every topology edge, scored in lockstep: each edge
+    is two (sender model, receiver validation split) pairs, and the pairs of
+    equal-length splits run in chunks of one forward pass each."""
+    edges = state.topology.edges()
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    # pair e scores edge e's second device's model on its first's split, pair
+    # e + |E| the other way round
+    senders = np.concatenate([ends[:, 1], ends[:, 0]])
+    receivers = np.concatenate([ends[:, 0], ends[:, 1]])
+    losses = np.empty(len(senders))
+    bank_of = np.empty(len(state.devices), dtype=np.int64)
+    row_of = np.empty(len(state.devices), dtype=np.int64)
+    for b, bank in enumerate(state.val_banks):
+        bank_of[bank.uids] = b
+        row_of[bank.uids] = np.arange(len(bank.uids))
+    # pair indices grouped by their receiver's bank
+    by_bank = np.argsort(bank_of[receivers], kind="stable")
+    bounds = np.searchsorted(bank_of[receivers][by_bank], np.arange(len(state.val_banks) + 1))
+    for b, bank in enumerate(state.val_banks):
+        pairs = by_bank[bounds[b] : bounds[b + 1]]
+        size = lockstep_chunk(state.devices[bank.uids[0]].params, bank.data.labels.shape[1])
+        for lo in range(0, len(pairs), size):
+            pick = pairs[lo : lo + size]
+            models = ParameterSet.stack([decoded[uid] for uid in senders[pick]])
+            losses[pick], _ = loss_and_accuracy(models, bank.data.subset(row_of[receivers[pick]]))
+    ds = DissimilarityMatrix()
+    for (i, j), loss_ij, loss_ji in zip(edges, losses[: len(edges)], losses[len(edges) :]):
+        ds.put(i, j, loss_ij + loss_ji)
+    return ds
 
 
 def _representative_macs(partition: FederationPartition, trained: Mapping[int, ParameterSet]) -> int:

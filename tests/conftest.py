@@ -123,6 +123,71 @@ def sample_away_from_relu_kinks(rng, sizes, min_preactivation=1e-2, max_tries=20
 
 
 # --------------------------------------------------------------------------
+# per-device reference trainer: one model on one 2-d dataset at a time, the
+# loop the simulator ran before it trained devices in lockstep
+
+
+def reference_gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
+    """Backprop of the mean cross-entropy for one model on one batch."""
+    x = batch.features
+    n = len(batch)
+    last = params.num_layers - 1
+    activations = [x]
+    pre = []
+    a = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        a = z if i == last else np.maximum(z, 0.0)
+        activations.append(a)
+    shifted = pre[-1] - pre[-1].max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    delta = probs
+    delta[np.arange(n), batch.labels] -= 1.0
+    delta /= n
+    grad_w = [np.empty(0)] * params.num_layers
+    grad_b = [np.empty(0)] * params.num_layers
+    for i in range(last, -1, -1):
+        grad_w[i] = delta.T @ activations[i]
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ params.weights[i]) * (pre[i - 1] > 0.0)
+    return ParameterSet(grad_w, grad_b)
+
+
+def reference_local_training(params, data, cfg, mask=None, round_index=0) -> ParameterSet:
+    """Masked minibatch SGD of one model, shuffled by (cfg.rng_seed, round_index)."""
+    mask_layers = None if mask is None else [np.asarray(m) for m in getattr(mask, "layers", mask)]
+    rng = np.random.default_rng((int(cfg.rng_seed), int(round_index)))
+    out = params.copy()
+    n = len(data)
+    for _ in range(cfg.local_epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            g = reference_gradients(out, data.subset(idx))
+            for i in range(out.num_layers):
+                out.weights[i] -= cfg.learning_rate * g.weights[i]
+                if mask_layers is not None:
+                    out.weights[i] *= mask_layers[i]
+                out.biases[i] -= cfg.learning_rate * g.biases[i]
+    return out
+
+
+def reference_loss(params: ParameterSet, data: LabeledDataset) -> float:
+    """Mean cross-entropy of one model on one dataset."""
+    a = data.features
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w.T + b
+        if i != params.num_layers - 1:
+            np.maximum(a, 0.0, out=a)
+    shifted = a - a.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-logp[np.arange(len(data)), data.labels].mean())
+
+
+# --------------------------------------------------------------------------
 # IDX file helper
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import struct
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -11,7 +12,13 @@ import pytest
 
 import sparsefuel
 from sparsefuel.cli import main
-from sparsefuel.compression import CompressionStrategy, compress, to_bytes
+from sparsefuel.compression import (
+    HEADER_BYTES,
+    SHAPE_BYTES_PER_TENSOR,
+    CompressionStrategy,
+    compress,
+    to_bytes,
+)
 from sparsefuel.harness import calibrate_tau, format_config
 from sparsefuel.neuralnet import Architecture, init_parameters
 
@@ -128,6 +135,20 @@ class TestCalibrateTau:
         assert main(["calibrate-tau", "--config", config_path, "--warmup", "-1"]) == 1
         assert "--warmup" in capsys.readouterr().err
 
+    def test_single_region_world_is_a_config_error(self, tmp_path, capsys):
+        cfg = small_config()
+        cfg = dataclasses.replace(
+            cfg,
+            environment=dataclasses.replace(cfg.environment, rows=1, cols=1),
+            data=dataclasses.replace(cfg.data, classes_per_subregion=4),
+        )
+        path = tmp_path / "one-region.cfg"
+        path.write_text(format_config(cfg))
+        assert main(["calibrate-tau", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "intra- and inter-region" in err
+
 
 class TestInspectModel:
     def test_describes_a_checkpoint(self, tmp_path, capsys):
@@ -147,6 +168,21 @@ class TestInspectModel:
         path.write_bytes(b"definitely not a model")
         assert main(["inspect-model", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_shape_chain_mismatch_is_a_config_error(self, tmp_path, capsys):
+        params = init_parameters(Architecture((2, 3, 4)), 0)
+        blob = bytearray(to_bytes(compress(params, CompressionStrategy("dense"))))
+        # tensor 2 (W1, 4x3) becomes 6x2: the same value count, but its fan-in
+        # no longer matches W0's 3 rows
+        at = HEADER_BYTES + 2 * SHAPE_BYTES_PER_TENSOR + 4 * (3 * 2 + 3)
+        assert struct.unpack_from("<II", blob, at) == (4, 3)
+        struct.pack_into("<II", blob, at, 6, 2)
+        path = tmp_path / "bad-shape.spfl"
+        path.write_bytes(bytes(blob))
+        assert main(["inspect-model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "fan-in 2 does not match previous fan-out 3" in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["inspect-model", str(tmp_path / "absent.spfl")]) == 1

@@ -1,0 +1,224 @@
+"""Lockstep training and batched similarity against the per-device reference.
+
+Stacked training and scoring must be the per-device arithmetic, only run for
+many devices at once, so every check here is bit-equality (array_equal, ==),
+never a tolerance.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from sparsefuel.compression import (
+    CompressionStrategy,
+    SparseMask,
+    compress,
+    decompress,
+    encode_wire,
+    from_bytes,
+    to_bytes,
+)
+from sparsefuel.environment import DeviceSite, build_topology
+from sparsefuel.neuralnet import (
+    Architecture,
+    LabeledDataset,
+    ParameterSet,
+    TrainingConfig,
+    init_parameters,
+    local_training,
+    loss_and_accuracy,
+)
+from sparsefuel.protocol import (
+    ProtocolConfig,
+    cross_similarity,
+    lockstep_chunk,
+    make_state,
+    run_round,
+)
+from sparsefuel.seeds import derive_seed
+
+from conftest import reference_local_training, reference_loss
+
+
+def assert_same_model(got: ParameterSet, want: ParameterSet):
+    assert got.same_shape(want)
+    for x, y in zip(got.weights + got.biases, want.weights + want.biases):
+        assert np.array_equal(x, y)
+
+
+def toy_data(seed, m, dim=2, classes=4):
+    rng = np.random.default_rng(seed)
+    return LabeledDataset(rng.uniform(0, 1, (m, dim)), rng.integers(0, classes, m))
+
+
+def random_mask(arch, seed, keep=0.7):
+    rng = np.random.default_rng(seed)
+    return SparseMask([(rng.random(shape) < keep).astype(np.uint8) for shape in arch.weight_shapes()])
+
+
+class TestLockstepTraining:
+    def test_stack_matches_reference_per_device(self):
+        # five devices, each with its own start model, data, shuffle seed and
+        # mask; 37 rows at batch 16 leave a partial last batch of 5
+        arch = Architecture((3, 7, 4))
+        models = [init_parameters(arch, 10 + k) for k in range(5)]
+        data = [toy_data(20 + k, 37, dim=3) for k in range(5)]
+        masks = [random_mask(arch, 30 + k) for k in range(5)]
+        seeds = [derive_seed(99, k) for k in range(5)]
+        cfg = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=0)
+        out = local_training(
+            ParameterSet.stack(models),
+            LabeledDataset(np.stack([d.features for d in data]), np.stack([d.labels for d in data])),
+            cfg,
+            mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
+            round_index=3,
+            seeds=seeds,
+        )
+        assert out.stacked and out.weights[0].shape == (5, 7, 3)
+        for k in range(5):
+            want = reference_local_training(
+                models[k], data[k], dataclasses.replace(cfg, rng_seed=seeds[k]), masks[k], round_index=3
+            )
+            assert_same_model(out[k], want)
+
+    def test_single_model_without_mask_matches_reference(self):
+        params = init_parameters(Architecture((2, 9, 3)), 4)
+        data = toy_data(5, 29, classes=3)
+        cfg = TrainingConfig(local_epochs=3, batch_size=8, learning_rate=0.2, rng_seed=17)
+        out = local_training(params, data, cfg, round_index=2)
+        assert not out.stacked
+        assert_same_model(out, reference_local_training(params, data, cfg, round_index=2))
+
+    def test_seed_count_must_match_stack(self):
+        models = ParameterSet.stack([init_parameters(Architecture((2, 3)), k) for k in range(2)])
+        data = LabeledDataset(np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=np.int64))
+        cfg = TrainingConfig(local_epochs=1, batch_size=2, learning_rate=0.1, rng_seed=0)
+        with pytest.raises(ValueError, match="2 models"):
+            local_training(models, data, cfg, seeds=[1, 2, 3])
+
+    def test_stacked_loss_is_per_pair_loss(self):
+        arch = Architecture((2, 5, 4))
+        models = [init_parameters(arch, k) for k in range(3)]
+        data = [toy_data(40 + k, 11) for k in range(3)]
+        losses, accs = loss_and_accuracy(
+            ParameterSet.stack(models),
+            LabeledDataset(np.stack([d.features for d in data]), np.stack([d.labels for d in data])),
+        )
+        for k in range(3):
+            loss, acc = loss_and_accuracy(models[k], data[k])
+            assert losses[k] == loss == reference_loss(models[k], data[k])
+            assert accs[k] == acc
+
+
+# Eleven devices on a line with three dataset lengths, so three train banks
+# (36, 31 and 16 rows: partial last batches of 4 and 15 at batch 16, and a
+# bank of one) and three validation banks (9, 7 and 4 rows), interleaved so
+# that edges cross banks.
+LENGTHS = (45, 38, 45, 45, 20, 45, 38, 45, 45, 38, 45)
+# A 2-300-4 MLP costs 8 * (2104 + 16 * 306) = 56,000 bytes per device at
+# batch 16, so lockstep training runs four devices at a time.
+WIDE = Architecture((2, 300, 4))
+STRATEGY = CompressionStrategy("sparse+quantized", 0.3)
+TRAINING = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=5)
+
+
+def line_state():
+    sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(len(LENGTHS))]
+    topo = build_topology(sites, r_c=1.0)
+    datasets = [toy_data(200 + uid, m) for uid, m in enumerate(LENGTHS)]
+    state = make_state(topo, datasets, init_parameters(WIDE, 0), validation_fraction=0.2)
+    # distinct start models give every device its own prune mask
+    for dev in state.devices:
+        dev.params = init_parameters(WIDE, 1000 + dev.uid)
+    return state
+
+
+def reference_round(state, round_index):
+    """Per-device training and wire round trip: (trained, decoded) by uid."""
+    trained, decoded = {}, {}
+    for dev in state.devices:
+        cm = compress(dev.params, STRATEGY)
+        tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
+        trained[dev.uid] = reference_local_training(
+            decompress(cm), dev.train, tcfg, mask=cm.mask, round_index=round_index
+        )
+        wire = encode_wire(trained[dev.uid], STRATEGY, cm.mask)
+        decoded[dev.uid] = decompress(from_bytes(to_bytes(wire)))
+    return trained, decoded
+
+
+def protocol_config():
+    return ProtocolConfig(tau=4.0, strategy=STRATEGY, training=TRAINING, rounds=1)
+
+
+class TestDeviceBank:
+    def test_splits_are_views_into_banks_of_equal_length(self):
+        state = line_state()
+        assert sorted(len(b.uids) for b in state.train_banks) == [1, 3, 7]
+        assert sorted(b.data.labels.shape[1] for b in state.train_banks) == [16, 31, 36]
+        assert sorted(b.data.labels.shape[1] for b in state.val_banks) == [4, 7, 9]
+        for banks, split in ((state.train_banks, "train"), (state.val_banks, "val")):
+            for bank in banks:
+                for k, uid in enumerate(bank.uids):
+                    part = getattr(state.devices[uid], split)
+                    assert np.shares_memory(part.features, bank.data.features)
+                    assert np.array_equal(part.features, bank.data.features[k])
+                    assert np.array_equal(part.labels, bank.data.labels[k])
+
+    def test_banks_hold_at_most_one_chunk_of_wide_models(self):
+        # a 2-2000-4 MLP fills 8 * (14004 + 2006) = 128,080 bytes with one
+        # input row, so banks hold two devices and lockstep chunks one
+        wide = Architecture((2, 2000, 4))
+        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(5)]
+        datasets = [toy_data(300 + uid, 25) for uid in range(5)]
+        state = make_state(build_topology(sites, r_c=1.0), datasets, init_parameters(wide, 0), 0.2)
+        assert [b.uids for b in state.train_banks] == [[0, 1], [2, 3], [4]]
+        assert [b.uids for b in state.val_banks] == [[0, 1], [2, 3], [4]]
+        # a bank of one is the device's own data, not a copy
+        assert np.shares_memory(state.train_banks[2].data.features, datasets[4].features)
+        assert not np.shares_memory(state.train_banks[0].data.features, datasets[0].features)
+        cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
+        starts = [dev.params.copy() for dev in state.devices]
+        stats = run_round(state, cfg, 1, arm="isolated")
+        for dev, start in zip(state.devices, starts):
+            tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
+            want = reference_local_training(start, dev.train, tcfg, round_index=1)
+            assert_same_model(stats.models_by_leader[dev.uid], want)
+
+    def test_splits_keep_the_row_order(self):
+        data = toy_data(7, 45)
+        topo = build_topology([DeviceSite(0, 0.0, 0.0, 0)], r_c=1.0)
+        dev = make_state(topo, [data], init_parameters(WIDE, 0), 0.2).devices[0]
+        assert np.array_equal(dev.val.features, data.features[:9])
+        assert np.array_equal(dev.train.features, data.features[9:])
+        assert np.array_equal(dev.train.labels, data.labels[9:])
+
+
+class TestLockstepRound:
+    def test_chunk_boundary_falls_inside_the_largest_bank(self):
+        state = line_state()
+        size = lockstep_chunk(state.devices[0].params, TRAINING.batch_size)
+        largest = max(len(b.uids) for b in state.train_banks)
+        assert size == 4
+        assert size < largest and largest % size != 0
+
+    def test_trained_models_match_reference(self):
+        state = line_state()
+        want, _ = reference_round(state, round_index=2)
+        stats = run_round(state, protocol_config(), 2, arm="isolated")
+        for uid, model in want.items():
+            assert_same_model(stats.models_by_leader[uid], model)
+            assert_same_model(state.devices[uid].params, model)
+
+    def test_batched_similarity_matches_per_edge_cross_similarity(self):
+        state = line_state()
+        _, decoded = reference_round(state, round_index=1)
+        vals = [dev.val for dev in state.devices]
+        stats = run_round(state, protocol_config(), 1)
+        edges = state.topology.edges()
+        assert len(stats.dissimilarity.values) == len(edges) == len(LENGTHS) - 1
+        for i, j in edges:
+            got = stats.dissimilarity.get(i, j)
+            assert got == cross_similarity(decoded[i], decoded[j], vals[i], vals[j])
+            assert got == reference_loss(decoded[j], vals[i]) + reference_loss(decoded[i], vals[j])
