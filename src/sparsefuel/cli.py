@@ -19,6 +19,7 @@ from .compression import (
     nonzero_macs,
     payload_size,
     serialized_size,
+    tensor_shapes,
 )
 from .harness import (
     ConfigError,
@@ -131,21 +132,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         model = from_bytes(blob)
     except SerializationError as exc:
         raise ConfigError(f"{args.path}: {exc}") from None
-    shapes = []
-    n_params = 0
-    if model.params is not None:
-        for w, b in zip(model.params.weights, model.params.biases):
-            shapes.append(f"{w.shape[0]}x{w.shape[1]}")
-            shapes.append(f"{b.shape[0]}")
-        n_params = model.params.num_params
-    else:
-        for qt in model.qparams.tensors:
-            shape = qt.values.shape
-            shapes.append(f"{shape[0]}x{shape[1]}" if len(shape) == 2 else f"{shape[0]}")
-            n_params += qt.values.size
+    shapes = tensor_shapes(model)
+    labels = [f"{rows}x{cols}" if cols else f"{rows}" for rows, cols in shapes]
     print(f"kind: {model.kind}")
-    print(f"tensors: {len(shapes)} ({', '.join(shapes)})")
-    print(f"parameters: {n_params}")
+    print(f"tensors: {len(labels)} ({', '.join(labels)})")
+    print(f"parameters: {sum(rows * (cols or 1) for rows, cols in shapes)}")
     print(f"serialized bytes: {serialized_size(model)} (file: {len(blob)})")
     print(f"payload bytes: {payload_size(model)}")
     print(f"nonzero macs: {nonzero_macs(model)}")

@@ -179,10 +179,15 @@ def _quantize_tensor(t: np.ndarray) -> QuantizedTensor:
         return QuantizedTensor(1.0, 0, np.zeros(t.shape, dtype=np.uint8))
     if not np.isfinite(t).all():
         raise ValueError("cannot quantize non-finite values")
-    lo = float(t.min())
-    hi = float(t.max())
-    scale = 1.0 if hi == lo else (hi - lo) / 255.0
-    zero_point = int(min(255.0, max(0.0, float(_round_half_away(-lo / scale)))))
+    # the range always includes 0 (Jacob et al., CVPR 2018), so 0 sits on the
+    # grid and a single-sign tensor still spreads over all 256 levels
+    lo = min(float(t.min()), 0.0)
+    hi = max(float(t.max()), 0.0)
+    scale = (hi - lo) / 255.0
+    if scale == 0.0:
+        # all zeros, or a range so narrow (subnormal) that a step underflows
+        scale = 1.0
+    zero_point = int(_round_half_away(-lo / scale))
     q = np.clip(_round_half_away(t / scale) + zero_point, 0, 255).astype(np.uint8)
     return QuantizedTensor(scale, zero_point, q)
 
@@ -243,63 +248,35 @@ def nonzero_macs(model: ParameterSet | CompressedModel) -> int:
 # ---- serialization ----
 
 
-def _tensor_shapes(model: CompressedModel) -> list[tuple[int, int]]:
+def tensor_shapes(model: CompressedModel) -> list[tuple[int, int]]:
     """(rows, cols) per tensor in order W0, b0, ...; cols == 0 for vectors."""
-    shapes = []
-    if model.params is not None:
-        for w, b in zip(model.params.weights, model.params.biases):
-            shapes.append((w.shape[0], w.shape[1]))
-            shapes.append((b.shape[0], 0))
-    else:
-        for qt in model.qparams.tensors:
-            if qt.values.ndim == 2:
-                shapes.append((qt.values.shape[0], qt.values.shape[1]))
-            else:
-                shapes.append((qt.values.shape[0], 0))
-    return shapes
-
-
-def _bitmap_lengths(model: CompressedModel) -> list[int]:
-    """Bitmap byte count per tensor (sparse kinds only)."""
-    out = []
-    for rows, cols in _tensor_shapes(model):
-        n = rows * cols if cols else rows
-        out.append((n + 7) // 8)
-    return out
-
-
-def _kept_per_tensor(model: CompressedModel) -> list[int]:
-    """Surviving value count per tensor; biases always survive whole."""
-    kept = []
-    shapes = _tensor_shapes(model)
-    for i, (rows, cols) in enumerate(shapes):
-        layer = i // 2
-        if cols:
-            kept.append(int(model.mask.layers[layer].sum()))
-        else:
-            kept.append(rows)
-    return kept
+    arrays = (
+        [t for wb in zip(model.params.weights, model.params.biases) for t in wb]
+        if model.params is not None
+        else [qt.values for qt in model.qparams.tensors]
+    )
+    return [(a.shape[0], a.shape[1] if a.ndim == 2 else 0) for a in arrays]
 
 
 def serialized_size(model: CompressedModel) -> int:
     """Exact byte length of to_bytes(model), computed arithmetically."""
-    shapes = _tensor_shapes(model)
+    shapes = tensor_shapes(model)
     size = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR * len(shapes)
-    counts = [rows * cols if cols else rows for rows, cols in shapes]
-    if model.kind == "dense":
-        size += 4 * sum(counts)
-    elif model.kind == "quantized":
-        size += sum(counts) + 5 * len(shapes)
-    elif model.kind == "sparse":
-        size += sum(_bitmap_lengths(model)) + 4 * sum(_kept_per_tensor(model))
-    else:
-        size += sum(_bitmap_lengths(model)) + sum(_kept_per_tensor(model)) + 5 * len(shapes)
+    for i, (rows, cols) in enumerate(shapes):
+        n = kept = rows * (cols or 1)
+        if model.mask is not None:
+            # keep-bitmap; biases always survive whole
+            size += (n + 7) // 8
+            if cols:
+                kept = int(model.mask.layers[i // 2].sum())
+        # quantized: scale f32, zero point u8, one u8 per value; else f32 values
+        size += 5 + kept if model.qparams is not None else 4 * kept
     return size
 
 
 def payload_size(model: CompressedModel) -> int:
     """Serialized size minus the header and per-tensor shape metadata."""
-    n_tensors = len(_tensor_shapes(model))
+    n_tensors = len(tensor_shapes(model))
     return serialized_size(model) - HEADER_BYTES - SHAPE_BYTES_PER_TENSOR * n_tensors
 
 
@@ -424,6 +401,8 @@ def from_bytes(buf: bytes) -> CompressedModel:
                 raise SerializationError(f"tensor {t}: bias bitmap must be all ones")
         if quantized:
             scale, zero_point = struct.unpack("<fB", r.take(5))
+            if not math.isfinite(scale):
+                raise SerializationError(f"tensor {t}: quantization scale {scale} is not finite")
             kept = int(bits.sum()) if bits is not None else n
             vals = np.frombuffer(r.take(kept), dtype=np.uint8)
             full = np.full(n, zero_point, dtype=np.uint8)

@@ -67,9 +67,6 @@ class FieldGraph:
         adj = {u: tuple(v for v in self.adj[u] if v != uid) for u in nodes}
         return FieldGraph(nodes, adj)
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in self.nodes for v in self.adj[u] if u < v]
-
 
 @dataclass
 class GradientField:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -46,42 +46,62 @@ class ConfigError(ValueError):
     """Raised for malformed or out-of-range experiment configs."""
 
 
+def _key(default, ok=None, problem="", section=None):
+    """A config key's one declaration: its default and, optionally, the check
+    (a predicate, and what to say when it fails) its parsed value must pass.
+    A key kept on ExperimentConfig itself names its section."""
+    return field(default=default, metadata={"ok": ok, "problem": problem, "section": section})
+
+
+def _positive(default):
+    return _key(default, lambda v: v > 0, "must be > 0")
+
+
+def _at_least_1(default):
+    return _key(default, lambda v: v >= 1, "must be >= 1")
+
+
 @dataclass(frozen=True)
 class EnvironmentConfig:
-    width: float = 10.0
-    height: float = 10.0
-    rows: int = 2
-    cols: int = 2
-    n: int = 64
-    r_c: float | None = None  # None = 1.5x lattice pitch
-    placement: str = "jittered-grid"
-    seed: int = 42
+    width: float = _positive(10.0)
+    height: float = _positive(10.0)
+    rows: int = _at_least_1(2)
+    cols: int = _at_least_1(2)
+    n: int = _at_least_1(64)
+    # None = 1.5x lattice pitch
+    r_c: float | None = _key(None, lambda v: v is None or v > 0, "must be > 0 or auto")
+    placement: str = _key("jittered-grid", lambda v: v in PLACEMENTS, f"must be one of {PLACEMENTS}")
+    seed: int = _key(42, lambda v: v >= 0, "must be >= 0")
 
 
 @dataclass(frozen=True)
 class DataConfig:
-    kind: str = "synthetic-blobs"
-    samples_per_device: int = 300
-    test_samples: int = 400
-    validation_fraction: float = 0.2
-    classes_per_subregion: int = 2
-    feature_dim: int = 2
-    blob_std: float = 0.08
-    epsilon: float = 0.0
+    kind: str = _key(
+        "synthetic-blobs",
+        lambda v: v in ("synthetic-blobs", "idx-label-skew"),
+        "must be synthetic-blobs or idx-label-skew",
+    )
+    samples_per_device: int = _key(300, lambda v: v >= 2, "must be >= 2")
+    test_samples: int = _at_least_1(400)
+    validation_fraction: float = _key(0.2, lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
+    classes_per_subregion: int = _at_least_1(2)
+    feature_dim: int = _key(2, lambda v: v >= 2, "must be >= 2")
+    blob_std: float = _positive(0.08)
+    epsilon: float = _key(0.0, lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
     idx_images: str = ""
     idx_labels: str = ""
 
 
 @dataclass(frozen=True)
 class ProtocolSection:
-    tau: float = 4.0
-    kind: str = "sparse+quantized"
-    psi: float = 0.3
+    tau: float = _key(4.0, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+    kind: str = _key("sparse+quantized", lambda v: v in KINDS, f"must be one of {KINDS}")
+    psi: float = _key(0.3, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
     similarity_uses_compressed: bool = True
-    rounds: int = 50
-    local_epochs: int = 3
-    batch_size: int = 32
-    learning_rate: float = 0.1
+    rounds: int = _at_least_1(50)
+    local_epochs: int = _at_least_1(3)
+    batch_size: int = _at_least_1(32)
+    learning_rate: float = _positive(0.1)
 
 
 @dataclass(frozen=True)
@@ -92,9 +112,14 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One field per config section, in file order; `layers` is the one key
+    kept here directly, under the [model] section."""
+
     environment: EnvironmentConfig = field(default_factory=EnvironmentConfig)
     data: DataConfig = field(default_factory=DataConfig)
-    layers: tuple[int, ...] = (2, 16, 8)
+    layers: tuple[int, ...] = _key(
+        (2, 16, 8), lambda v: all(s >= 1 for s in v), "layer sizes must be >= 1", section="model"
+    )
     protocol: ProtocolSection = field(default_factory=ProtocolSection)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -103,65 +128,19 @@ class ExperimentConfig:
         return self.environment.rows * self.environment.cols
 
 
-_SECTION_KEYS = {
-    "environment": ("width", "height", "rows", "cols", "n", "r_c", "placement", "seed"),
-    "data": (
-        "kind",
-        "samples_per_device",
-        "test_samples",
-        "validation_fraction",
-        "classes_per_subregion",
-        "feature_dim",
-        "blob_std",
-        "epsilon",
-        "idx_images",
-        "idx_labels",
-    ),
-    "model": ("layers",),
-    "protocol": (
-        "tau",
-        "kind",
-        "psi",
-        "similarity_uses_compressed",
-        "rounds",
-        "local_epochs",
-        "batch_size",
-        "learning_rate",
-    ),
-    "output": ("csv", "checkpoint_dir"),
-}
+def _key_table():
+    """(section, owner, Field) for every config key, in file order.  owner is
+    the ExperimentConfig field holding the section, or None for a key that
+    ExperimentConfig holds itself."""
+    for top in fields(ExperimentConfig):
+        if is_dataclass(top.default_factory):
+            for f in fields(top.default_factory):
+                yield top.name, top.name, f
+        else:
+            yield top.metadata["section"], None, top
 
 
-class _Entries:
-    """Raw key=value entries with the line each came from."""
-
-    def __init__(self) -> None:
-        self.values: dict[tuple[str, str], tuple[str, int]] = {}
-
-    def put(self, section: str, key: str, value: str, line: int) -> None:
-        if (section, key) in self.values:
-            raise ConfigError(f"line {line}: duplicate key '{key}' in [{section}]")
-        self.values[(section, key)] = (value, line)
-
-    def raw(self, section: str, key: str) -> tuple[str, int] | None:
-        return self.values.get((section, key))
-
-    def get(self, section: str, key: str, convert, default, check=None):
-        entry = self.raw(section, key)
-        if entry is None:
-            return default
-        value, line = entry
-        try:
-            out = convert(value)
-        except (ValueError, TypeError):
-            raise ConfigError(
-                f"line {line}: cannot parse '{value}' for {section}.{key}"
-            ) from None
-        if check is not None:
-            problem = check(out)
-            if problem:
-                raise ConfigError(f"line {line}: {section}.{key} {problem} (got {value})")
-        return out
+KEY_TABLE = tuple(_key_table())
 
 
 def _as_bool(value: str) -> bool:
@@ -186,9 +165,33 @@ def _as_radius(value: str) -> float | None:
     return float(value)
 
 
+# (parse, format) per declared field type
+_CODECS = {
+    "float": (float, repr),
+    "int": (int, str),
+    "str": (str, str),
+    "bool": (_as_bool, lambda v: "true" if v else "false"),
+    "float | None": (_as_radius, lambda v: "auto" if v is None else repr(v)),
+    "tuple[int, ...]": (_as_layers, lambda v: ",".join(str(s) for s in v)),
+}
+
+
+def _decode(section: str, f, value: str, line: int):
+    try:
+        out = _CODECS[f.type][0](value)
+    except (ValueError, TypeError):
+        raise ConfigError(f"line {line}: cannot parse '{value}' for {section}.{f.name}") from None
+    ok = f.metadata.get("ok")
+    if ok is not None and not ok(out):
+        raise ConfigError(f"line {line}: {section}.{f.name} {f.metadata['problem']} (got {value})")
+    return out
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse sectioned key=value text; every error names its line."""
-    entries = _Entries()
+    known = {(section, f.name) for section, _, f in KEY_TABLE}
+    sections = {section for section, _ in known}
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
     section: str | None = None
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
@@ -196,7 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in sections:
                 raise ConfigError(f"line {line_no}: unknown section [{name}]")
             section = name
             continue
@@ -206,91 +209,27 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: key before any [section] header")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _SECTION_KEYS[section]:
+        if (section, key) not in known:
             raise ConfigError(f"line {line_no}: unknown key '{key}' in [{section}]")
-        entries.put(section, key, value, line_no)
+        if (section, key) in entries:
+            raise ConfigError(f"line {line_no}: duplicate key '{key}' in [{section}]")
+        entries[(section, key)] = (value.strip(), line_no)
 
-    positive = lambda v: None if v > 0 else "must be > 0"
-    at_least_1 = lambda v: None if v >= 1 else "must be >= 1"
+    # keys decode in file order; a key that is absent keeps its field default
+    given: dict[str | None, dict] = {}
+    for section, owner, f in KEY_TABLE:
+        if (section, f.name) in entries:
+            given.setdefault(owner, {})[f.name] = _decode(section, f, *entries[(section, f.name)])
+    cfg = ExperimentConfig(
+        **given.get(None, {}),
+        **{
+            top.name: top.default_factory(**given.get(top.name, {}))
+            for top in fields(ExperimentConfig)
+            if is_dataclass(top.default_factory)
+        },
+    )
 
-    env = EnvironmentConfig(
-        width=entries.get("environment", "width", float, 10.0, positive),
-        height=entries.get("environment", "height", float, 10.0, positive),
-        rows=entries.get("environment", "rows", int, 2, at_least_1),
-        cols=entries.get("environment", "cols", int, 2, at_least_1),
-        n=entries.get("environment", "n", int, 64, at_least_1),
-        r_c=entries.get(
-            "environment", "r_c", _as_radius, None,
-            lambda v: None if v is None or v > 0 else "must be > 0 or auto",
-        ),
-        placement=entries.get(
-            "environment", "placement", str, "jittered-grid",
-            lambda v: None if v in PLACEMENTS else f"must be one of {PLACEMENTS}",
-        ),
-        seed=entries.get("environment", "seed", int, 42, lambda v: None if v >= 0 else "must be >= 0"),
-    )
-    data = DataConfig(
-        kind=entries.get(
-            "data", "kind", str, "synthetic-blobs",
-            lambda v: None
-            if v in ("synthetic-blobs", "idx-label-skew")
-            else "must be synthetic-blobs or idx-label-skew",
-        ),
-        samples_per_device=entries.get(
-            "data", "samples_per_device", int, 300,
-            lambda v: None if v >= 2 else "must be >= 2",
-        ),
-        test_samples=entries.get("data", "test_samples", int, 400, at_least_1),
-        validation_fraction=entries.get(
-            "data", "validation_fraction", float, 0.2,
-            lambda v: None if 0.0 < v < 1.0 else "must be in (0, 1)",
-        ),
-        classes_per_subregion=entries.get(
-            "data", "classes_per_subregion", int, 2, at_least_1
-        ),
-        feature_dim=entries.get(
-            "data", "feature_dim", int, 2, lambda v: None if v >= 2 else "must be >= 2"
-        ),
-        blob_std=entries.get("data", "blob_std", float, 0.08, positive),
-        epsilon=entries.get(
-            "data", "epsilon", float, 0.0,
-            lambda v: None if 0.0 <= v < 1.0 else "must be in [0, 1)",
-        ),
-        idx_images=entries.get("data", "idx_images", str, ""),
-        idx_labels=entries.get("data", "idx_labels", str, ""),
-    )
-    layers = entries.get(
-        "model", "layers", _as_layers, (2, 16, 8),
-        lambda v: None if all(s >= 1 for s in v) else "layer sizes must be >= 1",
-    )
-    protocol = ProtocolSection(
-        tau=entries.get(
-            "protocol", "tau", float, 4.0,
-            lambda v: None if math.isfinite(v) and v > 0 else "must be finite and > 0",
-        ),
-        kind=entries.get(
-            "protocol", "kind", str, "sparse+quantized",
-            lambda v: None if v in KINDS else f"must be one of {KINDS}",
-        ),
-        psi=entries.get(
-            "protocol", "psi", float, 0.3,
-            lambda v: None if 0.0 <= v <= 1.0 else "must be in [0, 1]",
-        ),
-        similarity_uses_compressed=entries.get(
-            "protocol", "similarity_uses_compressed", _as_bool, True
-        ),
-        rounds=entries.get("protocol", "rounds", int, 50, at_least_1),
-        local_epochs=entries.get("protocol", "local_epochs", int, 3, at_least_1),
-        batch_size=entries.get("protocol", "batch_size", int, 32, at_least_1),
-        learning_rate=entries.get("protocol", "learning_rate", float, 0.1, positive),
-    )
-    output = OutputConfig(
-        csv=entries.get("output", "csv", str, "metrics.csv"),
-        checkpoint_dir=entries.get("output", "checkpoint_dir", str, ""),
-    )
-    cfg = ExperimentConfig(env, data, layers, protocol, output)
-
+    data, layers = cfg.data, cfg.layers
     if data.kind == "idx-label-skew":
         for key, path in (("idx_images", data.idx_images), ("idx_labels", data.idx_labels)):
             if not path:
@@ -321,47 +260,14 @@ def load_config(path: str) -> ExperimentConfig:
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Write a config back out so that parse_config(format_config(c)) == c."""
-    env, data, protocol, output = cfg.environment, cfg.data, cfg.protocol, cfg.output
-    lines = [
-        "[environment]",
-        f"width = {env.width!r}",
-        f"height = {env.height!r}",
-        f"rows = {env.rows}",
-        f"cols = {env.cols}",
-        f"n = {env.n}",
-        f"r_c = {'auto' if env.r_c is None else repr(env.r_c)}",
-        f"placement = {env.placement}",
-        f"seed = {env.seed}",
-        "",
-        "[data]",
-        f"kind = {data.kind}",
-        f"samples_per_device = {data.samples_per_device}",
-        f"test_samples = {data.test_samples}",
-        f"validation_fraction = {data.validation_fraction!r}",
-        f"classes_per_subregion = {data.classes_per_subregion}",
-        f"feature_dim = {data.feature_dim}",
-        f"blob_std = {data.blob_std!r}",
-        f"epsilon = {data.epsilon!r}",
-        f"idx_images = {data.idx_images}",
-        f"idx_labels = {data.idx_labels}",
-        "",
-        "[model]",
-        f"layers = {','.join(str(s) for s in cfg.layers)}",
-        "",
-        "[protocol]",
-        f"tau = {protocol.tau!r}",
-        f"kind = {protocol.kind}",
-        f"psi = {protocol.psi!r}",
-        f"similarity_uses_compressed = {'true' if protocol.similarity_uses_compressed else 'false'}",
-        f"rounds = {protocol.rounds}",
-        f"local_epochs = {protocol.local_epochs}",
-        f"batch_size = {protocol.batch_size}",
-        f"learning_rate = {protocol.learning_rate!r}",
-        "",
-        "[output]",
-        f"csv = {output.csv}",
-        f"checkpoint_dir = {output.checkpoint_dir}",
-    ]
+    lines: list[str] = []
+    current = None
+    for section, owner, f in KEY_TABLE:
+        if section != current:
+            lines += [f"[{section}]"] if current is None else ["", f"[{section}]"]
+            current = section
+        value = getattr(cfg if owner is None else getattr(cfg, owner), f.name)
+        lines.append(f"{f.name} = {_CODECS[f.type][1](value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -633,9 +539,7 @@ def save_checkpoints(result: ExperimentResult, directory: str) -> list[str]:
     """Write the final representative model as dense plus the configured wire
     kind (when not dense); returns the paths written."""
     os.makedirs(directory, exist_ok=True)
-    partition = result.final_partition
-    rep = max(partition.federations, key=lambda f: (len(f.members), -f.leader))
-    model = result.final_models[rep.leader]
+    model = result.final_models[result.final_partition.representative().leader]
     strategy = result.world.protocol.strategy
     paths = []
     dense_path = os.path.join(directory, "final_dense.spfl")

@@ -12,6 +12,7 @@ iterated in uid order and all aggregation happens in uid order.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -21,6 +22,7 @@ from . import fields
 from .compression import (
     CompressedModel,
     CompressionStrategy,
+    SparseMask,
     compress,
     decompress,
     encode_wire,
@@ -72,8 +74,9 @@ class FederationPartition:
     def __len__(self) -> int:
         return len(self.federations)
 
-    def member_sets(self) -> list[frozenset[int]]:
-        return [f.members for f in self.federations]
+    def representative(self) -> Federation:
+        """The largest federation; ties on size go to the lowest leader uid."""
+        return max(self.federations, key=lambda f: (len(f.members), -f.leader))
 
     def federation_of(self, uid: int) -> Federation:
         for fed in self.federations:
@@ -149,27 +152,23 @@ def similarity_graph(topology: Topology, ds: DissimilarityMatrix, tau: float) ->
     return fields.FieldGraph.from_topology(topology, keep_edge=lambda i, j: ds.get(i, j) <= tau)
 
 
-def _partition_from_field(
-    gfield: fields.GradientField, round_formed: int
-) -> FederationPartition:
+def _elect(graph: fields.FieldGraph, round_formed: int) -> tuple[fields.GradientField, FederationPartition]:
+    """Elect the minimum uid of each component of the graph, grow the hop
+    field from the leaders, and read the federations off its sources."""
+    flags = fields.s_block(graph)
+    gfield = fields.g_block(graph, [u for u, flag in flags.items() if flag])
     members: dict[int, set[int]] = {}
     for uid, src in gfield.source.items():
         members.setdefault(src, set()).add(uid)
-    feds = [
-        Federation(leader, frozenset(uids), round_formed)
-        for leader, uids in members.items()
-    ]
-    return FederationPartition(feds, round_formed)
+    feds = [Federation(leader, frozenset(uids), round_formed) for leader, uids in members.items()]
+    return gfield, FederationPartition(feds, round_formed)
 
 
 def form_federations(
     topology: Topology, ds: DissimilarityMatrix, tau: float, round_formed: int = 0
 ) -> FederationPartition:
     """Connected components of the tau-gated graph, led by their minimum uid."""
-    graph = similarity_graph(topology, ds, tau)
-    leaders = fields.s_block(graph)
-    gfield = fields.g_block(graph, [u for u, flag in leaders.items() if flag])
-    return _partition_from_field(gfield, round_formed)
+    return _elect(similarity_graph(topology, ds, tau), round_formed)[1]
 
 
 def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = None) -> ParameterSet:
@@ -327,18 +326,7 @@ class RoundStats:
 
 def _merge_uid_sorted(a: list, b: list) -> list:
     """Merge two uid-sorted (uid, model) lists; associative and commutative."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][0] <= b[j][0]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+    return list(heapq.merge(a, b, key=lambda pair: pair[0]))
 
 
 def run_round(
@@ -353,109 +341,75 @@ def run_round(
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}, expected one of {ARMS}")
     topo = state.topology
+    trained, masks = _train_in_lockstep(state, cfg, round_index)
 
-    # per chunk of equal-length devices: compress, train in lockstep under the
-    # masks, then encode, serialize and parse the wire artifacts
-    trained: dict[int, ParameterSet] = {}
-    decoded: dict[int, ParameterSet] = {}
-    wire_blobs: dict[int, bytes] = {}
-    for bank in state.train_banks:
-        size = lockstep_chunk(state.devices[bank.uids[0]].params, cfg.training.batch_size)
-        for lo in range(0, len(bank.uids), size):
-            uids = bank.uids[lo : lo + size]
-            cms = [compress(state.devices[uid].params, cfg.strategy) for uid in uids]
-            start = ParameterSet.stack([decompress(cm) for cm in cms])
-            masks = None
-            if cms[0].mask is not None:
-                masks = [np.stack(layer) for layer in zip(*(cm.mask.layers for cm in cms))]
-            out = local_training(
-                start,
-                bank.data.subset(slice(lo, lo + size)),
-                cfg.training,
-                mask=masks,
-                round_index=round_index,
-                seeds=[derive_seed(cfg.training.rng_seed, uid) for uid in uids],
-            )
-            for k, (uid, cm) in enumerate(zip(uids, cms)):
-                params = out[k]
-                trained[uid] = params
-                wire = encode_wire(params, cfg.strategy, cm.mask)
-                if not cfg.similarity_uses_compressed:
-                    wire = CompressedModel("dense", params=params.copy())
-                blob = to_bytes(wire)
-                wire_blobs[uid] = blob
-                decoded[uid] = decompress(from_bytes(blob))
-
+    bytes_broadcast = bytes_collect = bytes_disseminate = 0
+    ds = None
+    models_by_leader: dict[int, ParameterSet] = {}
+    delivered: dict[int, ParameterSet] = {}
     if arm == "isolated":
-        for dev in state.devices:
-            dev.params = trained[dev.uid]
         partition = FederationPartition(
             [Federation(dev.uid, frozenset([dev.uid]), round_index) for dev in state.devices],
             round_index,
         )
-        models = {dev.uid: trained[dev.uid] for dev in state.devices}
-        macs = _representative_macs(partition, trained)
-        state.round_index = round_index
-        return RoundStats(round_index, partition, models, 0, 0, 0, macs, None)
-
-    bytes_broadcast = 0
-    ds = None
-    if arm == "sparsefuel":
-        # neighbor broadcast: every device sends its wire artifact to each neighbor
-        bytes_broadcast = sum(
-            len(wire_blobs[dev.uid]) * len(topo.neighbors(dev.uid)) for dev in state.devices
-        )
-        ds = _edge_dissimilarity(state, decoded)
-        graph = similarity_graph(topo, ds, cfg.tau)
+        models_by_leader = {fed.leader: trained[fed.leader] for fed in partition.federations}
     else:
-        graph = fields.FieldGraph.from_topology(topo)
+        # the wire: each trained model's bytes (dense when similarity is scored
+        # on uncompressed models) and the model its receivers decode from them
+        blobs: dict[int, bytes] = {}
+        decoded: dict[int, ParameterSet] = {}
+        for uid, params in trained.items():
+            if cfg.similarity_uses_compressed:
+                wire = encode_wire(params, cfg.strategy, masks[uid])
+            else:
+                wire = CompressedModel("dense", params=params)
+            blobs[uid] = to_bytes(wire)
+            decoded[uid] = decompress(from_bytes(blobs[uid]))
 
-    if arm == "global-fedavg":
-        leader_list = [min(u for u in graph.nodes)]
-        gfield = fields.g_block(graph, leader_list)
-        partition = FederationPartition(
-            [Federation(leader_list[0], frozenset(graph.nodes), round_index)], round_index
+        if arm == "sparsefuel":
+            # neighbor broadcast: every device sends its wire artifact to each neighbor
+            bytes_broadcast = sum(len(blobs[uid]) * len(topo.neighbors(uid)) for uid in blobs)
+            ds = _edge_dissimilarity(state, decoded)
+            gfield, partition = _elect(similarity_graph(topo, ds, cfg.tau), round_index)
+        else:
+            graph = fields.FieldGraph.from_topology(topo)
+            leader = min(graph.nodes)
+            gfield = fields.g_block(graph, [leader])
+            partition = FederationPartition(
+                [Federation(leader, frozenset(graph.nodes), round_index)], round_index
+            )
+
+        # tree collection to each leader (a leader contributes its model as
+        # trained, every other device the model its wire bytes decode to),
+        # weighted average, tree dissemination
+        leaders = {fed.leader for fed in partition.federations}
+        contributions = {
+            uid: [(uid, trained[uid] if uid in leaders else decoded[uid])]
+            for uid, hops in gfield.hops.items()
+            if hops != fields.INFINITE
+        }
+        collected = fields.c_block(gfield, contributions, _merge_uid_sorted, [])
+        bytes_collect = sum(
+            int(hops) * len(blobs[uid])
+            for uid, hops in gfield.hops.items()
+            if hops not in (0, fields.INFINITE)
         )
-    else:
-        flags = fields.s_block(graph)
-        leader_list = [u for u, flag in flags.items() if flag]
-        gfield = fields.g_block(graph, leader_list)
-        partition = _partition_from_field(gfield, round_index)
+        for leader in sorted(collected):
+            pairs = collected[leader]
+            weights = [state.devices[uid].num_samples for uid, _ in pairs]
+            averaged = fed_avg([m for _, m in pairs], weights)
+            models_by_leader[leader] = averaged
+            blob = to_bytes(CompressedModel("dense", params=averaged))
+            bytes_disseminate += (len(pairs) - 1) * len(blob)
+        delivered = fields.broadcast_block(gfield, models_by_leader)
 
-    # tree collection to each leader, weighted average, tree dissemination
-    leader_set = set(leader_list)
-    contributions = {
-        uid: [(uid, trained[uid] if uid in leader_set else decoded[uid])]
-        for uid in gfield.hops
-        if gfield.hops[uid] != fields.INFINITE
-    }
-    collected = fields.c_block(gfield, contributions, _merge_uid_sorted, [])
-    bytes_collect = sum(
-        int(gfield.hops[uid]) * len(wire_blobs[uid])
-        for uid in gfield.hops
-        if gfield.hops[uid] not in (0, fields.INFINITE)
-    )
-
-    models_by_leader: dict[int, ParameterSet] = {}
-    bytes_disseminate = 0
-    for leader in sorted(collected):
-        pairs = collected[leader]
-        weights = [state.devices[uid].num_samples for uid, _ in pairs]
-        averaged = fed_avg([m for _, m in pairs], weights)
-        models_by_leader[leader] = averaged
-        blob = to_bytes(CompressedModel("dense", params=averaged))
-        bytes_disseminate += (len(pairs) - 1) * len(blob)
-
-    delivered = fields.broadcast_block(gfield, models_by_leader)
     for dev in state.devices:
         if dev.uid in delivered:
             dev.params = delivered[dev.uid].copy()
         else:
-            # no wire path to any leader (disconnected forced federation):
-            # keep the locally trained model
+            # isolated, or no wire path to any leader (disconnected forced
+            # federation): keep the locally trained model
             dev.params = trained[dev.uid]
-
-    macs = _representative_macs(partition, trained)
     state.round_index = round_index
     state.bytes_total += bytes_broadcast + bytes_collect + bytes_disseminate
     return RoundStats(
@@ -465,9 +419,40 @@ def run_round(
         bytes_broadcast,
         bytes_collect,
         bytes_disseminate,
-        macs,
+        # MAC proxy of the representative federation's leader model as trained
+        nonzero_macs(trained[partition.representative().leader]),
         ds,
     )
+
+
+def _train_in_lockstep(
+    state: SimulationState, cfg: ProtocolConfig, round_index: int
+) -> tuple[dict[int, ParameterSet], dict[int, SparseMask | None]]:
+    """Compress every device's model and train it under the round's mask, in
+    lockstep per chunk of equal-length devices; the trained models and masks."""
+    trained: dict[int, ParameterSet] = {}
+    masks: dict[int, SparseMask | None] = {}
+    for bank in state.train_banks:
+        size = lockstep_chunk(state.devices[bank.uids[0]].params, cfg.training.batch_size)
+        for lo in range(0, len(bank.uids), size):
+            uids = bank.uids[lo : lo + size]
+            cms = [compress(state.devices[uid].params, cfg.strategy) for uid in uids]
+            start = ParameterSet.stack([decompress(cm) for cm in cms])
+            stacked_masks = None
+            if cms[0].mask is not None:
+                stacked_masks = [np.stack(layer) for layer in zip(*(cm.mask.layers for cm in cms))]
+            out = local_training(
+                start,
+                bank.data.subset(slice(lo, lo + size)),
+                cfg.training,
+                mask=stacked_masks,
+                round_index=round_index,
+                seeds=[derive_seed(cfg.training.rng_seed, uid) for uid in uids],
+            )
+            for k, (uid, cm) in enumerate(zip(uids, cms)):
+                trained[uid] = out[k]
+                masks[uid] = cm.mask
+    return trained, masks
 
 
 def _edge_dissimilarity(state: SimulationState, decoded: Mapping[int, ParameterSet]) -> DissimilarityMatrix:
@@ -500,13 +485,6 @@ def _edge_dissimilarity(state: SimulationState, decoded: Mapping[int, ParameterS
     for (i, j), loss_ij, loss_ji in zip(edges, losses[: len(edges)], losses[len(edges) :]):
         ds.put(i, j, loss_ij + loss_ji)
     return ds
-
-
-def _representative_macs(partition: FederationPartition, trained: Mapping[int, ParameterSet]) -> int:
-    """MAC proxy of the largest federation's leader model as trained this
-    round (ties on size go to the lowest leader uid)."""
-    rep = max(partition.federations, key=lambda f: (len(f.members), -f.leader))
-    return nonzero_macs(trained[rep.leader])
 
 
 def evaluate_objective(

@@ -3,8 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsefuel.compression import (
+    HEADER_BYTES,
+    KINDS,
+    SHAPE_BYTES_PER_TENSOR,
     CompressedModel,
     CompressionStrategy,
     QuantizedParameterSet,
@@ -90,21 +95,41 @@ class TestQuantize:
         assert abs(deq[0, 1] - 0.0) <= t.scale / 2
 
     def test_constant_tensor_example(self):
-        params = ParameterSet([np.full((2, 2), 0.5)], [np.zeros(2)])
-        q = quantize_affine(params)
-        t = q.tensors[0]
-        assert t.scale == 1.0
-        assert len(set(t.values.ravel().tolist())) == 1
-        deq = dequantize(q).weights[0]
-        assert len(set(deq.ravel().tolist())) == 1
-        assert abs(deq[0, 0] - 0.5) <= t.scale / 2
+        # the range is widened to include 0, so a constant c != 0 gets the
+        # scale |c| / 255 and round-trips within half of it
+        for c in (0.5, 0.3, -0.3, 1e-6, -250.0):
+            params = ParameterSet([np.full((2, 2), c)], [np.zeros(2)])
+            q = quantize_affine(params)
+            t = q.tensors[0]
+            assert t.scale == abs(c) / 255.0
+            assert t.zero_point == (0 if c > 0 else 255)
+            assert len(set(t.values.ravel().tolist())) == 1
+            deq = dequantize(q).weights[0]
+            assert len(set(deq.ravel().tolist())) == 1
+            assert abs(deq[0, 0] - c) <= t.scale / 2
 
-    def test_constant_below_half_maps_onto_zero_point(self):
-        params = ParameterSet([np.full((3,), 0.3).reshape(1, 3)], [np.zeros(1)])
+    def test_all_zero_tensor_keeps_unit_scale(self):
+        params = ParameterSet([np.zeros((1, 3))], [np.zeros(1)])
         q = quantize_affine(params)
-        t = q.tensors[0]
-        assert np.all(t.values == t.zero_point)
+        for t in q.tensors:
+            assert t.scale == 1.0
+            assert t.zero_point == 0
+            assert np.all(t.values == t.zero_point)
         assert np.all(dequantize(q).weights[0] == 0.0)
+        # so does a range too narrow for 255 steps, which all land on 0
+        for w in ([[5e-324, 1e-323]], [[-5e-324, 5e-324]]):
+            q = quantize_affine(ParameterSet([np.array(w)], [np.zeros(1)]))
+            assert q.tensors[0].scale == 1.0
+            assert np.all(dequantize(q).weights[0] == 0.0)
+
+    def test_single_sign_tensor_spreads_over_the_grid(self):
+        for values in ([1.0, 1.5, 2.0], [-2.0, -1.5, -1.0]):
+            params = ParameterSet([np.array([values])], [np.zeros(1)])
+            q = quantize_affine(params)
+            t = q.tensors[0]
+            deq = dequantize(q).weights[0]
+            assert len(set(t.values.ravel().tolist())) == 3
+            assert np.abs(deq - params.weights[0]).max() <= t.scale / 2
 
     def test_all_values_at_zero_point_dequantize_to_zeros(self):
         q = QuantizedParameterSet([
@@ -307,6 +332,60 @@ class TestFromBytesErrors:
         blob += struct.pack("<4f", 1, 2, 3, 4)
         with pytest.raises(SerializationError):
             from_bytes(blob)
+
+
+    def test_non_finite_quantization_scale(self):
+        params = init_parameters(Architecture((2, 3, 2)), 0)
+        blob = bytearray(to_bytes(compress(params, CompressionStrategy("quantized", 0.0))))
+        # tensor 0's scale follows the header and its shape record
+        at = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR
+        for bad in (math.nan, math.inf, -math.inf):
+            struct.pack_into("<f", blob, at, bad)
+            with pytest.raises(SerializationError, match="tensor 0: quantization scale"):
+                from_bytes(bytes(blob))
+
+
+_WIRE_BLOBS = {
+    kind: to_bytes(compress(init_parameters(Architecture((3, 4, 2)), 0), CompressionStrategy(kind, 0.5)))
+    for kind in KINDS
+}
+
+
+@st.composite
+def damaged_blobs(draw, kind):
+    """A valid blob of the kind with a few bytes, f32 words or u32 words
+    overwritten, then perhaps truncated or extended."""
+    blob = bytearray(_WIRE_BLOBS[kind])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(blob) - 4))
+        how = draw(st.sampled_from(["byte", "f32", "u32"]))
+        if how == "byte":
+            blob[at] = draw(st.integers(0, 255))
+        elif how == "f32":
+            special = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 3e38])
+            struct.pack_into("<f", blob, at, draw(special))
+        else:
+            struct.pack_into("<I", blob, at, draw(st.integers(0, 2**32 - 1)))
+    end = draw(st.sampled_from(["keep", "truncate", "extend"]))
+    if end == "truncate":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif end == "extend":
+        blob += draw(st.binary(min_size=1, max_size=16))
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_damaged_blob_parses_or_raises_serialization_error(kind, data):
+    blob = data.draw(damaged_blobs(kind))
+    try:
+        model = from_bytes(blob)
+    except SerializationError:
+        return
+    # whatever parses is a whole model that accounts for every byte
+    assert serialized_size(model) == len(blob)
+    decompress(model)
 
 
 class TestEncodeWire:

@@ -1,14 +1,25 @@
 import dataclasses
 import math
+import re
+import string
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsefuel.compression import decompress, from_bytes
+from sparsefuel.compression import KINDS, decompress, from_bytes
+from sparsefuel.environment import PLACEMENTS
 from sparsefuel.harness import (
+    KEY_TABLE,
     ConfigError,
+    DataConfig,
+    EnvironmentConfig,
     ExperimentConfig,
     MetricsRecord,
+    OutputConfig,
+    ProtocolSection,
     build_world,
     calibrate_tau,
     format_config,
@@ -95,6 +106,72 @@ class TestParseConfig:
     def test_format_round_trips_auto_radius_and_defaults(self):
         cfg = ExperimentConfig()
         assert parse_config(format_config(cfg)) == cfg
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _value_strategy(f):
+    """Values of a key's declared type that pass the key's own check."""
+    ok = f.metadata.get("ok")
+    base = {
+        # every float key is positive
+        "float": st.floats(0.0, 1.0, exclude_min=True) | st.floats(1.0, 1e6),
+        "int": st.integers(-3, 10_000),
+        # a checked string is one of a few names; the others are paths
+        "str": st.sampled_from(PLACEMENTS + KINDS + ("synthetic-blobs", "idx-label-skew"))
+        if ok
+        else st.text(string.ascii_letters + string.digits + "._/+-", max_size=12),
+        "bool": st.booleans(),
+        "float | None": st.none() | st.floats(1e-6, 1e6),
+        "tuple[int, ...]": st.lists(st.integers(1, 64), min_size=2, max_size=5).map(tuple),
+    }[f.type]
+    return base if ok is None else base.filter(ok)
+
+
+@st.composite
+def configs(draw):
+    """A synthetic-blobs config over every key, with the layer widths made to
+    agree with the feature dim and class count."""
+    values: dict = {}
+    for _, owner, f in KEY_TABLE:
+        values.setdefault(owner, {})[f.name] = draw(_value_strategy(f))
+    values["data"]["kind"] = "synthetic-blobs"
+    env, data = values["environment"], values["data"]
+    layers = values[None]["layers"]
+    classes = env["rows"] * env["cols"] * data["classes_per_subregion"]
+    return ExperimentConfig(
+        environment=EnvironmentConfig(**env),
+        data=DataConfig(**data),
+        layers=(data["feature_dim"],) + layers[1:-1] + (classes,),
+        protocol=ProtocolSection(**values["protocol"]),
+        output=OutputConfig(**values["output"]),
+    )
+
+
+class TestConfigSchema:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(configs())
+    def test_format_then_parse_round_trips_any_config(self, cfg):
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_every_default_passes_its_own_check(self):
+        for section, _, f in KEY_TABLE:
+            ok = f.metadata.get("ok")
+            assert ok is None or ok(f.default), f"{section}.{f.name}"
+
+    def test_readme_configuration_block_is_a_valid_config_of_every_key(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Configuration.*?```ini\n(.*?)```", readme, re.S).group(1)
+        parse_config(block)
+        keys, section = set(), None
+        for line in block.splitlines():
+            line = line.strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif "=" in line and not line.startswith("#"):
+                keys.add((section, line.split("=")[0].strip()))
+        assert keys == {(section, f.name) for section, _, f in KEY_TABLE}
 
 
 class TestResolveRadius:

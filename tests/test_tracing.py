@@ -3,12 +3,14 @@
 perfbench/tracing.py attributes time by the names the library calls through
 (protocol.local_training, neuralnet.gradients, protocol.loss_and_accuracy,
 ...).  If a refactor stops calling one of them, a traced benchmark run
-misreports or crashes, so one traced quadrant round is run here.
+misreports or crashes, so one traced quadrant round of each arm is run here.
 """
 
 import dataclasses
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from sparsefuel.harness import load_config, run_experiment_result
 
@@ -24,15 +26,35 @@ def load_tracing():
     return module
 
 
-def test_traced_quadrant_round_reports_training_and_scoring():
+# Names every arm calls, then those only the communicating arms call (the
+# wire, FedAvg and the hop-tree blocks), then those only sparsefuel calls.
+TRAINING = {"local_training", "gradients", "compress", "decompress", "run_round", "evaluate_objective"}
+EXCHANGE = {"encode_wire", "to_bytes", "from_bytes", "fed_avg", "g_block", "bfs_hops", "c_block", "broadcast_block"}
+SIMILARITY = {"similarity_graph", "s_block", "min_flood"}
+EXPECTED = {
+    "sparsefuel": (TRAINING | EXCHANGE | SIMILARITY, 208),
+    "global-fedavg": (TRAINING | EXCHANGE | {"from_topology"}, 0),
+    "isolated": (TRAINING, 0),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(EXPECTED))
+def test_traced_quadrant_round_reports_training_and_scoring(arm):
+    names, edges_scored = EXPECTED[arm]
     tracing = load_tracing()
     cfg = load_config(str(REPO_ROOT / "configs" / "quadrant.cfg"))
     cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, rounds=1))
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        result = run_experiment_result(cfg, "sparsefuel", seed=1)
+        result = run_experiment_result(cfg, arm, seed=1)
     metrics = tracing.summarize(tracer.spans, result.records)
+    traced = {span[0] for span in tracer.spans}
+    assert names <= traced, sorted(names - traced)
+    # an arm does no work whose result it throws away: no wire without an
+    # exchange, no scoring without a similarity graph
+    assert not (EXCHANGE - names) & traced
+    assert not (SIMILARITY - names) & traced
     assert metrics["neuralnet.train_ms_per_round"] > 0
     assert metrics["neuralnet.sgd_steps_per_round"] > 0
-    assert metrics["protocol.similarity_ms_per_round"] > 0
-    assert metrics["protocol.edges_scored_per_round"] == 208
+    assert metrics["protocol.edges_scored_per_round"] == edges_scored
+    assert (metrics["protocol.similarity_ms_per_round"] > 0) == (edges_scored > 0)
