@@ -27,7 +27,15 @@ import numpy as np
 
 from .neuralnet import ParameterSet
 
-KINDS = ("dense", "sparse", "quantized", "sparse+quantized")
+# every wire kind, in kind-code order, with its (prunes, quantizes) flags: the
+# one place that decides what each kind does
+_KIND_FLAGS = {
+    "dense": (False, False),
+    "sparse": (True, False),
+    "quantized": (False, True),
+    "sparse+quantized": (True, True),
+}
+KINDS = tuple(_KIND_FLAGS)
 _KIND_CODES = {kind: i for i, kind in enumerate(KINDS)}
 MAGIC = b"SPFL"
 FORMAT_VERSION = 1
@@ -50,11 +58,11 @@ class CompressionStrategy:
 
     @property
     def prunes(self) -> bool:
-        return self.kind in ("sparse", "sparse+quantized")
+        return _KIND_FLAGS[self.kind][0]
 
     @property
     def quantizes(self) -> bool:
-        return self.kind in ("quantized", "sparse+quantized")
+        return _KIND_FLAGS[self.kind][1]
 
 
 @dataclass
@@ -74,9 +82,6 @@ class SparseMask:
 
     def kept_counts(self) -> list[int]:
         return [int(m.sum()) for m in self.layers]
-
-    def copy(self) -> "SparseMask":
-        return SparseMask([m.copy() for m in self.layers])
 
 
 @dataclass
@@ -118,23 +123,10 @@ class CompressedModel:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown compression kind {self.kind!r}")
-        dense_payload = self.params is not None
-        quant_payload = self.qparams is not None
-        masked = self.mask is not None
-        expectations = {
-            "dense": (True, False, False),
-            "sparse": (True, False, True),
-            "quantized": (False, True, False),
-            "sparse+quantized": (False, True, True),
-        }
-        if (dense_payload, quant_payload, masked) != expectations[self.kind]:
+        prunes, quantizes = _KIND_FLAGS[self.kind]
+        payload = (self.mask is not None, self.qparams is not None, self.params is not None)
+        if payload != (prunes, quantizes, not quantizes):
             raise ValueError(f"payload does not match kind {self.kind!r}")
-
-    @property
-    def num_layers(self) -> int:
-        if self.params is not None:
-            return self.params.num_layers
-        return len(self.qparams.tensors) // 2
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -215,21 +207,17 @@ def dequantize(qparams: QuantizedParameterSet) -> ParameterSet:
 
 
 def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedModel:
-    """Apply the strategy: prune first (if sparse), then quantize (if quantized).
+    """Apply the strategy: prune first (if the kind prunes), then put the
+    result on the wire with encode_wire (quantized, if the kind quantizes).
 
     For sparse+quantized the pruned tensor (zeros included) is what gets
     quantized, which puts 0 exactly on the quantization grid, so pruned
     positions dequantize back to exactly 0.
     """
-    if strategy.kind == "dense":
-        return CompressedModel("dense", params=params.copy())
-    if strategy.kind == "sparse":
-        pruned, mask = prune_magnitude(params, strategy.psi)
-        return CompressedModel("sparse", params=pruned, mask=mask)
-    if strategy.kind == "quantized":
-        return CompressedModel("quantized", qparams=quantize_affine(params))
-    pruned, mask = prune_magnitude(params, strategy.psi)
-    return CompressedModel("sparse+quantized", qparams=quantize_affine(pruned), mask=mask)
+    mask = None
+    if strategy.prunes:
+        params, mask = prune_magnitude(params, strategy.psi)
+    return encode_wire(params, strategy, mask)
 
 
 def decompress(model: CompressedModel) -> ParameterSet:
@@ -248,14 +236,17 @@ def nonzero_macs(model: ParameterSet | CompressedModel) -> int:
 # ---- serialization ----
 
 
+def _arrays(model: CompressedModel) -> list[np.ndarray]:
+    """The payload arrays in order W0, b0, ...: the u8 values of the quantizing
+    kinds, the float values of the others."""
+    if _KIND_FLAGS[model.kind][1]:
+        return [qt.values for qt in model.qparams.tensors]
+    return [t for wb in zip(model.params.weights, model.params.biases) for t in wb]
+
+
 def tensor_shapes(model: CompressedModel) -> list[tuple[int, int]]:
     """(rows, cols) per tensor in order W0, b0, ...; cols == 0 for vectors."""
-    arrays = (
-        [t for wb in zip(model.params.weights, model.params.biases) for t in wb]
-        if model.params is not None
-        else [qt.values for qt in model.qparams.tensors]
-    )
-    return [(a.shape[0], a.shape[1] if a.ndim == 2 else 0) for a in arrays]
+    return [(a.shape[0], a.shape[1] if a.ndim == 2 else 0) for a in _arrays(model)]
 
 
 def serialized_size(model: CompressedModel) -> int:
@@ -280,51 +271,23 @@ def payload_size(model: CompressedModel) -> int:
     return serialized_size(model) - HEADER_BYTES - SHAPE_BYTES_PER_TENSOR * n_tensors
 
 
-def _iter_tensors(model: CompressedModel):
-    """Yield (flat float values or QuantizedTensor, keep-bits or None) pairs."""
-    for i in range(model.num_layers):
-        if model.params is not None:
-            w_val, b_val = model.params.weights[i], model.params.biases[i]
-        else:
-            w_val, b_val = model.qparams.tensors[2 * i], model.qparams.tensors[2 * i + 1]
-        if model.mask is not None:
-            w_bits = model.mask.layers[i].ravel().astype(bool)
-            n_b = (
-                model.params.biases[i].size
-                if model.params is not None
-                else model.qparams.tensors[2 * i + 1].values.size
-            )
-            b_bits = np.ones(n_b, dtype=bool)
-        else:
-            w_bits = b_bits = None
-        yield w_val, w_bits
-        yield b_val, b_bits
-
-
 def to_bytes(model: CompressedModel) -> bytes:
     """Serialize to the canonical byte format described in the module docstring."""
-    chunks = [
-        struct.pack(
-            "<4sIII",
-            MAGIC,
-            FORMAT_VERSION,
-            _KIND_CODES[model.kind],
-            2 * model.num_layers,
-        )
-    ]
-    for value, bits in _iter_tensors(model):
-        arr = value.values if isinstance(value, QuantizedTensor) else np.asarray(value)
-        if arr.ndim == 2:
-            chunks.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        else:
-            chunks.append(struct.pack("<II", arr.shape[0], 0))
-        flat = arr.ravel()
-        if bits is not None:
+    prunes, quantizes = _KIND_FLAGS[model.kind]
+    shapes = tensor_shapes(model)
+    chunks = [struct.pack("<4sIII", MAGIC, FORMAT_VERSION, _KIND_CODES[model.kind], len(shapes))]
+    for t, (array, (rows, cols)) in enumerate(zip(_arrays(model), shapes)):
+        chunks.append(struct.pack("<II", rows, cols))
+        flat = array.ravel()
+        if prunes:
+            # biases always survive whole
+            bits = model.mask.layers[t // 2].ravel().astype(bool) if cols else np.ones(rows, dtype=bool)
             chunks.append(np.packbits(bits).tobytes())
             flat = flat[bits]
-        if isinstance(value, QuantizedTensor):
-            chunks.append(struct.pack("<fB", np.float32(value.scale), value.zero_point))
-            chunks.append(flat.astype(np.uint8).tobytes())
+        if quantizes:
+            qt = model.qparams.tensors[t]
+            chunks.append(struct.pack("<fB", np.float32(qt.scale), qt.zero_point))
+            chunks.append(flat.tobytes())
         else:
             chunks.append(flat.astype("<f4").tobytes())
     return b"".join(chunks)
@@ -365,11 +328,8 @@ def from_bytes(buf: bytes) -> CompressedModel:
     if n_tensors % 2 != 0:
         raise SerializationError(f"tensor count {n_tensors} is not a weight/bias pairing")
 
-    sparse = kind in ("sparse", "sparse+quantized")
-    quantized = kind in ("quantized", "sparse+quantized")
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    qtensors: list[QuantizedTensor] = []
+    prunes, quantizes = _KIND_FLAGS[kind]
+    tensors: list = []
     mask_layers: list[np.ndarray] = []
 
     fan_out = 0
@@ -391,54 +351,53 @@ def from_bytes(buf: bytes) -> CompressedModel:
         n = rows * cols if cols else rows
         shape = (rows, cols) if cols else (rows,)
 
-        bits = None
-        if sparse:
+        kept = slice(None)
+        if prunes:
             raw = np.frombuffer(r.take((n + 7) // 8), dtype=np.uint8)
-            bits = np.unpackbits(raw)[:n].astype(bool)
+            kept = np.unpackbits(raw)[:n].astype(bool)
             if is_weight:
-                mask_layers.append(bits.astype(np.uint8).reshape(shape))
-            elif not bits.all():
+                mask_layers.append(kept.astype(np.uint8).reshape(shape))
+            elif not kept.all():
                 raise SerializationError(f"tensor {t}: bias bitmap must be all ones")
-        if quantized:
+        count = int(kept.sum()) if prunes else n
+        dtype = np.dtype(np.uint8 if quantizes else "<f4")
+        if quantizes:
             scale, zero_point = struct.unpack("<fB", r.take(5))
             if not math.isfinite(scale):
                 raise SerializationError(f"tensor {t}: quantization scale {scale} is not finite")
-            kept = int(bits.sum()) if bits is not None else n
-            vals = np.frombuffer(r.take(kept), dtype=np.uint8)
-            full = np.full(n, zero_point, dtype=np.uint8)
-            full[bits if bits is not None else slice(None)] = vals
-            qtensors.append(QuantizedTensor(float(scale), int(zero_point), full.reshape(shape)))
-        else:
-            kept = int(bits.sum()) if bits is not None else n
-            vals = np.frombuffer(r.take(4 * kept), dtype="<f4").astype(np.float64)
-            full = np.zeros(n, dtype=np.float64)
-            full[bits if bits is not None else slice(None)] = vals
-            (weights if is_weight else biases).append(full.reshape(shape))
+        # the payload is read before its tensor is allocated, so a damaged
+        # shape cannot ask for more memory than the blob holds
+        vals = np.frombuffer(r.take(dtype.itemsize * count), dtype=dtype)
+        if not np.isfinite(vals).all():
+            raise SerializationError(f"tensor {t}: values are not all finite")
+        full = np.full(n, zero_point if quantizes else 0, dtype=dtype)
+        full[kept] = vals
+        full = full.reshape(shape)
+        tensors.append(QuantizedTensor(float(scale), int(zero_point), full) if quantizes else full)
 
     if r.pos != len(buf):
         raise SerializationError(f"{len(buf) - r.pos} trailing bytes after payload")
 
-    mask = SparseMask(mask_layers) if sparse else None
-    if quantized:
-        return CompressedModel(kind, qparams=QuantizedParameterSet(qtensors), mask=mask)
-    return CompressedModel(kind, params=ParameterSet(weights, biases), mask=mask)
+    mask = SparseMask(mask_layers) if prunes else None
+    if quantizes:
+        return CompressedModel(kind, qparams=QuantizedParameterSet(tensors), mask=mask)
+    return CompressedModel(kind, params=ParameterSet(tensors[0::2], tensors[1::2]), mask=mask)
 
 
 def encode_wire(
     params: ParameterSet, strategy: CompressionStrategy, mask: SparseMask | None
 ) -> CompressedModel:
-    """Wrap already-trained parameters in the strategy's wire kind.
+    """Wrap parameters in the strategy's wire kind, under the given mask for
+    the pruning kinds.
 
-    Unlike compress() this never re-prunes: masked training has kept pruned
-    positions at exactly zero, so the round's existing mask is reused.
-    Quantization is applied fresh (training de-quantizes the values).
+    This never prunes: masked training has kept pruned positions at exactly
+    zero, so the round's existing mask is reused.  Quantization is applied
+    fresh (training de-quantizes the values).  The wire model shares the
+    given arrays and mask, it does not copy them.
     """
     if strategy.prunes and mask is None:
         raise ValueError(f"kind {strategy.kind!r} requires the round's prune mask")
-    if strategy.kind == "dense":
-        return CompressedModel("dense", params=params.copy())
-    if strategy.kind == "sparse":
-        return CompressedModel("sparse", params=params.copy(), mask=mask.copy())
-    if strategy.kind == "quantized":
-        return CompressedModel("quantized", qparams=quantize_affine(params))
-    return CompressedModel("sparse+quantized", qparams=quantize_affine(params), mask=mask.copy())
+    mask = mask if strategy.prunes else None
+    if strategy.quantizes:
+        return CompressedModel(strategy.kind, qparams=quantize_affine(params), mask=mask)
+    return CompressedModel(strategy.kind, params=params, mask=mask)

@@ -352,8 +352,6 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
             learning_rate=cfg.protocol.learning_rate,
             rng_seed=derive_seed(master, 5),
         ),
-        rounds=cfg.protocol.rounds,
-        validation_fraction=data.validation_fraction,
         similarity_uses_compressed=cfg.protocol.similarity_uses_compressed,
     )
     return World(area, topology, spec, datasets, test_sets, init, protocol, master)
@@ -399,12 +397,12 @@ def run_experiment_result(
         raise ConfigError(f"unknown arm {arm!r}, expected one of {ARMS}")
     world = build_world(cfg, seed)
     state = make_state(
-        world.topology, world.datasets, world.init_params, world.protocol.validation_fraction
+        world.topology, world.datasets, world.init_params, cfg.data.validation_fraction
     )
     records: list[MetricsRecord] = []
     final_models: dict[int, ParameterSet] = {}
     final_partition: FederationPartition | None = None
-    for t in range(1, world.protocol.rounds + 1):
+    for t in range(1, cfg.protocol.rounds + 1):
         started = time.perf_counter()
         stats = run_round(state, world.protocol, t, arm)
         objective, accs, losses = evaluate_objective(
@@ -503,7 +501,7 @@ def calibrate_tau(
         raise ValueError("warmup_rounds must be >= 0")
     world = build_world(cfg, seed)
     state = make_state(
-        world.topology, world.datasets, world.init_params, world.protocol.validation_fraction
+        world.topology, world.datasets, world.init_params, cfg.data.validation_fraction
     )
     for t in range(1, warmup_rounds + 1):
         run_round(state, world.protocol, t, arm="isolated")

@@ -117,17 +117,11 @@ class ProtocolConfig:
     tau: float
     strategy: CompressionStrategy
     training: TrainingConfig
-    rounds: int = 50
-    validation_fraction: float = 0.2
-    similarity_uses_compressed: bool = True
+    similarity_uses_compressed: bool
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.tau) or self.tau <= 0:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must be in (0, 1)")
 
 
 def cross_similarity(
@@ -204,9 +198,8 @@ def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = No
 
 @dataclass
 class DeviceState:
-    """One device: its uid, train/validation split, and current model.
-
-    train and val are views into the simulation state's data banks."""
+    """One device: its uid, train/validation split (views of its own
+    dataset), and current model."""
 
     uid: int
     train: LabeledDataset
@@ -219,22 +212,11 @@ class DeviceState:
 
 
 @dataclass
-class DataBank:
-    """Equal-length datasets of several devices, stacked in uid order."""
-
-    uids: list[int]
-    data: LabeledDataset
-
-
-@dataclass
 class SimulationState:
-    """Everything that evolves across rounds, plus the devices' train and
-    validation splits stacked into banks by length (run_round reads these)."""
+    """Everything that evolves across rounds."""
 
     topology: Topology
     devices: list[DeviceState]
-    train_banks: list[DataBank]
-    val_banks: list[DataBank]
     round_index: int = 0
     bytes_total: int = 0
 
@@ -252,21 +234,17 @@ def lockstep_chunk(model: ParameterSet, rows: int) -> int:
     return max(1, LOCKSTEP_BUDGET_BYTES // per_model)
 
 
-def _stack_by_length(parts: Sequence[LabeledDataset], slab: int) -> tuple[list[DataBank], list[LabeledDataset]]:
-    """Banks of at most `slab` equal-length datasets, and each dataset again
-    as a view into its bank."""
-    groups: dict[int, list[int]] = {}
-    for uid, part in enumerate(parts):
-        groups.setdefault(len(part), []).append(uid)
-    banks, views = [], [None] * len(parts)
-    for group in groups.values():
-        for lo in range(0, len(group), slab):
-            uids = group[lo : lo + slab]
-            bank = DataBank(uids, LabeledDataset.stack([parts[uid] for uid in uids]))
-            for k, uid in enumerate(uids):
-                views[uid] = bank.data.subset(k)
-            banks.append(bank)
-    return banks, views
+def _lockstep_chunks(lengths: np.ndarray, model: ParameterSet, rows: int | None = None):
+    """Yield the indices of `lengths` grouped by equal length (in index order
+    within a group), each group cut into chunks of lockstep_chunk(model, rows)
+    indices; rows defaults to the group's length."""
+    if not len(lengths):
+        return
+    order = np.argsort(lengths, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        size = lockstep_chunk(model, int(lengths[group[0]]) if rows is None else rows)
+        for lo in range(0, len(group), size):
+            yield group[lo : lo + size]
 
 
 def make_state(
@@ -279,31 +257,21 @@ def make_state(
     with a copy of the same initial model.
 
     The validation split is the first floor(fraction * m) rows (at least one
-    row each side), which is deterministic because dataset sampling is.
-    Equal-length splits are stacked into banks of at most as many devices
-    as a lockstep chunk can hold, so a chunk is always a view of one bank
-    and no bank is one allocation of the whole population's data (a fresh
-    allocation of hundreds of MB is zeroed page by page on every state).
-    A bank of one device is a view of that device's dataset.
+    row each side), which is deterministic because dataset sampling is.  Both
+    splits are views of the device's dataset.
     """
     if len(datasets) != topology.n:
         raise ValueError("one dataset per device required")
     if not (0.0 < validation_fraction < 1.0):
         raise ValueError("validation_fraction must be in (0, 1)")
-    trains, vals = [], []
+    devices = []
     for uid, data in enumerate(datasets):
         if len(data) < 2:
             raise ValueError(f"device {uid}: need at least 2 samples to split")
         n_val = min(len(data) - 1, max(1, int(validation_fraction * len(data))))
-        trains.append(data.subset(slice(n_val, None)))
-        vals.append(data.subset(slice(None, n_val)))
-    slab = lockstep_chunk(init_params, rows=1)
-    train_banks, trains = _stack_by_length(trains, slab)
-    val_banks, vals = _stack_by_length(vals, slab)
-    devices = [
-        DeviceState(uid, trains[uid], vals[uid], init_params.copy()) for uid in range(len(datasets))
-    ]
-    return SimulationState(topology, devices, train_banks, val_banks)
+        train, val = data.subset(slice(n_val, None)), data.subset(slice(None, n_val))
+        devices.append(DeviceState(uid, train, val, init_params.copy()))
+    return SimulationState(topology, devices)
 
 
 @dataclass
@@ -354,8 +322,10 @@ def run_round(
         )
         models_by_leader = {fed.leader: trained[fed.leader] for fed in partition.federations}
     else:
-        # the wire: each trained model's bytes (dense when similarity is scored
-        # on uncompressed models) and the model its receivers decode from them
+        # the wire: each trained model's bytes and the model its receivers
+        # decode from them.  When similarity is scored on uncompressed models
+        # the whole exchange is dense (broadcast, collection and the averaged
+        # members alike), since a receiver can only score the model it was sent
         blobs: dict[int, bytes] = {}
         decoded: dict[int, ParameterSet] = {}
         for uid, params in trained.items():
@@ -430,28 +400,27 @@ def _train_in_lockstep(
 ) -> tuple[dict[int, ParameterSet], dict[int, SparseMask | None]]:
     """Compress every device's model and train it under the round's mask, in
     lockstep per chunk of equal-length devices; the trained models and masks."""
+    devices = state.devices
     trained: dict[int, ParameterSet] = {}
     masks: dict[int, SparseMask | None] = {}
-    for bank in state.train_banks:
-        size = lockstep_chunk(state.devices[bank.uids[0]].params, cfg.training.batch_size)
-        for lo in range(0, len(bank.uids), size):
-            uids = bank.uids[lo : lo + size]
-            cms = [compress(state.devices[uid].params, cfg.strategy) for uid in uids]
-            start = ParameterSet.stack([decompress(cm) for cm in cms])
-            stacked_masks = None
-            if cms[0].mask is not None:
-                stacked_masks = [np.stack(layer) for layer in zip(*(cm.mask.layers for cm in cms))]
-            out = local_training(
-                start,
-                bank.data.subset(slice(lo, lo + size)),
-                cfg.training,
-                mask=stacked_masks,
-                round_index=round_index,
-                seeds=[derive_seed(cfg.training.rng_seed, uid) for uid in uids],
-            )
-            for k, (uid, cm) in enumerate(zip(uids, cms)):
-                trained[uid] = out[k]
-                masks[uid] = cm.mask
+    lengths = np.array([len(dev.train) for dev in devices])
+    for chunk in _lockstep_chunks(lengths, devices[0].params, cfg.training.batch_size):
+        uids = chunk.tolist()
+        cms = [compress(devices[uid].params, cfg.strategy) for uid in uids]
+        stacked_masks = None
+        if cfg.strategy.prunes:
+            stacked_masks = [np.stack(layer) for layer in zip(*(cm.mask.layers for cm in cms))]
+        out = local_training(
+            ParameterSet.stack([decompress(cm) for cm in cms]),
+            LabeledDataset.stack([devices[uid].train for uid in uids]),
+            cfg.training,
+            mask=stacked_masks,
+            round_index=round_index,
+            seeds=[derive_seed(cfg.training.rng_seed, uid) for uid in uids],
+        )
+        for k, (uid, cm) in enumerate(zip(uids, cms)):
+            trained[uid] = out[k]
+            masks[uid] = cm.mask
     return trained, masks
 
 
@@ -459,28 +428,19 @@ def _edge_dissimilarity(state: SimulationState, decoded: Mapping[int, ParameterS
     """cross_similarity of every topology edge, scored in lockstep: each edge
     is two (sender model, receiver validation split) pairs, and the pairs of
     equal-length splits run in chunks of one forward pass each."""
+    devices = state.devices
     edges = state.topology.edges()
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round
     senders = np.concatenate([ends[:, 1], ends[:, 0]])
     receivers = np.concatenate([ends[:, 0], ends[:, 1]])
+    val_lengths = np.array([len(dev.val) for dev in devices])
     losses = np.empty(len(senders))
-    bank_of = np.empty(len(state.devices), dtype=np.int64)
-    row_of = np.empty(len(state.devices), dtype=np.int64)
-    for b, bank in enumerate(state.val_banks):
-        bank_of[bank.uids] = b
-        row_of[bank.uids] = np.arange(len(bank.uids))
-    # pair indices grouped by their receiver's bank
-    by_bank = np.argsort(bank_of[receivers], kind="stable")
-    bounds = np.searchsorted(bank_of[receivers][by_bank], np.arange(len(state.val_banks) + 1))
-    for b, bank in enumerate(state.val_banks):
-        pairs = by_bank[bounds[b] : bounds[b + 1]]
-        size = lockstep_chunk(state.devices[bank.uids[0]].params, bank.data.labels.shape[1])
-        for lo in range(0, len(pairs), size):
-            pick = pairs[lo : lo + size]
-            models = ParameterSet.stack([decoded[uid] for uid in senders[pick]])
-            losses[pick], _ = loss_and_accuracy(models, bank.data.subset(row_of[receivers[pick]]))
+    for pick in _lockstep_chunks(val_lengths[receivers], devices[0].params):
+        models = ParameterSet.stack([decoded[uid] for uid in senders[pick]])
+        vals = LabeledDataset.stack([devices[uid].val for uid in receivers[pick]])
+        losses[pick], _ = loss_and_accuracy(models, vals)
     ds = DissimilarityMatrix()
     for (i, j), loss_ij, loss_ji in zip(edges, losses[: len(edges)], losses[len(edges) :]):
         ds.put(i, j, loss_ij + loss_ji)

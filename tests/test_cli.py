@@ -196,6 +196,18 @@ class TestInspectModel:
         assert err.startswith("config error:")
         assert "tensor 0: quantization scale nan is not finite" in err
 
+    def test_non_finite_weight_is_a_config_error(self, tmp_path, capsys):
+        params = init_parameters(Architecture((2, 3, 4)), 0)
+        blob = bytearray(to_bytes(compress(params, CompressionStrategy("dense"))))
+        # W0[0, 0] is the first f32 after the header and its shape record
+        struct.pack_into("<f", blob, HEADER_BYTES + SHAPE_BYTES_PER_TENSOR, float("inf"))
+        path = tmp_path / "inf-weight.spfl"
+        path.write_bytes(bytes(blob))
+        assert main(["inspect-model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "tensor 0: values are not all finite" in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["inspect-model", str(tmp_path / "absent.spfl")]) == 1
         assert "not found" in capsys.readouterr().err

@@ -333,6 +333,18 @@ class TestFromBytesErrors:
         with pytest.raises(SerializationError):
             from_bytes(blob)
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_non_finite_value(self, kind):
+        params = init_parameters(Architecture((2, 3, 2)), 0)
+        blob = bytearray(to_bytes(compress(params, CompressionStrategy(kind, 0.0))))
+        # W0[0, 0] is the first f32 after the header, the shape record and,
+        # for the sparse kind, W0's one-byte keep-bitmap
+        at = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR + (1 if kind == "sparse" else 0)
+        assert struct.unpack_from("<f", blob, at) == (np.float32(params.weights[0][0, 0]),)
+        for bad in (math.nan, math.inf, -math.inf):
+            struct.pack_into("<f", blob, at, bad)
+            with pytest.raises(SerializationError, match="tensor 0: values are not all finite"):
+                from_bytes(bytes(blob))
 
     def test_non_finite_quantization_scale(self):
         params = init_parameters(Architecture((2, 3, 2)), 0)
@@ -404,3 +416,22 @@ class TestEncodeWire:
         for w, m in zip(out.weights, mask.layers):
             assert np.all(w[m == 0] == 0.0)
             assert np.count_nonzero(w) == np.count_nonzero(m)
+
+    def test_pruning_kind_requires_a_mask(self):
+        params = init_parameters(Architecture((4, 8, 3)), 6)
+        for kind in ("sparse", "sparse+quantized"):
+            with pytest.raises(ValueError, match="requires the round's prune mask"):
+                encode_wire(params, CompressionStrategy(kind, 0.4), None)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("psi", [0.0, 0.4])
+def test_compress_is_prune_then_encode_wire(kind, psi):
+    params = init_parameters(Architecture((5, 7, 4)), 11)
+    strategy = CompressionStrategy(kind, psi)
+    if strategy.prunes:
+        pruned, mask = prune_magnitude(params, psi)
+        want = encode_wire(pruned, strategy, mask)
+    else:
+        want = encode_wire(params, strategy, None)
+    assert to_bytes(compress(params, strategy)) == to_bytes(want)

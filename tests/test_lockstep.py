@@ -111,10 +111,10 @@ class TestLockstepTraining:
             assert accs[k] == acc
 
 
-# Eleven devices on a line with three dataset lengths, so three train banks
-# (36, 31 and 16 rows: partial last batches of 4 and 15 at batch 16, and a
-# bank of one) and three validation banks (9, 7 and 4 rows), interleaved so
-# that edges cross banks.
+# Eleven devices on a line with three dataset lengths, so three train-length
+# groups (36, 31 and 16 rows: partial last batches of 4 and 15 at batch 16,
+# and a group of one) and three validation lengths (9, 7 and 4 rows),
+# interleaved so that edges join devices of different lengths.
 LENGTHS = (45, 38, 45, 45, 20, 45, 38, 45, 45, 38, 45)
 # A 2-300-4 MLP costs 8 * (2104 + 16 * 306) = 56,000 bytes per device at
 # batch 16, so lockstep training runs four devices at a time.
@@ -149,35 +149,29 @@ def reference_round(state, round_index):
 
 
 def protocol_config():
-    return ProtocolConfig(tau=4.0, strategy=STRATEGY, training=TRAINING, rounds=1)
+    return ProtocolConfig(tau=4.0, strategy=STRATEGY, training=TRAINING, similarity_uses_compressed=True)
 
 
 class TestDeviceBank:
-    def test_splits_are_views_into_banks_of_equal_length(self):
-        state = line_state()
-        assert sorted(len(b.uids) for b in state.train_banks) == [1, 3, 7]
-        assert sorted(b.data.labels.shape[1] for b in state.train_banks) == [16, 31, 36]
-        assert sorted(b.data.labels.shape[1] for b in state.val_banks) == [4, 7, 9]
-        for banks, split in ((state.train_banks, "train"), (state.val_banks, "val")):
-            for bank in banks:
-                for k, uid in enumerate(bank.uids):
-                    part = getattr(state.devices[uid], split)
-                    assert np.shares_memory(part.features, bank.data.features)
-                    assert np.array_equal(part.features, bank.data.features[k])
-                    assert np.array_equal(part.labels, bank.data.labels[k])
+    def test_splits_are_views_of_each_devices_dataset(self):
+        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(len(LENGTHS))]
+        datasets = [toy_data(200 + uid, m) for uid, m in enumerate(LENGTHS)]
+        state = make_state(build_topology(sites, r_c=1.0), datasets, init_parameters(WIDE, 0), 0.2)
+        for dev, data in zip(state.devices, datasets):
+            for split in (dev.train, dev.val):
+                assert np.shares_memory(split.features, data.features)
+                assert np.shares_memory(split.labels, data.labels)
+            assert len(dev.train) + len(dev.val) == len(data)
 
-    def test_banks_hold_at_most_one_chunk_of_wide_models(self):
-        # a 2-2000-4 MLP fills 8 * (14004 + 2006) = 128,080 bytes with one
-        # input row, so banks hold two devices and lockstep chunks one
+    def test_wide_model_trains_in_chunks_of_one(self):
+        # a 2-2000-4 MLP fills 8 * (14004 + 16 * 2006) = 368,800 bytes at
+        # batch 16, over the lockstep budget, so every device trains alone on
+        # a view of its own split
         wide = Architecture((2, 2000, 4))
+        assert lockstep_chunk(init_parameters(wide, 0), TRAINING.batch_size) == 1
         sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(5)]
         datasets = [toy_data(300 + uid, 25) for uid in range(5)]
         state = make_state(build_topology(sites, r_c=1.0), datasets, init_parameters(wide, 0), 0.2)
-        assert [b.uids for b in state.train_banks] == [[0, 1], [2, 3], [4]]
-        assert [b.uids for b in state.val_banks] == [[0, 1], [2, 3], [4]]
-        # a bank of one is the device's own data, not a copy
-        assert np.shares_memory(state.train_banks[2].data.features, datasets[4].features)
-        assert not np.shares_memory(state.train_banks[0].data.features, datasets[0].features)
         cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
         starts = [dev.params.copy() for dev in state.devices]
         stats = run_round(state, cfg, 1, arm="isolated")
@@ -196,10 +190,11 @@ class TestDeviceBank:
 
 
 class TestLockstepRound:
-    def test_chunk_boundary_falls_inside_the_largest_bank(self):
+    def test_chunk_boundary_falls_inside_the_largest_group(self):
         state = line_state()
         size = lockstep_chunk(state.devices[0].params, TRAINING.batch_size)
-        largest = max(len(b.uids) for b in state.train_banks)
+        lengths = [len(dev.train) for dev in state.devices]
+        largest = max(lengths.count(m) for m in set(lengths))
         assert size == 4
         assert size < largest and largest % size != 0
 

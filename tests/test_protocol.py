@@ -6,6 +6,7 @@ import pytest
 
 from sparsefuel.compression import CompressionStrategy
 from sparsefuel.environment import DeviceSite, build_topology, sample_local_dataset, synthetic_blob_spec
+from sparsefuel.harness import ConfigError, parse_config
 from sparsefuel.neuralnet import (
     Architecture,
     LabeledDataset,
@@ -45,8 +46,7 @@ def toy_protocol_config(**overrides):
         tau=4.0,
         strategy=CompressionStrategy("dense", 0.0),
         training=TrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.1, rng_seed=5),
-        rounds=2,
-        validation_fraction=0.2,
+        similarity_uses_compressed=True,
     )
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
@@ -331,11 +331,14 @@ class TestProtocolConfigValidation:
             toy_protocol_config(tau=math.inf)
 
     def test_rounds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            toy_protocol_config(rounds=0)
+        # the round count is the config's: the harness loops over cfg.protocol.rounds
+        with pytest.raises(ConfigError, match=r"line 3: protocol\.rounds must be >= 1"):
+            parse_config("[protocol]\ntau = 4.0\nrounds = 0\n")
 
     def test_validation_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            toy_protocol_config(validation_fraction=0.0)
-        with pytest.raises(ValueError):
-            toy_protocol_config(validation_fraction=1.0)
+        topo = line_topology(2)
+        datasets = [toy_dataset(1), toy_dataset(2)]
+        init = init_parameters(Architecture((2, 3, 4)), 0)
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"validation_fraction must be in \(0, 1\)"):
+                make_state(topo, datasets, init, validation_fraction=fraction)
