@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import FieldGraph
 from .neuralnet import LabeledDataset
 
 PLACEMENTS = ("uniform-random", "jittered-grid")
@@ -65,22 +66,25 @@ class DeviceSite:
 
 @dataclass
 class Topology:
-    """Symmetric, irreflexive disc-radius adjacency over device sites."""
+    """Disc-radius communication graph over device sites (uid = site index)."""
 
     sites: list[DeviceSite]
     r_c: float
-    adjacency: list[list[int]]
+    graph: FieldGraph
 
     @property
     def n(self) -> int:
         return len(self.sites)
 
-    def neighbors(self, uid: int) -> list[int]:
-        return self.adjacency[uid]
+    @property
+    def edges(self) -> np.ndarray:
+        """Undirected edges as the sorted (E, 2) array of rows (i, j), i < j."""
+        return self.graph.edges
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Undirected edges as (i, j) with i < j, sorted."""
-        return [(i, j) for i in range(self.n) for j in self.adjacency[i] if i < j]
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each uid's neighbors in ascending order, indexed by uid."""
+        return tuple(self.graph.adj.values())
 
 
 def deploy_devices(area: Area, n: int, placement: str, seed: int) -> list[DeviceSite]:
@@ -118,13 +122,19 @@ def build_topology(sites: list[DeviceSite], r_c: float) -> Topology:
     """Connect every pair within Euclidean distance r_c (inclusive)."""
     if r_c <= 0:
         raise ValueError("communication radius must be positive")
-    pos = np.array([[s.x, s.y] for s in sites])
     n = len(sites)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        d = np.hypot(pos[:, 0] - pos[i, 0], pos[:, 1] - pos[i, 1])
-        adjacency[i] = [j for j in range(n) if j != i and d[j] <= r_c]
-    return Topology(list(sites), r_c, adjacency)
+    x = np.array([s.x for s in sites])
+    y = np.array([s.y for s in sites])
+    # row i holds i's neighbors j > i, so the rows joined in order are the
+    # sorted edge array (a world without sites has no rows to join)
+    higher = [
+        i + 1 + np.flatnonzero(np.hypot(x[i + 1 :] - x[i], y[i + 1 :] - y[i]) <= r_c)
+        for i in range(n)
+    ]
+    firsts = np.repeat(np.arange(n), [len(js) for js in higher])
+    seconds = np.concatenate(higher) if higher else firsts
+    edges = np.stack([firsts, seconds], axis=1)
+    return Topology(list(sites), r_c, FieldGraph.from_edges(range(n), edges))
 
 
 @dataclass(frozen=True)

@@ -14,58 +14,63 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
+import numpy as np
+
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldGraph:
-    """Undirected graph over device uids; adjacency is symmetric, no self loops."""
+    """Undirected graph over device uids, without self loops.
+
+    edges is the sorted, read-only (E, 2) int64 array of its edges, one row
+    (i, j) with i < j per edge; adj maps each node to its neighbors in
+    ascending order.  Build it with from_edges or from_topology, which read
+    adj off the edges.
+    """
 
     nodes: tuple[int, ...]
+    edges: np.ndarray
     adj: dict[int, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        nodes = tuple(sorted(set(int(u) for u in self.nodes)))
-        object.__setattr__(self, "nodes", nodes)
-        node_set = set(nodes)
-        adj = {u: tuple(sorted(set(self.adj.get(u, ())))) for u in nodes}
-        object.__setattr__(self, "adj", adj)
-        for u, nbrs in adj.items():
-            for v in nbrs:
-                if v == u:
-                    raise ValueError(f"self loop at node {u}")
-                if v not in node_set:
-                    raise ValueError(f"edge {u}-{v} leaves the node set")
-                if u not in adj[v]:
-                    raise ValueError(f"asymmetric edge {u}-{v}")
-
     @staticmethod
-    def from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "FieldGraph":
-        adj: dict[int, list[int]] = {int(u): [] for u in nodes}
-        for a, b in edges:
-            a, b = int(a), int(b)
+    def from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]] | np.ndarray) -> "FieldGraph":
+        """Graph over the nodes; edges are (a, b) pairs in any order and
+        orientation, duplicates collapsing to one edge."""
+        nodes = tuple(sorted(set(int(u) for u in nodes)))
+        pairs = set()
+        for a, b in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
+            if a == b:
+                raise ValueError(f"self loop at node {a}")
+            pairs.add((a, b) if a < b else (b, a))
+        ordered = sorted(pairs)
+        adj: dict[int, list[int]] = {u: [] for u in nodes}
+        # in sorted order every node meets its lower neighbors (as j) before
+        # its higher ones (as i), each in ascending order
+        for a, b in ordered:
             if a not in adj or b not in adj:
                 raise ValueError(f"edge {a}-{b} references an unknown node")
             adj[a].append(b)
             adj[b].append(a)
-        return FieldGraph(tuple(adj), {u: tuple(v) for u, v in adj.items()})
+        edge_array = np.array(ordered, dtype=np.int64).reshape(-1, 2)
+        # the topology, its scores and its gated graphs share this array
+        edge_array.flags.writeable = False
+        return FieldGraph(nodes, edge_array, {u: tuple(v) for u, v in adj.items()})
 
     @staticmethod
-    def from_topology(topology, keep_edge: Callable[[int, int], bool] | None = None) -> "FieldGraph":
-        """Graph over all topology uids, optionally keeping only some edges."""
-        edges = [
-            (i, j)
-            for i, j in topology.edges()
-            if keep_edge is None or keep_edge(i, j)
-        ]
-        return FieldGraph.from_edges(range(topology.n), edges)
+    def from_topology(topology, keep: np.ndarray | None = None) -> "FieldGraph":
+        """The topology's graph, or the graph over all its uids with only the
+        edges whose entry in the boolean mask keep (aligned with
+        topology.edges) is true."""
+        if keep is None:
+            return topology.graph
+        return FieldGraph.from_edges(topology.graph.nodes, topology.edges[keep])
 
     def without_node(self, uid: int) -> "FieldGraph":
         if uid not in self.adj:
             raise ValueError(f"node {uid} not in graph")
         nodes = tuple(u for u in self.nodes if u != uid)
-        adj = {u: tuple(v for v in self.adj[u] if v != uid) for u in nodes}
-        return FieldGraph(nodes, adj)
+        return FieldGraph.from_edges(nodes, self.edges[(self.edges != uid).all(axis=1)])
 
 
 @dataclass

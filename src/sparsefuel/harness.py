@@ -507,14 +507,11 @@ def calibrate_tau(
         run_round(state, world.protocol, t, arm="isolated")
     stats = run_round(state, world.protocol, warmup_rounds + 1, arm="sparsefuel")
     assert stats.dissimilarity is not None
-    sites = world.topology.sites
-    intra, inter = [], []
-    for (i, j), value in sorted(stats.dissimilarity.values.items()):
-        if sites[i].subregion_id == sites[j].subregion_id:
-            intra.append(value)
-        else:
-            inter.append(value)
-    if not intra or not inter:
+    ds = stats.dissimilarity
+    subregion = np.array([site.subregion_id for site in world.topology.sites])
+    same = subregion[ds.edges[:, 0]] == subregion[ds.edges[:, 1]]
+    intra, inter = ds.values[same], ds.values[~same]
+    if not len(intra) or not len(inter):
         raise ConfigError(
             "calibration needs both intra- and inter-region topology edges "
             f"(got {len(intra)} intra, {len(inter)} inter)"

@@ -13,7 +13,7 @@ iterated in uid order and all aggregation happens in uid order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ class Federation:
 
     leader: int
     members: frozenset[int]
-    round_formed: int = 0
 
     def __post_init__(self) -> None:
         if self.leader not in self.members:
@@ -61,7 +60,6 @@ class FederationPartition:
     """Disjoint federations covering every device, sorted by leader uid."""
 
     federations: list[Federation]
-    round_formed: int = 0
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -87,27 +85,21 @@ class FederationPartition:
 
 @dataclass
 class DissimilarityMatrix:
-    """Symmetric edge scores; stored once per undirected pair (i < j)."""
+    """Symmetric edge scores: values[e] scores the undirected edge edges[e],
+    a row (i, j) with i < j."""
 
-    values: dict[tuple[int, int], float] = field(default_factory=dict)
+    edges: np.ndarray
+    values: np.ndarray
 
-    @staticmethod
-    def _key(i: int, j: int) -> tuple[int, int]:
-        if i == j:
-            raise ValueError("dissimilarity is defined between distinct devices")
-        return (i, j) if i < j else (j, i)
-
-    def put(self, i: int, j: int, value: float) -> None:
-        value = float(value)
-        if not value >= 0.0:
-            raise ValueError(f"dissimilarity must be non-negative, got {value}")
-        self.values[self._key(i, j)] = value
-
-    def get(self, i: int, j: int) -> float:
-        return self.values[self._key(i, j)]
-
-    def has(self, i: int, j: int) -> bool:
-        return self._key(i, j) in self.values
+    def __post_init__(self) -> None:
+        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != (len(self.edges),):
+            raise ValueError(f"{len(self.edges)} edges but {self.values.shape} values")
+        if not np.all(self.edges[:, 0] < self.edges[:, 1]):
+            raise ValueError("dissimilarity edges must be rows (i, j) with i < j")
+        if not np.all(self.values >= 0.0):
+            raise ValueError("dissimilarity must be non-negative (and not NaN)")
 
 
 @dataclass(frozen=True)
@@ -140,13 +132,12 @@ def cross_similarity(
 
 def similarity_graph(topology: Topology, ds: DissimilarityMatrix, tau: float) -> fields.FieldGraph:
     """Topology with edges above the dissimilarity threshold removed."""
-    for i, j in topology.edges():
-        if not ds.has(i, j):
-            raise ValueError(f"dissimilarity missing for topology edge {i}-{j}")
-    return fields.FieldGraph.from_topology(topology, keep_edge=lambda i, j: ds.get(i, j) <= tau)
+    if not np.array_equal(ds.edges, topology.edges):
+        raise ValueError("dissimilarity must score exactly the topology's edges, in its order")
+    return fields.FieldGraph.from_topology(topology, ds.values <= tau)
 
 
-def _elect(graph: fields.FieldGraph, round_formed: int) -> tuple[fields.GradientField, FederationPartition]:
+def _elect(graph: fields.FieldGraph) -> tuple[fields.GradientField, FederationPartition]:
     """Elect the minimum uid of each component of the graph, grow the hop
     field from the leaders, and read the federations off its sources."""
     flags = fields.s_block(graph)
@@ -154,15 +145,13 @@ def _elect(graph: fields.FieldGraph, round_formed: int) -> tuple[fields.Gradient
     members: dict[int, set[int]] = {}
     for uid, src in gfield.source.items():
         members.setdefault(src, set()).add(uid)
-    feds = [Federation(leader, frozenset(uids), round_formed) for leader, uids in members.items()]
-    return gfield, FederationPartition(feds, round_formed)
+    feds = [Federation(leader, frozenset(uids)) for leader, uids in members.items()]
+    return gfield, FederationPartition(feds)
 
 
-def form_federations(
-    topology: Topology, ds: DissimilarityMatrix, tau: float, round_formed: int = 0
-) -> FederationPartition:
+def form_federations(topology: Topology, ds: DissimilarityMatrix, tau: float) -> FederationPartition:
     """Connected components of the tau-gated graph, led by their minimum uid."""
-    return _elect(similarity_graph(topology, ds, tau), round_formed)[1]
+    return _elect(similarity_graph(topology, ds, tau))[1]
 
 
 def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = None) -> ParameterSet:
@@ -317,8 +306,7 @@ def run_round(
     delivered: dict[int, ParameterSet] = {}
     if arm == "isolated":
         partition = FederationPartition(
-            [Federation(dev.uid, frozenset([dev.uid]), round_index) for dev in state.devices],
-            round_index,
+            [Federation(dev.uid, frozenset([dev.uid])) for dev in state.devices]
         )
         models_by_leader = {fed.leader: trained[fed.leader] for fed in partition.federations}
     else:
@@ -338,16 +326,15 @@ def run_round(
 
         if arm == "sparsefuel":
             # neighbor broadcast: every device sends its wire artifact to each neighbor
-            bytes_broadcast = sum(len(blobs[uid]) * len(topo.neighbors(uid)) for uid in blobs)
+            degree = np.bincount(topo.edges.ravel(), minlength=topo.n)
+            bytes_broadcast = sum(len(blobs[uid]) * int(degree[uid]) for uid in blobs)
             ds = _edge_dissimilarity(state, decoded)
-            gfield, partition = _elect(similarity_graph(topo, ds, cfg.tau), round_index)
+            gfield, partition = _elect(similarity_graph(topo, ds, cfg.tau))
         else:
             graph = fields.FieldGraph.from_topology(topo)
             leader = min(graph.nodes)
             gfield = fields.g_block(graph, [leader])
-            partition = FederationPartition(
-                [Federation(leader, frozenset(graph.nodes), round_index)], round_index
-            )
+            partition = FederationPartition([Federation(leader, frozenset(graph.nodes))])
 
         # tree collection to each leader (a leader contributes its model as
         # trained, every other device the model its wire bytes decode to),
@@ -429,22 +416,18 @@ def _edge_dissimilarity(state: SimulationState, decoded: Mapping[int, ParameterS
     is two (sender model, receiver validation split) pairs, and the pairs of
     equal-length splits run in chunks of one forward pass each."""
     devices = state.devices
-    edges = state.topology.edges()
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    edges = state.topology.edges
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round
-    senders = np.concatenate([ends[:, 1], ends[:, 0]])
-    receivers = np.concatenate([ends[:, 0], ends[:, 1]])
+    senders = np.concatenate([edges[:, 1], edges[:, 0]])
+    receivers = np.concatenate([edges[:, 0], edges[:, 1]])
     val_lengths = np.array([len(dev.val) for dev in devices])
     losses = np.empty(len(senders))
     for pick in _lockstep_chunks(val_lengths[receivers], devices[0].params):
         models = ParameterSet.stack([decoded[uid] for uid in senders[pick]])
         vals = LabeledDataset.stack([devices[uid].val for uid in receivers[pick]])
         losses[pick], _ = loss_and_accuracy(models, vals)
-    ds = DissimilarityMatrix()
-    for (i, j), loss_ij, loss_ji in zip(edges, losses[: len(edges)], losses[len(edges) :]):
-        ds.put(i, j, loss_ij + loss_ji)
-    return ds
+    return DissimilarityMatrix(edges, losses[: len(edges)] + losses[len(edges) :])
 
 
 def evaluate_objective(

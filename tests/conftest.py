@@ -48,6 +48,17 @@ def oracle_components(nodes, edges):
     return list(comps.values())
 
 
+def oracle_disc_edges(sites, r_c):
+    """Every pair i < j of sites within Euclidean distance r_c (inclusive),
+    by brute force over all pairs, in sorted order."""
+    return [
+        [i, j]
+        for i, a in enumerate(sites)
+        for j, b in enumerate(sites)
+        if i < j and np.hypot(b.x - a.x, b.y - a.y) <= r_c
+    ]
+
+
 def oracle_bfs(nodes, adj, sources):
     """Hop distances from the source set; None where unreachable."""
     dist = {u: None for u in nodes}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import write_idx_pair
+from conftest import oracle_disc_edges, write_idx_pair
 from sparsefuel.environment import (
     Area,
     DeviceSite,
@@ -95,20 +95,43 @@ class TestTopology:
             DeviceSite(2, 2.5, 0.0, 0),
         ]
         topo = build_topology(sites, r_c=1.0)
-        assert list(topo.neighbors(0)) == [1]
-        assert list(topo.neighbors(1)) == [0]
-        assert list(topo.neighbors(2)) == []
+        assert topo.edges.tolist() == [[0, 1]]
+        assert topo.graph.adj == {0: (1,), 1: (0,), 2: ()}
 
     def test_edges_symmetric_no_self_loops(self):
         area = Area(10.0, 10.0, 2, 2)
         sites = deploy_devices(area, n=25, placement="uniform-random", seed=1)
         topo = build_topology(sites, r_c=3.0)
+        adj = topo.graph.adj
         for s in sites:
-            assert s.uid not in topo.neighbors(s.uid)
-            for v in topo.neighbors(s.uid):
-                assert s.uid in topo.neighbors(v)
-        for i, j in topo.edges():
-            assert i < j
+            assert s.uid not in adj[s.uid]
+            for v in adj[s.uid]:
+                assert s.uid in adj[v]
+        assert topo.edges.shape == (len(topo.edges), 2)
+        assert np.all(topo.edges[:, 0] < topo.edges[:, 1])
+        assert topo.edges.tolist() == sorted(topo.edges.tolist())
+        assert not topo.edges.flags.writeable
+        assert build_topology([], r_c=3.0).edges.shape == (0, 2)
+        assert sum(len(v) for v in adj.values()) == 2 * len(topo.edges)
+
+
+    @pytest.mark.parametrize("placement", ["uniform-random", "jittered-grid"])
+    @pytest.mark.parametrize("n", [1, 2, 64, 300])
+    def test_edges_match_pair_oracle(self, placement, n):
+        area = Area(8.0, 8.0, 2, 2)
+        sites = deploy_devices(area, n=n, placement=placement, seed=n)
+        for r_c in (0.5, 2.125, 20.0):
+            topo = build_topology(sites, r_c=r_c)
+            assert topo.edges.dtype == np.int64
+            assert topo.edges.reshape(-1, 2).tolist() == oracle_disc_edges(sites, r_c)
+
+    def test_sites_exactly_r_c_apart_are_linked(self):
+        # a 3-4-5 triangle with r_c = 5: every pair is at most r_c apart, and
+        # 0-2 at exactly r_c
+        sites = [DeviceSite(0, 0.0, 0.0, 0), DeviceSite(1, 3.0, 0.0, 0), DeviceSite(2, 3.0, 4.0, 0)]
+        for r_c, want in ((5.0, [[0, 1], [0, 2], [1, 2]]), (4.0, [[0, 1], [1, 2]])):
+            assert oracle_disc_edges(sites, r_c) == want
+            assert build_topology(sites, r_c).edges.tolist() == want
 
 
 def blob_labels(spec, sid):

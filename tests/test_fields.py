@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import oracle_bfs, oracle_components, oracle_diameter
@@ -47,7 +48,8 @@ class TestFieldGraph:
         topo = build_topology(sites, r_c=1.5)
         g = FieldGraph.from_topology(topo)
         assert g.adj[1] == (0, 2)
-        filtered = FieldGraph.from_topology(topo, keep_edge=lambda i, j: (i, j) != (0, 1))
+        assert topo.edges.tolist() == [[0, 1], [1, 2]]
+        filtered = FieldGraph.from_topology(topo, np.array([False, True]))
         assert filtered.adj[0] == ()
         assert filtered.adj[1] == (2,)
 

@@ -211,9 +211,9 @@ class TestLockstepRound:
         _, decoded = reference_round(state, round_index=1)
         vals = [dev.val for dev in state.devices]
         stats = run_round(state, protocol_config(), 1)
-        edges = state.topology.edges()
+        edges = state.topology.edges
+        assert np.array_equal(stats.dissimilarity.edges, edges)
         assert len(stats.dissimilarity.values) == len(edges) == len(LENGTHS) - 1
-        for i, j in edges:
-            got = stats.dissimilarity.get(i, j)
+        for (i, j), got in zip(edges.tolist(), stats.dissimilarity.values):
             assert got == cross_similarity(decoded[i], decoded[j], vals[i], vals[j])
             assert got == reference_loss(decoded[j], vals[i]) + reference_loss(decoded[i], vals[j])

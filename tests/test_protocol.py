@@ -86,27 +86,28 @@ class TestCrossSimilarity:
 
 class TestDissimilarityMatrix:
     def test_symmetric_storage(self):
-        ds = DissimilarityMatrix()
-        ds.put(5, 2, 1.25)
-        assert ds.get(2, 5) == 1.25
-        assert ds.get(5, 2) == 1.25
-        assert ds.has(2, 5)
-        assert not ds.has(0, 1)
+        # one score per undirected pair, stored once as the row (i, j), i < j
+        ds = DissimilarityMatrix([[2, 5], [3, 4]], [1.25, 0.5])
+        assert ds.edges.tolist() == [[2, 5], [3, 4]]
+        assert ds.values.tolist() == [1.25, 0.5]
+        assert [0, 1] not in ds.edges.tolist()
+        with pytest.raises(ValueError):
+            DissimilarityMatrix([[5, 2]], [1.25])
 
     def test_rejects_negative_and_self_pairs(self):
-        ds = DissimilarityMatrix()
         with pytest.raises(ValueError):
-            ds.put(0, 1, -0.5)
+            DissimilarityMatrix([[0, 1]], [-0.5])
         with pytest.raises(ValueError):
-            ds.put(3, 3, 1.0)
+            DissimilarityMatrix([[0, 1]], [float("nan")])
+        with pytest.raises(ValueError):
+            DissimilarityMatrix([[3, 3]], [1.0])
+        with pytest.raises(ValueError):
+            DissimilarityMatrix([[0, 1], [1, 2]], [1.0])
 
 
 class TestFormFederations:
     def _full_ds(self, topo, value):
-        ds = DissimilarityMatrix()
-        for i, j in topo.edges():
-            ds.put(i, j, value)
-        return ds
+        return DissimilarityMatrix(topo.edges, np.full(len(topo.edges), value))
 
     def test_generous_threshold_gives_one_federation(self):
         topo = line_topology(5)
@@ -124,9 +125,7 @@ class TestFormFederations:
 
     def test_partition_covers_all_devices_disjointly(self):
         topo = line_topology(7)
-        ds = DissimilarityMatrix()
-        for idx, (i, j) in enumerate(topo.edges()):
-            ds.put(i, j, 0.1 if idx % 2 == 0 else 9.0)
+        ds = DissimilarityMatrix(topo.edges, np.where(np.arange(len(topo.edges)) % 2 == 0, 0.1, 9.0))
         part = form_federations(topo, ds, tau=1.0)
         seen = [u for f in part.federations for u in f.members]
         assert sorted(seen) == list(range(7))
@@ -135,17 +134,20 @@ class TestFormFederations:
 
     def test_missing_edge_value_raises(self):
         topo = line_topology(3)
-        ds = DissimilarityMatrix()
-        with pytest.raises(ValueError):
-            form_federations(topo, ds, tau=1.0)
+        for edges, values in [
+            ([], []),  # no scores at all
+            ([[0, 1]], [1.0]),  # topology edge 1-2 unscored
+            ([[0, 1], [1, 2], [0, 2]], [1.0, 1.0, 1.0]),  # 0-2 is not a topology edge
+            ([[1, 2], [0, 1]], [1.0, 1.0]),  # every edge scored, out of the topology's order
+        ]:
+            with pytest.raises(ValueError):
+                form_federations(topo, DissimilarityMatrix(edges, values), tau=1.0)
 
     def test_raising_tau_never_increases_federation_count(self):
         rng = np.random.default_rng(10)
         sites = [DeviceSite(i, rng.uniform(0, 5), rng.uniform(0, 5), 0) for i in range(12)]
         topo = build_topology(sites, r_c=2.0)
-        ds = DissimilarityMatrix()
-        for i, j in topo.edges():
-            ds.put(i, j, float(rng.uniform(0, 2)))
+        ds = DissimilarityMatrix(topo.edges, rng.uniform(0, 2, len(topo.edges)))
         counts = [
             len(form_federations(topo, ds, tau).federations)
             for tau in np.linspace(0.0, 2.5, 26)
@@ -196,8 +198,8 @@ class TestEvaluateObjective:
     def test_zero_networks_sum_to_k_log_c(self):
         k, c = 4, 4
         zero = ParameterSet([np.zeros((c, 2))], [np.zeros(c)])
-        federations = [Federation(j, frozenset([j]), 0) for j in range(k)]
-        partition = FederationPartition(federations, 0)
+        federations = [Federation(j, frozenset([j])) for j in range(k)]
+        partition = FederationPartition(federations)
         sites = [DeviceSite(j, 0.5, 0.5, j) for j in range(k)]
         tests = [toy_dataset(j, m=30, n_classes=c) for j in range(k)]
         objective, accs, losses = evaluate_objective(
@@ -219,9 +221,7 @@ class TestEvaluateObjective:
             w = np.zeros((2, 2))
             w[j, 0] = 20.0
             models[j] = ParameterSet([w], [np.zeros(2)])
-        partition = FederationPartition(
-            [Federation(j, frozenset([j]), 0) for j in range(k)], 0
-        )
+        partition = FederationPartition([Federation(j, frozenset([j])) for j in range(k)])
         objective, accs, _ = evaluate_objective(partition, models, tests, sites)
         assert objective < 0.01
         assert accs == [1.0, 1.0]
@@ -319,8 +319,9 @@ class TestRunRound:
         cfg = toy_protocol_config(strategy=CompressionStrategy("sparse+quantized", 0.3))
         state = self._state(3)
         stats = run_round(state, cfg, 1)
-        for i, j in state.topology.edges():
-            assert stats.dissimilarity.get(i, j) >= 0.0
+        assert np.array_equal(stats.dissimilarity.edges, state.topology.edges)
+        assert len(stats.dissimilarity.values) > 0
+        assert np.all(stats.dissimilarity.values >= 0.0)
 
 
 class TestProtocolConfigValidation:

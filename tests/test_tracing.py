@@ -56,5 +56,8 @@ def test_traced_quadrant_round_reports_training_and_scoring(arm):
     assert not (SIMILARITY - names) & traced
     assert metrics["neuralnet.train_ms_per_round"] > 0
     assert metrics["neuralnet.sgd_steps_per_round"] > 0
+    # build_topology's span value reads Topology.adjacency: the quadrant
+    # world's 208 radio links, whatever the arm
+    assert metrics["environment.topology_edges"] == 208
     assert metrics["protocol.edges_scored_per_round"] == edges_scored
     assert (metrics["protocol.similarity_ms_per_round"] > 0) == (edges_scored > 0)
