@@ -4,7 +4,6 @@ learning with compressed model exchange."""
 from .compression import (
     CompressedModel,
     CompressionStrategy,
-    QuantizedParameterSet,
     SparseMask,
     compress,
     decompress,

@@ -124,7 +124,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.path):
+    if not os.path.isfile(args.path):
         raise ConfigError(f"model file not found: {args.path}")
     with open(args.path, "rb") as f:
         blob = f.read()
@@ -154,10 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures map to exit code 2

@@ -36,7 +36,6 @@ _KIND_FLAGS = {
     "sparse+quantized": (True, True),
 }
 KINDS = tuple(_KIND_FLAGS)
-_KIND_CODES = {kind: i for i, kind in enumerate(KINDS)}
 MAGIC = b"SPFL"
 FORMAT_VERSION = 1
 HEADER_BYTES = 16
@@ -67,58 +66,64 @@ class CompressionStrategy:
 
 @dataclass
 class SparseMask:
-    """Per-layer keep masks (1 = kept) congruent to the weight matrices."""
+    """Per-layer keep masks (1 = kept) congruent to the weight matrices of one
+    model, or of D models stacked on a leading axis."""
 
     layers: list[np.ndarray]
 
     def __post_init__(self) -> None:
         self.layers = [np.asarray(m, dtype=np.uint8) for m in self.layers]
         for m in self.layers:
-            if m.ndim != 2:
-                raise ValueError("mask layers must be 2-d")
-            bad = (m != 0) & (m != 1)
-            if bad.any():
+            if m.ndim not in (2, 3):
+                raise ValueError("mask layers must be 2-d (or a stack of them)")
+            if m.max(initial=0) > 1:
                 raise ValueError("mask entries must be 0 or 1")
 
     def kept_counts(self) -> list[int]:
         return [int(m.sum()) for m in self.layers]
 
+    def __getitem__(self, k) -> "SparseMask":
+        """Model k's masks (views) of a stack."""
+        return SparseMask([m[k] for m in self.layers])
+
 
 @dataclass
 class QuantizedTensor:
-    """One tensor quantized to u8 with an affine (scale, zero_point) map."""
+    """One tensor quantized to u8 with an affine (scale, zero_point) map, or D
+    such tensors stacked on a leading axis with a (D,) scale and zero point."""
 
-    scale: float
-    zero_point: int
+    scale: float | np.ndarray
+    zero_point: int | np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.uint8)
-        if not (0 <= self.zero_point <= 255):
+        # checked as Python numbers, one per tensor of a stack: numpy's call
+        # overhead would dominate the check of one parsed tensor's scalars
+        many = isinstance(self.scale, np.ndarray)
+        scales, zero_points = (
+            np.ravel(x).tolist() if many else [x] for x in (self.scale, self.zero_point)
+        )
+        if not all(0 <= z <= 255 for z in zero_points):
             raise ValueError(f"zero_point must be in [0, 255], got {self.zero_point}")
-        if not np.isfinite(self.scale):
+        if not all(map(math.isfinite, scales)):
             raise ValueError("scale must be finite")
 
-
-@dataclass
-class QuantizedParameterSet:
-    """Quantized tensors in serialization order W0, b0, W1, b1, ..."""
-
-    tensors: list[QuantizedTensor]
-
-    def __post_init__(self) -> None:
-        if len(self.tensors) % 2 != 0:
-            raise ValueError("expected an even tensor count (weight/bias pairs)")
+    def __getitem__(self, k) -> "QuantizedTensor":
+        """Tensor k (views) of a stack."""
+        return QuantizedTensor(self.scale[k], self.zero_point[k], self.values[k])
 
 
 @dataclass
 class CompressedModel:
-    """A model in one of the four wire kinds; payload fields match the kind."""
+    """One model, or a stack of D models, in one of the four wire kinds;
+    payload fields match the kind.  qparams holds the tensors in
+    serialization order W0, b0, W1, b1, ..."""
 
     kind: str
     params: ParameterSet | None = None
     mask: SparseMask | None = None
-    qparams: QuantizedParameterSet | None = None
+    qparams: list[QuantizedTensor] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -128,10 +133,15 @@ class CompressedModel:
         if payload != (prunes, quantizes, not quantizes):
             raise ValueError(f"payload does not match kind {self.kind!r}")
 
+    def __getitem__(self, k) -> "CompressedModel":
+        """Model k of a stack, as views of it."""
+        params, mask = (None if x is None else x[k] for x in (self.params, self.mask))
+        qparams = None if self.qparams is None else [qt[k] for qt in self.qparams]
+        return CompressedModel(self.kind, params, mask, qparams)
+
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with ties away from zero (np.round ties to even)."""
-    x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
@@ -142,7 +152,8 @@ def _floor_count(psi: float, n: int) -> int:
 
 
 def prune_magnitude(params: ParameterSet, psi: float) -> tuple[ParameterSet, SparseMask]:
-    """Zero the floor(psi * n) smallest-magnitude weights of each layer.
+    """Zero the floor(psi * n) smallest-magnitude weights of each layer of
+    each model (one, or a stack).
 
     Ties in |w| are broken by (row, col) order with the lower index pruned
     first.  Biases are untouched.  Returns the pruned copy and the keep mask.
@@ -152,63 +163,62 @@ def prune_magnitude(params: ParameterSet, psi: float) -> tuple[ParameterSet, Spa
     pruned = params.copy()
     mask_layers = []
     for w in pruned.weights:
-        k = _floor_count(psi, w.size)
-        mask = np.ones(w.size, dtype=np.uint8)
-        if k > 0:
-            # stable sort on |w| keeps ties in flat (row-major) order, so the
-            # first k entries prune lower (row, col) indices first
-            order = np.argsort(np.abs(w).ravel(), kind="stable")
-            mask[order[:k]] = 0
+        # one row of flat weights per model; a stable sort on |w| keeps ties
+        # in flat (row-major) order, so the first k entries of a row prune
+        # lower (row, col) indices first
+        flat = np.abs(w).reshape(w.shape[:-2] + (-1,))
+        order = np.argsort(flat, axis=-1, kind="stable")
+        mask = np.ones(flat.shape, dtype=np.uint8)
+        np.put_along_axis(mask, order[..., : _floor_count(psi, flat.shape[-1])], 0, axis=-1)
         mask = mask.reshape(w.shape)
         w *= mask
         mask_layers.append(mask)
     return pruned, SparseMask(mask_layers)
 
 
-def _quantize_tensor(t: np.ndarray) -> QuantizedTensor:
-    t = np.asarray(t, dtype=np.float64)
-    if t.size == 0:
-        return QuantizedTensor(1.0, 0, np.zeros(t.shape, dtype=np.uint8))
-    if not np.isfinite(t).all():
+def _quantize_tensor(t: np.ndarray, lead: tuple[int, ...]) -> QuantizedTensor:
+    """Quantize each tensor stacked on the `lead` axes of t (none for one
+    tensor) over its own range.
+
+    The range always includes 0 (Jacob et al., CVPR 2018), so 0 sits on the
+    grid and a single-sign tensor still spreads over all 256 levels.  An
+    empty or all-zero range, or one so narrow (subnormal) that a step
+    underflows, gets the unit scale.
+    """
+    flat = t.reshape(lead + (-1,))
+    if not np.isfinite(flat).all():
         raise ValueError("cannot quantize non-finite values")
-    # the range always includes 0 (Jacob et al., CVPR 2018), so 0 sits on the
-    # grid and a single-sign tensor still spreads over all 256 levels
-    lo = min(float(t.min()), 0.0)
-    hi = max(float(t.max()), 0.0)
-    scale = (hi - lo) / 255.0
-    if scale == 0.0:
-        # all zeros, or a range so narrow (subnormal) that a step underflows
-        scale = 1.0
-    zero_point = int(_round_half_away(-lo / scale))
-    q = np.clip(_round_half_away(t / scale) + zero_point, 0, 255).astype(np.uint8)
-    return QuantizedTensor(scale, zero_point, q)
+    lo, hi = flat.min(axis=-1, initial=0.0), flat.max(axis=-1, initial=0.0)
+    scale = np.asarray((hi - lo) / 255.0)
+    scale[scale == 0.0] = 1.0
+    zero_point = _round_half_away(-lo / scale)
+    q = np.clip(_round_half_away(flat / scale[..., None]) + zero_point[..., None], 0, 255)
+    q = q.astype(np.uint8).reshape(t.shape)
+    return QuantizedTensor(scale[()], zero_point.astype(np.int64)[()], q)
 
 
-def _dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
-    return (qt.values.astype(np.float64) - qt.zero_point) * qt.scale
+def quantize_affine(params: ParameterSet) -> list[QuantizedTensor]:
+    """Quantize every tensor (weights and biases) of each model (one, or a
+    stack) to u8 independently; the tensors in order W0, b0, W1, b1, ..."""
+    lead = params.weights[0].shape[:-2] if params.weights else ()
+    return [_quantize_tensor(t, lead) for wb in zip(params.weights, params.biases) for t in wb]
 
 
-def quantize_affine(params: ParameterSet) -> QuantizedParameterSet:
-    """Quantize every tensor (weights and biases) to u8 independently."""
+def dequantize(qparams: list[QuantizedTensor]) -> ParameterSet:
+    """Map u8 tensors (in order W0, b0, ...) back to float64 parameters."""
     tensors = []
-    for w, b in zip(params.weights, params.biases):
-        tensors.append(_quantize_tensor(w))
-        tensors.append(_quantize_tensor(b))
-    return QuantizedParameterSet(tensors)
-
-
-def dequantize(qparams: QuantizedParameterSet) -> ParameterSet:
-    """Map u8 tensors back to float64 parameters."""
-    weights, biases = [], []
-    for i in range(0, len(qparams.tensors), 2):
-        weights.append(_dequantize_tensor(qparams.tensors[i]))
-        biases.append(_dequantize_tensor(qparams.tensors[i + 1]))
-    return ParameterSet(weights, biases)
+    for qt in qparams:
+        # one row per tensor of a stack; scale and zero point as columns
+        flat = qt.values.reshape(np.shape(qt.scale) + (-1,)).astype(np.float64)
+        flat = (flat - np.asarray(qt.zero_point)[..., None]) * np.asarray(qt.scale)[..., None]
+        tensors.append(flat.reshape(qt.values.shape))
+    return ParameterSet(tensors[0::2], tensors[1::2])
 
 
 def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedModel:
-    """Apply the strategy: prune first (if the kind prunes), then put the
-    result on the wire with encode_wire (quantized, if the kind quantizes).
+    """Apply the strategy to one model or a stack: prune first (if the kind
+    prunes), then put the result on the wire with encode_wire (quantized, if
+    the kind quantizes).
 
     For sparse+quantized the pruned tensor (zeros included) is what gets
     quantized, which puts 0 exactly on the quantization grid, so pruned
@@ -240,7 +250,7 @@ def _arrays(model: CompressedModel) -> list[np.ndarray]:
     """The payload arrays in order W0, b0, ...: the u8 values of the quantizing
     kinds, the float values of the others."""
     if _KIND_FLAGS[model.kind][1]:
-        return [qt.values for qt in model.qparams.tensors]
+        return [qt.values for qt in model.qparams]
     return [t for wb in zip(model.params.weights, model.params.biases) for t in wb]
 
 
@@ -272,10 +282,11 @@ def payload_size(model: CompressedModel) -> int:
 
 
 def to_bytes(model: CompressedModel) -> bytes:
-    """Serialize to the canonical byte format described in the module docstring."""
+    """Serialize one model (model k of a stack is model[k]) to the canonical
+    byte format described in the module docstring."""
     prunes, quantizes = _KIND_FLAGS[model.kind]
     shapes = tensor_shapes(model)
-    chunks = [struct.pack("<4sIII", MAGIC, FORMAT_VERSION, _KIND_CODES[model.kind], len(shapes))]
+    chunks = [struct.pack("<4sIII", MAGIC, FORMAT_VERSION, KINDS.index(model.kind), len(shapes))]
     for t, (array, (rows, cols)) in enumerate(zip(_arrays(model), shapes)):
         chunks.append(struct.pack("<II", rows, cols))
         flat = array.ravel()
@@ -285,29 +296,14 @@ def to_bytes(model: CompressedModel) -> bytes:
             chunks.append(np.packbits(bits).tobytes())
             flat = flat[bits]
         if quantizes:
-            qt = model.qparams.tensors[t]
+            qt = model.qparams[t]
             chunks.append(struct.pack("<fB", np.float32(qt.scale), qt.zero_point))
-            chunks.append(flat.tobytes())
-        else:
-            chunks.append(flat.astype("<f4").tobytes())
+        chunks.append(flat.tobytes() if quantizes else flat.astype("<f4").tobytes())
     return b"".join(chunks)
 
 
 class SerializationError(ValueError):
     pass
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise SerializationError("truncated payload")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
 
 def from_bytes(buf: bytes) -> CompressedModel:
@@ -316,8 +312,16 @@ def from_bytes(buf: bytes) -> CompressedModel:
     Values serialized as f32 come back as float64 holding f32-representable
     numbers, which is exactly what a receiving device would see.
     """
-    r = _Reader(buf)
-    magic, version, kind_code, n_tensors = struct.unpack("<4sIII", r.take(16))
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise SerializationError("truncated payload")
+        pos += n
+        return buf[pos - n : pos]
+
+    magic, version, kind_code, n_tensors = struct.unpack("<4sIII", take(16))
     if magic != MAGIC:
         raise SerializationError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
@@ -334,7 +338,7 @@ def from_bytes(buf: bytes) -> CompressedModel:
 
     fan_out = 0
     for t in range(n_tensors):
-        rows, cols = struct.unpack("<II", r.take(8))
+        rows, cols = struct.unpack("<II", take(8))
         is_weight = t % 2 == 0
         if is_weight and cols == 0:
             raise SerializationError(f"tensor {t}: expected a matrix, got a vector")
@@ -353,7 +357,7 @@ def from_bytes(buf: bytes) -> CompressedModel:
 
         kept = slice(None)
         if prunes:
-            raw = np.frombuffer(r.take((n + 7) // 8), dtype=np.uint8)
+            raw = np.frombuffer(take((n + 7) // 8), dtype=np.uint8)
             kept = np.unpackbits(raw)[:n].astype(bool)
             if is_weight:
                 mask_layers.append(kept.astype(np.uint8).reshape(shape))
@@ -362,12 +366,12 @@ def from_bytes(buf: bytes) -> CompressedModel:
         count = int(kept.sum()) if prunes else n
         dtype = np.dtype(np.uint8 if quantizes else "<f4")
         if quantizes:
-            scale, zero_point = struct.unpack("<fB", r.take(5))
+            scale, zero_point = struct.unpack("<fB", take(5))
             if not math.isfinite(scale):
                 raise SerializationError(f"tensor {t}: quantization scale {scale} is not finite")
         # the payload is read before its tensor is allocated, so a damaged
         # shape cannot ask for more memory than the blob holds
-        vals = np.frombuffer(r.take(dtype.itemsize * count), dtype=dtype)
+        vals = np.frombuffer(take(dtype.itemsize * count), dtype=dtype)
         if not np.isfinite(vals).all():
             raise SerializationError(f"tensor {t}: values are not all finite")
         full = np.full(n, zero_point if quantizes else 0, dtype=dtype)
@@ -375,20 +379,20 @@ def from_bytes(buf: bytes) -> CompressedModel:
         full = full.reshape(shape)
         tensors.append(QuantizedTensor(float(scale), int(zero_point), full) if quantizes else full)
 
-    if r.pos != len(buf):
-        raise SerializationError(f"{len(buf) - r.pos} trailing bytes after payload")
+    if pos != len(buf):
+        raise SerializationError(f"{len(buf) - pos} trailing bytes after payload")
 
     mask = SparseMask(mask_layers) if prunes else None
     if quantizes:
-        return CompressedModel(kind, qparams=QuantizedParameterSet(tensors), mask=mask)
+        return CompressedModel(kind, qparams=tensors, mask=mask)
     return CompressedModel(kind, params=ParameterSet(tensors[0::2], tensors[1::2]), mask=mask)
 
 
 def encode_wire(
     params: ParameterSet, strategy: CompressionStrategy, mask: SparseMask | None
 ) -> CompressedModel:
-    """Wrap parameters in the strategy's wire kind, under the given mask for
-    the pruning kinds.
+    """Wrap parameters (one model, or a stack) in the strategy's wire kind,
+    under the given mask for the pruning kinds.
 
     This never prunes: masked training has kept pruned positions at exactly
     zero, so the round's existing mask is reused.  Quantization is applied

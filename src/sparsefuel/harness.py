@@ -54,7 +54,7 @@ def _key(default, ok=None, problem="", section=None):
 
 
 def _positive(default):
-    return _key(default, lambda v: v > 0, "must be > 0")
+    return _key(default, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
 
 
 def _at_least_1(default):
@@ -94,7 +94,7 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class ProtocolSection:
-    tau: float = _key(4.0, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+    tau: float = _positive(4.0)
     kind: str = _key("sparse+quantized", lambda v: v in KINDS, f"must be one of {KINDS}")
     psi: float = _key(0.3, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
     similarity_uses_compressed: bool = True
@@ -234,7 +234,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, path in (("idx_images", data.idx_images), ("idx_labels", data.idx_labels)):
             if not path:
                 raise ConfigError(f"data.{key} is required when data.kind = idx-label-skew")
-            if not os.path.exists(path):
+            if not os.path.isfile(path):
                 raise ConfigError(f"data.{key}: file not found: {path}")
     else:
         if layers[0] != data.feature_dim:
@@ -252,7 +252,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as f:
         return parse_config(f.read())
@@ -304,6 +304,8 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
     """
     env, data = cfg.environment, cfg.data
     master = env.seed if seed is None else seed
+    if master < 0:
+        raise ConfigError(f"seed must be >= 0, got {master}")
     area = Area(env.width, env.height, env.rows, env.cols)
     k = area.num_subregions
 

@@ -298,7 +298,8 @@ def run_round(
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}, expected one of {ARMS}")
     topo = state.topology
-    trained, masks = _train_in_lockstep(state, cfg, round_index)
+    chunks = _train_in_lockstep(state, cfg, round_index)
+    trained = {uid: params[k] for uids, params, _ in chunks for k, uid in enumerate(uids)}
 
     bytes_broadcast = bytes_collect = bytes_disseminate = 0
     ds = None
@@ -310,19 +311,20 @@ def run_round(
         )
         models_by_leader = {fed.leader: trained[fed.leader] for fed in partition.federations}
     else:
-        # the wire: each trained model's bytes and the model its receivers
-        # decode from them.  When similarity is scored on uncompressed models
-        # the whole exchange is dense (broadcast, collection and the averaged
-        # members alike), since a receiver can only score the model it was sent
+        # the wire, one encode per trained chunk: each model's bytes and the
+        # model its receivers decode from them.  When similarity is scored on
+        # uncompressed models the whole exchange is dense (broadcast, collection
+        # and the averaged members alike): a receiver scores the model it was sent
         blobs: dict[int, bytes] = {}
         decoded: dict[int, ParameterSet] = {}
-        for uid, params in trained.items():
+        for uids, params, mask in chunks:
             if cfg.similarity_uses_compressed:
-                wire = encode_wire(params, cfg.strategy, masks[uid])
+                wire = encode_wire(params, cfg.strategy, mask)
             else:
                 wire = CompressedModel("dense", params=params)
-            blobs[uid] = to_bytes(wire)
-            decoded[uid] = decompress(from_bytes(blobs[uid]))
+            for k, uid in enumerate(uids):
+                blobs[uid] = to_bytes(wire[k])
+                decoded[uid] = decompress(from_bytes(blobs[uid]))
 
         if arm == "sparsefuel":
             # neighbor broadcast: every device sends its wire artifact to each neighbor
@@ -384,31 +386,26 @@ def run_round(
 
 def _train_in_lockstep(
     state: SimulationState, cfg: ProtocolConfig, round_index: int
-) -> tuple[dict[int, ParameterSet], dict[int, SparseMask | None]]:
+) -> list[tuple[list[int], ParameterSet, SparseMask | None]]:
     """Compress every device's model and train it under the round's mask, in
-    lockstep per chunk of equal-length devices; the trained models and masks."""
+    lockstep per chunk of equal-length devices; per chunk its uids, the
+    trained stack and the stacked mask."""
     devices = state.devices
-    trained: dict[int, ParameterSet] = {}
-    masks: dict[int, SparseMask | None] = {}
+    chunks = []
     lengths = np.array([len(dev.train) for dev in devices])
     for chunk in _lockstep_chunks(lengths, devices[0].params, cfg.training.batch_size):
         uids = chunk.tolist()
-        cms = [compress(devices[uid].params, cfg.strategy) for uid in uids]
-        stacked_masks = None
-        if cfg.strategy.prunes:
-            stacked_masks = [np.stack(layer) for layer in zip(*(cm.mask.layers for cm in cms))]
+        cm = compress(ParameterSet.stack([devices[uid].params for uid in uids]), cfg.strategy)
         out = local_training(
-            ParameterSet.stack([decompress(cm) for cm in cms]),
+            decompress(cm),
             LabeledDataset.stack([devices[uid].train for uid in uids]),
             cfg.training,
-            mask=stacked_masks,
+            mask=cm.mask,
             round_index=round_index,
             seeds=[derive_seed(cfg.training.rng_seed, uid) for uid in uids],
         )
-        for k, (uid, cm) in enumerate(zip(uids, cms)):
-            trained[uid] = out[k]
-            masks[uid] = cm.mask
-    return trained, masks
+        chunks.append((uids, out, cm.mask))
+    return chunks
 
 
 def _edge_dissimilarity(state: SimulationState, decoded: Mapping[int, ParameterSet]) -> DissimilarityMatrix:

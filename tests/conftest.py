@@ -8,6 +8,7 @@ blocks are checked against a second, unrelated implementation.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from collections import deque
 
@@ -196,6 +197,49 @@ def reference_loss(params: ParameterSet, data: LabeledDataset) -> float:
     shifted = a - a.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(-logp[np.arange(len(data)), data.labels].mean())
+
+
+# --------------------------------------------------------------------------
+# per-model reference compression: one model's tensors at a time, the prune
+# and quantizer the simulator ran before compression took stacks of models
+
+
+def _round_half_away(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def reference_prune_magnitude(params: ParameterSet, psi: float):
+    """One model's pruned copy and keep masks: the floor(psi * n) smallest
+    |w| of each layer are zeroed, ties to the lower flat index first."""
+    pruned = params.copy()
+    masks = []
+    for w in pruned.weights:
+        k = int(math.floor(psi * w.size + 1e-9))
+        mask = np.ones(w.size, dtype=np.uint8)
+        if k > 0:
+            order = np.argsort(np.abs(w).ravel(), kind="stable")
+            mask[order[:k]] = 0
+        mask = mask.reshape(w.shape)
+        w *= mask
+        masks.append(mask)
+    return pruned, masks
+
+
+def reference_quantize_tensor(t: np.ndarray):
+    """(scale, zero_point, u8 values) of one tensor, over its range widened
+    to include 0; an all-zero or empty range gets the unit scale."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.size == 0:
+        return 1.0, 0, np.zeros(t.shape, dtype=np.uint8)
+    lo = min(float(t.min()), 0.0)
+    hi = max(float(t.max()), 0.0)
+    scale = (hi - lo) / 255.0
+    if scale == 0.0:
+        scale = 1.0
+    zero_point = int(_round_half_away(-lo / scale))
+    q = np.clip(_round_half_away(t / scale) + zero_point, 0, 255).astype(np.uint8)
+    return scale, zero_point, q
 
 
 # --------------------------------------------------------------------------

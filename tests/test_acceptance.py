@@ -116,7 +116,7 @@ def test_quantizer_round_trip_and_fixpoint():
         q = quantize_affine(original)
         restored = dequantize(q)
         for qt, orig, back in zip(
-            q.tensors,
+            q,
             [original.weights[0], original.biases[0]],
             [restored.weights[0], restored.biases[0]],
         ):
@@ -125,7 +125,7 @@ def test_quantizer_round_trip_and_fixpoint():
             err = float(np.abs(back - orig).max())
             worst_ratio = max(worst_ratio, err / bound if bound > 0 else 0.0)
         q2 = quantize_affine(restored)
-        for a, b in zip(q.tensors, q2.tensors):
+        for a, b in zip(q, q2):
             if not (np.array_equal(a.values, b.values) and a.zero_point == b.zero_point):
                 fixpoint_failures += 1
         n_tensors += 2

@@ -78,6 +78,16 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_directory_as_config_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: config file not found")
+
+    def test_infinite_width_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "wide.cfg"
+        bad.write_text("[environment]\nwidth = inf\n")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert "environment.width must be finite and > 0" in capsys.readouterr().err
+
     def test_checkpoints_written_when_configured(self, tmp_path, capsys):
         cfg = small_config()
         cfg = dataclasses.replace(
@@ -211,6 +221,18 @@ class TestInspectModel:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["inspect-model", str(tmp_path / "absent.spfl")]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["inspect-model", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: model file not found")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "calibrate-tau"])
+def test_negative_seed_is_a_config_error(command, config_path, capsys):
+    assert main([command, "--config", config_path, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "seed must be >= 0, got -1" in err
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

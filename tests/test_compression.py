@@ -12,7 +12,6 @@ from sparsefuel.compression import (
     SHAPE_BYTES_PER_TENSOR,
     CompressedModel,
     CompressionStrategy,
-    QuantizedParameterSet,
     QuantizedTensor,
     SerializationError,
     SparseMask,
@@ -29,6 +28,8 @@ from sparsefuel.compression import (
     to_bytes,
 )
 from sparsefuel.neuralnet import Architecture, ParameterSet, init_parameters
+
+from conftest import reference_prune_magnitude, reference_quantize_tensor
 
 
 class TestStrategy:
@@ -87,7 +88,7 @@ class TestQuantize:
     def test_symmetric_unit_range_example(self):
         params = ParameterSet([np.array([[-1.0, 0.0, 1.0]])], [np.zeros(1)])
         q = quantize_affine(params)
-        t = q.tensors[0]
+        t = q[0]
         assert t.scale == 2.0 / 255.0
         assert t.zero_point == 128
         assert list(t.values.ravel()) == [0, 128, 255]
@@ -100,7 +101,7 @@ class TestQuantize:
         for c in (0.5, 0.3, -0.3, 1e-6, -250.0):
             params = ParameterSet([np.full((2, 2), c)], [np.zeros(2)])
             q = quantize_affine(params)
-            t = q.tensors[0]
+            t = q[0]
             assert t.scale == abs(c) / 255.0
             assert t.zero_point == (0 if c > 0 else 255)
             assert len(set(t.values.ravel().tolist())) == 1
@@ -111,7 +112,7 @@ class TestQuantize:
     def test_all_zero_tensor_keeps_unit_scale(self):
         params = ParameterSet([np.zeros((1, 3))], [np.zeros(1)])
         q = quantize_affine(params)
-        for t in q.tensors:
+        for t in q:
             assert t.scale == 1.0
             assert t.zero_point == 0
             assert np.all(t.values == t.zero_point)
@@ -119,23 +120,23 @@ class TestQuantize:
         # so does a range too narrow for 255 steps, which all land on 0
         for w in ([[5e-324, 1e-323]], [[-5e-324, 5e-324]]):
             q = quantize_affine(ParameterSet([np.array(w)], [np.zeros(1)]))
-            assert q.tensors[0].scale == 1.0
+            assert q[0].scale == 1.0
             assert np.all(dequantize(q).weights[0] == 0.0)
 
     def test_single_sign_tensor_spreads_over_the_grid(self):
         for values in ([1.0, 1.5, 2.0], [-2.0, -1.5, -1.0]):
             params = ParameterSet([np.array([values])], [np.zeros(1)])
             q = quantize_affine(params)
-            t = q.tensors[0]
+            t = q[0]
             deq = dequantize(q).weights[0]
             assert len(set(t.values.ravel().tolist())) == 3
             assert np.abs(deq - params.weights[0]).max() <= t.scale / 2
 
     def test_all_values_at_zero_point_dequantize_to_zeros(self):
-        q = QuantizedParameterSet([
+        q = [
             QuantizedTensor(0.01, 7, np.full((2, 3), 7, dtype=np.uint8)),
             QuantizedTensor(0.5, 200, np.full((2,), 200, dtype=np.uint8)),
-        ])
+        ]
         deq = dequantize(q)
         assert np.all(deq.weights[0] == 0.0)
         assert np.all(deq.biases[0] == 0.0)
@@ -150,12 +151,12 @@ class TestQuantize:
             q = quantize_affine(params)
             deq = dequantize(q)
             for orig, back, t in (
-                (params.weights[0], deq.weights[0], q.tensors[0]),
-                (params.biases[0], deq.biases[0], q.tensors[1]),
+                (params.weights[0], deq.weights[0], q[0]),
+                (params.biases[0], deq.biases[0], q[1]),
             ):
                 assert np.abs(orig - back).max() <= t.scale / 2 + 1e-9
             q2 = quantize_affine(deq)
-            for a, b in zip(q.tensors, q2.tensors):
+            for a, b in zip(q, q2):
                 assert np.array_equal(a.values, b.values)
                 assert a.zero_point == b.zero_point
 
@@ -277,7 +278,7 @@ class TestWireFormat:
             model = compress(params, CompressionStrategy(kind, 0.3))
             back = from_bytes(to_bytes(model))
             assert back.kind == kind
-            for t_in, t_out in zip(model.qparams.tensors, back.qparams.tensors):
+            for t_in, t_out in zip(model.qparams, back.qparams):
                 assert t_out.scale == np.float32(t_in.scale)
                 assert t_out.zero_point == t_in.zero_point
                 assert np.array_equal(t_out.values, t_in.values)
@@ -435,3 +436,79 @@ def test_compress_is_prune_then_encode_wire(kind, psi):
     else:
         want = encode_wire(params, strategy, None)
     assert to_bytes(compress(params, strategy)) == to_bytes(want)
+
+
+def _stack_cases() -> list[ParameterSet]:
+    """Five models of one architecture: random weights and biases, weights
+    with many ties in |w| (both signs), all zeros, all positive, all negative."""
+    arch = Architecture((6, 10, 4))
+    rng = np.random.default_rng(23)
+    base = init_parameters(arch, 21)
+    biases = [rng.normal(0, 0.1, b.shape) for b in base.biases]
+    ties = [rng.choice([-0.5, -0.25, 0.25, 0.5], w.shape) for w in base.weights]
+    positive = ParameterSet(base.weights, biases).copy()
+    for t in positive.weights + positive.biases:
+        t[...] = np.abs(t) + 0.01
+    return [
+        ParameterSet(base.weights, biases),
+        ParameterSet(ties, [np.round(b * 8) / 8 for b in biases]),
+        ParameterSet([np.zeros_like(w) for w in ties], [np.zeros_like(b) for b in biases]),
+        positive,
+        ParameterSet([-w for w in positive.weights], [-b for b in positive.biases]),
+    ]
+
+
+def _reference_wire(model: ParameterSet, strategy: CompressionStrategy, mask=None):
+    """One model on the wire by the per-model reference prune and quantizer;
+    a given mask is reused instead of a fresh prune, as encode_wire does."""
+    if strategy.prunes and mask is None:
+        model, layers = reference_prune_magnitude(model, strategy.psi)
+        mask = SparseMask(layers)
+    mask = mask if strategy.prunes else None
+    if not strategy.quantizes:
+        return CompressedModel(strategy.kind, params=model, mask=mask)
+    tensors = [t for wb in zip(model.weights, model.biases) for t in wb]
+    qparams = [QuantizedTensor(*reference_quantize_tensor(t)) for t in tensors]
+    return CompressedModel(strategy.kind, qparams=qparams, mask=mask)
+
+
+def _assert_same_wire(got: CompressedModel, want: CompressedModel) -> None:
+    """Bit-for-bit equal masks, payloads, quantization maps, bytes and decodes."""
+    assert got.kind == want.kind
+    assert (got.mask is None) == (want.mask is None)
+    if want.mask is not None:
+        for a, b in zip(got.mask.layers, want.mask.layers, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    if want.params is not None:
+        for a, b in zip(*(m.params.weights + m.params.biases for m in (got, want))):
+            assert a.tobytes() == b.tobytes()
+    else:
+        for a, b in zip(got.qparams, want.qparams, strict=True):
+            assert np.float64(a.scale).tobytes() == np.float64(b.scale).tobytes()
+            assert a.zero_point == b.zero_point
+            assert a.values.dtype == np.uint8 and np.array_equal(a.values, b.values)
+    assert to_bytes(got) == to_bytes(want)
+    for a, b in zip(*(m.weights + m.biases for m in (decompress(got), decompress(want)))):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("psi", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("d", [1, 5])
+def test_stacked_compress_matches_per_model_reference(kind, psi, d):
+    strategy = CompressionStrategy(kind, psi)
+    models = _stack_cases()[:d]
+    stacked = compress(ParameterSet.stack(models), strategy)
+    # a train-like drift of every model under its mask, for encode_wire to
+    # put back on the wire without pruning again
+    rng = np.random.default_rng(5)
+    drifted = decompress(stacked)
+    for w in drifted.weights:
+        w *= rng.uniform(0.1, 2.0, w.shape)
+    wire = encode_wire(drifted, strategy, stacked.mask)
+    for k, model in enumerate(models):
+        want = _reference_wire(model, strategy)
+        _assert_same_wire(stacked[k], want)
+        # a single model is a stack of one
+        _assert_same_wire(compress(model, strategy), want)
+        _assert_same_wire(wire[k], _reference_wire(drifted[k], strategy, want.mask))

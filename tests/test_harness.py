@@ -99,6 +99,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="file not found"):
             parse_config(text)
 
+    def test_idx_path_must_be_a_file(self, tmp_path):
+        text = f"[data]\nkind = idx-label-skew\nidx_images = {tmp_path}\nidx_labels = {tmp_path}\n"
+        with pytest.raises(ConfigError, match="data.idx_images: file not found"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("environment", "width"),
+            ("environment", "height"),
+            ("data", "blob_std"),
+            ("protocol", "learning_rate"),
+        ],
+    )
+    def test_positive_keys_must_be_finite(self, section, key):
+        for value in ("inf", "-inf", "nan"):
+            problem = rf"line 2: {section}\.{key} must be finite and > 0"
+            with pytest.raises(ConfigError, match=problem):
+                parse_config(f"[{section}]\n{key} = {value}\n")
+
     def test_format_then_parse_round_trips(self):
         cfg = small_config(psi=0.45, kind="quantized", learning_rate=0.05)
         assert parse_config(format_config(cfg)) == cfg
@@ -194,6 +214,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="config file not found"):
             load_config("/no/such/file.cfg")
 
+    def test_directory_is_not_a_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="config file not found"):
+            load_config(str(tmp_path))
+
     def test_shipped_quadrant_config_parses(self):
         cfg = load_config("configs/quadrant.cfg")
         assert cfg.environment.n == 64
@@ -220,6 +244,10 @@ class TestBuildWorld:
             assert np.array_equal(da.features, db.features)
             assert np.array_equal(da.labels, db.labels)
         assert np.array_equal(a.init_params.weights[0], b.init_params.weights[0])
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            build_world(small_config(), seed=-1)
 
     def test_seed_override_changes_placement(self):
         cfg = small_config()
