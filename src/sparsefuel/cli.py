@@ -65,10 +65,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_csv_path(path: str) -> None:
+    """Refuse an output CSV path that cannot be written as a file, before
+    any experiment runs."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"output directory {parent} does not exist")
+
+
+def _check_checkpoint_dir(path: str) -> None:
+    """Refuse a checkpoint directory that exists as something else, or
+    under a path that does, before any experiment runs."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(f"checkpoint_dir {path}: {existing} is not a directory")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    result = run_experiment_result(cfg, arm=args.arm, seed=args.seed)
     out = args.out if args.out is not None else cfg.output.csv
+    _check_csv_path(out)
+    if cfg.output.checkpoint_dir:
+        _check_checkpoint_dir(cfg.output.checkpoint_dir)
+    result = run_experiment_result(cfg, arm=args.arm, seed=args.seed)
     write_metrics_csv(result.records, out)
     if cfg.output.checkpoint_dir:
         for path in save_checkpoints(result, cfg.output.checkpoint_dir):
@@ -93,12 +116,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not 0.0 <= psi <= 1.0:
             raise ConfigError(f"psi must be in [0, 1], got {psi}")
     base, ext = os.path.splitext(cfg.output.csv)
-    for psi in psis:
+    outs = [f"{base}_psi{psi:g}{ext or '.csv'}" for psi in psis]
+    for out in outs:
+        _check_csv_path(out)
+    for psi, out in zip(psis, outs):
         swept = dataclasses.replace(
             cfg, protocol=dataclasses.replace(cfg.protocol, psi=psi)
         )
         result = run_experiment_result(swept, arm=args.arm, seed=args.seed)
-        out = f"{base}_psi{psi:g}{ext or '.csv'}"
         write_metrics_csv(result.records, out)
         final = result.records[-1]
         print(

@@ -292,7 +292,10 @@ def to_bytes(model: CompressedModel) -> bytes:
         flat = array.ravel()
         if prunes:
             # biases always survive whole
-            bits = model.mask.layers[t // 2].ravel().astype(bool) if cols else np.ones(rows, dtype=bool)
+            if cols:
+                bits = model.mask.layers[t // 2].ravel().astype(bool)
+            else:
+                bits = np.ones(rows, dtype=bool)
             chunks.append(np.packbits(bits).tobytes())
             flat = flat[bits]
         if quantizes:
@@ -372,7 +375,7 @@ def from_bytes(buf: bytes) -> CompressedModel:
         # the payload is read before its tensor is allocated, so a damaged
         # shape cannot ask for more memory than the blob holds
         vals = np.frombuffer(take(dtype.itemsize * count), dtype=dtype)
-        if not np.isfinite(vals).all():
+        if not quantizes and not np.isfinite(vals).all():
             raise SerializationError(f"tensor {t}: values are not all finite")
         full = np.full(n, zero_point if quantizes else 0, dtype=dtype)
         full[kept] = vals

@@ -70,7 +70,9 @@ class EnvironmentConfig:
     n: int = _at_least_1(64)
     # None = 1.5x lattice pitch
     r_c: float | None = _key(None, lambda v: v is None or v > 0, "must be > 0 or auto")
-    placement: str = _key("jittered-grid", lambda v: v in PLACEMENTS, f"must be one of {PLACEMENTS}")
+    placement: str = _key(
+        "jittered-grid", lambda v: v in PLACEMENTS, f"must be one of {PLACEMENTS}"
+    )
     seed: int = _key(42, lambda v: v >= 0, "must be >= 0")
 
 
@@ -336,7 +338,9 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
 
     data_seed = derive_seed(master, 2)
     datasets = [
-        sample_local_dataset(spec, site.subregion_id, data.samples_per_device, data_seed, salt=site.uid)
+        sample_local_dataset(
+            spec, site.subregion_id, data.samples_per_device, data_seed, salt=site.uid
+        )
         for site in sites
     ]
     test_seed = derive_seed(master, 3)

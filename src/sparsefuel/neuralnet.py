@@ -157,7 +157,9 @@ class LabeledDataset:
     @staticmethod
     def stack(parts: Sequence["LabeledDataset"]) -> "LabeledDataset":
         """Stack single datasets of one length on a new leading axis."""
-        return LabeledDataset(_stack([p.features for p in parts]), _stack([p.labels for p in parts]))
+        return LabeledDataset(
+            _stack([p.features for p in parts]), _stack([p.labels for p in parts])
+        )
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -206,10 +208,10 @@ def _as_stack(params: ParameterSet, data: LabeledDataset) -> tuple[ParameterSet,
         params = params[None]
         data = LabeledDataset(data.features[None], data.labels[None])
     x = data.features
-    if x.ndim != 3 or x.shape[0] != params.weights[0].shape[0] or x.shape[2] != params.weights[0].shape[2]:
+    models, _, fan_in = params.weights[0].shape
+    if x.ndim != 3 or x.shape[0] != models or x.shape[2] != fan_in:
         raise ValueError(
-            f"input has shape {x.shape}, expected ({params.weights[0].shape[0]}, *, "
-            f"{params.weights[0].shape[2]}) for this stack of models"
+            f"input has shape {x.shape}, expected ({models}, *, {fan_in}) for this stack of models"
         )
     return params, data
 
@@ -220,7 +222,8 @@ def _forward_batch(params: ParameterSet, x: np.ndarray) -> np.ndarray:
     a = x
     last = params.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w.transpose(0, 2, 1) + b[:, None, :]
+        a = a @ w.transpose(0, 2, 1)
+        a += b[:, None, :]
         if i != last:
             np.maximum(a, 0.0, out=a)
     return a
@@ -235,9 +238,35 @@ def forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
     return _forward_batch(params, data.features)[0, 0]
 
 
+# numpy reduces a short last axis one row at a time, at a fixed cost per row,
+# and a lockstep chunk has thousands of rows of 8 or 10 classes.  These two
+# reductions run along the long axis instead and give the same floats.
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=-1, keepdims=True), bit for bit: the running max of the
+    class columns, one whole column at a time, over a (classes, rows) copy."""
+    classes = z.shape[-1]
+    columns = np.ascontiguousarray(z.reshape(-1, classes).T)
+    return np.maximum.reduce(columns, axis=0).reshape(z.shape[:-1] + (1,))
+
+
+def _bias_gradient(delta: np.ndarray) -> np.ndarray:
+    """delta.sum(axis=1) of a (D, n, width) stack, bit for bit: the n rows
+    added in order, as whole (D * width) rows of the batch-major copy."""
+    d, n, width = delta.shape
+    rows = delta.transpose(1, 0, 2).reshape(n, d * width)
+    return np.add.reduce(rows, axis=0).reshape(d, width)
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, in place: logits becomes the
+    log-probabilities and is returned."""
+    logits -= _row_max(logits)
+    # the denominator's sum stays numpy's own: its summation order is the
+    # one every result of this module was computed with
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
 def _check_labels(params: ParameterSet, data: LabeledDataset, action: str) -> None:
@@ -261,10 +290,10 @@ def loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
     stacked = params.stacked
     params, data = _as_stack(params, data)
     logits = _forward_batch(params, data.features)
+    acc = (logits.argmax(axis=2) == data.labels).mean(axis=1)
     logp = _log_softmax(logits)
     d, n = data.labels.shape
     loss = -logp[np.arange(d)[:, None], np.arange(n), data.labels].mean(axis=1)
-    acc = (logits.argmax(axis=2) == data.labels).mean(axis=1)
     if stacked:
         return loss, acc
     return float(loss[0]), float(acc[0])
@@ -286,13 +315,17 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     pre = []
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.transpose(0, 2, 1) + b[:, None, :]
+        z = a @ w.transpose(0, 2, 1)
+        z += b[:, None, :]
         pre.append(z)
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
 
-    shifted = pre[-1] - pre[-1].max(axis=2, keepdims=True)
-    probs = np.exp(shifted)
+    # the output layer's pre-activations are not read again: the softmax
+    # overwrites them
+    probs = pre[-1]
+    probs -= _row_max(probs)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
     delta = probs
     delta.reshape(d * n, -1)[np.arange(d * n), batch.labels.ravel()] -= 1.0
@@ -302,9 +335,10 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     grad_b = [np.empty(0)] * params.num_layers
     for i in range(last, -1, -1):
         grad_w[i] = delta.transpose(0, 2, 1) @ activations[i]
-        grad_b[i] = delta.sum(axis=1)
+        grad_b[i] = _bias_gradient(delta)
         if i > 0:
-            delta = (delta @ params.weights[i]) * (pre[i - 1] > 0.0)
+            delta = delta @ params.weights[i]
+            delta *= pre[i - 1] > 0.0
     grads = ParameterSet(grad_w, grad_b)
     return grads if stacked else grads[0]
 

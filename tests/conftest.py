@@ -49,6 +49,28 @@ def oracle_components(nodes, edges):
     return list(comps.values())
 
 
+def oracle_normalise_edges(nodes, edges):
+    """(nodes, sorted (E, 2) edge array, adj) of a FieldGraph built by a
+    Python set of (low, high) pairs and a sort, raising ValueError with the
+    messages FieldGraph.from_edges gives: the first self loop in input
+    order, else the first sorted edge with an unknown end."""
+    nodes = tuple(sorted(set(int(u) for u in nodes)))
+    pairs = set()
+    for a, b in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
+        if a == b:
+            raise ValueError(f"self loop at node {a}")
+        pairs.add((a, b) if a < b else (b, a))
+    ordered = sorted(pairs)
+    adj = {u: [] for u in nodes}
+    for a, b in ordered:
+        if a not in adj or b not in adj:
+            raise ValueError(f"edge {a}-{b} references an unknown node")
+        adj[a].append(b)
+        adj[b].append(a)
+    edge_array = np.array(ordered, dtype=np.int64).reshape(-1, 2)
+    return nodes, edge_array, {u: tuple(v) for u, v in adj.items()}
+
+
 def oracle_disc_edges(sites, r_c):
     """Every pair i < j of sites within Euclidean distance r_c (inclusive),
     by brute force over all pairs, in sorted order."""

@@ -105,6 +105,44 @@ class TestRun:
         assert (tmp_path / "ckpt" / "final_dense.spfl").exists()
         assert (tmp_path / "ckpt" / "final_sparse+quantized.spfl").exists()
 
+    def test_existing_directory_as_out_is_a_config_error(self, config_path, tmp_path, capsys):
+        target = tmp_path / "results"
+        target.mkdir()
+        assert main(["run", "--config", config_path, "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: output path {target} is a directory\n"
+        assert captured.out == ""
+
+    def test_out_in_a_missing_directory_is_refused_before_the_run(
+        self, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "run.csv"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"output directory {out.parent} does not exist" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_checkpoint_dir_naming_a_file_is_refused_before_the_run(
+        self, tmp_path, capsys, below
+    ):
+        blocker = tmp_path / "ckpt"
+        blocker.write_text("not a directory")
+        ckpt = blocker / "inner" if below else blocker
+        cfg = small_config()
+        cfg = dataclasses.replace(
+            cfg,
+            output=dataclasses.replace(
+                cfg.output, csv=str(tmp_path / "metrics.csv"), checkpoint_dir=str(ckpt)
+            ),
+        )
+        path = tmp_path / "ckpt.cfg"
+        path.write_text(format_config(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: checkpoint_dir {ckpt}: {blocker} is not a directory\n"
+        assert not (tmp_path / "metrics.csv").exists()
+
 
 class TestSweep:
     def test_writes_one_csv_per_psi(self, config_path, tmp_path, capsys):
@@ -113,6 +151,15 @@ class TestSweep:
         assert (tmp_path / "metrics_psi0.5.csv").exists()
         out = capsys.readouterr().out
         assert "psi=0:" in out and "psi=0.5:" in out
+
+    def test_derived_csv_name_that_is_a_directory_is_refused_first(
+        self, config_path, tmp_path, capsys
+    ):
+        (tmp_path / "metrics_psi0.5.csv").mkdir()
+        assert main(["sweep", "--config", config_path, "--psi", "0,0.5"]) == 1
+        err = capsys.readouterr().err
+        assert f"output path {tmp_path / 'metrics_psi0.5.csv'} is a directory" in err
+        assert not (tmp_path / "metrics_psi0.csv").exists()
 
     def test_psi_out_of_range(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--psi", "0.3,1.2"]) == 1

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_bfs, oracle_components, oracle_diameter
+from conftest import (
+    oracle_bfs,
+    oracle_components,
+    oracle_diameter,
+    oracle_normalise_edges,
+)
 from sparsefuel.environment import DeviceSite, build_topology
 from sparsefuel.fields import (
     INFINITE,
@@ -36,6 +41,56 @@ class TestFieldGraph:
     def test_rejects_unknown_node(self):
         with pytest.raises(ValueError):
             FieldGraph.from_edges([0, 1], [(0, 5)])
+
+    def test_from_edges_matches_set_normaliser(self):
+        # random node sets (gaps, negative uids), edges in both orientations
+        # with duplicates, and now and then a self loop or an unknown end
+        outcomes = {"graph": 0, "error": 0}
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            pool = rng.choice(np.arange(-5, 40), size=int(rng.integers(1, 25)), replace=False)
+            nodes = rng.permutation(pool).tolist()
+            count = int(rng.integers(0, 60))
+            edges = rng.choice(pool, size=(count, 2))
+            if count and seed % 7 == 0:
+                edges[int(rng.integers(count)), 1] = int(rng.integers(-5, 40))
+            if seed % 11 != 0:
+                edges = edges[edges[:, 0] != edges[:, 1]]
+            try:
+                want = oracle_normalise_edges(nodes, edges)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    FieldGraph.from_edges(nodes, edges)
+                assert str(got.value) == str(exc)
+                outcomes["error"] += 1
+                continue
+            g = FieldGraph.from_edges(nodes, edges)
+            assert g.nodes == want[0]
+            assert g.edges.dtype == np.int64 and g.edges.shape == want[1].shape
+            assert np.array_equal(g.edges, want[1])
+            assert not g.edges.flags.writeable
+            assert g.adj == want[2] and list(g.adj) == list(want[2])
+            outcomes["graph"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_from_edges_reports_the_first_bad_edge(self):
+        with pytest.raises(ValueError, match="^self loop at node 4$"):
+            FieldGraph.from_edges(range(6), [(0, 9), (4, 4), (2, 2)])
+        with pytest.raises(ValueError, match="^edge 1-7 references an unknown node$"):
+            FieldGraph.from_edges(range(6), [(9, 3), (7, 1), (0, 1)])
+
+    def test_from_edges_on_the_field_4096_topology(self):
+        # a masked subset of a large topology's edges, as similarity_graph
+        # builds every round
+        rng = np.random.default_rng(3)
+        n = 4096
+        xy = rng.uniform(0, 80, (n, 2)).tolist()
+        sites = [DeviceSite(u, x, y, 0) for u, (x, y) in enumerate(xy)]
+        topo = build_topology(sites, r_c=2.125)
+        keep = rng.random(len(topo.edges)) < 2 / 3
+        g = FieldGraph.from_topology(topo, keep)
+        want = oracle_normalise_edges(range(n), topo.edges[keep])
+        assert np.array_equal(g.edges, want[1]) and g.adj == want[2]
 
     def test_without_node(self):
         g = FieldGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])

@@ -20,6 +20,7 @@ from sparsefuel.compression import (
     to_bytes,
 )
 from sparsefuel.environment import DeviceSite, build_topology
+from sparsefuel.harness import build_world
 from sparsefuel.neuralnet import (
     Architecture,
     LabeledDataset,
@@ -30,6 +31,7 @@ from sparsefuel.neuralnet import (
     loss_and_accuracy,
 )
 from sparsefuel.protocol import (
+    LOCKSTEP_BUDGET_BYTES,
     ProtocolConfig,
     cross_similarity,
     lockstep_chunk,
@@ -38,7 +40,7 @@ from sparsefuel.protocol import (
 )
 from sparsefuel.seeds import derive_seed
 
-from conftest import reference_local_training, reference_loss
+from conftest import quadrant_config, reference_local_training, reference_loss
 
 
 def assert_same_model(got: ParameterSet, want: ParameterSet):
@@ -111,16 +113,25 @@ class TestLockstepTraining:
             assert accs[k] == acc
 
 
+STRATEGY = CompressionStrategy("sparse+quantized", 0.3)
+TRAINING = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=5)
+
+
+def hidden_width(models_per_chunk: int, rows: int = TRAINING.batch_size) -> int:
+    """The widest hidden layer h for which models_per_chunk 2-h-4 MLPs fit
+    the lockstep budget at `rows` input rows each: such an MLP costs
+    8 * (7h + 4 + rows * (h + 6)) bytes per model."""
+    return (LOCKSTEP_BUDGET_BYTES // (8 * models_per_chunk) - 4 - 6 * rows) // (7 + rows)
+
+
 # Eleven devices on a line with three dataset lengths, so three train-length
 # groups (36, 31 and 16 rows: partial last batches of 4 and 15 at batch 16,
 # and a group of one) and three validation lengths (9, 7 and 4 rows),
 # interleaved so that edges join devices of different lengths.
 LENGTHS = (45, 38, 45, 45, 20, 45, 38, 45, 45, 38, 45)
-# A 2-300-4 MLP costs 8 * (2104 + 16 * 306) = 56,000 bytes per device at
-# batch 16, so lockstep training runs four devices at a time.
-WIDE = Architecture((2, 300, 4))
-STRATEGY = CompressionStrategy("sparse+quantized", 0.3)
-TRAINING = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=5)
+# The widest hidden layer for which lockstep training runs four devices at a
+# time at batch 16, so a chunk boundary falls inside the group of six.
+WIDE = Architecture((2, hidden_width(4), 4))
 
 
 def line_state():
@@ -164,11 +175,14 @@ class TestDeviceBank:
             assert len(dev.train) + len(dev.val) == len(data)
 
     def test_wide_model_trains_in_chunks_of_one(self):
-        # a 2-2000-4 MLP fills 8 * (14004 + 16 * 2006) = 368,800 bytes at
-        # batch 16, over the lockstep budget, so every device trains alone on
-        # a view of its own split
-        wide = Architecture((2, 2000, 4))
-        assert lockstep_chunk(init_parameters(wide, 0), TRAINING.batch_size) == 1
+        # one unit wider than fits the lockstep budget alone at batch 16, so
+        # every device trains alone on a view of its own split
+        wide = Architecture((2, hidden_width(1) + 1, 4))
+        params = init_parameters(wide, 0)
+        assert lockstep_chunk(params, TRAINING.batch_size) == 1
+        assert 8 * (params.num_params + TRAINING.batch_size * sum(wide.layer_sizes)) > (
+            LOCKSTEP_BUDGET_BYTES
+        )
         sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(5)]
         datasets = [toy_data(300 + uid, 25) for uid in range(5)]
         state = make_state(build_topology(sites, r_c=1.0), datasets, init_parameters(wide, 0), 0.2)
@@ -195,7 +209,9 @@ class TestLockstepRound:
         size = lockstep_chunk(state.devices[0].params, TRAINING.batch_size)
         lengths = [len(dev.train) for dev in state.devices]
         largest = max(lengths.count(m) for m in set(lengths))
+        wider = Architecture((2, WIDE.layer_sizes[1] + 1, 4))
         assert size == 4
+        assert lockstep_chunk(init_parameters(wider, 0), TRAINING.batch_size) == 3
         assert size < largest and largest % size != 0
 
     def test_trained_models_match_reference(self):
@@ -217,3 +233,26 @@ class TestLockstepRound:
         for (i, j), got in zip(edges.tolist(), stats.dissimilarity.values):
             assert got == cross_similarity(decoded[i], decoded[j], vals[i], vals[j])
             assert got == reference_loss(decoded[j], vals[i]) + reference_loss(decoded[i], vals[j])
+
+
+def test_quadrant_trains_in_one_chunk_like_the_reference():
+    # the benchmark's real chunk: all 64 devices of configs/quadrant.cfg run
+    # in lockstep as one stack, and each comes out as it would alone
+    cfg = quadrant_config()
+    world = build_world(cfg, seed=7)
+    state = make_state(
+        world.topology, world.datasets, world.init_params, cfg.data.validation_fraction
+    )
+    training = world.protocol.training
+    assert len(state.devices) == 64
+    assert lockstep_chunk(world.init_params, training.batch_size) >= 64
+    assert len({len(dev.train) for dev in state.devices}) == 1
+    starts = [dev.params.copy() for dev in state.devices]
+    stats = run_round(state, world.protocol, 1, arm="isolated")
+    for dev, start in zip(state.devices, starts):
+        cm = compress(start, world.protocol.strategy)
+        tcfg = dataclasses.replace(training, rng_seed=derive_seed(training.rng_seed, dev.uid))
+        want = reference_local_training(
+            decompress(cm), dev.train, tcfg, mask=cm.mask, round_index=1
+        )
+        assert_same_model(stats.models_by_leader[dev.uid], want)

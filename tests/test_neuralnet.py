@@ -10,6 +10,8 @@ from sparsefuel.neuralnet import (
     LabeledDataset,
     ParameterSet,
     TrainingConfig,
+    _bias_gradient,
+    _row_max,
     forward,
     gradients,
     init_parameters,
@@ -162,6 +164,67 @@ class TestGradients:
                 a += g / n
         for a, g in zip(acc_w + acc_b, full.weights + full.biases):
             assert np.allclose(a, g, atol=1e-12)
+
+
+# (D, n, width) stacks: quadrant's lockstep chunk, its similarity pass, an
+# idx-global chunk, and the edge shapes (one model, one row, one column)
+KERNEL_SHAPES = [
+    (64, 32, 8),
+    (64, 32, 16),
+    (150, 60, 8),
+    (3, 32, 10),
+    (3, 32, 64),
+    (1, 32, 1),
+    (2, 9, 1),
+    (5, 1, 7),
+    (1, 1, 1),
+    (7, 37, 3),
+]
+
+
+class TestKernels:
+    """The reductions gradients and the loss run along the long axis must
+    give exactly numpy's own reduction along the short one."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e6])
+    def test_row_max_is_max_of_last_axis(self, shape, magnitude):
+        z = np.random.default_rng(sum(shape)).normal(size=shape) * magnitude
+        got = _row_max(z)
+        assert got.shape == shape[:-1] + (1,)
+        assert np.array_equal(got, z.max(axis=-1, keepdims=True))
+
+    def test_row_max_nan_and_infinite_rows(self):
+        z = np.random.default_rng(0).normal(size=(4, 6, 5))
+        z[0, 0, 2] = np.nan
+        z[0, 1, :] = np.nan
+        z[1, 2, 4] = np.inf
+        z[1, 3, :] = -np.inf
+        z[2, 4, 0] = -np.inf
+        z[2, 5, 1] = np.nan
+        z[2, 5, 3] = np.inf
+        z[3, 0, :] = [np.inf, -np.inf, np.inf, np.nan, 0.0]
+        want = z.max(axis=-1, keepdims=True)
+        got = _row_max(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[0, 0, 0]) and np.isnan(got[2, 5, 0]) and np.isnan(got[3, 0, 0])
+        assert got[1, 2, 0] == np.inf and got[1, 3, 0] == -np.inf
+
+    def test_bias_gradient_is_sum_over_rows(self):
+        # the rounding of a float sum depends on the order of its terms, so
+        # sweep the stack sizes, row counts and widths the simulator meets
+        rng = np.random.default_rng(2)
+        grid = [
+            (d, n, width)
+            for d in (1, 2, 3, 4, 31, 64, 65)
+            for n in (1, 2, 7, 8, 9, 16, 31, 32, 33, 60, 129)
+            for width in (1, 2, 7, 8, 9, 10, 16, 64)
+        ]
+        for shape in KERNEL_SHAPES + grid:
+            delta = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7)
+            got = _bias_gradient(delta)
+            assert got.shape == (shape[0], shape[2])
+            assert np.array_equal(got, delta.sum(axis=1)), shape
 
 
 class TestLocalTraining:
