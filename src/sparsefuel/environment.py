@@ -120,7 +120,7 @@ def deploy_devices(area: Area, n: int, placement: str, seed: int) -> list[Device
 
 def build_topology(sites: list[DeviceSite], r_c: float) -> Topology:
     """Connect every pair within Euclidean distance r_c (inclusive)."""
-    if r_c <= 0:
+    if not r_c > 0:
         raise ValueError("communication radius must be positive")
     n = len(sites)
     x = np.array([s.x for s in sites])

@@ -323,8 +323,13 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
             seed=derive_seed(master, 1),
         )
     else:
-        pool = load_idx(data.idx_images, data.idx_labels)
-        spec = idx_label_skew_spec(pool, k, data.epsilon)
+        # a malformed IDX file, or a pool with fewer classes than subregions,
+        # is bad input
+        try:
+            pool = load_idx(data.idx_images, data.idx_labels)
+            spec = idx_label_skew_spec(pool, k, data.epsilon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if cfg.layers[0] != pool.features.shape[1]:
             raise ConfigError(
                 f"model.layers input width {cfg.layers[0]} != "
@@ -337,17 +342,22 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
             )
 
     data_seed = derive_seed(master, 2)
-    datasets = [
-        sample_local_dataset(
-            spec, site.subregion_id, data.samples_per_device, data_seed, salt=site.uid
-        )
-        for site in sites
-    ]
     test_seed = derive_seed(master, 3)
-    test_sets = [
-        sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
-        for j in range(k)
-    ]
+    try:
+        datasets = [
+            sample_local_dataset(
+                spec, site.subregion_id, data.samples_per_device, data_seed, salt=site.uid
+            )
+            for site in sites
+        ]
+        test_sets = [
+            sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
+            for j in range(k)
+        ]
+    except ValueError as exc:
+        # the sample counts are checked when the config is parsed, so the one
+        # failure left is an IDX pool too small for them
+        raise ConfigError(str(exc)) from None
     init = init_parameters(Architecture(cfg.layers), derive_seed(master, 4))
     protocol = ProtocolConfig(
         tau=cfg.protocol.tau,

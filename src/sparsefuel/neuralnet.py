@@ -216,17 +216,19 @@ def _as_stack(params: ParameterSet, data: LabeledDataset) -> tuple[ParameterSet,
     return params, data
 
 
-def _forward_batch(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Logits of stacked models on stacked batches: (D, n, input_dim) ->
-    (D, n, classes); hidden ReLU, linear output."""
-    a = x
+def _forward_batch(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output for stacked models on stacked batches, the input
+    (D, n, input_dim) first and the logits (D, n, classes) last; hidden ReLU,
+    linear output."""
+    outputs = [x]
     last = params.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w.transpose(0, 2, 1)
+        a = outputs[-1] @ w.transpose(0, 2, 1)
         a += b[:, None, :]
         if i != last:
             np.maximum(a, 0.0, out=a)
-    return a
+        outputs.append(a)
+    return outputs
 
 
 def forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
@@ -235,7 +237,7 @@ def forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("forward expects a 1-d feature vector")
     params, data = _as_stack(params, LabeledDataset(x[None, :], np.zeros(1, dtype=np.int64)))
-    return _forward_batch(params, data.features)[0, 0]
+    return _forward_batch(params, data.features)[-1][0, 0]
 
 
 # numpy reduces a short last axis one row at a time, at a fixed cost per row,
@@ -289,7 +291,7 @@ def loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
     _check_labels(params, data, "evaluate on an empty dataset")
     stacked = params.stacked
     params, data = _as_stack(params, data)
-    logits = _forward_batch(params, data.features)
+    logits = _forward_batch(params, data.features)[-1]
     acc = (logits.argmax(axis=2) == data.labels).mean(axis=1)
     logp = _log_softmax(logits)
     d, n = data.labels.shape
@@ -307,23 +309,12 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     _check_labels(params, batch, "take gradients on an empty batch")
     stacked = params.stacked
     params, batch = _as_stack(params, batch)
-    x = batch.features
     d, n = batch.labels.shape
     last = params.num_layers - 1
+    outputs = _forward_batch(params, batch.features)
 
-    activations = [x]
-    pre = []
-    a = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.transpose(0, 2, 1)
-        z += b[:, None, :]
-        pre.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        activations.append(a)
-
-    # the output layer's pre-activations are not read again: the softmax
-    # overwrites them
-    probs = pre[-1]
+    # the logits are not read again: the softmax overwrites them
+    probs = outputs[-1]
     probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
@@ -334,11 +325,13 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     grad_w = [np.empty(0)] * params.num_layers
     grad_b = [np.empty(0)] * params.num_layers
     for i in range(last, -1, -1):
-        grad_w[i] = delta.transpose(0, 2, 1) @ activations[i]
+        grad_w[i] = delta.transpose(0, 2, 1) @ outputs[i]
         grad_b[i] = _bias_gradient(delta)
         if i > 0:
+            # a ReLU output is positive exactly where its input is (NaN in,
+            # NaN out, and NaN > 0 is false), so it gives the ReLU's mask
             delta = delta @ params.weights[i]
-            delta *= pre[i - 1] > 0.0
+            delta *= outputs[i] > 0.0
     grads = ParameterSet(grad_w, grad_b)
     return grads if stacked else grads[0]
 

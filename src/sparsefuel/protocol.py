@@ -5,14 +5,14 @@ under the compression mask, broadcasts the compressed result to its radio
 neighbors, scores pairwise dissimilarity as the sum of cross losses on the
 two devices' held-out validation splits, keeps only edges at or under the
 threshold tau, elects the minimum uid of each surviving component as leader,
-collects member models up a hop tree to the leader, averages them, sends the
-average back down, and adopts it.  Every step is deterministic: devices are
+collects member uids up a hop tree to the leader, averages their models, sends
+the average back down, and adopts it.  Every step is deterministic: devices are
 iterated in uid order and all aggregation happens in uid order.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -57,17 +57,17 @@ class Federation:
 
 @dataclass
 class FederationPartition:
-    """Disjoint federations covering every device, sorted by leader uid."""
+    """The leader every device follows, and the federations that map
+    splits the devices into: one per leader, sorted by leader uid."""
 
-    federations: list[Federation]
+    leader_of: dict[int, int]
+    federations: list[Federation] = field(init=False)
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for fed in self.federations:
-            if fed.members & seen:
-                raise ValueError("federations must be disjoint")
-            seen |= fed.members
-        self.federations = sorted(self.federations, key=lambda f: f.leader)
+        members: dict[int, set[int]] = {}
+        for uid, leader in self.leader_of.items():
+            members.setdefault(leader, set()).add(uid)
+        self.federations = [Federation(u, frozenset(members[u])) for u in sorted(members)]
 
     def __len__(self) -> int:
         return len(self.federations)
@@ -75,12 +75,6 @@ class FederationPartition:
     def representative(self) -> Federation:
         """The largest federation; ties on size go to the lowest leader uid."""
         return max(self.federations, key=lambda f: (len(f.members), -f.leader))
-
-    def federation_of(self, uid: int) -> Federation:
-        for fed in self.federations:
-            if uid in fed.members:
-                return fed
-        raise KeyError(f"device {uid} is in no federation")
 
 
 @dataclass
@@ -139,14 +133,10 @@ def similarity_graph(topology: Topology, ds: DissimilarityMatrix, tau: float) ->
 
 def _elect(graph: fields.FieldGraph) -> tuple[fields.GradientField, FederationPartition]:
     """Elect the minimum uid of each component of the graph, grow the hop
-    field from the leaders, and read the federations off its sources."""
+    field from the leaders; each device follows its source in that field."""
     flags = fields.s_block(graph)
     gfield = fields.g_block(graph, [u for u, flag in flags.items() if flag])
-    members: dict[int, set[int]] = {}
-    for uid, src in gfield.source.items():
-        members.setdefault(src, set()).add(uid)
-    feds = [Federation(leader, frozenset(uids)) for leader, uids in members.items()]
-    return gfield, FederationPartition(feds)
+    return gfield, FederationPartition(gfield.source)
 
 
 def form_federations(
@@ -298,11 +288,6 @@ class RoundStats:
         return self.bytes_broadcast + self.bytes_collect + self.bytes_disseminate
 
 
-def _merge_uid_sorted(a: list, b: list) -> list:
-    """Merge two uid-sorted (uid, model) lists; associative and commutative."""
-    return list(heapq.merge(a, b, key=lambda pair: pair[0]))
-
-
 def run_round(
     state: SimulationState, cfg: ProtocolConfig, round_index: int, arm: str = "sparsefuel"
 ) -> RoundStats:
@@ -323,10 +308,8 @@ def run_round(
     models_by_leader: dict[int, ParameterSet] = {}
     delivered: dict[int, ParameterSet] = {}
     if arm == "isolated":
-        partition = FederationPartition(
-            [Federation(dev.uid, frozenset([dev.uid])) for dev in state.devices]
-        )
-        models_by_leader = {fed.leader: trained[fed.leader] for fed in partition.federations}
+        partition = FederationPartition({dev.uid: dev.uid for dev in state.devices})
+        models_by_leader = {uid: trained[uid] for uid in partition.leader_of}
     else:
         # the wire, one encode per trained chunk: each model's bytes and the
         # model its receivers decode from them.  When similarity is scored on
@@ -353,30 +336,26 @@ def run_round(
             graph = fields.FieldGraph.from_topology(topo)
             leader = min(graph.nodes)
             gfield = fields.g_block(graph, [leader])
-            partition = FederationPartition([Federation(leader, frozenset(graph.nodes))])
+            partition = FederationPartition(dict.fromkeys(graph.nodes, leader))
 
-        # tree collection to each leader (a leader contributes its model as
-        # trained, every other device the model its wire bytes decode to),
-        # weighted average, tree dissemination
-        leaders = {fed.leader for fed in partition.federations}
-        contributions = {
-            uid: [(uid, trained[uid] if uid in leaders else decoded[uid])]
-            for uid, hops in gfield.hops.items()
-            if hops != fields.INFINITE
-        }
-        collected = fields.c_block(gfield, contributions, _merge_uid_sorted, [])
+        # tree collection of each leader's member uids, then the weighted
+        # average in uid order (a leader contributes its model as trained,
+        # every other device the model its wire bytes decode to) and tree
+        # dissemination
+        singletons = {uid: frozenset([uid]) for uid in gfield.hops}
+        collected = fields.c_block(gfield, singletons, frozenset.union, frozenset())
         bytes_collect = sum(
             int(hops) * len(blobs[uid])
             for uid, hops in gfield.hops.items()
             if hops not in (0, fields.INFINITE)
         )
         for leader in sorted(collected):
-            pairs = collected[leader]
-            weights = [state.devices[uid].num_samples for uid, _ in pairs]
-            averaged = fed_avg([m for _, m in pairs], weights)
+            uids = sorted(collected[leader])
+            models = [trained[uid] if uid == leader else decoded[uid] for uid in uids]
+            averaged = fed_avg(models, [state.devices[uid].num_samples for uid in uids])
             models_by_leader[leader] = averaged
             blob = to_bytes(CompressedModel("dense", params=averaged))
-            bytes_disseminate += (len(pairs) - 1) * len(blob)
+            bytes_disseminate += (len(uids) - 1) * len(blob)
         delivered = fields.broadcast_block(gfield, models_by_leader)
 
     for dev in state.devices:
@@ -471,12 +450,7 @@ def evaluate_objective(
     accs = [float("nan")] * k
     losses = [float("nan")] * k
     for j in range(k):
-        counts: dict[int, int] = {}
-        for site in sites:
-            if site.subregion_id != j:
-                continue
-            fed = partition.federation_of(site.uid)
-            counts[fed.leader] = counts.get(fed.leader, 0) + 1
+        counts = Counter(partition.leader_of[site.uid] for site in sites if site.subregion_id == j)
         if not counts:
             continue
         leader = max(counts, key=lambda u: (counts[u], -u))

@@ -22,7 +22,7 @@ from sparsefuel.compression import (
 from sparsefuel.harness import calibrate_tau, format_config
 from sparsefuel.neuralnet import Architecture, init_parameters
 
-from conftest import small_config
+from conftest import small_config, write_idx_pair
 
 
 @pytest.fixture
@@ -280,6 +280,63 @@ def test_negative_seed_is_a_config_error(command, config_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "seed must be >= 0, got -1" in err
+
+
+def _idx_config(tmp_path, classes, rows_per_class, bad_magic=False):
+    """Config path of the small world (a 2x2 grid of subregions) drawing
+    8 samples a device from an IDX pool of 2x2 images, rows_per_class of
+    each of `classes` labels."""
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, (classes * rows_per_class, 2, 2), dtype=np.uint8)
+    labels = np.repeat(np.arange(classes, dtype=np.uint8), rows_per_class)
+    img_path, lbl_path = write_idx_pair(tmp_path, images, labels)
+    if bad_magic:
+        with open(img_path, "r+b") as fh:
+            fh.write(struct.pack(">I", 0x00000801))
+    cfg = small_config()
+    data = dataclasses.replace(
+        cfg.data,
+        kind="idx-label-skew",
+        idx_images=img_path,
+        idx_labels=lbl_path,
+        samples_per_device=8,
+        test_samples=4,
+    )
+    output = dataclasses.replace(cfg.output, csv=str(tmp_path / "metrics.csv"))
+    cfg = dataclasses.replace(cfg, data=data, output=output, layers=(4, 8, classes))
+    path = tmp_path / "idx.cfg"
+    path.write_text(format_config(cfg))
+    return str(path)
+
+
+# (classes, rows per class, bad magic) of a pool, and the message it fails with
+BAD_IDX_POOLS = {
+    "bad-magic": ((4, 20, True), "bad magic 0x00000801"),
+    "too-few-classes": ((2, 20, False), "pool has 2 classes, cannot cover 4 subregions"),
+    "pool-exhausted": ((4, 3, False), "pool exhausted for subregion 0"),
+}
+
+
+class TestIdxInput:
+    @pytest.mark.parametrize("case", list(BAD_IDX_POOLS))
+    def test_bad_pool_is_a_config_error_under_run(self, case, tmp_path, capsys):
+        pool, message = BAD_IDX_POOLS[case]
+        assert main(["run", "--config", _idx_config(tmp_path, *pool)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_bad_pool_is_a_config_error_under_calibrate_tau(self, tmp_path, capsys):
+        pool, message = BAD_IDX_POOLS["bad-magic"]
+        assert main(["calibrate-tau", "--config", _idx_config(tmp_path, *pool)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+
+    def test_a_sufficient_pool_runs(self, tmp_path):
+        assert main(["run", "--config", _idx_config(tmp_path, 4, 20)]) == 0
+        assert (tmp_path / "metrics.csv").exists()
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

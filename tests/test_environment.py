@@ -98,6 +98,11 @@ class TestTopology:
         assert topo.edges.tolist() == [[0, 1]]
         assert topo.graph.adj == {0: (1,), 1: (0,), 2: ()}
 
+    @pytest.mark.parametrize("r_c", [0.0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, r_c):
+        with pytest.raises(ValueError, match="must be positive"):
+            build_topology([DeviceSite(0, 0.0, 0.0, 0), DeviceSite(1, 1.0, 0.0, 0)], r_c)
+
     def test_edges_symmetric_no_self_loops(self):
         area = Area(10.0, 10.0, 2, 2)
         sites = deploy_devices(area, n=25, placement="uniform-random", seed=1)

@@ -105,6 +105,21 @@ class TestDissimilarityMatrix:
             DissimilarityMatrix([[0, 1], [1, 2]], [1.0])
 
 
+class TestFederationPartition:
+    def test_federations_are_sorted_by_leader_with_their_members(self):
+        part = FederationPartition({5: 2, 0: 0, 2: 2, 4: 0, 3: 3, 1: 2})
+        assert part.federations == [
+            Federation(0, frozenset({0, 4})),
+            Federation(2, frozenset({1, 2, 5})),
+            Federation(3, frozenset({3})),
+        ]
+        assert len(part) == 3
+
+    def test_a_leader_that_does_not_follow_itself_is_rejected(self):
+        with pytest.raises(ValueError, match="leader 0 is not a member"):
+            FederationPartition({1: 0})
+
+
 class TestFormFederations:
     def _full_ds(self, topo, value):
         return DissimilarityMatrix(topo.edges, np.full(len(topo.edges), value))
@@ -198,8 +213,7 @@ class TestEvaluateObjective:
     def test_zero_networks_sum_to_k_log_c(self):
         k, c = 4, 4
         zero = ParameterSet([np.zeros((c, 2))], [np.zeros(c)])
-        federations = [Federation(j, frozenset([j])) for j in range(k)]
-        partition = FederationPartition(federations)
+        partition = FederationPartition({j: j for j in range(k)})
         sites = [DeviceSite(j, 0.5, 0.5, j) for j in range(k)]
         tests = [toy_dataset(j, m=30, n_classes=c) for j in range(k)]
         objective, accs, losses = evaluate_objective(
@@ -221,10 +235,23 @@ class TestEvaluateObjective:
             w = np.zeros((2, 2))
             w[j, 0] = 20.0
             models[j] = ParameterSet([w], [np.zeros(2)])
-        partition = FederationPartition([Federation(j, frozenset([j])) for j in range(k)])
+        partition = FederationPartition({j: j for j in range(k)})
         objective, accs, _ = evaluate_objective(partition, models, tests, sites)
         assert objective < 0.01
         assert accs == [1.0, 1.0]
+
+    def test_plurality_tie_goes_to_the_lowest_leader(self):
+        # subregion 0 holds two devices of leader 3 and two of leader 1; the
+        # tie picks leader 1's model, which is right on every sample
+        sites = [DeviceSite(u, 0.5, 0.5, 0) for u in range(4)]
+        partition = FederationPartition({0: 3, 1: 1, 2: 1, 3: 3})
+        test = LabeledDataset(np.tile([[1.0, 0.0]], (10, 1)), np.zeros(10, dtype=np.int64))
+        right = ParameterSet([np.array([[20.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
+        wrong = ParameterSet([np.array([[0.0, 0.0], [20.0, 0.0]])], [np.zeros(2)])
+        _, accs, _ = evaluate_objective(partition, {1: right, 3: wrong}, [test], sites)
+        assert accs == [1.0]
+        _, accs, _ = evaluate_objective(partition, {1: wrong, 3: right}, [test], sites)
+        assert accs == [0.0]
 
 
 class TestRunRound:

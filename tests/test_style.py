@@ -1,6 +1,6 @@
 """Source style checks that need only the standard library: no line of the
-package is longer than 100 characters, and no module imports a name it
-never uses."""
+package is longer than 100 characters, no module imports a name it never
+uses, and no module-level private name goes unread in the package."""
 
 from __future__ import annotations
 
@@ -33,12 +33,38 @@ def unused_imports(source: str, reexports: bool = False) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants (one leading
+    underscore; dunders are exempt) of the given modules, by module name,
+    that no module reads, as a bare name or as an attribute."""
+    defined = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read |= _read(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names if _private(name)]
+    return [f"{module}:{line}: {name}" for module, line, name in defined if name not in read]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def _read(tree: ast.AST) -> set[str]:
     """Every name the code reads (the root of a dotted access such as
-    np.float64 is a Name too), quoted annotations included."""
+    np.float64 is a Name too), quoted annotations included; a name that is
+    only assigned is not read."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         annotations = []
         if isinstance(node, ast.arg):
@@ -90,3 +116,27 @@ def test_unused_import_finder_sees_unused_and_used_names():
     assert unused_imports(source, reexports=True) == ["line 2: os", "line 4: Sequence"]
     assert unused_imports("from .fields import FieldGraph\n", reexports=True) == []
     assert unused_imports("from .fields import FieldGraph\n") == ["line 1: FieldGraph"]
+
+
+def test_no_unread_private_names():
+    sources = {p.relative_to(SRC).as_posix(): p.read_text(encoding="utf-8") for p in MODULES}
+    unread = unread_private_names(sources)
+    assert not unread, ", ".join(unread)
+
+
+def test_unread_private_finder_sees_unread_and_read_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_unused: int = 0\n"
+            "__version__ = '1'\n"
+            "def _helper(): return _LIMIT\n"
+            "def _stale(): ...\n"
+            "class _Gone: ...\n"
+            "class Public:\n"
+            "    def _method(self): ...\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _helper\nx: '_Typed' = a._stale\n",
+        "c.py": "class _Typed: ...\n_helper()\n",
+    }
+    assert unread_private_names(sources) == ["a.py:2: _unused", "a.py:6: _Gone"]
