@@ -1,5 +1,7 @@
 """Model compression: magnitude pruning, affine 8-bit quantization, and the
-canonical binary serialization used for every exchanged model.
+canonical binary serialization used for every exchanged model.  A round
+decodes and prices its wire models with decode_wire and serialized_size,
+which give what the bytes would without building them.
 
 Serialized layout (all integers little-endian):
 
@@ -204,14 +206,16 @@ def quantize_affine(params: ParameterSet) -> list[QuantizedTensor]:
     return [_quantize_tensor(t, lead) for wb in zip(params.weights, params.biases) for t in wb]
 
 
+def _dequantize_tensor(values: np.ndarray, zero_point, scale) -> np.ndarray:
+    # one row per tensor of a stack; scale and zero point as columns
+    flat = values.reshape(np.shape(scale) + (-1,)).astype(np.float64)
+    flat = (flat - np.asarray(zero_point)[..., None]) * np.asarray(scale)[..., None]
+    return flat.reshape(values.shape)
+
+
 def dequantize(qparams: list[QuantizedTensor]) -> ParameterSet:
     """Map u8 tensors (in order W0, b0, ...) back to float64 parameters."""
-    tensors = []
-    for qt in qparams:
-        # one row per tensor of a stack; scale and zero point as columns
-        flat = qt.values.reshape(np.shape(qt.scale) + (-1,)).astype(np.float64)
-        flat = (flat - np.asarray(qt.zero_point)[..., None]) * np.asarray(qt.scale)[..., None]
-        tensors.append(flat.reshape(qt.values.shape))
+    tensors = [_dequantize_tensor(qt.values, qt.zero_point, qt.scale) for qt in qparams]
     return ParameterSet(tensors[0::2], tensors[1::2])
 
 
@@ -255,27 +259,32 @@ def _arrays(model: CompressedModel) -> list[np.ndarray]:
 
 
 def tensor_shapes(model: CompressedModel) -> list[tuple[int, int]]:
-    """(rows, cols) per tensor in order W0, b0, ...; cols == 0 for vectors."""
-    return [(a.shape[0], a.shape[1] if a.ndim == 2 else 0) for a in _arrays(model)]
+    """(rows, cols) per tensor in order W0, b0, ...; cols == 0 for vectors.
+    For a stack, the shapes of each of its models."""
+    return [
+        (a.shape[-1], 0) if t % 2 else a.shape[-2:] for t, a in enumerate(_arrays(model))
+    ]
 
 
-def serialized_size(model: CompressedModel) -> int:
-    """Exact byte length of to_bytes(model), computed arithmetically."""
-    shapes = tensor_shapes(model)
-    size = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR * len(shapes)
-    for i, (rows, cols) in enumerate(shapes):
+def serialized_size(model: CompressedModel) -> int | np.ndarray:
+    """Exact byte length of to_bytes(model), computed arithmetically; for a
+    stack, the (D,) lengths of its models."""
+    arrays = _arrays(model)
+    lead = arrays[0].shape[:-2] if arrays else ()
+    size = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR * len(arrays)
+    for i, (rows, cols) in enumerate(tensor_shapes(model)):
         n = kept = rows * (cols or 1)
         if model.mask is not None:
             # keep-bitmap; biases always survive whole
             size += (n + 7) // 8
             if cols:
-                kept = int(model.mask.layers[i // 2].sum())
+                kept = model.mask.layers[i // 2].sum(axis=(-2, -1), dtype=np.int64)
         # quantized: scale f32, zero point u8, one u8 per value; else f32 values
         size += 5 + kept if model.qparams is not None else 4 * kept
-    return size
+    return np.broadcast_to(size, lead).copy() if lead else int(size)
 
 
-def payload_size(model: CompressedModel) -> int:
+def payload_size(model: CompressedModel) -> int | np.ndarray:
     """Serialized size minus the header and per-tensor shape metadata."""
     n_tensors = len(tensor_shapes(model))
     return serialized_size(model) - HEADER_BYTES - SHAPE_BYTES_PER_TENSOR * n_tensors
@@ -408,3 +417,37 @@ def encode_wire(
     if strategy.quantizes:
         return CompressedModel(strategy.kind, qparams=quantize_affine(params), mask=mask)
     return CompressedModel(strategy.kind, params=params, mask=mask)
+
+
+def decode_wire(wire: CompressedModel) -> ParameterSet:
+    """The model each receiver decodes from the wire, for one model or a
+    stack: row k is exactly decompress(from_bytes(to_bytes(wire[k]))),
+    computed without the bytes.
+
+    Float values pass through f32, and scales of the quantizing kinds are
+    rounded to f32 as the bytes carry them.  Pruned weight positions decode
+    as +0.0 (or the zero point) whatever the wire model holds there: masked
+    training leaves -0.0 at negative pruned weights, and the bytes carry only
+    the kept values.  Non-finite values come back as they are; the codec is
+    what rejects them.
+    """
+    prunes, quantizes = _KIND_FLAGS[wire.kind]
+    arrays = _arrays(wire)
+    if prunes:
+        # a pruned weight is not on the wire: it parses as 0.0, or as its
+        # tensor's zero point (a column of them for a stack)
+        fills = [0.0] * len(wire.mask.layers)
+        if quantizes:
+            fills = [
+                np.asarray(qt.zero_point, dtype=np.uint8)[..., None, None]
+                for qt in wire.qparams[0::2]
+            ]
+        arrays[0::2] = [np.where(m, a, f) for m, a, f in zip(wire.mask.layers, arrays[0::2], fills)]
+    if quantizes:
+        tensors = [
+            _dequantize_tensor(a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32))
+            for a, qt in zip(arrays, wire.qparams)
+        ]
+    else:
+        tensors = [a.astype(np.float32).astype(np.float64) for a in arrays]
+    return ParameterSet(tensors[0::2], tensors[1::2])

@@ -35,8 +35,8 @@ class Area:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("area dimensions must be positive")
+        if not all(math.isfinite(d) and d > 0 for d in (self.width, self.height)):
+            raise ValueError("area dimensions must be finite and > 0")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("subregion grid must be at least 1x1")
 
@@ -146,8 +146,8 @@ class BlobClass:
     std: float
 
     def __post_init__(self) -> None:
-        if self.std <= 0:
-            raise ValueError("blob std must be positive")
+        if not (math.isfinite(self.std) and self.std > 0):
+            raise ValueError("blob std must be finite and > 0")
 
 
 @dataclass

@@ -24,10 +24,12 @@ from .compression import (
     CompressionStrategy,
     SparseMask,
     compress,
+    decode_wire,
     decompress,
     encode_wire,
     from_bytes,
     nonzero_macs,
+    serialized_size,
     to_bytes,
 )
 from .environment import DeviceSite, Topology
@@ -311,25 +313,29 @@ def run_round(
         partition = FederationPartition({dev.uid: dev.uid for dev in state.devices})
         models_by_leader = {uid: trained[uid] for uid in partition.leader_of}
     else:
-        # the wire, one encode per trained chunk: each model's bytes and the
-        # model its receivers decode from them.  When similarity is scored on
-        # uncompressed models the whole exchange is dense (broadcast, collection
-        # and the averaged members alike): a receiver scores the model it was sent
-        blobs: dict[int, bytes] = {}
+        # the wire, one encode, decode and pricing per trained chunk: the model
+        # each device's receivers decode from its bytes, and how many bytes
+        # it sends.  When similarity is scored on uncompressed models the
+        # whole exchange is dense (broadcast, collection and the averaged
+        # members alike): a receiver scores the model it was sent
+        size = np.zeros(topo.n, dtype=np.int64)
+        # the averaged model goes back down dense; its size is the architecture's
+        dense_size = serialized_size(CompressedModel("dense", params=state.devices[0].params))
         decoded: dict[int, ParameterSet] = {}
         for uids, params, mask in chunks:
             if cfg.similarity_uses_compressed:
                 wire = encode_wire(params, cfg.strategy, mask)
             else:
                 wire = CompressedModel("dense", params=params)
-            for k, uid in enumerate(uids):
-                blobs[uid] = to_bytes(wire[k])
-                decoded[uid] = decompress(from_bytes(blobs[uid]))
+            out = decode_wire(wire)
+            _check_decodable(wire, out, uids)
+            size[uids] = serialized_size(wire)
+            decoded.update((uid, out[k]) for k, uid in enumerate(uids))
 
         if arm == "sparsefuel":
             # neighbor broadcast: every device sends its wire artifact to each neighbor
             degree = np.bincount(topo.edges.ravel(), minlength=topo.n)
-            bytes_broadcast = sum(len(blobs[uid]) * int(degree[uid]) for uid in blobs)
+            bytes_broadcast = int(size @ degree)
             ds = _edge_dissimilarity(state, decoded)
             gfield, partition = _elect(similarity_graph(topo, ds, cfg.tau))
         else:
@@ -345,7 +351,7 @@ def run_round(
         singletons = {uid: frozenset([uid]) for uid in gfield.hops}
         collected = fields.c_block(gfield, singletons, frozenset.union, frozenset())
         bytes_collect = sum(
-            int(hops) * len(blobs[uid])
+            int(hops) * int(size[uid])
             for uid, hops in gfield.hops.items()
             if hops not in (0, fields.INFINITE)
         )
@@ -354,8 +360,7 @@ def run_round(
             models = [trained[uid] if uid == leader else decoded[uid] for uid in uids]
             averaged = fed_avg(models, [state.devices[uid].num_samples for uid in uids])
             models_by_leader[leader] = averaged
-            blob = to_bytes(CompressedModel("dense", params=averaged))
-            bytes_disseminate += (len(uids) - 1) * len(blob)
+            bytes_disseminate += (len(uids) - 1) * dense_size
         delivered = fields.broadcast_block(gfield, models_by_leader)
 
     for dev in state.devices:
@@ -403,6 +408,20 @@ def _train_in_lockstep(
         )
         chunks.append((uids, out, cm.mask))
     return chunks
+
+
+def _check_decodable(wire: CompressedModel, decoded: ParameterSet, uids: list[int]) -> None:
+    """Raise the codec's SerializationError for the first device of a wire
+    chunk whose decoded model is not finite: its bytes carry a non-finite f32
+    value or scale, which the codec rejects with the message a receiver
+    would see."""
+    tensors = decoded.weights + decoded.biases
+    finite = np.logical_and.reduce([np.isfinite(t.reshape(len(t), -1)).all(1) for t in tensors])
+    if finite.all():
+        return
+    k = int(np.argmin(finite))
+    from_bytes(to_bytes(wire[k]))
+    raise RuntimeError(f"device {uids[k]}: decodes to non-finite values the codec accepts")
 
 
 def _edge_dissimilarity(

@@ -16,6 +16,7 @@ from sparsefuel.compression import (
     SerializationError,
     SparseMask,
     compress,
+    decode_wire,
     decompress,
     dequantize,
     encode_wire,
@@ -512,3 +513,36 @@ def test_stacked_compress_matches_per_model_reference(kind, psi, d):
         # a single model is a stack of one
         _assert_same_wire(compress(model, strategy), want)
         _assert_same_wire(wire[k], _reference_wire(drifted[k], strategy, want.mask))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("psi", [0.0, 0.3, 0.9])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_decode_wire_is_the_byte_round_trip_of_every_row(kind, psi, seed):
+    strategy = CompressionStrategy(kind, psi)
+    stacked = compress(ParameterSet.stack(_stack_cases()), strategy)
+    # a drift like masked training's: updated weights are multiplied by the
+    # mask, which leaves -0.0 at the pruned positions of negative weights
+    rng = np.random.default_rng(seed)
+    trained = decompress(stacked)
+    for t in trained.weights + trained.biases:
+        t += rng.normal(0.0, rng.uniform(0.01, 1.0), t.shape)
+    if strategy.prunes:
+        pairs = list(zip(trained.weights, stacked.mask.layers))
+        for w, m in pairs:
+            w *= m
+        assert any(np.signbit(w[m == 0]).any() for w, m in pairs) == (psi > 0)
+    wire = encode_wire(trained, strategy, stacked.mask)
+    decoded = decode_wire(wire)
+    sizes = serialized_size(wire)
+    assert sizes.shape == (len(_stack_cases()),)
+    for k in range(len(sizes)):
+        blob = to_bytes(wire[k])
+        want = decompress(from_bytes(blob))
+        got = decoded[k].weights + decoded[k].biases
+        for a, b in zip(got, want.weights + want.biases, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert sizes[k] == len(blob) == serialized_size(wire[k])
+        assert payload_size(wire)[k] == payload_size(wire[k])
+

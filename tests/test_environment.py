@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import oracle_disc_edges, write_idx_pair
 from sparsefuel.environment import (
     Area,
+    BlobClass,
     DeviceSite,
     build_topology,
     deploy_devices,
@@ -48,6 +51,11 @@ class TestArea:
     def test_invalid_dimensions_raise(self):
         with pytest.raises(ValueError):
             Area(0.0, 10.0, 2, 2)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                Area(bad, 10.0, 2, 2)
+            with pytest.raises(ValueError, match="finite and > 0"):
+                Area(10.0, bad, 2, 2)
         with pytest.raises(ValueError):
             Area(10.0, 10.0, 0, 2)
 
@@ -182,6 +190,12 @@ class TestSyntheticBlobs:
         d0 = sample_local_dataset(spec, 0, m=100, seed=1)
         d3 = sample_local_dataset(spec, 3, m=100, seed=1)
         assert set(np.unique(d0.labels)).isdisjoint(np.unique(d3.labels))
+
+    def test_blob_std_must_be_finite_and_positive(self):
+        BlobClass(0, (0.0, 0.0), 0.5)
+        for bad in (math.nan, math.inf, 0.0, -0.5):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                BlobClass(0, (0.0, 0.0), bad)
 
 
 class TestIdx:

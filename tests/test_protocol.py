@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sparsefuel.compression import CompressionStrategy
+from sparsefuel import protocol
+from sparsefuel.compression import CompressionStrategy, SerializationError
 from sparsefuel.environment import DeviceSite, build_topology, sample_local_dataset, synthetic_blob_spec
 from sparsefuel.harness import ConfigError, parse_config
 from sparsefuel.neuralnet import (
@@ -349,6 +350,65 @@ class TestRunRound:
         assert np.array_equal(stats.dissimilarity.edges, state.topology.edges)
         assert len(stats.dissimilarity.values) > 0
         assert np.all(stats.dissimilarity.values >= 0.0)
+
+
+class TestWireFaults:
+    """A model whose bytes the codec rejects fails the round with the codec's
+    own error; a value the bytes never carry cannot."""
+
+    def _state(self, n=4):
+        topo = line_topology(n)
+        init = init_parameters(Architecture((2, 6, 4)), 0)
+        return make_state(topo, [toy_dataset(100 + i) for i in range(n)], init, 0.2)
+
+    def _poison(self, monkeypatch, where):
+        """Train as usual, then write NaN at each (uid, tensor, position) of
+        where(mask): tensors in W0, b0, W1, b1 order, flat positions.  The
+        equal-length toy splits train as one chunk in uid order."""
+        train = protocol.local_training
+
+        def poisoned(*args, mask=None, **kwargs):
+            out = train(*args, mask=mask, **kwargs)
+            tensors = [t for wb in zip(out.weights, out.biases) for t in wb]
+            for uid, t, at in where(mask):
+                tensors[t][uid].flat[at] = math.nan
+            return out
+
+        monkeypatch.setattr(protocol, "local_training", poisoned)
+
+    @staticmethod
+    def _nth(mask, layer, uid, i, kept=1):
+        """Flat position of device uid's i-th weight of the layer that the
+        mask keeps (or prunes, kept=0); its i-th weight without a mask."""
+        return i if mask is None else int(np.flatnonzero(mask.layers[layer][uid] == kept)[i])
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_non_finite_kept_weight_raises_the_codec_error(self, monkeypatch, kind):
+        # device 1's W1 and device 2's W0 are bad: the first bad device in
+        # uid order names the tensor
+        nth = self._nth
+        self._poison(monkeypatch, lambda m: [(2, 0, nth(m, 0, 2, 0)), (1, 2, nth(m, 1, 1, 3))])
+        cfg = toy_protocol_config(tau=1e9, strategy=CompressionStrategy(kind, 0.5))
+        for arm in ("sparsefuel", "global-fedavg"):
+            with pytest.raises(SerializationError, match="^tensor 2: values are not all finite$"):
+                run_round(self._state(), cfg, 1, arm=arm)
+
+    def test_non_finite_pruned_weight_never_reaches_a_receiver(self, monkeypatch):
+        self._poison(monkeypatch, lambda m: [(2, 0, self._nth(m, 0, 2, 0, kept=0))])
+        cfg = toy_protocol_config(tau=1e9, strategy=CompressionStrategy("sparse", 0.5))
+        state = self._state()
+        stats = run_round(state, cfg, 1)
+        # device 2 is no leader: every model averaged is the one its bytes decode to
+        assert len(stats.partition) == 1 and stats.partition.federations[0].leader == 0
+        for dev in state.devices:
+            assert all(np.isfinite(t).all() for t in dev.params.weights + dev.params.biases)
+
+    def test_a_codec_that_accepts_a_non_finite_model_fails_the_round(self, monkeypatch):
+        self._poison(monkeypatch, lambda m: [(1, 0, 0)])
+        monkeypatch.setattr(protocol, "from_bytes", lambda blob: None)
+        cfg = toy_protocol_config(tau=1e9)
+        with pytest.raises(RuntimeError, match="device 1: decodes to non-finite values"):
+            run_round(self._state(), cfg, 1)
 
 
 class TestProtocolConfigValidation:

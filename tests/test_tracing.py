@@ -29,7 +29,10 @@ def load_tracing():
 # Names every arm calls, then those only the communicating arms call (the
 # wire, FedAvg and the hop-tree blocks), then those only sparsefuel calls.
 TRAINING = {"local_training", "gradients", "compress", "decompress", "run_round", "evaluate_objective"}
-EXCHANGE = {"encode_wire", "to_bytes", "from_bytes", "fed_avg", "g_block", "bfs_hops", "c_block", "broadcast_block"}
+EXCHANGE = {"encode_wire", "fed_avg", "g_block", "bfs_hops", "c_block", "broadcast_block"}
+# the byte codec is the round's fault path only: a healthy round decodes and
+# prices each wire chunk without the bytes
+CODEC = {"to_bytes", "from_bytes"}
 SIMILARITY = {"similarity_graph", "s_block", "min_flood"}
 EXPECTED = {
     "sparsefuel": (TRAINING | EXCHANGE | SIMILARITY, 208),
@@ -54,6 +57,10 @@ def test_traced_quadrant_round_reports_training_and_scoring(arm):
     # exchange, no scoring without a similarity graph
     assert not (EXCHANGE - names) & traced
     assert not (SIMILARITY - names) & traced
+    assert not CODEC & traced
+    # decompress runs once per trained chunk, never once per device
+    calls = [span[0] for span in tracer.spans]
+    assert calls.count("decompress") == calls.count("local_training")
     assert metrics["neuralnet.train_ms_per_round"] > 0
     assert metrics["neuralnet.sgd_steps_per_round"] > 0
     # build_topology's span value reads Topology.adjacency: the quadrant
