@@ -3,9 +3,10 @@
 These are the graph-wide building blocks the protocol composes each round:
 leader election per connected component (min uid), a hop-count gradient field
 rooted at the leaders, tree-based value collection toward each leader, and
-broadcast of a leader's value back down its tree.  Each block is computed by
-iterating a synchronous per-node update until nothing changes, which takes at
-most (component diameter + 1) rounds; re-running an extra round is a no-op.
+broadcast of a leader's value back down its tree.  Each block gives the
+fixpoint of a synchronous per-node update, computed in one breadth-first pass
+rather than by running the rounds; min_flood and bfs_hops also report how many
+synchronous rounds reaching it takes, at most (component diameter + 1).
 """
 
 from __future__ import annotations
@@ -99,23 +100,31 @@ class GradientField:
     source: dict[int, int | None]
 
 
-def min_flood(graph: FieldGraph) -> tuple[dict[int, int], int]:
-    """Iterate "my candidate = min over closed neighborhood" to fixpoint.
+def _breadth_first(graph: FieldGraph, roots: Iterable[int], hops: dict[int, float]) -> list[int]:
+    """Breadth-first from the roots (hop 0) over the nodes hops holds as
+    INFINITE, writing their hops; returns the roots and nodes reached, in order."""
+    order = list(roots)
+    hops.update(dict.fromkeys(order, 0.0))
+    for u in order:
+        for v in graph.adj[u]:
+            if hops[v] == INFINITE:
+                hops[v] = hops[u] + 1
+                order.append(v)
+    return order
 
-    Returns the final candidate map and the number of synchronous rounds run,
-    including the final confirming round that changes nothing.
-    """
-    cand = {u: u for u in graph.nodes}
-    rounds = 0
-    while True:
-        rounds += 1
-        new = {
-            u: min(cand[u], *(cand[v] for v in graph.adj[u])) if graph.adj[u] else cand[u]
-            for u in graph.nodes
-        }
-        if new == cand:
-            return cand, rounds
-        cand = new
+
+def min_flood(graph: FieldGraph) -> tuple[dict[int, int], int]:
+    """Fixpoint of "my candidate = min over closed neighborhood", and the
+    synchronous rounds to reach it, including the final confirming round that
+    changes nothing.  After t rounds a node holds the minimum of its t-hop
+    ball, so the count is one more than the largest hop from a node to its
+    component's minimum."""
+    hops = dict.fromkeys(graph.nodes, INFINITE)
+    cand = dict.fromkeys(graph.nodes)
+    for u in graph.nodes:  # ascending: a uid not yet reached is its component's minimum
+        if hops[u] == INFINITE:
+            cand.update(dict.fromkeys(_breadth_first(graph, (u,), hops), u))
+    return cand, int(max(hops.values(), default=0.0)) + 1
 
 
 def s_block(graph: FieldGraph) -> dict[int, bool]:
@@ -125,29 +134,17 @@ def s_block(graph: FieldGraph) -> dict[int, bool]:
 
 
 def bfs_hops(graph: FieldGraph, sources: Iterable[int]) -> tuple[dict[int, float], int]:
-    """Synchronous hop-count relaxation from the sources to fixpoint.
-
-    Returns hop distances (INFINITE where unreachable) and the number of
-    rounds run, including the final confirming round.
-    """
+    """Fixpoint of the synchronous hop-count relaxation from the sources: hop
+    distances (INFINITE where unreachable), and the rounds to reach it,
+    including the final confirming round: the largest finite hop plus one, or
+    1 without sources."""
     src = set(int(s) for s in sources)
     unknown = src - set(graph.nodes)
     if unknown:
         raise ValueError(f"sources {sorted(unknown)} not in graph")
-    hops = {u: 0.0 if u in src else INFINITE for u in graph.nodes}
-    rounds = 0
-    while True:
-        rounds += 1
-        new = {}
-        for u in graph.nodes:
-            best = hops[u]
-            for v in graph.adj[u]:
-                if hops[v] + 1 < best:
-                    best = hops[v] + 1
-            new[u] = best
-        if new == hops:
-            return hops, rounds
-        hops = new
+    hops = dict.fromkeys(graph.nodes, INFINITE)
+    reached = _breadth_first(graph, src, hops)
+    return hops, int(hops[reached[-1]]) + 1 if reached else 1
 
 
 def g_block(graph: FieldGraph, sources: Iterable[int]) -> GradientField:
@@ -155,20 +152,16 @@ def g_block(graph: FieldGraph, sources: Iterable[int]) -> GradientField:
     among those at minimal hop distance, and source is the parent chain's root."""
     src = set(int(s) for s in sources)
     hops, _ = bfs_hops(graph, src)
-    parent: dict[int, int | None] = {}
-    for u in graph.nodes:
-        if u in src or hops[u] == INFINITE:
-            parent[u] = None
-            continue
-        best = min(hops[v] for v in graph.adj[u])
-        parent[u] = min(v for v in graph.adj[u] if hops[v] == best)
+    parent: dict[int, int | None] = dict.fromkeys(graph.nodes)
     source: dict[int, int | None] = {}
-    for u in sorted(graph.nodes, key=lambda v: (hops[v], v)):
+    # (hops, uid) order, a stable sort of the ascending uids, puts parents first
+    for u in sorted(graph.nodes, key=hops.__getitem__):
         if u in src:
             source[u] = u
         elif hops[u] == INFINITE:
             source[u] = None
         else:
+            parent[u] = next(v for v in graph.adj[u] if hops[v] == hops[u] - 1)
             source[u] = source[parent[u]]
     return GradientField(hops, parent, source)
 

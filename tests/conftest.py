@@ -1,8 +1,10 @@
 """Shared fixtures and independently written oracles for the test suite.
 
-The graph helpers here (union-find components, queue-based BFS) deliberately
-avoid the synchronous-round machinery in sparsefuel.fields so that the field
-blocks are checked against a second, unrelated implementation.
+The graph oracles here (union-find components, queue-based BFS) are written
+apart from sparsefuel.fields, so that the field blocks are checked against a
+second, unrelated implementation.  The synchronous-round references run the
+per-node updates whose fixpoints the blocks compute in one pass, round by
+round, and count the rounds.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ import dataclasses
 import math
 import struct
 from collections import deque
+from typing import Iterable
 
 import numpy as np
 import pytest
 
+from sparsefuel.fields import INFINITE, FieldGraph
 from sparsefuel.harness import (
     CalibrationResult,
     ExperimentConfig,
@@ -105,6 +109,51 @@ def oracle_diameter(nodes, adj):
         d = oracle_bfs(nodes, adj, {s})
         best = max(best, max(v for v in d.values() if v is not None))
     return best
+
+
+def reference_min_flood(graph: FieldGraph) -> tuple[dict[int, int], int]:
+    """Iterate "my candidate = min over closed neighborhood" to fixpoint.
+
+    Returns the final candidate map and the number of synchronous rounds run,
+    including the final confirming round that changes nothing.
+    """
+    cand = {u: u for u in graph.nodes}
+    rounds = 0
+    while True:
+        rounds += 1
+        new = {
+            u: min(cand[u], *(cand[v] for v in graph.adj[u])) if graph.adj[u] else cand[u]
+            for u in graph.nodes
+        }
+        if new == cand:
+            return cand, rounds
+        cand = new
+
+
+def reference_bfs_hops(graph: FieldGraph, sources: Iterable[int]) -> tuple[dict[int, float], int]:
+    """Synchronous hop-count relaxation from the sources to fixpoint.
+
+    Returns hop distances (INFINITE where unreachable) and the number of
+    rounds run, including the final confirming round.
+    """
+    src = set(int(s) for s in sources)
+    unknown = src - set(graph.nodes)
+    if unknown:
+        raise ValueError(f"sources {sorted(unknown)} not in graph")
+    hops = {u: 0.0 if u in src else INFINITE for u in graph.nodes}
+    rounds = 0
+    while True:
+        rounds += 1
+        new = {}
+        for u in graph.nodes:
+            best = hops[u]
+            for v in graph.adj[u]:
+                if hops[v] + 1 < best:
+                    best = hops[v] + 1
+            new[u] = best
+        if new == hops:
+            return hops, rounds
+        hops = new
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,6 @@ scorecard.  The expensive 64-device runs are shared through the session-scoped
 fixture_runs cache.
 """
 
-import dataclasses
 import itertools
 import math
 import time
@@ -17,15 +16,14 @@ import numpy as np
 from sparsefuel.compression import (
     CompressionStrategy,
     compress,
-    decompress,
     dequantize,
     nonzero_macs,
     payload_size,
     quantize_affine,
 )
 from sparsefuel.fields import (
-    INFINITE,
     FieldGraph,
+    bfs_hops,
     broadcast_block,
     c_block,
     g_block,
@@ -319,12 +317,17 @@ def _check_field_blocks(nodes, edges):
 
     leaders = s_block(graph)
     assert leaders == {u: comp_min[u] == u for u in nodes}
+    dist = oracle_bfs(nodes, adj, set(srcs))
+    # the synchronous updates reach their fixpoint in as many rounds as the
+    # farthest node lies from its component minimum; one more confirms it
+    settled = max(dist.values()) + 1
     cand, rounds = min_flood(graph)
     assert cand == comp_min
     assert rounds <= oracle_diameter(nodes, adj) + 1
+    assert rounds == settled
+    assert bfs_hops(graph, srcs)[1] == settled
 
     field = g_block(graph, srcs)
-    dist = oracle_bfs(nodes, adj, set(srcs))
     assert field.hops == {u: dist[u] for u in nodes}  # sources cover every component
 
     collected = c_block(field, {u: frozenset([u]) for u in nodes}, frozenset.union, frozenset())
@@ -368,7 +371,7 @@ def test_field_blocks_match_graph_oracles():
         9,
         ok,
         f"{checked} graphs (all graphs on up to 6 nodes + 100 random up to 64 nodes) "
-        f"match the union-find/BFS oracles, {elapsed:.1f}s",
+        f"match the union-find/BFS oracles, round counts exact, {elapsed:.1f}s",
     )
     assert ok, line
 

@@ -1,4 +1,4 @@
-import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from conftest import (
     oracle_components,
     oracle_diameter,
     oracle_normalise_edges,
+    reference_bfs_hops,
+    reference_min_flood,
 )
 from sparsefuel.environment import DeviceSite, build_topology
 from sparsefuel.fields import (
@@ -25,6 +27,37 @@ from sparsefuel.fields import (
 
 def leaders_of(flags):
     return {u for u, f in flags.items() if f}
+
+
+def field_4096_topology():
+    """A 4096-device radio topology at the field-4096 density and radius, and
+    a mask that keeps about two thirds of its edges, as a gated round does."""
+    rng = np.random.default_rng(3)
+    xy = rng.uniform(0, 80, (4096, 2)).tolist()
+    topo = build_topology([DeviceSite(u, x, y, 0) for u, (x, y) in enumerate(xy)], r_c=2.125)
+    return topo, rng.random(len(topo.edges)) < 2 / 3
+
+
+def assert_blocks_match_references(graph, sources):
+    """min_flood, bfs_hops and g_block give what the synchronous-round
+    references give, round counts included; g_block's parent is the lowest-uid
+    neighbor at the least hop, and its source the root of the parent chain."""
+    assert min_flood(graph) == reference_min_flood(graph)
+    hops, rounds = reference_bfs_hops(graph, sources)
+    assert bfs_hops(graph, sources) == (hops, rounds)
+    field = g_block(graph, sources)
+    assert field.hops == hops
+    for u in graph.nodes:
+        if u in sources or hops[u] == INFINITE:
+            want = None
+        else:
+            best = min(hops[v] for v in graph.adj[u])
+            want = min(v for v in graph.adj[u] if hops[v] == best)
+        assert field.parent[u] == want
+        root = u
+        while field.parent[root] is not None:
+            root = field.parent[root]
+        assert field.source[u] == (None if hops[u] == INFINITE else root)
 
 
 class TestFieldGraph:
@@ -82,14 +115,9 @@ class TestFieldGraph:
     def test_from_edges_on_the_field_4096_topology(self):
         # a masked subset of a large topology's edges, as similarity_graph
         # builds every round
-        rng = np.random.default_rng(3)
-        n = 4096
-        xy = rng.uniform(0, 80, (n, 2)).tolist()
-        sites = [DeviceSite(u, x, y, 0) for u, (x, y) in enumerate(xy)]
-        topo = build_topology(sites, r_c=2.125)
-        keep = rng.random(len(topo.edges)) < 2 / 3
+        topo, keep = field_4096_topology()
         g = FieldGraph.from_topology(topo, keep)
-        want = oracle_normalise_edges(range(n), topo.edges[keep])
+        want = oracle_normalise_edges(range(4096), topo.edges[keep])
         assert np.array_equal(g.edges, want[1]) and g.adj == want[2]
 
     def test_without_node(self):
@@ -158,9 +186,6 @@ class TestGBlock:
         assert f.source[9] is None
 
     def test_parent_consistency_on_random_graph(self):
-        import numpy as np
-        from itertools import combinations
-
         rng = np.random.default_rng(0)
         nodes = list(range(20))
         edges = [e for e in combinations(nodes, 2) if rng.random() < 0.15]
@@ -239,9 +264,6 @@ class TestStabilizeAfterRemoval:
         assert field.hops[0] == 0 and field.hops[2] == 0
 
     def test_matches_from_scratch_on_random_graphs(self):
-        import numpy as np
-        from itertools import combinations
-
         rng = np.random.default_rng(17)
         for _ in range(25):
             n = int(rng.integers(2, 12))
@@ -264,11 +286,36 @@ class TestStabilizeAfterRemoval:
                 assert field.hops[u] == expect
 
 
+class TestMatchesSynchronousReferences:
+    def test_random_graphs_and_source_sets(self):
+        # 1 to 24 uids with gaps, any number of components, sources among
+        # them or the component minima
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            nodes = sorted(rng.choice(96, size=int(rng.integers(1, 25)), replace=False).tolist())
+            p = rng.uniform(0.0, 0.3)
+            g = FieldGraph.from_edges(nodes, [e for e in combinations(nodes, 2) if rng.random() < p])
+            k = int(rng.integers(0, min(len(nodes), 4) + 1))
+            sources = set(rng.choice(nodes, size=k, replace=False).tolist())
+            assert_blocks_match_references(g, sources)
+            assert_blocks_match_references(g, leaders_of(s_block(g)))
+
+    def test_empty_graph_and_no_sources(self):
+        empty = FieldGraph.from_edges([], [])
+        assert min_flood(empty) == reference_min_flood(empty) == ({}, 1)
+        assert bfs_hops(empty, set()) == reference_bfs_hops(empty, set()) == ({}, 1)
+        g = FieldGraph.from_edges([2, 5, 7], [(2, 5), (5, 7)])
+        assert bfs_hops(g, set()) == reference_bfs_hops(g, set())
+        assert bfs_hops(g, set())[1] == 1
+
+    def test_field_4096_topology_whole_and_gated(self):
+        topo, keep = field_4096_topology()
+        for g in (FieldGraph.from_topology(topo), FieldGraph.from_topology(topo, keep)):
+            assert_blocks_match_references(g, leaders_of(s_block(g)))
+
+
 class TestConvergenceBound:
     def test_rounds_within_diameter_plus_one(self):
-        import numpy as np
-        from itertools import combinations
-
         rng = np.random.default_rng(23)
         for _ in range(30):
             n = int(rng.integers(1, 15))
@@ -276,7 +323,10 @@ class TestConvergenceBound:
             edges = [e for e in combinations(nodes, 2) if rng.random() < 0.25]
             g = FieldGraph.from_edges(nodes, edges)
             diam = oracle_diameter(nodes, {u: g.adj[u] for u in nodes})
-            _, flood_rounds = min_flood(g)
+            flood, flood_rounds = min_flood(g)
             assert flood_rounds <= diam + 1
-            _, bfs_rounds = bfs_hops(g, {0} if nodes else set())
+            assert (flood, flood_rounds) == reference_min_flood(g)
+            sources = {0} if nodes else set()
+            hops, bfs_rounds = bfs_hops(g, sources)
             assert bfs_rounds <= diam + 1
+            assert (hops, bfs_rounds) == reference_bfs_hops(g, sources)

@@ -1,6 +1,7 @@
 """Source style checks that need only the standard library: no line of the
-package is longer than 100 characters, no module imports a name it never
-uses, and no module-level private name goes unread in the package."""
+package is longer than 100 characters, no module of the package or of the
+tests imports a name it never uses, and no module-level private name goes
+unread in the package."""
 
 from __future__ import annotations
 
@@ -11,7 +12,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 MAX_LINE = 100
+
+
+def _path_id(path: Path) -> str:
+    """sparsefuel/<name>.py for a module of the package, tests/<name>.py for a test module."""
+    return path.relative_to(SRC if SRC in path.parents else SRC.parent).as_posix()
 
 
 def unused_imports(source: str, reexports: bool = False) -> list[str]:
@@ -84,7 +91,7 @@ def test_the_package_has_modules():
     assert any(path.name == "protocol.py" for path in MODULES)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+@pytest.mark.parametrize("path", MODULES, ids=_path_id)
 def test_no_line_longer_than_limit(path):
     long = [
         f"{path.name}:{number}: {len(line)} characters"
@@ -94,7 +101,7 @@ def test_no_line_longer_than_limit(path):
     assert not long, "\n".join(long)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=_path_id)
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"), path.name == "__init__.py")
     assert not unused, f"{path.name}: " + ", ".join(unused)

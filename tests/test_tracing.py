@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reference_bfs_hops, reference_min_flood
+from sparsefuel import fields
 from sparsefuel.harness import load_config, run_experiment_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -42,11 +44,23 @@ EXPECTED = {
 
 
 @pytest.mark.parametrize("arm", sorted(EXPECTED))
-def test_traced_quadrant_round_reports_training_and_scoring(arm):
+def test_traced_quadrant_round_reports_training_and_scoring(arm, monkeypatch):
     names, edges_scored = EXPECTED[arm]
     tracing = load_tracing()
     cfg = load_config(str(REPO_ROOT / "configs" / "quadrant.cfg"))
     cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, rounds=1))
+    # keep the arguments of every min_flood and bfs_hops call the tracer sees
+    args = {"min_flood": [], "bfs_hops": []}
+
+    def recording(block, seen):
+        def record(*a):
+            seen.append(a)
+            return block(*a)
+
+        return record
+
+    for name, seen in args.items():
+        monkeypatch.setattr(fields, name, recording(getattr(fields, name), seen))
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         result = run_experiment_result(cfg, arm, seed=1)
@@ -68,3 +82,11 @@ def test_traced_quadrant_round_reports_training_and_scoring(arm):
     assert metrics["environment.topology_edges"] == 208
     assert metrics["protocol.edges_scored_per_round"] == edges_scored
     assert (metrics["protocol.similarity_ms_per_round"] > 0) == (edges_scored > 0)
+    # the round counts read off the blocks are those the synchronous-round
+    # references take on the same graphs
+    assert len(args["min_flood"]) == calls.count("min_flood")
+    assert len(args["bfs_hops"]) == calls.count("bfs_hops")
+    flood = sum(reference_min_flood(*a)[1] for a in args["min_flood"])
+    bfs = sum(reference_bfs_hops(*a)[1] for a in args["bfs_hops"])
+    assert metrics["fields.flood_rounds_per_round"] == flood
+    assert metrics["fields.bfs_rounds_per_round"] == bfs
