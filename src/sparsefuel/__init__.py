@@ -27,6 +27,7 @@ from .environment import (
     idx_label_skew_spec,
     load_idx,
     sample_local_dataset,
+    sample_local_rows,
     synthetic_blob_spec,
 )
 from .fields import (

@@ -242,30 +242,33 @@ def idx_label_skew_spec(pool: LabeledDataset, k: int, epsilon: float = 0.0) -> D
     return DistributionSpec("idx-label-skew", owned_labels=owned, epsilon=epsilon, pool=pool)
 
 
-def sample_local_dataset(
-    spec: DistributionSpec, subregion_id: int, m: int, seed: int, salt: int = 0
-) -> LabeledDataset:
-    """Draw one device's local dataset; deterministic in (seed, subregion, salt)."""
+def _local_rng(
+    spec: DistributionSpec, subregion_id: int, m: int, seed: int, salt: int
+) -> np.random.Generator:
+    """The generator of one device's draw, after checking its arguments."""
     if m < 1:
         raise ValueError("need at least one sample")
     if not (0 <= subregion_id < spec.num_subregions):
         raise ValueError(f"subregion {subregion_id} out of range")
-    rng = np.random.default_rng((int(seed), int(subregion_id), int(salt)))
+    return np.random.default_rng((int(seed), int(subregion_id), int(salt)))
 
-    if spec.kind == "synthetic-blobs":
-        classes = spec.blob_classes[subregion_id]
-        picks = rng.integers(0, len(classes), m)
-        means = np.array([c.mean for c in classes])
-        stds = np.array([c.std for c in classes])
-        dim = means.shape[1]
-        feats = means[picks] + rng.normal(0.0, 1.0, (m, dim)) * stds[picks, None]
-        np.clip(feats, 0.0, 1.0, out=feats)
-        labels = np.array([classes[p].label for p in picks])
-        return LabeledDataset(feats, labels)
 
-    owned = set(spec.owned_labels[subregion_id])
-    own_pool = np.flatnonzero(np.isin(spec.pool.labels, list(owned)))
-    other_pool = np.flatnonzero(~np.isin(spec.pool.labels, list(owned)))
+def sample_local_rows(
+    spec: DistributionSpec, subregion_id: int, m: int, seed: int, salt: int = 0
+) -> np.ndarray:
+    """The pool rows of one device's idx-label-skew dataset, in sample order;
+    deterministic in (seed, subregion, salt).
+
+    Each sample is foreign with probability epsilon; the owned and foreign
+    samples are the first rows of a shuffle of the owned and of the other
+    labels' pool rows, without replacement.
+    """
+    if spec.kind != "idx-label-skew":
+        raise ValueError(f"{spec.kind} data has no pool to draw rows from")
+    rng = _local_rng(spec, subregion_id, m, seed, salt)
+    owned = np.isin(spec.pool.labels, spec.owned_labels[subregion_id])
+    own_pool = np.flatnonzero(owned)
+    other_pool = np.flatnonzero(~owned)
     foreign = rng.random(m) < spec.epsilon
     n_foreign = int(foreign.sum())
     n_own = m - n_foreign
@@ -279,7 +282,28 @@ def sample_local_dataset(
     rows = np.empty(m, dtype=np.int64)
     rows[~foreign] = own_sel
     rows[foreign] = other_sel
-    return LabeledDataset(spec.pool.features[rows], spec.pool.labels[rows])
+    return rows
+
+
+def sample_local_dataset(
+    spec: DistributionSpec, subregion_id: int, m: int, seed: int, salt: int = 0
+) -> LabeledDataset:
+    """Draw one device's local dataset; deterministic in (seed, subregion, salt).
+
+    An idx-label-skew dataset is a copy of the pool rows sample_local_rows
+    picks."""
+    if spec.kind == "idx-label-skew":
+        return spec.pool.subset(sample_local_rows(spec, subregion_id, m, seed, salt))
+    rng = _local_rng(spec, subregion_id, m, seed, salt)
+    classes = spec.blob_classes[subregion_id]
+    picks = rng.integers(0, len(classes), m)
+    means = np.array([c.mean for c in classes])
+    stds = np.array([c.std for c in classes])
+    dim = means.shape[1]
+    feats = means[picks] + rng.normal(0.0, 1.0, (m, dim)) * stds[picks, None]
+    np.clip(feats, 0.0, 1.0, out=feats)
+    labels = np.array([classes[p].label for p in picks])
+    return LabeledDataset(feats, labels)
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
@@ -302,7 +326,9 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         raise ValueError(
             f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(raw)}"
         )
-    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+    # scaled in place, so the pool never exists twice as float64
+    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+    features /= 255.0
     features = features.reshape(count, rows * cols)
 
     with open(labels_path, "rb") as f:

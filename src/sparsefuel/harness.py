@@ -27,6 +27,7 @@ from .environment import (
     idx_label_skew_spec,
     load_idx,
     sample_local_dataset,
+    sample_local_rows,
     synthetic_blob_spec,
 )
 from .neuralnet import Architecture, LabeledDataset, ParameterSet, TrainingConfig, init_parameters
@@ -278,12 +279,17 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 @dataclass
 class World:
-    """Everything a run needs, derived deterministically from (config, seed)."""
+    """Everything a run needs, derived deterministically from (config, seed).
+
+    The devices' samples are held once: device uid's local dataset is
+    samples.subset(rows[uid]).
+    """
 
     area: Area
     topology: Topology
     spec: DistributionSpec
-    datasets: list[LabeledDataset]
+    samples: LabeledDataset
+    rows: list[np.ndarray]
     test_sets: list[LabeledDataset]
     init_params: ParameterSet
     protocol: ProtocolConfig
@@ -343,13 +349,26 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
 
     data_seed = derive_seed(master, 2)
     test_seed = derive_seed(master, 3)
+    m = data.samples_per_device
     try:
-        datasets = [
-            sample_local_dataset(
-                spec, site.subregion_id, data.samples_per_device, data_seed, salt=site.uid
+        if data.kind == "synthetic-blobs":
+            # every device draws its own samples: the store is the draws in
+            # uid order, and a device's rows are its draw's range in it
+            draws = [
+                sample_local_dataset(spec, site.subregion_id, m, data_seed, salt=site.uid)
+                for site in sites
+            ]
+            samples = LabeledDataset(
+                np.concatenate([d.features for d in draws]),
+                np.concatenate([d.labels for d in draws]),
             )
-            for site in sites
-        ]
+            rows = list(np.arange(len(sites) * m).reshape(len(sites), m))
+        else:
+            samples = pool
+            rows = [
+                sample_local_rows(spec, site.subregion_id, m, data_seed, salt=site.uid)
+                for site in sites
+            ]
         test_sets = [
             sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
             for j in range(k)
@@ -370,7 +389,7 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
         ),
         similarity_uses_compressed=cfg.protocol.similarity_uses_compressed,
     )
-    return World(area, topology, spec, datasets, test_sets, init, protocol, master)
+    return World(area, topology, spec, samples, rows, test_sets, init, protocol, master)
 
 
 # ---- running experiments ----
@@ -413,7 +432,7 @@ def run_experiment_result(
         raise ConfigError(f"unknown arm {arm!r}, expected one of {ARMS}")
     world = build_world(cfg, seed)
     state = make_state(
-        world.topology, world.datasets, world.init_params, cfg.data.validation_fraction
+        world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
     records: list[MetricsRecord] = []
     final_models: dict[int, ParameterSet] = {}
@@ -517,7 +536,7 @@ def calibrate_tau(
         raise ValueError("warmup_rounds must be >= 0")
     world = build_world(cfg, seed)
     state = make_state(
-        world.topology, world.datasets, world.init_params, cfg.data.validation_fraction
+        world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
     for t in range(1, warmup_rounds + 1):
         run_round(state, world.protocol, t, arm="isolated")

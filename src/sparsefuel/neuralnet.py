@@ -154,19 +154,18 @@ class LabeledDataset:
     def subset(self, idx: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[idx], self.labels[idx])
 
-    @staticmethod
-    def stack(parts: Sequence["LabeledDataset"]) -> "LabeledDataset":
-        """Stack single datasets of one length on a new leading axis."""
-        return LabeledDataset(
-            _stack([p.features for p in parts]), _stack([p.labels for p in parts])
-        )
+    def gather(self, rows: np.ndarray) -> "LabeledDataset":
+        """The samples at an int array of rows of this 2-d dataset, in the
+        array's shape: a (D, n) table of rows gives a stack of D datasets."""
+        return LabeledDataset(np.take(self.features, rows, axis=0), np.take(self.labels, rows))
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """np.stack, except that a lone array is not copied: it becomes a view
-    with a leading axis of one.  Several equal-shape arrays are stacked by
-    np.array, which gives the same array in a third to a half of np.stack's
-    time on the small arrays of a lockstep chunk."""
+    """np.stack of one layer's tensors of several models, except that a lone
+    tensor is not copied: it becomes a view with a leading axis of one.
+    Several equal-shape tensors are stacked by np.array, which gives the same
+    array in a third to a half of np.stack's time on the small tensors of a
+    lockstep chunk."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
@@ -343,20 +342,21 @@ def local_training(
     mask=None,
     round_index: int = 0,
     seeds: Sequence[int] | None = None,
+    rows: np.ndarray | None = None,
 ) -> ParameterSet:
     """Minibatch SGD for cfg.local_epochs epochs; returns new parameters.
 
-    Stacked models train in lockstep, model k on stacked dataset k, and come
-    back stacked: every step does for each model exactly the arithmetic it
-    would do alone.  Model k's shuffle order is derived from (seeds[k],
-    round_index) only, so the call is deterministic; seeds defaults to
-    cfg.rng_seed for every model.  When a mask is given (a SparseMask or a
-    per-layer sequence of 0/1 arrays congruent to the weights), weight
-    gradients and the updated weights are zeroed at masked positions after
-    every step; biases always stay dense.
+    Stacked models train in lockstep and come back stacked: every step does
+    for each model exactly the arithmetic it would do alone.  Model k trains
+    on stacked dataset k, or, when rows is given, on the rows[k] rows of the
+    2-d dataset data (a single model takes a 1-d rows); each batch is
+    gathered from data as it runs.  Model k's shuffle order is derived from
+    (seeds[k], round_index) only, so the call is deterministic; seeds
+    defaults to cfg.rng_seed for every model.  When a mask is given (a
+    SparseMask or a per-layer sequence of 0/1 arrays congruent to the
+    weights), weight gradients and the updated weights are zeroed at masked
+    positions after every step; biases always stay dense.
     """
-    if data.labels.shape[-1] == 0:
-        raise ValueError("cannot train on an empty dataset")
     mask_layers = None
     if mask is not None:
         mask_layers = [np.asarray(m) for m in getattr(mask, "layers", mask)]
@@ -367,25 +367,41 @@ def local_training(
                 raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
 
     stacked = params.stacked
-    params, data = _as_stack(params, data)
+    if rows is None:
+        # a stack of D datasets of n rows is a store of D * n rows in which
+        # row k * n + i is sample i of dataset k
+        if data.labels.shape[-1] == 0:
+            raise ValueError("cannot train on an empty dataset")
+        params, data = _as_stack(params, data)
+        d, n = data.labels.shape
+        rows = np.arange(d * n).reshape(d, n)
+        data = LabeledDataset(data.features.reshape(d * n, -1), data.labels.reshape(d * n))
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != (2 if stacked else 1) or data.features.ndim != 2:
+            raise ValueError("rows must index a 2-d dataset, one row of rows per model")
+        if rows.shape[-1] == 0:
+            raise ValueError("cannot train on an empty dataset")
+        if rows.min() < 0 or rows.max() >= len(data):
+            raise ValueError(f"rows must index the dataset's {len(data)} samples")
+        # the shapes are checked on each model's first row alone
+        params, _ = _as_stack(params, data.gather(rows[..., :1]))
+        rows = rows.reshape(params.weights[0].shape[0], -1)
     if not stacked and mask_layers is not None:
         mask_layers = [m[None] for m in mask_layers]
-    d, n = data.labels.shape
+    d, n = rows.shape
     seeds = [cfg.rng_seed] * d if seeds is None else list(seeds)
     if len(seeds) != d:
         raise ValueError(f"{len(seeds)} shuffle seeds for {d} models")
     rngs = [np.random.default_rng((int(seed), int(round_index))) for seed in seeds]
-    # row k*n + i of the flattened stack is sample i of dataset k
-    features = data.features.reshape(d * n, -1)
-    labels = data.labels.reshape(d * n)
+    flat_rows = rows.ravel()
     offsets = np.arange(0, d * n, n)[:, None]
     out = params.copy()
     lr = cfg.learning_rate
     for _ in range(cfg.local_epochs):
-        perms = np.stack([rng.permutation(n) for rng in rngs]) + offsets
+        order = flat_rows[np.stack([rng.permutation(n) for rng in rngs]) + offsets]
         for start in range(0, n, cfg.batch_size):
-            idx = perms[:, start : start + cfg.batch_size]
-            g = gradients(out, LabeledDataset(features[idx], labels[idx]))
+            g = gradients(out, data.gather(order[:, start : start + cfg.batch_size]))
             for i in range(out.num_layers):
                 # g is this step's own array: scaling it in place saves a
                 # temporary and computes the same lr * g

@@ -181,24 +181,27 @@ def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = No
 
 @dataclass
 class DeviceState:
-    """One device: its uid, train/validation split (views of its own
-    dataset), and current model."""
+    """One device: its uid, the rows of the sample store that make up its
+    train and validation splits (views of its own row array), and its
+    current model."""
 
     uid: int
-    train: LabeledDataset
-    val: LabeledDataset
+    train_rows: np.ndarray
+    val_rows: np.ndarray
     params: ParameterSet
 
     @property
     def num_samples(self) -> int:
-        return len(self.train) + len(self.val)
+        return len(self.train_rows) + len(self.val_rows)
 
 
 @dataclass
 class SimulationState:
-    """Everything that evolves across rounds."""
+    """Everything that evolves across rounds, and the one sample store every
+    device's rows index."""
 
     topology: Topology
+    samples: LabeledDataset
     devices: list[DeviceState]
     round_index: int = 0
     bytes_total: int = 0
@@ -247,29 +250,36 @@ def _lockstep_chunks(lengths: np.ndarray, model: ParameterSet, rows: int | None 
 
 def make_state(
     topology: Topology,
-    datasets: Sequence[LabeledDataset],
+    samples: LabeledDataset,
+    rows: Sequence[np.ndarray],
     init_params: ParameterSet,
     validation_fraction: float,
 ) -> SimulationState:
-    """Split each local dataset into train/validation and seed every device
-    with a copy of the same initial model.
+    """Split each device's rows of the sample store into train/validation
+    and seed every device with a copy of the same initial model.
 
-    The validation split is the first floor(fraction * m) rows (at least one
-    row each side), which is deterministic because dataset sampling is.  Both
-    splits are views of the device's dataset.
+    rows[uid] lists the samples of device uid in order.  The validation
+    split is its first floor(fraction * m) rows (at least one row each
+    side), which is deterministic because sampling is.  Both splits are
+    views of the device's row array: no sample is copied.
     """
-    if len(datasets) != topology.n:
-        raise ValueError("one dataset per device required")
+    if len(rows) != topology.n:
+        raise ValueError("one row array per device required")
     if not (0.0 < validation_fraction < 1.0):
         raise ValueError("validation_fraction must be in (0, 1)")
+    if samples.features.ndim != 2:
+        raise ValueError("the sample store must be a 2-d dataset")
+    rows = [np.asarray(own, dtype=np.int64) for own in rows]
+    every = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    if every.size and not (every.min() >= 0 and every.max() < len(samples)):
+        raise ValueError(f"device rows must index the store's {len(samples)} samples")
     devices = []
-    for uid, data in enumerate(datasets):
-        if len(data) < 2:
+    for uid, own in enumerate(rows):
+        if len(own) < 2:
             raise ValueError(f"device {uid}: need at least 2 samples to split")
-        n_val = min(len(data) - 1, max(1, int(validation_fraction * len(data))))
-        train, val = data.subset(slice(n_val, None)), data.subset(slice(None, n_val))
-        devices.append(DeviceState(uid, train, val, init_params.copy()))
-    return SimulationState(topology, devices)
+        n_val = min(len(own) - 1, max(1, int(validation_fraction * len(own))))
+        devices.append(DeviceState(uid, own[n_val:], own[:n_val], init_params.copy()))
+    return SimulationState(topology, samples, devices)
 
 
 @dataclass
@@ -394,17 +404,18 @@ def _train_in_lockstep(
     devices = state.devices
     seeds = state.shuffle_seeds(cfg.training.rng_seed)
     chunks = []
-    lengths = np.array([len(dev.train) for dev in devices])
+    lengths = np.array([len(dev.train_rows) for dev in devices])
     for chunk in _lockstep_chunks(lengths, devices[0].params, cfg.training.batch_size):
         uids = chunk.tolist()
         cm = compress(ParameterSet.stack([devices[uid].params for uid in uids]), cfg.strategy)
         out = local_training(
             decompress(cm),
-            LabeledDataset.stack([devices[uid].train for uid in uids]),
+            state.samples,
             cfg.training,
             mask=cm.mask,
             round_index=round_index,
             seeds=[seeds[uid] for uid in uids],
+            rows=np.array([devices[uid].train_rows for uid in uids]),
         )
         chunks.append((uids, out, cm.mask))
     return chunks
@@ -429,18 +440,19 @@ def _edge_dissimilarity(
 ) -> DissimilarityMatrix:
     """cross_similarity of every topology edge, scored in lockstep: each edge
     is two (sender model, receiver validation split) pairs, and the pairs of
-    equal-length splits run in chunks of one forward pass each."""
+    equal-length splits run in chunks of one forward pass each, on one
+    gather of the chunk's validation rows from the sample store."""
     devices = state.devices
     edges = state.topology.edges
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round
     senders = np.concatenate([edges[:, 1], edges[:, 0]])
     receivers = np.concatenate([edges[:, 0], edges[:, 1]])
-    val_lengths = np.array([len(dev.val) for dev in devices])
+    val_lengths = np.array([len(dev.val_rows) for dev in devices])
     losses = np.empty(len(senders))
     for pick in _lockstep_chunks(val_lengths[receivers], devices[0].params):
         models = ParameterSet.stack([decoded[uid] for uid in senders[pick]])
-        vals = LabeledDataset.stack([devices[uid].val for uid in receivers[pick]])
+        vals = state.samples.gather(np.array([devices[uid].val_rows for uid in receivers[pick]]))
         losses[pick], _ = loss_and_accuracy(models, vals)
     return DissimilarityMatrix(edges, losses[: len(edges)] + losses[len(edges) :])
 
@@ -457,14 +469,22 @@ def evaluate_objective(
     the test set of the subregion hosting its leader.  Per-subregion metrics
     come from the model its devices actually use: the federation holding the
     plurality of the subregion's devices (ties to the lowest leader uid); a
-    subregion with no devices reports nan.
+    subregion with no devices reports nan.  Each (leader model, subregion
+    test set) pair is scored once.
     """
+    scores: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def score(leader: int, subregion: int) -> tuple[float, float]:
+        if (leader, subregion) not in scores:
+            scores[leader, subregion] = loss_and_accuracy(
+                models_by_leader[leader], test_sets[subregion]
+            )
+        return scores[leader, subregion]
+
     k = len(test_sets)
     objective = 0.0
     for fed in partition.federations:
-        subregion = sites[fed.leader].subregion_id
-        loss, _ = loss_and_accuracy(models_by_leader[fed.leader], test_sets[subregion])
-        objective += loss
+        objective += score(fed.leader, sites[fed.leader].subregion_id)[0]
 
     accs = [float("nan")] * k
     losses = [float("nan")] * k
@@ -473,7 +493,5 @@ def evaluate_objective(
         if not counts:
             continue
         leader = max(counts, key=lambda u: (counts[u], -u))
-        loss, acc = loss_and_accuracy(models_by_leader[leader], test_sets[j])
-        losses[j] = loss
-        accs[j] = acc
+        losses[j], accs[j] = score(leader, j)
     return objective, accs, losses

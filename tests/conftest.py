@@ -313,6 +313,32 @@ def reference_quantize_tensor(t: np.ndarray):
     return scale, zero_point, q
 
 
+def reference_idx_draw(spec, subregion_id, m, seed, salt=0) -> LabeledDataset:
+    """One device's idx-label-skew dataset as the sampler drew it when every
+    device held a copy of its samples: the same rng draws, the pool rows
+    indexed directly."""
+    rng = np.random.default_rng((int(seed), int(subregion_id), int(salt)))
+    owned = list(spec.owned_labels[subregion_id])
+    own_pool = np.flatnonzero(np.isin(spec.pool.labels, owned))
+    other_pool = np.flatnonzero(~np.isin(spec.pool.labels, owned))
+    foreign = rng.random(m) < spec.epsilon
+    n_foreign = int(foreign.sum())
+    rows = np.empty(m, dtype=np.int64)
+    rows[~foreign] = rng.permutation(own_pool)[: m - n_foreign]
+    rows[foreign] = rng.permutation(other_pool)[:n_foreign]
+    return LabeledDataset(spec.pool.features[rows], spec.pool.labels[rows])
+
+
+def sample_store(datasets):
+    """The datasets concatenated in order as one sample store, and each
+    dataset's row range in it: the store a synthetic-blobs world holds."""
+    samples = LabeledDataset(
+        np.concatenate([d.features for d in datasets]), np.concatenate([d.labels for d in datasets])
+    )
+    ends = np.cumsum([len(d) for d in datasets])
+    return samples, [np.arange(end - len(d), end) for d, end in zip(datasets, ends)]
+
+
 # --------------------------------------------------------------------------
 # IDX file helper
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_disc_edges, write_idx_pair
+from conftest import oracle_disc_edges, reference_idx_draw, write_idx_pair
 from sparsefuel.environment import (
     Area,
     BlobClass,
@@ -13,6 +13,7 @@ from sparsefuel.environment import (
     idx_label_skew_spec,
     load_idx,
     sample_local_dataset,
+    sample_local_rows,
     synthetic_blob_spec,
 )
 
@@ -209,6 +210,13 @@ class TestIdx:
         assert np.allclose(data.features[2], images[2].ravel() / 255.0)
         assert np.array_equal(data.labels, labels)
 
+    def test_features_are_the_bytes_over_255_bit_for_bit(self, tmp_path):
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2, 3])
+        features = load_idx(img, lbl).features
+        assert features.dtype == np.float64 and features.flags.c_contiguous
+        assert np.array_equal(features, images.reshape(4, 64) / 255.0)
+
     def test_bad_magic_raises(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         raw = bytearray(open(img, "rb").read())
@@ -288,3 +296,41 @@ class TestIdx:
         spec = idx_label_skew_spec(pool, k=2)
         with pytest.raises(ValueError):
             sample_local_dataset(spec, 0, m=50, seed=0)
+
+
+class TestSampleLocalRows:
+    def _spec(self, tmp_path, epsilon):
+        rng = np.random.default_rng(8)
+        images = rng.integers(0, 256, (300, 2, 3), dtype=np.uint8)
+        labels = np.asarray(rng.integers(0, 6, 300), dtype=np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, labels)
+        return idx_label_skew_spec(load_idx(img, lbl), k=3, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2, 0.7])
+    def test_rows_pick_the_sampled_dataset_bit_for_bit(self, tmp_path, epsilon):
+        spec = self._spec(tmp_path, epsilon)
+        for subregion in range(3):
+            for salt in (0, 5, 1_000_002):
+                rows = sample_local_rows(spec, subregion, 40, seed=4, salt=salt)
+                assert rows.dtype == np.int64 and rows.shape == (40,)
+                picked = spec.pool.subset(rows)
+                for data in (
+                    sample_local_dataset(spec, subregion, 40, seed=4, salt=salt),
+                    reference_idx_draw(spec, subregion, 40, seed=4, salt=salt),
+                ):
+                    assert np.array_equal(picked.features, data.features)
+                    assert np.array_equal(picked.labels, data.labels)
+
+    def test_both_raise_the_same_pool_exhausted_error(self, tmp_path):
+        spec = self._spec(tmp_path, 0.1)
+        errors = []
+        for sample in (sample_local_rows, sample_local_dataset):
+            with pytest.raises(ValueError, match="pool exhausted for subregion 2") as info:
+                sample(spec, 2, 250, seed=0)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_synthetic_blobs_have_no_rows(self):
+        spec = synthetic_blob_spec(k=2, seed=0)
+        with pytest.raises(ValueError, match="synthetic-blobs data has no pool"):
+            sample_local_rows(spec, 0, 10, seed=0)

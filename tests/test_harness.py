@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import string
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsefuel.compression import KINDS, decompress, from_bytes
-from sparsefuel.environment import PLACEMENTS
+from sparsefuel.environment import PLACEMENTS, sample_local_dataset
 from sparsefuel.harness import (
     KEY_TABLE,
     ConfigError,
@@ -24,6 +25,7 @@ from sparsefuel.harness import (
     calibrate_tau,
     format_config,
     load_config,
+    make_state,
     metrics_csv_text,
     parse_config,
     resolve_radius,
@@ -34,7 +36,7 @@ from sparsefuel.harness import (
 )
 from sparsefuel.seeds import derive_seed
 
-from conftest import small_config, write_idx_pair
+from conftest import reference_idx_draw, small_config, write_idx_pair
 
 
 class TestParseConfig:
@@ -240,9 +242,10 @@ class TestBuildWorld:
         assert [(s.uid, s.x, s.y) for s in a.topology.sites] == [
             (s.uid, s.x, s.y) for s in b.topology.sites
         ]
-        for da, db in zip(a.datasets, b.datasets):
-            assert np.array_equal(da.features, db.features)
-            assert np.array_equal(da.labels, db.labels)
+        assert np.array_equal(a.samples.features, b.samples.features)
+        assert np.array_equal(a.samples.labels, b.samples.labels)
+        for ra, rb in zip(a.rows, b.rows, strict=True):
+            assert np.array_equal(ra, rb)
         assert np.array_equal(a.init_params.weights[0], b.init_params.weights[0])
 
     def test_negative_seed_is_a_config_error(self):
@@ -259,9 +262,10 @@ class TestBuildWorld:
         cfg = small_config()
         world = build_world(cfg, seed=0)
         assert len(world.topology.sites) == 9
-        assert len(world.datasets) == 9
+        assert len(world.rows) == 9
+        assert len(world.samples) == 9 * 60
         assert len(world.test_sets) == cfg.num_subregions == 4
-        assert all(len(d.labels) == 60 for d in world.datasets)
+        assert all(len(r) == 60 for r in world.rows)
         assert all(len(t.labels) == 80 for t in world.test_sets)
 
     def _idx_config(self, tmp_path, layers):
@@ -284,9 +288,71 @@ class TestBuildWorld:
     def test_idx_world_builds_and_runs(self, tmp_path):
         cfg = self._idx_config(tmp_path, layers=(4, 6, 2))
         world = build_world(cfg, seed=1)
-        assert world.datasets[0].features.shape[1] == 4
+        # the store is the pool itself
+        assert world.samples is world.spec.pool
+        assert world.samples.features.shape == (40, 4)
         records = run_experiment(cfg, seed=1)
         assert len(records) == 2
+
+    def test_synthetic_store_holds_each_devices_draw(self):
+        cfg = small_config()
+        world = build_world(cfg, seed=5)
+        data_seed = derive_seed(5, 2)
+        for site, rows in zip(world.topology.sites, world.rows, strict=True):
+            got = world.samples.subset(rows)
+            want = sample_local_dataset(world.spec, site.subregion_id, 60, data_seed, salt=site.uid)
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.labels, want.labels)
+
+    def test_idx_rows_pick_each_devices_draw(self, tmp_path):
+        cfg = self._idx_config(tmp_path, layers=(4, 6, 2))
+        cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, epsilon=0.3))
+        world = build_world(cfg, seed=2)
+        data_seed = derive_seed(2, 2)
+        for site, rows in zip(world.topology.sites, world.rows, strict=True):
+            got = world.samples.subset(rows)
+            want = reference_idx_draw(world.spec, site.subregion_id, 8, data_seed, salt=site.uid)
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.labels, want.labels)
+
+    def test_idx_world_holds_its_samples_once(self, tmp_path):
+        # 16 devices draw 80 samples each from a pool of 400: per-device
+        # copies would take 3.2 times the pool.  Building the world and the
+        # state may allocate the pool, the test sets and a quarter more
+        # (devices' rows and models, the IDX bytes while the pool is scaled)
+        images = np.random.default_rng(3).integers(0, 256, (400, 16, 16), dtype=np.uint8)
+        labels = np.repeat(np.arange(4, dtype=np.uint8), 100)
+        img, lbl = write_idx_pair(tmp_path, images, labels)
+        cfg = small_config()
+        cfg = dataclasses.replace(
+            cfg,
+            environment=dataclasses.replace(cfg.environment, n=16),
+            data=dataclasses.replace(
+                cfg.data,
+                kind="idx-label-skew",
+                idx_images=img,
+                idx_labels=lbl,
+                samples_per_device=80,
+                test_samples=20,
+            ),
+            layers=(256, 2, 4),
+        )
+
+        def build():
+            world = build_world(cfg, seed=0)
+            make_state(world.topology, world.samples, world.rows, world.init_params, 0.2)
+            return world
+
+        build()  # a first build also allocates one-off imports and caches
+        tracemalloc.start()
+        try:
+            world = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = world.samples.features.nbytes + sum(t.features.nbytes for t in world.test_sets)
+        assert held == 400 * 256 * 8 + 4 * 20 * 256 * 8
+        assert peak <= 1.25 * held
 
     def test_idx_feature_dim_mismatch(self, tmp_path):
         cfg = self._idx_config(tmp_path, layers=(5, 6, 2))

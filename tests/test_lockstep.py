@@ -40,7 +40,7 @@ from sparsefuel.protocol import (
 )
 from sparsefuel.seeds import derive_seed
 
-from conftest import quadrant_config, reference_local_training, reference_loss
+from conftest import quadrant_config, reference_local_training, reference_loss, sample_store
 
 
 def assert_same_model(got: ParameterSet, want: ParameterSet):
@@ -92,6 +92,57 @@ class TestLockstepTraining:
         assert not out.stacked
         assert_same_model(out, reference_local_training(params, data, cfg, round_index=2))
 
+    def test_rows_of_a_store_match_reference_on_their_subsets(self):
+        # four models on rows of one shared store, rows repeating across
+        # models as label-skew draws do; 23 rows at batch 8 leave a partial
+        # last batch of 7
+        arch = Architecture((3, 6, 4))
+        store = toy_data(60, 50, dim=3)
+        rng = np.random.default_rng(61)
+        rows = np.array([rng.choice(50, 23, replace=False) for _ in range(4)])
+        models = [init_parameters(arch, 70 + k) for k in range(4)]
+        masks = [random_mask(arch, 80 + k) for k in range(4)]
+        seeds = [derive_seed(3, k) for k in range(4)]
+        cfg = TrainingConfig(local_epochs=2, batch_size=8, learning_rate=0.1, rng_seed=0)
+        out = local_training(
+            ParameterSet.stack(models),
+            store,
+            cfg,
+            mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
+            round_index=4,
+            seeds=seeds,
+            rows=rows,
+        )
+        for k in range(4):
+            want = reference_local_training(
+                models[k],
+                store.subset(rows[k]),
+                dataclasses.replace(cfg, rng_seed=seeds[k]),
+                masks[k],
+                round_index=4,
+            )
+            assert_same_model(out[k], want)
+        single = local_training(models[0], store, cfg, round_index=4, rows=rows[0])
+        assert not single.stacked
+        want = reference_local_training(models[0], store.subset(rows[0]), cfg, round_index=4)
+        assert_same_model(single, want)
+
+    def test_rows_must_match_the_models_and_the_store(self):
+        arch = Architecture((2, 3))
+        models = ParameterSet.stack([init_parameters(arch, k) for k in range(2)])
+        store = toy_data(1, 10)
+        cfg = TrainingConfig(local_epochs=1, batch_size=2, learning_rate=0.1, rng_seed=0)
+        for bad in (np.zeros(4, dtype=np.int64), np.zeros((3, 4), dtype=np.int64)):
+            with pytest.raises(ValueError):
+                local_training(models, store, cfg, rows=bad)
+        with pytest.raises(ValueError, match="rows must index a 2-d dataset"):
+            local_training(models[0], store, cfg, rows=np.zeros((1, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="empty dataset"):
+            local_training(models, store, cfg, rows=np.zeros((2, 0), dtype=np.int64))
+        for bad in (-1, 10):
+            with pytest.raises(ValueError, match="index the dataset's 10 samples"):
+                local_training(models, store, cfg, rows=np.array([[0, 1], [2, bad]]))
+
     def test_seed_count_must_match_stack(self):
         models = ParameterSet.stack([init_parameters(Architecture((2, 3)), k) for k in range(2)])
         data = LabeledDataset(np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=np.int64))
@@ -135,10 +186,15 @@ WIDE = Architecture((2, hidden_width(4), 4))
 
 
 def line_state():
+    # every device draws its rows from one shared store of 120 samples, so
+    # devices share samples and no device's rows are a range
     sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(len(LENGTHS))]
     topo = build_topology(sites, r_c=1.0)
-    datasets = [toy_data(200 + uid, m) for uid, m in enumerate(LENGTHS)]
-    state = make_state(topo, datasets, init_parameters(WIDE, 0), validation_fraction=0.2)
+    rows = [
+        np.random.default_rng(200 + uid).choice(120, m, replace=False)
+        for uid, m in enumerate(LENGTHS)
+    ]
+    state = make_state(topo, toy_data(199, 120), rows, init_parameters(WIDE, 0), 0.2)
     # distinct start models give every device its own prune mask
     for dev in state.devices:
         dev.params = init_parameters(WIDE, 1000 + dev.uid)
@@ -151,8 +207,9 @@ def reference_round(state, round_index):
     for dev in state.devices:
         cm = compress(dev.params, STRATEGY)
         tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
+        train = state.samples.subset(dev.train_rows)
         trained[dev.uid] = reference_local_training(
-            decompress(cm), dev.train, tcfg, mask=cm.mask, round_index=round_index
+            decompress(cm), train, tcfg, mask=cm.mask, round_index=round_index
         )
         wire = encode_wire(trained[dev.uid], STRATEGY, cm.mask)
         decoded[dev.uid] = decompress(from_bytes(to_bytes(wire)))
@@ -165,14 +222,26 @@ def protocol_config():
 
 class TestDeviceBank:
     def test_splits_are_views_of_each_devices_dataset(self):
+        # a device's dataset is its row array into the one sample store
         sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(len(LENGTHS))]
-        datasets = [toy_data(200 + uid, m) for uid, m in enumerate(LENGTHS)]
-        state = make_state(build_topology(sites, r_c=1.0), datasets, init_parameters(WIDE, 0), 0.2)
-        for dev, data in zip(state.devices, datasets):
-            for split in (dev.train, dev.val):
-                assert np.shares_memory(split.features, data.features)
-                assert np.shares_memory(split.labels, data.labels)
-            assert len(dev.train) + len(dev.val) == len(data)
+        samples, rows = sample_store([toy_data(200 + uid, m) for uid, m in enumerate(LENGTHS)])
+        topo = build_topology(sites, r_c=1.0)
+        state = make_state(topo, samples, rows, init_parameters(WIDE, 0), 0.2)
+        assert state.samples is samples
+        for dev, own in zip(state.devices, rows):
+            for split in (dev.train_rows, dev.val_rows):
+                assert np.shares_memory(split, own)
+            assert len(dev.train_rows) + len(dev.val_rows) == dev.num_samples == len(own)
+
+    def test_rows_outside_the_store_are_rejected(self):
+        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(2)]
+        topo = build_topology(sites, r_c=1.0)
+        store, init = toy_data(1, 10), init_parameters(WIDE, 0)
+        for bad in ([0, 10], [-1, 3]):
+            with pytest.raises(ValueError, match="index the store's 10 samples"):
+                make_state(topo, store, [np.arange(5), np.array(bad)], init, 0.2)
+        with pytest.raises(ValueError, match="one row array per device"):
+            make_state(topo, store, [np.arange(5)], init, 0.2)
 
     def test_wide_model_trains_in_chunks_of_one(self):
         # one unit wider than fits the lockstep budget alone at batch 16, so
@@ -184,30 +253,31 @@ class TestDeviceBank:
             LOCKSTEP_BUDGET_BYTES
         )
         sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(5)]
-        datasets = [toy_data(300 + uid, 25) for uid in range(5)]
-        state = make_state(build_topology(sites, r_c=1.0), datasets, init_parameters(wide, 0), 0.2)
+        samples, rows = sample_store([toy_data(300 + uid, 25) for uid in range(5)])
+        topo = build_topology(sites, r_c=1.0)
+        state = make_state(topo, samples, rows, init_parameters(wide, 0), 0.2)
         cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
         starts = [dev.params.copy() for dev in state.devices]
         stats = run_round(state, cfg, 1, arm="isolated")
         for dev, start in zip(state.devices, starts):
             tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
-            want = reference_local_training(start, dev.train, tcfg, round_index=1)
+            train = samples.subset(dev.train_rows)
+            want = reference_local_training(start, train, tcfg, round_index=1)
             assert_same_model(stats.models_by_leader[dev.uid], want)
 
     def test_splits_keep_the_row_order(self):
-        data = toy_data(7, 45)
+        rows = np.random.default_rng(7).permutation(60)[:45]
         topo = build_topology([DeviceSite(0, 0.0, 0.0, 0)], r_c=1.0)
-        dev = make_state(topo, [data], init_parameters(WIDE, 0), 0.2).devices[0]
-        assert np.array_equal(dev.val.features, data.features[:9])
-        assert np.array_equal(dev.train.features, data.features[9:])
-        assert np.array_equal(dev.train.labels, data.labels[9:])
+        dev = make_state(topo, toy_data(7, 60), [rows], init_parameters(WIDE, 0), 0.2).devices[0]
+        assert np.array_equal(dev.val_rows, rows[:9])
+        assert np.array_equal(dev.train_rows, rows[9:])
 
 
 class TestLockstepRound:
     def test_chunk_boundary_falls_inside_the_largest_group(self):
         state = line_state()
         size = lockstep_chunk(state.devices[0].params, TRAINING.batch_size)
-        lengths = [len(dev.train) for dev in state.devices]
+        lengths = [len(dev.train_rows) for dev in state.devices]
         largest = max(lengths.count(m) for m in set(lengths))
         wider = Architecture((2, WIDE.layer_sizes[1] + 1, 4))
         assert size == 4
@@ -225,7 +295,7 @@ class TestLockstepRound:
     def test_batched_similarity_matches_per_edge_cross_similarity(self):
         state = line_state()
         _, decoded = reference_round(state, round_index=1)
-        vals = [dev.val for dev in state.devices]
+        vals = [state.samples.subset(dev.val_rows) for dev in state.devices]
         stats = run_round(state, protocol_config(), 1)
         edges = state.topology.edges
         assert np.array_equal(stats.dissimilarity.edges, edges)
@@ -241,18 +311,18 @@ def test_quadrant_trains_in_one_chunk_like_the_reference():
     cfg = quadrant_config()
     world = build_world(cfg, seed=7)
     state = make_state(
-        world.topology, world.datasets, world.init_params, cfg.data.validation_fraction
+        world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
     training = world.protocol.training
     assert len(state.devices) == 64
     assert lockstep_chunk(world.init_params, training.batch_size) >= 64
-    assert len({len(dev.train) for dev in state.devices}) == 1
+    assert len({len(dev.train_rows) for dev in state.devices}) == 1
     starts = [dev.params.copy() for dev in state.devices]
     stats = run_round(state, world.protocol, 1, arm="isolated")
     for dev, start in zip(state.devices, starts):
         cm = compress(start, world.protocol.strategy)
         tcfg = dataclasses.replace(training, rng_seed=derive_seed(training.rng_seed, dev.uid))
         want = reference_local_training(
-            decompress(cm), dev.train, tcfg, mask=cm.mask, round_index=1
+            decompress(cm), world.samples.subset(dev.train_rows), tcfg, mask=cm.mask, round_index=1
         )
         assert_same_model(stats.models_by_leader[dev.uid], want)

@@ -31,6 +31,8 @@ from sparsefuel.protocol import (
 )
 from sparsefuel.seeds import derive_seed
 
+from conftest import sample_store
+
 
 def line_topology(n, spacing=1.0, r_c=1.0):
     sites = [DeviceSite(i, i * spacing, 0.0, 0) for i in range(n)]
@@ -241,6 +243,35 @@ class TestEvaluateObjective:
         assert objective < 0.01
         assert accs == [1.0, 1.0]
 
+    def test_each_model_and_test_set_pair_is_scored_once(self, monkeypatch):
+        # leaders 0 and 2 live in subregion 0 and hold its plurality in turn;
+        # leader 4 lives in subregion 1 and is its plurality: three pairs
+        sites = [DeviceSite(u, 0.5, 0.5, 0 if u < 4 else 1) for u in range(6)]
+        tests = [toy_dataset(j, m=20) for j in range(2)]
+        models = {u: init_parameters(Architecture((2, 3, 4)), u) for u in (0, 2, 4)}
+        calls = []
+        score = protocol.loss_and_accuracy
+
+        def counted(params, data):
+            calls.append((id(params), id(data)))
+            return score(params, data)
+
+        monkeypatch.setattr(protocol, "loss_and_accuracy", counted)
+        for leader_of in (
+            {0: 0, 1: 0, 2: 2, 3: 0, 4: 4, 5: 4},
+            {0: 0, 1: 2, 2: 2, 3: 2, 4: 4, 5: 4},
+        ):
+            calls.clear()
+            objective, accs, losses = evaluate_objective(
+                FederationPartition(leader_of), models, tests, sites
+            )
+            assert len(calls) == len(set(calls)) == 3
+            loss = {u: loss_and_accuracy(models[u], tests[sites[u].subregion_id]) for u in models}
+            assert objective == loss[0][0] + loss[2][0] + loss[4][0]
+            plurality = leader_of[1]  # device 1 follows subregion 0's plurality leader
+            assert (losses[0], accs[0]) == loss_and_accuracy(models[plurality], tests[0])
+            assert (losses[1], accs[1]) == loss[4]
+
     def test_plurality_tie_goes_to_the_lowest_leader(self):
         # subregion 0 holds two devices of leader 3 and two of leader 1; the
         # tie picks leader 1's model, which is right on every sample
@@ -260,8 +291,8 @@ class TestRunRound:
         topo = line_topology(n, r_c=r_c)
         arch = Architecture((2, 6, 4))
         init = init_parameters(arch, seed)
-        datasets = datasets or [toy_dataset(100 + i) for i in range(n)]
-        return make_state(topo, datasets, init, validation_fraction=0.2)
+        samples, rows = sample_store(datasets or [toy_dataset(100 + i) for i in range(n)])
+        return make_state(topo, samples, rows, init, validation_fraction=0.2)
 
     def test_single_device_round_is_pure_local_training(self):
         from sparsefuel.compression import compress, decompress
@@ -278,7 +309,8 @@ class TestRunRound:
         tcfg = dataclasses.replace(
             cfg.training, rng_seed=derive_seed(cfg.training.rng_seed, 0)
         )
-        expected = local_training(decompress(cm), dev.train, tcfg, mask=cm.mask, round_index=1)
+        train = baseline.samples.subset(dev.train_rows)
+        expected = local_training(decompress(cm), train, tcfg, mask=cm.mask, round_index=1)
         got = state.devices[0].params
         for x, y in zip(got.weights + got.biases, expected.weights + expected.biases):
             assert np.array_equal(x, y)
@@ -359,7 +391,8 @@ class TestWireFaults:
     def _state(self, n=4):
         topo = line_topology(n)
         init = init_parameters(Architecture((2, 6, 4)), 0)
-        return make_state(topo, [toy_dataset(100 + i) for i in range(n)], init, 0.2)
+        samples, rows = sample_store([toy_dataset(100 + i) for i in range(n)])
+        return make_state(topo, samples, rows, init, 0.2)
 
     def _poison(self, monkeypatch, where):
         """Train as usual, then write NaN at each (uid, tensor, position) of
@@ -425,8 +458,8 @@ class TestProtocolConfigValidation:
 
     def test_validation_fraction_bounds(self):
         topo = line_topology(2)
-        datasets = [toy_dataset(1), toy_dataset(2)]
+        samples, rows = sample_store([toy_dataset(1), toy_dataset(2)])
         init = init_parameters(Architecture((2, 3, 4)), 0)
         for fraction in (0.0, 1.0):
             with pytest.raises(ValueError, match=r"validation_fraction must be in \(0, 1\)"):
-                make_state(topo, datasets, init, validation_fraction=fraction)
+                make_state(topo, samples, rows, init, validation_fraction=fraction)
