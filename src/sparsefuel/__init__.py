@@ -58,7 +58,6 @@ from .neuralnet import (
     LabeledDataset,
     ParameterSet,
     TrainingConfig,
-    forward,
     gradients,
     init_parameters,
     local_training,

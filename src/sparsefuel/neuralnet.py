@@ -230,15 +230,6 @@ def _forward_batch(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
     return outputs
 
 
-def forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Logits for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward expects a 1-d feature vector")
-    params, data = _as_stack(params, LabeledDataset(x[None, :], np.zeros(1, dtype=np.int64)))
-    return _forward_batch(params, data.features)[-1][0, 0]
-
-
 # numpy reduces a short last axis one row at a time, at a fixed cost per row,
 # and a lockstep chunk has thousands of rows of 8 or 10 classes.  These two
 # reductions run along the long axis instead and give the same floats.

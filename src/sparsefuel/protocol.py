@@ -12,9 +12,16 @@ iterated in uid order and all aggregation happens in uid order.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import glob
+import os
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -183,7 +190,7 @@ def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = No
 class DeviceState:
     """One device: its uid, the rows of the sample store that make up its
     train and validation splits (views of its own row array), and its
-    current model."""
+    current model, which the round never writes in place."""
 
     uid: int
     train_rows: np.ndarray
@@ -198,14 +205,32 @@ class DeviceState:
 @dataclass
 class SimulationState:
     """Everything that evolves across rounds, and the one sample store every
-    device's rows index."""
+    device's rows index.
+
+    Row uid of val_table holds device uid's validation rows, padded to the
+    longest split.  Row uid of decoded holds the model device uid's wire
+    bytes decode to, once a round has exchanged models; the stack is
+    allocated once and each round writes into it."""
 
     topology: Topology
     samples: LabeledDataset
     devices: list[DeviceState]
     round_index: int = 0
     bytes_total: int = 0
+    val_table: np.ndarray = field(init=False, repr=False)
+    decoded: ParameterSet = field(init=False, repr=False)
     _shuffle_seeds: dict[int, list[int]] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.devices)
+        self.val_table = np.zeros((n, max(len(dev.val_rows) for dev in self.devices)), np.int64)
+        for uid, dev in enumerate(self.devices):
+            self.val_table[uid, : len(dev.val_rows)] = dev.val_rows
+        model = self.devices[0].params
+        self.decoded = ParameterSet(
+            [np.empty((n,) + w.shape) for w in model.weights],
+            [np.empty((n,) + b.shape) for b in model.biases],
+        )
 
     def shuffle_seeds(self, master: int) -> list[int]:
         """derive_seed(master, uid) of every device in uid order, derived
@@ -256,7 +281,8 @@ def make_state(
     validation_fraction: float,
 ) -> SimulationState:
     """Split each device's rows of the sample store into train/validation
-    and seed every device with a copy of the same initial model.
+    and start every device from the initial model (one shared object: no
+    step of a round writes a device's model in place).
 
     rows[uid] lists the samples of device uid in order.  The validation
     split is its first floor(fraction * m) rows (at least one row each
@@ -278,7 +304,7 @@ def make_state(
         if len(own) < 2:
             raise ValueError(f"device {uid}: need at least 2 samples to split")
         n_val = min(len(own) - 1, max(1, int(validation_fraction * len(own))))
-        devices.append(DeviceState(uid, own[n_val:], own[:n_val], init_params.copy()))
+        devices.append(DeviceState(uid, own[n_val:], own[:n_val], init_params))
     return SimulationState(topology, samples, devices)
 
 
@@ -331,7 +357,7 @@ def run_round(
         size = np.zeros(topo.n, dtype=np.int64)
         # the averaged model goes back down dense; its size is the architecture's
         dense_size = serialized_size(CompressedModel("dense", params=state.devices[0].params))
-        decoded: dict[int, ParameterSet] = {}
+        decoded = state.decoded
         for uids, params, mask in chunks:
             if cfg.similarity_uses_compressed:
                 wire = encode_wire(params, cfg.strategy, mask)
@@ -339,14 +365,15 @@ def run_round(
                 wire = CompressedModel("dense", params=params)
             out = decode_wire(wire)
             _check_decodable(wire, out, uids)
+            for rows, chunk_rows in zip(decoded.weights + decoded.biases, out.weights + out.biases):
+                rows[uids] = chunk_rows
             size[uids] = serialized_size(wire)
-            decoded.update((uid, out[k]) for k, uid in enumerate(uids))
 
         if arm == "sparsefuel":
             # neighbor broadcast: every device sends its wire artifact to each neighbor
             degree = np.bincount(topo.edges.ravel(), minlength=topo.n)
             bytes_broadcast = int(size @ degree)
-            ds = _edge_dissimilarity(state, decoded)
+            ds = _edge_dissimilarity(state)
             gfield, partition = _elect(similarity_graph(topo, ds, cfg.tau))
         else:
             graph = fields.FieldGraph.from_topology(topo)
@@ -375,7 +402,9 @@ def run_round(
 
     for dev in state.devices:
         if dev.uid in delivered:
-            dev.params = delivered[dev.uid].copy()
+            # the members share their federation's model, as they share
+            # the initial one
+            dev.params = delivered[dev.uid]
         else:
             # isolated, or no wire path to any leader (disconnected forced
             # federation): keep the locally trained model
@@ -395,17 +424,112 @@ def run_round(
     )
 
 
+# The lanes a round's training chunks run in: the calling thread and a pool
+# of one thread per further core this process may run on.  numpy releases
+# the GIL inside matmul and large ufunc loops, so the lanes overlap.
+_LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_lanes_lock = threading.Lock()
+_lane_pool: ThreadPoolExecutor | None = None
+
+# OpenBLAS's (getter, setter) of its thread count, under the names its
+# builds export.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy ships
+    with, or None where there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _in_lanes(task: Callable, items: list) -> list:
+    """[task(item) for item in items], with the items spread over the lanes.
+
+    Each lane takes the next item no lane has taken yet, until none is left.
+    While the lanes run, OpenBLAS runs every call on the thread that makes
+    it: the lanes already fill the cores, and BLAS threads of their own would
+    oversubscribe them.  Its thread count is put back afterwards.  The
+    results come back in item order.  When tasks raise, no lane takes a new
+    item, and once every lane has stopped the first failing item's exception
+    is raised: every item before it was taken and has run, so it is the one
+    the serial loop raises.  A pool lane that has not started by the time
+    the calling thread's lane runs out of items is cancelled, not waited
+    for.  With one item, one core or no OpenBLAS setter, this is the serial
+    loop, and it starts no thread.  Calls from several threads run their
+    lanes one call at a time.
+    """
+    blas = _blas_threads() if len(items) > 1 and _LANES > 1 else None
+    if blas is None:
+        return [task(item) for item in items]
+    get_threads, set_threads = blas
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    claims = iter(range(len(items)))
+    claim_lock = threading.Lock()
+
+    def lane() -> None:
+        while not failures:
+            with claim_lock:
+                k = next(claims, None)
+            if k is None:
+                return
+            try:
+                results[k] = task(items[k])
+            except BaseException as exc:  # raised below, once every lane has stopped
+                failures[k] = exc
+
+    global _lane_pool
+    with _lanes_lock:
+        if _lane_pool is None:
+            _lane_pool = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="sparsefuel-lane")
+        before = get_threads()
+        set_threads(1)
+        try:
+            # each lane runs in a copy of the caller's context, so numpy's
+            # errstate reaches it
+            others = [
+                _lane_pool.submit(contextvars.copy_context().run, lane)
+                for _ in range(min(_LANES, len(items)) - 1)
+            ]
+            lane()
+            for future in others:
+                if not future.cancel():
+                    future.result()
+        finally:
+            set_threads(before)
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def _train_in_lockstep(
     state: SimulationState, cfg: ProtocolConfig, round_index: int
 ) -> list[tuple[list[int], ParameterSet, SparseMask | None]]:
     """Compress every device's model and train it under the round's mask, in
-    lockstep per chunk of equal-length devices; per chunk its uids, the
-    trained stack and the stacked mask."""
+    lockstep per chunk of equal-length devices, the chunks spread over the
+    lanes; per chunk its uids, the trained stack and the stacked mask.
+
+    Raises FloatingPointError when a trained model is not finite (see
+    _check_trained)."""
     devices = state.devices
     seeds = state.shuffle_seeds(cfg.training.rng_seed)
-    chunks = []
     lengths = np.array([len(dev.train_rows) for dev in devices])
-    for chunk in _lockstep_chunks(lengths, devices[0].params, cfg.training.batch_size):
+
+    def train(chunk: np.ndarray) -> tuple[list[int], ParameterSet, SparseMask | None]:
         uids = chunk.tolist()
         cm = compress(ParameterSet.stack([devices[uid].params for uid in uids]), cfg.strategy)
         out = local_training(
@@ -417,8 +541,31 @@ def _train_in_lockstep(
             seeds=[seeds[uid] for uid in uids],
             rows=np.array([devices[uid].train_rows for uid in uids]),
         )
-        chunks.append((uids, out, cm.mask))
+        return uids, out, cm.mask
+
+    chunks = _in_lanes(
+        train, list(_lockstep_chunks(lengths, devices[0].params, cfg.training.batch_size))
+    )
+    _check_trained(chunks, round_index, cfg.training.learning_rate)
     return chunks
+
+
+def _finite_rows(stack: ParameterSet) -> np.ndarray:
+    """Whether each model of a stack holds finite values only."""
+    tensors = stack.weights + stack.biases
+    return np.logical_and.reduce([np.isfinite(t.reshape(len(t), -1)).all(1) for t in tensors])
+
+
+def _check_trained(chunks, round_index: int, learning_rate: float) -> None:
+    """Raise FloatingPointError when local training left a model that is not
+    finite, naming the round, the lowest uid of such a model and the
+    learning rate; every arm fails the same way."""
+    bad = [uids[k] for uids, params, _ in chunks for k in np.flatnonzero(~_finite_rows(params))]
+    if bad:
+        raise FloatingPointError(
+            f"round {round_index}: local training diverged: device {min(bad)} has "
+            f"non-finite parameters at learning_rate {learning_rate!r}"
+        )
 
 
 def _check_decodable(wire: CompressedModel, decoded: ParameterSet, uids: list[int]) -> None:
@@ -426,8 +573,7 @@ def _check_decodable(wire: CompressedModel, decoded: ParameterSet, uids: list[in
     chunk whose decoded model is not finite: its bytes carry a non-finite f32
     value or scale, which the codec rejects with the message a receiver
     would see."""
-    tensors = decoded.weights + decoded.biases
-    finite = np.logical_and.reduce([np.isfinite(t.reshape(len(t), -1)).all(1) for t in tensors])
+    finite = _finite_rows(decoded)
     if finite.all():
         return
     k = int(np.argmin(finite))
@@ -435,15 +581,15 @@ def _check_decodable(wire: CompressedModel, decoded: ParameterSet, uids: list[in
     raise RuntimeError(f"device {uids[k]}: decodes to non-finite values the codec accepts")
 
 
-def _edge_dissimilarity(
-    state: SimulationState, decoded: Mapping[int, ParameterSet]
-) -> DissimilarityMatrix:
-    """cross_similarity of every topology edge, scored in lockstep: each edge
-    is two (sender model, receiver validation split) pairs, and the pairs of
-    equal-length splits run in chunks of one forward pass each, on one
-    gather of the chunk's validation rows from the sample store."""
+def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
+    """cross_similarity of every topology edge, scored in lockstep on the
+    decoded models: each edge is two (sender model, receiver validation
+    split) pairs, and the pairs of equal-length splits run in chunks of one
+    forward pass each, on one gather of the chunk's senders from the decoded
+    stack and of its validation rows from the sample store."""
     devices = state.devices
     edges = state.topology.edges
+    decoded = state.decoded
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round
     senders = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -451,8 +597,12 @@ def _edge_dissimilarity(
     val_lengths = np.array([len(dev.val_rows) for dev in devices])
     losses = np.empty(len(senders))
     for pick in _lockstep_chunks(val_lengths[receivers], devices[0].params):
-        models = ParameterSet.stack([decoded[uid] for uid in senders[pick]])
-        vals = state.samples.gather(np.array([devices[uid].val_rows for uid in receivers[pick]]))
+        models = ParameterSet(
+            [np.take(w, senders[pick], axis=0) for w in decoded.weights],
+            [np.take(b, senders[pick], axis=0) for b in decoded.biases],
+        )
+        length = val_lengths[receivers[pick[0]]]
+        vals = state.samples.gather(state.val_table[receivers[pick], :length])
         losses[pick], _ = loss_and_accuracy(models, vals)
     return DissimilarityMatrix(edges, losses[: len(edges)] + losses[len(edges) :])
 

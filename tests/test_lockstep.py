@@ -6,9 +6,14 @@ never a tolerance.
 """
 
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+
+from sparsefuel import protocol
 
 from sparsefuel.compression import (
     CompressionStrategy,
@@ -31,6 +36,7 @@ from sparsefuel.neuralnet import (
     loss_and_accuracy,
 )
 from sparsefuel.protocol import (
+    ARMS,
     LOCKSTEP_BUDGET_BYTES,
     ProtocolConfig,
     cross_similarity,
@@ -183,9 +189,12 @@ LENGTHS = (45, 38, 45, 45, 20, 45, 38, 45, 45, 38, 45)
 # The widest hidden layer for which lockstep training runs four devices at a
 # time at batch 16, so a chunk boundary falls inside the group of six.
 WIDE = Architecture((2, hidden_width(4), 4))
+# One unit wider than fits the lockstep budget alone at batch 16: every
+# device trains in a chunk of its own.
+ALONE = Architecture((2, hidden_width(1) + 1, 4))
 
 
-def line_state():
+def line_state(arch=WIDE):
     # every device draws its rows from one shared store of 120 samples, so
     # devices share samples and no device's rows are a range
     sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(len(LENGTHS))]
@@ -194,10 +203,10 @@ def line_state():
         np.random.default_rng(200 + uid).choice(120, m, replace=False)
         for uid, m in enumerate(LENGTHS)
     ]
-    state = make_state(topo, toy_data(199, 120), rows, init_parameters(WIDE, 0), 0.2)
+    state = make_state(topo, toy_data(199, 120), rows, init_parameters(arch, 0), 0.2)
     # distinct start models give every device its own prune mask
     for dev in state.devices:
-        dev.params = init_parameters(WIDE, 1000 + dev.uid)
+        dev.params = init_parameters(arch, 1000 + dev.uid)
     return state
 
 
@@ -244,18 +253,16 @@ class TestDeviceBank:
             make_state(topo, store, [np.arange(5)], init, 0.2)
 
     def test_wide_model_trains_in_chunks_of_one(self):
-        # one unit wider than fits the lockstep budget alone at batch 16, so
         # every device trains alone on a view of its own split
-        wide = Architecture((2, hidden_width(1) + 1, 4))
-        params = init_parameters(wide, 0)
+        params = init_parameters(ALONE, 0)
         assert lockstep_chunk(params, TRAINING.batch_size) == 1
-        assert 8 * (params.num_params + TRAINING.batch_size * sum(wide.layer_sizes)) > (
+        assert 8 * (params.num_params + TRAINING.batch_size * sum(ALONE.layer_sizes)) > (
             LOCKSTEP_BUDGET_BYTES
         )
         sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(5)]
         samples, rows = sample_store([toy_data(300 + uid, 25) for uid in range(5)])
         topo = build_topology(sites, r_c=1.0)
-        state = make_state(topo, samples, rows, init_parameters(wide, 0), 0.2)
+        state = make_state(topo, samples, rows, init_parameters(ALONE, 0), 0.2)
         cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
         starts = [dev.params.copy() for dev in state.devices]
         stats = run_round(state, cfg, 1, arm="isolated")
@@ -326,3 +333,191 @@ def test_quadrant_trains_in_one_chunk_like_the_reference():
             decompress(cm), world.samples.subset(dev.train_rows), tcfg, mask=cm.mask, round_index=1
         )
         assert_same_model(stats.models_by_leader[dev.uid], want)
+
+
+# The lanes of a round on this host, and at least two, so that the lanes
+# run as threads even on one core.
+ALL_LANES = max(2, protocol._LANES)
+
+
+class TestLanes:
+    """A round's training chunks run in lanes, one per core: which lane runs
+    a chunk changes no bit of the round, OpenBLAS gets its thread count back,
+    and a round of one chunk runs as it always did."""
+
+    @staticmethod
+    def _round(monkeypatch, lanes):
+        monkeypatch.setattr(protocol, "_LANES", lanes)
+        cfg = protocol_config()
+        trained = protocol._train_in_lockstep(line_state(ALONE), cfg, 1)
+        state = line_state(ALONE)
+        return trained, state, run_round(state, cfg, 1)
+
+    def test_one_lane_and_all_lanes_give_the_same_round(self, monkeypatch):
+        # the chunks of one device each go to whichever lane is free
+        one_trained, one, one_stats = self._round(monkeypatch, 1)
+        all_trained, every, all_stats = self._round(monkeypatch, ALL_LANES)
+        assert len(all_trained) == len(LENGTHS)
+        for (uids, got, mask), (want_uids, want, want_mask) in zip(all_trained, one_trained):
+            assert uids == want_uids
+            assert_same_model(got, want)
+            assert all(np.array_equal(a, b) for a, b in zip(mask.layers, want_mask.layers))
+        assert_same_model(every.decoded, one.decoded)
+        for dev, want in zip(every.devices, one.devices):
+            assert_same_model(dev.params, want.params)
+        assert (all_stats.bytes_broadcast, all_stats.bytes_collect, all_stats.bytes_disseminate) == (
+            one_stats.bytes_broadcast,
+            one_stats.bytes_collect,
+            one_stats.bytes_disseminate,
+        )
+        assert all_stats.partition.leader_of == one_stats.partition.leader_of
+        assert np.array_equal(all_stats.dissimilarity.values, one_stats.dissimilarity.values)
+
+    def test_blas_runs_one_thread_per_lane_and_gets_its_count_back(self, monkeypatch):
+        blas = protocol._blas_threads()
+        if blas is None:
+            pytest.skip("numpy ships no OpenBLAS here: the lanes never run")
+        get_threads, _ = blas
+        monkeypatch.setattr(protocol, "_LANES", ALL_LANES)
+        before = get_threads()
+        train = protocol.local_training
+        inside = []
+
+        def counted(*args, **kwargs):
+            inside.append(get_threads())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "local_training", counted)
+        run_round(line_state(ALONE), protocol_config(), 1)
+        assert inside == [1] * len(LENGTHS)
+        assert get_threads() == before
+
+        state = line_state(ALONE)
+        failing_seed = state.shuffle_seeds(TRAINING.rng_seed)[5]
+
+        def failing(*args, seeds, **kwargs):
+            if seeds[0] == failing_seed:
+                raise ValueError("chunk failed")
+            return train(*args, seeds=seeds, **kwargs)
+
+        monkeypatch.setattr(protocol, "local_training", failing)
+        with pytest.raises(ValueError, match="^chunk failed$"):
+            run_round(state, protocol_config(), 1)
+        assert get_threads() == before
+
+    def test_a_one_chunk_round_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_LANES", ALL_LANES)
+        monkeypatch.setattr(protocol, "_lane_pool", None)
+        cfg = quadrant_config(rounds=1)
+        world = build_world(cfg, seed=7)
+        state = make_state(
+            world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
+        )
+        threads = threading.active_count()
+        run_round(state, world.protocol, 1)
+        assert threading.active_count() == threads
+        assert protocol._lane_pool is None
+
+    def test_numpy_errstate_reaches_the_lanes(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_LANES", ALL_LANES)
+        train = protocol.local_training
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(np.geterr()["over"])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "local_training", recorded)
+        with np.errstate(over="raise"):
+            run_round(line_state(ALONE), protocol_config(), 1, arm="isolated")
+        assert seen == ["raise"] * len(LENGTHS)
+
+    def test_every_item_runs_once_and_comes_back_in_order(self, monkeypatch):
+        # more lanes than cores, and a thread switch every microsecond
+        monkeypatch.setattr(protocol, "_LANES", 5)
+        monkeypatch.setattr(protocol, "_lane_pool", None)
+        ran = []
+
+        def task(k):
+            ran.append(k)
+            return int(np.full(1000, k).sum())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                assert protocol._in_lanes(task, list(range(50))) == [1000 * k for k in range(50)]
+                assert sorted(ran) == list(range(50))
+        finally:
+            sys.setswitchinterval(interval)
+            if protocol._lane_pool is not None:
+                protocol._lane_pool.shutdown()
+
+    def test_a_lane_that_never_starts_holds_up_nothing(self, monkeypatch):
+        # the pool's one worker is busy elsewhere, so the calling thread's
+        # lane takes every item
+        monkeypatch.setattr(protocol, "_LANES", 2)
+        pool = ThreadPoolExecutor(1)
+        release = threading.Event()
+        busy = pool.submit(release.wait, 30)
+        monkeypatch.setattr(protocol, "_lane_pool", pool)
+        try:
+            assert protocol._in_lanes(lambda k: k * k, list(range(6))) == [k * k for k in range(6)]
+        finally:
+            release.set()
+            pool.shutdown()
+        assert busy.result() is True
+
+    def test_the_first_failing_item_raises(self, monkeypatch):
+        # every item before the first failing one was taken and has run, so
+        # a later item failing first in another lane does not change the error
+        monkeypatch.setattr(protocol, "_LANES", ALL_LANES)
+
+        def task(k):
+            if k in (3, 5):
+                raise ValueError(f"item {k}")
+            return k
+
+        for _ in range(20):
+            with pytest.raises(ValueError, match="^item 3$"):
+                protocol._in_lanes(task, list(range(8)))
+
+
+class TestDivergence:
+    """A trained model that is not finite fails the round in every arm, with
+    one message naming the round, the lowest such uid and the learning rate,
+    however many lanes trained the chunks."""
+
+    MESSAGE = "^round {}: local training diverged: device {} has non-finite parameters at learning_rate {}$"
+
+    @pytest.mark.parametrize("lanes", [1, ALL_LANES])
+    def test_a_diverging_rate_fails_every_arm(self, monkeypatch, lanes):
+        monkeypatch.setattr(protocol, "_LANES", lanes)
+        cfg = dataclasses.replace(
+            protocol_config(), training=dataclasses.replace(TRAINING, learning_rate=1e300)
+        )
+        for arm in ARMS:
+            with pytest.raises(FloatingPointError, match=self.MESSAGE.format(2, 0, r"1e\+300")):
+                with np.errstate(all="ignore"):
+                    run_round(line_state(ALONE), cfg, 2, arm=arm)
+
+    @pytest.mark.parametrize("lanes", [1, ALL_LANES])
+    def test_the_lowest_diverged_device_is_named(self, monkeypatch, lanes):
+        # devices 9 and 3 diverge; the chunks of 31 train rows (devices 1, 6
+        # and 9) come before those of 36, so chunk order meets 9 first
+        monkeypatch.setattr(protocol, "_LANES", lanes)
+        seeds = line_state(ALONE).shuffle_seeds(TRAINING.rng_seed)
+        diverged = {seeds[9], seeds[3]}
+        train = protocol.local_training
+
+        def diverging(*args, seeds, **kwargs):
+            out = train(*args, seeds=seeds, **kwargs)
+            if seeds[0] in diverged:
+                out.biases[-1][0, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(protocol, "local_training", diverging)
+        for arm in ARMS:
+            with pytest.raises(FloatingPointError, match=self.MESSAGE.format(4, 3, r"0\.1")):
+                run_round(line_state(ALONE), protocol_config(), 4, arm=arm)

@@ -12,7 +12,6 @@ from sparsefuel.neuralnet import (
     TrainingConfig,
     _bias_gradient,
     _row_max,
-    forward,
     gradients,
     init_parameters,
     local_training,
@@ -54,35 +53,6 @@ class TestInit:
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
-
-
-class TestForward:
-    def test_zero_net_gives_zero_logits(self):
-        arch = Architecture((3, 4, 2))
-        params = ParameterSet(
-            [np.zeros(s) for s in arch.weight_shapes()],
-            [np.zeros(s[0]) for s in arch.weight_shapes()],
-        )
-        out = forward(params, np.array([0.3, 0.1, 0.9]))
-        assert np.array_equal(out, np.zeros(2))
-
-    def test_single_layer_identity(self):
-        params = ParameterSet([np.eye(2)], [np.zeros(2)])
-        out = forward(params, np.array([0.3, 0.7]))
-        assert np.allclose(out, [0.3, 0.7])
-
-    def test_logits_finite_over_seeds(self):
-        for seed in range(100):
-            arch = Architecture((3, 6, 4))
-            params = init_parameters(arch, seed)
-            rng = np.random.default_rng(seed)
-            x = rng.uniform(0.0, 1.0, 3)
-            assert np.all(np.isfinite(forward(params, x)))
-
-    def test_dimension_mismatch_raises(self):
-        params = ParameterSet([np.eye(2)], [np.zeros(2)])
-        with pytest.raises(ValueError):
-            forward(params, np.array([1.0, 2.0, 3.0]))
 
 
 class TestLossAndAccuracy:

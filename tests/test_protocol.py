@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from sparsefuel import protocol
 from sparsefuel.compression import CompressionStrategy, SerializationError
 from sparsefuel.environment import DeviceSite, build_topology, sample_local_dataset, synthetic_blob_spec
-from sparsefuel.harness import ConfigError, parse_config
+from sparsefuel.cli import main
+from sparsefuel.harness import ConfigError, format_config, load_config, parse_config, run_experiment
 from sparsefuel.neuralnet import (
     Architecture,
     LabeledDataset,
@@ -395,19 +397,23 @@ class TestWireFaults:
         return make_state(topo, samples, rows, init, 0.2)
 
     def _poison(self, monkeypatch, where):
-        """Train as usual, then write NaN at each (uid, tensor, position) of
-        where(mask): tensors in W0, b0, W1, b1 order, flat positions.  The
-        equal-length toy splits train as one chunk in uid order."""
-        train = protocol.local_training
+        """Train and encode as usual, then write NaN into a copy of the wire
+        model at each (uid, tensor, position) of where(mask): tensors in W0,
+        b0, W1, b1 order, flat positions.  The trained models stay finite (a
+        trained model that is not fails the round before the wire, see
+        TestDivergence).  The equal-length toy splits train as one chunk in
+        uid order."""
+        encode = protocol.encode_wire
 
-        def poisoned(*args, mask=None, **kwargs):
-            out = train(*args, mask=mask, **kwargs)
-            tensors = [t for wb in zip(out.weights, out.biases) for t in wb]
+        def poisoned(params, strategy, mask):
+            wire = encode(params, strategy, mask)
+            bad = wire.params.copy()
+            tensors = [t for wb in zip(bad.weights, bad.biases) for t in wb]
             for uid, t, at in where(mask):
                 tensors[t][uid].flat[at] = math.nan
-            return out
+            return dataclasses.replace(wire, params=bad)
 
-        monkeypatch.setattr(protocol, "local_training", poisoned)
+        monkeypatch.setattr(protocol, "encode_wire", poisoned)
 
     @staticmethod
     def _nth(mask, layer, uid, i, kept=1):
@@ -442,6 +448,44 @@ class TestWireFaults:
         cfg = toy_protocol_config(tau=1e9)
         with pytest.raises(RuntimeError, match="device 1: decodes to non-finite values"):
             run_round(self._state(), cfg, 1)
+
+
+QUADRANT_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "quadrant.cfg")
+
+
+class TestDivergence:
+    """configs/quadrant.cfg at a learning rate that diverges in the first
+    round fails the same documented way in every arm and wire kind; the
+    multi-chunk case is in test_lockstep.py."""
+
+    MESSAGE = (
+        "round 1: local training diverged: device 0 has non-finite parameters "
+        "at learning_rate 1e+300"
+    )
+
+    @staticmethod
+    def _config(kind):
+        cfg = load_config(QUADRANT_CFG)
+        return dataclasses.replace(
+            cfg,
+            protocol=dataclasses.replace(cfg.protocol, kind=kind, learning_rate=1e300, rounds=2),
+        )
+
+    @pytest.mark.parametrize("kind", ["sparse+quantized", "dense"])
+    @pytest.mark.parametrize("arm", protocol.ARMS)
+    def test_every_arm_and_kind_fails_with_one_message(self, arm, kind):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as raised:
+            run_experiment(self._config(kind), arm=arm)
+        assert str(raised.value) == self.MESSAGE
+
+    def test_the_cli_exits_2_with_the_message(self, tmp_path, capsys):
+        path = tmp_path / "diverging.cfg"
+        path.write_text(format_config(self._config("dense")))
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: FloatingPointError: {self.MESSAGE}\n"
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestProtocolConfigValidation:
