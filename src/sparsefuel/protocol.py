@@ -457,20 +457,17 @@ def _blas_threads():
 
 
 def _in_lanes(task: Callable, items: list) -> list:
-    """[task(item) for item in items], with the items spread over the lanes.
+    """[task(item) for item in items], the items spread over the lanes.
 
-    Each lane takes the next item no lane has taken yet, until none is left.
-    While the lanes run, OpenBLAS runs every call on the thread that makes
-    it: the lanes already fill the cores, and BLAS threads of their own would
-    oversubscribe them.  Its thread count is put back afterwards.  The
-    results come back in item order.  When tasks raise, no lane takes a new
-    item, and once every lane has stopped the first failing item's exception
-    is raised: every item before it was taken and has run, so it is the one
-    the serial loop raises.  A pool lane that has not started by the time
-    the calling thread's lane runs out of items is cancelled, not waited
-    for.  With one item, one core or no OpenBLAS setter, this is the serial
-    loop, and it starts no thread.  Calls from several threads run their
-    lanes one call at a time.
+    Each lane takes the next item no lane has taken yet.  While the lanes
+    run, OpenBLAS runs on one thread, since the lanes already fill the
+    cores; its thread count is put back afterwards.  When tasks raise, no
+    lane takes a new item, and once every lane has stopped the first failing
+    item's exception is raised: every item before it was taken and has run,
+    so the serial loop raises the same one.  A pool lane that has not
+    started when the calling thread runs out of items is cancelled.  With
+    one item, one core or no OpenBLAS setter this is the serial loop, and
+    no thread starts.  Concurrent calls run their lanes one at a time.
     """
     blas = _blas_threads() if len(items) > 1 and _LANES > 1 else None
     if blas is None:
