@@ -68,7 +68,10 @@ class EnvironmentConfig:
     height: float = _positive(10.0)
     rows: int = _at_least_1(2)
     cols: int = _at_least_1(2)
-    n: int = _at_least_1(64)
+    # numpy cannot index an array of more devices
+    n: int = _key(
+        64, lambda v: 1 <= v <= np.iinfo(np.intp).max, f"must be in [1, {np.iinfo(np.intp).max}]"
+    )
     # None = 1.5x lattice pitch
     r_c: float | None = _key(None, lambda v: v is None or v > 0, "must be > 0 or auto")
     placement: str = _key(

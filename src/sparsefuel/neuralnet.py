@@ -109,14 +109,6 @@ class ParameterSet:
             and all(a.shape == b.shape for a, b in zip(self.biases, other.biases))
         )
 
-    @staticmethod
-    def stack(models: Sequence["ParameterSet"]) -> "ParameterSet":
-        """Stack single models of one architecture on a new leading axis."""
-        return ParameterSet(
-            [_stack(ws) for ws in zip(*(m.weights for m in models))],
-            [_stack(bs) for bs in zip(*(m.biases for m in models))],
-        )
-
     def __getitem__(self, k) -> "ParameterSet":
         """Model k of a stack (a view), or a sub-stack for a slice or index array."""
         return ParameterSet([w[k] for w in self.weights], [b[k] for b in self.biases])
@@ -158,15 +150,6 @@ class LabeledDataset:
         """The samples at an int array of rows of this 2-d dataset, in the
         array's shape: a (D, n) table of rows gives a stack of D datasets."""
         return LabeledDataset(np.take(self.features, rows, axis=0), np.take(self.labels, rows))
-
-
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """np.stack of one layer's tensors of several models, except that a lone
-    tensor is not copied: it becomes a view with a leading axis of one.
-    Several equal-shape tensors are stacked by np.array, which gives the same
-    array in a third to a half of np.stack's time on the small tensors of a
-    lockstep chunk."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 @dataclass(frozen=True)

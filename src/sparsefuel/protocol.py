@@ -5,9 +5,10 @@ under the compression mask, broadcasts the compressed result to its radio
 neighbors, scores pairwise dissimilarity as the sum of cross losses on the
 two devices' held-out validation splits, keeps only edges at or under the
 threshold tau, elects the minimum uid of each surviving component as leader,
-collects member uids up a hop tree to the leader, averages their models, sends
-the average back down, and adopts it.  Every step is deterministic: devices are
-iterated in uid order and all aggregation happens in uid order.
+grows a hop tree from the leader, averages the models of the members the tree
+reaches, and sends the average back down for each of them to adopt.  Every
+step is deterministic: devices are iterated in uid order and all aggregation
+happens in uid order.
 """
 
 from __future__ import annotations
@@ -188,14 +189,12 @@ def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = No
 
 @dataclass
 class DeviceState:
-    """One device: its uid, the rows of the sample store that make up its
-    train and validation splits (views of its own row array), and its
-    current model, which the round never writes in place."""
+    """One device: its uid and the rows of the sample store that make up its
+    train and validation splits (views of its own row array)."""
 
     uid: int
     train_rows: np.ndarray
     val_rows: np.ndarray
-    params: ParameterSet
 
     @property
     def num_samples(self) -> int:
@@ -207,14 +206,17 @@ class SimulationState:
     """Everything that evolves across rounds, and the one sample store every
     device's rows index.
 
-    Row uid of val_table holds device uid's validation rows, padded to the
-    longest split.  Row uid of decoded holds the model device uid's wire
-    bytes decode to, once a round has exchanged models; the stack is
-    allocated once and each round writes into it."""
+    Row uid of params holds device uid's current model: a round trains it and
+    writes its federation's average over it, in place.  Row uid of val_table
+    holds device uid's validation rows, padded to the longest split.  Row uid
+    of decoded holds the model device uid's wire bytes decode to, once a
+    round has exchanged models; the stack is allocated once and each round
+    writes into it."""
 
     topology: Topology
     samples: LabeledDataset
     devices: list[DeviceState]
+    params: ParameterSet
     round_index: int = 0
     bytes_total: int = 0
     val_table: np.ndarray = field(init=False, repr=False)
@@ -226,10 +228,9 @@ class SimulationState:
         self.val_table = np.zeros((n, max(len(dev.val_rows) for dev in self.devices)), np.int64)
         for uid, dev in enumerate(self.devices):
             self.val_table[uid, : len(dev.val_rows)] = dev.val_rows
-        model = self.devices[0].params
         self.decoded = ParameterSet(
-            [np.empty((n,) + w.shape) for w in model.weights],
-            [np.empty((n,) + b.shape) for b in model.biases],
+            [np.empty_like(w) for w in self.params.weights],
+            [np.empty_like(b) for b in self.params.biases],
         )
 
     def shuffle_seeds(self, master: int) -> list[int]:
@@ -281,8 +282,7 @@ def make_state(
     validation_fraction: float,
 ) -> SimulationState:
     """Split each device's rows of the sample store into train/validation
-    and start every device from the initial model (one shared object: no
-    step of a round writes a device's model in place).
+    and start every device's row of the model stack from the initial model.
 
     rows[uid] lists the samples of device uid in order.  The validation
     split is its first floor(fraction * m) rows (at least one row each
@@ -304,8 +304,12 @@ def make_state(
         if len(own) < 2:
             raise ValueError(f"device {uid}: need at least 2 samples to split")
         n_val = min(len(own) - 1, max(1, int(validation_fraction * len(own))))
-        devices.append(DeviceState(uid, own[n_val:], own[:n_val], init_params))
-    return SimulationState(topology, samples, devices)
+        devices.append(DeviceState(uid, own[n_val:], own[:n_val]))
+    params = ParameterSet(
+        [np.repeat(w[None], len(rows), axis=0) for w in init_params.weights],
+        [np.repeat(b[None], len(rows), axis=0) for b in init_params.biases],
+    )
+    return SimulationState(topology, samples, devices, params)
 
 
 @dataclass
@@ -338,15 +342,18 @@ def run_round(
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}, expected one of {ARMS}")
     topo = state.topology
+    params = state.params
     chunks = _train_in_lockstep(state, cfg, round_index)
-    trained = {uid: params[k] for uids, params, _ in chunks for k, uid in enumerate(uids)}
 
     bytes_broadcast = bytes_collect = bytes_disseminate = 0
     ds = None
     models_by_leader: dict[int, ParameterSet] = {}
-    delivered: dict[int, ParameterSet] = {}
+    # each leader's averaged members, whose rows its average is written into
+    members: dict[int, list[int]] = {}
     if arm == "isolated":
         partition = FederationPartition({dev.uid: dev.uid for dev in state.devices})
+        # a copy: the next round trains the rows in place
+        trained = params.copy()
         models_by_leader = {uid: trained[uid] for uid in partition.leader_of}
     else:
         # the wire, one encode, decode and pricing per trained chunk: the model
@@ -356,13 +363,13 @@ def run_round(
         # members alike): a receiver scores the model it was sent
         size = np.zeros(topo.n, dtype=np.int64)
         # the averaged model goes back down dense; its size is the architecture's
-        dense_size = serialized_size(CompressedModel("dense", params=state.devices[0].params))
+        dense_size = serialized_size(CompressedModel("dense", params=params[0]))
         decoded = state.decoded
-        for uids, params, mask in chunks:
+        for uids, mask in chunks:
             if cfg.similarity_uses_compressed:
-                wire = encode_wire(params, cfg.strategy, mask)
+                wire = encode_wire(params[uids], cfg.strategy, mask)
             else:
-                wire = CompressedModel("dense", params=params)
+                wire = CompressedModel("dense", params=params[uids])
             out = decode_wire(wire)
             _check_decodable(wire, out, uids)
             for rows, chunk_rows in zip(decoded.weights + decoded.biases, out.weights + out.biases):
@@ -381,34 +388,30 @@ def run_round(
             gfield = fields.g_block(graph, [leader])
             partition = FederationPartition(dict.fromkeys(graph.nodes, leader))
 
-        # tree collection of each leader's member uids, then the weighted
-        # average in uid order (a leader contributes its model as trained,
-        # every other device the model its wire bytes decode to) and tree
-        # dissemination
-        singletons = {uid: frozenset([uid]) for uid in gfield.hops}
-        collected = fields.c_block(gfield, singletons, frozenset.union, frozenset())
+        # tree collection up the hop field: a leader averages the members its
+        # tree reaches (a forced federation's devices with no wire path to
+        # the leader keep their trained models), in uid order, contributing
+        # its own model as trained and every other member the model its wire
+        # bytes decode to; the average goes back down the tree
         bytes_collect = sum(
             int(hops) * int(size[uid])
             for uid, hops in gfield.hops.items()
             if hops not in (0, fields.INFINITE)
         )
-        for leader in sorted(collected):
-            uids = sorted(collected[leader])
-            models = [trained[uid] if uid == leader else decoded[uid] for uid in uids]
+        for fed in partition.federations:
+            uids = sorted(u for u in fed.members if gfield.source[u] == fed.leader)
+            models = [params[uid] if uid == fed.leader else decoded[uid] for uid in uids]
             averaged = fed_avg(models, [state.devices[uid].num_samples for uid in uids])
-            models_by_leader[leader] = averaged
+            models_by_leader[fed.leader] = averaged
+            members[fed.leader] = uids
             bytes_disseminate += (len(uids) - 1) * dense_size
-        delivered = fields.broadcast_block(gfield, models_by_leader)
 
-    for dev in state.devices:
-        if dev.uid in delivered:
-            # the members share their federation's model, as they share
-            # the initial one
-            dev.params = delivered[dev.uid]
-        else:
-            # isolated, or no wire path to any leader (disconnected forced
-            # federation): keep the locally trained model
-            dev.params = trained[dev.uid]
+    # MAC proxy of the representative federation's leader model as trained
+    macs = nonzero_macs(params[partition.representative().leader])
+    for leader, uids in members.items():
+        averaged = models_by_leader[leader]
+        for rows, avg in zip(params.weights + params.biases, averaged.weights + averaged.biases):
+            rows[uids] = avg
     state.round_index = round_index
     state.bytes_total += bytes_broadcast + bytes_collect + bytes_disseminate
     return RoundStats(
@@ -418,8 +421,7 @@ def run_round(
         bytes_broadcast,
         bytes_collect,
         bytes_disseminate,
-        # MAC proxy of the representative federation's leader model as trained
-        nonzero_macs(trained[partition.representative().leader]),
+        macs,
         ds,
     )
 
@@ -515,20 +517,23 @@ def _in_lanes(task: Callable, items: list) -> list:
 
 def _train_in_lockstep(
     state: SimulationState, cfg: ProtocolConfig, round_index: int
-) -> list[tuple[list[int], ParameterSet, SparseMask | None]]:
+) -> list[tuple[list[int], SparseMask | None]]:
     """Compress every device's model and train it under the round's mask, in
     lockstep per chunk of equal-length devices, the chunks spread over the
-    lanes; per chunk its uids, the trained stack and the stacked mask.
+    lanes; each chunk's trained models are written over its rows of
+    state.params.  Returns per chunk its uids and the stacked mask.
 
-    Raises FloatingPointError when a trained model is not finite (see
-    _check_trained)."""
+    Raises FloatingPointError when a trained model is not finite, naming the
+    round, the lowest uid of such a model and the learning rate; every arm
+    fails the same way, and state.params then holds the diverged models."""
     devices = state.devices
+    params = state.params
     seeds = state.shuffle_seeds(cfg.training.rng_seed)
     lengths = np.array([len(dev.train_rows) for dev in devices])
 
-    def train(chunk: np.ndarray) -> tuple[list[int], ParameterSet, SparseMask | None]:
+    def train(chunk: np.ndarray) -> tuple[list[int], SparseMask | None]:
         uids = chunk.tolist()
-        cm = compress(ParameterSet.stack([devices[uid].params for uid in uids]), cfg.strategy)
+        cm = compress(params[uids], cfg.strategy)
         out = local_training(
             decompress(cm),
             state.samples,
@@ -538,12 +543,18 @@ def _train_in_lockstep(
             seeds=[seeds[uid] for uid in uids],
             rows=np.array([devices[uid].train_rows for uid in uids]),
         )
-        return uids, out, cm.mask
+        # the chunks' rows are disjoint, and this chunk's were read above
+        for rows, trained in zip(params.weights + params.biases, out.weights + out.biases):
+            rows[uids] = trained
+        return uids, cm.mask
 
-    chunks = _in_lanes(
-        train, list(_lockstep_chunks(lengths, devices[0].params, cfg.training.batch_size))
-    )
-    _check_trained(chunks, round_index, cfg.training.learning_rate)
+    chunks = _in_lanes(train, list(_lockstep_chunks(lengths, params[0], cfg.training.batch_size)))
+    finite = _finite_rows(params)
+    if not finite.all():
+        raise FloatingPointError(
+            f"round {round_index}: local training diverged: device {int(np.argmin(finite))} has "
+            f"non-finite parameters at learning_rate {cfg.training.learning_rate!r}"
+        )
     return chunks
 
 
@@ -551,18 +562,6 @@ def _finite_rows(stack: ParameterSet) -> np.ndarray:
     """Whether each model of a stack holds finite values only."""
     tensors = stack.weights + stack.biases
     return np.logical_and.reduce([np.isfinite(t.reshape(len(t), -1)).all(1) for t in tensors])
-
-
-def _check_trained(chunks, round_index: int, learning_rate: float) -> None:
-    """Raise FloatingPointError when local training left a model that is not
-    finite, naming the round, the lowest uid of such a model and the
-    learning rate; every arm fails the same way."""
-    bad = [uids[k] for uids, params, _ in chunks for k in np.flatnonzero(~_finite_rows(params))]
-    if bad:
-        raise FloatingPointError(
-            f"round {round_index}: local training diverged: device {min(bad)} has "
-            f"non-finite parameters at learning_rate {learning_rate!r}"
-        )
 
 
 def _check_decodable(wire: CompressedModel, decoded: ParameterSet, uids: list[int]) -> None:
@@ -593,7 +592,7 @@ def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
     receivers = np.concatenate([edges[:, 0], edges[:, 1]])
     val_lengths = np.array([len(dev.val_rows) for dev in devices])
     losses = np.empty(len(senders))
-    for pick in _lockstep_chunks(val_lengths[receivers], devices[0].params):
+    for pick in _lockstep_chunks(val_lengths[receivers], state.params[0]):
         models = ParameterSet(
             [np.take(w, senders[pick], axis=0) for w in decoded.weights],
             [np.take(b, senders[pick], axis=0) for b in decoded.biases],

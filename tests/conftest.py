@@ -339,6 +339,14 @@ def sample_store(datasets):
     return samples, [np.arange(end - len(d), end) for d, end in zip(datasets, ends)]
 
 
+def stack_models(models):
+    """Single models of one architecture stacked on a new leading axis."""
+    return ParameterSet(
+        [np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        [np.stack(bs) for bs in zip(*(m.biases for m in models))],
+    )
+
+
 # --------------------------------------------------------------------------
 # IDX file helper
 

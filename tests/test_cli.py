@@ -88,6 +88,16 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "environment.width must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [10**22, 2**63])
+    def test_device_count_past_an_array_index_is_a_config_error(self, n, tmp_path, capsys):
+        # both fail in the schema, before any array is allocated
+        bad = tmp_path / "many.cfg"
+        bad.write_text(f"[environment]\nn = {n}\n")
+        assert main(["run", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2: environment.n must be in [1, ")
+        assert err.endswith(f"(got {n})\n")
+
     def test_checkpoints_written_when_configured(self, tmp_path, capsys):
         cfg = small_config()
         cfg = dataclasses.replace(

@@ -46,7 +46,13 @@ from sparsefuel.protocol import (
 )
 from sparsefuel.seeds import derive_seed
 
-from conftest import quadrant_config, reference_local_training, reference_loss, sample_store
+from conftest import (
+    quadrant_config,
+    reference_local_training,
+    reference_loss,
+    sample_store,
+    stack_models,
+)
 
 
 def assert_same_model(got: ParameterSet, want: ParameterSet):
@@ -76,7 +82,7 @@ class TestLockstepTraining:
         seeds = [derive_seed(99, k) for k in range(5)]
         cfg = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=0)
         out = local_training(
-            ParameterSet.stack(models),
+            stack_models(models),
             LabeledDataset(np.stack([d.features for d in data]), np.stack([d.labels for d in data])),
             cfg,
             mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
@@ -111,7 +117,7 @@ class TestLockstepTraining:
         seeds = [derive_seed(3, k) for k in range(4)]
         cfg = TrainingConfig(local_epochs=2, batch_size=8, learning_rate=0.1, rng_seed=0)
         out = local_training(
-            ParameterSet.stack(models),
+            stack_models(models),
             store,
             cfg,
             mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
@@ -135,7 +141,7 @@ class TestLockstepTraining:
 
     def test_rows_must_match_the_models_and_the_store(self):
         arch = Architecture((2, 3))
-        models = ParameterSet.stack([init_parameters(arch, k) for k in range(2)])
+        models = stack_models([init_parameters(arch, k) for k in range(2)])
         store = toy_data(1, 10)
         cfg = TrainingConfig(local_epochs=1, batch_size=2, learning_rate=0.1, rng_seed=0)
         for bad in (np.zeros(4, dtype=np.int64), np.zeros((3, 4), dtype=np.int64)):
@@ -150,7 +156,7 @@ class TestLockstepTraining:
                 local_training(models, store, cfg, rows=np.array([[0, 1], [2, bad]]))
 
     def test_seed_count_must_match_stack(self):
-        models = ParameterSet.stack([init_parameters(Architecture((2, 3)), k) for k in range(2)])
+        models = stack_models([init_parameters(Architecture((2, 3)), k) for k in range(2)])
         data = LabeledDataset(np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=np.int64))
         cfg = TrainingConfig(local_epochs=1, batch_size=2, learning_rate=0.1, rng_seed=0)
         with pytest.raises(ValueError, match="2 models"):
@@ -161,7 +167,7 @@ class TestLockstepTraining:
         models = [init_parameters(arch, k) for k in range(3)]
         data = [toy_data(40 + k, 11) for k in range(3)]
         losses, accs = loss_and_accuracy(
-            ParameterSet.stack(models),
+            stack_models(models),
             LabeledDataset(np.stack([d.features for d in data]), np.stack([d.labels for d in data])),
         )
         for k in range(3):
@@ -205,8 +211,10 @@ def line_state(arch=WIDE):
     ]
     state = make_state(topo, toy_data(199, 120), rows, init_parameters(arch, 0), 0.2)
     # distinct start models give every device its own prune mask
-    for dev in state.devices:
-        dev.params = init_parameters(arch, 1000 + dev.uid)
+    starts = stack_models([init_parameters(arch, 1000 + uid) for uid in range(len(LENGTHS))])
+    params = state.params
+    for rows, start in zip(params.weights + params.biases, starts.weights + starts.biases):
+        rows[:] = start
     return state
 
 
@@ -214,7 +222,7 @@ def reference_round(state, round_index):
     """Per-device training and wire round trip: (trained, decoded) by uid."""
     trained, decoded = {}, {}
     for dev in state.devices:
-        cm = compress(dev.params, STRATEGY)
+        cm = compress(state.params[dev.uid], STRATEGY)
         tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
         train = state.samples.subset(dev.train_rows)
         trained[dev.uid] = reference_local_training(
@@ -264,9 +272,10 @@ class TestDeviceBank:
         topo = build_topology(sites, r_c=1.0)
         state = make_state(topo, samples, rows, init_parameters(ALONE, 0), 0.2)
         cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
-        starts = [dev.params.copy() for dev in state.devices]
+        starts = state.params.copy()
         stats = run_round(state, cfg, 1, arm="isolated")
-        for dev, start in zip(state.devices, starts):
+        for dev in state.devices:
+            start = starts[dev.uid]
             tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
             train = samples.subset(dev.train_rows)
             want = reference_local_training(start, train, tcfg, round_index=1)
@@ -283,7 +292,7 @@ class TestDeviceBank:
 class TestLockstepRound:
     def test_chunk_boundary_falls_inside_the_largest_group(self):
         state = line_state()
-        size = lockstep_chunk(state.devices[0].params, TRAINING.batch_size)
+        size = lockstep_chunk(state.params[0], TRAINING.batch_size)
         lengths = [len(dev.train_rows) for dev in state.devices]
         largest = max(lengths.count(m) for m in set(lengths))
         wider = Architecture((2, WIDE.layer_sizes[1] + 1, 4))
@@ -297,7 +306,7 @@ class TestLockstepRound:
         stats = run_round(state, protocol_config(), 2, arm="isolated")
         for uid, model in want.items():
             assert_same_model(stats.models_by_leader[uid], model)
-            assert_same_model(state.devices[uid].params, model)
+            assert_same_model(state.params[uid], model)
 
     def test_batched_similarity_matches_per_edge_cross_similarity(self):
         state = line_state()
@@ -324,10 +333,10 @@ def test_quadrant_trains_in_one_chunk_like_the_reference():
     assert len(state.devices) == 64
     assert lockstep_chunk(world.init_params, training.batch_size) >= 64
     assert len({len(dev.train_rows) for dev in state.devices}) == 1
-    starts = [dev.params.copy() for dev in state.devices]
+    starts = state.params.copy()
     stats = run_round(state, world.protocol, 1, arm="isolated")
-    for dev, start in zip(state.devices, starts):
-        cm = compress(start, world.protocol.strategy)
+    for dev in state.devices:
+        cm = compress(starts[dev.uid], world.protocol.strategy)
         tcfg = dataclasses.replace(training, rng_seed=derive_seed(training.rng_seed, dev.uid))
         want = reference_local_training(
             decompress(cm), world.samples.subset(dev.train_rows), tcfg, mask=cm.mask, round_index=1
@@ -349,22 +358,22 @@ class TestLanes:
     def _round(monkeypatch, lanes):
         monkeypatch.setattr(protocol, "_LANES", lanes)
         cfg = protocol_config()
-        trained = protocol._train_in_lockstep(line_state(ALONE), cfg, 1)
+        trained = line_state(ALONE)
+        chunks = protocol._train_in_lockstep(trained, cfg, 1)
         state = line_state(ALONE)
-        return trained, state, run_round(state, cfg, 1)
+        return chunks, trained.params, state, run_round(state, cfg, 1)
 
     def test_one_lane_and_all_lanes_give_the_same_round(self, monkeypatch):
         # the chunks of one device each go to whichever lane is free
-        one_trained, one, one_stats = self._round(monkeypatch, 1)
-        all_trained, every, all_stats = self._round(monkeypatch, ALL_LANES)
-        assert len(all_trained) == len(LENGTHS)
-        for (uids, got, mask), (want_uids, want, want_mask) in zip(all_trained, one_trained):
+        one_chunks, one_trained, one, one_stats = self._round(monkeypatch, 1)
+        all_chunks, all_trained, every, all_stats = self._round(monkeypatch, ALL_LANES)
+        assert len(all_chunks) == len(LENGTHS)
+        for (uids, mask), (want_uids, want_mask) in zip(all_chunks, one_chunks):
             assert uids == want_uids
-            assert_same_model(got, want)
             assert all(np.array_equal(a, b) for a, b in zip(mask.layers, want_mask.layers))
+        assert_same_model(all_trained, one_trained)
         assert_same_model(every.decoded, one.decoded)
-        for dev, want in zip(every.devices, one.devices):
-            assert_same_model(dev.params, want.params)
+        assert_same_model(every.params, one.params)
         assert (all_stats.bytes_broadcast, all_stats.bytes_collect, all_stats.bytes_disseminate) == (
             one_stats.bytes_broadcast,
             one_stats.bytes_collect,

@@ -5,8 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from sparsefuel import protocol
-from sparsefuel.compression import CompressionStrategy, SerializationError
+from sparsefuel import fields, protocol
+from sparsefuel.compression import (
+    CompressionStrategy,
+    SerializationError,
+    compress,
+    serialized_size,
+)
 from sparsefuel.environment import DeviceSite, build_topology, sample_local_dataset, synthetic_blob_spec
 from sparsefuel.cli import main
 from sparsefuel.harness import ConfigError, format_config, load_config, parse_config, run_experiment
@@ -307,13 +312,13 @@ class TestRunRound:
         # expected: compress -> decompress -> masked local training, no averaging loss
         baseline = self._state(1)
         dev = baseline.devices[0]
-        cm = compress(dev.params, cfg.strategy)
+        cm = compress(baseline.params[0], cfg.strategy)
         tcfg = dataclasses.replace(
             cfg.training, rng_seed=derive_seed(cfg.training.rng_seed, 0)
         )
         train = baseline.samples.subset(dev.train_rows)
         expected = local_training(decompress(cm), train, tcfg, mask=cm.mask, round_index=1)
-        got = state.devices[0].params
+        got = state.params[0]
         for x, y in zip(got.weights + got.biases, expected.weights + expected.biases):
             assert np.array_equal(x, y)
 
@@ -341,7 +346,7 @@ class TestRunRound:
         shared = toy_dataset(55)
         state = self._state(3, datasets=[shared, shared, shared])
         run_round(state, cfg, 1)
-        a, b, c = (d.params for d in state.devices)
+        a, b, c = (state.params[uid] for uid in range(3))
         for x, y in zip(a.weights + a.biases, b.weights + b.biases):
             assert np.array_equal(x, y)
         for x, y in zip(a.weights + a.biases, c.weights + c.biases):
@@ -384,6 +389,114 @@ class TestRunRound:
         assert np.array_equal(stats.dissimilarity.edges, state.topology.edges)
         assert len(stats.dissimilarity.values) > 0
         assert np.all(stats.dissimilarity.values >= 0.0)
+
+
+class TestTreeRound:
+    """A round averages each federation's members that its leader's hop tree
+    reaches and writes the average into their rows of the model stack: the
+    members averaged are c_block's unions on the round's gradient field, the
+    models delivered broadcast_block's delivery."""
+
+    ARCH = Architecture((2, 6, 4))
+
+    def _state(self, xs, r_c):
+        sites = [DeviceSite(i, float(x), 0.0, 0) for i, x in enumerate(xs)]
+        samples, rows = sample_store([toy_dataset(100 + i) for i in range(len(xs))])
+        return make_state(
+            build_topology(sites, r_c=r_c), samples, rows, init_parameters(self.ARCH, 0), 0.2
+        )
+
+    @staticmethod
+    def _recorded_round(monkeypatch, state, cfg, arm):
+        """The round's stats and, per fed_avg call, the (stack, uid) rows it
+        averaged: the leader's row of params, every other member's of decoded."""
+        calls = []
+        average = protocol.fed_avg
+
+        def row(model):
+            for name in ("params", "decoded"):
+                stack = getattr(state, name).weights[0]
+                for uid in range(len(stack)):
+                    if np.shares_memory(model.weights[0], stack[uid]):
+                        return name, uid
+            raise AssertionError("fed_avg got a model that is no row of a stack")
+
+        def recording(models, weights):
+            calls.append([row(m) for m in models])
+            return average(models, weights)
+
+        monkeypatch.setattr(protocol, "fed_avg", recording)
+        stats = run_round(state, cfg, 1, arm=arm)
+        monkeypatch.setattr(protocol, "fed_avg", average)
+        return stats, calls
+
+    def _assert_tree_blocks_agree(self, state, stats, calls, gfield):
+        singletons = {uid: frozenset([uid]) for uid in gfield.hops}
+        collected = fields.c_block(gfield, singletons, frozenset.union, frozenset())
+        assert [[uid for _, uid in rows] for rows in calls] == [
+            sorted(collected[leader]) for leader in sorted(collected)
+        ]
+        for rows in calls:
+            assert [name for name, _ in rows] == ["params"] + ["decoded"] * (len(rows) - 1)
+        delivered = fields.broadcast_block(gfield, stats.models_by_leader)
+        for uid, model in delivered.items():
+            got = state.params[uid]
+            for x, y in zip(got.weights + got.biases, model.weights + model.biases):
+                assert np.array_equal(x, y)
+        return delivered
+
+    def test_disconnected_forced_federation(self, monkeypatch):
+        # two radio components, {0, 1, 2} and {3, 4}: global-fedavg forces
+        # one federation led by 0, whose tree never reaches 3 and 4
+        xs, r_c = (0, 1, 2, 10, 11), 1.5
+        cfg = toy_protocol_config()
+        state = self._state(xs, r_c)
+        stats, calls = self._recorded_round(monkeypatch, state, cfg, "global-fedavg")
+        isolated = run_round(self._state(xs, r_c), cfg, 1, arm="isolated")
+
+        assert stats.partition.leader_of == dict.fromkeys(range(5), 0)
+        gfield = fields.g_block(fields.FieldGraph.from_topology(state.topology), [0])
+        delivered = self._assert_tree_blocks_agree(state, stats, calls, gfield)
+        assert sorted(delivered) == [0, 1, 2]
+        for uid in range(5):
+            want = stats.models_by_leader[0] if uid < 3 else isolated.models_by_leader[uid]
+            got = state.params[uid]
+            for x, y in zip(got.weights + got.biases, want.weights + want.biases):
+                assert np.array_equal(x, y)
+        # devices 1 and 2 send their dense models one and two hops; the
+        # average goes back down to both
+        size = int(serialized_size(compress(init_parameters(self.ARCH, 0), cfg.strategy)))
+        assert stats.bytes_collect == 3 * size
+        assert stats.bytes_disseminate == 2 * size
+
+    def test_gated_sparsefuel_round(self, monkeypatch):
+        # tau splits a line of eight into four federations, one of them
+        # {1, 2, 3, 5, 6}: 4 scores too far from 3 and 5, and the tree
+        # reaches 5 and 6 over 3
+        cfg = toy_protocol_config(tau=2.8, strategy=CompressionStrategy("sparse+quantized", 0.3))
+        state = self._state(range(8), 2.5)
+        stats, calls = self._recorded_round(monkeypatch, state, cfg, "sparsefuel")
+        members = [sorted(f.members) for f in stats.partition.federations]
+        assert members == [[0], [1, 2, 3, 5, 6], [4], [7]]
+        graph = protocol.similarity_graph(state.topology, stats.dissimilarity, cfg.tau)
+        gfield = fields.g_block(graph, [u for u, lead in fields.s_block(graph).items() if lead])
+        delivered = self._assert_tree_blocks_agree(state, stats, calls, gfield)
+        assert sorted(delivered) == list(range(8))
+
+    @pytest.mark.parametrize("arm", protocol.ARMS)
+    def test_a_round_leaves_earlier_results_alone(self, arm):
+        # the next round writes the rows in place; the models a round
+        # returned are not views of them
+        cfg = toy_protocol_config(tau=2.8, strategy=CompressionStrategy("sparse+quantized", 0.3))
+        state = self._state(range(8), 2.5)
+        first = run_round(state, cfg, 1, arm=arm)
+        before = {
+            leader: [t.tobytes() for t in m.weights + m.biases]
+            for leader, m in first.models_by_leader.items()
+        }
+        run_round(state, cfg, 2, arm=arm)
+        for leader, m in first.models_by_leader.items():
+            assert [t.tobytes() for t in m.weights + m.biases] == before[leader]
 
 
 class TestWireFaults:
@@ -439,8 +552,7 @@ class TestWireFaults:
         stats = run_round(state, cfg, 1)
         # device 2 is no leader: every model averaged is the one its bytes decode to
         assert len(stats.partition) == 1 and stats.partition.federations[0].leader == 0
-        for dev in state.devices:
-            assert all(np.isfinite(t).all() for t in dev.params.weights + dev.params.biases)
+        assert all(np.isfinite(t).all() for t in state.params.weights + state.params.biases)
 
     def test_a_codec_that_accepts_a_non_finite_model_fails_the_round(self, monkeypatch):
         self._poison(monkeypatch, lambda m: [(1, 0, 0)])

@@ -29,12 +29,16 @@ def load_tracing():
 
 
 # Names every arm calls, then those only the communicating arms call (the
-# wire, FedAvg and the hop-tree blocks), then those only sparsefuel calls.
+# wire, FedAvg and the hop field), then those only sparsefuel calls.
 TRAINING = {"local_training", "gradients", "compress", "decompress", "run_round", "evaluate_objective"}
-EXCHANGE = {"encode_wire", "fed_avg", "g_block", "bfs_hops", "c_block", "broadcast_block"}
+EXCHANGE = {"encode_wire", "fed_avg", "g_block", "bfs_hops"}
 # the byte codec is the round's fault path only: a healthy round decodes and
 # prices each wire chunk without the bytes
 CODEC = {"to_bytes", "from_bytes"}
+# a round reads each federation's members off the hop field's sources and
+# writes the average into their rows: the collection and broadcast blocks
+# are the references test_protocol.py holds it to
+TREE_BLOCKS = {"c_block", "broadcast_block"}
 SIMILARITY = {"similarity_graph", "s_block", "min_flood"}
 EXPECTED = {
     "sparsefuel": (TRAINING | EXCHANGE | SIMILARITY, 208),
@@ -72,6 +76,7 @@ def test_traced_quadrant_round_reports_training_and_scoring(arm, monkeypatch):
     assert not (EXCHANGE - names) & traced
     assert not (SIMILARITY - names) & traced
     assert not CODEC & traced
+    assert not TREE_BLOCKS & traced
     # decompress runs once per trained chunk, never once per device
     calls = [span[0] for span in tracer.spans]
     assert calls.count("decompress") == calls.count("local_training")
