@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,7 +157,9 @@ class DistributionSpec:
     synthetic-blobs: blob_classes[j] lists the Gaussian class blobs of
     subregion j.  idx-label-skew: owned_labels[j] lists the labels subregion j
     owns inside the shared IDX pool, and epsilon is the fraction of each local
-    dataset drawn from other subregions' labels.
+    dataset drawn from other subregions' labels.  own_rows[j] and
+    other_rows[j] are the pool rows, ascending, whose labels subregion j owns
+    and does not own; they are found once, when the spec is made.
     """
 
     kind: str
@@ -165,6 +167,8 @@ class DistributionSpec:
     owned_labels: tuple[tuple[int, ...], ...] | None = None
     epsilon: float = 0.0
     pool: LabeledDataset | None = None
+    own_rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
+    other_rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if self.kind not in DISTRIBUTION_KINDS:
@@ -179,12 +183,16 @@ class DistributionSpec:
         else:
             if self.pool is None or not self.owned_labels:
                 raise ValueError("idx-label-skew needs a pool and per-subregion labels")
-            pool_labels = set(int(v) for v in np.unique(self.pool.labels))
-            owned = [l for group in self.owned_labels for l in group]
-            if len(owned) != len(set(owned)):
+            pool_labels, label_of_row = np.unique(self.pool.labels, return_inverse=True)
+            owner = {l: j for j, group in enumerate(self.owned_labels) for l in group}
+            if len(owner) != sum(len(group) for group in self.owned_labels):
                 raise ValueError("a label may be owned by only one subregion")
-            if set(owned) != pool_labels:
+            if set(owner) != set(pool_labels.tolist()):
                 raise ValueError("owned label subsets must cover the pool's classes")
+            owner_of_row = np.array([owner[l] for l in pool_labels.tolist()])[label_of_row]
+            subregions = range(len(self.owned_labels))
+            self.own_rows = tuple(np.flatnonzero(owner_of_row == j) for j in subregions)
+            self.other_rows = tuple(np.flatnonzero(owner_of_row != j) for j in subregions)
 
     @property
     def num_subregions(self) -> int:
@@ -266,9 +274,8 @@ def sample_local_rows(
     if spec.kind != "idx-label-skew":
         raise ValueError(f"{spec.kind} data has no pool to draw rows from")
     rng = _local_rng(spec, subregion_id, m, seed, salt)
-    owned = np.isin(spec.pool.labels, spec.owned_labels[subregion_id])
-    own_pool = np.flatnonzero(owned)
-    other_pool = np.flatnonzero(~owned)
+    own_pool = spec.own_rows[subregion_id]
+    other_pool = spec.other_rows[subregion_id]
     foreign = rng.random(m) < spec.epsilon
     n_foreign = int(foreign.sum())
     n_own = m - n_foreign
@@ -302,15 +309,17 @@ def sample_local_dataset(
     dim = means.shape[1]
     feats = means[picks] + rng.normal(0.0, 1.0, (m, dim)) * stds[picks, None]
     np.clip(feats, 0.0, 1.0, out=feats)
-    labels = np.array([classes[p].label for p in picks])
+    labels = np.array([c.label for c in classes], dtype=np.int64)[picks]
     return LabeledDataset(feats, labels)
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
-    """Parse big-endian IDX image/label files into a flat [0, 1] dataset.
+    """Parse big-endian IDX image/label files into a flat dataset of pixel bytes.
 
-    Images (magic 0x00000803) are flattened row-major and scaled by 1/255;
-    labels (magic 0x00000801) must count the same number of items.
+    Images (magic 0x00000803) are flattened row-major and kept as their uint8
+    bytes, which LabeledDataset reads as the [0, 1] intensities k / 255.0 (a
+    forward pass divides them as it starts); labels (magic 0x00000801) must
+    count the same number of items.
     """
     with open(images_path, "rb") as f:
         head = f.read(16)
@@ -321,15 +330,12 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
             raise ValueError(
                 f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}"
             )
-        raw = f.read()
+        raw = np.fromfile(f, dtype=np.uint8)
     if len(raw) != count * rows * cols:
         raise ValueError(
             f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(raw)}"
         )
-    # scaled in place, so the pool never exists twice as float64
-    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    features /= 255.0
-    features = features.reshape(count, rows * cols)
+    features = raw.reshape(count, rows * cols)
 
     with open(labels_path, "rb") as f:
         head = f.read(8)

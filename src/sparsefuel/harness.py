@@ -356,15 +356,14 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
     try:
         if data.kind == "synthetic-blobs":
             # every device draws its own samples: the store is the draws in
-            # uid order, and a device's rows are its draw's range in it
-            draws = [
-                sample_local_dataset(spec, site.subregion_id, m, data_seed, salt=site.uid)
-                for site in sites
-            ]
-            samples = LabeledDataset(
-                np.concatenate([d.features for d in draws]),
-                np.concatenate([d.labels for d in draws]),
-            )
+            # uid order, each written into its device's range of rows
+            features = np.empty((len(sites) * m, data.feature_dim))
+            labels = np.empty(len(sites) * m, dtype=np.int64)
+            for site in sites:
+                own = slice(site.uid * m, (site.uid + 1) * m)
+                draw = sample_local_dataset(spec, site.subregion_id, m, data_seed, salt=site.uid)
+                features[own], labels[own] = draw.features, draw.labels
+            samples = LabeledDataset(features, labels)
             rows = list(np.arange(len(sites) * m).reshape(len(sites), m))
         else:
             samples = pool

@@ -1,7 +1,8 @@
 """Multilayer perceptron training core.
 
 Plain-numpy MLP with ReLU hidden layers and a linear output layer; the softmax
-is folded into the cross-entropy loss.  Everything is float64 internally, every
+is folded into the cross-entropy loss.  Inputs may be 8-bit intensities (see
+LabeledDataset), but every forward pass computes in float64, every
 operation is a pure function of its inputs, and all randomness comes from
 explicit seeds, so identical calls are bit-identical.
 """
@@ -119,14 +120,20 @@ class LabeledDataset:
     """Feature matrix (n x d) with integer class labels (n,), or D datasets of
     one length stacked on a leading axis: features (D, n, d), labels (D, n).
 
-    len() counts samples over the whole stack.
+    uint8 features are 8-bit intensities, kept as they are: a uint8 feature k
+    reads as k / 255.0, and every forward pass divides them as it starts.
+    Features of any other dtype are coerced to float64.  len() counts samples
+    over the whole stack.
     """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
+        if features.dtype != np.uint8:
+            features = features.astype(np.float64, copy=False)
+        self.features = features
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim not in (2, 3):
             raise ValueError("features must be a 2-d array (or a stack of them)")
@@ -181,21 +188,29 @@ def init_parameters(arch: Architecture, seed: int) -> ParameterSet:
     return ParameterSet(weights, biases)
 
 
-def _as_stack(params: ParameterSet, data: LabeledDataset) -> tuple[ParameterSet, LabeledDataset]:
-    """The models and datasets as stacks; a single model and dataset become a
-    stack of one (views, no copies)."""
+def _as_stack(
+    params: ParameterSet, data: LabeledDataset
+) -> tuple[ParameterSet, np.ndarray, np.ndarray]:
+    """The models, float64 features and labels as stacks; a single model and
+    dataset become a stack of one (views).
+
+    This is the one place uint8 features become their float64 values
+    k / 255.0, one correctly rounded division each (a multiplication by
+    1 / 255 would round differently); other features are not copied."""
     if not params.weights:
         raise ValueError("cannot run a forward pass on an empty parameter set")
+    x, labels = data.features, data.labels
     if not params.stacked:
         params = params[None]
-        data = LabeledDataset(data.features[None], data.labels[None])
-    x = data.features
+        x, labels = x[None], labels[None]
     models, _, fan_in = params.weights[0].shape
     if x.ndim != 3 or x.shape[0] != models or x.shape[2] != fan_in:
         raise ValueError(
             f"input has shape {x.shape}, expected ({models}, *, {fan_in}) for this stack of models"
         )
-    return params, data
+    if x.dtype == np.uint8:
+        x = x / 255.0
+    return params, x, labels
 
 
 def _forward_batch(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
@@ -263,12 +278,12 @@ def loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
     """
     _check_labels(params, data, "evaluate on an empty dataset")
     stacked = params.stacked
-    params, data = _as_stack(params, data)
-    logits = _forward_batch(params, data.features)[-1]
-    acc = (logits.argmax(axis=2) == data.labels).mean(axis=1)
+    params, x, labels = _as_stack(params, data)
+    logits = _forward_batch(params, x)[-1]
+    acc = (logits.argmax(axis=2) == labels).mean(axis=1)
     logp = _log_softmax(logits)
-    d, n = data.labels.shape
-    loss = -logp[np.arange(d)[:, None], np.arange(n), data.labels].mean(axis=1)
+    d, n = labels.shape
+    loss = -logp[np.arange(d)[:, None], np.arange(n), labels].mean(axis=1)
     if stacked:
         return loss, acc
     return float(loss[0]), float(acc[0])
@@ -281,10 +296,10 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     """
     _check_labels(params, batch, "take gradients on an empty batch")
     stacked = params.stacked
-    params, batch = _as_stack(params, batch)
-    d, n = batch.labels.shape
+    params, x, labels = _as_stack(params, batch)
+    d, n = labels.shape
     last = params.num_layers - 1
-    outputs = _forward_batch(params, batch.features)
+    outputs = _forward_batch(params, x)
 
     # the logits are not read again: the softmax overwrites them
     probs = outputs[-1]
@@ -292,7 +307,7 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
     delta = probs
-    delta.reshape(d * n, -1)[np.arange(d * n), batch.labels.ravel()] -= 1.0
+    delta.reshape(d * n, -1)[np.arange(d * n), labels.ravel()] -= 1.0
     delta /= n
 
     grad_w = [np.empty(0)] * params.num_layers
@@ -346,10 +361,10 @@ def local_training(
         # row k * n + i is sample i of dataset k
         if data.labels.shape[-1] == 0:
             raise ValueError("cannot train on an empty dataset")
-        params, data = _as_stack(params, data)
-        d, n = data.labels.shape
+        params, x, labels = _as_stack(params, data)
+        d, n = labels.shape
         rows = np.arange(d * n).reshape(d, n)
-        data = LabeledDataset(data.features.reshape(d * n, -1), data.labels.reshape(d * n))
+        data = LabeledDataset(x.reshape(d * n, -1), labels.reshape(d * n))
     else:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != (2 if stacked else 1) or data.features.ndim != 2:
@@ -359,7 +374,7 @@ def local_training(
         if rows.min() < 0 or rows.max() >= len(data):
             raise ValueError(f"rows must index the dataset's {len(data)} samples")
         # the shapes are checked on each model's first row alone
-        params, _ = _as_stack(params, data.gather(rows[..., :1]))
+        params = _as_stack(params, data.gather(rows[..., :1]))[0]
         rows = rows.reshape(params.weights[0].shape[0], -1)
     if not stacked and mask_layers is not None:
         mask_layers = [m[None] for m in mask_layers]

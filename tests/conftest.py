@@ -26,7 +26,7 @@ from sparsefuel.harness import (
     calibrate_tau,
     run_experiment_result,
 )
-from sparsefuel.neuralnet import LabeledDataset, ParameterSet, loss_and_accuracy
+from sparsefuel.neuralnet import LabeledDataset, ParameterSet, _as_stack, loss_and_accuracy
 
 
 # --------------------------------------------------------------------------
@@ -327,6 +327,25 @@ def reference_idx_draw(spec, subregion_id, m, seed, salt=0) -> LabeledDataset:
     rows[~foreign] = rng.permutation(own_pool)[: m - n_foreign]
     rows[foreign] = rng.permutation(other_pool)[:n_foreign]
     return LabeledDataset(spec.pool.features[rows], spec.pool.labels[rows])
+
+
+def reference_blob_draw(spec, subregion_id, m, seed, salt=0) -> LabeledDataset:
+    """One device's synthetic-blobs dataset with each sample's label looked
+    up per sample in Python, as the sampler first did."""
+    rng = np.random.default_rng((int(seed), int(subregion_id), int(salt)))
+    classes = spec.blob_classes[subregion_id]
+    picks = rng.integers(0, len(classes), m)
+    means = np.array([c.mean for c in classes])
+    stds = np.array([c.std for c in classes])
+    feats = means[picks] + rng.normal(0.0, 1.0, (m, means.shape[1])) * stds[picks, None]
+    np.clip(feats, 0.0, 1.0, out=feats)
+    return LabeledDataset(feats, np.array([classes[p].label for p in picks]))
+
+
+def forward_features(data: LabeledDataset) -> np.ndarray:
+    """The float64 features a forward pass reads from a 2-d dataset."""
+    probe = ParameterSet([np.zeros((1, data.features.shape[1]))], [np.zeros(1)])
+    return _as_stack(probe, data)[1][0]
 
 
 def sample_store(datasets):

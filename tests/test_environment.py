@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_disc_edges, reference_idx_draw, write_idx_pair
+from conftest import (
+    forward_features,
+    oracle_disc_edges,
+    reference_blob_draw,
+    reference_idx_draw,
+    write_idx_pair,
+)
 from sparsefuel.environment import (
     Area,
     BlobClass,
@@ -177,6 +183,16 @@ class TestSyntheticBlobs:
         assert np.array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
 
+    def test_draw_matches_the_per_sample_label_reference(self):
+        spec = synthetic_blob_spec(k=3, classes_per_subregion=4, feature_dim=3, seed=2)
+        for sid in range(3):
+            for salt in (0, 11):
+                got = sample_local_dataset(spec, sid, m=70, seed=5, salt=salt)
+                want = reference_blob_draw(spec, sid, 70, seed=5, salt=salt)
+                assert got.labels.dtype == want.labels.dtype == np.int64
+                assert np.array_equal(got.labels, want.labels)
+                assert got.features.tobytes() == want.features.tobytes()
+
     def test_synthetic_sampling_ignores_epsilon(self):
         # mixing is an idx-label-skew feature; blobs always draw owned classes
         import dataclasses
@@ -207,15 +223,19 @@ class TestIdx:
         img, lbl = write_idx_pair(tmp_path, images, labels)
         data = load_idx(img, lbl)
         assert data.features.shape == (5, 12)
-        assert np.allclose(data.features[2], images[2].ravel() / 255.0)
+        assert np.allclose(forward_features(data)[2], images[2].ravel() / 255.0)
         assert np.array_equal(data.labels, labels)
 
     def test_features_are_the_bytes_over_255_bit_for_bit(self, tmp_path):
+        # the store is the file's bytes; a forward pass reads bytes / 255.0
         images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
         img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2, 3])
-        features = load_idx(img, lbl).features
-        assert features.dtype == np.float64 and features.flags.c_contiguous
-        assert np.array_equal(features, images.reshape(4, 64) / 255.0)
+        data = load_idx(img, lbl)
+        assert data.features.dtype == np.uint8 and data.features.flags.c_contiguous
+        assert np.array_equal(data.features, images.reshape(4, 64))
+        features = forward_features(data)
+        assert features.dtype == np.float64
+        assert features.tobytes() == (images.reshape(4, 64) / 255.0).tobytes()
 
     def test_bad_magic_raises(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
@@ -320,6 +340,24 @@ class TestSampleLocalRows:
                 ):
                     assert np.array_equal(picked.features, data.features)
                     assert np.array_equal(picked.labels, data.labels)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("label_set", [range(6), (1, 4, 5, 9, 200)])
+    def test_row_lists_are_the_isin_rows(self, tmp_path, epsilon, label_set):
+        rng = np.random.default_rng(9)
+        labels = rng.choice(np.array(label_set, dtype=np.uint8), 300)
+        images = rng.integers(0, 256, (300, 2, 3), dtype=np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, labels)
+        spec = idx_label_skew_spec(load_idx(img, lbl), k=3, epsilon=epsilon)
+        for subregion in range(3):
+            owned = np.isin(spec.pool.labels, spec.owned_labels[subregion])
+            assert np.array_equal(spec.own_rows[subregion], np.flatnonzero(owned))
+            assert np.array_equal(spec.other_rows[subregion], np.flatnonzero(~owned))
+            for salt in (0, 7):
+                got = spec.pool.subset(sample_local_rows(spec, subregion, 30, seed=1, salt=salt))
+                want = reference_idx_draw(spec, subregion, 30, seed=1, salt=salt)
+                assert np.array_equal(got.features, want.features)
+                assert np.array_equal(got.labels, want.labels)
 
     def test_both_raise_the_same_pool_exhausted_error(self, tmp_path):
         spec = self._spec(tmp_path, 0.1)

@@ -304,6 +304,31 @@ class TestBuildWorld:
             assert np.array_equal(got.features, want.features)
             assert np.array_equal(got.labels, want.labels)
 
+    def test_synthetic_world_holds_one_draw_beside_its_store(self):
+        # 16 devices of 200 64-wide samples: the store is 1.6 MB and one
+        # draw 0.1 MB.  Drawing into the store leaves room for one draw's
+        # temporaries and the rest of the world; holding every draw beside
+        # their concatenation would double the store
+        cfg = small_config()
+        cfg = dataclasses.replace(
+            cfg,
+            environment=dataclasses.replace(cfg.environment, n=16),
+            data=dataclasses.replace(
+                cfg.data, feature_dim=64, samples_per_device=200, test_samples=20
+            ),
+            layers=(64, 8, 4),
+        )
+        build_world(cfg, seed=0)  # a first build also allocates one-off caches
+        tracemalloc.start()
+        try:
+            world = build_world(cfg, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = world.samples.features.nbytes + sum(t.features.nbytes for t in world.test_sets)
+        assert world.samples.features.shape == (16 * 200, 64)
+        assert peak <= 1.5 * held
+
     def test_idx_rows_pick_each_devices_draw(self, tmp_path):
         cfg = self._idx_config(tmp_path, layers=(4, 6, 2))
         cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, epsilon=0.3))
@@ -317,9 +342,11 @@ class TestBuildWorld:
 
     def test_idx_world_holds_its_samples_once(self, tmp_path):
         # 16 devices draw 80 samples each from a pool of 400: per-device
-        # copies would take 3.2 times the pool.  Building the world and the
-        # state may allocate the pool, the test sets and a quarter more
-        # (devices' rows and models, the IDX bytes while the pool is scaled)
+        # copies would take 3.2 times the pool.  The pool and the test sets
+        # are held as their uint8 bytes.  Everything else the world and the
+        # state allocate (devices' rows and models, labels, the spec's row
+        # lists) may take 245,760 B, a quarter of the samples' float64 sizes:
+        # per-device uint8 copies (327,680 B) or a float64 pool would not fit
         images = np.random.default_rng(3).integers(0, 256, (400, 16, 16), dtype=np.uint8)
         labels = np.repeat(np.arange(4, dtype=np.uint8), 100)
         img, lbl = write_idx_pair(tmp_path, images, labels)
@@ -351,8 +378,8 @@ class TestBuildWorld:
         finally:
             tracemalloc.stop()
         held = world.samples.features.nbytes + sum(t.features.nbytes for t in world.test_sets)
-        assert held == 400 * 256 * 8 + 4 * 20 * 256 * 8
-        assert peak <= 1.25 * held
+        assert held == 400 * 256 + 4 * 20 * 256
+        assert peak <= held + 245_760
 
     def test_idx_feature_dim_mismatch(self, tmp_path):
         cfg = self._idx_config(tmp_path, layers=(5, 6, 2))

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import finite_difference_gradients, sample_away_from_relu_kinks
+from conftest import finite_difference_gradients, sample_away_from_relu_kinks, stack_models
 from sparsefuel.compression import SparseMask
 from sparsefuel.neuralnet import (
     Architecture,
@@ -255,6 +257,49 @@ class TestLocalTraining:
         out = local_training(params, data, cfg)
         assert all(np.isfinite(w).all() for w in out.weights)
         assert any(not np.array_equal(a, b) for a, b in zip(out.weights, params.weights))
+
+
+def _same_bits(a, b):
+    """Two results (floats, arrays or ParameterSets) hold the same bits."""
+    if isinstance(a, ParameterSet):
+        return _same_bits(a.weights + a.biases, b.weights + b.biases)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestEightBitFeatures:
+    """A uint8 dataset reads as its float64 twin k / 255.0: every entry point
+    gives the same bits on either."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 6)),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_pixel_bytes_match_their_float64_twin(self, shape, seed, data):
+        d, n, dim = shape
+        raw = data.draw(st.binary(min_size=d * n * dim, max_size=d * n * dim))
+        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(d * n, dim)
+        labels = np.random.default_rng(seed).integers(0, 3, d * n)
+        store = LabeledDataset(pixels, labels)
+        twin = LabeledDataset(pixels / 255.0, labels)
+        assert store.features.dtype == np.uint8 and twin.features.dtype == np.float64
+
+        arch = Architecture((dim, 4, 3))
+        models = stack_models([init_parameters(arch, seed + k) for k in range(d)])
+        rows = np.arange(d * n).reshape(d, n)
+        cfg = TrainingConfig(local_epochs=2, batch_size=3, learning_rate=0.5, rng_seed=seed)
+        seeds = [seed + k for k in range(d)]
+        for run in (
+            lambda s: loss_and_accuracy(models[0], s),
+            lambda s: loss_and_accuracy(models, s.gather(rows)),
+            lambda s: gradients(models, s.gather(rows)),
+            lambda s: local_training(models, s, cfg, round_index=1, seeds=seeds, rows=rows),
+            lambda s: local_training(models, s.gather(rows), cfg, round_index=1, seeds=seeds),
+        ):
+            assert _same_bits(run(store), run(twin))
 
 
 class TestParameterSet:

@@ -12,9 +12,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sparsefuel.harness import metrics_csv_text, run_experiment_result
+from sparsefuel.harness import build_world, metrics_csv_text, run_experiment_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +41,13 @@ def test_seed_7_workload_csv_digest(name, tmp_path):
     wl, _ = load_workloads().load(name, 7, str(tmp_path))
     csv_text = metrics_csv_text(run_experiment_result(wl.cfg, wl.arm, 7).records)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_idx_global_world_holds_the_pool_bytes(tmp_path):
+    # the 12,000 MNIST-shaped images as their pixel bytes, not as float64
+    wl, _ = load_workloads().load("idx-global", 7, str(tmp_path))
+    world = build_world(wl.cfg, 7)
+    assert world.samples.features.dtype == np.uint8
+    assert world.samples.features.shape == (12_000, 784)
+    assert world.samples.features.nbytes == 12_000 * 784
+    assert all(t.features.dtype == np.uint8 for t in world.test_sets)
