@@ -288,7 +288,6 @@ class World:
     samples.subset(rows[uid]).
     """
 
-    area: Area
     topology: Topology
     spec: DistributionSpec
     samples: LabeledDataset
@@ -296,7 +295,6 @@ class World:
     test_sets: list[LabeledDataset]
     init_params: ParameterSet
     protocol: ProtocolConfig
-    master_seed: int
 
 
 def resolve_radius(cfg: ExperimentConfig) -> float:
@@ -391,7 +389,7 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
         ),
         similarity_uses_compressed=cfg.protocol.similarity_uses_compressed,
     )
-    return World(area, topology, spec, samples, rows, test_sets, init, protocol, master)
+    return World(topology, spec, samples, rows, test_sets, init, protocol)
 
 
 # ---- running experiments ----
@@ -421,8 +419,6 @@ class MetricsRecord:
 class ExperimentResult:
     records: list[MetricsRecord]
     state: SimulationState
-    final_models: dict[int, ParameterSet]
-    final_partition: FederationPartition
     world: World
 
 
@@ -437,13 +433,11 @@ def run_experiment_result(
         world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
     records: list[MetricsRecord] = []
-    final_models: dict[int, ParameterSet] = {}
-    final_partition: FederationPartition | None = None
     for t in range(1, cfg.protocol.rounds + 1):
         started = time.perf_counter()
         stats = run_round(state, world.protocol, t, arm)
         objective, accs, losses = evaluate_objective(
-            stats.partition, stats.models_by_leader, world.test_sets, world.topology.sites
+            stats.partition, state.params, world.test_sets, world.topology.sites
         )
         wall_ms = (time.perf_counter() - started) * 1000.0
         records.append(
@@ -463,9 +457,7 @@ def run_experiment_result(
                 partition=stats.partition,
             )
         )
-        final_models = stats.models_by_leader
-        final_partition = stats.partition
-    return ExperimentResult(records, state, final_models, final_partition, world)
+    return ExperimentResult(records, state, world)
 
 
 def run_experiment(
@@ -571,7 +563,7 @@ def save_checkpoints(result: ExperimentResult, directory: str) -> list[str]:
     """Write the final representative model as dense plus the configured wire
     kind (when not dense); returns the paths written."""
     os.makedirs(directory, exist_ok=True)
-    model = result.final_models[result.final_partition.representative().leader]
+    model = result.state.params[result.records[-1].partition.representative().leader]
     strategy = result.world.protocol.strategy
     paths = []
     dense_path = os.path.join(directory, "final_dense.spfl")

@@ -22,7 +22,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -217,7 +217,6 @@ class SimulationState:
     samples: LabeledDataset
     devices: list[DeviceState]
     params: ParameterSet
-    round_index: int = 0
     bytes_total: int = 0
     val_table: np.ndarray = field(init=False, repr=False)
     decoded: ParameterSet = field(init=False, repr=False)
@@ -318,7 +317,6 @@ class RoundStats:
 
     round_index: int
     partition: FederationPartition
-    models_by_leader: dict[int, ParameterSet]
     bytes_broadcast: int
     bytes_collect: int
     bytes_disseminate: int
@@ -347,14 +345,8 @@ def run_round(
 
     bytes_broadcast = bytes_collect = bytes_disseminate = 0
     ds = None
-    models_by_leader: dict[int, ParameterSet] = {}
-    # each leader's averaged members, whose rows its average is written into
-    members: dict[int, list[int]] = {}
     if arm == "isolated":
         partition = FederationPartition({dev.uid: dev.uid for dev in state.devices})
-        # a copy: the next round trains the rows in place
-        trained = params.copy()
-        models_by_leader = {uid: trained[uid] for uid in partition.leader_of}
     else:
         # the wire, one encode, decode and pricing per trained chunk: the model
         # each device's receivers decode from its bytes, and how many bytes
@@ -388,11 +380,16 @@ def run_round(
             gfield = fields.g_block(graph, [leader])
             partition = FederationPartition(dict.fromkeys(graph.nodes, leader))
 
+    # MAC proxy of the representative federation's leader model as trained,
+    # read before an average is written over it
+    macs = nonzero_macs(params[partition.representative().leader])
+    if arm != "isolated":
         # tree collection up the hop field: a leader averages the members its
         # tree reaches (a forced federation's devices with no wire path to
         # the leader keep their trained models), in uid order, contributing
         # its own model as trained and every other member the model its wire
-        # bytes decode to; the average goes back down the tree
+        # bytes decode to; the average goes back down the tree into their
+        # rows, which no later federation reads: federations are disjoint
         bytes_collect = sum(
             int(hops) * int(size[uid])
             for uid, hops in gfield.hops.items()
@@ -401,23 +398,14 @@ def run_round(
         for fed in partition.federations:
             uids = sorted(u for u in fed.members if gfield.source[u] == fed.leader)
             models = [params[uid] if uid == fed.leader else decoded[uid] for uid in uids]
-            averaged = fed_avg(models, [state.devices[uid].num_samples for uid in uids])
-            models_by_leader[fed.leader] = averaged
-            members[fed.leader] = uids
+            average = fed_avg(models, [state.devices[uid].num_samples for uid in uids])
+            for rows, avg in zip(params.weights + params.biases, average.weights + average.biases):
+                rows[uids] = avg
             bytes_disseminate += (len(uids) - 1) * dense_size
-
-    # MAC proxy of the representative federation's leader model as trained
-    macs = nonzero_macs(params[partition.representative().leader])
-    for leader, uids in members.items():
-        averaged = models_by_leader[leader]
-        for rows, avg in zip(params.weights + params.biases, averaged.weights + averaged.biases):
-            rows[uids] = avg
-    state.round_index = round_index
     state.bytes_total += bytes_broadcast + bytes_collect + bytes_disseminate
     return RoundStats(
         round_index,
         partition,
-        models_by_leader,
         bytes_broadcast,
         bytes_collect,
         bytes_disseminate,
@@ -605,13 +593,14 @@ def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
 
 def evaluate_objective(
     partition: FederationPartition,
-    models_by_leader: Mapping[int, ParameterSet],
+    models: ParameterSet,
     test_sets: Sequence[LabeledDataset],
     sites: Sequence[DeviceSite],
 ) -> tuple[float, list[float], list[float]]:
     """Objective plus per-subregion accuracy and loss.
 
-    The objective sums, over federations, the federation model's mean loss on
+    A federation's model is models[leader]: its leader's row of the model
+    stack.  The objective sums, over federations, that model's mean loss on
     the test set of the subregion hosting its leader.  Per-subregion metrics
     come from the model its devices actually use: the federation holding the
     plurality of the subregion's devices (ties to the lowest leader uid); a
@@ -622,9 +611,7 @@ def evaluate_objective(
 
     def score(leader: int, subregion: int) -> tuple[float, float]:
         if (leader, subregion) not in scores:
-            scores[leader, subregion] = loss_and_accuracy(
-                models_by_leader[leader], test_sets[subregion]
-            )
+            scores[leader, subregion] = loss_and_accuracy(models[leader], test_sets[subregion])
         return scores[leader, subregion]
 
     k = len(test_sets)

@@ -34,6 +34,7 @@ from sparsefuel.harness import (
     save_checkpoints,
     write_metrics_csv,
 )
+from sparsefuel.protocol import evaluate_objective
 from sparsefuel.seeds import derive_seed
 
 from conftest import reference_idx_draw, small_config, write_idx_pair
@@ -430,11 +431,19 @@ class TestRunExperiment:
         assert metrics_csv_text(a) == metrics_csv_text(b)
 
     def test_result_carries_final_partition_and_models(self):
+        # the final partition is the last record's; every member of a
+        # federation ends holding its average in its row of the model stack,
+        # and the leaders' rows are the models the last record scored
         result = run_experiment_result(small_config(), seed=0)
-        leaders = {f.leader for f in result.final_partition.federations}
-        assert set(result.final_models) == leaders
-        covered = sorted(u for f in result.final_partition.federations for u in f.members)
+        partition, params = result.records[-1].partition, result.state.params
+        covered = sorted(u for f in partition.federations for u in f.members)
         assert covered == list(range(9))
+        for fed in partition.federations:
+            for rows in params.weights + params.biases:
+                assert all(np.array_equal(rows[uid], rows[fed.leader]) for uid in fed.members)
+        sites = result.world.topology.sites
+        objective, _, _ = evaluate_objective(partition, params, result.world.test_sets, sites)
+        assert objective == result.records[-1].objective
 
 
 class TestMetricsCsv:
@@ -516,8 +525,9 @@ class TestSaveCheckpoints:
         wire = from_bytes((tmp_path / "final_sparse+quantized.spfl").read_bytes())
         assert dense.kind == "dense"
         assert wire.kind == "sparse+quantized"
-        rep = max(result.final_partition.federations, key=lambda f: (len(f.members), -f.leader))
-        model = result.final_models[rep.leader]
+        partition = result.records[-1].partition
+        rep = max(partition.federations, key=lambda f: (len(f.members), -f.leader))
+        model = result.state.params[rep.leader]
         decoded = decompress(dense)
         for got, want in zip(decoded.weights, model.weights):
             assert np.array_equal(got, want.astype(np.float32))

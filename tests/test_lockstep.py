@@ -8,6 +8,7 @@ never a tolerance.
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -273,13 +274,13 @@ class TestDeviceBank:
         state = make_state(topo, samples, rows, init_parameters(ALONE, 0), 0.2)
         cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
         starts = state.params.copy()
-        stats = run_round(state, cfg, 1, arm="isolated")
+        run_round(state, cfg, 1, arm="isolated")
         for dev in state.devices:
             start = starts[dev.uid]
             tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
             train = samples.subset(dev.train_rows)
             want = reference_local_training(start, train, tcfg, round_index=1)
-            assert_same_model(stats.models_by_leader[dev.uid], want)
+            assert_same_model(state.params[dev.uid], want)
 
     def test_splits_keep_the_row_order(self):
         rows = np.random.default_rng(7).permutation(60)[:45]
@@ -303,10 +304,28 @@ class TestLockstepRound:
     def test_trained_models_match_reference(self):
         state = line_state()
         want, _ = reference_round(state, round_index=2)
-        stats = run_round(state, protocol_config(), 2, arm="isolated")
+        run_round(state, protocol_config(), 2, arm="isolated")
         for uid, model in want.items():
-            assert_same_model(stats.models_by_leader[uid], model)
             assert_same_model(state.params[uid], model)
+
+    def test_an_isolated_round_copies_no_model_stack(self, monkeypatch):
+        # 32 devices that each train alone hold a stack of ten lockstep
+        # budgets, far more than two lanes' training temporaries: a round
+        # that copied the stack would peak above its size
+        monkeypatch.setattr(protocol, "_LANES", 2)
+        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(32)]
+        samples, rows = sample_store([toy_data(400 + uid, 20) for uid in range(32)])
+        topo = build_topology(sites, r_c=1.0)
+        state = make_state(topo, samples, rows, init_parameters(ALONE, 0), 0.2)
+        stack_bytes = sum(t.nbytes for t in state.params.weights + state.params.biases)
+        assert stack_bytes > 9 * LOCKSTEP_BUDGET_BYTES
+        tracemalloc.start()
+        try:
+            run_round(state, protocol_config(), 1, arm="isolated")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes
 
     def test_batched_similarity_matches_per_edge_cross_similarity(self):
         state = line_state()
@@ -334,14 +353,14 @@ def test_quadrant_trains_in_one_chunk_like_the_reference():
     assert lockstep_chunk(world.init_params, training.batch_size) >= 64
     assert len({len(dev.train_rows) for dev in state.devices}) == 1
     starts = state.params.copy()
-    stats = run_round(state, world.protocol, 1, arm="isolated")
+    run_round(state, world.protocol, 1, arm="isolated")
     for dev in state.devices:
         cm = compress(starts[dev.uid], world.protocol.strategy)
         tcfg = dataclasses.replace(training, rng_seed=derive_seed(training.rng_seed, dev.uid))
         want = reference_local_training(
             decompress(cm), world.samples.subset(dev.train_rows), tcfg, mask=cm.mask, round_index=1
         )
-        assert_same_model(stats.models_by_leader[dev.uid], want)
+        assert_same_model(state.params[dev.uid], want)
 
 
 # The lanes of a round on this host, and at least two, so that the lanes

@@ -409,7 +409,8 @@ class TestTreeRound:
     @staticmethod
     def _recorded_round(monkeypatch, state, cfg, arm):
         """The round's stats and, per fed_avg call, the (stack, uid) rows it
-        averaged: the leader's row of params, every other member's of decoded."""
+        averaged (the leader's row of params, every other member's of
+        decoded) and the average it returned."""
         calls = []
         average = protocol.fed_avg
 
@@ -422,23 +423,31 @@ class TestTreeRound:
             raise AssertionError("fed_avg got a model that is no row of a stack")
 
         def recording(models, weights):
-            calls.append([row(m) for m in models])
-            return average(models, weights)
+            rows = [row(m) for m in models]
+            out = average(models, weights)
+            calls.append((rows, out))
+            return out
 
         monkeypatch.setattr(protocol, "fed_avg", recording)
         stats = run_round(state, cfg, 1, arm=arm)
         monkeypatch.setattr(protocol, "fed_avg", average)
         return stats, calls
 
-    def _assert_tree_blocks_agree(self, state, stats, calls, gfield):
+    @staticmethod
+    def _averages(calls):
+        """The recorded averages by leader: the one member of each call read
+        from params."""
+        return {rows[0][1]: out for rows, out in calls}
+
+    def _assert_tree_blocks_agree(self, state, calls, gfield):
         singletons = {uid: frozenset([uid]) for uid in gfield.hops}
         collected = fields.c_block(gfield, singletons, frozenset.union, frozenset())
-        assert [[uid for _, uid in rows] for rows in calls] == [
+        assert [[uid for _, uid in rows] for rows, _ in calls] == [
             sorted(collected[leader]) for leader in sorted(collected)
         ]
-        for rows in calls:
+        for rows, _ in calls:
             assert [name for name, _ in rows] == ["params"] + ["decoded"] * (len(rows) - 1)
-        delivered = fields.broadcast_block(gfield, stats.models_by_leader)
+        delivered = fields.broadcast_block(gfield, self._averages(calls))
         for uid, model in delivered.items():
             got = state.params[uid]
             for x, y in zip(got.weights + got.biases, model.weights + model.biases):
@@ -452,14 +461,16 @@ class TestTreeRound:
         cfg = toy_protocol_config()
         state = self._state(xs, r_c)
         stats, calls = self._recorded_round(monkeypatch, state, cfg, "global-fedavg")
-        isolated = run_round(self._state(xs, r_c), cfg, 1, arm="isolated")
+        isolated = self._state(xs, r_c)
+        run_round(isolated, cfg, 1, arm="isolated")
 
         assert stats.partition.leader_of == dict.fromkeys(range(5), 0)
         gfield = fields.g_block(fields.FieldGraph.from_topology(state.topology), [0])
-        delivered = self._assert_tree_blocks_agree(state, stats, calls, gfield)
+        delivered = self._assert_tree_blocks_agree(state, calls, gfield)
         assert sorted(delivered) == [0, 1, 2]
+        average = self._averages(calls)[0]
         for uid in range(5):
-            want = stats.models_by_leader[0] if uid < 3 else isolated.models_by_leader[uid]
+            want = average if uid < 3 else isolated.params[uid]
             got = state.params[uid]
             for x, y in zip(got.weights + got.biases, want.weights + want.biases):
                 assert np.array_equal(x, y)
@@ -480,23 +491,46 @@ class TestTreeRound:
         assert members == [[0], [1, 2, 3, 5, 6], [4], [7]]
         graph = protocol.similarity_graph(state.topology, stats.dissimilarity, cfg.tau)
         gfield = fields.g_block(graph, [u for u, lead in fields.s_block(graph).items() if lead])
-        delivered = self._assert_tree_blocks_agree(state, stats, calls, gfield)
+        delivered = self._assert_tree_blocks_agree(state, calls, gfield)
         assert sorted(delivered) == list(range(8))
 
     @pytest.mark.parametrize("arm", protocol.ARMS)
-    def test_a_round_leaves_earlier_results_alone(self, arm):
-        # the next round writes the rows in place; the models a round
-        # returned are not views of them
+    def test_leader_rows_hold_the_round_models(self, monkeypatch, arm):
+        # each leader's row of the model stack ends the round holding its
+        # federation's average as fed_avg returned it (its model as trained
+        # when it is alone and nothing is averaged), and the objective
+        # scores exactly those rows
         cfg = toy_protocol_config(tau=2.8, strategy=CompressionStrategy("sparse+quantized", 0.3))
         state = self._state(range(8), 2.5)
-        first = run_round(state, cfg, 1, arm=arm)
-        before = {
-            leader: [t.tobytes() for t in m.weights + m.biases]
-            for leader, m in first.models_by_leader.items()
-        }
-        run_round(state, cfg, 2, arm=arm)
-        for leader, m in first.models_by_leader.items():
-            assert [t.tobytes() for t in m.weights + m.biases] == before[leader]
+        stats, calls = self._recorded_round(monkeypatch, state, cfg, arm)
+        if arm == "isolated":
+            assert calls == []
+            trained = self._state(range(8), 2.5)
+            protocol._train_in_lockstep(trained, cfg, 1)
+            want = {uid: trained.params[uid] for uid in range(8)}
+        else:
+            want = self._averages(calls)
+        assert sorted(want) == [f.leader for f in stats.partition.federations]
+        for leader, model in want.items():
+            got = state.params[leader]
+            for x, y in zip(got.weights + got.biases, model.weights + model.biases):
+                assert np.array_equal(x, y)
+
+        scored = []
+        score = protocol.loss_and_accuracy
+
+        def recording(params, data):
+            scored.append(params)
+            return score(params, data)
+
+        monkeypatch.setattr(protocol, "loss_and_accuracy", recording)
+        tests = [toy_dataset(900, m=30)]
+        sites = state.topology.sites
+        objective, _, _ = evaluate_objective(stats.partition, state.params, tests, sites)
+        rows = state.params.weights[0]
+        leaders = [u for m in scored for u in want if np.shares_memory(m.weights[0], rows[u])]
+        assert sorted(leaders) == sorted(want)
+        assert objective == sum(score(model, tests[0])[0] for model in want.values())
 
 
 class TestWireFaults:

@@ -1,7 +1,8 @@
 """Source style checks that need only the standard library: no line of the
 package is longer than 100 characters, no module of the package or of the
-tests imports a name it never uses, and no module-level private name goes
-unread in the package."""
+tests imports a name it never uses, no module-level private name goes
+unread in the package, and no field of a package dataclass goes unread in
+the package, the tests or the benchmark."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+PERFBENCH = sorted((SRC.parent / "perfbench").glob("*.py"))
 MAX_LINE = 100
 
 
@@ -59,6 +61,38 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 names = []
             defined += [(module, node.lineno, name) for name in names if _private(name)]
     return [f"{module}:{line}: {name}" for module, line, name in defined if name not in read]
+
+
+def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of the dataclasses of the given package modules, by module
+    name, whose name no reader source reads as an attribute; assigning
+    x.name or passing name= to a constructor is not a read."""
+    read = set()
+    for source in readers:
+        read |= {
+            n.attr
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    unread = []
+    for module, source in package.items():
+        classes = [
+            n
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.ClassDef) and any(map(_is_dataclass, n.decorator_list))
+        ]
+        for node in classes:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.target.id not in read:
+                    unread.append(f"{module}:{item.lineno}: {node.name}.{item.target.id}")
+    return unread
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    """Whether a class decorator is @dataclass or @dataclass(...)."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
 
 
 def _private(name: str) -> bool:
@@ -147,3 +181,41 @@ def test_unread_private_finder_sees_unread_and_read_names():
         "c.py": "class _Typed: ...\n_helper()\n",
     }
     assert unread_private_names(sources) == ["a.py:2: _unused", "a.py:6: _Gone"]
+
+
+def test_no_unread_dataclass_fields():
+    package = {p.relative_to(SRC).as_posix(): p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8") for p in MODULES + TESTS + PERFBENCH]
+    unread = unread_fields(package, readers)
+    assert not unread, ", ".join(unread)
+
+
+def test_unread_field_finder_sees_unread_and_read_fields():
+    package = {
+        "a.py": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\n"
+            "class Point:\n"
+            "    x: float\n"
+            "    y: float = 0.0\n"
+            "    tag: str = field(default='')\n"
+            "    def norm(self): return abs(self.x)\n"
+            "@dataclass(frozen=True)\n"
+            "class Box:\n"
+            "    corner: Point\n"
+            "    size: float\n"
+            "class Plain:\n"
+            "    width: int\n"
+        ),
+    }
+    # b.corner.y = ... reads corner and assigns y
+    reader = (
+        "from a import Box, Point\n"
+        "b = Box(Point(1.0, tag='t'), size=2.0)\n"
+        "b.corner.y = 1.0\n"
+        "b.size\n"
+    )
+    assert unread_fields(package, list(package.values()) + [reader]) == [
+        "a.py:5: Point.y",
+        "a.py:6: Point.tag",
+    ]
