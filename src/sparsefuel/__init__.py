@@ -37,7 +37,6 @@ from .fields import (
     c_block,
     g_block,
     s_block,
-    stabilize_after_removal,
 )
 from .harness import (
     ConfigError,

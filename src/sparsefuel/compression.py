@@ -81,9 +81,6 @@ class SparseMask:
             if m.max(initial=0) > 1:
                 raise ValueError("mask entries must be 0 or 1")
 
-    def kept_counts(self) -> list[int]:
-        return [int(m.sum()) for m in self.layers]
-
     def __getitem__(self, k) -> "SparseMask":
         """Model k's masks (views) of a stack."""
         return SparseMask([m[k] for m in self.layers])

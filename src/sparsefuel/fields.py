@@ -80,12 +80,6 @@ class FieldGraph:
             return topology.graph
         return FieldGraph.from_edges(topology.graph.nodes, topology.edges[keep])
 
-    def without_node(self, uid: int) -> "FieldGraph":
-        if uid not in self.adj:
-            raise ValueError(f"node {uid} not in graph")
-        nodes = tuple(u for u in self.nodes if u != uid)
-        return FieldGraph.from_edges(nodes, self.edges[(self.edges != uid).all(axis=1)])
-
 
 @dataclass
 class GradientField:
@@ -204,20 +198,3 @@ def broadcast_block(field: GradientField, source_values: Mapping[int, Any]) -> d
         out[u] = source_values[s]
     return out
 
-
-def stabilize_after_removal(
-    graph: FieldGraph, removed_uid: int, sources: Iterable[int] | None = None
-) -> tuple[dict[int, bool], GradientField]:
-    """Recompute leaders and the hop field after one node disappears.
-
-    The blocks restart from clean state on the residual graph, so the result
-    matches a from-scratch computation and settles within (new diameter + 1)
-    synchronous rounds.  When sources is None the new leaders root the field.
-    """
-    residual = graph.without_node(removed_uid)
-    leaders = s_block(residual)
-    if sources is None:
-        src = [u for u, is_leader in leaders.items() if is_leader]
-    else:
-        src = [s for s in sources if s != removed_uid]
-    return leaders, g_block(residual, src)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .compression import KINDS, CompressionStrategy, compress, to_bytes
 from .environment import (
+    DISTRIBUTION_KINDS,
     PLACEMENTS,
     Area,
     DistributionSpec,
@@ -84,8 +85,8 @@ class EnvironmentConfig:
 class DataConfig:
     kind: str = _key(
         "synthetic-blobs",
-        lambda v: v in ("synthetic-blobs", "idx-label-skew"),
-        "must be synthetic-blobs or idx-label-skew",
+        lambda v: v in DISTRIBUTION_KINDS,
+        "must be " + " or ".join(DISTRIBUTION_KINDS),
     )
     samples_per_device: int = _key(300, lambda v: v >= 2, "must be >= 2")
     test_samples: int = _at_least_1(400)
@@ -564,15 +565,11 @@ def save_checkpoints(result: ExperimentResult, directory: str) -> list[str]:
     kind (when not dense); returns the paths written."""
     os.makedirs(directory, exist_ok=True)
     model = result.state.params[result.records[-1].partition.representative().leader]
-    strategy = result.world.protocol.strategy
-    paths = []
-    dense_path = os.path.join(directory, "final_dense.spfl")
-    with open(dense_path, "wb") as f:
-        f.write(to_bytes(compress(model, CompressionStrategy("dense"))))
-    paths.append(dense_path)
-    if strategy.kind != "dense":
-        kind_path = os.path.join(directory, f"final_{strategy.kind}.spfl")
-        with open(kind_path, "wb") as f:
+    strategies = [CompressionStrategy("dense")]
+    if result.world.protocol.strategy.kind != "dense":
+        strategies.append(result.world.protocol.strategy)
+    paths = [os.path.join(directory, f"final_{strategy.kind}.spfl") for strategy in strategies]
+    for path, strategy in zip(paths, strategies):
+        with open(path, "wb") as f:
             f.write(to_bytes(compress(model, strategy)))
-        paths.append(kind_path)
     return paths

@@ -30,10 +30,6 @@ class Architecture:
             raise ValueError(f"layer sizes must all be >= 1, got {sizes}")
 
     @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
 
@@ -335,10 +331,10 @@ def local_training(
 ) -> ParameterSet:
     """Minibatch SGD for cfg.local_epochs epochs; returns new parameters.
 
-    Stacked models train in lockstep and come back stacked: every step does
-    for each model exactly the arithmetic it would do alone.  Model k trains
-    on stacked dataset k, or, when rows is given, on the rows[k] rows of the
-    2-d dataset data (a single model takes a 1-d rows); each batch is
+    A single model trains on its 1-d rows of the 2-d dataset data, by
+    default every row.  Stacked models train in lockstep, model k on the
+    rows[k] rows of a (D, n) rows, and come back stacked: every step does for
+    each model exactly the arithmetic it would do alone.  Each batch is
     gathered from data as it runs.  Model k's shuffle order is derived from
     (seeds[k], round_index) only, so the call is deterministic; seeds
     defaults to cfg.rng_seed for every model.  When a mask is given (a
@@ -356,28 +352,16 @@ def local_training(
                 raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
 
     stacked = params.stacked
-    if rows is None:
-        # a stack of D datasets of n rows is a store of D * n rows in which
-        # row k * n + i is sample i of dataset k
-        if data.labels.shape[-1] == 0:
-            raise ValueError("cannot train on an empty dataset")
-        params, x, labels = _as_stack(params, data)
-        d, n = labels.shape
-        rows = np.arange(d * n).reshape(d, n)
-        data = LabeledDataset(x.reshape(d * n, -1), labels.reshape(d * n))
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != (2 if stacked else 1) or data.features.ndim != 2:
-            raise ValueError("rows must index a 2-d dataset, one row of rows per model")
-        if rows.shape[-1] == 0:
-            raise ValueError("cannot train on an empty dataset")
-        if rows.min() < 0 or rows.max() >= len(data):
-            raise ValueError(f"rows must index the dataset's {len(data)} samples")
-        # the shapes are checked on each model's first row alone
-        params = _as_stack(params, data.gather(rows[..., :1]))[0]
-        rows = rows.reshape(params.weights[0].shape[0], -1)
-    if not stacked and mask_layers is not None:
-        mask_layers = [m[None] for m in mask_layers]
+    rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.ndim != (2 if stacked else 1) or data.features.ndim != 2:
+        raise ValueError("rows must index a 2-d dataset, one row of rows per model")
+    if rows.shape[-1] == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if rows.min() < 0 or rows.max() >= len(data):
+        raise ValueError(f"rows must index the dataset's {len(data)} samples")
+    # the shapes are checked on each model's first row alone
+    params = _as_stack(params, data.gather(rows[..., :1]))[0]
+    rows = rows.reshape(params.weights[0].shape[0], -1)
     d, n = rows.shape
     seeds = [cfg.rng_seed] * d if seeds is None else list(seeds)
     if len(seeds) != d:

@@ -30,6 +30,7 @@ from . import fields
 from .compression import (
     CompressedModel,
     CompressionStrategy,
+    SerializationError,
     SparseMask,
     compress,
     decode_wire,
@@ -315,7 +316,6 @@ def make_state(
 class RoundStats:
     """What one round produced, for metrics and tests."""
 
-    round_index: int
     partition: FederationPartition
     bytes_broadcast: int
     bytes_collect: int
@@ -362,8 +362,7 @@ def run_round(
                 wire = encode_wire(params[uids], cfg.strategy, mask)
             else:
                 wire = CompressedModel("dense", params=params[uids])
-            out = decode_wire(wire)
-            _check_decodable(wire, out, uids)
+            out = _decode_checked(wire, uids, round_index)
             for rows, chunk_rows in zip(decoded.weights + decoded.biases, out.weights + out.biases):
                 rows[uids] = chunk_rows
             size[uids] = serialized_size(wire)
@@ -404,7 +403,6 @@ def run_round(
             bytes_disseminate += (len(uids) - 1) * dense_size
     state.bytes_total += bytes_broadcast + bytes_collect + bytes_disseminate
     return RoundStats(
-        round_index,
         partition,
         bytes_broadcast,
         bytes_collect,
@@ -552,16 +550,19 @@ def _finite_rows(stack: ParameterSet) -> np.ndarray:
     return np.logical_and.reduce([np.isfinite(t.reshape(len(t), -1)).all(1) for t in tensors])
 
 
-def _check_decodable(wire: CompressedModel, decoded: ParameterSet, uids: list[int]) -> None:
-    """Raise the codec's SerializationError for the first device of a wire
-    chunk whose decoded model is not finite: its bytes carry a non-finite f32
-    value or scale, which the codec rejects with the message a receiver
-    would see."""
-    finite = _finite_rows(decoded)
-    if finite.all():
-        return
-    k = int(np.argmin(finite))
-    from_bytes(to_bytes(wire[k]))
+def _decode_checked(wire: CompressedModel, uids: list[int], round_index: int) -> ParameterSet:
+    """decode_wire(wire), or the codec's error on the bytes of the chunk's first
+    non-finite model, prefixed with its round and uid; f32 overflow decodes quietly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        decoded = decode_wire(wire)
+        finite = _finite_rows(decoded)
+        if finite.all():
+            return decoded
+        k = int(np.argmin(finite))
+        try:
+            from_bytes(to_bytes(wire[k]))
+        except SerializationError as err:
+            raise SerializationError(f"round {round_index}: device {uids[k]}: {err}") from err
     raise RuntimeError(f"device {uids[k]}: decodes to non-finite values the codec accepts")
 
 

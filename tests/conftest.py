@@ -102,6 +102,12 @@ def oracle_bfs(nodes, adj, sources):
     return dist
 
 
+def oracle_parents(adj, dist):
+    """Each node's lowest-uid neighbor one hop nearer the sources, from the
+    hop distances of oracle_bfs; None at a source.  Every node is reachable."""
+    return {u: min((v for v in adj[u] if dist[v] == dist[u] - 1), default=None) for u in adj}
+
+
 def oracle_diameter(nodes, adj):
     """Largest finite eccentricity over all start nodes (0 for edgeless graphs)."""
     best = 0

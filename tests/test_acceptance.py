@@ -29,7 +29,6 @@ from sparsefuel.fields import (
     g_block,
     min_flood,
     s_block,
-    stabilize_after_removal,
 )
 from sparsefuel.harness import run_experiment, run_experiment_result, write_metrics_csv
 from sparsefuel.neuralnet import Architecture, ParameterSet, gradients, init_parameters
@@ -39,6 +38,7 @@ from conftest import (
     oracle_bfs,
     oracle_components,
     oracle_diameter,
+    oracle_parents,
     quadrant_config,
     quadrant_sets,
     sample_away_from_relu_kinks,
@@ -185,7 +185,7 @@ def test_pruning_counts_and_macs():
         layer_counts = [w.size for w in params.weights]
         for psi in psis:
             model = compress(params, CompressionStrategy("sparse", psi))
-            kept = model.mask.kept_counts()
+            kept = [int(m.sum()) for m in model.mask.layers]
             expected = [n - math.floor(Fraction(str(psi)) * n) for n in layer_counts]
             per_layer_ok = kept == expected
             dense_nonzero = [int(np.count_nonzero(w)) for w in model.params.weights]
@@ -329,22 +329,27 @@ def _check_field_blocks(nodes, edges):
 
     field = g_block(graph, srcs)
     assert field.hops == {u: dist[u] for u in nodes}  # sources cover every component
+    assert field.parent == oracle_parents(adj, dist)
 
     collected = c_block(field, {u: frozenset([u]) for u in nodes}, frozenset.union, frozenset())
     assert collected == {min(c): frozenset(c) for c in comps}
     assert broadcast_block(field, {s: s for s in srcs}) == comp_min
 
     if len(nodes) > 1:
+        # a node leaves: the blocks restart on the residual graph
         removed = nodes[len(edges) % len(nodes)]
-        flags, after = stabilize_after_removal(graph, removed)
         rest = [u for u in nodes if u != removed]
         rest_edges = [e for e in edges if removed not in e]
+        residual = FieldGraph.from_edges(rest, rest_edges)
+        flags = s_block(residual)
+        after = g_block(residual, [u for u, f in flags.items() if f])
         rest_comps = oracle_components(rest, rest_edges)
         rest_leaders = {min(c) for c in rest_comps}
         assert {u for u, f in flags.items() if f} == rest_leaders
         rest_adj = {u: {v for v in adj[u] if v != removed} for u in rest}
         rest_dist = oracle_bfs(rest, rest_adj, rest_leaders)
         assert after.hops == {u: rest_dist[u] for u in rest}
+        assert after.parent == oracle_parents(rest_adj, rest_dist)
 
 
 def test_field_blocks_match_graph_oracles():

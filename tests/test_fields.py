@@ -21,7 +21,6 @@ from sparsefuel.fields import (
     g_block,
     min_flood,
     s_block,
-    stabilize_after_removal,
 )
 
 
@@ -119,12 +118,6 @@ class TestFieldGraph:
         g = FieldGraph.from_topology(topo, keep)
         want = oracle_normalise_edges(range(4096), topo.edges[keep])
         assert np.array_equal(g.edges, want[1]) and g.adj == want[2]
-
-    def test_without_node(self):
-        g = FieldGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
-        h = g.without_node(1)
-        assert set(h.nodes) == {0, 2}
-        assert h.adj[0] == () and h.adj[2] == ()
 
     def test_from_topology_with_edge_filter(self):
         sites = [DeviceSite(0, 0, 0, 0), DeviceSite(1, 1, 0, 0), DeviceSite(2, 2, 0, 0)]
@@ -246,20 +239,30 @@ class TestBroadcastBlock:
             broadcast_block(f, {})
 
 
+def after_removal(nodes, edges, removed):
+    """Leader flags and the hop field rooted at the leaders, as a round
+    computes them on the graph left when the removed node leaves."""
+    residual = FieldGraph.from_edges(
+        [u for u in nodes if u != removed], [e for e in edges if removed not in e]
+    )
+    flags = s_block(residual)
+    return flags, g_block(residual, leaders_of(flags))
+
+
 class TestStabilizeAfterRemoval:
+    """The blocks restart on the residual graph every round, so a node that
+    leaves is handled by the same s_block and g_block."""
+
     def test_remove_leader_elects_next_lowest(self):
-        g = FieldGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
-        flags, _ = stabilize_after_removal(g, 0)
+        flags, _ = after_removal([0, 1, 2], [(0, 1), (1, 2)], 0)
         assert leaders_of(flags) == {1}
 
     def test_remove_non_leader_leaf_keeps_leaders(self):
-        g = FieldGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
-        flags, _ = stabilize_after_removal(g, 2)
+        flags, _ = after_removal([0, 1, 2], [(0, 1), (1, 2)], 2)
         assert leaders_of(flags) == {0}
 
     def test_remove_cut_vertex_splits_component(self):
-        g = FieldGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
-        flags, field = stabilize_after_removal(g, 1)
+        flags, field = after_removal([0, 1, 2], [(0, 1), (1, 2)], 1)
         assert leaders_of(flags) == {0, 2}
         assert field.hops[0] == 0 and field.hops[2] == 0
 
@@ -271,7 +274,7 @@ class TestStabilizeAfterRemoval:
             edges = [e for e in combinations(nodes, 2) if rng.random() < 0.3]
             g = FieldGraph.from_edges(nodes, edges)
             rm = int(rng.integers(0, n))
-            flags, field = stabilize_after_removal(g, rm)
+            flags, field = after_removal(nodes, edges, rm)
             res_nodes = [u for u in nodes if u != rm]
             res_edges = [(a, b) for a, b in edges if rm not in (a, b)]
             comps = oracle_components(res_nodes, res_edges)

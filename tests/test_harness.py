@@ -90,6 +90,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="input width 3 != data.feature_dim 2"):
             parse_config("[model]\nlayers = 3,16,8\n")
 
+    def test_unknown_data_kind(self):
+        problem = "line 2: data.kind must be synthetic-blobs or idx-label-skew (got mnist)"
+        with pytest.raises(ConfigError) as raised:
+            parse_config("[data]\nkind = mnist\n")
+        assert str(raised.value) == problem
+
     def test_idx_kind_requires_paths(self):
         with pytest.raises(ConfigError, match="idx_images is required"):
             parse_config("[data]\nkind = idx-label-skew\n")

@@ -75,20 +75,24 @@ def random_mask(arch, seed, keep=0.7):
 class TestLockstepTraining:
     def test_stack_matches_reference_per_device(self):
         # five devices, each with its own start model, data, shuffle seed and
-        # mask; 37 rows at batch 16 leave a partial last batch of 5
+        # mask, their 37 rows each laid one after another in a 185-row store;
+        # 37 rows at batch 16 leave a partial last batch of 5
         arch = Architecture((3, 7, 4))
         models = [init_parameters(arch, 10 + k) for k in range(5)]
         data = [toy_data(20 + k, 37, dim=3) for k in range(5)]
         masks = [random_mask(arch, 30 + k) for k in range(5)]
         seeds = [derive_seed(99, k) for k in range(5)]
         cfg = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=0)
+        store, rows = sample_store(data)
+        assert len(store) == 185 and np.shape(rows) == (5, 37)
         out = local_training(
             stack_models(models),
-            LabeledDataset(np.stack([d.features for d in data]), np.stack([d.labels for d in data])),
+            store,
             cfg,
             mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
             round_index=3,
             seeds=seeds,
+            rows=np.array(rows),
         )
         assert out.stacked and out.weights[0].shape == (5, 7, 3)
         for k in range(5):
@@ -158,10 +162,10 @@ class TestLockstepTraining:
 
     def test_seed_count_must_match_stack(self):
         models = stack_models([init_parameters(Architecture((2, 3)), k) for k in range(2)])
-        data = LabeledDataset(np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=np.int64))
+        store = toy_data(1, 8)
         cfg = TrainingConfig(local_epochs=1, batch_size=2, learning_rate=0.1, rng_seed=0)
         with pytest.raises(ValueError, match="2 models"):
-            local_training(models, data, cfg, seeds=[1, 2, 3])
+            local_training(models, store, cfg, seeds=[1, 2, 3], rows=np.arange(8).reshape(2, 4))
 
     def test_stacked_loss_is_per_pair_loss(self):
         arch = Architecture((2, 5, 4))

@@ -24,7 +24,6 @@ from sparsefuel.neuralnet import (
 class TestArchitecture:
     def test_properties(self):
         arch = Architecture((4, 3, 2))
-        assert arch.input_dim == 4
         assert arch.num_classes == 2
         assert arch.weight_shapes() == [(3, 4), (2, 3)]
 
@@ -297,7 +296,6 @@ class TestEightBitFeatures:
             lambda s: loss_and_accuracy(models, s.gather(rows)),
             lambda s: gradients(models, s.gather(rows)),
             lambda s: local_training(models, s, cfg, round_index=1, seeds=seeds, rows=rows),
-            lambda s: local_training(models, s.gather(rows), cfg, round_index=1, seeds=seeds),
         ):
             assert _same_bits(run(store), run(twin))
 

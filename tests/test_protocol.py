@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -535,7 +536,10 @@ class TestTreeRound:
 
 class TestWireFaults:
     """A model whose bytes the codec rejects fails the round with the codec's
-    own error; a value the bytes never carry cannot."""
+    own error, prefixed with the round and the device's uid; a value the
+    bytes never carry cannot."""
+
+    MESSAGE = "^round {}: device {}: tensor {}: values are not all finite$"
 
     def _state(self, n=4):
         topo = line_topology(n)
@@ -576,8 +580,46 @@ class TestWireFaults:
         self._poison(monkeypatch, lambda m: [(2, 0, nth(m, 0, 2, 0)), (1, 2, nth(m, 1, 1, 3))])
         cfg = toy_protocol_config(tau=1e9, strategy=CompressionStrategy(kind, 0.5))
         for arm in ("sparsefuel", "global-fedavg"):
-            with pytest.raises(SerializationError, match="^tensor 2: values are not all finite$"):
+            with pytest.raises(SerializationError, match=self.MESSAGE.format(1, 1, 2)):
                 run_round(self._state(), cfg, 1, arm=arm)
+
+    def _beyond_f32(self, kind, factor=1e39):
+        """The toy state with device 2's first layer scaled past the f32
+        range, still finite, and a config whose training changes nothing."""
+        state = self._state()
+        state.params.weights[0][2] *= factor
+        training = TrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.0, rng_seed=5)
+        strategy = CompressionStrategy(kind, 0.5)
+        return state, toy_protocol_config(tau=1e9, strategy=strategy, training=training)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_a_finite_model_beyond_f32_fails_naming_round_and_device(self, kind):
+        for arm in ("sparsefuel", "global-fedavg"):
+            state, cfg = self._beyond_f32(kind)
+            with pytest.raises(SerializationError, match=self.MESSAGE.format(3, 2, 0)):
+                run_round(state, cfg, 3, arm=arm)
+
+    @pytest.mark.parametrize(
+        "kind, factor, error",
+        [
+            ("dense", 1e39, "tensor 0: values are not all finite"),
+            ("quantized", 1e39, None),
+            ("sparse+quantized", 1e41, "tensor 0: quantization scale inf is not finite"),
+        ],
+        ids=["dense", "quantized", "sparse+quantized"],
+    )
+    def test_a_finite_model_beyond_f32_emits_no_runtime_warning(self, kind, factor, error):
+        # f32 values fail the round; u8 levels run on until their f32 scale
+        # overflows too, and 0 * inf then decodes the zero point as nan
+        state, cfg = self._beyond_f32(kind, factor)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if error is None:
+                run_round(state, cfg, 1)
+            else:
+                with pytest.raises(SerializationError, match=f"^round 1: device 2: {error}$"):
+                    run_round(state, cfg, 1)
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_non_finite_pruned_weight_never_reaches_a_receiver(self, monkeypatch):
         self._poison(monkeypatch, lambda m: [(2, 0, self._nth(m, 0, 2, 0, kept=0))])

@@ -1,8 +1,10 @@
 """Source style checks that need only the standard library: no line of the
 package is longer than 100 characters, no module of the package or of the
 tests imports a name it never uses, no module-level private name goes
-unread in the package, and no field of a package dataclass goes unread in
-the package, the tests or the benchmark."""
+unread in the package, no field of a package dataclass goes unread in the
+package, the tests or the benchmark, and no public function, method or
+property of the package goes unread in the package or the benchmark unless
+the package exports it."""
 
 from __future__ import annotations
 
@@ -86,6 +88,46 @@ def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
                 if isinstance(item, ast.AnnAssign) and item.target.id not in read:
                     unread.append(f"{module}:{item.lineno}: {node.name}.{item.target.id}")
     return unread
+
+
+def unread_public_members(
+    package: dict[str, str], readers: list[str], exported: set[str]
+) -> list[str]:
+    """Public module-level functions and public methods and properties of
+    module-level classes of the given package modules, by module name, whose
+    name no reader source reads, as a bare name or as an attribute, and that
+    is not among the exported names; a test is not a reader."""
+    read = set(exported)
+    for source in readers:
+        tree = ast.parse(source)
+        read |= _read(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            members = [(node, node.name)] if isinstance(node, functions) else []
+            if isinstance(node, ast.ClassDef):
+                members = [
+                    (item, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, functions)
+                ]
+            unread += [
+                f"{module}:{item.lineno}: {label}"
+                for item, label in members
+                if not item.name.startswith("_") and item.name not in read
+            ]
+    return unread
+
+
+def _exported(init_source: str) -> set[str]:
+    """The names a package __init__ imports from its own modules."""
+    return {
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
@@ -218,4 +260,41 @@ def test_unread_field_finder_sees_unread_and_read_fields():
     assert unread_fields(package, list(package.values()) + [reader]) == [
         "a.py:5: Point.y",
         "a.py:6: Point.tag",
+    ]
+
+
+def test_no_unread_public_members():
+    package = {p.relative_to(SRC).as_posix(): p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8") for p in MODULES + PERFBENCH]
+    exported = _exported(package["sparsefuel/__init__.py"])
+    unread = unread_public_members(package, readers, exported)
+    assert not unread, ", ".join(unread)
+
+
+def test_unread_public_member_finder_sees_unread_and_read_members():
+    package = {
+        "a.py": (
+            "def run(): return helper()\n"
+            "def helper(): ...\n"
+            "def stale(): ...\n"
+            "def exported(): ...\n"
+            "def _private(): ...\n"
+            "class Shape:\n"
+            "    size: int\n"
+            "    def __len__(self): return self.size\n"
+            "    @property\n"
+            "    def area(self): return self.size\n"
+            "    @property\n"
+            "    def width(self): ...\n"
+            "    def grow(self): ...\n"
+            "    @staticmethod\n"
+            "    def build(): ...\n"
+        ),
+    }
+    # assigning a name is no read of it
+    reader = "from a import Shape, run\nrun()\nShape.build().area\nstale = 1\n"
+    assert unread_public_members(package, list(package.values()) + [reader], {"exported"}) == [
+        "a.py:3: stale",
+        "a.py:12: Shape.width",
+        "a.py:13: Shape.grow",
     ]
