@@ -39,6 +39,7 @@ from .protocol import (
     SimulationState,
     evaluate_objective,
     make_state,
+    one_blas_thread,
     run_round,
 )
 from .seeds import derive_seed
@@ -434,30 +435,31 @@ def run_experiment_result(
         world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
     records: list[MetricsRecord] = []
-    for t in range(1, cfg.protocol.rounds + 1):
-        started = time.perf_counter()
-        stats = run_round(state, world.protocol, t, arm)
-        objective, accs, losses = evaluate_objective(
-            stats.partition, state.params, world.test_sets, world.topology.sites
-        )
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        records.append(
-            MetricsRecord(
-                round_index=t,
-                federation_count=len(stats.partition),
-                region_accuracy=tuple(accs),
-                region_loss=tuple(losses),
-                objective=objective,
-                bytes_round=stats.bytes_round,
-                bytes_total=state.bytes_total,
-                macs=stats.macs,
-                wall_ms=wall_ms,
-                bytes_broadcast=stats.bytes_broadcast,
-                bytes_collect=stats.bytes_collect,
-                bytes_disseminate=stats.bytes_disseminate,
-                partition=stats.partition,
+    with one_blas_thread():
+        for t in range(1, cfg.protocol.rounds + 1):
+            started = time.perf_counter()
+            stats = run_round(state, world.protocol, t, arm)
+            objective, accs, losses = evaluate_objective(
+                stats.partition, state.params, world.test_sets, world.topology.sites
             )
-        )
+            wall_ms = (time.perf_counter() - started) * 1000.0
+            records.append(
+                MetricsRecord(
+                    round_index=t,
+                    federation_count=len(stats.partition),
+                    region_accuracy=tuple(accs),
+                    region_loss=tuple(losses),
+                    objective=objective,
+                    bytes_round=stats.bytes_round,
+                    bytes_total=state.bytes_total,
+                    macs=stats.macs,
+                    wall_ms=wall_ms,
+                    bytes_broadcast=stats.bytes_broadcast,
+                    bytes_collect=stats.bytes_collect,
+                    bytes_disseminate=stats.bytes_disseminate,
+                    partition=stats.partition,
+                )
+            )
     return ExperimentResult(records, state, world)
 
 
@@ -533,9 +535,10 @@ def calibrate_tau(
     state = make_state(
         world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
-    for t in range(1, warmup_rounds + 1):
-        run_round(state, world.protocol, t, arm="isolated")
-    stats = run_round(state, world.protocol, warmup_rounds + 1, arm="sparsefuel")
+    with one_blas_thread():
+        for t in range(1, warmup_rounds + 1):
+            run_round(state, world.protocol, t, arm="isolated")
+        stats = run_round(state, world.protocol, warmup_rounds + 1, arm="sparsefuel")
     assert stats.dissimilarity is not None
     ds = stats.dissimilarity
     subregion = np.array([site.subregion_id for site in world.topology.sites])

@@ -13,6 +13,7 @@ happens in uid order.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -243,15 +244,20 @@ class SimulationState:
 
 # Lockstep work on a stack of models holds, per model, its float64 parameters
 # and the activations of its rows of input; a stack is cut into chunks of at
-# most this many bytes so that only one chunk's temporaries live at a time.
-# Every lockstep step costs a fixed Python and numpy overhead, so a chunk is
-# as large as one core's L2 cache holds (2 MiB on current x86 server cores):
-# quadrant's 64 devices train in one chunk, similarity scores 150 of its
-# pairs per pass, and a 784-64-10 MLP trains three devices at a time.  Of
-# 0.5, 1, 2 and 4 MiB, 2 MiB gave the fastest quadrant rounds on a 2-core
-# Xeon with 2 MiB of L2 per core; at 4 MiB the similarity passes outgrow L2
-# and rounds were about 7 % slower.
-LOCKSTEP_BUDGET_BYTES = 2 * 1024 * 1024
+# most this many bytes so that only one chunk's temporaries live at a time
+# in each lane.  Every lockstep step costs a fixed Python and numpy overhead,
+# which larger chunks pay less often, but every lane holds its own chunk's
+# temporaries, and a similarity pass that outgrows one core's L2 (2 MiB on
+# the 2-core Xeon measured) slows down.  Of 2, 2.5, 3 and 4 MiB (seed 7,
+# medians of three 12 s runs each, two lanes), 2.5 MiB is the largest that
+# left quadrant as fast as 2 MiB:
+# - idx-global trains its 784-64-10 MLPs four to a chunk, 16 chunks: 356
+#   device-rounds/s and a peak RSS of 121 MB, against 344 and 117 at 2 MiB,
+#   362 and 125 at 3 MiB, and 367 and 130 at 4 MiB
+# - quadrant's 64 devices still train as one chunk and its similarity keeps
+#   three passes of 138 pairs: 4678 device-rounds/s against 4687 at 2 MiB;
+#   at 3 and 4 MiB two passes of 207 pairs ran 3 % slower (4560, 4549)
+LOCKSTEP_BUDGET_BYTES = 5 * 1024 * 1024 // 2
 
 
 def lockstep_chunk(model: ParameterSet, rows: int) -> int:
@@ -261,17 +267,25 @@ def lockstep_chunk(model: ParameterSet, rows: int) -> int:
     return max(1, LOCKSTEP_BUDGET_BYTES // per_model)
 
 
-def _lockstep_chunks(lengths: np.ndarray, model: ParameterSet, rows: int | None = None):
+def _lockstep_chunks(
+    lengths: np.ndarray, model: ParameterSet, rows: int | None = None, lanes: int = 1
+):
     """Yield the indices of `lengths` grouped by equal length (in index order
-    within a group), each group cut into chunks of lockstep_chunk(model, rows)
-    indices; rows defaults to the group's length."""
+    within a group), each group cut into the fewest chunks of at most
+    lockstep_chunk(model, rows) indices, of near-equal size; rows defaults to
+    the group's length.  A group of more than one chunk that runs over
+    `lanes` lanes gets a multiple of `lanes` chunks (at most one index each),
+    so that every lane has as much of it to do; a one-chunk group stays
+    whole, so it starts no thread."""
     if not len(lengths):
         return
     order = np.argsort(lengths, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         size = lockstep_chunk(model, int(lengths[group[0]]) if rows is None else rows)
-        for lo in range(0, len(group), size):
-            yield group[lo : lo + size]
+        count = -(-len(group) // size)
+        if count > 1:
+            count = min(len(group), -(-count // lanes) * lanes)
+        yield from np.array_split(group, count)
 
 
 def make_state(
@@ -341,31 +355,19 @@ def run_round(
         raise ValueError(f"unknown arm {arm!r}, expected one of {ARMS}")
     topo = state.topology
     params = state.params
-    chunks = _train_in_lockstep(state, cfg, round_index)
+    # how many bytes each device sends: its wire model's size, priced as its
+    # chunk runs
+    size = None if arm == "isolated" else np.zeros(topo.n, dtype=np.int64)
+    _run_chunks(state, cfg, round_index, size)
 
     bytes_broadcast = bytes_collect = bytes_disseminate = 0
     ds = None
     if arm == "isolated":
         partition = FederationPartition({dev.uid: dev.uid for dev in state.devices})
     else:
-        # the wire, one encode, decode and pricing per trained chunk: the model
-        # each device's receivers decode from its bytes, and how many bytes
-        # it sends.  When similarity is scored on uncompressed models the
-        # whole exchange is dense (broadcast, collection and the averaged
-        # members alike): a receiver scores the model it was sent
-        size = np.zeros(topo.n, dtype=np.int64)
         # the averaged model goes back down dense; its size is the architecture's
         dense_size = serialized_size(CompressedModel("dense", params=params[0]))
         decoded = state.decoded
-        for uids, mask in chunks:
-            if cfg.similarity_uses_compressed:
-                wire = encode_wire(params[uids], cfg.strategy, mask)
-            else:
-                wire = CompressedModel("dense", params=params[uids])
-            out = _decode_checked(wire, uids, round_index)
-            for rows, chunk_rows in zip(decoded.weights + decoded.biases, out.weights + out.biases):
-                rows[uids] = chunk_rows
-            size[uids] = serialized_size(wire)
 
         if arm == "sparsefuel":
             # neighbor broadcast: every device sends its wire artifact to each neighbor
@@ -412,9 +414,9 @@ def run_round(
     )
 
 
-# The lanes a round's training chunks run in: the calling thread and a pool
-# of one thread per further core this process may run on.  numpy releases
-# the GIL inside matmul and large ufunc loops, so the lanes overlap.
+# The lanes a round's chunks run in: the calling thread and a pool of one
+# thread per further core this process may run on.  numpy releases the GIL
+# inside matmul and large ufunc loops, so the lanes overlap.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _lanes_lock = threading.Lock()
 _lane_pool: ThreadPoolExecutor | None = None
@@ -444,23 +446,55 @@ def _blas_threads():
     return None
 
 
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_restore = 0
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread.
+
+    The first holder records OpenBLAS's thread count and sets it to 1; the
+    count comes back when the last holder leaves, also on an exception, so
+    nested and concurrent holders share one pin.  A run holds it across all
+    its rounds and evaluations: an OpenBLAS worker that wakes between lane
+    phases slows the lanes that follow.  Without OpenBLAS it does nothing."""
+    global _pin_holders, _pin_restore
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    with _pin_lock:
+        if not _pin_holders:
+            _pin_restore = get_threads()
+            set_threads(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if not _pin_holders:
+                set_threads(_pin_restore)
+
+
 def _in_lanes(task: Callable, items: list) -> list:
     """[task(item) for item in items], the items spread over the lanes.
 
     Each lane takes the next item no lane has taken yet.  While the lanes
-    run, OpenBLAS runs on one thread, since the lanes already fill the
-    cores; its thread count is put back afterwards.  When tasks raise, no
-    lane takes a new item, and once every lane has stopped the first failing
-    item's exception is raised: every item before it was taken and has run,
-    so the serial loop raises the same one.  A pool lane that has not
-    started when the calling thread runs out of items is cancelled.  With
-    one item, one core or no OpenBLAS setter this is the serial loop, and
-    no thread starts.  Concurrent calls run their lanes one at a time.
+    run they hold one_blas_thread(), since the lanes already fill the cores.
+    When tasks raise, no lane takes a new item, and once every lane has
+    stopped the first failing item's exception is raised: every item before
+    it was taken and has run, so the serial loop raises the same one.  A
+    pool lane that has not started when the calling thread runs out of items
+    is cancelled.  With one item, one core or no OpenBLAS setter this is the
+    serial loop, and no thread starts.  Concurrent calls run their lanes one
+    at a time.
     """
-    blas = _blas_threads() if len(items) > 1 and _LANES > 1 else None
-    if blas is None:
+    if len(items) < 2 or _LANES < 2 or _blas_threads() is None:
         return [task(item) for item in items]
-    get_threads, set_threads = blas
     results: list = [None] * len(items)
     failures: dict[int, BaseException] = {}
     claims = iter(range(len(items)))
@@ -478,48 +512,66 @@ def _in_lanes(task: Callable, items: list) -> list:
                 failures[k] = exc
 
     global _lane_pool
-    with _lanes_lock:
+    with _lanes_lock, one_blas_thread():
         if _lane_pool is None:
             _lane_pool = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="sparsefuel-lane")
-        before = get_threads()
-        set_threads(1)
-        try:
-            # each lane runs in a copy of the caller's context, so numpy's
-            # errstate reaches it
-            others = [
-                _lane_pool.submit(contextvars.copy_context().run, lane)
-                for _ in range(min(_LANES, len(items)) - 1)
-            ]
-            lane()
-            for future in others:
-                if not future.cancel():
-                    future.result()
-        finally:
-            set_threads(before)
+        # each lane runs in a copy of the caller's context, so numpy's
+        # errstate reaches it
+        others = [
+            _lane_pool.submit(contextvars.copy_context().run, lane)
+            for _ in range(min(_LANES, len(items)) - 1)
+        ]
+        lane()
+        for future in others:
+            if not future.cancel():
+                future.result()
     if failures:
         raise failures[min(failures)]
     return results
 
 
-def _train_in_lockstep(
-    state: SimulationState, cfg: ProtocolConfig, round_index: int
-) -> list[tuple[list[int], SparseMask | None]]:
-    """Compress every device's model and train it under the round's mask, in
-    lockstep per chunk of equal-length devices, the chunks spread over the
-    lanes; each chunk's trained models are written over its rows of
-    state.params.  Returns per chunk its uids and the stacked mask.
+@dataclass
+class _ChunkRun:
+    """What one chunk's pipeline left: its uids in uid order, its stacked
+    mask, the lowest uid of a trained model that is not finite, and the wire
+    fault its decode met."""
+
+    uids: list[int]
+    mask: SparseMask | None
+    diverged: int | None = None
+    fault: SerializationError | None = None
+
+
+def _run_chunks(
+    state: SimulationState, cfg: ProtocolConfig, round_index: int, size: np.ndarray | None
+) -> list[_ChunkRun]:
+    """Run every lockstep chunk of equal-length devices through its whole
+    pipeline, the chunks spread over the lanes: compress its rows of
+    state.params, train them under the round's mask and write the trained
+    models back; then, when size is given (a round that exchanges models),
+    encode them for the wire, decode that into the chunk's rows of
+    state.decoded and write each device's wire size into size.  When
+    similarity is scored on uncompressed models the whole exchange is dense
+    (broadcast, collection and the averaged members alike): a receiver
+    scores the model it was sent.
 
     Raises FloatingPointError when a trained model is not finite, naming the
-    round, the lowest uid of such a model and the learning rate; every arm
-    fails the same way, and state.params then holds the diverged models."""
+    round, the lowest uid of such a model over all chunks and the learning
+    rate; every arm fails the same way, and state.params then holds the
+    diverged models.  Otherwise the first chunk with a wire fault raises its
+    SerializationError, prefixed with the round and the uid."""
     devices = state.devices
     params = state.params
+    decoded = state.decoded
     seeds = state.shuffle_seeds(cfg.training.rng_seed)
     lengths = np.array([len(dev.train_rows) for dev in devices])
 
-    def train(chunk: np.ndarray) -> tuple[list[int], SparseMask | None]:
+    def pipeline(chunk: np.ndarray) -> _ChunkRun:
         uids = chunk.tolist()
-        cm = compress(params[uids], cfg.strategy)
+        # a chunk of consecutive uids (every chunk, when all splits have one
+        # length) reads its rows as a view and writes them through a slice
+        at = slice(uids[0], uids[-1] + 1) if uids[-1] - uids[0] == len(uids) - 1 else uids
+        cm = compress(params[at], cfg.strategy)
         out = local_training(
             decompress(cm),
             state.samples,
@@ -531,17 +583,42 @@ def _train_in_lockstep(
         )
         # the chunks' rows are disjoint, and this chunk's were read above
         for rows, trained in zip(params.weights + params.biases, out.weights + out.biases):
-            rows[uids] = trained
-        return uids, cm.mask
+            rows[at] = trained
+        run = _ChunkRun(uids, cm.mask)
+        finite = _finite_rows(out)
+        if not finite.all():
+            run.diverged = uids[int(np.argmin(finite))]
+        elif size is not None:
+            if cfg.similarity_uses_compressed:
+                wire = encode_wire(out, cfg.strategy, cm.mask)
+            else:
+                wire = CompressedModel("dense", params=out)
+            # recorded, not raised, so that a later chunk's divergence wins
+            try:
+                received = _decode_checked(wire, uids, round_index)
+            except SerializationError as err:
+                run.fault = err
+            else:
+                for rows, got in zip(
+                    decoded.weights + decoded.biases, received.weights + received.biases
+                ):
+                    rows[at] = got
+                size[at] = serialized_size(wire)
+        return run
 
-    chunks = _in_lanes(train, list(_lockstep_chunks(lengths, params[0], cfg.training.batch_size)))
-    finite = _finite_rows(params)
-    if not finite.all():
+    runs = _in_lanes(
+        pipeline, list(_lockstep_chunks(lengths, params[0], cfg.training.batch_size, _LANES))
+    )
+    diverged = [run.diverged for run in runs if run.diverged is not None]
+    if diverged:
         raise FloatingPointError(
-            f"round {round_index}: local training diverged: device {int(np.argmin(finite))} has "
+            f"round {round_index}: local training diverged: device {min(diverged)} has "
             f"non-finite parameters at learning_rate {cfg.training.learning_rate!r}"
         )
-    return chunks
+    for run in runs:
+        if run.fault is not None:
+            raise run.fault
+    return runs
 
 
 def _finite_rows(stack: ParameterSet) -> np.ndarray:

@@ -13,11 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsefuel import protocol
+from sparsefuel import harness, protocol
 
 from sparsefuel.compression import (
     CompressionStrategy,
+    SerializationError,
     SparseMask,
     compress,
     decompress,
@@ -26,7 +29,7 @@ from sparsefuel.compression import (
     to_bytes,
 )
 from sparsefuel.environment import DeviceSite, build_topology
-from sparsefuel.harness import build_world
+from sparsefuel.harness import build_world, calibrate_tau, run_experiment_result
 from sparsefuel.neuralnet import (
     Architecture,
     LabeledDataset,
@@ -294,6 +297,39 @@ class TestDeviceBank:
         assert np.array_equal(dev.train_rows, rows[9:])
 
 
+class TestChunkCutter:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lengths=st.lists(st.integers(10, 13), max_size=60),
+        per_chunk=st.integers(1, 12),
+        rows=st.sampled_from([None, 16]),
+        lanes=st.integers(1, 4),
+    )
+    def test_groups_are_cut_into_balanced_lane_multiples(self, lengths, per_chunk, rows, lanes):
+        # a model about per_chunk of which fit the budget at 16 rows each
+        model = init_parameters(Architecture((2, hidden_width(per_chunk), 4)), 0)
+        chunks = list(protocol._lockstep_chunks(np.array(lengths, int), model, rows, lanes))
+        taken = [i for chunk in chunks for i in chunk.tolist()]
+        assert sorted(taken) == list(range(len(lengths)))
+        groups: dict[int, list[list[int]]] = {}
+        for chunk in chunks:
+            (length,) = {lengths[i] for i in chunk}
+            assert not groups or length in groups or length > max(groups)
+            groups.setdefault(length, []).append(chunk.tolist())
+        for length, cut in groups.items():
+            members = [i for i, m in enumerate(lengths) if m == length]
+            size = lockstep_chunk(model, length if rows is None else rows)
+            sizes = [len(chunk) for chunk in cut]
+            assert [i for chunk in cut for i in chunk] == members
+            assert 1 <= min(sizes) and max(sizes) <= size and max(sizes) - min(sizes) <= 1
+            fewest = -(-len(members) // size)
+            if fewest == 1:
+                assert cut == [members]
+            else:
+                assert len(cut) % lanes == 0 or len(cut) == len(members)
+                assert len(cut) == min(len(members), -(-fewest // lanes) * lanes)
+
+
 class TestLockstepRound:
     def test_chunk_boundary_falls_inside_the_largest_group(self):
         state = line_state()
@@ -378,32 +414,52 @@ class TestLanes:
     and a round of one chunk runs as it always did."""
 
     @staticmethod
-    def _round(monkeypatch, lanes):
+    def _round(monkeypatch, lanes, arch=ALONE):
+        """One round's chunk pipelines on their own (the chunk records, the
+        trained and decoded stacks and the wire sizes), and one whole round."""
         monkeypatch.setattr(protocol, "_LANES", lanes)
         cfg = protocol_config()
-        trained = line_state(ALONE)
-        chunks = protocol._train_in_lockstep(trained, cfg, 1)
-        state = line_state(ALONE)
-        return chunks, trained.params, state, run_round(state, cfg, 1)
+        piped = line_state(arch)
+        size = np.zeros(len(LENGTHS), dtype=np.int64)
+        runs = protocol._run_chunks(piped, cfg, 1, size)
+        state = line_state(arch)
+        return runs, piped, size, state, run_round(state, cfg, 1)
+
+    def _assert_same_round(self, got, want):
+        _, got_piped, got_size, got_state, got_stats = got
+        _, want_piped, want_size, want_state, want_stats = want
+        assert_same_model(got_piped.params, want_piped.params)
+        assert_same_model(got_piped.decoded, want_piped.decoded)
+        assert np.array_equal(got_size, want_size) and got_size.all()
+        assert_same_model(got_state.decoded, want_state.decoded)
+        assert_same_model(got_state.params, want_state.params)
+        sent = ("bytes_broadcast", "bytes_collect", "bytes_disseminate")
+        assert [getattr(got_stats, k) for k in sent] == [getattr(want_stats, k) for k in sent]
+        assert got_stats.partition.leader_of == want_stats.partition.leader_of
+        assert np.array_equal(got_stats.dissimilarity.values, want_stats.dissimilarity.values)
 
     def test_one_lane_and_all_lanes_give_the_same_round(self, monkeypatch):
-        # the chunks of one device each go to whichever lane is free
-        one_chunks, one_trained, one, one_stats = self._round(monkeypatch, 1)
-        all_chunks, all_trained, every, all_stats = self._round(monkeypatch, ALL_LANES)
-        assert len(all_chunks) == len(LENGTHS)
-        for (uids, mask), (want_uids, want_mask) in zip(all_chunks, one_chunks):
-            assert uids == want_uids
-            assert all(np.array_equal(a, b) for a, b in zip(mask.layers, want_mask.layers))
-        assert_same_model(all_trained, one_trained)
-        assert_same_model(every.decoded, one.decoded)
-        assert_same_model(every.params, one.params)
-        assert (all_stats.bytes_broadcast, all_stats.bytes_collect, all_stats.bytes_disseminate) == (
-            one_stats.bytes_broadcast,
-            one_stats.bytes_collect,
-            one_stats.bytes_disseminate,
-        )
-        assert all_stats.partition.leader_of == one_stats.partition.leader_of
-        assert np.array_equal(all_stats.dissimilarity.values, one_stats.dissimilarity.values)
+        # the chunks of one device each go to whichever lane is free, and each
+        # runs its whole pipeline there: training, the finite check, the wire
+        # decode into its rows of the decoded stack and its sizes
+        one = self._round(monkeypatch, 1)
+        every = self._round(monkeypatch, ALL_LANES)
+        assert len(every[0]) == len(LENGTHS)
+        for run, want in zip(every[0], one[0]):
+            assert run.uids == want.uids
+            assert all(np.array_equal(a, b) for a, b in zip(run.mask.layers, want.mask.layers))
+            assert run.diverged is run.fault is None
+        self._assert_same_round(every, one)
+
+    def test_lane_balanced_chunks_give_the_same_round(self, monkeypatch):
+        # four devices fit a chunk, so one lane cuts the seven devices of 36
+        # train rows into chunks of 4 and 3; three lanes cut them into three
+        # chunks of 3, 2 and 2, one per lane, and no bit of the round moves
+        one = self._round(monkeypatch, 1, WIDE)
+        three = self._round(monkeypatch, 3, WIDE)
+        assert [run.uids for run in one[0]] == [[4], [1, 6, 9], [0, 2, 3, 5], [7, 8, 10]]
+        assert [run.uids for run in three[0]] == [[4], [1, 6, 9], [0, 2, 3], [5, 7], [8, 10]]
+        self._assert_same_round(three, one)
 
     def test_blas_runs_one_thread_per_lane_and_gets_its_count_back(self, monkeypatch):
         blas = protocol._blas_threads()
@@ -516,12 +572,143 @@ class TestLanes:
                 protocol._in_lanes(task, list(range(8)))
 
 
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and put back after it."""
+    blas = protocol._blas_threads()
+    if blas is None:
+        pytest.skip("numpy ships no OpenBLAS here: there is nothing to pin")
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("this OpenBLAS cannot run two threads")
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+class TestBlasPin:
+    """A run holds OpenBLAS at one thread across all its rounds and
+    evaluations, not only while lanes run, and the caller gets its count
+    back however the run ends."""
+
+    def test_a_run_holds_one_thread_through_training_and_evaluation(self, monkeypatch, blas_at_two):
+        get_threads = blas_at_two
+        seen = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                seen.append((name, get_threads()))
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(protocol, "local_training", counted("train", protocol.local_training))
+        monkeypatch.setattr(
+            harness, "evaluate_objective", counted("evaluate", harness.evaluate_objective)
+        )
+        # quadrant trains in one chunk, so no lane phase pins it
+        run_experiment_result(quadrant_config(rounds=2), seed=7)
+        assert seen == [("train", 1), ("evaluate", 1)] * 2
+        assert get_threads() == 2
+
+    def test_a_failing_run_gives_the_count_back(self, blas_at_two):
+        cfg = quadrant_config(rounds=2)
+        diverging = dataclasses.replace(cfg.protocol, learning_rate=1e300)
+        cfg = dataclasses.replace(cfg, protocol=diverging)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match="^round 1: local training diverged"):
+                run_experiment_result(cfg, seed=7)
+            assert blas_at_two() == 2
+            with pytest.raises(FloatingPointError, match="^round 1: local training diverged"):
+                calibrate_tau(cfg, seed=7, warmup_rounds=1)
+        assert blas_at_two() == 2
+
+    def test_nested_and_concurrent_holders_share_one_pin(self, blas_at_two):
+        get_threads = blas_at_two
+        with protocol.one_blas_thread():
+            with protocol.one_blas_thread():
+                assert get_threads() == 1
+            assert get_threads() == 1
+        assert get_threads() == 2
+        with pytest.raises(ValueError, match="^inside$"):
+            with protocol.one_blas_thread():
+                raise ValueError("inside")
+        assert get_threads() == 2
+        # a second thread takes the pin first and leaves it first: the count
+        # stays 1 while this thread holds it, and then comes back as 2
+        held, leave = threading.Event(), threading.Event()
+
+        def hold():
+            with protocol.one_blas_thread():
+                held.set()
+                leave.wait(30)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        assert held.wait(30)
+        with protocol.one_blas_thread():
+            leave.set()
+            worker.join(30)
+            assert not worker.is_alive() and get_threads() == 1
+        assert get_threads() == 2
+
+    def test_many_holders_never_lose_the_pin(self, blas_at_two):
+        # more holders than cores, switching threads every microsecond: a lost
+        # update of the holder count would let the count back to 2 while a
+        # holder is inside, or leave it at 1 after the last one left
+        get_threads = blas_at_two
+        seen = []
+
+        def hold():
+            for _ in range(500):
+                with protocol.one_blas_thread():
+                    seen.append(get_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hold) for _ in range(5)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [1] * 2500
+        assert get_threads() == 2
+
+
 class TestDivergence:
     """A trained model that is not finite fails the round in every arm, with
     one message naming the round, the lowest such uid and the learning rate,
     however many lanes trained the chunks."""
 
     MESSAGE = "^round {}: local training diverged: device {} has non-finite parameters at learning_rate {}$"
+
+    @staticmethod
+    def _faulty(monkeypatch, diverged=(), beyond_f32=()):
+        """Train as usual, then make the trained model of each device in
+        `diverged` infinite and scale the first layer of each in `beyond_f32`
+        past the f32 range, still finite, so that its wire bytes fail."""
+        shuffle = line_state(ALONE).shuffle_seeds(TRAINING.rng_seed)
+        infinite = {shuffle[uid] for uid in diverged}
+        huge = {shuffle[uid] for uid in beyond_f32}
+        train = protocol.local_training
+
+        def faulty(*args, seeds, **kwargs):
+            out = train(*args, seeds=seeds, **kwargs)
+            if seeds[0] in infinite:
+                out.biases[-1][0, 0] = np.inf
+            if seeds[0] in huge:
+                out.weights[0][0] *= 1e44
+            return out
+
+        monkeypatch.setattr(protocol, "local_training", faulty)
 
     @pytest.mark.parametrize("lanes", [1, ALL_LANES])
     def test_a_diverging_rate_fails_every_arm(self, monkeypatch, lanes):
@@ -539,17 +726,29 @@ class TestDivergence:
         # devices 9 and 3 diverge; the chunks of 31 train rows (devices 1, 6
         # and 9) come before those of 36, so chunk order meets 9 first
         monkeypatch.setattr(protocol, "_LANES", lanes)
-        seeds = line_state(ALONE).shuffle_seeds(TRAINING.rng_seed)
-        diverged = {seeds[9], seeds[3]}
-        train = protocol.local_training
-
-        def diverging(*args, seeds, **kwargs):
-            out = train(*args, seeds=seeds, **kwargs)
-            if seeds[0] in diverged:
-                out.biases[-1][0, 0] = np.inf
-            return out
-
-        monkeypatch.setattr(protocol, "local_training", diverging)
+        self._faulty(monkeypatch, diverged=[9, 3])
         for arm in ARMS:
             with pytest.raises(FloatingPointError, match=self.MESSAGE.format(4, 3, r"0\.1")):
                 run_round(line_state(ALONE), protocol_config(), 4, arm=arm)
+
+    @pytest.mark.parametrize("lanes", [1, ALL_LANES])
+    def test_a_later_divergence_outranks_an_earlier_wire_fault(self, monkeypatch, lanes):
+        # device 4's chunk (16 train rows) runs first and fails on the wire;
+        # device 10's (36 rows) runs last and diverges
+        monkeypatch.setattr(protocol, "_LANES", lanes)
+        self._faulty(monkeypatch, diverged=[10], beyond_f32=[4])
+        for arm in ("sparsefuel", "global-fedavg"):
+            with pytest.raises(FloatingPointError, match=self.MESSAGE.format(2, 10, r"0\.1")):
+                run_round(line_state(ALONE), protocol_config(), 2, arm=arm)
+
+    @pytest.mark.parametrize("lanes", [1, ALL_LANES])
+    def test_the_first_chunk_with_a_wire_fault_raises(self, monkeypatch, lanes):
+        # device 4's chunk comes before device 1's in chunk order, though not
+        # in uid order; an isolated round sends nothing, so nothing fails
+        monkeypatch.setattr(protocol, "_LANES", lanes)
+        self._faulty(monkeypatch, beyond_f32=[1, 4])
+        wire = "^round 3: device 4: tensor 0: quantization scale inf is not finite$"
+        for arm in ("sparsefuel", "global-fedavg"):
+            with pytest.raises(SerializationError, match=wire):
+                run_round(line_state(ALONE), protocol_config(), 3, arm=arm)
+        run_round(line_state(ALONE), protocol_config(), 3, arm="isolated")

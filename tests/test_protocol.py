@@ -507,7 +507,7 @@ class TestTreeRound:
         if arm == "isolated":
             assert calls == []
             trained = self._state(range(8), 2.5)
-            protocol._train_in_lockstep(trained, cfg, 1)
+            protocol._run_chunks(trained, cfg, 1, None)
             want = {uid: trained.params[uid] for uid in range(8)}
         else:
             want = self._averages(calls)
