@@ -32,7 +32,6 @@ from .compression import (
     CompressedModel,
     CompressionStrategy,
     SerializationError,
-    SparseMask,
     compress,
     decode_wire,
     decompress,
@@ -249,14 +248,14 @@ class SimulationState:
 # which larger chunks pay less often, but every lane holds its own chunk's
 # temporaries, and a similarity pass that outgrows one core's L2 (2 MiB on
 # the 2-core Xeon measured) slows down.  Of 2, 2.5, 3 and 4 MiB (seed 7,
-# medians of three 12 s runs each, two lanes), 2.5 MiB is the largest that
-# left quadrant as fast as 2 MiB:
-# - idx-global trains its 784-64-10 MLPs four to a chunk, 16 chunks: 356
-#   device-rounds/s and a peak RSS of 121 MB, against 344 and 117 at 2 MiB,
-#   362 and 125 at 3 MiB, and 367 and 130 at 4 MiB
+# medians of three 12 s runs each, two lanes), 2.5 MiB gave the fastest
+# rounds on both workloads:
+# - idx-global trains its 784-64-10 MLPs four to a chunk, 16 chunks: 358
+#   device-rounds/s and a peak RSS of 124 MB, against 347 and 119 at 2 MiB,
+#   354 and 129 at 3 MiB, and 349 and 134 at 4 MiB
 # - quadrant's 64 devices still train as one chunk and its similarity keeps
-#   three passes of 138 pairs: 4678 device-rounds/s against 4687 at 2 MiB;
-#   at 3 and 4 MiB two passes of 207 pairs ran 3 % slower (4560, 4549)
+#   three passes of 138 pairs: 4670 device-rounds/s against 4633 at 2 MiB;
+#   at 3 and 4 MiB two passes of 207 pairs ran 2 % slower (4563, 4551)
 LOCKSTEP_BUDGET_BYTES = 5 * 1024 * 1024 // 2
 
 
@@ -267,25 +266,17 @@ def lockstep_chunk(model: ParameterSet, rows: int) -> int:
     return max(1, LOCKSTEP_BUDGET_BYTES // per_model)
 
 
-def _lockstep_chunks(
-    lengths: np.ndarray, model: ParameterSet, rows: int | None = None, lanes: int = 1
-):
+def _lockstep_chunks(lengths: np.ndarray, model: ParameterSet, rows: int | None = None):
     """Yield the indices of `lengths` grouped by equal length (in index order
     within a group), each group cut into the fewest chunks of at most
     lockstep_chunk(model, rows) indices, of near-equal size; rows defaults to
-    the group's length.  A group of more than one chunk that runs over
-    `lanes` lanes gets a multiple of `lanes` chunks (at most one index each),
-    so that every lane has as much of it to do; a one-chunk group stays
-    whole, so it starts no thread."""
+    the group's length."""
     if not len(lengths):
         return
     order = np.argsort(lengths, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         size = lockstep_chunk(model, int(lengths[group[0]]) if rows is None else rows)
-        count = -(-len(group) // size)
-        if count > 1:
-            count = min(len(group), -(-count // lanes) * lanes)
-        yield from np.array_split(group, count)
+        yield from np.array_split(group, -(-len(group) // size))
 
 
 def make_state(
@@ -446,38 +437,24 @@ def _blas_threads():
     return None
 
 
-_pin_lock = threading.Lock()
-_pin_holders = 0
-_pin_restore = 0
-
-
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the block with OpenBLAS on one thread.
-
-    The first holder records OpenBLAS's thread count and sets it to 1; the
-    count comes back when the last holder leaves, also on an exception, so
-    nested and concurrent holders share one pin.  A run holds it across all
-    its rounds and evaluations: an OpenBLAS worker that wakes between lane
-    phases slows the lanes that follow.  Without OpenBLAS it does nothing."""
-    global _pin_holders, _pin_restore
+    """Run the block with OpenBLAS on one thread, and put its thread count
+    back afterwards, also on an exception; a nested block saves and puts
+    back 1.  A run holds it across all its rounds and evaluations: an
+    OpenBLAS worker that wakes between lane phases slows the lanes that
+    follow.  Without OpenBLAS it does nothing."""
     blas = _blas_threads()
     if blas is None:
         yield
         return
     get_threads, set_threads = blas
-    with _pin_lock:
-        if not _pin_holders:
-            _pin_restore = get_threads()
-            set_threads(1)
-        _pin_holders += 1
+    before = get_threads()
+    set_threads(1)
     try:
         yield
     finally:
-        with _pin_lock:
-            _pin_holders -= 1
-            if not _pin_holders:
-                set_threads(_pin_restore)
+        set_threads(before)
 
 
 def _in_lanes(task: Callable, items: list) -> list:
@@ -530,21 +507,9 @@ def _in_lanes(task: Callable, items: list) -> list:
     return results
 
 
-@dataclass
-class _ChunkRun:
-    """What one chunk's pipeline left: its uids in uid order, its stacked
-    mask, the lowest uid of a trained model that is not finite, and the wire
-    fault its decode met."""
-
-    uids: list[int]
-    mask: SparseMask | None
-    diverged: int | None = None
-    fault: SerializationError | None = None
-
-
 def _run_chunks(
     state: SimulationState, cfg: ProtocolConfig, round_index: int, size: np.ndarray | None
-) -> list[_ChunkRun]:
+) -> None:
     """Run every lockstep chunk of equal-length devices through its whole
     pipeline, the chunks spread over the lanes: compress its rows of
     state.params, train them under the round's mask and write the trained
@@ -558,20 +523,20 @@ def _run_chunks(
     Raises FloatingPointError when a trained model is not finite, naming the
     round, the lowest uid of such a model over all chunks and the learning
     rate; every arm fails the same way, and state.params then holds the
-    diverged models.  Otherwise the first chunk with a wire fault raises its
-    SerializationError, prefixed with the round and the uid."""
+    diverged models.  Otherwise the first chunk whose wire step failed
+    raises its error (a SerializationError is prefixed with the round and
+    the uid)."""
     devices = state.devices
     params = state.params
     decoded = state.decoded
     seeds = state.shuffle_seeds(cfg.training.rng_seed)
     lengths = np.array([len(dev.train_rows) for dev in devices])
 
-    def pipeline(chunk: np.ndarray) -> _ChunkRun:
+    def pipeline(chunk: np.ndarray) -> tuple[int | None, Exception | None]:
+        """Run one chunk; return the lowest uid of its trained models that is
+        not finite, and the error its wire step raised."""
         uids = chunk.tolist()
-        # a chunk of consecutive uids (every chunk, when all splits have one
-        # length) reads its rows as a view and writes them through a slice
-        at = slice(uids[0], uids[-1] + 1) if uids[-1] - uids[0] == len(uids) - 1 else uids
-        cm = compress(params[at], cfg.strategy)
+        cm = compress(params[uids], cfg.strategy)
         out = local_training(
             decompress(cm),
             state.samples,
@@ -583,42 +548,38 @@ def _run_chunks(
         )
         # the chunks' rows are disjoint, and this chunk's were read above
         for rows, trained in zip(params.weights + params.biases, out.weights + out.biases):
-            rows[at] = trained
-        run = _ChunkRun(uids, cm.mask)
+            rows[uids] = trained
         finite = _finite_rows(out)
         if not finite.all():
-            run.diverged = uids[int(np.argmin(finite))]
-        elif size is not None:
+            return uids[int(np.argmin(finite))], None
+        if size is None:
+            return None, None
+        # returned, not raised, so that a later chunk's divergence wins
+        try:
             if cfg.similarity_uses_compressed:
                 wire = encode_wire(out, cfg.strategy, cm.mask)
             else:
                 wire = CompressedModel("dense", params=out)
-            # recorded, not raised, so that a later chunk's divergence wins
-            try:
-                received = _decode_checked(wire, uids, round_index)
-            except SerializationError as err:
-                run.fault = err
-            else:
-                for rows, got in zip(
-                    decoded.weights + decoded.biases, received.weights + received.biases
-                ):
-                    rows[at] = got
-                size[at] = serialized_size(wire)
-        return run
+            received = _decode_checked(wire, uids, round_index)
+            for rows, got in zip(
+                decoded.weights + decoded.biases, received.weights + received.biases
+            ):
+                rows[uids] = got
+            size[uids] = serialized_size(wire)
+        except Exception as err:
+            return None, err
+        return None, None
 
-    runs = _in_lanes(
-        pipeline, list(_lockstep_chunks(lengths, params[0], cfg.training.batch_size, _LANES))
-    )
-    diverged = [run.diverged for run in runs if run.diverged is not None]
+    runs = _in_lanes(pipeline, list(_lockstep_chunks(lengths, params[0], cfg.training.batch_size)))
+    diverged = [uid for uid, _ in runs if uid is not None]
     if diverged:
         raise FloatingPointError(
             f"round {round_index}: local training diverged: device {min(diverged)} has "
             f"non-finite parameters at learning_rate {cfg.training.learning_rate!r}"
         )
-    for run in runs:
-        if run.fault is not None:
-            raise run.fault
-    return runs
+    for _, fault in runs:
+        if fault is not None:
+            raise fault
 
 
 def _finite_rows(stack: ParameterSet) -> np.ndarray:

@@ -303,12 +303,11 @@ class TestChunkCutter:
         lengths=st.lists(st.integers(10, 13), max_size=60),
         per_chunk=st.integers(1, 12),
         rows=st.sampled_from([None, 16]),
-        lanes=st.integers(1, 4),
     )
-    def test_groups_are_cut_into_balanced_lane_multiples(self, lengths, per_chunk, rows, lanes):
+    def test_groups_are_cut_into_the_fewest_near_equal_chunks(self, lengths, per_chunk, rows):
         # a model about per_chunk of which fit the budget at 16 rows each
         model = init_parameters(Architecture((2, hidden_width(per_chunk), 4)), 0)
-        chunks = list(protocol._lockstep_chunks(np.array(lengths, int), model, rows, lanes))
+        chunks = list(protocol._lockstep_chunks(np.array(lengths, int), model, rows))
         taken = [i for chunk in chunks for i in chunk.tolist()]
         assert sorted(taken) == list(range(len(lengths)))
         groups: dict[int, list[list[int]]] = {}
@@ -322,12 +321,7 @@ class TestChunkCutter:
             sizes = [len(chunk) for chunk in cut]
             assert [i for chunk in cut for i in chunk] == members
             assert 1 <= min(sizes) and max(sizes) <= size and max(sizes) - min(sizes) <= 1
-            fewest = -(-len(members) // size)
-            if fewest == 1:
-                assert cut == [members]
-            else:
-                assert len(cut) % lanes == 0 or len(cut) == len(members)
-                assert len(cut) == min(len(members), -(-fewest // lanes) * lanes)
+            assert len(cut) == -(-len(members) // size)
 
 
 class TestLockstepRound:
@@ -414,20 +408,26 @@ class TestLanes:
     and a round of one chunk runs as it always did."""
 
     @staticmethod
-    def _round(monkeypatch, lanes, arch=ALONE):
-        """One round's chunk pipelines on their own (the chunk records, the
-        trained and decoded stacks and the wire sizes), and one whole round."""
+    def _round(monkeypatch, lanes):
+        """One round's chunk pipelines on their own (the trained and decoded
+        stacks and the wire sizes), and one whole round."""
         monkeypatch.setattr(protocol, "_LANES", lanes)
         cfg = protocol_config()
-        piped = line_state(arch)
+        piped = line_state(ALONE)
         size = np.zeros(len(LENGTHS), dtype=np.int64)
-        runs = protocol._run_chunks(piped, cfg, 1, size)
-        state = line_state(arch)
-        return runs, piped, size, state, run_round(state, cfg, 1)
+        protocol._run_chunks(piped, cfg, 1, size)
+        state = line_state(ALONE)
+        return piped, size, state, run_round(state, cfg, 1)
 
-    def _assert_same_round(self, got, want):
-        _, got_piped, got_size, got_state, got_stats = got
-        _, want_piped, want_size, want_state, want_stats = want
+    def test_one_lane_and_all_lanes_give_the_same_round(self, monkeypatch):
+        # the chunks of one device each go to whichever lane is free, and each
+        # runs its whole pipeline there: training, the finite check, the wire
+        # decode into its rows of the decoded stack and its sizes
+        model = line_state(ALONE).params[0]
+        chunks = protocol._lockstep_chunks(np.array(LENGTHS), model, TRAINING.batch_size)
+        assert [len(chunk) for chunk in chunks] == [1] * len(LENGTHS)
+        got_piped, got_size, got_state, got_stats = self._round(monkeypatch, ALL_LANES)
+        want_piped, want_size, want_state, want_stats = self._round(monkeypatch, 1)
         assert_same_model(got_piped.params, want_piped.params)
         assert_same_model(got_piped.decoded, want_piped.decoded)
         assert np.array_equal(got_size, want_size) and got_size.all()
@@ -437,29 +437,6 @@ class TestLanes:
         assert [getattr(got_stats, k) for k in sent] == [getattr(want_stats, k) for k in sent]
         assert got_stats.partition.leader_of == want_stats.partition.leader_of
         assert np.array_equal(got_stats.dissimilarity.values, want_stats.dissimilarity.values)
-
-    def test_one_lane_and_all_lanes_give_the_same_round(self, monkeypatch):
-        # the chunks of one device each go to whichever lane is free, and each
-        # runs its whole pipeline there: training, the finite check, the wire
-        # decode into its rows of the decoded stack and its sizes
-        one = self._round(monkeypatch, 1)
-        every = self._round(monkeypatch, ALL_LANES)
-        assert len(every[0]) == len(LENGTHS)
-        for run, want in zip(every[0], one[0]):
-            assert run.uids == want.uids
-            assert all(np.array_equal(a, b) for a, b in zip(run.mask.layers, want.mask.layers))
-            assert run.diverged is run.fault is None
-        self._assert_same_round(every, one)
-
-    def test_lane_balanced_chunks_give_the_same_round(self, monkeypatch):
-        # four devices fit a chunk, so one lane cuts the seven devices of 36
-        # train rows into chunks of 4 and 3; three lanes cut them into three
-        # chunks of 3, 2 and 2, one per lane, and no bit of the round moves
-        one = self._round(monkeypatch, 1, WIDE)
-        three = self._round(monkeypatch, 3, WIDE)
-        assert [run.uids for run in one[0]] == [[4], [1, 6, 9], [0, 2, 3, 5], [7, 8, 10]]
-        assert [run.uids for run in three[0]] == [[4], [1, 6, 9], [0, 2, 3], [5, 7], [8, 10]]
-        self._assert_same_round(three, one)
 
     def test_blas_runs_one_thread_per_lane_and_gets_its_count_back(self, monkeypatch):
         blas = protocol._blas_threads()
@@ -627,7 +604,7 @@ class TestBlasPin:
                 calibrate_tau(cfg, seed=7, warmup_rounds=1)
         assert blas_at_two() == 2
 
-    def test_nested_and_concurrent_holders_share_one_pin(self, blas_at_two):
+    def test_nested_holders_give_the_count_back(self, blas_at_two):
         get_threads = blas_at_two
         with protocol.one_blas_thread():
             with protocol.one_blas_thread():
@@ -637,49 +614,6 @@ class TestBlasPin:
         with pytest.raises(ValueError, match="^inside$"):
             with protocol.one_blas_thread():
                 raise ValueError("inside")
-        assert get_threads() == 2
-        # a second thread takes the pin first and leaves it first: the count
-        # stays 1 while this thread holds it, and then comes back as 2
-        held, leave = threading.Event(), threading.Event()
-
-        def hold():
-            with protocol.one_blas_thread():
-                held.set()
-                leave.wait(30)
-
-        worker = threading.Thread(target=hold)
-        worker.start()
-        assert held.wait(30)
-        with protocol.one_blas_thread():
-            leave.set()
-            worker.join(30)
-            assert not worker.is_alive() and get_threads() == 1
-        assert get_threads() == 2
-
-    def test_many_holders_never_lose_the_pin(self, blas_at_two):
-        # more holders than cores, switching threads every microsecond: a lost
-        # update of the holder count would let the count back to 2 while a
-        # holder is inside, or leave it at 1 after the last one left
-        get_threads = blas_at_two
-        seen = []
-
-        def hold():
-            for _ in range(500):
-                with protocol.one_blas_thread():
-                    seen.append(get_threads())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=hold) for _ in range(5)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert seen == [1] * 2500
         assert get_threads() == 2
 
 
@@ -691,13 +625,16 @@ class TestDivergence:
     MESSAGE = "^round {}: local training diverged: device {} has non-finite parameters at learning_rate {}$"
 
     @staticmethod
-    def _faulty(monkeypatch, diverged=(), beyond_f32=()):
+    def _faulty(monkeypatch, diverged=(), beyond_f32=(), beyond_f64=()):
         """Train as usual, then make the trained model of each device in
-        `diverged` infinite and scale the first layer of each in `beyond_f32`
-        past the f32 range, still finite, so that its wire bytes fail."""
+        `diverged` infinite, scale the first layer of each in `beyond_f32`
+        past the f32 range, still finite, so that its wire bytes fail, and
+        spread the first layer of each in `beyond_f64` over a range wider
+        than f64 holds, still finite, so that it cannot be quantized."""
         shuffle = line_state(ALONE).shuffle_seeds(TRAINING.rng_seed)
         infinite = {shuffle[uid] for uid in diverged}
         huge = {shuffle[uid] for uid in beyond_f32}
+        wide = {shuffle[uid] for uid in beyond_f64}
         train = protocol.local_training
 
         def faulty(*args, seeds, **kwargs):
@@ -706,6 +643,8 @@ class TestDivergence:
                 out.biases[-1][0, 0] = np.inf
             if seeds[0] in huge:
                 out.weights[0][0] *= 1e44
+            if seeds[0] in wide:
+                out.weights[0][0, :2] = (-1e308, 1e308)
             return out
 
         monkeypatch.setattr(protocol, "local_training", faulty)
@@ -731,15 +670,18 @@ class TestDivergence:
             with pytest.raises(FloatingPointError, match=self.MESSAGE.format(4, 3, r"0\.1")):
                 run_round(line_state(ALONE), protocol_config(), 4, arm=arm)
 
+    @pytest.mark.parametrize("fault", ["beyond_f32", "beyond_f64"])
     @pytest.mark.parametrize("lanes", [1, ALL_LANES])
-    def test_a_later_divergence_outranks_an_earlier_wire_fault(self, monkeypatch, lanes):
-        # device 4's chunk (16 train rows) runs first and fails on the wire;
+    def test_a_later_divergence_outranks_an_earlier_wire_fault(self, monkeypatch, lanes, fault):
+        # device 4's chunk (16 train rows) runs first and fails on the wire,
+        # with the codec's SerializationError or the quantizer's ValueError;
         # device 10's (36 rows) runs last and diverges
         monkeypatch.setattr(protocol, "_LANES", lanes)
-        self._faulty(monkeypatch, diverged=[10], beyond_f32=[4])
+        self._faulty(monkeypatch, diverged=[10], **{fault: [4]})
         for arm in ("sparsefuel", "global-fedavg"):
             with pytest.raises(FloatingPointError, match=self.MESSAGE.format(2, 10, r"0\.1")):
-                run_round(line_state(ALONE), protocol_config(), 2, arm=arm)
+                with np.errstate(over="ignore"):
+                    run_round(line_state(ALONE), protocol_config(), 2, arm=arm)
 
     @pytest.mark.parametrize("lanes", [1, ALL_LANES])
     def test_the_first_chunk_with_a_wire_fault_raises(self, monkeypatch, lanes):
