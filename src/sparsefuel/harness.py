@@ -286,14 +286,15 @@ def format_config(cfg: ExperimentConfig) -> str:
 class World:
     """Everything a run needs, derived deterministically from (config, seed).
 
-    The devices' samples are held once: device uid's local dataset is
-    samples.subset(rows[uid]).
+    The devices' samples are held once: rows is an (n, m) table, every
+    device holding m = data.samples_per_device rows, and device uid's local
+    dataset is samples.subset(rows[uid]).
     """
 
     topology: Topology
     spec: DistributionSpec
     samples: LabeledDataset
-    rows: list[np.ndarray]
+    rows: np.ndarray
     test_sets: list[LabeledDataset]
     init_params: ParameterSet
     protocol: ProtocolConfig
@@ -364,13 +365,12 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
                 draw = sample_local_dataset(spec, site.subregion_id, m, data_seed, salt=site.uid)
                 features[own], labels[own] = draw.features, draw.labels
             samples = LabeledDataset(features, labels)
-            rows = list(np.arange(len(sites) * m).reshape(len(sites), m))
+            rows = np.arange(len(sites) * m).reshape(len(sites), m)
         else:
             samples = pool
-            rows = [
-                sample_local_rows(spec, site.subregion_id, m, data_seed, salt=site.uid)
-                for site in sites
-            ]
+            rows = np.empty((len(sites), m), dtype=np.int64)
+            for site in sites:
+                rows[site.uid] = sample_local_rows(spec, site.subregion_id, m, data_seed, site.uid)
         test_sets = [
             sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
             for j in range(k)

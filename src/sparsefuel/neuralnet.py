@@ -352,13 +352,13 @@ def local_training(
                 raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
 
     stacked = params.stacked
-    rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = np.arange(len(data)) if rows is None else np.asarray(rows)
     if rows.ndim != (2 if stacked else 1) or data.features.ndim != 2:
         raise ValueError("rows must index a 2-d dataset, one row of rows per model")
     if rows.shape[-1] == 0:
         raise ValueError("cannot train on an empty dataset")
-    if rows.min() < 0 or rows.max() >= len(data):
-        raise ValueError(f"rows must index the dataset's {len(data)} samples")
+    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(data):
+        raise ValueError(f"rows must be integers that index the dataset's {len(data)} samples")
     # the shapes are checked on each model's first row alone
     params = _as_stack(params, data.gather(rows[..., :1]))[0]
     rows = rows.reshape(params.weights[0].shape[0], -1)

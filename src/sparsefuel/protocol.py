@@ -189,45 +189,28 @@ def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = No
 
 
 @dataclass
-class DeviceState:
-    """One device: its uid and the rows of the sample store that make up its
-    train and validation splits (views of its own row array)."""
-
-    uid: int
-    train_rows: np.ndarray
-    val_rows: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.train_rows) + len(self.val_rows)
-
-
-@dataclass
 class SimulationState:
     """Everything that evolves across rounds, and the one sample store every
     device's rows index.
 
-    Row uid of params holds device uid's current model: a round trains it and
-    writes its federation's average over it, in place.  Row uid of val_table
-    holds device uid's validation rows, padded to the longest split.  Row uid
-    of decoded holds the model device uid's wire bytes decode to, once a
-    round has exchanged models; the stack is allocated once and each round
-    writes into it."""
+    Every device holds m rows of the store, split the same way: row uid of
+    val_rows holds device uid's validation rows and row uid of train_rows its
+    training rows, both views of one (n, m) row table.  Row uid of params
+    holds device uid's current model: a round trains it and writes its
+    federation's average over it, in place.  Row uid of decoded holds the
+    model device uid's wire bytes decode to, once a round has exchanged
+    models; the stack is allocated once and each round writes into it."""
 
     topology: Topology
     samples: LabeledDataset
-    devices: list[DeviceState]
+    train_rows: np.ndarray
+    val_rows: np.ndarray
     params: ParameterSet
     bytes_total: int = 0
-    val_table: np.ndarray = field(init=False, repr=False)
     decoded: ParameterSet = field(init=False, repr=False)
     _shuffle_seeds: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.devices)
-        self.val_table = np.zeros((n, max(len(dev.val_rows) for dev in self.devices)), np.int64)
-        for uid, dev in enumerate(self.devices):
-            self.val_table[uid, : len(dev.val_rows)] = dev.val_rows
         self.decoded = ParameterSet(
             [np.empty_like(w) for w in self.params.weights],
             [np.empty_like(b) for b in self.params.biases],
@@ -237,7 +220,7 @@ class SimulationState:
         """derive_seed(master, uid) of every device in uid order, derived
         once per master seed rather than every round."""
         if master not in self._shuffle_seeds:
-            self._shuffle_seeds[master] = [derive_seed(master, dev.uid) for dev in self.devices]
+            self._shuffle_seeds[master] = [derive_seed(master, u) for u in range(self.topology.n)]
         return self._shuffle_seeds[master]
 
 
@@ -266,55 +249,52 @@ def lockstep_chunk(model: ParameterSet, rows: int) -> int:
     return max(1, LOCKSTEP_BUDGET_BYTES // per_model)
 
 
-def _lockstep_chunks(lengths: np.ndarray, model: ParameterSet, rows: int | None = None):
-    """Yield the indices of `lengths` grouped by equal length (in index order
-    within a group), each group cut into the fewest chunks of at most
-    lockstep_chunk(model, rows) indices, of near-equal size; rows defaults to
-    the group's length."""
-    if not len(lengths):
-        return
-    order = np.argsort(lengths, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        size = lockstep_chunk(model, int(lengths[group[0]]) if rows is None else rows)
-        yield from np.array_split(group, -(-len(group) // size))
+def _lockstep_chunks(count: int, model: ParameterSet, rows: int) -> list[np.ndarray]:
+    """The indices 0..count-1 cut into the fewest chunks of at most
+    lockstep_chunk(model, rows) indices, of near-equal size; no chunk when
+    count is 0."""
+    if not count:
+        return []
+    return np.array_split(np.arange(count), -(-count // lockstep_chunk(model, rows)))
 
 
 def make_state(
     topology: Topology,
     samples: LabeledDataset,
-    rows: Sequence[np.ndarray],
+    rows: np.ndarray | Sequence[np.ndarray],
     init_params: ParameterSet,
     validation_fraction: float,
 ) -> SimulationState:
-    """Split each device's rows of the sample store into train/validation
+    """Split every device's rows of the sample store into train/validation
     and start every device's row of the model stack from the initial model.
 
-    rows[uid] lists the samples of device uid in order.  The validation
-    split is its first floor(fraction * m) rows (at least one row each
-    side), which is deterministic because sampling is.  Both splits are
-    views of the device's row array: no sample is copied.
+    rows is an (n, m) table of store rows, or a list of n equal-length row
+    arrays: row uid lists the m samples of device uid in order.  Every
+    device's validation split is its first floor(fraction * m) rows (at
+    least one row each side), which is deterministic because sampling is.
+    Both splits are views of the row table: no sample is copied.
     """
-    if len(rows) != topology.n:
-        raise ValueError("one row array per device required")
     if not (0.0 < validation_fraction < 1.0):
         raise ValueError("validation_fraction must be in (0, 1)")
     if samples.features.ndim != 2:
         raise ValueError("the sample store must be a 2-d dataset")
-    rows = [np.asarray(own, dtype=np.int64) for own in rows]
-    every = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    if every.size and not (every.min() >= 0 and every.max() < len(samples)):
-        raise ValueError(f"device rows must index the store's {len(samples)} samples")
-    devices = []
-    for uid, own in enumerate(rows):
-        if len(own) < 2:
-            raise ValueError(f"device {uid}: need at least 2 samples to split")
-        n_val = min(len(own) - 1, max(1, int(validation_fraction * len(own))))
-        devices.append(DeviceState(uid, own[n_val:], own[:n_val]))
+    if len({np.shape(own) for own in rows}) > 1:
+        raise ValueError("every device needs the same number of rows")
+    table = np.asarray(rows)
+    if table.ndim != 2 or len(table) != topology.n:
+        raise ValueError("one row array per device required")
+    m = table.shape[1]
+    if m < 2:
+        raise ValueError(f"every device has {m} rows: need at least 2 samples to split")
+    if table.dtype.kind not in "iu" or not (table.min() >= 0 and table.max() < len(samples)):
+        raise ValueError(f"rows must be integers that index the store's {len(samples)} samples")
+    table = table.astype(np.int64, copy=False)
+    n_val = min(m - 1, max(1, int(validation_fraction * m)))
     params = ParameterSet(
-        [np.repeat(w[None], len(rows), axis=0) for w in init_params.weights],
-        [np.repeat(b[None], len(rows), axis=0) for b in init_params.biases],
+        [np.repeat(w[None], topology.n, axis=0) for w in init_params.weights],
+        [np.repeat(b[None], topology.n, axis=0) for b in init_params.biases],
     )
-    return SimulationState(topology, samples, devices, params)
+    return SimulationState(topology, samples, table[:, n_val:], table[:, :n_val], params)
 
 
 @dataclass
@@ -354,7 +334,7 @@ def run_round(
     bytes_broadcast = bytes_collect = bytes_disseminate = 0
     ds = None
     if arm == "isolated":
-        partition = FederationPartition({dev.uid: dev.uid for dev in state.devices})
+        partition = FederationPartition({uid: uid for uid in range(topo.n)})
     else:
         # the averaged model goes back down dense; its size is the architecture's
         dense_size = serialized_size(CompressedModel("dense", params=params[0]))
@@ -387,10 +367,12 @@ def run_round(
             for uid, hops in gfield.hops.items()
             if hops not in (0, fields.INFINITE)
         )
+        # every member weighs its sample count, the same m for every device
+        m = state.train_rows.shape[1] + state.val_rows.shape[1]
         for fed in partition.federations:
             uids = sorted(u for u in fed.members if gfield.source[u] == fed.leader)
             models = [params[uid] if uid == fed.leader else decoded[uid] for uid in uids]
-            average = fed_avg(models, [state.devices[uid].num_samples for uid in uids])
+            average = fed_avg(models, [m] * len(uids))
             for rows, avg in zip(params.weights + params.biases, average.weights + average.biases):
                 rows[uids] = avg
             bytes_disseminate += (len(uids) - 1) * dense_size
@@ -510,15 +492,16 @@ def _in_lanes(task: Callable, items: list) -> list:
 def _run_chunks(
     state: SimulationState, cfg: ProtocolConfig, round_index: int, size: np.ndarray | None
 ) -> None:
-    """Run every lockstep chunk of equal-length devices through its whole
-    pipeline, the chunks spread over the lanes: compress its rows of
-    state.params, train them under the round's mask and write the trained
-    models back; then, when size is given (a round that exchanges models),
-    encode them for the wire, decode that into the chunk's rows of
-    state.decoded and write each device's wire size into size.  When
-    similarity is scored on uncompressed models the whole exchange is dense
-    (broadcast, collection and the averaged members alike): a receiver
-    scores the model it was sent.
+    """Run every lockstep chunk of devices through its whole pipeline, the
+    chunks spread over the lanes: compress its rows of state.params, train
+    them under the round's mask on its rows of state.train_rows (every
+    device trains on the same number of rows) and write the trained models
+    back; then, when size is given (a round that exchanges models), encode
+    them for the wire, decode that into the chunk's rows of state.decoded
+    and write each device's wire size into size.  When similarity is scored
+    on uncompressed models the whole exchange is dense (broadcast,
+    collection and the averaged members alike): a receiver scores the model
+    it was sent.
 
     Raises FloatingPointError when a trained model is not finite, naming the
     round, the lowest uid of such a model over all chunks and the learning
@@ -526,11 +509,9 @@ def _run_chunks(
     diverged models.  Otherwise the first chunk whose wire step failed
     raises its error (a SerializationError is prefixed with the round and
     the uid)."""
-    devices = state.devices
     params = state.params
     decoded = state.decoded
     seeds = state.shuffle_seeds(cfg.training.rng_seed)
-    lengths = np.array([len(dev.train_rows) for dev in devices])
 
     def pipeline(chunk: np.ndarray) -> tuple[int | None, Exception | None]:
         """Run one chunk; return the lowest uid of its trained models that is
@@ -544,7 +525,7 @@ def _run_chunks(
             mask=cm.mask,
             round_index=round_index,
             seeds=[seeds[uid] for uid in uids],
-            rows=np.array([devices[uid].train_rows for uid in uids]),
+            rows=state.train_rows[chunk],
         )
         # the chunks' rows are disjoint, and this chunk's were read above
         for rows, trained in zip(params.weights + params.biases, out.weights + out.biases):
@@ -570,7 +551,8 @@ def _run_chunks(
             return None, err
         return None, None
 
-    runs = _in_lanes(pipeline, list(_lockstep_chunks(lengths, params[0], cfg.training.batch_size)))
+    chunks = _lockstep_chunks(state.topology.n, params[0], cfg.training.batch_size)
+    runs = _in_lanes(pipeline, chunks)
     diverged = [uid for uid, _ in runs if uid is not None]
     if diverged:
         raise FloatingPointError(
@@ -607,25 +589,22 @@ def _decode_checked(wire: CompressedModel, uids: list[int], round_index: int) ->
 def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
     """cross_similarity of every topology edge, scored in lockstep on the
     decoded models: each edge is two (sender model, receiver validation
-    split) pairs, and the pairs of equal-length splits run in chunks of one
-    forward pass each, on one gather of the chunk's senders from the decoded
-    stack and of its validation rows from the sample store."""
-    devices = state.devices
+    split) pairs, and the pairs run in chunks of one forward pass each, on
+    one gather of the chunk's senders from the decoded stack and of its
+    receivers' validation rows from the sample store."""
     edges = state.topology.edges
     decoded = state.decoded
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round
     senders = np.concatenate([edges[:, 1], edges[:, 0]])
     receivers = np.concatenate([edges[:, 0], edges[:, 1]])
-    val_lengths = np.array([len(dev.val_rows) for dev in devices])
     losses = np.empty(len(senders))
-    for pick in _lockstep_chunks(val_lengths[receivers], state.params[0]):
+    for pick in _lockstep_chunks(len(senders), state.params[0], state.val_rows.shape[1]):
         models = ParameterSet(
             [np.take(w, senders[pick], axis=0) for w in decoded.weights],
             [np.take(b, senders[pick], axis=0) for b in decoded.biases],
         )
-        length = val_lengths[receivers[pick[0]]]
-        vals = state.samples.gather(state.val_table[receivers[pick], :length])
+        vals = state.samples.gather(state.val_rows[receivers[pick]])
         losses[pick], _ = loss_and_accuracy(models, vals)
     return DissimilarityMatrix(edges, losses[: len(edges)] + losses[len(edges) :])
 

@@ -269,10 +269,10 @@ class TestBuildWorld:
         cfg = small_config()
         world = build_world(cfg, seed=0)
         assert len(world.topology.sites) == 9
-        assert len(world.rows) == 9
+        # every device's 60 rows, as one table
+        assert world.rows.shape == (9, 60) and world.rows.dtype == np.int64
         assert len(world.samples) == 9 * 60
         assert len(world.test_sets) == cfg.num_subregions == 4
-        assert all(len(r) == 60 for r in world.rows)
         assert all(len(t.labels) == 80 for t in world.test_sets)
 
     def _idx_config(self, tmp_path, layers):
@@ -295,9 +295,10 @@ class TestBuildWorld:
     def test_idx_world_builds_and_runs(self, tmp_path):
         cfg = self._idx_config(tmp_path, layers=(4, 6, 2))
         world = build_world(cfg, seed=1)
-        # the store is the pool itself
+        # the store is the pool itself, and every device's 8 rows are one table
         assert world.samples is world.spec.pool
         assert world.samples.features.shape == (40, 4)
+        assert world.rows.shape == (4, 8) and world.rows.dtype == np.int64
         records = run_experiment(cfg, seed=1)
         assert len(records) == 2
 

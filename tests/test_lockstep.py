@@ -163,6 +163,18 @@ class TestLockstepTraining:
             with pytest.raises(ValueError, match="index the dataset's 10 samples"):
                 local_training(models, store, cfg, rows=np.array([[0, 1], [2, bad]]))
 
+    def test_rows_that_are_not_integers_are_rejected(self):
+        # a float table would be truncated to other rows, a bool mask read as
+        # rows 0 and 1; an empty table keeps its own message
+        models = stack_models([init_parameters(Architecture((2, 4)), k) for k in range(2)])
+        store = toy_data(1, 10)
+        cfg = TrainingConfig(local_epochs=1, batch_size=2, learning_rate=0.1, rng_seed=0)
+        for bad in (np.array([[1.7, 2.2], [3.0, 4.0]]), np.ones((2, 10), dtype=bool)):
+            with pytest.raises(ValueError, match="^rows must be integers that index"):
+                local_training(models, store, cfg, rows=bad)
+        with pytest.raises(ValueError, match="empty dataset"):
+            local_training(models, store, cfg, rows=np.zeros((2, 0)))
+
     def test_seed_count_must_match_stack(self):
         models = stack_models([init_parameters(Architecture((2, 3)), k) for k in range(2)])
         store = toy_data(1, 8)
@@ -195,31 +207,32 @@ def hidden_width(models_per_chunk: int, rows: int = TRAINING.batch_size) -> int:
     return (LOCKSTEP_BUDGET_BYTES // (8 * models_per_chunk) - 4 - 6 * rows) // (7 + rows)
 
 
-# Eleven devices on a line with three dataset lengths, so three train-length
-# groups (36, 31 and 16 rows: partial last batches of 4 and 15 at batch 16,
-# and a group of one) and three validation lengths (9, 7 and 4 rows),
-# interleaved so that edges join devices of different lengths.
-LENGTHS = (45, 38, 45, 45, 20, 45, 38, 45, 45, 38, 45)
+# Eleven devices on a line, each holding 45 rows: 9 validation rows and 36
+# training rows, a partial last batch of 4 at batch 16.
+N, M = 11, 45
 # The widest hidden layer for which lockstep training runs four devices at a
-# time at batch 16, so a chunk boundary falls inside the group of six.
+# time at batch 16: the eleven devices train in chunks of 4, 4 and 3, so a
+# chunk boundary falls inside the devices and the last chunk is short.
 WIDE = Architecture((2, hidden_width(4), 4))
 # One unit wider than fits the lockstep budget alone at batch 16: every
 # device trains in a chunk of its own.
 ALONE = Architecture((2, hidden_width(1) + 1, 4))
 
 
+def line_rows():
+    """Each device's M rows drawn from one shared store of 120 samples, so
+    devices share samples and no device's rows are a range."""
+    return np.array(
+        [np.random.default_rng(200 + uid).choice(120, M, replace=False) for uid in range(N)]
+    )
+
+
 def line_state(arch=WIDE):
-    # every device draws its rows from one shared store of 120 samples, so
-    # devices share samples and no device's rows are a range
-    sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(len(LENGTHS))]
+    sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(N)]
     topo = build_topology(sites, r_c=1.0)
-    rows = [
-        np.random.default_rng(200 + uid).choice(120, m, replace=False)
-        for uid, m in enumerate(LENGTHS)
-    ]
-    state = make_state(topo, toy_data(199, 120), rows, init_parameters(arch, 0), 0.2)
+    state = make_state(topo, toy_data(199, 120), line_rows(), init_parameters(arch, 0), 0.2)
     # distinct start models give every device its own prune mask
-    starts = stack_models([init_parameters(arch, 1000 + uid) for uid in range(len(LENGTHS))])
+    starts = stack_models([init_parameters(arch, 1000 + uid) for uid in range(N)])
     params = state.params
     for rows, start in zip(params.weights + params.biases, starts.weights + starts.biases):
         rows[:] = start
@@ -229,15 +242,15 @@ def line_state(arch=WIDE):
 def reference_round(state, round_index):
     """Per-device training and wire round trip: (trained, decoded) by uid."""
     trained, decoded = {}, {}
-    for dev in state.devices:
-        cm = compress(state.params[dev.uid], STRATEGY)
-        tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
-        train = state.samples.subset(dev.train_rows)
-        trained[dev.uid] = reference_local_training(
+    for uid in range(N):
+        cm = compress(state.params[uid], STRATEGY)
+        tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, uid))
+        train = state.samples.subset(state.train_rows[uid])
+        trained[uid] = reference_local_training(
             decompress(cm), train, tcfg, mask=cm.mask, round_index=round_index
         )
-        wire = encode_wire(trained[dev.uid], STRATEGY, cm.mask)
-        decoded[dev.uid] = decompress(from_bytes(to_bytes(wire)))
+        wire = encode_wire(trained[uid], STRATEGY, cm.mask)
+        decoded[uid] = decompress(from_bytes(to_bytes(wire)))
     return trained, decoded
 
 
@@ -246,27 +259,51 @@ def protocol_config():
 
 
 class TestDeviceBank:
-    def test_splits_are_views_of_each_devices_dataset(self):
-        # a device's dataset is its row array into the one sample store
-        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(len(LENGTHS))]
-        samples, rows = sample_store([toy_data(200 + uid, m) for uid, m in enumerate(LENGTHS)])
-        topo = build_topology(sites, r_c=1.0)
-        state = make_state(topo, samples, rows, init_parameters(WIDE, 0), 0.2)
+    def test_splits_are_views_of_the_row_table(self):
+        # every device's dataset is its row of one (n, m) table into the one
+        # sample store, and both splits are views of that table
+        topo = build_topology([DeviceSite(i, float(i), 0.0, 0) for i in range(N)], r_c=1.0)
+        samples, table, init = toy_data(199, 120), line_rows(), init_parameters(WIDE, 0)
+        state = make_state(topo, samples, table, init, 0.2)
         assert state.samples is samples
-        for dev, own in zip(state.devices, rows):
-            for split in (dev.train_rows, dev.val_rows):
-                assert np.shares_memory(split, own)
-            assert len(dev.train_rows) + len(dev.val_rows) == dev.num_samples == len(own)
+        assert state.val_rows.shape == (N, 9) and state.train_rows.shape == (N, 36)
+        for split in (state.train_rows, state.val_rows):
+            assert split.dtype == np.int64 and split.base is table
+        # a list of equal-length row arrays is stacked into one table
+        listed = make_state(topo, samples, list(table), init, 0.2)
+        assert listed.train_rows.base is listed.val_rows.base is not None
+        assert np.array_equal(np.hstack([listed.val_rows, listed.train_rows]), table)
 
     def test_rows_outside_the_store_are_rejected(self):
         sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(2)]
         topo = build_topology(sites, r_c=1.0)
         store, init = toy_data(1, 10), init_parameters(WIDE, 0)
-        for bad in ([0, 10], [-1, 3]):
+        for bad in ([0, 1, 2, 3, 10], [-1, 3, 4, 5, 6]):
             with pytest.raises(ValueError, match="index the store's 10 samples"):
                 make_state(topo, store, [np.arange(5), np.array(bad)], init, 0.2)
-        with pytest.raises(ValueError, match="one row array per device"):
-            make_state(topo, store, [np.arange(5)], init, 0.2)
+        for bad in ([np.arange(5)], np.arange(2)):
+            with pytest.raises(ValueError, match="one row array per device"):
+                make_state(topo, store, bad, init, 0.2)
+
+    def test_unequal_row_lengths_are_rejected(self):
+        # every device holds the same number of rows
+        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(2)]
+        topo = build_topology(sites, r_c=1.0)
+        store, init = toy_data(1, 10), init_parameters(WIDE, 0)
+        with pytest.raises(ValueError, match="^every device needs the same number of rows$"):
+            make_state(topo, store, [np.arange(5), np.arange(5, 9)], init, 0.2)
+
+    def test_rows_that_are_not_integers_are_rejected(self):
+        # a float table would be truncated to other rows, a bool mask read as
+        # rows 0 and 1; an empty table keeps its own message
+        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(2)]
+        topo = build_topology(sites, r_c=1.0)
+        store, init = toy_data(1, 10), init_parameters(WIDE, 0)
+        for bad in (np.array([[1.7, 2.2], [3.0, 4.0]]), np.ones((2, 10), dtype=bool)):
+            with pytest.raises(ValueError, match="^rows must be integers that index"):
+                make_state(topo, store, bad, init, 0.2)
+        with pytest.raises(ValueError, match="need at least 2 samples to split"):
+            make_state(topo, store, np.zeros((2, 0)), init, 0.2)
 
     def test_wide_model_trains_in_chunks_of_one(self):
         # every device trains alone on a view of its own split
@@ -282,58 +319,45 @@ class TestDeviceBank:
         cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
         starts = state.params.copy()
         run_round(state, cfg, 1, arm="isolated")
-        for dev in state.devices:
-            start = starts[dev.uid]
-            tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, dev.uid))
-            train = samples.subset(dev.train_rows)
-            want = reference_local_training(start, train, tcfg, round_index=1)
-            assert_same_model(state.params[dev.uid], want)
+        for uid in range(5):
+            tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, uid))
+            train = samples.subset(state.train_rows[uid])
+            want = reference_local_training(starts[uid], train, tcfg, round_index=1)
+            assert_same_model(state.params[uid], want)
 
     def test_splits_keep_the_row_order(self):
         rows = np.random.default_rng(7).permutation(60)[:45]
         topo = build_topology([DeviceSite(0, 0.0, 0.0, 0)], r_c=1.0)
-        dev = make_state(topo, toy_data(7, 60), [rows], init_parameters(WIDE, 0), 0.2).devices[0]
-        assert np.array_equal(dev.val_rows, rows[:9])
-        assert np.array_equal(dev.train_rows, rows[9:])
+        state = make_state(topo, toy_data(7, 60), [rows], init_parameters(WIDE, 0), 0.2)
+        assert np.array_equal(state.val_rows[0], rows[:9])
+        assert np.array_equal(state.train_rows[0], rows[9:])
 
 
 class TestChunkCutter:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        lengths=st.lists(st.integers(10, 13), max_size=60),
-        per_chunk=st.integers(1, 12),
-        rows=st.sampled_from([None, 16]),
-    )
-    def test_groups_are_cut_into_the_fewest_near_equal_chunks(self, lengths, per_chunk, rows):
+    @given(count=st.integers(0, 300), per_chunk=st.integers(1, 12))
+    def test_indices_are_cut_into_the_fewest_near_equal_chunks(self, count, per_chunk):
         # a model about per_chunk of which fit the budget at 16 rows each
         model = init_parameters(Architecture((2, hidden_width(per_chunk), 4)), 0)
-        chunks = list(protocol._lockstep_chunks(np.array(lengths, int), model, rows))
-        taken = [i for chunk in chunks for i in chunk.tolist()]
-        assert sorted(taken) == list(range(len(lengths)))
-        groups: dict[int, list[list[int]]] = {}
-        for chunk in chunks:
-            (length,) = {lengths[i] for i in chunk}
-            assert not groups or length in groups or length > max(groups)
-            groups.setdefault(length, []).append(chunk.tolist())
-        for length, cut in groups.items():
-            members = [i for i, m in enumerate(lengths) if m == length]
-            size = lockstep_chunk(model, length if rows is None else rows)
-            sizes = [len(chunk) for chunk in cut]
-            assert [i for chunk in cut for i in chunk] == members
-            assert 1 <= min(sizes) and max(sizes) <= size and max(sizes) - min(sizes) <= 1
-            assert len(cut) == -(-len(members) // size)
+        size = lockstep_chunk(model, 16)
+        chunks = protocol._lockstep_chunks(count, model, 16)
+        # every index once, in ascending order
+        assert [i for chunk in chunks for i in chunk.tolist()] == list(range(count))
+        # the fewest chunks: none for no index, one while they fit
+        assert len(chunks) == -(-count // size)
+        sizes = [len(chunk) for chunk in chunks] or [1]
+        assert 1 <= min(sizes) and max(sizes) <= size and max(sizes) - min(sizes) <= 1
 
 
 class TestLockstepRound:
     def test_chunk_boundary_falls_inside_the_largest_group(self):
-        state = line_state()
-        size = lockstep_chunk(state.params[0], TRAINING.batch_size)
-        lengths = [len(dev.train_rows) for dev in state.devices]
-        largest = max(lengths.count(m) for m in set(lengths))
+        # every device trains on 36 rows, so the one group is all eleven
+        model = line_state().params[0]
+        chunks = protocol._lockstep_chunks(N, model, TRAINING.batch_size)
         wider = Architecture((2, WIDE.layer_sizes[1] + 1, 4))
-        assert size == 4
+        assert lockstep_chunk(model, TRAINING.batch_size) == 4
         assert lockstep_chunk(init_parameters(wider, 0), TRAINING.batch_size) == 3
-        assert size < largest and largest % size != 0
+        assert [chunk.tolist() for chunk in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
 
     def test_trained_models_match_reference(self):
         state = line_state()
@@ -364,11 +388,11 @@ class TestLockstepRound:
     def test_batched_similarity_matches_per_edge_cross_similarity(self):
         state = line_state()
         _, decoded = reference_round(state, round_index=1)
-        vals = [state.samples.subset(dev.val_rows) for dev in state.devices]
+        vals = [state.samples.subset(own) for own in state.val_rows]
         stats = run_round(state, protocol_config(), 1)
         edges = state.topology.edges
         assert np.array_equal(stats.dissimilarity.edges, edges)
-        assert len(stats.dissimilarity.values) == len(edges) == len(LENGTHS) - 1
+        assert len(stats.dissimilarity.values) == len(edges) == N - 1
         for (i, j), got in zip(edges.tolist(), stats.dissimilarity.values):
             assert got == cross_similarity(decoded[i], decoded[j], vals[i], vals[j])
             assert got == reference_loss(decoded[j], vals[i]) + reference_loss(decoded[i], vals[j])
@@ -383,18 +407,18 @@ def test_quadrant_trains_in_one_chunk_like_the_reference():
         world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
     training = world.protocol.training
-    assert len(state.devices) == 64
+    m = cfg.data.samples_per_device
+    n_val = int(cfg.data.validation_fraction * m)
+    assert state.val_rows.shape == (64, n_val) and state.train_rows.shape == (64, m - n_val)
     assert lockstep_chunk(world.init_params, training.batch_size) >= 64
-    assert len({len(dev.train_rows) for dev in state.devices}) == 1
     starts = state.params.copy()
     run_round(state, world.protocol, 1, arm="isolated")
-    for dev in state.devices:
-        cm = compress(starts[dev.uid], world.protocol.strategy)
-        tcfg = dataclasses.replace(training, rng_seed=derive_seed(training.rng_seed, dev.uid))
-        want = reference_local_training(
-            decompress(cm), world.samples.subset(dev.train_rows), tcfg, mask=cm.mask, round_index=1
-        )
-        assert_same_model(state.params[dev.uid], want)
+    for uid in range(64):
+        cm = compress(starts[uid], world.protocol.strategy)
+        tcfg = dataclasses.replace(training, rng_seed=derive_seed(training.rng_seed, uid))
+        train = world.samples.subset(state.train_rows[uid])
+        want = reference_local_training(decompress(cm), train, tcfg, mask=cm.mask, round_index=1)
+        assert_same_model(state.params[uid], want)
 
 
 # The lanes of a round on this host, and at least two, so that the lanes
@@ -414,7 +438,7 @@ class TestLanes:
         monkeypatch.setattr(protocol, "_LANES", lanes)
         cfg = protocol_config()
         piped = line_state(ALONE)
-        size = np.zeros(len(LENGTHS), dtype=np.int64)
+        size = np.zeros(N, dtype=np.int64)
         protocol._run_chunks(piped, cfg, 1, size)
         state = line_state(ALONE)
         return piped, size, state, run_round(state, cfg, 1)
@@ -424,8 +448,8 @@ class TestLanes:
         # runs its whole pipeline there: training, the finite check, the wire
         # decode into its rows of the decoded stack and its sizes
         model = line_state(ALONE).params[0]
-        chunks = protocol._lockstep_chunks(np.array(LENGTHS), model, TRAINING.batch_size)
-        assert [len(chunk) for chunk in chunks] == [1] * len(LENGTHS)
+        chunks = protocol._lockstep_chunks(N, model, TRAINING.batch_size)
+        assert [len(chunk) for chunk in chunks] == [1] * N
         got_piped, got_size, got_state, got_stats = self._round(monkeypatch, ALL_LANES)
         want_piped, want_size, want_state, want_stats = self._round(monkeypatch, 1)
         assert_same_model(got_piped.params, want_piped.params)
@@ -454,7 +478,7 @@ class TestLanes:
 
         monkeypatch.setattr(protocol, "local_training", counted)
         run_round(line_state(ALONE), protocol_config(), 1)
-        assert inside == [1] * len(LENGTHS)
+        assert inside == [1] * N
         assert get_threads() == before
 
         state = line_state(ALONE)
@@ -495,7 +519,7 @@ class TestLanes:
         monkeypatch.setattr(protocol, "local_training", recorded)
         with np.errstate(over="raise"):
             run_round(line_state(ALONE), protocol_config(), 1, arm="isolated")
-        assert seen == ["raise"] * len(LENGTHS)
+        assert seen == ["raise"] * N
 
     def test_every_item_runs_once_and_comes_back_in_order(self, monkeypatch):
         # more lanes than cores, and a thread switch every microsecond
@@ -662,8 +686,7 @@ class TestDivergence:
 
     @pytest.mark.parametrize("lanes", [1, ALL_LANES])
     def test_the_lowest_diverged_device_is_named(self, monkeypatch, lanes):
-        # devices 9 and 3 diverge; the chunks of 31 train rows (devices 1, 6
-        # and 9) come before those of 36, so chunk order meets 9 first
+        # devices 9 and 3 diverge, each in a chunk of its own
         monkeypatch.setattr(protocol, "_LANES", lanes)
         self._faulty(monkeypatch, diverged=[9, 3])
         for arm in ARMS:
@@ -673,9 +696,9 @@ class TestDivergence:
     @pytest.mark.parametrize("fault", ["beyond_f32", "beyond_f64"])
     @pytest.mark.parametrize("lanes", [1, ALL_LANES])
     def test_a_later_divergence_outranks_an_earlier_wire_fault(self, monkeypatch, lanes, fault):
-        # device 4's chunk (16 train rows) runs first and fails on the wire,
-        # with the codec's SerializationError or the quantizer's ValueError;
-        # device 10's (36 rows) runs last and diverges
+        # device 4's chunk comes first and fails on the wire, with the codec's
+        # SerializationError or the quantizer's ValueError; device 10's comes
+        # last and diverges
         monkeypatch.setattr(protocol, "_LANES", lanes)
         self._faulty(monkeypatch, diverged=[10], **{fault: [4]})
         for arm in ("sparsefuel", "global-fedavg"):
@@ -685,10 +708,10 @@ class TestDivergence:
 
     @pytest.mark.parametrize("lanes", [1, ALL_LANES])
     def test_the_first_chunk_with_a_wire_fault_raises(self, monkeypatch, lanes):
-        # device 4's chunk comes before device 1's in chunk order, though not
-        # in uid order; an isolated round sends nothing, so nothing fails
+        # devices 4 and 7 fail on the wire, device 4's chunk first in chunk
+        # order; an isolated round sends nothing, so nothing fails
         monkeypatch.setattr(protocol, "_LANES", lanes)
-        self._faulty(monkeypatch, beyond_f32=[1, 4])
+        self._faulty(monkeypatch, beyond_f32=[7, 4])
         wire = "^round 3: device 4: tensor 0: quantization scale inf is not finite$"
         for arm in ("sparsefuel", "global-fedavg"):
             with pytest.raises(SerializationError, match=wire):

@@ -312,12 +312,11 @@ class TestRunRound:
         assert len(stats.partition.federations) == 1
         # expected: compress -> decompress -> masked local training, no averaging loss
         baseline = self._state(1)
-        dev = baseline.devices[0]
         cm = compress(baseline.params[0], cfg.strategy)
         tcfg = dataclasses.replace(
             cfg.training, rng_seed=derive_seed(cfg.training.rng_seed, 0)
         )
-        train = baseline.samples.subset(dev.train_rows)
+        train = baseline.samples.subset(baseline.train_rows[0])
         expected = local_training(decompress(cm), train, tcfg, mask=cm.mask, round_index=1)
         got = state.params[0]
         for x, y in zip(got.weights + got.biases, expected.weights + expected.biases):
