@@ -38,6 +38,7 @@ from .protocol import (
     ProtocolConfig,
     SimulationState,
     evaluate_objective,
+    keep_heap_mapped,
     make_state,
     one_blas_thread,
     run_round,
@@ -435,6 +436,7 @@ def run_experiment_result(
         world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
     records: list[MetricsRecord] = []
+    keep_heap_mapped()
     with one_blas_thread():
         for t in range(1, cfg.protocol.rounds + 1):
             started = time.perf_counter()
@@ -535,6 +537,7 @@ def calibrate_tau(
     state = make_state(
         world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
     )
+    keep_heap_mapped()
     with one_blas_thread():
         for t in range(1, warmup_rounds + 1):
             run_round(state, world.protocol, t, arm="isolated")

@@ -225,16 +225,61 @@ def _forward_batch(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
 
 
 # numpy reduces a short last axis one row at a time, at a fixed cost per row,
-# and a lockstep chunk has thousands of rows of 8 or 10 classes.  These two
-# reductions run along the long axis instead and give the same floats.
+# and a lockstep chunk has thousands of rows of 8 or 10 classes.  The output
+# head therefore works on one class-major (classes, rows) copy of the logits:
+# each of its steps is a few passes over whole rows, and gives the floats
+# numpy's batch-major reductions give.
 
 
-def _row_max(z: np.ndarray) -> np.ndarray:
-    """z.max(axis=-1, keepdims=True), bit for bit: the running max of the
-    class columns, one whole column at a time, over a (classes, rows) copy."""
-    classes = z.shape[-1]
-    columns = np.ascontiguousarray(z.reshape(-1, classes).T)
-    return np.maximum.reduce(columns, axis=0).reshape(z.shape[:-1] + (1,))
+def _column_sum(columns: np.ndarray) -> np.ndarray:
+    """The sum of each column of a (classes, rows) array, bit for bit as
+    numpy sums the rows of its batch-major copy: numpy's pairwise_sum over
+    each column, as whole-row adds.  Under 8 classes that is the plain sum
+    in order; up to 128, eight running sums added as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    order; above 128, the sums of two halves cut at a multiple of 8.
+    numpy's reduction starts from +0.0, so a column of -0.0 sums to +0.0.
+    Where two NaNs meet, which one a sum keeps is left to numpy's build."""
+    classes = columns.shape[0]
+    if classes < 8:
+        total = columns[0] + 0.0
+        for row in columns[1:]:
+            total += row
+        return total
+    if classes > 128:
+        half = classes // 2 - classes // 2 % 8
+        return _column_sum(columns[:half]) + _column_sum(columns[half:])
+    blocks = classes - classes % 8
+    acc = columns[:8] if blocks == 8 else columns[:8] + columns[8:16]
+    for start in range(16, blocks, 8):
+        acc += columns[start : start + 8]
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for row in columns[blocks:]:
+        total += row
+    total += 0.0
+    return total
+
+
+def _class_major(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (classes, rows) copy of (D, n, classes) logits, and each row's max:
+    the running max of the class rows, class 0 first."""
+    columns = np.ascontiguousarray(logits.reshape(-1, logits.shape[-1]).T)
+    return columns, np.maximum.reduce(columns, axis=0)
+
+
+def _first_max(columns: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """logits.argmax(axis=-1) of the rows of a class-major copy with row max
+    top: the first class that holds the max, or in a row with a NaN the
+    first NaN."""
+    hit = columns == top
+    if np.isnan(top).any():
+        hit |= np.isnan(columns)
+    # the first hit carries the largest weight
+    classes = columns.shape[0]
+    weights = np.arange(classes, 0, -1, dtype=np.min_scalar_type(classes))
+    return classes - np.maximum.reduce(hit.view(np.uint8) * weights[:, None], axis=0)
 
 
 def _bias_gradient(delta: np.ndarray) -> np.ndarray:
@@ -243,16 +288,6 @@ def _bias_gradient(delta: np.ndarray) -> np.ndarray:
     d, n, width = delta.shape
     rows = delta.transpose(1, 0, 2).reshape(n, d * width)
     return np.add.reduce(rows, axis=0).reshape(d, width)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, in place: logits becomes the
-    log-probabilities and is returned."""
-    logits -= _row_max(logits)
-    # the denominator's sum stays numpy's own: its summation order is the
-    # one every result of this module was computed with
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    return logits
 
 
 def _check_labels(params: ParameterSet, data: LabeledDataset, action: str) -> None:
@@ -275,11 +310,16 @@ def loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
     _check_labels(params, data, "evaluate on an empty dataset")
     stacked = params.stacked
     params, x, labels = _as_stack(params, data)
-    logits = _forward_batch(params, x)[-1]
-    acc = (logits.argmax(axis=2) == labels).mean(axis=1)
-    logp = _log_softmax(logits)
     d, n = labels.shape
-    loss = -logp[np.arange(d)[:, None], np.arange(n), labels].mean(axis=1)
+    columns, top = _class_major(_forward_batch(params, x)[-1])
+    picks, rows = labels.ravel(), np.arange(d * n)
+    acc = (_first_max(columns, top) == picks).reshape(d, n).mean(axis=1)
+    # the log-softmax at each row's label: the label's shifted logit less
+    # the log of the softmax denominator
+    columns -= top
+    logp = columns[picks, rows]
+    logp -= np.log(_column_sum(np.exp(columns, out=columns)))
+    loss = -logp.reshape(d, n).mean(axis=1)
     if stacked:
         return loss, acc
     return float(loss[0]), float(acc[0])
@@ -297,14 +337,15 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     last = params.num_layers - 1
     outputs = _forward_batch(params, x)
 
-    # the logits are not read again: the softmax overwrites them
-    probs = outputs[-1]
-    probs -= _row_max(probs)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=2, keepdims=True)
-    delta = probs
-    delta.reshape(d * n, -1)[np.arange(d * n), labels.ravel()] -= 1.0
-    delta /= n
+    columns, top = _class_major(outputs[-1])
+    columns -= top
+    np.exp(columns, out=columns)
+    columns /= _column_sum(columns)
+    columns[labels.ravel(), np.arange(d * n)] -= 1.0
+    # delta goes back to batch-major, into the logits' buffer (they are not
+    # read again), so every matmul below gets the operand layouts it would
+    # get without the class-major head: OpenBLAS picks its kernel by layout
+    delta = np.divide(columns.T.reshape(d, n, -1), n, out=outputs[-1])
 
     grad_w = [np.empty(0)] * params.num_layers
     grad_b = [np.empty(0)] * params.num_layers

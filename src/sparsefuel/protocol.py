@@ -419,6 +419,30 @@ def _blas_threads():
     return None
 
 
+# glibc's mallopt parameters (malloc.h), and the size up to which the heap
+# keeps what is freed: above every array a round allocates
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEPT_BYTES = 32 * 1024 * 1024
+
+
+@functools.cache
+def keep_heap_mapped() -> None:
+    """Have glibc's malloc keep freed memory mapped for the rest of the
+    process: no trimming of the heap's top under _HEAP_KEPT_BYTES, and arrays
+    up to that size from the heap, not from mmap.  By default glibc hands the
+    heap's top back to the kernel after each pass and maps large arrays
+    afresh, so each round page-faults its arrays in again.  It cannot be
+    undone.  Where libc has no mallopt it does nothing."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no C library to open by name None
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_KEPT_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_KEPT_BYTES)
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with OpenBLAS on one thread, and put its thread count

@@ -26,7 +26,14 @@ from sparsefuel.harness import (
     calibrate_tau,
     run_experiment_result,
 )
-from sparsefuel.neuralnet import LabeledDataset, ParameterSet, _as_stack, loss_and_accuracy
+from sparsefuel.neuralnet import (
+    LabeledDataset,
+    ParameterSet,
+    _as_stack,
+    _bias_gradient,
+    _forward_batch,
+    loss_and_accuracy,
+)
 
 
 # --------------------------------------------------------------------------
@@ -274,6 +281,67 @@ def reference_loss(params: ParameterSet, data: LabeledDataset) -> float:
     shifted = a - a.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(-logp[np.arange(len(data)), data.labels].mean())
+
+
+# --------------------------------------------------------------------------
+# the batch-major output head: loss_and_accuracy and gradients as they were
+# before the head went class-major, with numpy's argmax and softmax sum along
+# the class axis of (D, n, classes) logits
+
+
+def reference_row_max(logits: np.ndarray) -> np.ndarray:
+    """The running max of the class columns, class 0 first, keepdims: the
+    max the head takes.  (numpy's own max along the class axis may pick
+    another zero of a -0.0/+0.0 tie.)"""
+    top = logits[..., :1].copy()
+    for c in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., c : c + 1], out=top)
+    return top
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the class axis, in place."""
+    logits -= reference_row_max(logits)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
+def reference_loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
+    """Mean cross-entropy and argmax accuracy, by the batch-major head."""
+    stacked = params.stacked
+    params, x, labels = _as_stack(params, data)
+    logits = _forward_batch(params, x)[-1]
+    acc = (logits.argmax(axis=2) == labels).mean(axis=1)
+    logits -= reference_row_max(logits)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    d, n = labels.shape
+    loss = -logits[np.arange(d)[:, None], np.arange(n), labels].mean(axis=1)
+    if stacked:
+        return loss, acc
+    return float(loss[0]), float(acc[0])
+
+
+def reference_stacked_gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
+    """gradients by the batch-major head: the same backward pass on the
+    same batch-major delta."""
+    stacked = params.stacked
+    params, x, labels = _as_stack(params, batch)
+    d, n = labels.shape
+    outputs = _forward_batch(params, x)
+    delta = reference_softmax(outputs[-1])
+    delta.reshape(d * n, -1)[np.arange(d * n), labels.ravel()] -= 1.0
+    delta /= n
+    grad_w = [np.empty(0)] * params.num_layers
+    grad_b = [np.empty(0)] * params.num_layers
+    for i in range(params.num_layers - 1, -1, -1):
+        grad_w[i] = delta.transpose(0, 2, 1) @ outputs[i]
+        grad_b[i] = _bias_gradient(delta)
+        if i > 0:
+            delta = delta @ params.weights[i]
+            delta *= outputs[i] > 0.0
+    grads = ParameterSet(grad_w, grad_b)
+    return grads if stacked else grads[0]
 
 
 # --------------------------------------------------------------------------

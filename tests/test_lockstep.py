@@ -5,7 +5,9 @@ many devices at once, so every check here is bit-equality (array_equal, ==),
 never a tolerance.
 """
 
+import ctypes
 import dataclasses
+import resource
 import sys
 import threading
 import tracemalloc
@@ -29,7 +31,7 @@ from sparsefuel.compression import (
     to_bytes,
 )
 from sparsefuel.environment import DeviceSite, build_topology
-from sparsefuel.harness import build_world, calibrate_tau, run_experiment_result
+from sparsefuel.harness import build_world, calibrate_tau, metrics_csv_text, run_experiment_result
 from sparsefuel.neuralnet import (
     Architecture,
     LabeledDataset,
@@ -55,6 +57,7 @@ from conftest import (
     reference_local_training,
     reference_loss,
     sample_store,
+    small_config,
     stack_models,
 )
 
@@ -639,6 +642,89 @@ class TestBlasPin:
             with protocol.one_blas_thread():
                 raise ValueError("inside")
         assert get_threads() == 2
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.fixture
+def libc_as(monkeypatch):
+    """Hand keep_heap_mapped the C library a test makes (a callable that
+    returns it, or raises), the other libraries untouched, and let the next
+    caller run keep_heap_mapped afresh."""
+    real = ctypes.CDLL
+
+    def use(make_libc):
+        def cdll(name, *args, **kwargs):
+            return make_libc() if name is None else real(name, *args, **kwargs)
+
+        monkeypatch.setattr(protocol.ctypes, "CDLL", cdll)
+        protocol.keep_heap_mapped.cache_clear()
+
+    protocol._blas_threads()  # found before the C library is swapped
+    yield use
+    monkeypatch.undo()
+    protocol.keep_heap_mapped.cache_clear()
+
+
+class TestHeapStaysMapped:
+    """A run sets glibc's malloc, once per process, to keep freed memory
+    mapped, so that a round does not page-fault its arrays in again."""
+
+    @pytest.mark.skipif(not _libc_has_mallopt(), reason="needs a libc with mallopt")
+    def test_warm_rounds_fault_in_almost_no_pages(self, monkeypatch):
+        # glibc's default settings took about 1,500 minor faults over these
+        # three rounds of quadrant
+        faults = []
+        evaluate = harness.evaluate_objective
+
+        def counted(*args):
+            result = evaluate(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return result
+
+        monkeypatch.setattr(harness, "evaluate_objective", counted)
+        run_experiment_result(quadrant_config(rounds=5), seed=7)
+        assert faults[4] - faults[1] < 50, faults
+
+    @pytest.mark.skipif(not _libc_has_mallopt(), reason="needs a libc with mallopt")
+    def test_both_thresholds_are_raised_and_glibc_takes_them(self, libc_as):
+        libc = ctypes.CDLL(None)
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value, libc.mallopt(param, value)))
+
+        libc_as(lambda: type("Libc", (), {"mallopt": staticmethod(mallopt)})())
+        protocol.keep_heap_mapped()
+        protocol.keep_heap_mapped()
+        kept = 32 * 1024 * 1024
+        # M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD -3; mallopt gives 1 on success
+        assert calls == [(-1, kept, 1), (-3, kept, 1)]
+
+    @pytest.mark.parametrize("libc", ["without mallopt", "not found"])
+    def test_a_run_without_mallopt_is_unchanged(self, libc_as, libc):
+        want = metrics_csv_text(run_experiment_result(small_config(), seed=3).records)
+
+        def make_libc():
+            if libc == "not found":
+                raise OSError("no C library")
+            return object()
+
+        libc_as(make_libc)
+        assert metrics_csv_text(run_experiment_result(small_config(), seed=3).records) == want
+        assert protocol.keep_heap_mapped.cache_info().currsize == 1
+
+    def test_runs_and_calibration_set_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "keep_heap_mapped", lambda: calls.append(1))
+        run_experiment_result(small_config(rounds=1), seed=3)
+        calibrate_tau(small_config(), seed=3, warmup_rounds=0)
+        assert calls == [1, 1]
 
 
 class TestDivergence:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_gradients, sample_away_from_relu_kinks, stack_models
+from conftest import (
+    finite_difference_gradients,
+    reference_loss_and_accuracy,
+    reference_stacked_gradients,
+    sample_away_from_relu_kinks,
+    stack_models,
+)
+from sparsefuel import neuralnet
 from sparsefuel.compression import SparseMask
 from sparsefuel.neuralnet import (
     Architecture,
@@ -13,7 +20,9 @@ from sparsefuel.neuralnet import (
     ParameterSet,
     TrainingConfig,
     _bias_gradient,
-    _row_max,
+    _class_major,
+    _column_sum,
+    _first_max,
     gradients,
     init_parameters,
     local_training,
@@ -160,10 +169,12 @@ class TestKernels:
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e6])
     def test_row_max_is_max_of_last_axis(self, shape, magnitude):
+        # the head's class-major copy and its row max
         z = np.random.default_rng(sum(shape)).normal(size=shape) * magnitude
-        got = _row_max(z)
-        assert got.shape == shape[:-1] + (1,)
-        assert np.array_equal(got, z.max(axis=-1, keepdims=True))
+        columns, top = _class_major(z)
+        assert columns.flags.c_contiguous
+        assert np.array_equal(columns, z.reshape(-1, shape[-1]).T)
+        assert np.array_equal(top, z.max(axis=-1).ravel())
 
     def test_row_max_nan_and_infinite_rows(self):
         z = np.random.default_rng(0).normal(size=(4, 6, 5))
@@ -175,11 +186,48 @@ class TestKernels:
         z[2, 5, 1] = np.nan
         z[2, 5, 3] = np.inf
         z[3, 0, :] = [np.inf, -np.inf, np.inf, np.nan, 0.0]
-        want = z.max(axis=-1, keepdims=True)
-        got = _row_max(z)
+        want = z.max(axis=-1)
+        got = _class_major(z)[1].reshape(want.shape)
         assert np.array_equal(got, want, equal_nan=True)
-        assert np.isnan(got[0, 0, 0]) and np.isnan(got[2, 5, 0]) and np.isnan(got[3, 0, 0])
-        assert got[1, 2, 0] == np.inf and got[1, 3, 0] == -np.inf
+        assert np.isnan(got[0, 0]) and np.isnan(got[2, 5]) and np.isnan(got[3, 0])
+        assert got[1, 2] == np.inf and got[1, 3] == -np.inf
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        classes=st.integers(1, 300),
+        rows=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.sets(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324])),
+    )
+    def test_column_sum_is_numpy_sum_of_each_row(self, classes, rows, seed, specials):
+        # magnitudes wide enough that the order of the adds shows in the
+        # rounding, some entries special, and one row of -0.0
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-12, 13, (rows, classes))
+        batch_major = rng.normal(size=(rows, classes)) * scale
+        if specials:
+            spots = rng.random((rows, classes)) < 0.2
+            batch_major[spots] = rng.choice(sorted(specials, key=str), spots.sum())
+        batch_major[0] = -0.0
+        with np.errstate(invalid="ignore"):
+            want = np.add.reduce(batch_major, axis=-1)
+            got = _column_sum(np.ascontiguousarray(batch_major.T))
+        assert _same_bits(got, want, any_nan=True)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        classes=st.integers(1, 300),
+        rows=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        palette=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]), min_size=1, max_size=4
+        ),
+    )
+    def test_first_max_is_argmax(self, classes, rows, seed, palette):
+        # a small palette ties classes; a row with a NaN gives its first NaN
+        z = np.random.default_rng(seed).choice(palette, (rows, classes))
+        columns, top = _class_major(z)
+        assert np.array_equal(_first_max(columns, top), z.argmax(axis=-1))
 
     def test_bias_gradient_is_sum_over_rows(self):
         # the rounding of a float sum depends on the order of its terms, so
@@ -196,6 +244,67 @@ class TestKernels:
             got = _bias_gradient(delta)
             assert got.shape == (shape[0], shape[2])
             assert np.array_equal(got, delta.sum(axis=1)), shape
+
+
+# logits at the head's edges: ties between classes, +-inf (a bias, or a
+# product that overflows), NaN (inf - inf, or a NaN bias) and -0.0
+LOGIT_PALETTE = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e200]
+BIAS_SPECIALS = [np.inf, -np.inf, np.nan, -0.0]
+
+
+class TestClassMajorHead:
+    """loss_and_accuracy, gradients and local_training give the bits of the
+    batch-major head (conftest's references) from 1 to 300 classes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        classes=st.integers(1, 300),
+        models=st.integers(1, 3),
+        rows=st.integers(1, 12),
+        batch=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        tied=st.booleans(),
+        specials=st.sets(st.sampled_from(BIAS_SPECIALS)),
+    )
+    def test_matches_the_batch_major_head(self, classes, models, rows, batch, seed, tied, specials):
+        rng = np.random.default_rng(seed)
+        # one linear layer on 1-d inputs: logit (r, c) is x_r * w_c + b_c
+        if tied:
+            w = rng.choice(LOGIT_PALETTE, (models, classes, 1))
+            x = rng.choice(LOGIT_PALETTE, (models * rows, 1))
+        else:
+            w = rng.normal(size=(models, classes, 1))
+            x = rng.normal(size=(models * rows, 1))
+        b = rng.choice([0.0, 1.0, -2.0], (models, classes))
+        if specials:
+            spots = rng.random(b.shape) < 0.1
+            b[spots] = rng.choice(sorted(specials, key=str), spots.sum())
+        stack = ParameterSet([w], [b])
+        store = LabeledDataset(x, rng.integers(0, classes, models * rows))
+        table = np.arange(models * rows).reshape(models, rows)
+        data = store.gather(table)
+        # a batch that does not divide rows leaves a partial last batch
+        cfg = TrainingConfig(local_epochs=2, batch_size=batch, learning_rate=0.5, rng_seed=seed)
+        seeds = [seed + k for k in range(models)]
+
+        def results():
+            return [
+                neuralnet.loss_and_accuracy(stack, data),
+                neuralnet.loss_and_accuracy(stack[0], data.subset(0)),
+                neuralnet.gradients(stack, data),
+                neuralnet.gradients(stack[0], data.subset(0)),
+                local_training(stack, store, cfg, round_index=1, seeds=seeds, rows=table),
+                local_training(stack[0], store, cfg, round_index=1, rows=table[0]),
+            ]
+
+        with np.errstate(all="ignore"):
+            got = results()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(neuralnet, "loss_and_accuracy", reference_loss_and_accuracy)
+                patch.setattr(neuralnet, "gradients", reference_stacked_gradients)
+                want = results()
+        for k, (g, r) in enumerate(zip(got, want)):
+            assert _same_bits(g, r, any_nan=True), k
 
 
 class TestLocalTraining:
@@ -258,13 +367,18 @@ class TestLocalTraining:
         assert any(not np.array_equal(a, b) for a, b in zip(out.weights, params.weights))
 
 
-def _same_bits(a, b):
-    """Two results (floats, arrays or ParameterSets) hold the same bits."""
+def _same_bits(a, b, any_nan=False):
+    """Two results (floats, arrays or ParameterSets) hold the same bits; with
+    any_nan, a NaN matches any NaN (which of two NaNs an add keeps is up to
+    how numpy was built), but -0.0 still does not match 0.0."""
     if isinstance(a, ParameterSet):
-        return _same_bits(a.weights + a.biases, b.weights + b.biases)
+        return _same_bits(a.weights + a.biases, b.weights + b.biases, any_nan)
     if isinstance(a, (tuple, list)):
-        return len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        return len(a) == len(b) and all(_same_bits(x, y, any_nan) for x, y in zip(a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    if any_nan:
+        a, b = (np.where(np.isnan(v), np.nan, v) for v in (a, b))
+    return a.tobytes() == b.tobytes()
 
 
 class TestEightBitFeatures:
