@@ -18,6 +18,7 @@ import contextvars
 import ctypes
 import functools
 import glob
+import itertools
 import os
 import threading
 from collections import Counter
@@ -157,35 +158,61 @@ def form_federations(
     return _elect(similarity_graph(topology, ds, tau))[1]
 
 
-def fed_avg(models: Sequence[ParameterSet], weights: Sequence[float] | None = None) -> ParameterSet:
+def fed_avg(
+    models: Sequence[ParameterSet],
+    weights: Sequence[float] | None = None,
+    rows: Sequence[int] | None = None,
+) -> ParameterSet:
     """Weighted elementwise mean, folded in the given (uid) order.
 
-    Accumulation is anchored on the first model (sum of weighted deltas), so
-    averaging any number of copies of one model returns it bit-exactly.
+    models are single models; or, given rows, stacks of one shape, member k
+    being row rows[k] of models[k].  The mean is anchored on the first member
+    (sum of weighted deltas), so copies of one model average to it exactly.
+    Each member is one flat row of its tensors, a weight and a bias at least,
+    and np.add.reduce(axis=0) sums the deltas in blocks of at most
+    LOCKSTEP_BUDGET_BYTES / 8 bytes, the running sum as row 0: numpy adds
+    rows two or more wide in order (one wide, pairwise), so the bits are
+    those of adding each delta in turn.  A row wider than a block is
+    subtracted, weighted and added in place.
     """
     if not models:
         raise ValueError("cannot average zero models")
-    if weights is None:
-        weights = [1.0] * len(models)
-    if len(weights) != len(models):
-        raise ValueError("one weight per model required")
+    weights = [1.0] * len(models) if weights is None else weights
+    if len(weights) != len(models) or (rows is not None and len(rows) != len(models)):
+        raise ValueError("one weight per model required, and one row when rows are given")
     if any(not w > 0 for w in weights):
         raise ValueError("weights must be positive")
-    base = models[0]
-    for m in models[1:]:
-        if not base.same_shape(m):
-            raise ValueError("cannot average models with different architectures")
-    total = float(sum(weights))
-    out = base.copy()
-    for layer in range(base.num_layers):
-        acc_w = np.zeros_like(base.weights[layer])
-        acc_b = np.zeros_like(base.biases[layer])
-        for m, w in zip(models, weights):
-            acc_w += w * (m.weights[layer] - base.weights[layer])
-            acc_b += w * (m.biases[layer] - base.biases[layer])
-        out.weights[layer] += acc_w / total
-        out.biases[layer] += acc_b / total
-    return out
+    if rows is None:
+        models, rows = [m[None] for m in models], [0] * len(models)
+    tensors = lambda stack: stack.weights + stack.biases  # noqa: E731
+    if len({tuple(t.shape for t in tensors(s)) for s in {id(s): s for s in models}.values()}) > 1:
+        raise ValueError("cannot average models with different architectures")
+    # blocks are gathered from the last member's stack (a round's leader,
+    # its lowest uid, comes first), then mended where a member is another's
+    main = models[-1]
+    cuts = list(itertools.accumulate((t[0].size for t in tensors(main)), initial=0))
+    flat = lambda k: [t[rows[k]].ravel() for t in tensors(models[k])]  # noqa: E731
+    base, scale = np.concatenate(flat(0)), np.asarray(weights, dtype=np.float64)[:, None]
+    size = max(1, LOCKSTEP_BUDGET_BYTES // 64 // base.size)
+    acc, buf = np.zeros(base.size), np.empty((min(size, len(rows)) + 1, base.size))
+    for lo in range(0, len(rows), size):
+        block = buf[1 : 1 + min(size, len(rows) - lo)]
+        if len(block) == 1:
+            for t, a, b in zip(flat(lo), cuts, cuts[1:]):
+                np.subtract(t, base[a:b], out=block[0, a:b])
+            acc += np.multiply(block[0], scale[lo], out=block[0])
+            continue
+        for t, a, b in zip(tensors(main), cuts, cuts[1:]):
+            t.reshape(len(t), -1).take(rows[lo : lo + size], 0, block[:, a:b])
+        for k in (k for k, s in enumerate(models[lo : lo + size], lo) if s is not main):
+            block[k - lo] = np.concatenate(flat(k))
+        block -= base
+        block *= scale[lo : lo + len(block)]
+        buf[0] = acc
+        np.add.reduce(buf[: len(block) + 1], axis=0, out=acc)
+    average = base + acc / float(sum(weights))
+    out = [average[a:b].reshape(t.shape[1:]) for t, a, b in zip(tensors(main), cuts, cuts[1:])]
+    return ParameterSet(out[: main.num_layers], out[main.num_layers :])
 
 
 @dataclass
@@ -371,8 +398,8 @@ def run_round(
         m = state.train_rows.shape[1] + state.val_rows.shape[1]
         for fed in partition.federations:
             uids = sorted(u for u in fed.members if gfield.source[u] == fed.leader)
-            models = [params[uid] if uid == fed.leader else decoded[uid] for uid in uids]
-            average = fed_avg(models, [m] * len(uids))
+            stacks = [params if uid == fed.leader else decoded for uid in uids]
+            average = fed_avg(stacks, [m] * len(uids), uids)
             for rows, avg in zip(params.weights + params.biases, average.weights + average.biases):
                 rows[uids] = avg
             bytes_disseminate += (len(uids) - 1) * dense_size
@@ -641,32 +668,35 @@ def evaluate_objective(
 ) -> tuple[float, list[float], list[float]]:
     """Objective plus per-subregion accuracy and loss.
 
-    A federation's model is models[leader]: its leader's row of the model
-    stack.  The objective sums, over federations, that model's mean loss on
-    the test set of the subregion hosting its leader.  Per-subregion metrics
-    come from the model its devices actually use: the federation holding the
-    plurality of the subregion's devices (ties to the lowest leader uid); a
-    subregion with no devices reports nan.  Each (leader model, subregion
-    test set) pair is scored once.
+    A federation's model is models[leader], its leader's row of the model
+    stack; the objective sums its mean loss on the test set of the subregion
+    hosting the leader.  A subregion's metrics come from the federation
+    holding the plurality of its devices (ties to the lowest leader uid), nan
+    for a subregion with no devices.  Each distinct (leader, subregion) pair
+    is scored once, in the calling thread: pairs whose test sets share a
+    length and dtype run in lockstep chunks, leader rows on stacked sets.
     """
+    counts = Counter((site.subregion_id, partition.leader_of[site.uid]) for site in sites)
+    # sorted by device count, then by falling uid: a subregion's last is its plurality
+    ranked = sorted(counts.items(), key=lambda item: (item[1], -item[0][1]))
+    plurality = {j: leader for (j, leader), _ in ranked if j < len(test_sets)}
+    federation_pairs = [(f.leader, sites[f.leader].subregion_id) for f in partition.federations]
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for u, j in sorted(set(federation_pairs) | {(u, j) for j, u in plurality.items()}):
+        groups.setdefault((len(test_sets[j]), test_sets[j].features.dtype), []).append((u, j))
+    # a lone array is viewed as a stack of one, not copied
+    stack = lambda arrays: arrays[0][None] if len(arrays) == 1 else np.stack(arrays)  # noqa: E731
     scores: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def score(leader: int, subregion: int) -> tuple[float, float]:
-        if (leader, subregion) not in scores:
-            scores[leader, subregion] = loss_and_accuracy(models[leader], test_sets[subregion])
-        return scores[leader, subregion]
-
-    k = len(test_sets)
+    for (length, _), group in groups.items():
+        for pick in _lockstep_chunks(len(group), models[group[0][0]], length):
+            chunk = [group[c] for c in pick]
+            leaders, ts = [u for u, _ in chunk], [test_sets[j] for _, j in chunk]
+            picked = models[leaders[0]][None] if len(leaders) == 1 else models[leaders]
+            data = LabeledDataset(stack([t.features for t in ts]), stack([t.labels for t in ts]))
+            loss, acc = loss_and_accuracy(picked, data)
+            scores.update(zip(chunk, zip(loss.tolist(), acc.tolist())))
     objective = 0.0
-    for fed in partition.federations:
-        objective += score(fed.leader, sites[fed.leader].subregion_id)[0]
-
-    accs = [float("nan")] * k
-    losses = [float("nan")] * k
-    for j in range(k):
-        counts = Counter(partition.leader_of[site.uid] for site in sites if site.subregion_id == j)
-        if not counts:
-            continue
-        leader = max(counts, key=lambda u: (counts[u], -u))
-        losses[j], accs[j] = score(leader, j)
-    return objective, accs, losses
+    for pair in federation_pairs:
+        objective += scores[pair][0]
+    region = [scores.get((plurality.get(j), j), (float("nan"),) * 2) for j in range(len(test_sets))]
+    return objective, [acc for _, acc in region], [loss for loss, _ in region]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable
 
 import numpy as np
@@ -342,6 +342,56 @@ def reference_stacked_gradients(params: ParameterSet, batch: LabeledDataset) -> 
             delta *= outputs[i] > 0.0
     grads = ParameterSet(grad_w, grad_b)
     return grads if stacked else grads[0]
+
+
+# --------------------------------------------------------------------------
+# the per-member FedAvg fold and the per-pair evaluation, as the round ran
+# them before both became passes over stacks
+
+
+def reference_fed_avg(models, weights=None) -> ParameterSet:
+    """Weighted elementwise mean of single models, folded one member and one
+    layer at a time in the given order, anchored on the first model."""
+    if weights is None:
+        weights = [1.0] * len(models)
+    base = models[0]
+    total = float(sum(weights))
+    out = base.copy()
+    for layer in range(base.num_layers):
+        acc_w = np.zeros_like(base.weights[layer])
+        acc_b = np.zeros_like(base.biases[layer])
+        for m, w in zip(models, weights):
+            acc_w += w * (m.weights[layer] - base.weights[layer])
+            acc_b += w * (m.biases[layer] - base.biases[layer])
+        out.weights[layer] += acc_w / total
+        out.biases[layer] += acc_b / total
+    return out
+
+
+def reference_evaluate_objective(partition, models, test_sets, sites):
+    """evaluate_objective one (leader model, subregion test set) pair at a
+    time, each pair scored once by its own loss_and_accuracy call."""
+    scores = {}
+
+    def score(leader, subregion):
+        if (leader, subregion) not in scores:
+            scores[leader, subregion] = loss_and_accuracy(models[leader], test_sets[subregion])
+        return scores[leader, subregion]
+
+    k = len(test_sets)
+    objective = 0.0
+    for fed in partition.federations:
+        objective += score(fed.leader, sites[fed.leader].subregion_id)[0]
+
+    accs = [float("nan")] * k
+    losses = [float("nan")] * k
+    for j in range(k):
+        counts = Counter(partition.leader_of[site.uid] for site in sites if site.subregion_id == j)
+        if not counts:
+            continue
+        leader = max(counts, key=lambda u: (counts[u], -u))
+        losses[j], accs[j] = score(leader, j)
+    return objective, accs, losses
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsefuel import fields, protocol
 from sparsefuel.compression import (
@@ -39,7 +41,30 @@ from sparsefuel.protocol import (
 )
 from sparsefuel.seeds import derive_seed
 
-from conftest import sample_store
+from conftest import reference_evaluate_objective, reference_fed_avg, sample_store, stack_models
+
+
+def model_bytes(model):
+    """One model's tensors as bytes: equal bytes, equal model."""
+    return b"".join(t.tobytes() for t in model.weights + model.biases)
+
+
+def model_stack(by_uid, n):
+    """A stack of n models whose row u is by_uid[u], zeros in the other rows."""
+    first = next(iter(by_uid.values()))
+    zero = ParameterSet([np.zeros_like(w) for w in first.weights], [np.zeros_like(b) for b in first.biases])
+    return stack_models([by_uid.get(u, zero) for u in range(n)])
+
+
+def scored_pairs(params, data):
+    """The (model, dataset) pairs one loss_and_accuracy call scores, as bytes:
+    one pair for a single model, one per model of a stack."""
+    if not params.stacked:
+        params, data = params[None], LabeledDataset(data.features[None], data.labels[None])
+    return [
+        (model_bytes(params[d]), data.features[d].tobytes() + data.labels[d].tobytes())
+        for d in range(len(data.labels))
+    ]
 
 
 def line_topology(n, spacing=1.0, r_c=1.0):
@@ -219,6 +244,68 @@ class TestFedAvg:
         with pytest.raises(ValueError):
             fed_avg([a, b])
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        members=st.integers(1, 70),
+        leader_at=st.sampled_from(["first", "middle", "last"]),
+        layers=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        block_rows=st.sampled_from([1, 2, 3, None]),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.sampled_from([(0.0,), (-0.0,), (0.0, -0.0)]),
+        weighted=st.booleans(),
+    )
+    def test_fold_matches_the_member_loop(
+        self, members, leader_at, layers, block_rows, seed, zeros, weighted
+    ):
+        # the leader's row of params and every other member's of decoded,
+        # folded in blocks of 1-3 rows or, at the default budget, all in one
+        # block; layer sizes of 1 give 1-unit output layers and (1, 1)
+        # weights; some entries are +-0.0 and some members copy the first
+        rng = np.random.default_rng(seed)
+        n = members + int(rng.integers(0, 4))
+        arch = Architecture(tuple(layers))
+
+        def stack():
+            shapes = [(n, *s) for s in arch.weight_shapes()] + [(n, s) for s in layers[1:]]
+            tensors = [rng.normal(size=s) * 10.0 ** rng.integers(-3, 4, size=s) for s in shapes]
+            for t in tensors:
+                hit = rng.random(t.shape) < 0.25
+                t[hit] = rng.choice(zeros, size=int(hit.sum()))
+            return ParameterSet(tensors[: len(layers) - 1], tensors[len(layers) - 1 :])
+
+        params, decoded = stack(), stack()
+        uids = sorted(rng.choice(n, members, replace=False).tolist())
+        leader = uids[{"first": 0, "middle": members // 2, "last": -1}[leader_at]]
+        first = params if uids[0] == leader else decoded
+        for u in uids[1:]:
+            if rng.random() < 0.2:
+                for t, src in zip(decoded.weights + decoded.biases, first.weights + first.biases):
+                    t[u] = src[uids[0]]
+        weights = rng.uniform(0.5, 4.0, members).tolist() if weighted else [300] * members
+        models = [params[u] if u == leader else decoded[u] for u in uids]
+        want = reference_fed_avg(models, weights)
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                # a block holds LOCKSTEP_BUDGET_BYTES / 8 bytes of flat model rows
+                patch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", 64 * params.num_params // n * block_rows)
+            stacked = fed_avg([params if u == leader else decoded for u in uids], weights, uids)
+            single = fed_avg(models, weights)
+        for got in (stacked, single):
+            for x, y in zip(got.weights + got.biases, want.weights + want.biases):
+                assert x.shape == y.shape
+                assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+    def test_rows_must_match_and_index_the_stacks(self):
+        stack = ParameterSet([np.zeros((3, 2, 2))], [np.zeros((3, 2))])
+        with pytest.raises(ValueError):
+            fed_avg([stack, stack], [1.0, 1.0], [0, 1, 2])
+        for rows in ([0, 3], [3, 0]):
+            with pytest.raises(IndexError):
+                fed_avg([stack, stack], [1.0, 1.0], rows)
+        other = ParameterSet([np.zeros((4, 2, 2))], [np.zeros((4, 2))])
+        with pytest.raises(ValueError):
+            fed_avg([stack, other], [1.0, 1.0], [0, 1])
+
 
 class TestEvaluateObjective:
     def test_zero_networks_sum_to_k_log_c(self):
@@ -228,7 +315,7 @@ class TestEvaluateObjective:
         sites = [DeviceSite(j, 0.5, 0.5, j) for j in range(k)]
         tests = [toy_dataset(j, m=30, n_classes=c) for j in range(k)]
         objective, accs, losses = evaluate_objective(
-            partition, {j: zero.copy() for j in range(k)}, tests, sites
+            partition, model_stack({j: zero.copy() for j in range(k)}, k), tests, sites
         )
         assert abs(objective - k * math.log(c)) <= 1e-9
         assert len(accs) == len(losses) == k
@@ -247,7 +334,7 @@ class TestEvaluateObjective:
             w[j, 0] = 20.0
             models[j] = ParameterSet([w], [np.zeros(2)])
         partition = FederationPartition({j: j for j in range(k)})
-        objective, accs, _ = evaluate_objective(partition, models, tests, sites)
+        objective, accs, _ = evaluate_objective(partition, model_stack(models, k), tests, sites)
         assert objective < 0.01
         assert accs == [1.0, 1.0]
 
@@ -261,7 +348,7 @@ class TestEvaluateObjective:
         score = protocol.loss_and_accuracy
 
         def counted(params, data):
-            calls.append((id(params), id(data)))
+            calls.extend(scored_pairs(params, data))
             return score(params, data)
 
         monkeypatch.setattr(protocol, "loss_and_accuracy", counted)
@@ -271,7 +358,7 @@ class TestEvaluateObjective:
         ):
             calls.clear()
             objective, accs, losses = evaluate_objective(
-                FederationPartition(leader_of), models, tests, sites
+                FederationPartition(leader_of), model_stack(models, 6), tests, sites
             )
             assert len(calls) == len(set(calls)) == 3
             loss = {u: loss_and_accuracy(models[u], tests[sites[u].subregion_id]) for u in models}
@@ -288,10 +375,57 @@ class TestEvaluateObjective:
         test = LabeledDataset(np.tile([[1.0, 0.0]], (10, 1)), np.zeros(10, dtype=np.int64))
         right = ParameterSet([np.array([[20.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
         wrong = ParameterSet([np.array([[0.0, 0.0], [20.0, 0.0]])], [np.zeros(2)])
-        _, accs, _ = evaluate_objective(partition, {1: right, 3: wrong}, [test], sites)
+        _, accs, _ = evaluate_objective(partition, model_stack({1: right, 3: wrong}, 4), [test], sites)
         assert accs == [1.0]
-        _, accs, _ = evaluate_objective(partition, {1: wrong, 3: right}, [test], sites)
+        _, accs, _ = evaluate_objective(partition, model_stack({1: wrong, 3: right}, 4), [test], sites)
         assert accs == [0.0]
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert list(map(float.hex, a)) == list(map(float.hex, b))
+
+    @pytest.mark.parametrize("budget", [None, 1, 6000])
+    def test_matches_the_per_pair_scorer(self, monkeypatch, budget):
+        # four subregions, the last with no device (nan); subregion 0 splits
+        # two and two between leaders 0 and 4 (the tie goes to 0); leader 4
+        # holds the plurality of subregions 1 and 2 as well, so its model is
+        # scored on three test sets; the test sets have 20, 20, 35 and 7
+        # rows; a budget of 1 byte runs every pair alone, 6000 bytes two to
+        # a chunk
+        if budget is not None:
+            monkeypatch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
+        subregion = [0, 0, 0, 0, 1, 1, 2, 2, 1]
+        sites = [DeviceSite(u, 0.5, 0.5, j) for u, j in enumerate(subregion)]
+        partition = FederationPartition({0: 0, 1: 4, 2: 0, 3: 4, 4: 4, 5: 4, 6: 6, 7: 4, 8: 8})
+        models = stack_models([init_parameters(Architecture((2, 5, 4)), 40 + u) for u in range(9)])
+        tests = [toy_dataset(j, m=m) for j, m in enumerate((20, 20, 35, 7))]
+        got = evaluate_objective(partition, models, tests, sites)
+        assert math.isnan(got[1][3]) and math.isnan(got[2][3])
+        self._assert_same(got, reference_evaluate_objective(partition, models, tests, sites))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        leaders=st.lists(st.integers(0, 5), min_size=1, max_size=14),
+        subregions=st.lists(st.integers(0, 3), min_size=14, max_size=14),
+        lengths=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+        budget=st.sampled_from([None, 1, 3000, 9000]),
+    )
+    def test_random_partitions_match_the_per_pair_scorer(self, leaders, subregions, lengths, budget):
+        # device u follows leaders[u] when that leader follows itself
+        n = len(leaders)
+        leader_of = {u: u if leaders[u] >= n or leaders[leaders[u]] != leaders[u] else leaders[u] for u in range(n)}
+        leader_of.update({leaders[u]: leaders[u] for u in range(n) if leader_of[u] == leaders[u]})
+        sites = [DeviceSite(u, 0.5, 0.5, subregions[u]) for u in range(n)]
+        models = stack_models([init_parameters(Architecture((2, 3, 4)), u) for u in range(n)])
+        tests = [toy_dataset(10 + j, m=m) for j, m in enumerate(lengths)]
+        partition = FederationPartition(leader_of)
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
+            got = evaluate_objective(partition, models, tests, sites)
+        self._assert_same(got, reference_evaluate_objective(partition, models, tests, sites))
 
 
 class TestRunRound:
@@ -414,18 +548,16 @@ class TestTreeRound:
         calls = []
         average = protocol.fed_avg
 
-        def row(model):
+        def row(stack, uid):
             for name in ("params", "decoded"):
-                stack = getattr(state, name).weights[0]
-                for uid in range(len(stack)):
-                    if np.shares_memory(model.weights[0], stack[uid]):
-                        return name, uid
+                if stack is getattr(state, name) and 0 <= uid < state.topology.n:
+                    return name, uid
             raise AssertionError("fed_avg got a model that is no row of a stack")
 
-        def recording(models, weights):
-            rows = [row(m) for m in models]
-            out = average(models, weights)
-            calls.append((rows, out))
+        def recording(models, weights, rows):
+            members = [row(stack, uid) for stack, uid in zip(models, rows)]
+            out = average(models, weights, rows)
+            calls.append((members, out))
             return out
 
         monkeypatch.setattr(protocol, "fed_avg", recording)
@@ -527,8 +659,8 @@ class TestTreeRound:
         tests = [toy_dataset(900, m=30)]
         sites = state.topology.sites
         objective, _, _ = evaluate_objective(stats.partition, state.params, tests, sites)
-        rows = state.params.weights[0]
-        leaders = [u for m in scored for u in want if np.shares_memory(m.weights[0], rows[u])]
+        leader_of_row = {model_bytes(state.params[u]): u for u in want}
+        leaders = [leader_of_row[model_bytes(m[d])] for m in scored for d in range(len(m.weights[0]))]
         assert sorted(leaders) == sorted(want)
         assert objective == sum(score(model, tests[0])[0] for model in want.values())
 
