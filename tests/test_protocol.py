@@ -389,11 +389,11 @@ class TestEvaluateObjective:
     @pytest.mark.parametrize("budget", [None, 1, 6000])
     def test_matches_the_per_pair_scorer(self, monkeypatch, budget):
         # four subregions, the last with no device (nan); subregion 0 splits
-        # two and two between leaders 0 and 4 (the tie goes to 0); leader 4
-        # holds the plurality of subregions 1 and 2 as well, so its model is
-        # scored on three test sets; the test sets have 20, 20, 35 and 7
-        # rows; a budget of 1 byte runs every pair alone, 6000 bytes two to
-        # a chunk
+        # two and two between leaders 0 and 4 (the tie goes to 0); leader 4,
+        # in subregion 1, also holds subregion 2's plurality by a one-one tie
+        # with leader 6, so its model is scored on two test sets; the test
+        # sets have 20, 20, 35 and 7 rows; a budget of 1 byte runs every
+        # pair alone, 6000 bytes up to two to a chunk
         if budget is not None:
             monkeypatch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
         subregion = [0, 0, 0, 0, 1, 1, 2, 2, 1]
@@ -401,8 +401,19 @@ class TestEvaluateObjective:
         partition = FederationPartition({0: 0, 1: 4, 2: 0, 3: 4, 4: 4, 5: 4, 6: 6, 7: 4, 8: 8})
         models = stack_models([init_parameters(Architecture((2, 5, 4)), 40 + u) for u in range(9)])
         tests = [toy_dataset(j, m=m) for j, m in enumerate((20, 20, 35, 7))]
+        scored = []
+        score = protocol.loss_and_accuracy
+
+        def recording(params, data):
+            scored.extend(scored_pairs(params, data))
+            return score(params, data)
+
+        monkeypatch.setattr(protocol, "loss_and_accuracy", recording)
         got = evaluate_objective(partition, models, tests, sites)
+        assert len(scored) == len(set(scored)) == 5
+        assert [m for m, _ in scored].count(model_bytes(models[4])) == 2
         assert math.isnan(got[1][3]) and math.isnan(got[2][3])
+        monkeypatch.setattr(protocol, "loss_and_accuracy", score)
         self._assert_same(got, reference_evaluate_objective(partition, models, tests, sites))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
