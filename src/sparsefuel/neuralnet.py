@@ -99,13 +99,6 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    def same_shape(self, other: "ParameterSet") -> bool:
-        return (
-            len(self.weights) == len(other.weights)
-            and all(a.shape == b.shape for a, b in zip(self.weights, other.weights))
-            and all(a.shape == b.shape for a, b in zip(self.biases, other.biases))
-        )
-
     def __getitem__(self, k) -> "ParameterSet":
         """Model k of a stack (a view), or a sub-stack for a slice or index array."""
         return ParameterSet([w[k] for w in self.weights], [b[k] for b in self.biases])

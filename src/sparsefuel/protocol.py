@@ -129,7 +129,7 @@ def cross_similarity(
     val_j: LabeledDataset,
 ) -> float:
     """Pairwise dissimilarity: j's loss on i's validation split plus i's on j's."""
-    if not model_i.same_shape(model_j):
+    if model_i.architecture() != model_j.architecture():
         raise ValueError("cannot compare models with different architectures")
     loss_ij, _ = loss_and_accuracy(model_j, val_i)
     loss_ji, _ = loss_and_accuracy(model_i, val_j)

@@ -63,7 +63,7 @@ from conftest import (
 
 
 def assert_same_model(got: ParameterSet, want: ParameterSet):
-    assert got.same_shape(want)
+    assert [t.shape for t in got.weights + got.biases] == [t.shape for t in want.weights + want.biases]
     for x, y in zip(got.weights + got.biases, want.weights + want.biases):
         assert np.array_equal(x, y)
 
