@@ -16,7 +16,8 @@ Serialized layout (all integers little-endian):
                        values as u8
 
 Bias vectors are never pruned; under the sparse kinds they carry an all-ones
-bitmap.  Quantized tensors are dequantized as (q - zero_point) * scale.
+bitmap.  Quantized tensors are dequantized as (q - zero_point) * scale.  What
+a receiver decodes from the wire is float32, as the bytes carry it.
 """
 
 from __future__ import annotations
@@ -89,11 +90,14 @@ class SparseMask:
 @dataclass
 class QuantizedTensor:
     """One tensor quantized to u8 with an affine (scale, zero_point) map, or D
-    such tensors stacked on a leading axis with a (D,) scale and zero point."""
+    such tensors stacked on a leading axis with a (D,) scale and zero point.
+    dtype is the float type it dequantizes to: that of the tensor it was
+    quantized from, and float32 for a tensor parsed from bytes."""
 
     scale: float | np.ndarray
     zero_point: int | np.ndarray
     values: np.ndarray
+    dtype: type = np.float64
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.uint8)
@@ -110,7 +114,7 @@ class QuantizedTensor:
 
     def __getitem__(self, k) -> "QuantizedTensor":
         """Tensor k (views) of a stack."""
-        return QuantizedTensor(self.scale[k], self.zero_point[k], self.values[k])
+        return QuantizedTensor(self.scale[k], self.zero_point[k], self.values[k], self.dtype)
 
 
 @dataclass
@@ -180,20 +184,23 @@ def _quantize_tensor(t: np.ndarray, lead: tuple[int, ...]) -> QuantizedTensor:
     tensor) over its own range.
 
     The range always includes 0 (Jacob et al., CVPR 2018), so 0 sits on the
-    grid and a single-sign tensor still spreads over all 256 levels.  An
-    empty or all-zero range, or one so narrow (subnormal) that a step
-    underflows, gets the unit scale.
+    grid and a single-sign tensor still spreads over all 256 levels.  The
+    range, scale and levels are computed in float64 whatever t's dtype, so
+    each value's level lies within half a step of it.  An empty or
+    all-zero range, or one so narrow (subnormal) that a step underflows,
+    gets the unit scale.
     """
     flat = t.reshape(lead + (-1,))
     if not np.isfinite(flat).all():
         raise ValueError("cannot quantize non-finite values")
-    lo, hi = flat.min(axis=-1, initial=0.0), flat.max(axis=-1, initial=0.0)
+    lo = flat.min(axis=-1, initial=0.0).astype(np.float64)
+    hi = flat.max(axis=-1, initial=0.0).astype(np.float64)
     scale = np.asarray((hi - lo) / 255.0)
     scale[scale == 0.0] = 1.0
     zero_point = _round_half_away(-lo / scale)
     q = np.clip(_round_half_away(flat / scale[..., None]) + zero_point[..., None], 0, 255)
     q = q.astype(np.uint8).reshape(t.shape)
-    return QuantizedTensor(scale[()], zero_point.astype(np.int64)[()], q)
+    return QuantizedTensor(scale[()], zero_point.astype(np.int64)[()], q, t.dtype.type)
 
 
 def quantize_affine(params: ParameterSet) -> list[QuantizedTensor]:
@@ -203,16 +210,28 @@ def quantize_affine(params: ParameterSet) -> list[QuantizedTensor]:
     return [_quantize_tensor(t, lead) for wb in zip(params.weights, params.biases) for t in wb]
 
 
-def _dequantize_tensor(values: np.ndarray, zero_point, scale) -> np.ndarray:
-    # one row per tensor of a stack; scale and zero point as columns
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _dequantize_tensor(values: np.ndarray, zero_point, scale, dtype) -> np.ndarray:
+    """(q - zero_point) * scale, one row per tensor of a stack with scale and
+    zero point as columns, computed in float64 and written as dtype.  A
+    float32 value is that product rounded once (for an f32 scale the product
+    is exact in float64); a level past the f32 range, which a grid spanning
+    [-max, max] reaches half a step beyond max, saturates at the f32 max."""
     flat = values.reshape(np.shape(scale) + (-1,)).astype(np.float64)
     flat = (flat - np.asarray(zero_point)[..., None]) * np.asarray(scale)[..., None]
-    return flat.reshape(values.shape)
+    if dtype == np.float32:
+        np.clip(flat, -_F32_MAX, _F32_MAX, out=flat)
+    return flat.astype(dtype, copy=False).reshape(values.shape)
 
 
 def dequantize(qparams: list[QuantizedTensor]) -> ParameterSet:
-    """Map u8 tensors (in order W0, b0, ...) back to float64 parameters."""
-    tensors = [_dequantize_tensor(qt.values, qt.zero_point, qt.scale) for qt in qparams]
+    """Map u8 tensors (in order W0, b0, ...) back to parameters, each in its
+    tensor's dtype: float32 or float64 as quantized, float32 as parsed."""
+    tensors = [
+        _dequantize_tensor(qt.values, qt.zero_point, qt.scale, qt.dtype) for qt in qparams
+    ]
     return ParameterSet(tensors[0::2], tensors[1::2])
 
 
@@ -232,7 +251,8 @@ def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedM
 
 
 def decompress(model: CompressedModel) -> ParameterSet:
-    """Reconstruct float64 parameters from any compressed kind."""
+    """Reconstruct the parameters of any compressed kind: a copy of the float
+    kinds' values, or the quantized tensors dequantized in their dtype."""
     if model.params is not None:
         return model.params.copy()
     return dequantize(model.qparams)
@@ -318,8 +338,8 @@ class SerializationError(ValueError):
 def from_bytes(buf: bytes) -> CompressedModel:
     """Parse the canonical byte format back into a CompressedModel.
 
-    Values serialized as f32 come back as float64 holding f32-representable
-    numbers, which is exactly what a receiving device would see.
+    Values serialized as f32 come back as float32, and quantized tensors
+    dequantize to float32: exactly what a receiving device would see.
     """
     pos = 0
 
@@ -386,7 +406,9 @@ def from_bytes(buf: bytes) -> CompressedModel:
         full = np.full(n, zero_point if quantizes else 0, dtype=dtype)
         full[kept] = vals
         full = full.reshape(shape)
-        tensors.append(QuantizedTensor(float(scale), int(zero_point), full) if quantizes else full)
+        if quantizes:
+            full = QuantizedTensor(float(scale), int(zero_point), full, np.float32)
+        tensors.append(full)
 
     if pos != len(buf):
         raise SerializationError(f"{len(buf) - pos} trailing bytes after payload")
@@ -417,11 +439,11 @@ def encode_wire(
 
 
 def decode_wire(wire: CompressedModel) -> ParameterSet:
-    """The model each receiver decodes from the wire, for one model or a
-    stack: row k is exactly decompress(from_bytes(to_bytes(wire[k]))),
+    """The float32 model each receiver decodes from the wire, for one model
+    or a stack: row k is exactly decompress(from_bytes(to_bytes(wire[k]))),
     computed without the bytes.
 
-    Float values pass through f32, and scales of the quantizing kinds are
+    Float values are copied as f32, and scales of the quantizing kinds are
     rounded to f32 as the bytes carry them.  Pruned weight positions decode
     as +0.0 (or the zero point) whatever the wire model holds there: masked
     training leaves -0.0 at negative pruned weights, and the bytes carry only
@@ -442,9 +464,11 @@ def decode_wire(wire: CompressedModel) -> ParameterSet:
         arrays[0::2] = [np.where(m, a, f) for m, a, f in zip(wire.mask.layers, arrays[0::2], fills)]
     if quantizes:
         tensors = [
-            _dequantize_tensor(a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32))
+            _dequantize_tensor(
+                a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32), np.float32
+            )
             for a, qt in zip(arrays, wire.qparams)
         ]
     else:
-        tensors = [a.astype(np.float32).astype(np.float64) for a in arrays]
+        tensors = [a.astype(np.float32) for a in arrays]
     return ParameterSet(tensors[0::2], tensors[1::2])

@@ -34,6 +34,7 @@ from .environment import (
 from .neuralnet import Architecture, LabeledDataset, ParameterSet, TrainingConfig, init_parameters
 from .protocol import (
     ARMS,
+    DEVICE_DTYPE,
     FederationPartition,
     ProtocolConfig,
     SimulationState,
@@ -289,7 +290,8 @@ class World:
 
     The devices' samples are held once: rows is an (n, m) table, every
     device holding m = data.samples_per_device rows, and device uid's local
-    dataset is samples.subset(rows[uid]).
+    dataset is samples.subset(rows[uid]).  The samples and the test sets hold
+    pixel bytes (IDX) or DEVICE_DTYPE floats (synthetic).
     """
 
     topology: Topology
@@ -307,6 +309,13 @@ def resolve_radius(cfg: ExperimentConfig) -> float:
         return env.r_c
     g = math.ceil(math.sqrt(env.n))
     return 1.5 * max(env.width / g, env.height / g)
+
+
+def _device_floats(data: LabeledDataset) -> LabeledDataset:
+    """The dataset with float features in DEVICE_DTYPE; pixel bytes stay bytes."""
+    if data.features.dtype == np.uint8:
+        return data
+    return LabeledDataset(data.features.astype(DEVICE_DTYPE), data.labels)
 
 
 def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
@@ -359,7 +368,7 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
         if data.kind == "synthetic-blobs":
             # every device draws its own samples: the store is the draws in
             # uid order, each written into its device's range of rows
-            features = np.empty((len(sites) * m, data.feature_dim))
+            features = np.empty((len(sites) * m, data.feature_dim), dtype=DEVICE_DTYPE)
             labels = np.empty(len(sites) * m, dtype=np.int64)
             for site in sites:
                 own = slice(site.uid * m, (site.uid + 1) * m)
@@ -373,7 +382,9 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
             for site in sites:
                 rows[site.uid] = sample_local_rows(spec, site.subregion_id, m, data_seed, site.uid)
         test_sets = [
-            sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
+            _device_floats(
+                sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
+            )
             for j in range(k)
         ]
     except ValueError as exc:

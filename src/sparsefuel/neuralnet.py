@@ -1,10 +1,11 @@
 """Multilayer perceptron training core.
 
 Plain-numpy MLP with ReLU hidden layers and a linear output layer; the softmax
-is folded into the cross-entropy loss.  Inputs may be 8-bit intensities (see
-LabeledDataset), but every forward pass computes in float64, every
-operation is a pure function of its inputs, and all randomness comes from
-explicit seeds, so identical calls are bit-identical.
+is folded into the cross-entropy loss.  Models are float32 (a run's devices)
+or float64, and every kernel computes in its models' dtype: inputs, 8-bit
+intensities included (see LabeledDataset), become that dtype as a forward
+pass starts.  Every operation is a pure function of its inputs, and all
+randomness comes from explicit seeds, so identical calls are bit-identical.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ class ParameterSet:
     D MLPs of one architecture stacked on a leading axis: weights (D, out, in)
     and biases (D, out).
 
+    Every tensor holds one dtype: float32 when every tensor given is float32,
+    else float64 (tensors of any other dtype are coerced).
+
     An empty ParameterSet (zero layers) is permitted so that serialization of
     header-only payloads has a value to round-trip.
     """
@@ -61,8 +65,10 @@ class ParameterSet:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases):
             raise ValueError("weights and biases must have the same layer count")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
+        tensors = [np.asarray(t) for t in (*self.weights, *self.biases)]
+        float32 = bool(tensors) and all(t.dtype == np.float32 for t in tensors)
+        tensors = [t.astype(np.float32 if float32 else np.float64, copy=False) for t in tensors]
+        self.weights, self.biases = tensors[: len(self.weights)], tensors[len(self.weights) :]
         lead = self.weights[0].shape[:-2] if self.weights else ()
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim not in (2, 3) or w.shape[:-2] != lead or b.shape[:-1] != lead:
@@ -110,9 +116,9 @@ class LabeledDataset:
     one length stacked on a leading axis: features (D, n, d), labels (D, n).
 
     uint8 features are 8-bit intensities, kept as they are: a uint8 feature k
-    reads as k / 255.0, and every forward pass divides them as it starts.
-    Features of any other dtype are coerced to float64.  len() counts samples
-    over the whole stack.
+    reads as k / 255, and every forward pass divides them as it starts.
+    float32 and float64 features are kept as given, and features of any other
+    dtype are coerced to float64.  len() counts samples over the whole stack.
     """
 
     features: np.ndarray
@@ -120,8 +126,8 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features)
-        if features.dtype != np.uint8:
-            features = features.astype(np.float64, copy=False)
+        if features.dtype not in (np.uint8, np.float32, np.float64):
+            features = features.astype(np.float64)
         self.features = features
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim not in (2, 3):
@@ -180,12 +186,13 @@ def init_parameters(arch: Architecture, seed: int) -> ParameterSet:
 def _as_stack(
     params: ParameterSet, data: LabeledDataset
 ) -> tuple[ParameterSet, np.ndarray, np.ndarray]:
-    """The models, float64 features and labels as stacks; a single model and
-    dataset become a stack of one (views).
+    """The models, features in the models' dtype and labels as stacks; a
+    single model and dataset become a stack of one (views).
 
-    This is the one place uint8 features become their float64 values
-    k / 255.0, one correctly rounded division each (a multiplication by
-    1 / 255 would round differently); other features are not copied."""
+    This is the one place uint8 features become their values k / 255, one
+    correctly rounded division each in the models' dtype (a multiplication
+    by 1 / 255 would round differently); features already in that dtype are
+    not copied."""
     if not params.weights:
         raise ValueError("cannot run a forward pass on an empty parameter set")
     x, labels = data.features, data.labels
@@ -197,8 +204,8 @@ def _as_stack(
         raise ValueError(
             f"input has shape {x.shape}, expected ({models}, *, {fan_in}) for this stack of models"
         )
-    if x.dtype == np.uint8:
-        x = x / 255.0
+    dtype = params.weights[0].dtype
+    x = x / dtype.type(255) if x.dtype == np.uint8 else x.astype(dtype, copy=False)
     return params, x, labels
 
 

@@ -28,19 +28,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fields
+from . import compression, fields
 from .compression import (
     CompressedModel,
     CompressionStrategy,
-    SerializationError,
     compress,
     decode_wire,
     decompress,
     encode_wire,
-    from_bytes,
     nonzero_macs,
     serialized_size,
-    to_bytes,
 )
 from .environment import DeviceSite, Topology
 from .neuralnet import (
@@ -53,6 +50,15 @@ from .neuralnet import (
 from .seeds import derive_seed
 
 ARMS = ("sparsefuel", "global-fedavg", "isolated")
+
+# The float type of a run's devices: make_state builds the model stack in it
+# and the harness the float features (the wire's f32 decodes to float32 too).
+DEVICE_DTYPE = np.float32
+
+# The byte codec, under the names perfbench's call-site tracer wraps here: a
+# round never calls it (decode_wire and serialized_size give what its bytes
+# would), and the tracer's test checks that a round does not.
+to_bytes, from_bytes = compression.to_bytes, compression.from_bytes
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,8 @@ def fed_avg(
     models are single models; or, given rows, stacks of one shape, member k
     being row rows[k] of models[k].  The mean is anchored on the first member
     (sum of weighted deltas), so copies of one model average to it exactly.
+    It is computed in the first member's dtype, the weights included: the
+    fold of float32 models runs in float32.
     Each member is one flat row of its tensors, a weight and a bias at least,
     and np.add.reduce(axis=0) sums the deltas in blocks of at most
     LOCKSTEP_BUDGET_BYTES / 8 bytes, the running sum as row 0: numpy adds
@@ -192,9 +200,10 @@ def fed_avg(
     main = models[-1]
     cuts = list(itertools.accumulate((t[0].size for t in tensors(main)), initial=0))
     flat = lambda k: [t[rows[k]].ravel() for t in tensors(models[k])]  # noqa: E731
-    base, scale = np.concatenate(flat(0)), np.asarray(weights, dtype=np.float64)[:, None]
-    size = max(1, LOCKSTEP_BUDGET_BYTES // 64 // base.size)
-    acc, buf = np.zeros(base.size), np.empty((min(size, len(rows)) + 1, base.size))
+    base = np.concatenate(flat(0))
+    scale = np.asarray(weights, dtype=base.dtype)[:, None]
+    size = max(1, LOCKSTEP_BUDGET_BYTES // 8 // base.nbytes)
+    acc, buf = np.zeros_like(base), np.empty((min(size, len(rows)) + 1, base.size), base.dtype)
     for lo in range(0, len(rows), size):
         block = buf[1 : 1 + min(size, len(rows) - lo)]
         if len(block) == 1:
@@ -251,28 +260,31 @@ class SimulationState:
         return self._shuffle_seeds[master]
 
 
-# Lockstep work on a stack of models holds, per model, its float64 parameters
-# and the activations of its rows of input; a stack is cut into chunks of at
-# most this many bytes so that only one chunk's temporaries live at a time
-# in each lane.  Every lockstep step costs a fixed Python and numpy overhead,
-# which larger chunks pay less often, but every lane holds its own chunk's
-# temporaries, and a similarity pass that outgrows one core's L2 (2 MiB on
-# the 2-core Xeon measured) slows down.  Of 2, 2.5, 3 and 4 MiB (seed 7,
-# medians of three 12 s runs each, two lanes), 2.5 MiB gave the fastest
-# rounds on both workloads:
-# - idx-global trains its 784-64-10 MLPs four to a chunk, 16 chunks: 358
-#   device-rounds/s and a peak RSS of 124 MB, against 347 and 119 at 2 MiB,
-#   354 and 129 at 3 MiB, and 349 and 134 at 4 MiB
-# - quadrant's 64 devices still train as one chunk and its similarity keeps
-#   three passes of 138 pairs: 4670 device-rounds/s against 4633 at 2 MiB;
-#   at 3 and 4 MiB two passes of 207 pairs ran 2 % slower (4563, 4551)
+# Lockstep work on a stack of models holds, per model, its parameters and the
+# activations of its rows of input, in the models' dtype (float32 in a run);
+# a stack is cut into chunks of at most this many bytes so that only one
+# chunk's temporaries live at a time in each lane.  Every lockstep step costs
+# a fixed Python and numpy overhead, which larger chunks pay less often, but
+# every lane holds its own chunk's temporaries, and the chunks share two
+# lanes best in even counts.  Of 1.25, 2, 2.5, 3 and 4 MiB (float32, seed 7,
+# medians of three 12 s runs each, two lanes on a 2-core Xeon), 2.5 MiB gave
+# the fastest rounds:
+# - idx-global trains its 784-64-10 MLPs eight to a chunk, 8 chunks: 670
+#   device-rounds/s and a peak RSS of 99 MB, against 567 and 88 at 1.25 MiB
+#   (16 chunks of 4), 609 and 94 at 2 MiB (11 chunks), 616 and 104 at 3 MiB
+#   (7 chunks) and 609 and 112 at 4 MiB (5 chunks)
+# - quadrant's 64 devices train as one chunk at every budget, and its
+#   similarity runs in two passes of 208 pairs (three at 1.25 MiB, one at 3
+#   and 4 MiB): 6917 device-rounds/s, and 6887 to 6948 at the other budgets,
+#   within the runs' spread
 LOCKSTEP_BUDGET_BYTES = 5 * 1024 * 1024 // 2
 
 
 def lockstep_chunk(model: ParameterSet, rows: int) -> int:
-    """How many models of this architecture run in lockstep on `rows` input
-    rows each within LOCKSTEP_BUDGET_BYTES (at least one)."""
-    per_model = 8 * (model.num_params + rows * sum(model.architecture().layer_sizes))
+    """How many models of this architecture and dtype run in lockstep on
+    `rows` input rows each within LOCKSTEP_BUDGET_BYTES (at least one)."""
+    floats = model.num_params + rows * sum(model.architecture().layer_sizes)
+    per_model = model.weights[0].itemsize * floats
     return max(1, LOCKSTEP_BUDGET_BYTES // per_model)
 
 
@@ -293,7 +305,8 @@ def make_state(
     validation_fraction: float,
 ) -> SimulationState:
     """Split every device's rows of the sample store into train/validation
-    and start every device's row of the model stack from the initial model.
+    and start every device's row of the model stack, in DEVICE_DTYPE, from
+    the initial model.
 
     rows is an (n, m) table of store rows, or a list of n equal-length row
     arrays: row uid lists the m samples of device uid in order.  Every
@@ -318,8 +331,10 @@ def make_state(
     table = table.astype(np.int64, copy=False)
     n_val = min(m - 1, max(1, int(validation_fraction * m)))
     params = ParameterSet(
-        [np.repeat(w[None], topology.n, axis=0) for w in init_params.weights],
-        [np.repeat(b[None], topology.n, axis=0) for b in init_params.biases],
+        *(
+            [np.repeat(t.astype(DEVICE_DTYPE)[None], topology.n, axis=0) for t in tensors]
+            for tensors in (init_params.weights, init_params.biases)
+        )
     )
     return SimulationState(topology, samples, table[:, n_val:], table[:, :n_val], params)
 
@@ -557,16 +572,16 @@ def _run_chunks(
     Raises FloatingPointError when a trained model is not finite, naming the
     round, the lowest uid of such a model over all chunks and the learning
     rate; every arm fails the same way, and state.params then holds the
-    diverged models.  Otherwise the first chunk whose wire step failed
-    raises its error (a SerializationError is prefixed with the round and
-    the uid)."""
+    diverged models.  A finite model always goes on the wire: its f32 values
+    decode as they are, and its quantizer scale, at most (2 * f32 max) / 255,
+    fits the f32 the bytes carry."""
     params = state.params
     decoded = state.decoded
     seeds = state.shuffle_seeds(cfg.training.rng_seed)
 
-    def pipeline(chunk: np.ndarray) -> tuple[int | None, Exception | None]:
+    def pipeline(chunk: np.ndarray) -> int | None:
         """Run one chunk; return the lowest uid of its trained models that is
-        not finite, and the error its wire step raised."""
+        not finite."""
         uids = chunk.tolist()
         cm = compress(params[uids], cfg.strategy)
         out = local_training(
@@ -583,58 +598,33 @@ def _run_chunks(
             rows[uids] = trained
         finite = _finite_rows(out)
         if not finite.all():
-            return uids[int(np.argmin(finite))], None
-        if size is None:
-            return None, None
-        # returned, not raised, so that a later chunk's divergence wins
-        try:
+            return uids[int(np.argmin(finite))]
+        if size is not None:
             if cfg.similarity_uses_compressed:
                 wire = encode_wire(out, cfg.strategy, cm.mask)
             else:
                 wire = CompressedModel("dense", params=out)
-            received = _decode_checked(wire, uids, round_index)
+            received = decode_wire(wire)
             for rows, got in zip(
                 decoded.weights + decoded.biases, received.weights + received.biases
             ):
                 rows[uids] = got
             size[uids] = serialized_size(wire)
-        except Exception as err:
-            return None, err
-        return None, None
+        return None
 
     chunks = _lockstep_chunks(state.topology.n, params[0], cfg.training.batch_size)
-    runs = _in_lanes(pipeline, chunks)
-    diverged = [uid for uid, _ in runs if uid is not None]
+    diverged = [uid for uid in _in_lanes(pipeline, chunks) if uid is not None]
     if diverged:
         raise FloatingPointError(
             f"round {round_index}: local training diverged: device {min(diverged)} has "
             f"non-finite parameters at learning_rate {cfg.training.learning_rate!r}"
         )
-    for _, fault in runs:
-        if fault is not None:
-            raise fault
 
 
 def _finite_rows(stack: ParameterSet) -> np.ndarray:
     """Whether each model of a stack holds finite values only."""
     tensors = stack.weights + stack.biases
     return np.logical_and.reduce([np.isfinite(t.reshape(len(t), -1)).all(1) for t in tensors])
-
-
-def _decode_checked(wire: CompressedModel, uids: list[int], round_index: int) -> ParameterSet:
-    """decode_wire(wire), or the codec's error on the bytes of the chunk's first
-    non-finite model, prefixed with its round and uid; f32 overflow decodes quietly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        decoded = decode_wire(wire)
-        finite = _finite_rows(decoded)
-        if finite.all():
-            return decoded
-        k = int(np.argmin(finite))
-        try:
-            from_bytes(to_bytes(wire[k]))
-        except SerializationError as err:
-            raise SerializationError(f"round {round_index}: device {uids[k]}: {err}") from err
-    raise RuntimeError(f"device {uids[k]}: decodes to non-finite values the codec accepts")
 
 
 def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:

@@ -482,6 +482,13 @@ def sample_store(datasets):
     return samples, [np.arange(end - len(d), end) for d, end in zip(datasets, ends)]
 
 
+def cast_models(params: ParameterSet, dtype) -> ParameterSet:
+    """A copy of params with every tensor in dtype."""
+    return ParameterSet(
+        [w.astype(dtype) for w in params.weights], [b.astype(dtype) for b in params.biases]
+    )
+
+
 def stack_models(models):
     """Single models of one architecture stacked on a new leading axis."""
     return ParameterSet(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsefuel.compression import (
     HEADER_BYTES,
@@ -30,7 +31,12 @@ from sparsefuel.compression import (
 )
 from sparsefuel.neuralnet import Architecture, ParameterSet, init_parameters
 
-from conftest import reference_prune_magnitude, reference_quantize_tensor, stack_models
+from conftest import (
+    cast_models,
+    reference_prune_magnitude,
+    reference_quantize_tensor,
+    stack_models,
+)
 
 
 class TestStrategy:
@@ -83,6 +89,34 @@ class TestPrune:
         params = ParameterSet([np.ones((2, 2))], [np.array([0.5, -0.5])])
         pruned, _ = prune_magnitude(params, 0.9)
         assert np.array_equal(pruned.biases[0], [0.5, -0.5])
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _with_extremes(a: np.ndarray) -> np.ndarray:
+    """a with -max and +max of float32 at its first and last entries."""
+    a = a.copy()
+    a.flat[0], a.flat[-1] = -F32_MAX, F32_MAX
+    return a
+
+
+def _float32_tensors():
+    """Float32 matrices: any finite values, single-sign ones, ones holding
+    +-f32 max, and subnormal ones."""
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 9))
+    finite = hnp.arrays(
+        np.float32, shapes, elements=st.floats(width=32, allow_nan=False, allow_infinity=False)
+    )
+    tiny = float(np.finfo(np.float32).smallest_normal)
+    subnormal = st.floats(-tiny, tiny, width=32, exclude_min=True, exclude_max=True)
+    return st.one_of(
+        finite,
+        finite.map(np.abs),
+        finite.map(lambda a: -np.abs(a)),
+        finite.map(_with_extremes),
+        hnp.arrays(np.float32, shapes, elements=subnormal),
+    )
 
 
 class TestQuantize:
@@ -160,6 +194,32 @@ class TestQuantize:
             for a, b in zip(q, q2):
                 assert np.array_equal(a.values, b.values)
                 assert a.zero_point == b.zero_point
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(w=_float32_tensors())
+    def test_float32_round_trip_error_bound_and_fixpoint(self, w):
+        # the range, scale and levels come from the float32 values in float64,
+        # so each grid value lies within half a step of its value; dequantize
+        # writes it rounded once to float32, saturated at the f32 max
+        params = ParameterSet([w], [w[:, 0].copy()])
+        q = quantize_affine(params)
+        deq = dequantize(q)
+        for orig, back, t in (
+            (params.weights[0], deq.weights[0], q[0]),
+            (params.biases[0], deq.biases[0], q[1]),
+        ):
+            assert t.dtype == back.dtype == np.float32 and np.isfinite(back).all()
+            x = orig.astype(np.float64)
+            grid = (t.values.astype(np.float64) - t.zero_point) * t.scale
+            assert np.abs(grid - x).max() <= t.scale * (0.5 + 1e-12)
+            assert np.array_equal(back, np.clip(grid, -F32_MAX, F32_MAX).astype(np.float32))
+            # and so lies within half a step and half an f32 ulp of its value
+            ulp = np.maximum(np.abs(back).astype(np.float64) * 2.0**-23, 2.0**-149)
+            assert np.all(np.abs(back - x) <= t.scale * (0.5 + 1e-12) + ulp / 2)
+        q2 = quantize_affine(deq)
+        for a, b in zip(q, q2):
+            assert np.array_equal(a.values, b.values)
+            assert a.zero_point == b.zero_point
 
     def test_non_finite_raises(self):
         params = ParameterSet([np.array([[1.0, np.nan]])], [np.zeros(1)])
@@ -469,7 +529,7 @@ def _reference_wire(model: ParameterSet, strategy: CompressionStrategy, mask=Non
     if not strategy.quantizes:
         return CompressedModel(strategy.kind, params=model, mask=mask)
     tensors = [t for wb in zip(model.weights, model.biases) for t in wb]
-    qparams = [QuantizedTensor(*reference_quantize_tensor(t)) for t in tensors]
+    qparams = [QuantizedTensor(*reference_quantize_tensor(t), t.dtype.type) for t in tensors]
     return CompressedModel(strategy.kind, qparams=qparams, mask=mask)
 
 
@@ -497,8 +557,20 @@ def _assert_same_wire(got: CompressedModel, want: CompressedModel) -> None:
 @pytest.mark.parametrize("psi", [0.0, 0.3, 0.9])
 @pytest.mark.parametrize("d", [1, 5])
 def test_stacked_compress_matches_per_model_reference(kind, psi, d):
+    _stacked_compress_case(kind, psi, _stack_cases()[:d])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("psi", [0.0, 0.3, 0.9])
+def test_stacked_compress_matches_per_model_reference_at_float32(kind, psi):
+    # a run's float32 models: pruned and quantized from their float32 values,
+    # dequantized back to float32
+    _stacked_compress_case(kind, psi, [cast_models(m, np.float32) for m in _stack_cases()])
+
+
+def _stacked_compress_case(kind, psi, models):
     strategy = CompressionStrategy(kind, psi)
-    models = _stack_cases()[:d]
+    dtype = models[0].weights[0].dtype
     stacked = compress(stack_models(models), strategy)
     # a train-like drift of every model under its mask, for encode_wire to
     # put back on the wire without pruning again
@@ -507,6 +579,7 @@ def test_stacked_compress_matches_per_model_reference(kind, psi, d):
     for w in drifted.weights:
         w *= rng.uniform(0.1, 2.0, w.shape)
     wire = encode_wire(drifted, strategy, stacked.mask)
+    assert drifted.weights[0].dtype == dtype
     for k, model in enumerate(models):
         want = _reference_wire(model, strategy)
         _assert_same_wire(stacked[k], want)

@@ -4,6 +4,12 @@ Every float the simulator computes feeds the CSV (objective, per-region loss
 and accuracy, bytes, MACs), so an unchanged digest means unchanged behaviour
 byte for byte.  A change that moves floats on purpose must update the digests
 below and say why in CHANGES.md.
+
+The digests hold on one BLAS kernel: they were pinned with numpy 2.4.6 and
+its OpenBLAS 0.3.31 (DYNAMIC_ARCH), which ran its SkylakeX (AVX-512) kernels
+on the x86-64 host.  Runs compute in float32, where a product's rounding
+under another kernel can reach the CSV's six digits: with OpenBLAS's Haswell
+or Sandybridge kernels (OPENBLAS_CORETYPE) some of these digests differ.
 """
 
 import dataclasses
@@ -40,31 +46,31 @@ def digest(cfg, arm, seed):
 # (arm, seed, psi) -> digest, sparse+quantized wire
 QUADRANT_GOLDEN = {
     ('sparsefuel', 1, 0.0): '2b95d383b10ef70987694231617ceee488401eb738b4a8fc979484aac5826687',
-    ('sparsefuel', 1, 0.3): 'c2382a9ffcc6db5d87b647a7e07322210134e78395874f38c2e85f10db1e3c73',
+    ('sparsefuel', 1, 0.3): '672186248c369a329a219188a57aabc7ad1f544ed98a152916c8e7c2224fbd52',
     ('sparsefuel', 1, 0.9): '734b664ce9e59c0811f146c5cb98b05b0c22ba0435c1b455565169dfa125aa92',
     ('sparsefuel', 2, 0.0): '08c09722f81d7e08b2fdfb387599b240d857eceefe8a49d54afae14d7ab00adc',
     ('sparsefuel', 2, 0.3): '2c961b7f198074d64743c448b7b49bceaa9f5f59462520920893d9eda72190bc',
     ('sparsefuel', 2, 0.9): '602256d73374e38462c59b201c229ad86ba09aef153f98762bacf695b4ca0081',
-    ('sparsefuel', 3, 0.0): 'aaaf78f499b76b31ce14454a3d51baa3f5001565aaf53fe7cd5f94981793c3f4',
-    ('sparsefuel', 3, 0.3): 'd0ae188250940c45fd7cc08a0563a1cad332f6a5f536c2ed72c4922dfc9bff63',
-    ('sparsefuel', 3, 0.9): '27a4a92a81a2d140cf66dad79df9e423dd8c89ca20bec00cdc477378bcd6de26',
+    ('sparsefuel', 3, 0.0): '75d33c4fcd7a74bd74d091d1a9b0586ac2d0fb20fe5989bfd9f9c188e09bda9a',
+    ('sparsefuel', 3, 0.3): '5cd9c694a1e771b5218fe9ade6486e0a9ebad5fdfc9f296a9ebfaa935656d284',
+    ('sparsefuel', 3, 0.9): 'c58755396b08cce75f5411eae816309dd244bfbc9621210a665007050bb38982',
     ('global-fedavg', 1, 0.0): '4e3ee2a33b45cd000db3823943f8b6c2ce038386883725c21deb7a5c6c57ee33',
-    ('global-fedavg', 1, 0.3): '47c1a3a906a4b38936c15f0231a467a01d0fe4fce75eb578a3acaabb6cc49b29',
+    ('global-fedavg', 1, 0.3): 'e8ca8bdd7b3f787f90256174e91287904066201f7ccd06705becf68818ed9974',
     ('global-fedavg', 1, 0.9): '0eeb5ab039da14d2a9994ce5c2ea585e7f63f7576de2a42c35f9cd124f719c30',
     ('global-fedavg', 2, 0.0): 'e7e655c162b80fe505b1a892b8693f5b78b13644af376e499f365d38313c0e47',
     ('global-fedavg', 2, 0.3): 'e5e19309040d5f03f0dcc684c16831ee855a618925574e163bdd8826362b3449',
     ('global-fedavg', 2, 0.9): 'fbd048fd04d46270ffce7d276e2e6a159003b39e1616d69be604adc0bae78805',
     ('global-fedavg', 3, 0.0): 'bb7226db08805385b8a489c60ff0390da5e408713a49b0167563907ac1a85bef',
     ('global-fedavg', 3, 0.3): '0e9c165301a8f95456f94996a795b79a359c2912f83ce5191c788acde167c70e',
-    ('global-fedavg', 3, 0.9): 'cfffa33047d63b449607fb6e4060b7f455fa9f4b2fadae4694e7ba4d6dfb8dfc',
-    ('isolated', 1, 0.0): 'baf67a8d6ce3c7aa1c35594cad89722afccd478d39e0f85c9ee6205307fd3950',
-    ('isolated', 1, 0.3): 'f65251178d26162044d014ac3f0676ca47bb7a5cb2d8246b5bb4f75355ba0df4',
-    ('isolated', 1, 0.9): 'acda41f3e328dedfdfc3f1856ae451a854755e4d6be82333e3cebce72db07db7',
+    ('global-fedavg', 3, 0.9): '21aa79d454afbfb8825b52a1df4e001b54b11d58f5cfeac868dba6f2065044f6',
+    ('isolated', 1, 0.0): 'd8682ff156789fcbdadf4148bc8faed451d5d666a2e9e5ed32642b6e62b482f6',
+    ('isolated', 1, 0.3): '2562c462d43c61772cb58c650c7002d4c6bb81899a0f231033de94b880b1ab8d',
+    ('isolated', 1, 0.9): 'cf8888093c9cbb4195762c9d4c30c80c442fc987407715c4aafd93f00acd9bfc',
     ('isolated', 2, 0.0): '229f506a223fcc367eb732d677b342e16086669d6e7be6862e4966a08721082c',
     ('isolated', 2, 0.3): 'ef4468eb8b258efeddb638f2ccf0161099f4280f18e307a98a72039f5463f9b2',
     ('isolated', 2, 0.9): '7e0af5b928114e627cf8a1d4febeaa79da6c19b7bdd54d45119dc78529d9d4a9',
     ('isolated', 3, 0.0): '8ffabdb67d389f829954f5d52de41671ccd086f5c3aa571789970be0696f63b0',
-    ('isolated', 3, 0.3): '96d75d326b2cdbf24ab9092f77e5037de743e2023df73444548d76edbac550e3',
+    ('isolated', 3, 0.3): '66f2b3c070eded9c64bf838d2052ff8f7557ee1d70a533e7199d4e7f23ddca39',
     ('isolated', 3, 0.9): '087964247ce63ff4ce7e6dae1163277fb8a8e167ee2c5624ca7c98e314f74595',
 }
 
@@ -88,9 +94,9 @@ def test_wire_variant_digest(kind, psi, similarity_uses_compressed):
     assert digest(cfg, "sparsefuel", 1) == WIRE_GOLDEN[(kind, psi, similarity_uses_compressed)]
 
 
-# A 36-64-8 MLP at batch 32 needs 8 * (2888 params + 32 * 108 activations)
-# = 50,752 bytes per device in lockstep training, so a 256 KiB budget trains
-# 5 devices at a time: the 9 devices split into chunks of 5 and 4.
+# A 36-64-8 MLP at batch 32 needs 4 * (2888 params + 32 * 108 activations)
+# = 25,376 bytes per float32 device in lockstep training, so the 9 devices
+# train as one chunk.
 IDX_LAYERS = (36, 64, 8)
 IDX_DEVICES = 9
 IDX_GOLDEN = 'a27c3ee6406651e2a12e03bd026863961f6c25750653b595fb8e1a037362550f'

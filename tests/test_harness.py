@@ -34,7 +34,7 @@ from sparsefuel.harness import (
     save_checkpoints,
     write_metrics_csv,
 )
-from sparsefuel.protocol import evaluate_objective
+from sparsefuel.protocol import DEVICE_DTYPE, evaluate_objective
 from sparsefuel.seeds import derive_seed
 
 from conftest import reference_idx_draw, small_config, write_idx_pair
@@ -309,18 +309,22 @@ class TestBuildWorld:
         for site, rows in zip(world.topology.sites, world.rows, strict=True):
             got = world.samples.subset(rows)
             want = sample_local_dataset(world.spec, site.subregion_id, 60, data_seed, salt=site.uid)
-            assert np.array_equal(got.features, want.features)
+            # the store holds the float64 draw in the devices' dtype
+            assert got.features.dtype == DEVICE_DTYPE
+            assert np.array_equal(got.features, want.features.astype(DEVICE_DTYPE))
             assert np.array_equal(got.labels, want.labels)
 
     def test_synthetic_world_holds_one_draw_beside_its_store(self):
-        # 16 devices of 200 64-wide samples: the store is 1.6 MB and one
-        # draw 0.1 MB.  Drawing into the store leaves room for one draw's
-        # temporaries and the rest of the world; holding every draw beside
-        # their concatenation would double the store
+        # 128 / itemsize devices (32 at float32) of 200 64-wide samples: the
+        # store is 1.6 MB and one float64 draw 0.1 MB.  Drawing into the store
+        # leaves room for one draw's temporaries and the rest of the world;
+        # holding every draw beside their concatenation would at least double
+        # the store
+        devices = 16 * 8 // np.dtype(DEVICE_DTYPE).itemsize
         cfg = small_config()
         cfg = dataclasses.replace(
             cfg,
-            environment=dataclasses.replace(cfg.environment, n=16),
+            environment=dataclasses.replace(cfg.environment, n=devices),
             data=dataclasses.replace(
                 cfg.data, feature_dim=64, samples_per_device=200, test_samples=20
             ),
@@ -334,7 +338,8 @@ class TestBuildWorld:
         finally:
             tracemalloc.stop()
         held = world.samples.features.nbytes + sum(t.features.nbytes for t in world.test_sets)
-        assert world.samples.features.shape == (16 * 200, 64)
+        assert world.samples.features.shape == (devices * 200, 64)
+        assert world.samples.features.nbytes == 16 * 200 * 64 * 8
         assert peak <= 1.5 * held
 
     def test_idx_rows_pick_each_devices_draw(self, tmp_path):
@@ -401,6 +406,17 @@ class TestBuildWorld:
 
 
 class TestRunExperiment:
+    def test_a_run_holds_its_models_and_float_features_in_float32(self):
+        result = run_experiment_result(small_config(), seed=1)
+        state, world = result.state, result.world
+        for stack in (state.params, state.decoded):
+            assert {t.dtype for t in stack.weights + stack.biases} == {np.dtype(np.float32)}
+        assert state.samples is world.samples
+        assert world.samples.features.dtype == np.float32
+        assert all(t.features.dtype == np.float32 for t in world.test_sets)
+        # the initial model is drawn in float64, so its random stream is as it was
+        assert world.init_params.weights[0].dtype == np.float64
+
     def test_record_schema_and_byte_accounting(self):
         cfg = small_config(rounds=3)
         records = run_experiment(cfg, seed=0)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cast_models,
     finite_difference_gradients,
+    reference_gradients,
     reference_loss_and_accuracy,
     reference_stacked_gradients,
     sample_away_from_relu_kinks,
@@ -131,6 +133,19 @@ class TestGradients:
             rel = np.abs(ga - gf) / np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-6)
             assert rel.max() <= 1e-4
 
+    def test_float32_gradients_are_the_per_model_backprop_at_float32(self):
+        # a three-layer MLP and its features in float32: gradients stays in
+        # float32 and gives the bits of the per-model reference run there
+        rng = np.random.default_rng(31)
+        arch = Architecture((5, 9, 7, 4))
+        for rows in (1, 7, 32):
+            params = cast_models(init_parameters(arch, rows), np.float32)
+            x = rng.uniform(0, 1, (rows, 5)).astype(np.float32)
+            batch = LabeledDataset(x, rng.integers(0, 4, rows))
+            got = gradients(params, batch)
+            assert all(t.dtype == np.float32 for t in got.weights + got.biases)
+            assert _same_bits(got, reference_gradients(params, batch))
+
     def test_batch_gradient_is_mean_of_per_sample(self):
         rng = np.random.default_rng(8)
         params, data = sample_away_from_relu_kinks(rng, (3, 5, 2))
@@ -160,6 +175,24 @@ KERNEL_SHAPES = [
     (1, 1, 1),
     (7, 37, 3),
 ]
+
+
+def _column_sum_case(classes, rows, seed, specials, dtype):
+    """_column_sum of a class-major copy against numpy's sum of each row, in
+    dtype: magnitudes wide enough that the order of the adds shows in the
+    rounding, some entries special, and one row of -0.0."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-12, 13, (rows, classes))
+    batch_major = (rng.normal(size=(rows, classes)) * scale).astype(dtype)
+    if specials:
+        spots = rng.random((rows, classes)) < 0.2
+        batch_major[spots] = rng.choice(sorted(specials, key=str), spots.sum())
+    batch_major[0] = -0.0
+    with np.errstate(invalid="ignore"):
+        want = np.add.reduce(batch_major, axis=-1)
+        got = _column_sum(np.ascontiguousarray(batch_major.T))
+    assert got.dtype == want.dtype == dtype
+    assert _same_bits(got, want, any_nan=True)
 
 
 class TestKernels:
@@ -200,19 +233,17 @@ class TestKernels:
         specials=st.sets(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324])),
     )
     def test_column_sum_is_numpy_sum_of_each_row(self, classes, rows, seed, specials):
-        # magnitudes wide enough that the order of the adds shows in the
-        # rounding, some entries special, and one row of -0.0
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.integers(-12, 13, (rows, classes))
-        batch_major = rng.normal(size=(rows, classes)) * scale
-        if specials:
-            spots = rng.random((rows, classes)) < 0.2
-            batch_major[spots] = rng.choice(sorted(specials, key=str), spots.sum())
-        batch_major[0] = -0.0
-        with np.errstate(invalid="ignore"):
-            want = np.add.reduce(batch_major, axis=-1)
-            got = _column_sum(np.ascontiguousarray(batch_major.T))
-        assert _same_bits(got, want, any_nan=True)
+        _column_sum_case(classes, rows, seed, specials, np.float64)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        classes=st.integers(1, 300),
+        rows=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.sets(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-45])),
+    )
+    def test_column_sum_is_numpy_sum_of_each_float32_row(self, classes, rows, seed, specials):
+        _column_sum_case(classes, rows, seed, specials, np.float32)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -267,6 +298,27 @@ class TestClassMajorHead:
         specials=st.sets(st.sampled_from(BIAS_SPECIALS)),
     )
     def test_matches_the_batch_major_head(self, classes, models, rows, batch, seed, tied, specials):
+        self._check(np.float64, classes, models, rows, batch, seed, tied, specials)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        classes=st.integers(1, 300),
+        models=st.integers(1, 3),
+        rows=st.integers(1, 12),
+        batch=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        tied=st.booleans(),
+        specials=st.sets(st.sampled_from(BIAS_SPECIALS)),
+    )
+    def test_matches_the_batch_major_head_at_float32(
+        self, classes, models, rows, batch, seed, tied, specials
+    ):
+        # the models and the features in float32, as a run holds them; the
+        # palette's 1e200 is inf there
+        self._check(np.float32, classes, models, rows, batch, seed, tied, specials)
+
+    @staticmethod
+    def _check(dtype, classes, models, rows, batch, seed, tied, specials):
         rng = np.random.default_rng(seed)
         # one linear layer on 1-d inputs: logit (r, c) is x_r * w_c + b_c
         if tied:
@@ -279,6 +331,8 @@ class TestClassMajorHead:
         if specials:
             spots = rng.random(b.shape) < 0.1
             b[spots] = rng.choice(sorted(specials, key=str), spots.sum())
+        with np.errstate(over="ignore"):
+            w, x, b = (a.astype(dtype) for a in (w, x, b))
         stack = ParameterSet([w], [b])
         store = LabeledDataset(x, rng.integers(0, classes, models * rows))
         table = np.arange(models * rows).reshape(models, rows)
@@ -303,6 +357,7 @@ class TestClassMajorHead:
                 patch.setattr(neuralnet, "loss_and_accuracy", reference_loss_and_accuracy)
                 patch.setattr(neuralnet, "gradients", reference_stacked_gradients)
                 want = results()
+        assert got[2].weights[0].dtype == got[4].weights[0].dtype == dtype
         for k, (g, r) in enumerate(zip(got, want)):
             assert _same_bits(g, r, any_nan=True), k
 
@@ -382,8 +437,8 @@ def _same_bits(a, b, any_nan=False):
 
 
 class TestEightBitFeatures:
-    """A uint8 dataset reads as its float64 twin k / 255.0: every entry point
-    gives the same bits on either."""
+    """A uint8 dataset reads as its twin of floats k / 255 in the models'
+    dtype: every entry point gives the same bits on either."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -412,6 +467,42 @@ class TestEightBitFeatures:
             lambda s: local_training(models, s, cfg, round_index=1, seeds=seeds, rows=rows),
         ):
             assert _same_bits(run(store), run(twin))
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 6)),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_pixel_bytes_match_their_float32_twin(self, shape, seed, data):
+        # float32 models read k as k / 255 divided in float32, which is the
+        # float64 quotient rounded to float32 (the quotient's period-8 bits
+        # never round to a tie)
+        d, n, dim = shape
+        raw = data.draw(st.binary(min_size=d * n * dim, max_size=d * n * dim))
+        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(d * n, dim)
+        labels = np.random.default_rng(seed).integers(0, 3, d * n)
+        store = LabeledDataset(pixels, labels)
+        twin = LabeledDataset((pixels / 255.0).astype(np.float32), labels)
+        assert twin.features.dtype == np.float32
+
+        arch = Architecture((dim, 4, 3))
+        models = cast_models(
+            stack_models([init_parameters(arch, seed + k) for k in range(d)]), np.float32
+        )
+        rows = np.arange(d * n).reshape(d, n)
+        cfg = TrainingConfig(local_epochs=2, batch_size=3, learning_rate=0.5, rng_seed=seed)
+        seeds = [seed + k for k in range(d)]
+        for run in (
+            lambda s: loss_and_accuracy(models[0], s),
+            lambda s: loss_and_accuracy(models, s.gather(rows)),
+            lambda s: gradients(models, s.gather(rows)),
+            lambda s: local_training(models, s, cfg, round_index=1, seeds=seeds, rows=rows),
+        ):
+            got, want = run(store), run(twin)
+            assert _same_bits(got, want)
+        assert got.weights[0].dtype == np.float32
 
 
 class TestParameterSet:
