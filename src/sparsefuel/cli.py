@@ -13,6 +13,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from .compression import (
     SerializationError,
     from_bytes,
@@ -117,7 +119,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"psi must be in [0, 1], got {psi}")
     base, ext = os.path.splitext(cfg.output.csv)
     outs = [f"{base}_psi{psi:g}{ext or '.csv'}" for psi in psis]
-    for out in outs:
+    for k, out in enumerate(outs):
+        if out in outs[:k]:
+            raise ConfigError(f"--psi list writes {out} more than once")
         _check_csv_path(out)
     for psi, out in zip(psis, outs):
         swept = dataclasses.replace(
@@ -178,7 +182,10 @@ def main(argv: list[str] | None = None) -> int:
         "inspect-model": _cmd_inspect,
     }
     try:
-        return handlers[args.command](args)
+        # a failure is reported as one line below, not after numpy's
+        # RuntimeWarnings (the lanes run in copies of this context)
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -448,7 +448,8 @@ def decode_wire(wire: CompressedModel) -> ParameterSet:
     as +0.0 (or the zero point) whatever the wire model holds there: masked
     training leaves -0.0 at negative pruned weights, and the bytes carry only
     the kept values.  Non-finite values come back as they are; the codec is
-    what rejects them.
+    what rejects them.  The result may share the wire model's float32
+    arrays: copy it before writing to it.
     """
     prunes, quantizes = _KIND_FLAGS[wire.kind]
     arrays = _arrays(wire)
@@ -470,5 +471,5 @@ def decode_wire(wire: CompressedModel) -> ParameterSet:
             for a, qt in zip(arrays, wire.qparams)
         ]
     else:
-        tensors = [a.astype(np.float32) for a in arrays]
+        tensors = [a.astype(np.float32, copy=False) for a in arrays]
     return ParameterSet(tensors[0::2], tensors[1::2])

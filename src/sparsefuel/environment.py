@@ -134,7 +134,7 @@ def build_topology(sites: list[DeviceSite], r_c: float) -> Topology:
     firsts = np.repeat(np.arange(n), [len(js) for js in higher])
     seconds = np.concatenate(higher) if higher else firsts
     edges = np.stack([firsts, seconds], axis=1)
-    return Topology(list(sites), r_c, FieldGraph.from_edges(range(n), edges))
+    return Topology(list(sites), r_c, FieldGraph.from_edges(n, edges))
 
 
 @dataclass(frozen=True)

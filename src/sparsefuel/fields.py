@@ -3,73 +3,53 @@
 These are the graph-wide building blocks the protocol composes each round:
 leader election per connected component (min uid), a hop-count gradient field
 rooted at the leaders, tree-based value collection toward each leader, and
-broadcast of a leader's value back down its tree.  Each block gives the
-fixpoint of a synchronous per-node update, computed in one breadth-first pass
-rather than by running the rounds; min_flood and bfs_hops also report how many
-synchronous rounds reaching it takes, at most (component diameter + 1).
+broadcast of a leader's value back down its tree.  A field is an int array
+over the uids 0..n-1, and each block runs its synchronous per-node update on
+the whole array until a round changes nothing; min_flood and bfs_hops also
+report how many rounds that took, at most (component diameter + 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-INFINITE = math.inf
-
 
 @dataclass(frozen=True, eq=False)
 class FieldGraph:
-    """Undirected graph over device uids, without self loops.
+    """Undirected graph over the uids 0..n-1, without self loops.
 
     edges is the sorted, read-only (E, 2) int64 array of its edges, one row
-    (i, j) with i < j per edge; adj maps each node to its neighbors in
-    ascending order.  Build it with from_edges or from_topology, which read
-    adj off the edges.
+    (i, j) with i < j per edge.  neighbors and starts are its compressed
+    sparse rows of closed neighborhoods: node u and its neighbors, in
+    ascending order, are neighbors[starts[u]:starts[u + 1]], so no row is
+    empty.  Build it with from_edges or from_topology, which read the rows
+    off the edges.
     """
 
-    nodes: tuple[int, ...]
+    n: int
     edges: np.ndarray
-    adj: dict[int, tuple[int, ...]]
+    neighbors: np.ndarray
+    starts: np.ndarray
 
     @staticmethod
-    def from_edges(
-        nodes: Iterable[int], edges: Iterable[tuple[int, int]] | np.ndarray
-    ) -> "FieldGraph":
-        """Graph over the nodes; edges are (a, b) pairs in any order and
+    def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "FieldGraph":
+        """Graph over the uids 0..n-1; edges are (a, b) pairs in any order and
         orientation, duplicates collapsing to one edge."""
-        nodes = tuple(sorted(set(int(u) for u in nodes)))
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValueError(f"self loop at node {int(pairs[loops.argmax(), 0])}")
-        # each edge once, as its row (i, j) with i < j, the rows sorted (a
-        # lexsort and a compare of neighbors: np.unique(axis=0) gives the
-        # same rows at four times the cost)
         rows = np.sort(pairs, axis=1)
-        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        edge_array = rows[first]
-        node_array = np.array(nodes, dtype=np.int64)
-        unknown = ~np.isin(edge_array, node_array).all(axis=1)
-        if unknown.any():
-            a, b = edge_array[unknown.argmax()].tolist()
+        unknown = rows[(rows[:, 0] < 0) | (rows[:, 1] >= n)].tolist()
+        if unknown:
+            a, b = min(unknown)
             raise ValueError(f"edge {a}-{b} references an unknown node")
-        # both ends of every edge grouped by node: a stable sort keeps each
-        # node's lower neighbors (edges (j, u), by j) ahead of its higher ones
-        # (edges (u, j), by j), so every group is ascending
-        ends = np.concatenate([edge_array[:, ::-1], edge_array])
-        ends = ends[np.argsort(ends[:, 0], kind="stable")]
-        neighbors = ends[:, 1].tolist()
-        starts = np.searchsorted(ends[:, 0], node_array, side="left").tolist()
-        stops = np.searchsorted(ends[:, 0], node_array, side="right").tolist()
-        adj = {u: tuple(neighbors[lo:hi]) for u, lo, hi in zip(nodes, starts, stops)}
-        # the topology, its scores and its gated graphs share this array
-        edge_array.flags.writeable = False
-        return FieldGraph(nodes, edge_array, adj)
+        # each edge once, as its row (i, j) with i < j, the rows sorted
+        keys = np.unique(rows[:, 0] * n + rows[:, 1])
+        return FieldGraph._from_sorted(n, np.stack([keys // n, keys % n], axis=1))
 
     @staticmethod
     def from_topology(topology, keep: np.ndarray | None = None) -> "FieldGraph":
@@ -78,86 +58,109 @@ class FieldGraph:
         topology.edges) is true."""
         if keep is None:
             return topology.graph
-        return FieldGraph.from_edges(topology.graph.nodes, topology.edges[keep])
+        # rows picked from a sorted edge array are sorted and distinct already
+        return FieldGraph._from_sorted(topology.graph.n, topology.edges[keep])
+
+    @staticmethod
+    def _from_sorted(n: int, edges: np.ndarray) -> "FieldGraph":
+        """The graph of a sorted (E, 2) array of distinct rows (i, j), i < j,
+        over 0..n-1."""
+        # closed neighborhoods grouped by node: a stable sort keeps each node's
+        # lower neighbors (edges (j, u), by j), then the node, then its higher
+        # neighbors (edges (u, j), by j), so every group is ascending
+        uids = np.arange(n)
+        nodes = np.concatenate([edges[:, 1], uids, edges[:, 0]])
+        order = np.argsort(nodes, kind="stable")
+        neighbors = np.concatenate([edges[:, 0], uids, edges[:, 1]])[order]
+        # the topology, its scores and its gated graphs share this array
+        edges.flags.writeable = False
+        return FieldGraph(n, edges, neighbors, np.searchsorted(nodes[order], np.arange(n + 1)))
+
+    @property
+    def adj(self) -> dict[int, tuple[int, ...]]:
+        """Each uid's neighbors as an ascending tuple, built on every read:
+        perfbench's tracer counts edges with it."""
+        closed, starts = self.neighbors.tolist(), self.starts.tolist()
+        return {
+            u: tuple(v for v in closed[starts[u] : starts[u + 1]] if v != u) for u in range(self.n)
+        }
 
 
 @dataclass
 class GradientField:
-    """Hop distances from the nearest source, with parent links toward it.
+    """Hop distances from the nearest source, with parent links toward it,
+    as int arrays indexed by uid.
 
-    hops is INFINITE for nodes no source reaches; such nodes have no parent
-    and no source.  A source has hop 0 and is its own source.
+    hops is -1 at nodes no source reaches; such nodes have parent and source
+    -1.  A source has hop 0 and parent -1, and is its own source.
     """
 
-    hops: dict[int, float]
-    parent: dict[int, int | None]
-    source: dict[int, int | None]
+    hops: np.ndarray
+    parent: np.ndarray
+    source: np.ndarray
 
 
-def _breadth_first(graph: FieldGraph, roots: Iterable[int], hops: dict[int, float]) -> list[int]:
-    """Breadth-first from the roots (hop 0) over the nodes hops holds as
-    INFINITE, writing their hops; returns the roots and nodes reached, in order."""
-    order = list(roots)
-    hops.update(dict.fromkeys(order, 0.0))
-    for u in order:
-        for v in graph.adj[u]:
-            if hops[v] == INFINITE:
-                hops[v] = hops[u] + 1
-                order.append(v)
-    return order
+def _closed_min(graph: FieldGraph, field: np.ndarray) -> np.ndarray:
+    """One synchronous round of "each node takes the minimum of the field
+    over its closed neighborhood"."""
+    return np.minimum.reduceat(field[graph.neighbors], graph.starts[:-1])
 
 
-def min_flood(graph: FieldGraph) -> tuple[dict[int, int], int]:
-    """Fixpoint of "my candidate = min over closed neighborhood", and the
-    synchronous rounds to reach it, including the final confirming round that
-    changes nothing.  After t rounds a node holds the minimum of its t-hop
-    ball, so the count is one more than the largest hop from a node to its
-    component's minimum."""
-    hops = dict.fromkeys(graph.nodes, INFINITE)
-    cand = dict.fromkeys(graph.nodes)
-    for u in graph.nodes:  # ascending: a uid not yet reached is its component's minimum
-        if hops[u] == INFINITE:
-            cand.update(dict.fromkeys(_breadth_first(graph, (u,), hops), u))
-    return cand, int(max(hops.values(), default=0.0)) + 1
+def _fixpoint(step: Callable, field: np.ndarray) -> tuple[np.ndarray, int]:
+    """Run step on the field until a round changes nothing: the fixpoint,
+    and the rounds run, the final confirming round included."""
+    rounds, new = 1, step(field)
+    while not np.array_equal(new, field):
+        field, new = new, step(new)
+        rounds += 1
+    return field, rounds
 
 
-def s_block(graph: FieldGraph) -> dict[int, bool]:
-    """Leader flags: the minimum uid of each connected component leads it."""
+def min_flood(graph: FieldGraph) -> tuple[np.ndarray, int]:
+    """Fixpoint of "my candidate = min over closed neighborhood" from each
+    node's own uid, and the synchronous rounds to reach it, including the
+    final confirming round that changes nothing.  After t rounds a node holds
+    the minimum of its t-hop ball, so the count is one more than the largest
+    hop from a node to its component's minimum."""
+    return _fixpoint(lambda cand: _closed_min(graph, cand), np.arange(graph.n))
+
+
+def s_block(graph: FieldGraph) -> np.ndarray:
+    """Leader flags by uid: the minimum uid of each connected component leads it."""
     cand, _ = min_flood(graph)
-    return {u: cand[u] == u for u in graph.nodes}
+    return cand == np.arange(graph.n)
 
 
-def bfs_hops(graph: FieldGraph, sources: Iterable[int]) -> tuple[dict[int, float], int]:
-    """Fixpoint of the synchronous hop-count relaxation from the sources: hop
-    distances (INFINITE where unreachable), and the rounds to reach it,
-    including the final confirming round: the largest finite hop plus one, or
-    1 without sources."""
-    src = set(int(s) for s in sources)
-    unknown = src - set(graph.nodes)
-    if unknown:
-        raise ValueError(f"sources {sorted(unknown)} not in graph")
-    hops = dict.fromkeys(graph.nodes, INFINITE)
-    reached = _breadth_first(graph, src, hops)
-    return hops, int(hops[reached[-1]]) + 1 if reached else 1
+def bfs_hops(graph: FieldGraph, sources: Iterable[int]) -> tuple[np.ndarray, int]:
+    """Fixpoint of the synchronous hop-count relaxation "my hop = min(mine,
+    a neighbor's + 1)" from the sources at hop 0: hop distances (-1 where
+    unreachable), and the rounds to reach it, including the final confirming
+    round: the largest hop plus one, or 1 without sources."""
+    src = np.fromiter(sources, dtype=np.int64)
+    unknown = src[(src < 0) | (src >= graph.n)]
+    if len(unknown):
+        raise ValueError(f"sources {sorted(set(unknown.tolist()))} not in graph")
+    # n stands for "not reached": every hop is lower, and n + 1 does not lower it
+    hops = np.full(graph.n, graph.n)
+    hops[src] = 0
+    hops, rounds = _fixpoint(lambda h: np.minimum(h, _closed_min(graph, h) + 1), hops)
+    return np.where(hops < graph.n, hops, -1), rounds
 
 
 def g_block(graph: FieldGraph, sources: Iterable[int]) -> GradientField:
     """Hop field from the sources; parents choose the lowest-uid neighbor
     among those at minimal hop distance, and source is the parent chain's root."""
-    src = set(int(s) for s in sources)
-    hops, _ = bfs_hops(graph, src)
-    parent: dict[int, int | None] = dict.fromkeys(graph.nodes)
-    source: dict[int, int | None] = {}
-    # (hops, uid) order, a stable sort of the ascending uids, puts parents first
-    for u in sorted(graph.nodes, key=hops.__getitem__):
-        if u in src:
-            source[u] = u
-        elif hops[u] == INFINITE:
-            source[u] = None
-        else:
-            parent[u] = next(v for v in graph.adj[u] if hops[v] == hops[u] - 1)
-            source[u] = source[parent[u]]
-    return GradientField(hops, parent, source)
+    hops, _ = bfs_hops(graph, sources)
+    uids = np.arange(graph.n)
+    # no neighbor of a reached node is more than one hop closer, so the least
+    # (hops, uid) of its closed neighborhood, as hops * n + uid, is its parent
+    # (or itself at a source)
+    least = _closed_min(graph, hops * graph.n + uids)
+    parent = np.where(hops > 0, least % graph.n, -1)
+    # every round a node's pointer skips to its pointer's pointer, until each
+    # points at the root of its parent chain
+    root, _ = _fixpoint(lambda r: r[r], np.where(parent >= 0, parent, uids))
+    return GradientField(hops, parent, np.where(hops >= 0, root, -1))
 
 
 def c_block(
@@ -173,28 +176,21 @@ def c_block(
     value is folded with the children's accumulations in ascending-uid order,
     which fixes the floating-point evaluation order.
     """
-    children: dict[int, list[int]] = {u: [] for u in field.hops}
-    for u, p in field.parent.items():
-        if p is not None:
-            children[p].append(u)
-    acc: dict[int, Any] = {}
-    reachable = [u for u in field.hops if field.hops[u] != INFINITE]
-    for u in sorted(reachable, key=lambda v: (-field.hops[v], v)):
-        value = values.get(u, identity)
-        for c in sorted(children[u]):
-            value = combine(value, acc[c])
-        acc[u] = value
-    return {u: acc[u] for u in reachable if field.source[u] == u}
+    reachable = np.flatnonzero(field.hops >= 0)
+    acc = {u: values.get(u, identity) for u in reachable.tolist()}
+    parent = field.parent.tolist()
+    # farthest first, ascending uid at equal hops: a node's children fold into
+    # it one by one in ascending uid, each complete, before it folds into its parent
+    for u in reachable[np.argsort(-field.hops[reachable], kind="stable")].tolist():
+        if parent[u] >= 0:
+            acc[parent[u]] = combine(acc[parent[u]], acc[u])
+    return {u: acc[u] for u in np.flatnonzero(field.hops == 0).tolist()}
 
 
 def broadcast_block(field: GradientField, source_values: Mapping[int, Any]) -> dict[int, Any]:
     """Give every reachable node its source's value; unreachable nodes get none."""
-    out = {}
-    for u, s in field.source.items():
-        if s is None:
-            continue
-        if s not in source_values:
-            raise ValueError(f"missing value for source {s}")
-        out[u] = source_values[s]
-    return out
-
+    source = field.source.tolist()
+    missing = {s for s in source if s >= 0} - set(source_values)
+    if missing:
+        raise ValueError(f"missing value for source {min(missing)}")
+    return {u: source_values[s] for u, s in enumerate(source) if s >= 0}

@@ -21,7 +21,6 @@ import glob
 import itertools
 import os
 import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -61,12 +60,12 @@ DEVICE_DTYPE = np.float32
 to_bytes, from_bytes = compression.to_bytes, compression.from_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Federation:
-    """One federation: its elected leader and the member uid set."""
+    """One federation: its elected leader and its members, an ascending uid array."""
 
     leader: int
-    members: frozenset[int]
+    members: np.ndarray
 
     def __post_init__(self) -> None:
         if self.leader not in self.members:
@@ -75,17 +74,19 @@ class Federation:
 
 @dataclass
 class FederationPartition:
-    """The leader every device follows, and the federations that map
-    splits the devices into: one per leader, sorted by leader uid."""
+    """The leader every device follows, an int array indexed by uid, and the
+    federations it splits the devices into: one per leader, sorted by leader
+    uid."""
 
-    leader_of: dict[int, int]
+    leader_of: np.ndarray
     federations: list[Federation] = field(init=False)
 
     def __post_init__(self) -> None:
-        members: dict[int, set[int]] = {}
-        for uid, leader in self.leader_of.items():
-            members.setdefault(leader, set()).add(uid)
-        self.federations = [Federation(u, frozenset(members[u])) for u in sorted(members)]
+        # a stable sort groups the uids by leader, each group ascending
+        order = np.argsort(self.leader_of, kind="stable")
+        leaders, starts = np.unique(self.leader_of[order], return_index=True)
+        groups = np.split(order, starts[1:])
+        self.federations = [Federation(u, m) for u, m in zip(leaders.tolist(), groups)]
 
     def __len__(self) -> int:
         return len(self.federations)
@@ -152,8 +153,7 @@ def similarity_graph(topology: Topology, ds: DissimilarityMatrix, tau: float) ->
 def _elect(graph: fields.FieldGraph) -> tuple[fields.GradientField, FederationPartition]:
     """Elect the minimum uid of each component of the graph, grow the hop
     field from the leaders; each device follows its source in that field."""
-    flags = fields.s_block(graph)
-    gfield = fields.g_block(graph, [u for u, flag in flags.items() if flag])
+    gfield = fields.g_block(graph, np.flatnonzero(fields.s_block(graph)))
     return gfield, FederationPartition(gfield.source)
 
 
@@ -376,7 +376,7 @@ def run_round(
     bytes_broadcast = bytes_collect = bytes_disseminate = 0
     ds = None
     if arm == "isolated":
-        partition = FederationPartition({uid: uid for uid in range(topo.n)})
+        partition = FederationPartition(np.arange(topo.n))
     else:
         # the averaged model goes back down dense; its size is the architecture's
         dense_size = serialized_size(CompressedModel("dense", params=params[0]))
@@ -389,10 +389,8 @@ def run_round(
             ds = _edge_dissimilarity(state)
             gfield, partition = _elect(similarity_graph(topo, ds, cfg.tau))
         else:
-            graph = fields.FieldGraph.from_topology(topo)
-            leader = min(graph.nodes)
-            gfield = fields.g_block(graph, [leader])
-            partition = FederationPartition(dict.fromkeys(graph.nodes, leader))
+            gfield = fields.g_block(fields.FieldGraph.from_topology(topo), [0])
+            partition = FederationPartition(np.zeros(topo.n, dtype=np.int64))
 
     # MAC proxy of the representative federation's leader model as trained,
     # read before an average is written over it
@@ -404,15 +402,11 @@ def run_round(
         # its own model as trained and every other member the model its wire
         # bytes decode to; the average goes back down the tree into their
         # rows, which no later federation reads: federations are disjoint
-        bytes_collect = sum(
-            int(hops) * int(size[uid])
-            for uid, hops in gfield.hops.items()
-            if hops not in (0, fields.INFINITE)
-        )
+        bytes_collect = int(size @ np.maximum(gfield.hops, 0))
         # every member weighs its sample count, the same m for every device
         m = state.train_rows.shape[1] + state.val_rows.shape[1]
         for fed in partition.federations:
-            uids = sorted(u for u in fed.members if gfield.source[u] == fed.leader)
+            uids = fed.members[gfield.source[fed.members] == fed.leader].tolist()
             stacks = [params if uid == fed.leader else decoded for uid in uids]
             average = fed_avg(stacks, [m] * len(uids), uids)
             for rows, avg in zip(params.weights + params.biases, average.weights + average.biases):
@@ -666,10 +660,13 @@ def evaluate_objective(
     is scored once, in the calling thread: pairs whose test sets share a
     length and dtype run in lockstep chunks, leader rows on stacked sets.
     """
-    counts = Counter((site.subregion_id, partition.leader_of[site.uid]) for site in sites)
-    # sorted by device count, then by falling uid: a subregion's last is its plurality
-    ranked = sorted(counts.items(), key=lambda item: (item[1], -item[0][1]))
-    plurality = {j: leader for (j, leader), _ in ranked if j < len(test_sets)}
+    # one count of the (subregion, leader) pairs, each as subregion * n + leader,
+    # ranked by device count, then by falling leader: a subregion's last is its plurality
+    n = len(partition.leader_of)
+    subregion = np.fromiter((site.subregion_id for site in sites), np.int64, len(sites))
+    pairs, counts = np.unique(subregion * n + partition.leader_of, return_counts=True)
+    ranked = pairs[np.lexsort((-pairs, counts))]
+    plurality = {j: u for j, u in (divmod(p, n) for p in ranked.tolist()) if j < len(test_sets)}
     federation_pairs = [(f.leader, sites[f.leader].subregion_id) for f in partition.federations]
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for u, j in sorted(set(federation_pairs) | {(u, j) for j, u in plurality.items()}):

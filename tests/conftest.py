@@ -3,7 +3,7 @@
 The graph oracles here (union-find components, queue-based BFS) are written
 apart from sparsefuel.fields, so that the field blocks are checked against a
 second, unrelated implementation.  The synchronous-round references run the
-per-node updates whose fixpoints the blocks compute in one pass, round by
+per-node updates the blocks run on whole arrays, node by node and round by
 round, and count the rounds.
 """
 
@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from sparsefuel.fields import INFINITE, FieldGraph
+from sparsefuel.fields import FieldGraph
 from sparsefuel.harness import (
     CalibrationResult,
     ExperimentConfig,
@@ -60,26 +60,25 @@ def oracle_components(nodes, edges):
     return list(comps.values())
 
 
-def oracle_normalise_edges(nodes, edges):
-    """(nodes, sorted (E, 2) edge array, adj) of a FieldGraph built by a
-    Python set of (low, high) pairs and a sort, raising ValueError with the
-    messages FieldGraph.from_edges gives: the first self loop in input
+def oracle_normalise_edges(n, edges):
+    """(sorted (E, 2) edge array, adj) of a FieldGraph over 0..n-1 built by
+    a Python set of (low, high) pairs and a sort, raising ValueError with
+    the messages FieldGraph.from_edges gives: the first self loop in input
     order, else the first sorted edge with an unknown end."""
-    nodes = tuple(sorted(set(int(u) for u in nodes)))
     pairs = set()
     for a, b in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
         if a == b:
             raise ValueError(f"self loop at node {a}")
         pairs.add((a, b) if a < b else (b, a))
     ordered = sorted(pairs)
-    adj = {u: [] for u in nodes}
+    adj = {u: [] for u in range(n)}
     for a, b in ordered:
         if a not in adj or b not in adj:
             raise ValueError(f"edge {a}-{b} references an unknown node")
         adj[a].append(b)
         adj[b].append(a)
     edge_array = np.array(ordered, dtype=np.int64).reshape(-1, 2)
-    return nodes, edge_array, {u: tuple(v) for u, v in adj.items()}
+    return edge_array, {u: tuple(v) for u, v in adj.items()}
 
 
 def oracle_disc_edges(sites, r_c):
@@ -124,48 +123,49 @@ def oracle_diameter(nodes, adj):
     return best
 
 
-def reference_min_flood(graph: FieldGraph) -> tuple[dict[int, int], int]:
-    """Iterate "my candidate = min over closed neighborhood" to fixpoint.
+def reference_min_flood(graph: FieldGraph) -> tuple[list[int], int]:
+    """Iterate "my candidate = min over closed neighborhood" to fixpoint,
+    node by node.
 
-    Returns the final candidate map and the number of synchronous rounds run,
-    including the final confirming round that changes nothing.
+    Returns the final candidates by uid and the number of synchronous rounds
+    run, including the final confirming round that changes nothing.
     """
-    cand = {u: u for u in graph.nodes}
+    adj = graph.adj
+    cand = list(range(graph.n))
     rounds = 0
     while True:
         rounds += 1
-        new = {
-            u: min(cand[u], *(cand[v] for v in graph.adj[u])) if graph.adj[u] else cand[u]
-            for u in graph.nodes
-        }
+        new = [min([cand[u], *(cand[v] for v in adj[u])]) for u in range(graph.n)]
         if new == cand:
             return cand, rounds
         cand = new
 
 
-def reference_bfs_hops(graph: FieldGraph, sources: Iterable[int]) -> tuple[dict[int, float], int]:
-    """Synchronous hop-count relaxation from the sources to fixpoint.
+def reference_bfs_hops(graph: FieldGraph, sources: Iterable[int]) -> tuple[list[int], int]:
+    """Synchronous hop-count relaxation from the sources to fixpoint, node by
+    node.
 
-    Returns hop distances (INFINITE where unreachable) and the number of
+    Returns hop distances by uid (-1 where unreachable) and the number of
     rounds run, including the final confirming round.
     """
     src = set(int(s) for s in sources)
-    unknown = src - set(graph.nodes)
+    unknown = src - set(range(graph.n))
     if unknown:
         raise ValueError(f"sources {sorted(unknown)} not in graph")
-    hops = {u: 0.0 if u in src else INFINITE for u in graph.nodes}
+    adj = graph.adj
+    hops = [0 if u in src else math.inf for u in range(graph.n)]
     rounds = 0
     while True:
         rounds += 1
-        new = {}
-        for u in graph.nodes:
+        new = []
+        for u in range(graph.n):
             best = hops[u]
-            for v in graph.adj[u]:
+            for v in adj[u]:
                 if hops[v] + 1 < best:
                     best = hops[v] + 1
-            new[u] = best
+            new.append(best)
         if new == hops:
-            return hops, rounds
+            return [-1 if h == math.inf else h for h in hops], rounds
         hops = new
 
 

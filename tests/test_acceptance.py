@@ -216,7 +216,8 @@ def test_quadrant_federations_stabilize(fixture_runs):
         late = result.records[19:]  # rounds 20..30
         counts_ok = all(r.federation_count == 4 for r in late)
         sets_ok = all(
-            {f.members for f in r.partition.federations} == expected for r in late
+            {frozenset(f.members.tolist()) for f in r.partition.federations} == expected
+            for r in late
         )
         wall = fixture_runs.wall_seconds(seed)
         seed_ok = counts_ok and sets_ok and wall < 120.0
@@ -305,8 +306,9 @@ def test_compressed_broadcast_volume(fixture_runs):
 # 9. field blocks vs independent graph oracles, exhaustively and at random
 
 
-def _check_field_blocks(nodes, edges):
-    graph = FieldGraph.from_edges(nodes, edges)
+def _check_field_blocks(n, edges):
+    nodes = list(range(n))
+    graph = FieldGraph.from_edges(n, edges)
     adj = {u: set() for u in nodes}
     for a, b in edges:
         adj[a].add(b)
@@ -316,40 +318,48 @@ def _check_field_blocks(nodes, edges):
     srcs = sorted({min(c) for c in comps})
 
     leaders = s_block(graph)
-    assert leaders == {u: comp_min[u] == u for u in nodes}
+    assert leaders.tolist() == [comp_min[u] == u for u in nodes]
     dist = oracle_bfs(nodes, adj, set(srcs))
     # the synchronous updates reach their fixpoint in as many rounds as the
     # farthest node lies from its component minimum; one more confirms it
     settled = max(dist.values()) + 1
     cand, rounds = min_flood(graph)
-    assert cand == comp_min
+    assert cand.tolist() == [comp_min[u] for u in nodes]
     assert rounds <= oracle_diameter(nodes, adj) + 1
     assert rounds == settled
     assert bfs_hops(graph, srcs)[1] == settled
 
     field = g_block(graph, srcs)
-    assert field.hops == {u: dist[u] for u in nodes}  # sources cover every component
-    assert field.parent == oracle_parents(adj, dist)
+    assert field.hops.tolist() == [dist[u] for u in nodes]  # sources cover every component
+    assert field.parent.tolist() == _parent_array(oracle_parents(adj, dist))
 
     collected = c_block(field, {u: frozenset([u]) for u in nodes}, frozenset.union, frozenset())
     assert collected == {min(c): frozenset(c) for c in comps}
     assert broadcast_block(field, {s: s for s in srcs}) == comp_min
 
-    if len(nodes) > 1:
-        # a node leaves: the blocks restart on the residual graph
-        removed = nodes[len(edges) % len(nodes)]
-        rest = [u for u in nodes if u != removed]
-        rest_edges = [e for e in edges if removed not in e]
-        residual = FieldGraph.from_edges(rest, rest_edges)
+    if n > 1:
+        # a node leaves: the blocks restart on the residual graph, its uids
+        # relabelled to 0..n-2 in uid order (which moves no min-uid leader
+        # and no lowest-uid parent)
+        removed = nodes[len(edges) % n]
+        label = {u: k for k, u in enumerate(u for u in nodes if u != removed)}
+        rest = list(label.values())
+        rest_edges = [(label[a], label[b]) for a, b in edges if removed not in (a, b)]
+        residual = FieldGraph.from_edges(n - 1, rest_edges)
         flags = s_block(residual)
-        after = g_block(residual, [u for u, f in flags.items() if f])
+        after = g_block(residual, np.flatnonzero(flags))
         rest_comps = oracle_components(rest, rest_edges)
         rest_leaders = {min(c) for c in rest_comps}
-        assert {u for u, f in flags.items() if f} == rest_leaders
-        rest_adj = {u: {v for v in adj[u] if v != removed} for u in rest}
+        assert set(np.flatnonzero(flags).tolist()) == rest_leaders
+        rest_adj = {label[u]: {label[v] for v in adj[u] if v != removed} for u in label}
         rest_dist = oracle_bfs(rest, rest_adj, rest_leaders)
-        assert after.hops == {u: rest_dist[u] for u in rest}
-        assert after.parent == oracle_parents(rest_adj, rest_dist)
+        assert after.hops.tolist() == [rest_dist[u] for u in rest]
+        assert after.parent.tolist() == _parent_array(oracle_parents(rest_adj, rest_dist))
+
+
+def _parent_array(parents):
+    """An oracle's parent map as the blocks' array: -1 where it has none."""
+    return [-1 if p is None else p for p in parents.values()]
 
 
 def test_field_blocks_match_graph_oracles():
@@ -360,7 +370,7 @@ def test_field_blocks_match_graph_oracles():
         possible = list(itertools.combinations(nodes, 2))
         for bits in range(2 ** len(possible)):
             edges = [e for i, e in enumerate(possible) if bits >> i & 1]
-            _check_field_blocks(nodes, edges)
+            _check_field_blocks(n, edges)
             checked += 1
     rng = np.random.default_rng(99)
     for _ in range(100):
@@ -368,7 +378,9 @@ def test_field_blocks_match_graph_oracles():
         uids = sorted(int(u) for u in rng.choice(10_000, size=n, replace=False))
         p = float(rng.uniform(0.02, 0.3))
         edges = [e for e in itertools.combinations(uids, 2) if rng.random() < p]
-        _check_field_blocks(uids, edges)
+        # relabelled to 0..n-1 in uid order
+        label = {u: k for k, u in enumerate(uids)}
+        _check_field_blocks(n, [(label[a], label[b]) for a, b in edges])
         checked += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0

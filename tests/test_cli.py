@@ -171,6 +171,20 @@ class TestSweep:
         assert f"output path {tmp_path / 'metrics_psi0.5.csv'} is a directory" in err
         assert not (tmp_path / "metrics_psi0.csv").exists()
 
+    @pytest.mark.parametrize(
+        "psis, name",
+        [("0.3,0.30", "metrics_psi0.3.csv"), ("0,0.1234567,0.1234568", "metrics_psi0.123457.csv")],
+    )
+    def test_psi_values_that_name_one_csv_are_refused_first(
+        self, psis, name, config_path, tmp_path, capsys
+    ):
+        # psi is formatted with :g, so two values can name one file: the
+        # second run would overwrite the first
+        assert main(["sweep", "--config", config_path, "--psi", psis]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: --psi list writes {tmp_path / name} more than once\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_psi_out_of_range(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--psi", "0.3,1.2"]) == 1
         assert "must be in [0, 1]" in capsys.readouterr().err
@@ -395,6 +409,23 @@ class TestSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_a_diverging_run_prints_one_error_line(self, tmp_path):
+        # numpy's overflow and invalid-value warnings stay off stderr
+        cfg = small_config(learning_rate=1e30)
+        cfg = dataclasses.replace(
+            cfg, output=dataclasses.replace(cfg.output, csv=str(tmp_path / "metrics.csv"))
+        )
+        path = tmp_path / "diverging.cfg"
+        path.write_text(format_config(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparsefuel.cli", "run", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: FloatingPointError: round 1: [^\n]*\n", proc.stderr), proc.stderr
 
     def test_console_script_help(self):
         value = _declared_console_script()

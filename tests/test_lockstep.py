@@ -486,7 +486,7 @@ class TestLanes:
         assert_same_model(got_state.params, want_state.params)
         sent = ("bytes_broadcast", "bytes_collect", "bytes_disseminate")
         assert [getattr(got_stats, k) for k in sent] == [getattr(want_stats, k) for k in sent]
-        assert got_stats.partition.leader_of == want_stats.partition.leader_of
+        assert np.array_equal(got_stats.partition.leader_of, want_stats.partition.leader_of)
         assert np.array_equal(got_stats.dissimilarity.values, want_stats.dissimilarity.values)
 
     def test_blas_runs_one_thread_per_lane_and_gets_its_count_back(self, monkeypatch):

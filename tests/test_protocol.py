@@ -146,17 +146,18 @@ class TestDissimilarityMatrix:
 
 class TestFederationPartition:
     def test_federations_are_sorted_by_leader_with_their_members(self):
-        part = FederationPartition({5: 2, 0: 0, 2: 2, 4: 0, 3: 3, 1: 2})
-        assert part.federations == [
-            Federation(0, frozenset({0, 4})),
-            Federation(2, frozenset({1, 2, 5})),
-            Federation(3, frozenset({3})),
+        part = FederationPartition(np.array([0, 2, 2, 3, 0, 2]))
+        assert [(f.leader, f.members.tolist()) for f in part.federations] == [
+            (0, [0, 4]),
+            (2, [1, 2, 5]),
+            (3, [3]),
         ]
+        assert all(isinstance(f, Federation) for f in part.federations)
         assert len(part) == 3
 
     def test_a_leader_that_does_not_follow_itself_is_rejected(self):
         with pytest.raises(ValueError, match="leader 0 is not a member"):
-            FederationPartition({1: 0})
+            FederationPartition(np.array([1, 0]))
 
 
 class TestFormFederations:
@@ -169,13 +170,13 @@ class TestFormFederations:
         assert len(part.federations) == 1
         fed = part.federations[0]
         assert fed.leader == 0
-        assert fed.members == frozenset(range(5))
+        assert fed.members.tolist() == list(range(5))
 
     def test_zero_threshold_gives_singletons(self):
         topo = line_topology(5)
         part = form_federations(topo, self._full_ds(topo, 0.5), tau=0.0)
         assert len(part.federations) == 5
-        assert all(f.members == frozenset([f.leader]) for f in part.federations)
+        assert all(f.members.tolist() == [f.leader] for f in part.federations)
 
     def test_partition_covers_all_devices_disjointly(self):
         topo = line_topology(7)
@@ -338,7 +339,7 @@ class TestEvaluateObjective:
     def test_zero_networks_sum_to_k_log_c(self):
         k, c = 4, 4
         zero = ParameterSet([np.zeros((c, 2))], [np.zeros(c)])
-        partition = FederationPartition({j: j for j in range(k)})
+        partition = FederationPartition(np.arange(k))
         sites = [DeviceSite(j, 0.5, 0.5, j) for j in range(k)]
         tests = [toy_dataset(j, m=30, n_classes=c) for j in range(k)]
         objective, accs, losses = evaluate_objective(
@@ -360,7 +361,7 @@ class TestEvaluateObjective:
             w = np.zeros((2, 2))
             w[j, 0] = 20.0
             models[j] = ParameterSet([w], [np.zeros(2)])
-        partition = FederationPartition({j: j for j in range(k)})
+        partition = FederationPartition(np.arange(k))
         objective, accs, _ = evaluate_objective(partition, model_stack(models, k), tests, sites)
         assert objective < 0.01
         assert accs == [1.0, 1.0]
@@ -379,10 +380,7 @@ class TestEvaluateObjective:
             return score(params, data)
 
         monkeypatch.setattr(protocol, "loss_and_accuracy", counted)
-        for leader_of in (
-            {0: 0, 1: 0, 2: 2, 3: 0, 4: 4, 5: 4},
-            {0: 0, 1: 2, 2: 2, 3: 2, 4: 4, 5: 4},
-        ):
+        for leader_of in (np.array([0, 0, 2, 0, 4, 4]), np.array([0, 2, 2, 2, 4, 4])):
             calls.clear()
             objective, accs, losses = evaluate_objective(
                 FederationPartition(leader_of), model_stack(models, 6), tests, sites
@@ -398,7 +396,7 @@ class TestEvaluateObjective:
         # subregion 0 holds two devices of leader 3 and two of leader 1; the
         # tie picks leader 1's model, which is right on every sample
         sites = [DeviceSite(u, 0.5, 0.5, 0) for u in range(4)]
-        partition = FederationPartition({0: 3, 1: 1, 2: 1, 3: 3})
+        partition = FederationPartition(np.array([3, 1, 1, 3]))
         test = LabeledDataset(np.tile([[1.0, 0.0]], (10, 1)), np.zeros(10, dtype=np.int64))
         right = ParameterSet([np.array([[20.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
         wrong = ParameterSet([np.array([[0.0, 0.0], [20.0, 0.0]])], [np.zeros(2)])
@@ -425,7 +423,7 @@ class TestEvaluateObjective:
             monkeypatch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
         subregion = [0, 0, 0, 0, 1, 1, 2, 2, 1]
         sites = [DeviceSite(u, 0.5, 0.5, j) for u, j in enumerate(subregion)]
-        partition = FederationPartition({0: 0, 1: 4, 2: 0, 3: 4, 4: 4, 5: 4, 6: 6, 7: 4, 8: 8})
+        partition = FederationPartition(np.array([0, 4, 0, 4, 4, 4, 6, 4, 8]))
         models = stack_models([init_parameters(Architecture((2, 5, 4)), 40 + u) for u in range(9)])
         tests = [toy_dataset(j, m=m) for j, m in enumerate((20, 20, 35, 7))]
         scored = []
@@ -453,12 +451,11 @@ class TestEvaluateObjective:
     def test_random_partitions_match_the_per_pair_scorer(self, leaders, subregions, lengths, budget):
         # device u follows leaders[u] when that leader follows itself
         n = len(leaders)
-        leader_of = {u: u if leaders[u] >= n or leaders[leaders[u]] != leaders[u] else leaders[u] for u in range(n)}
-        leader_of.update({leaders[u]: leaders[u] for u in range(n) if leader_of[u] == leaders[u]})
+        leader_of = [u if leaders[u] >= n or leaders[leaders[u]] != leaders[u] else leaders[u] for u in range(n)]
         sites = [DeviceSite(u, 0.5, 0.5, subregions[u]) for u in range(n)]
         models = stack_models([init_parameters(Architecture((2, 3, 4)), u) for u in range(n)])
         tests = [toy_dataset(10 + j, m=m) for j, m in enumerate(lengths)]
-        partition = FederationPartition(leader_of)
+        partition = FederationPartition(np.array(leader_of))
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
@@ -608,7 +605,7 @@ class TestTreeRound:
         return {rows[0][1]: out for rows, out in calls}
 
     def _assert_tree_blocks_agree(self, state, calls, gfield):
-        singletons = {uid: frozenset([uid]) for uid in gfield.hops}
+        singletons = {uid: frozenset([uid]) for uid in range(len(gfield.hops))}
         collected = fields.c_block(gfield, singletons, frozenset.union, frozenset())
         assert [[uid for _, uid in rows] for rows, _ in calls] == [
             sorted(collected[leader]) for leader in sorted(collected)
@@ -632,7 +629,7 @@ class TestTreeRound:
         isolated = self._state(xs, r_c)
         run_round(isolated, cfg, 1, arm="isolated")
 
-        assert stats.partition.leader_of == dict.fromkeys(range(5), 0)
+        assert stats.partition.leader_of.tolist() == [0] * 5
         gfield = fields.g_block(fields.FieldGraph.from_topology(state.topology), [0])
         delivered = self._assert_tree_blocks_agree(state, calls, gfield)
         assert sorted(delivered) == [0, 1, 2]
@@ -655,10 +652,10 @@ class TestTreeRound:
         cfg = toy_protocol_config(tau=2.8, strategy=CompressionStrategy("sparse+quantized", 0.3))
         state = self._state(range(8), 2.5)
         stats, calls = self._recorded_round(monkeypatch, state, cfg, "sparsefuel")
-        members = [sorted(f.members) for f in stats.partition.federations]
+        members = [f.members.tolist() for f in stats.partition.federations]
         assert members == [[0], [1, 2, 3, 5, 6], [4], [7]]
         graph = protocol.similarity_graph(state.topology, stats.dissimilarity, cfg.tau)
-        gfield = fields.g_block(graph, [u for u, lead in fields.s_block(graph).items() if lead])
+        gfield = fields.g_block(graph, np.flatnonzero(fields.s_block(graph)))
         delivered = self._assert_tree_blocks_agree(state, calls, gfield)
         assert sorted(delivered) == list(range(8))
 
