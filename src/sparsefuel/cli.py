@@ -182,8 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         "inspect-model": _cmd_inspect,
     }
     try:
-        # a failure is reported as one line below, not after numpy's
-        # RuntimeWarnings (the lanes run in copies of this context)
+        # a failure is one line below, not numpy's warnings first (lanes copy this context)
         with np.errstate(all="ignore"):
             return handlers[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -3,10 +3,10 @@
 These are the graph-wide building blocks the protocol composes each round:
 leader election per connected component (min uid), a hop-count gradient field
 rooted at the leaders, tree-based value collection toward each leader, and
-broadcast of a leader's value back down its tree.  A field is an int array
-over the uids 0..n-1, and each block runs its synchronous per-node update on
-the whole array until a round changes nothing; min_flood and bfs_hops also
-report how many rounds that took, at most (component diameter + 1).
+broadcast of a leader's value back down its tree.  Each block runs its
+synchronous per-node update on a whole int array over the uids 0..n-1 until a
+round changes nothing; min_flood and bfs_hops also report the rounds run, at
+most (component diameter + 1).
 """
 
 from __future__ import annotations
@@ -176,14 +176,13 @@ def c_block(
     value is folded with the children's accumulations in ascending-uid order,
     which fixes the floating-point evaluation order.
     """
-    reachable = np.flatnonzero(field.hops >= 0)
-    acc = {u: values.get(u, identity) for u in reachable.tolist()}
+    acc = {u: values.get(u, identity) for u in np.flatnonzero(field.hops >= 0).tolist()}
     parent = field.parent.tolist()
+    below = np.flatnonzero(field.hops > 0)
     # farthest first, ascending uid at equal hops: a node's children fold into
     # it one by one in ascending uid, each complete, before it folds into its parent
-    for u in reachable[np.argsort(-field.hops[reachable], kind="stable")].tolist():
-        if parent[u] >= 0:
-            acc[parent[u]] = combine(acc[parent[u]], acc[u])
+    for u in below[np.argsort(-field.hops[below], kind="stable")].tolist():
+        acc[parent[u]] = combine(acc[parent[u]], acc[u])
     return {u: acc[u] for u in np.flatnonzero(field.hops == 0).tolist()}
 
 
