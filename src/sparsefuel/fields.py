@@ -47,8 +47,10 @@ class FieldGraph:
         if unknown:
             a, b = min(unknown)
             raise ValueError(f"edge {a}-{b} references an unknown node")
-        # each edge once, as its row (i, j) with i < j, the rows sorted
-        keys = np.unique(rows[:, 0] * n + rows[:, 1])
+        # each edge once, as its row (i, j) with i < j, the rows sorted (not by
+        # np.unique, whose masked-array check imports numpy.ma: 0.8 MB of RSS)
+        keys = np.sort(rows[:, 0] * n + rows[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         return FieldGraph._from_sorted(n, np.stack([keys // n, keys % n], axis=1))
 
     @staticmethod
