@@ -19,7 +19,6 @@ from .compression import (
 from .environment import (
     Area,
     BlobClass,
-    DeviceSite,
     DistributionSpec,
     Topology,
     build_topology,

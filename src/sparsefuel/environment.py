@@ -39,42 +39,35 @@ class Area:
             raise ValueError("area dimensions must be finite and > 0")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("subregion grid must be at least 1x1")
+        if not (self.width / self.cols > 0 and self.height / self.rows > 0):
+            raise ValueError("subregion sides must be > 0, not underflow to 0")
 
     @property
     def num_subregions(self) -> int:
         return self.rows * self.cols
 
-    def subregion_of(self, x: float, y: float) -> int:
-        """Subregion index (row * cols + col); boundary points fall to the
-        lower-index cell."""
-        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
-            raise ValueError(f"point ({x}, {y}) outside the {self.width}x{self.height} area")
-        col = min(self.cols - 1, max(0, math.ceil(x / (self.width / self.cols)) - 1))
-        row = min(self.rows - 1, max(0, math.ceil(y / (self.height / self.rows)) - 1))
-        return row * self.cols + col
-
-
-@dataclass(frozen=True)
-class DeviceSite:
-    """Where one device sits and which subregion that is."""
-
-    uid: int
-    x: float
-    y: float
-    subregion_id: int
+    def subregion_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Subregion indices (row * cols + col, int64) of the points (x[i], y[i])
+        of two 1-d arrays; boundary points fall to the lower-index cell."""
+        outside = ~((0.0 <= x) & (x <= self.width) & (0.0 <= y) & (y <= self.height))
+        if outside.any():
+            i = outside.argmax()
+            raise ValueError(f"point ({x[i]}, {y[i]}) outside the {self.width}x{self.height} area")
+        col = np.clip(np.ceil(x / (self.width / self.cols)) - 1, 0, self.cols - 1)
+        row = np.clip(np.ceil(y / (self.height / self.rows)) - 1, 0, self.rows - 1)
+        return (row * self.cols + col).astype(np.int64)
 
 
 @dataclass
 class Topology:
-    """Disc-radius communication graph over device sites (uid = site index)."""
+    """Disc-radius communication graph over the uids 0..n-1, and each uid's subregion."""
 
-    sites: list[DeviceSite]
-    r_c: float
+    subregion: np.ndarray
     graph: FieldGraph
 
     @property
     def n(self) -> int:
-        return len(self.sites)
+        return len(self.subregion)
 
     @property
     def edges(self) -> np.ndarray:
@@ -87,8 +80,9 @@ class Topology:
         return tuple(self.graph.adj.values())
 
 
-def deploy_devices(area: Area, n: int, placement: str, seed: int) -> list[DeviceSite]:
-    """Place n devices; uids are assigned in draw order.
+def deploy_devices(area: Area, n: int, placement: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Place n devices: their (n, 2) positions and (n,) int64 subregions,
+    indexed by uid in draw order.
 
     uniform-random draws positions uniformly over the area.  jittered-grid
     puts devices on the first n cells of a ceil(sqrt(n)) lattice (row-major)
@@ -112,21 +106,18 @@ def deploy_devices(area: Area, n: int, placement: str, seed: int) -> list[Device
         cy = (cells // g + 0.5) * pitch_y
         xs = cx + rng.uniform(-pitch_x / 4, pitch_x / 4, n)
         ys = cy + rng.uniform(-pitch_y / 4, pitch_y / 4, n)
-    return [
-        DeviceSite(uid, float(x), float(y), area.subregion_of(float(x), float(y)))
-        for uid, (x, y) in enumerate(zip(xs, ys))
-    ]
+    return np.stack([xs, ys], axis=1), area.subregion_of(xs, ys)
 
 
-def build_topology(sites: list[DeviceSite], r_c: float) -> Topology:
-    """Connect every pair within Euclidean distance r_c (inclusive)."""
+def build_topology(positions: np.ndarray, subregion: np.ndarray, r_c: float) -> Topology:
+    """Connect every pair of the (n, 2) positions within Euclidean distance
+    r_c (inclusive); device uid sits at positions[uid] in subregion[uid]."""
     if not r_c > 0:
         raise ValueError("communication radius must be positive")
-    n = len(sites)
-    x = np.array([s.x for s in sites])
-    y = np.array([s.y for s in sites])
+    n = len(subregion)
+    x, y = positions.T
     # row i holds i's neighbors j > i, so the rows joined in order are the
-    # sorted edge array (a world without sites has no rows to join)
+    # sorted edge array (a world without devices has no rows to join)
     higher = [
         i + 1 + np.flatnonzero(np.hypot(x[i + 1 :] - x[i], y[i + 1 :] - y[i]) <= r_c)
         for i in range(n)
@@ -134,7 +125,7 @@ def build_topology(sites: list[DeviceSite], r_c: float) -> Topology:
     firsts = np.repeat(np.arange(n), [len(js) for js in higher])
     seconds = np.concatenate(higher) if higher else firsts
     edges = np.stack([firsts, seconds], axis=1)
-    return Topology(list(sites), r_c, FieldGraph.from_edges(n, edges))
+    return Topology(np.asarray(subregion, dtype=np.int64), FieldGraph.from_edges(n, edges))
 
 
 @dataclass(frozen=True)
@@ -242,10 +233,12 @@ def synthetic_blob_spec(
 
 def idx_label_skew_spec(pool: LabeledDataset, k: int, epsilon: float = 0.0) -> DistributionSpec:
     """Split the pool's labels into k contiguous owned groups (sorted order)."""
-    labels = sorted(int(v) for v in np.unique(pool.labels))
+    # distinct labels by a sort (np.unique's masked-array check imports numpy.ma)
+    labels = np.sort(pool.labels)
+    labels = labels[np.diff(labels, prepend=-1) != 0]
     if len(labels) < k:
         raise ValueError(f"pool has {len(labels)} classes, cannot cover {k} subregions")
-    chunks = np.array_split(np.array(labels), k)
+    chunks = np.array_split(labels, k)
     owned = tuple(tuple(int(v) for v in chunk) for chunk in chunks)
     return DistributionSpec("idx-label-skew", owned_labels=owned, epsilon=epsilon, pool=pool)
 

@@ -308,7 +308,10 @@ def resolve_radius(cfg: ExperimentConfig) -> float:
     if env.r_c is not None:
         return env.r_c
     g = math.ceil(math.sqrt(env.n))
-    return 1.5 * max(env.width / g, env.height / g)
+    r_c = 1.5 * max(env.width / g, env.height / g)
+    if not r_c > 0:
+        raise ConfigError("environment.r_c = auto underflows to 0 for this width and height")
+    return r_c
 
 
 def _device_floats(data: LabeledDataset) -> LabeledDataset:
@@ -328,11 +331,14 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
     master = env.seed if seed is None else seed
     if master < 0:
         raise ConfigError(f"seed must be >= 0, got {master}")
-    area = Area(env.width, env.height, env.rows, env.cols)
+    try:
+        area = Area(env.width, env.height, env.rows, env.cols)
+    except ValueError as exc:
+        raise ConfigError(f"environment.width, height, rows and cols: {exc}") from None
     k = area.num_subregions
 
-    sites = deploy_devices(area, env.n, env.placement, derive_seed(master, 0))
-    topology = build_topology(sites, resolve_radius(cfg))
+    positions, subregion = deploy_devices(area, env.n, env.placement, derive_seed(master, 0))
+    topology = build_topology(positions, subregion, resolve_radius(cfg))
 
     if data.kind == "synthetic-blobs":
         spec = synthetic_blob_spec(
@@ -368,19 +374,19 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
         if data.kind == "synthetic-blobs":
             # every device draws its own samples: the store is the draws in
             # uid order, each written into its device's range of rows
-            features = np.empty((len(sites) * m, data.feature_dim), dtype=DEVICE_DTYPE)
-            labels = np.empty(len(sites) * m, dtype=np.int64)
-            for site in sites:
-                own = slice(site.uid * m, (site.uid + 1) * m)
-                draw = sample_local_dataset(spec, site.subregion_id, m, data_seed, salt=site.uid)
+            features = np.empty((env.n * m, data.feature_dim), dtype=DEVICE_DTYPE)
+            labels = np.empty(env.n * m, dtype=np.int64)
+            for uid, j in enumerate(topology.subregion.tolist()):
+                own = slice(uid * m, (uid + 1) * m)
+                draw = sample_local_dataset(spec, j, m, data_seed, salt=uid)
                 features[own], labels[own] = draw.features, draw.labels
             samples = LabeledDataset(features, labels)
-            rows = np.arange(len(sites) * m).reshape(len(sites), m)
+            rows = np.arange(env.n * m).reshape(env.n, m)
         else:
             samples = pool
-            rows = np.empty((len(sites), m), dtype=np.int64)
-            for site in sites:
-                rows[site.uid] = sample_local_rows(spec, site.subregion_id, m, data_seed, site.uid)
+            rows = np.empty((env.n, m), dtype=np.int64)
+            for uid, j in enumerate(topology.subregion.tolist()):
+                rows[uid] = sample_local_rows(spec, j, m, data_seed, uid)
         test_sets = [
             _device_floats(
                 sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
@@ -453,7 +459,7 @@ def run_experiment_result(
             started = time.perf_counter()
             stats = run_round(state, world.protocol, t, arm)
             objective, accs, losses = evaluate_objective(
-                stats.partition, state.params, world.test_sets, world.topology.sites
+                stats.partition, state.params, world.test_sets, world.topology.subregion
             )
             wall_ms = (time.perf_counter() - started) * 1000.0
             records.append(
@@ -555,7 +561,7 @@ def calibrate_tau(
         stats = run_round(state, world.protocol, warmup_rounds + 1, arm="sparsefuel")
     assert stats.dissimilarity is not None
     ds = stats.dissimilarity
-    subregion = np.array([site.subregion_id for site in world.topology.sites])
+    subregion = world.topology.subregion
     same = subregion[ds.edges[:, 0]] == subregion[ds.edges[:, 1]]
     intra, inter = ds.values[same], ds.values[~same]
     if not len(intra) or not len(inter):

@@ -38,7 +38,7 @@ from .compression import (
     nonzero_macs,
     serialized_size,
 )
-from .environment import DeviceSite, Topology
+from .environment import Topology
 from .neuralnet import (
     LabeledDataset,
     ParameterSet,
@@ -648,40 +648,39 @@ def evaluate_objective(
     partition: FederationPartition,
     models: ParameterSet,
     test_sets: Sequence[LabeledDataset],
-    sites: Sequence[DeviceSite],
+    subregion: np.ndarray,
 ) -> tuple[float, list[float], list[float]]:
     """Objective plus per-subregion accuracy and loss.
 
     A federation's model is models[leader], its leader's row of the model
-    stack; the objective sums its mean loss on the test set of the subregion
-    hosting the leader.  A subregion's metrics come from the federation
-    holding the plurality of its devices (ties to the lowest leader uid), nan
-    for a subregion with no devices.  Each distinct (leader, subregion) pair
-    is scored once, in the calling thread: pairs whose test sets share a
-    length and dtype run in lockstep chunks, leader rows on stacked sets.
+    stack; the objective sums its mean loss on test_sets[subregion[leader]].
+    A subregion's metrics come from the federation holding the plurality of
+    its devices (ties to the lowest leader uid), nan for a subregion with no
+    devices.  The test sets share one length and dtype; each distinct
+    (leader, subregion) pair is scored once, in the calling thread, in
+    lockstep chunks of leader rows on stacked sets.
     """
+    if len({(len(t), t.features.dtype) for t in test_sets}) > 1:
+        raise ValueError("all test sets must have the same length and dtype")
     # one count of the (subregion, leader) pairs, each as subregion * n + leader,
     # ranked by device count, then by falling leader: a subregion's last is its plurality
     n = len(partition.leader_of)
-    subregion = np.fromiter((site.subregion_id for site in sites), np.int64, len(sites))
     pairs, counts = np.unique(subregion * n + partition.leader_of, return_counts=True)
     ranked = pairs[np.lexsort((-pairs, counts))]
     plurality = {j: u for j, u in (divmod(p, n) for p in ranked.tolist()) if j < len(test_sets)}
-    federation_pairs = [(f.leader, sites[f.leader].subregion_id) for f in partition.federations]
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for u, j in sorted(set(federation_pairs) | {(u, j) for j, u in plurality.items()}):
-        groups.setdefault((len(test_sets[j]), test_sets[j].features.dtype), []).append((u, j))
+    fed_leaders = [f.leader for f in partition.federations]
+    federation_pairs = list(zip(fed_leaders, subregion[fed_leaders].tolist()))
+    distinct = sorted(set(federation_pairs) | {(u, j) for j, u in plurality.items()})
     # a lone array is viewed as a stack of one, not copied
     stack = lambda arrays: arrays[0][None] if len(arrays) == 1 else np.stack(arrays)  # noqa: E731
     scores: dict[tuple[int, int], tuple[float, float]] = {}
-    for (length, _), group in groups.items():
-        for pick in _lockstep_chunks(len(group), models[group[0][0]], length):
-            chunk = [group[c] for c in pick]
-            leaders, ts = [u for u, _ in chunk], [test_sets[j] for _, j in chunk]
-            picked = models[leaders[0]][None] if len(leaders) == 1 else models[leaders]
-            data = LabeledDataset(stack([t.features for t in ts]), stack([t.labels for t in ts]))
-            loss, acc = loss_and_accuracy(picked, data)
-            scores.update(zip(chunk, zip(loss.tolist(), acc.tolist())))
+    for pick in _lockstep_chunks(len(distinct), models[0], len(test_sets[0])):
+        chunk = [distinct[c] for c in pick]
+        leaders, ts = [u for u, _ in chunk], [test_sets[j] for _, j in chunk]
+        picked = models[leaders[0]][None] if len(leaders) == 1 else models[leaders]
+        data = LabeledDataset(stack([t.features for t in ts]), stack([t.labels for t in ts]))
+        loss, acc = loss_and_accuracy(picked, data)
+        scores.update(zip(chunk, zip(loss.tolist(), acc.tolist())))
     objective = 0.0
     for pair in federation_pairs:
         objective += scores[pair][0]

@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+from sparsefuel.environment import build_topology
 from sparsefuel.fields import FieldGraph
 from sparsefuel.harness import (
     CalibrationResult,
@@ -81,15 +82,33 @@ def oracle_normalise_edges(n, edges):
     return edge_array, {u: tuple(v) for u, v in adj.items()}
 
 
-def oracle_disc_edges(sites, r_c):
-    """Every pair i < j of sites within Euclidean distance r_c (inclusive),
-    by brute force over all pairs, in sorted order."""
+def oracle_disc_edges(positions, r_c):
+    """Every pair i < j of the (n, 2) positions within Euclidean distance r_c
+    (inclusive), by brute force over all pairs, in sorted order."""
+    points = np.asarray(positions, dtype=np.float64).tolist()
     return [
         [i, j]
-        for i, a in enumerate(sites)
-        for j, b in enumerate(sites)
-        if i < j and np.hypot(b.x - a.x, b.y - a.y) <= r_c
+        for i, (ax, ay) in enumerate(points)
+        for j, (bx, by) in enumerate(points)
+        if i < j and np.hypot(bx - ax, by - ay) <= r_c
     ]
+
+
+def topology_at(points, r_c):
+    """build_topology over the (x, y) points, uid i at points[i], every
+    device in subregion 0."""
+    positions = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    return build_topology(positions, np.zeros(len(positions), dtype=np.int64), r_c)
+
+
+def reference_subregion_of(area, x, y):
+    """Area.subregion_of for one point, in Python float and int arithmetic:
+    ceil(x / (width / cols)) - 1 clipped to the grid, per axis."""
+    if not (0.0 <= x <= area.width and 0.0 <= y <= area.height):
+        raise ValueError(f"point ({x}, {y}) outside the {area.width}x{area.height} area")
+    col = min(area.cols - 1, max(0, math.ceil(x / (area.width / area.cols)) - 1))
+    row = min(area.rows - 1, max(0, math.ceil(y / (area.height / area.rows)) - 1))
+    return row * area.cols + col
 
 
 def oracle_bfs(nodes, adj, sources):
@@ -368,25 +387,26 @@ def reference_fed_avg(models, weights=None) -> ParameterSet:
     return out
 
 
-def reference_evaluate_objective(partition, models, test_sets, sites):
+def reference_evaluate_objective(partition, models, test_sets, subregion):
     """evaluate_objective one (leader model, subregion test set) pair at a
-    time, each pair scored once by its own loss_and_accuracy call."""
+    time, each pair scored once by its own loss_and_accuracy call; device
+    uid sits in subregion[uid]."""
     scores = {}
 
-    def score(leader, subregion):
-        if (leader, subregion) not in scores:
-            scores[leader, subregion] = loss_and_accuracy(models[leader], test_sets[subregion])
-        return scores[leader, subregion]
+    def score(leader, j):
+        if (leader, j) not in scores:
+            scores[leader, j] = loss_and_accuracy(models[leader], test_sets[j])
+        return scores[leader, j]
 
     k = len(test_sets)
     objective = 0.0
     for fed in partition.federations:
-        objective += score(fed.leader, sites[fed.leader].subregion_id)[0]
+        objective += score(fed.leader, int(subregion[fed.leader]))[0]
 
     accs = [float("nan")] * k
     losses = [float("nan")] * k
     for j in range(k):
-        counts = Counter(partition.leader_of[site.uid] for site in sites if site.subregion_id == j)
+        counts = Counter(int(partition.leader_of[u]) for u in np.flatnonzero(subregion == j))
         if not counts:
             continue
         leader = max(counts, key=lambda u: (counts[u], -u))
@@ -549,8 +569,8 @@ def small_config(**protocol_overrides) -> ExperimentConfig:
 def quadrant_sets(world):
     """The four ground-truth member sets, one per subregion."""
     groups = {}
-    for site in world.topology.sites:
-        groups.setdefault(site.subregion_id, set()).add(site.uid)
+    for uid, j in enumerate(world.topology.subregion.tolist()):
+        groups.setdefault(j, set()).add(uid)
     return set(frozenset(g) for g in groups.values())
 
 

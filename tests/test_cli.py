@@ -88,6 +88,22 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "environment.width must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "environment, problem",
+        [
+            # the subregion side width / cols = 5e-324 / 2 rounds to 0
+            ("width = 5e-324", "environment.width, height, rows and cols: subregion sides"),
+            # the sides hold, but the auto radius 1.5 * 1e-323 / 8 rounds to 0
+            ("width = 1e-323\nheight = 1e-323", "environment.r_c = auto underflows to 0"),
+        ],
+    )
+    def test_degenerate_area_is_a_config_error(self, environment, problem, tmp_path, capsys):
+        bad = tmp_path / "tiny.cfg"
+        bad.write_text(f"[environment]\n{environment}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {problem}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("n", [10**22, 2**63])
     def test_device_count_past_an_array_index_is_a_config_error(self, n, tmp_path, capsys):
         # both fail in the schema, before any array is allocated
@@ -426,6 +442,27 @@ class TestSubprocess:
         )
         assert proc.returncode == 2
         assert re.fullmatch(r"error: FloatingPointError: round 1: [^\n]*\n", proc.stderr), proc.stderr
+
+    def test_a_quadrant_round_and_an_idx_world_leave_numpy_ma_unimported(self, tmp_path):
+        # importing numpy.ma adds about 1 MB to a process's peak RSS, which the
+        # benchmark gates; neither a run nor an IDX world needs it
+        script = (
+            "import dataclasses, sys\n"
+            "from sparsefuel.harness import build_world, load_config, run_experiment\n"
+            "cfg = load_config(sys.argv[1])\n"
+            "run_experiment(dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, rounds=1)))\n"
+            "build_world(load_config(sys.argv[2]))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        quadrant = Path(__file__).resolve().parents[1] / "configs" / "quadrant.cfg"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(quadrant), _idx_config(tmp_path, 4, 20)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_console_script_help(self):
         value = _declared_console_script()

@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     forward_features,
     oracle_disc_edges,
     reference_blob_draw,
     reference_idx_draw,
+    reference_subregion_of,
     write_idx_pair,
 )
 from sparsefuel.environment import (
     Area,
     BlobClass,
-    DeviceSite,
     build_topology,
     deploy_devices,
     idx_label_skew_spec,
@@ -27,33 +29,56 @@ from sparsefuel.environment import (
 class TestArea:
     def test_quadrant_mapping(self):
         area = Area(10.0, 10.0, 2, 2)
-        assert area.subregion_of(2.0, 2.0) == 0
-        assert area.subregion_of(7.0, 2.0) == 1
-        assert area.subregion_of(2.0, 7.0) == 2
-        assert area.subregion_of(7.0, 7.0) == 3
+        got = area.subregion_of(np.array([2.0, 7.0, 2.0, 7.0]), np.array([2.0, 2.0, 7.0, 7.0]))
+        assert got.dtype == np.int64 and got.tolist() == [0, 1, 2, 3]
 
     def test_boundary_ties_go_to_lower_index_cell(self):
         area = Area(10.0, 10.0, 2, 2)
-        assert area.subregion_of(5.0, 5.0) == 0
-        assert area.subregion_of(5.0, 2.0) == 0
-        assert area.subregion_of(5.0000001, 5.0000001) == 3
-        assert area.subregion_of(0.0, 0.0) == 0
-        assert area.subregion_of(10.0, 10.0) == 3
+        x = np.array([5.0, 5.0, 5.0000001, 0.0, 10.0])
+        y = np.array([5.0, 2.0, 5.0000001, 0.0, 10.0])
+        assert area.subregion_of(x, y).tolist() == [0, 0, 3, 0, 3]
 
     def test_every_point_has_exactly_one_subregion(self):
         area = Area(6.0, 4.0, 2, 3)
         rng = np.random.default_rng(0)
-        for _ in range(500):
-            x, y = rng.uniform(0, 6), rng.uniform(0, 4)
-            sid = area.subregion_of(x, y)
-            assert 0 <= sid < 6
+        sid = area.subregion_of(rng.uniform(0, 6, 500), rng.uniform(0, 4, 500))
+        assert np.all((0 <= sid) & (sid < 6))
+
+    @staticmethod
+    def _coordinate(side, cells):
+        """Anywhere on [0, side], or on a cell boundary: 0, k * (side / cells)
+        or the far edge."""
+        on_boundary = st.integers(0, cells).map(lambda k: min(side, k * (side / cells)))
+        return st.one_of(st.floats(0.0, side), on_boundary, st.just(side))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        width=st.floats(1e-300, 1e300),
+        height=st.floats(1e-300, 1e300),
+        rows=st.integers(1, 7),
+        cols=st.integers(1, 7),
+    )
+    def test_matches_the_scalar_reference(self, data, width, height, rows, cols):
+        area = Area(width, height, rows, cols)
+        points = data.draw(
+            st.lists(
+                st.tuples(self._coordinate(width, cols), self._coordinate(height, rows)),
+                min_size=1,
+                max_size=20,
+            )
+        )
+        x, y = np.array(points).T
+        got = area.subregion_of(x, y)
+        assert got.dtype == np.int64
+        assert got.tolist() == [reference_subregion_of(area, a, b) for a, b in points]
 
     def test_out_of_area_raises(self):
         area = Area(10.0, 10.0, 2, 2)
-        with pytest.raises(ValueError):
-            area.subregion_of(-0.1, 5.0)
-        with pytest.raises(ValueError):
-            area.subregion_of(5.0, 10.1)
+        for bad_x, bad_y in ((-0.1, 5.0), (5.0, 10.1), (math.nan, 5.0)):
+            x, y = np.array([1.0, bad_x, 2.0]), np.array([1.0, bad_y, 2.0])
+            with pytest.raises(ValueError, match=rf"^point \({bad_x}, {bad_y}\) outside"):
+                area.subregion_of(x, y)
 
     def test_invalid_dimensions_raise(self):
         with pytest.raises(ValueError):
@@ -66,72 +91,82 @@ class TestArea:
         with pytest.raises(ValueError):
             Area(10.0, 10.0, 0, 2)
 
+    def test_subregion_sides_that_underflow_raise(self):
+        # 5e-324 is the least subnormal: halved, it rounds to 0
+        for width, height, rows, cols in ((5e-324, 10.0, 2, 2), (10.0, 5e-324, 2, 1)):
+            with pytest.raises(ValueError, match="^subregion sides must be > 0"):
+                Area(width, height, rows, cols)
+        assert Area(5e-324, 10.0, 1, 1).subregion_of(np.array([5e-324]), np.array([10.0])).tolist() == [0]
+
 
 class TestDeploy:
     @pytest.mark.parametrize("placement", ["uniform-random", "jittered-grid"])
     def test_sites_in_bounds_with_sequential_uids(self, placement):
         area = Area(10.0, 10.0, 2, 2)
-        sites = deploy_devices(area, n=30, placement=placement, seed=7)
-        assert [s.uid for s in sites] == list(range(30))
-        for s in sites:
-            assert 0.0 <= s.x <= 10.0 and 0.0 <= s.y <= 10.0
-            assert s.subregion_id == area.subregion_of(s.x, s.y)
+        positions, subregion = deploy_devices(area, n=30, placement=placement, seed=7)
+        assert positions.shape == (30, 2) and positions.dtype == np.float64
+        assert subregion.shape == (30,) and subregion.dtype == np.int64
+        assert np.all((0.0 <= positions) & (positions <= 10.0))
+        assert subregion.tolist() == [reference_subregion_of(area, x, y) for x, y in positions]
 
     def test_jittered_grid_stays_near_cell_centers(self):
         area = Area(10.0, 10.0, 2, 2)
         n = 16  # 4x4 grid, pitch 2.5
-        sites = deploy_devices(area, n=n, placement="jittered-grid", seed=3)
+        positions, _ = deploy_devices(area, n=n, placement="jittered-grid", seed=3)
         pitch = 10.0 / 4
-        for s in sites:
-            row, col = divmod(s.uid, 4)
+        for uid, (x, y) in enumerate(positions):
+            row, col = divmod(uid, 4)
             cx = (col + 0.5) * pitch
             cy = (row + 0.5) * pitch
-            assert abs(s.x - cx) <= pitch / 4 + 1e-12
-            assert abs(s.y - cy) <= pitch / 4 + 1e-12
+            assert abs(x - cx) <= pitch / 4 + 1e-12
+            assert abs(y - cy) <= pitch / 4 + 1e-12
 
     def test_deterministic_by_seed(self):
         area = Area(8.0, 8.0, 2, 2)
-        a = deploy_devices(area, n=12, placement="uniform-random", seed=5)
-        b = deploy_devices(area, n=12, placement="uniform-random", seed=5)
-        c = deploy_devices(area, n=12, placement="uniform-random", seed=6)
-        assert [(s.x, s.y) for s in a] == [(s.x, s.y) for s in b]
-        assert [(s.x, s.y) for s in a] != [(s.x, s.y) for s in c]
+        a, _ = deploy_devices(area, n=12, placement="uniform-random", seed=5)
+        b, _ = deploy_devices(area, n=12, placement="uniform-random", seed=5)
+        c, _ = deploy_devices(area, n=12, placement="uniform-random", seed=6)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_unknown_placement_raises(self):
         with pytest.raises(ValueError):
             deploy_devices(Area(4, 4, 1, 1), n=4, placement="ring", seed=0)
 
 
+def on_a_line(*xs):
+    """(n, 2) positions at the given x on y = 0."""
+    return np.array([[x, 0.0] for x in xs])
+
+
 class TestTopology:
     def test_radius_is_inclusive(self):
-        sites = [
-            DeviceSite(0, 0.0, 0.0, 0),
-            DeviceSite(1, 1.0, 0.0, 0),
-            DeviceSite(2, 2.5, 0.0, 0),
-        ]
-        topo = build_topology(sites, r_c=1.0)
+        topo = build_topology(on_a_line(0.0, 1.0, 2.5), np.array([0, 1, 1]), r_c=1.0)
         assert topo.edges.tolist() == [[0, 1]]
         assert topo.graph.adj == {0: (1,), 1: (0,), 2: ()}
+        assert topo.n == 3 and topo.subregion.tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("r_c", [0.0, -1.0, float("nan")])
     def test_radius_must_be_positive(self, r_c):
         with pytest.raises(ValueError, match="must be positive"):
-            build_topology([DeviceSite(0, 0.0, 0.0, 0), DeviceSite(1, 1.0, 0.0, 0)], r_c)
+            build_topology(on_a_line(0.0, 1.0), np.zeros(2, dtype=np.int64), r_c)
 
     def test_edges_symmetric_no_self_loops(self):
         area = Area(10.0, 10.0, 2, 2)
-        sites = deploy_devices(area, n=25, placement="uniform-random", seed=1)
-        topo = build_topology(sites, r_c=3.0)
+        positions, subregion = deploy_devices(area, n=25, placement="uniform-random", seed=1)
+        topo = build_topology(positions, subregion, r_c=3.0)
+        assert topo.subregion.dtype == np.int64 and np.array_equal(topo.subregion, subregion)
         adj = topo.graph.adj
-        for s in sites:
-            assert s.uid not in adj[s.uid]
-            for v in adj[s.uid]:
-                assert s.uid in adj[v]
+        for uid in range(25):
+            assert uid not in adj[uid]
+            for v in adj[uid]:
+                assert uid in adj[v]
         assert topo.edges.shape == (len(topo.edges), 2)
         assert np.all(topo.edges[:, 0] < topo.edges[:, 1])
         assert topo.edges.tolist() == sorted(topo.edges.tolist())
         assert not topo.edges.flags.writeable
-        assert build_topology([], r_c=3.0).edges.shape == (0, 2)
+        empty = build_topology(np.empty((0, 2)), np.empty(0, dtype=np.int64), r_c=3.0)
+        assert empty.edges.shape == (0, 2) and empty.n == 0
         assert sum(len(v) for v in adj.values()) == 2 * len(topo.edges)
 
 
@@ -139,19 +174,19 @@ class TestTopology:
     @pytest.mark.parametrize("n", [1, 2, 64, 300])
     def test_edges_match_pair_oracle(self, placement, n):
         area = Area(8.0, 8.0, 2, 2)
-        sites = deploy_devices(area, n=n, placement=placement, seed=n)
+        positions, subregion = deploy_devices(area, n=n, placement=placement, seed=n)
         for r_c in (0.5, 2.125, 20.0):
-            topo = build_topology(sites, r_c=r_c)
+            topo = build_topology(positions, subregion, r_c=r_c)
             assert topo.edges.dtype == np.int64
-            assert topo.edges.reshape(-1, 2).tolist() == oracle_disc_edges(sites, r_c)
+            assert topo.edges.reshape(-1, 2).tolist() == oracle_disc_edges(positions, r_c)
 
     def test_sites_exactly_r_c_apart_are_linked(self):
         # a 3-4-5 triangle with r_c = 5: every pair is at most r_c apart, and
         # 0-2 at exactly r_c
-        sites = [DeviceSite(0, 0.0, 0.0, 0), DeviceSite(1, 3.0, 0.0, 0), DeviceSite(2, 3.0, 4.0, 0)]
+        positions = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
         for r_c, want in ((5.0, [[0, 1], [0, 2], [1, 2]]), (4.0, [[0, 1], [1, 2]])):
-            assert oracle_disc_edges(sites, r_c) == want
-            assert build_topology(sites, r_c).edges.tolist() == want
+            assert oracle_disc_edges(positions, r_c) == want
+            assert build_topology(positions, np.zeros(3, dtype=np.int64), r_c).edges.tolist() == want
 
 
 def blob_labels(spec, sid):

@@ -10,8 +10,8 @@ from conftest import (
     oracle_normalise_edges,
     reference_bfs_hops,
     reference_min_flood,
+    topology_at,
 )
-from sparsefuel.environment import DeviceSite, build_topology
 from sparsefuel.fields import (
     FieldGraph,
     bfs_hops,
@@ -31,8 +31,7 @@ def field_4096_topology():
     """A 4096-device radio topology at the field-4096 density and radius, and
     a mask that keeps about two thirds of its edges, as a gated round does."""
     rng = np.random.default_rng(3)
-    xy = rng.uniform(0, 80, (4096, 2)).tolist()
-    topo = build_topology([DeviceSite(u, x, y, 0) for u, (x, y) in enumerate(xy)], r_c=2.125)
+    topo = topology_at(rng.uniform(0, 80, (4096, 2)), r_c=2.125)
     return topo, rng.random(len(topo.edges)) < 2 / 3
 
 
@@ -142,8 +141,7 @@ class TestFieldGraph:
         assert np.array_equal(g.edges, want[0]) and g.adj == want[1]
 
     def test_from_topology_with_edge_filter(self):
-        sites = [DeviceSite(0, 0, 0, 0), DeviceSite(1, 1, 0, 0), DeviceSite(2, 2, 0, 0)]
-        topo = build_topology(sites, r_c=1.5)
+        topo = topology_at([(0, 0), (1, 0), (2, 0)], r_c=1.5)
         g = FieldGraph.from_topology(topo)
         assert g.adj[1] == (0, 2)
         assert topo.edges.tolist() == [[0, 1], [1, 2]]

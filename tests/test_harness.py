@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsefuel import harness
 from sparsefuel.compression import KINDS, decompress, from_bytes
 from sparsefuel.environment import PLACEMENTS, sample_local_dataset
 from sparsefuel.harness import (
@@ -241,14 +242,29 @@ class TestLoadConfig:
         assert abs(cfg.protocol.tau - calibrated.tau) <= 1e-9
 
 
+def recorded_placements(monkeypatch):
+    """The (positions, subregion) pairs of the deploy_devices calls that
+    build_world makes from now on, in call order."""
+    placed = []
+    deploy = harness.deploy_devices
+
+    def recording(*args):
+        placed.append(deploy(*args))
+        return placed[-1]
+
+    monkeypatch.setattr(harness, "deploy_devices", recording)
+    return placed
+
+
 class TestBuildWorld:
-    def test_same_inputs_build_identical_worlds(self):
+    def test_same_inputs_build_identical_worlds(self, monkeypatch):
         cfg = small_config()
+        placed = recorded_placements(monkeypatch)
         a = build_world(cfg, seed=3)
         b = build_world(cfg, seed=3)
-        assert [(s.uid, s.x, s.y) for s in a.topology.sites] == [
-            (s.uid, s.x, s.y) for s in b.topology.sites
-        ]
+        assert np.array_equal(placed[0][0], placed[1][0])
+        assert np.array_equal(a.topology.subregion, b.topology.subregion)
+        assert np.array_equal(a.topology.edges, b.topology.edges)
         assert np.array_equal(a.samples.features, b.samples.features)
         assert np.array_equal(a.samples.labels, b.samples.labels)
         for ra, rb in zip(a.rows, b.rows, strict=True):
@@ -259,16 +275,18 @@ class TestBuildWorld:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             build_world(small_config(), seed=-1)
 
-    def test_seed_override_changes_placement(self):
+    def test_seed_override_changes_placement(self, monkeypatch):
         cfg = small_config()
-        a = build_world(cfg, seed=3)
-        b = build_world(cfg, seed=4)
-        assert [(s.x, s.y) for s in a.topology.sites] != [(s.x, s.y) for s in b.topology.sites]
+        placed = recorded_placements(monkeypatch)
+        build_world(cfg, seed=3)
+        build_world(cfg, seed=4)
+        assert not np.array_equal(placed[0][0], placed[1][0])
 
     def test_world_shapes(self):
         cfg = small_config()
         world = build_world(cfg, seed=0)
-        assert len(world.topology.sites) == 9
+        assert world.topology.n == 9
+        assert world.topology.subregion.shape == (9,) and world.topology.subregion.dtype == np.int64
         # every device's 60 rows, as one table
         assert world.rows.shape == (9, 60) and world.rows.dtype == np.int64
         assert len(world.samples) == 9 * 60
@@ -306,9 +324,9 @@ class TestBuildWorld:
         cfg = small_config()
         world = build_world(cfg, seed=5)
         data_seed = derive_seed(5, 2)
-        for site, rows in zip(world.topology.sites, world.rows, strict=True):
+        for uid, (j, rows) in enumerate(zip(world.topology.subregion, world.rows, strict=True)):
             got = world.samples.subset(rows)
-            want = sample_local_dataset(world.spec, site.subregion_id, 60, data_seed, salt=site.uid)
+            want = sample_local_dataset(world.spec, j, 60, data_seed, salt=uid)
             # the store holds the float64 draw in the devices' dtype
             assert got.features.dtype == DEVICE_DTYPE
             assert np.array_equal(got.features, want.features.astype(DEVICE_DTYPE))
@@ -347,9 +365,9 @@ class TestBuildWorld:
         cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, epsilon=0.3))
         world = build_world(cfg, seed=2)
         data_seed = derive_seed(2, 2)
-        for site, rows in zip(world.topology.sites, world.rows, strict=True):
+        for uid, (j, rows) in enumerate(zip(world.topology.subregion, world.rows, strict=True)):
             got = world.samples.subset(rows)
-            want = reference_idx_draw(world.spec, site.subregion_id, 8, data_seed, salt=site.uid)
+            want = reference_idx_draw(world.spec, j, 8, data_seed, salt=uid)
             assert np.array_equal(got.features, want.features)
             assert np.array_equal(got.labels, want.labels)
 
@@ -464,8 +482,8 @@ class TestRunExperiment:
         for fed in partition.federations:
             for rows in params.weights + params.biases:
                 assert all(np.array_equal(rows[uid], rows[fed.leader]) for uid in fed.members)
-        sites = result.world.topology.sites
-        objective, _, _ = evaluate_objective(partition, params, result.world.test_sets, sites)
+        subregion = result.world.topology.subregion
+        objective, _, _ = evaluate_objective(partition, params, result.world.test_sets, subregion)
         assert objective == result.records[-1].objective
 
 

@@ -30,7 +30,6 @@ from sparsefuel.compression import (
     from_bytes,
     to_bytes,
 )
-from sparsefuel.environment import DeviceSite, build_topology
 from sparsefuel.harness import (
     build_world,
     calibrate_tau,
@@ -67,6 +66,7 @@ from conftest import (
     sample_store,
     small_config,
     stack_models,
+    topology_at,
 )
 
 
@@ -252,8 +252,8 @@ def line_rows():
 
 
 def line_state(arch=WIDE):
-    sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(N)]
-    topo = build_topology(sites, r_c=1.0)
+    points = [(i, 0) for i in range(N)]
+    topo = topology_at(points, r_c=1.0)
     store = device_data(toy_data(199, 120))
     state = make_state(topo, store, line_rows(), init_parameters(arch, 0), 0.2)
     # distinct start models give every device its own prune mask
@@ -287,7 +287,7 @@ class TestDeviceBank:
     def test_splits_are_views_of_the_row_table(self):
         # every device's dataset is its row of one (n, m) table into the one
         # sample store, and both splits are views of that table
-        topo = build_topology([DeviceSite(i, float(i), 0.0, 0) for i in range(N)], r_c=1.0)
+        topo = topology_at([(i, 0) for i in range(N)], r_c=1.0)
         samples, table, init = toy_data(199, 120), line_rows(), init_parameters(WIDE, 0)
         state = make_state(topo, samples, table, init, 0.2)
         assert state.samples is samples
@@ -300,8 +300,8 @@ class TestDeviceBank:
         assert np.array_equal(np.hstack([listed.val_rows, listed.train_rows]), table)
 
     def test_rows_outside_the_store_are_rejected(self):
-        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(2)]
-        topo = build_topology(sites, r_c=1.0)
+        points = [(i, 0) for i in range(2)]
+        topo = topology_at(points, r_c=1.0)
         store, init = toy_data(1, 10), init_parameters(WIDE, 0)
         for bad in ([0, 1, 2, 3, 10], [-1, 3, 4, 5, 6]):
             with pytest.raises(ValueError, match="index the store's 10 samples"):
@@ -312,8 +312,8 @@ class TestDeviceBank:
 
     def test_unequal_row_lengths_are_rejected(self):
         # every device holds the same number of rows
-        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(2)]
-        topo = build_topology(sites, r_c=1.0)
+        points = [(i, 0) for i in range(2)]
+        topo = topology_at(points, r_c=1.0)
         store, init = toy_data(1, 10), init_parameters(WIDE, 0)
         with pytest.raises(ValueError, match="^every device needs the same number of rows$"):
             make_state(topo, store, [np.arange(5), np.arange(5, 9)], init, 0.2)
@@ -321,8 +321,8 @@ class TestDeviceBank:
     def test_rows_that_are_not_integers_are_rejected(self):
         # a float table would be truncated to other rows, a bool mask read as
         # rows 0 and 1; an empty table keeps its own message
-        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(2)]
-        topo = build_topology(sites, r_c=1.0)
+        points = [(i, 0) for i in range(2)]
+        topo = topology_at(points, r_c=1.0)
         store, init = toy_data(1, 10), init_parameters(WIDE, 0)
         for bad in (np.array([[1.7, 2.2], [3.0, 4.0]]), np.ones((2, 10), dtype=bool)):
             with pytest.raises(ValueError, match="^rows must be integers that index"):
@@ -332,9 +332,9 @@ class TestDeviceBank:
 
     def test_wide_model_trains_in_chunks_of_one(self):
         # every device trains alone on a view of its own split
-        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(5)]
+        points = [(i, 0) for i in range(5)]
         samples, rows = sample_store([toy_data(300 + uid, 25) for uid in range(5)])
-        topo = build_topology(sites, r_c=1.0)
+        topo = topology_at(points, r_c=1.0)
         state = make_state(topo, device_data(samples), rows, init_parameters(ALONE, 0), 0.2)
         params = state.params[0]
         assert params.weights[0].itemsize == ITEMSIZE
@@ -353,7 +353,7 @@ class TestDeviceBank:
 
     def test_splits_keep_the_row_order(self):
         rows = np.random.default_rng(7).permutation(60)[:45]
-        topo = build_topology([DeviceSite(0, 0.0, 0.0, 0)], r_c=1.0)
+        topo = topology_at([(0, 0)], r_c=1.0)
         state = make_state(topo, toy_data(7, 60), [rows], init_parameters(WIDE, 0), 0.2)
         assert np.array_equal(state.val_rows[0], rows[:9])
         assert np.array_equal(state.train_rows[0], rows[9:])
@@ -398,9 +398,9 @@ class TestLockstepRound:
         # budgets, far more than two lanes' training temporaries: a round
         # that copied the stack would peak above its size
         monkeypatch.setattr(protocol, "_LANES", 2)
-        sites = [DeviceSite(i, float(i), 0.0, 0) for i in range(32)]
+        points = [(i, 0) for i in range(32)]
         samples, rows = sample_store([toy_data(400 + uid, 20) for uid in range(32)])
-        topo = build_topology(sites, r_c=1.0)
+        topo = topology_at(points, r_c=1.0)
         state = make_state(topo, samples, rows, init_parameters(ALONE, 0), 0.2)
         stack_bytes = sum(t.nbytes for t in state.params.weights + state.params.biases)
         assert stack_bytes > 9 * LOCKSTEP_BUDGET_BYTES

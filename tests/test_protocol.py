@@ -18,7 +18,7 @@ from sparsefuel.compression import (
     serialized_size,
     to_bytes,
 )
-from sparsefuel.environment import DeviceSite, build_topology, sample_local_dataset, synthetic_blob_spec
+from sparsefuel.environment import sample_local_dataset, synthetic_blob_spec
 from sparsefuel.cli import main
 from sparsefuel.harness import ConfigError, format_config, load_config, parse_config, run_experiment
 from sparsefuel.neuralnet import (
@@ -44,7 +44,13 @@ from sparsefuel.protocol import (
 )
 from sparsefuel.seeds import derive_seed
 
-from conftest import reference_evaluate_objective, reference_fed_avg, sample_store, stack_models
+from conftest import (
+    reference_evaluate_objective,
+    reference_fed_avg,
+    sample_store,
+    stack_models,
+    topology_at,
+)
 
 
 def model_bytes(model):
@@ -71,8 +77,7 @@ def scored_pairs(params, data):
 
 
 def line_topology(n, spacing=1.0, r_c=1.0):
-    sites = [DeviceSite(i, i * spacing, 0.0, 0) for i in range(n)]
-    return build_topology(sites, r_c=r_c)
+    return topology_at([(i * spacing, 0) for i in range(n)], r_c=r_c)
 
 
 def toy_dataset(seed, m=40, n_classes=4, dim=2):
@@ -200,8 +205,7 @@ class TestFormFederations:
 
     def test_raising_tau_never_increases_federation_count(self):
         rng = np.random.default_rng(10)
-        sites = [DeviceSite(i, rng.uniform(0, 5), rng.uniform(0, 5), 0) for i in range(12)]
-        topo = build_topology(sites, r_c=2.0)
+        topo = topology_at(rng.uniform(0, 5, (12, 2)), r_c=2.0)
         ds = DissimilarityMatrix(topo.edges, rng.uniform(0, 2, len(topo.edges)))
         counts = [
             len(form_federations(topo, ds, tau).federations)
@@ -340,10 +344,9 @@ class TestEvaluateObjective:
         k, c = 4, 4
         zero = ParameterSet([np.zeros((c, 2))], [np.zeros(c)])
         partition = FederationPartition(np.arange(k))
-        sites = [DeviceSite(j, 0.5, 0.5, j) for j in range(k)]
         tests = [toy_dataset(j, m=30, n_classes=c) for j in range(k)]
         objective, accs, losses = evaluate_objective(
-            partition, model_stack({j: zero.copy() for j in range(k)}, k), tests, sites
+            partition, model_stack({j: zero.copy() for j in range(k)}, k), tests, np.arange(k)
         )
         assert abs(objective - k * math.log(c)) <= 1e-9
         assert len(accs) == len(losses) == k
@@ -351,7 +354,6 @@ class TestEvaluateObjective:
     def test_confident_models_give_small_objective(self):
         # one-layer nets that push the true class hard for every sample
         k = 2
-        sites = [DeviceSite(j, 0.5, 0.5, j) for j in range(k)]
         tests = []
         models = {}
         for j in range(k):
@@ -362,14 +364,14 @@ class TestEvaluateObjective:
             w[j, 0] = 20.0
             models[j] = ParameterSet([w], [np.zeros(2)])
         partition = FederationPartition(np.arange(k))
-        objective, accs, _ = evaluate_objective(partition, model_stack(models, k), tests, sites)
+        objective, accs, _ = evaluate_objective(partition, model_stack(models, k), tests, np.arange(k))
         assert objective < 0.01
         assert accs == [1.0, 1.0]
 
     def test_each_model_and_test_set_pair_is_scored_once(self, monkeypatch):
         # leaders 0 and 2 live in subregion 0 and hold its plurality in turn;
         # leader 4 lives in subregion 1 and is its plurality: three pairs
-        sites = [DeviceSite(u, 0.5, 0.5, 0 if u < 4 else 1) for u in range(6)]
+        subregion = np.array([0, 0, 0, 0, 1, 1])
         tests = [toy_dataset(j, m=20) for j in range(2)]
         models = {u: init_parameters(Architecture((2, 3, 4)), u) for u in (0, 2, 4)}
         calls = []
@@ -383,10 +385,10 @@ class TestEvaluateObjective:
         for leader_of in (np.array([0, 0, 2, 0, 4, 4]), np.array([0, 2, 2, 2, 4, 4])):
             calls.clear()
             objective, accs, losses = evaluate_objective(
-                FederationPartition(leader_of), model_stack(models, 6), tests, sites
+                FederationPartition(leader_of), model_stack(models, 6), tests, subregion
             )
             assert len(calls) == len(set(calls)) == 3
-            loss = {u: loss_and_accuracy(models[u], tests[sites[u].subregion_id]) for u in models}
+            loss = {u: loss_and_accuracy(models[u], tests[subregion[u]]) for u in models}
             assert objective == loss[0][0] + loss[2][0] + loss[4][0]
             plurality = leader_of[1]  # device 1 follows subregion 0's plurality leader
             assert (losses[0], accs[0]) == loss_and_accuracy(models[plurality], tests[0])
@@ -395,15 +397,26 @@ class TestEvaluateObjective:
     def test_plurality_tie_goes_to_the_lowest_leader(self):
         # subregion 0 holds two devices of leader 3 and two of leader 1; the
         # tie picks leader 1's model, which is right on every sample
-        sites = [DeviceSite(u, 0.5, 0.5, 0) for u in range(4)]
+        subregion = np.zeros(4, dtype=np.int64)
         partition = FederationPartition(np.array([3, 1, 1, 3]))
         test = LabeledDataset(np.tile([[1.0, 0.0]], (10, 1)), np.zeros(10, dtype=np.int64))
         right = ParameterSet([np.array([[20.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
         wrong = ParameterSet([np.array([[0.0, 0.0], [20.0, 0.0]])], [np.zeros(2)])
-        _, accs, _ = evaluate_objective(partition, model_stack({1: right, 3: wrong}, 4), [test], sites)
+        _, accs, _ = evaluate_objective(partition, model_stack({1: right, 3: wrong}, 4), [test], subregion)
         assert accs == [1.0]
-        _, accs, _ = evaluate_objective(partition, model_stack({1: wrong, 3: right}, 4), [test], sites)
+        _, accs, _ = evaluate_objective(partition, model_stack({1: wrong, 3: right}, 4), [test], subregion)
         assert accs == [0.0]
+
+    def test_test_sets_of_unequal_length_or_dtype_are_rejected(self):
+        # a run's test sets all hold data.test_samples rows of one dtype, so
+        # every pair is scored in one lockstep pass over stacked sets
+        partition = FederationPartition(np.array([0, 1]))
+        models = stack_models([init_parameters(Architecture((2, 3, 4)), u) for u in range(2)])
+        test = toy_dataset(0, m=20)
+        pixels = LabeledDataset((test.features * 255).astype(np.uint8), test.labels)
+        for other in (toy_dataset(1, m=21), pixels):
+            with pytest.raises(ValueError, match="^all test sets must have the same length and dtype$"):
+                evaluate_objective(partition, models, [test, other], np.array([0, 1]))
 
     @staticmethod
     def _assert_same(got, want):
@@ -416,16 +429,15 @@ class TestEvaluateObjective:
         # four subregions, the last with no device (nan); subregion 0 splits
         # two and two between leaders 0 and 4 (the tie goes to 0); leader 4,
         # in subregion 1, also holds subregion 2's plurality by a one-one tie
-        # with leader 6, so its model is scored on two test sets; the test
-        # sets have 20, 20, 35 and 7 rows; a budget of 1 byte runs every
+        # with leader 6, so its model is scored on two test sets; every test
+        # set has 20 rows; a budget of 1 byte runs every
         # pair alone, 6000 bytes up to two to a chunk
         if budget is not None:
             monkeypatch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
-        subregion = [0, 0, 0, 0, 1, 1, 2, 2, 1]
-        sites = [DeviceSite(u, 0.5, 0.5, j) for u, j in enumerate(subregion)]
+        subregion = np.array([0, 0, 0, 0, 1, 1, 2, 2, 1])
         partition = FederationPartition(np.array([0, 4, 0, 4, 4, 4, 6, 4, 8]))
         models = stack_models([init_parameters(Architecture((2, 5, 4)), 40 + u) for u in range(9)])
-        tests = [toy_dataset(j, m=m) for j, m in enumerate((20, 20, 35, 7))]
+        tests = [toy_dataset(j, m=20) for j in range(4)]
         scored = []
         score = protocol.loss_and_accuracy
 
@@ -434,33 +446,33 @@ class TestEvaluateObjective:
             return score(params, data)
 
         monkeypatch.setattr(protocol, "loss_and_accuracy", recording)
-        got = evaluate_objective(partition, models, tests, sites)
+        got = evaluate_objective(partition, models, tests, subregion)
         assert len(scored) == len(set(scored)) == 5
         assert [m for m, _ in scored].count(model_bytes(models[4])) == 2
         assert math.isnan(got[1][3]) and math.isnan(got[2][3])
         monkeypatch.setattr(protocol, "loss_and_accuracy", score)
-        self._assert_same(got, reference_evaluate_objective(partition, models, tests, sites))
+        self._assert_same(got, reference_evaluate_objective(partition, models, tests, subregion))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         leaders=st.lists(st.integers(0, 5), min_size=1, max_size=14),
         subregions=st.lists(st.integers(0, 3), min_size=14, max_size=14),
-        lengths=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+        length=st.integers(1, 9),
         budget=st.sampled_from([None, 1, 3000, 9000]),
     )
-    def test_random_partitions_match_the_per_pair_scorer(self, leaders, subregions, lengths, budget):
+    def test_random_partitions_match_the_per_pair_scorer(self, leaders, subregions, length, budget):
         # device u follows leaders[u] when that leader follows itself
         n = len(leaders)
         leader_of = [u if leaders[u] >= n or leaders[leaders[u]] != leaders[u] else leaders[u] for u in range(n)]
-        sites = [DeviceSite(u, 0.5, 0.5, subregions[u]) for u in range(n)]
+        subregion = np.array(subregions[:n])
         models = stack_models([init_parameters(Architecture((2, 3, 4)), u) for u in range(n)])
-        tests = [toy_dataset(10 + j, m=m) for j, m in enumerate(lengths)]
+        tests = [toy_dataset(10 + j, m=length) for j in range(4)]
         partition = FederationPartition(np.array(leader_of))
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
-            got = evaluate_objective(partition, models, tests, sites)
-        self._assert_same(got, reference_evaluate_objective(partition, models, tests, sites))
+            got = evaluate_objective(partition, models, tests, subregion)
+        self._assert_same(got, reference_evaluate_objective(partition, models, tests, subregion))
 
 
 class TestRunRound:
@@ -567,11 +579,9 @@ class TestTreeRound:
     ARCH = Architecture((2, 6, 4))
 
     def _state(self, xs, r_c):
-        sites = [DeviceSite(i, float(x), 0.0, 0) for i, x in enumerate(xs)]
+        topo = topology_at([(x, 0) for x in xs], r_c=r_c)
         samples, rows = sample_store([toy_dataset(100 + i) for i in range(len(xs))])
-        return make_state(
-            build_topology(sites, r_c=r_c), samples, rows, init_parameters(self.ARCH, 0), 0.2
-        )
+        return make_state(topo, samples, rows, init_parameters(self.ARCH, 0), 0.2)
 
     @staticmethod
     def _recorded_round(monkeypatch, state, cfg, arm):
@@ -690,8 +700,8 @@ class TestTreeRound:
 
         monkeypatch.setattr(protocol, "loss_and_accuracy", recording)
         tests = [toy_dataset(900, m=30)]
-        sites = state.topology.sites
-        objective, _, _ = evaluate_objective(stats.partition, state.params, tests, sites)
+        subregion = state.topology.subregion
+        objective, _, _ = evaluate_objective(stats.partition, state.params, tests, subregion)
         leader_of_row = {model_bytes(state.params[u]): u for u in want}
         leaders = [leader_of_row[model_bytes(m[d])] for m in scored for d in range(len(m.weights[0]))]
         assert sorted(leaders) == sorted(want)
