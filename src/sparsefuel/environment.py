@@ -2,9 +2,9 @@
 
 A rectangular area is split into a grid of subregions, devices are dropped
 into it (uniformly at random or on a jittered lattice), a disc-radius
-communication topology is derived from the positions, and every device draws
-a local dataset from its subregion's distribution: either synthetic Gaussian
-class blobs or a label-skewed slice of an IDX-format pool.
+communication topology is derived from the positions, and one generator draws
+every device's local dataset from its subregion's distribution: either
+synthetic Gaussian class blobs or a label-skewed slice of an IDX-format pool.
 """
 
 from __future__ import annotations
@@ -243,67 +243,99 @@ def idx_label_skew_spec(pool: LabeledDataset, k: int, epsilon: float = 0.0) -> D
     return DistributionSpec("idx-label-skew", owned_labels=owned, epsilon=epsilon, pool=pool)
 
 
-def _local_rng(
-    spec: DistributionSpec, subregion_id: int, m: int, seed: int, salt: int
-) -> np.random.Generator:
-    """The generator of one device's draw, after checking its arguments."""
-    if m < 1:
-        raise ValueError("need at least one sample")
-    if not (0 <= subregion_id < spec.num_subregions):
-        raise ValueError(f"subregion {subregion_id} out of range")
-    return np.random.default_rng((int(seed), int(subregion_id), int(salt)))
+# The float64 noise of a synthetic draw is drawn and shifted onto its class
+# blobs in blocks of at most this many bytes, so that a world's draw holds no
+# float64 copy of the whole world beside its float32 store.
+_DRAW_BLOCK_BYTES = 256 * 1024
 
 
 def sample_local_rows(
-    spec: DistributionSpec, subregion_id: int, m: int, seed: int, salt: int = 0
+    spec: DistributionSpec, subregion: np.ndarray, m: int, seed: int
 ) -> np.ndarray:
-    """The pool rows of one device's idx-label-skew dataset, in sample order;
-    deterministic in (seed, subregion, salt).
+    """The (len(subregion), m) int64 pool rows of the idx-label-skew datasets
+    of devices in the given subregions, one device per entry, each row in
+    sample order; one generator, from seed, draws them all.
 
-    Each sample is foreign with probability epsilon; the owned and foreign
-    samples are the first rows of a shuffle of the owned and of the other
-    labels' pool rows, without replacement.
+    Each sample is foreign with probability epsilon: the generator first
+    draws every device's foreign mask at once, in device order.  Then, device
+    by device, it picks the owned and the foreign samples without
+    replacement, as rng.choice positions in the owned and in the other
+    labels' pool rows.  A device that needs more rows than a pool holds
+    raises ValueError before any row is picked.
     """
     if spec.kind != "idx-label-skew":
         raise ValueError(f"{spec.kind} data has no pool to draw rows from")
-    rng = _local_rng(spec, subregion_id, m, seed, salt)
-    own_pool = spec.own_rows[subregion_id]
-    other_pool = spec.other_rows[subregion_id]
-    foreign = rng.random(m) < spec.epsilon
-    n_foreign = int(foreign.sum())
-    n_own = m - n_foreign
-    if n_own > len(own_pool) or n_foreign > len(other_pool):
+    subregion = _checked(spec, subregion, m)
+    rng = np.random.default_rng(seed)
+    foreign = rng.random((len(subregion), m)) < spec.epsilon
+    n_foreign = foreign.sum(axis=1)
+    own_len = np.array([len(rows) for rows in spec.own_rows])[subregion]
+    other_len = np.array([len(rows) for rows in spec.other_rows])[subregion]
+    short = (m - n_foreign > own_len) | (n_foreign > other_len)
+    if short.any():
+        uid = int(short.argmax())
         raise ValueError(
-            f"pool exhausted for subregion {subregion_id}: need {n_own} owned / "
-            f"{n_foreign} foreign, have {len(own_pool)} / {len(other_pool)}"
+            f"pool exhausted for subregion {subregion[uid]}: need {m - n_foreign[uid]} owned / "
+            f"{n_foreign[uid]} foreign, have {own_len[uid]} / {other_len[uid]}"
         )
-    own_sel = rng.permutation(own_pool)[:n_own]
-    other_sel = rng.permutation(other_pool)[:n_foreign]
-    rows = np.empty(m, dtype=np.int64)
-    rows[~foreign] = own_sel
-    rows[foreign] = other_sel
+    rows = np.empty((len(subregion), m), dtype=np.int64)
+    for out, mixed, j in zip(rows, foreign, subregion.tolist()):
+        for pool, pick in ((spec.own_rows[j], ~mixed), (spec.other_rows[j], mixed)):
+            out[pick] = pool[rng.choice(len(pool), int(pick.sum()), replace=False)]
     return rows
 
 
 def sample_local_dataset(
-    spec: DistributionSpec, subregion_id: int, m: int, seed: int, salt: int = 0
-) -> LabeledDataset:
-    """Draw one device's local dataset; deterministic in (seed, subregion, salt).
+    spec: DistributionSpec, subregion: np.ndarray, m: int, seed: int, dtype=np.float64
+) -> tuple[LabeledDataset, np.ndarray]:
+    """The local datasets of devices in the given subregions, one device per
+    entry, m samples each, drawn by one generator from seed: a sample store
+    and the (len(subregion), m) table of each device's rows in it.
 
-    An idx-label-skew dataset is a copy of the pool rows sample_local_rows
-    picks."""
+    idx-label-skew: the store is the pool itself and the rows are
+    sample_local_rows'.  synthetic-blobs: the store is the draws in device
+    order, row-major, with float features in dtype.  The generator first
+    draws every sample's class at once, then every sample's standard normal
+    noise, sample after sample; a sample is its class mean plus its noise
+    times the class std, computed in float64, clipped to [0, 1] and then
+    rounded to dtype.
+    """
     if spec.kind == "idx-label-skew":
-        return spec.pool.subset(sample_local_rows(spec, subregion_id, m, seed, salt))
-    rng = _local_rng(spec, subregion_id, m, seed, salt)
-    classes = spec.blob_classes[subregion_id]
-    picks = rng.integers(0, len(classes), m)
+        return spec.pool, sample_local_rows(spec, subregion, m, seed)
+    subregion = _checked(spec, subregion, m)
+    classes = [c for group in spec.blob_classes for c in group]
+    counts = np.array([len(group) for group in spec.blob_classes])
     means = np.array([c.mean for c in classes])
     stds = np.array([c.std for c in classes])
-    dim = means.shape[1]
-    feats = means[picks] + rng.normal(0.0, 1.0, (m, dim)) * stds[picks, None]
-    np.clip(feats, 0.0, 1.0, out=feats)
+    rng = np.random.default_rng(seed)
+    # each sample's class as an index into every subregion's classes in turn
+    picks = rng.integers(0, counts[subregion][:, None], (len(subregion), m))
+    picks += (np.cumsum(counts) - counts)[subregion][:, None]
+    picks = picks.ravel()
+    features = np.empty((len(picks), means.shape[1]), dtype=dtype)
+    step = max(1, _DRAW_BLOCK_BYTES // means[0].nbytes)
+    noise = np.empty((min(step, len(picks)), means.shape[1]))
+    for lo in range(0, len(picks), step):
+        block = noise[: min(step, len(picks) - lo)]
+        rng.standard_normal(out=block)
+        own = picks[lo : lo + len(block)]
+        block *= stds[own, None]
+        block += means[own]
+        np.clip(block, 0.0, 1.0, out=block)
+        features[lo : lo + len(block)] = block
     labels = np.array([c.label for c in classes], dtype=np.int64)[picks]
-    return LabeledDataset(feats, labels)
+    return LabeledDataset(features, labels), np.arange(len(picks)).reshape(len(subregion), m)
+
+
+def _checked(spec: DistributionSpec, subregion: np.ndarray, m: int) -> np.ndarray:
+    """The subregions of a draw as an int64 array, after checking the draw's
+    arguments."""
+    if m < 1:
+        raise ValueError("need at least one sample")
+    subregion = np.asarray(subregion, dtype=np.int64)
+    if subregion.ndim != 1 or not np.all((0 <= subregion) & (subregion < spec.num_subregions)):
+        raise ValueError(f"subregions must be a 1-d array of ids in [0, {spec.num_subregions})")
+    return subregion
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:

@@ -28,7 +28,6 @@ from .environment import (
     idx_label_skew_spec,
     load_idx,
     sample_local_dataset,
-    sample_local_rows,
     synthetic_blob_spec,
 )
 from .neuralnet import Architecture, LabeledDataset, ParameterSet, TrainingConfig, init_parameters
@@ -314,13 +313,6 @@ def resolve_radius(cfg: ExperimentConfig) -> float:
     return r_c
 
 
-def _device_floats(data: LabeledDataset) -> LabeledDataset:
-    """The dataset with float features in DEVICE_DTYPE; pixel bytes stay bytes."""
-    if data.features.dtype == np.uint8:
-        return data
-    return LabeledDataset(data.features.astype(DEVICE_DTYPE), data.labels)
-
-
 def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
     """Materialize area, devices, data, and initial model for one run.
 
@@ -367,36 +359,19 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
                 f"{spec.num_classes} classes in the IDX pool"
             )
 
-    data_seed = derive_seed(master, 2)
-    test_seed = derive_seed(master, 3)
-    m = data.samples_per_device
+    # one generator draws every device's samples, another the test sets
     try:
-        if data.kind == "synthetic-blobs":
-            # every device draws its own samples: the store is the draws in
-            # uid order, each written into its device's range of rows
-            features = np.empty((env.n * m, data.feature_dim), dtype=DEVICE_DTYPE)
-            labels = np.empty(env.n * m, dtype=np.int64)
-            for uid, j in enumerate(topology.subregion.tolist()):
-                own = slice(uid * m, (uid + 1) * m)
-                draw = sample_local_dataset(spec, j, m, data_seed, salt=uid)
-                features[own], labels[own] = draw.features, draw.labels
-            samples = LabeledDataset(features, labels)
-            rows = np.arange(env.n * m).reshape(env.n, m)
-        else:
-            samples = pool
-            rows = np.empty((env.n, m), dtype=np.int64)
-            for uid, j in enumerate(topology.subregion.tolist()):
-                rows[uid] = sample_local_rows(spec, j, m, data_seed, uid)
-        test_sets = [
-            _device_floats(
-                sample_local_dataset(spec, j, data.test_samples, test_seed, salt=1_000_000 + j)
-            )
-            for j in range(k)
-        ]
+        samples, rows = sample_local_dataset(
+            spec, topology.subregion, data.samples_per_device, derive_seed(master, 2), DEVICE_DTYPE
+        )
+        tests, test_rows = sample_local_dataset(
+            spec, np.arange(k), data.test_samples, derive_seed(master, 3), DEVICE_DTYPE
+        )
     except ValueError as exc:
         # the sample counts are checked when the config is parsed, so the one
         # failure left is an IDX pool too small for them
         raise ConfigError(str(exc)) from None
+    test_sets = [tests.subset(own) for own in test_rows]
     init = init_parameters(Architecture(cfg.layers), derive_seed(master, 4))
     protocol = ProtocolConfig(
         tau=cfg.protocol.tau,
@@ -538,6 +513,15 @@ class CalibrationResult:
     inter_edges: int
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-d float array without NaN, bit for bit:
+    the mean of its middle value, or of its two middle values, as np.mean
+    takes it.  (np.median's NaN check imports numpy.ma.)"""
+    half, odd = divmod(len(values), 2)
+    part = np.partition(values, [half] if odd else [half - 1, half])
+    return float(np.mean(part[half - 1 + odd : half + 1]))
+
+
 def calibrate_tau(
     cfg: ExperimentConfig, seed: int | None = None, warmup_rounds: int = 3
 ) -> CalibrationResult:
@@ -569,8 +553,8 @@ def calibrate_tau(
             "calibration needs both intra- and inter-region topology edges "
             f"(got {len(intra)} intra, {len(inter)} inter)"
         )
-    intra_median = float(np.median(intra))
-    inter_median = float(np.median(inter))
+    intra_median = _median(intra)
+    inter_median = _median(inter)
     return CalibrationResult(
         tau=(intra_median + inter_median) / 2.0,
         intra_median=intra_median,

@@ -11,7 +11,6 @@ randomness comes from explicit seeds, so identical calls are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -282,6 +281,13 @@ def _first_max(columns: np.ndarray, top: np.ndarray) -> np.ndarray:
     return classes - np.maximum.reduce(hit.view(np.uint8) * weights[:, None], axis=0)
 
 
+def _label_index(labels: np.ndarray) -> np.ndarray:
+    """The flat index of each row's label in a (classes, rows) class-major
+    copy of the rows of (D, n) labels: one gather, not a 2-d fancy index."""
+    size = labels.size
+    return labels.ravel() * size + np.arange(size)
+
+
 def _bias_gradient(delta: np.ndarray) -> np.ndarray:
     """delta.sum(axis=1) of a (D, n, width) stack, bit for bit: the n rows
     added in order, as whole (D * width) rows of the batch-major copy."""
@@ -312,12 +318,11 @@ def loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
     params, x, labels = _as_stack(params, data)
     d, n = labels.shape
     columns, top = _class_major(_forward_batch(params, x)[-1])
-    picks, rows = labels.ravel(), np.arange(d * n)
-    acc = (_first_max(columns, top) == picks).reshape(d, n).mean(axis=1)
+    acc = (_first_max(columns, top) == labels.ravel()).reshape(d, n).mean(axis=1)
     # the log-softmax at each row's label: the label's shifted logit less
     # the log of the softmax denominator
     columns -= top
-    logp = columns[picks, rows]
+    logp = columns.reshape(-1)[_label_index(labels)]
     logp -= np.log(_column_sum(np.exp(columns, out=columns)))
     loss = -logp.reshape(d, n).mean(axis=1)
     if stacked:
@@ -341,7 +346,7 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     columns -= top
     np.exp(columns, out=columns)
     columns /= _column_sum(columns)
-    columns[labels.ravel(), np.arange(d * n)] -= 1.0
+    columns.reshape(-1)[_label_index(labels)] -= 1.0
     # delta goes back to batch-major, into the logits' buffer (they are not
     # read again), so every matmul below gets the operand layouts it would
     # get without the class-major head: OpenBLAS picks its kernel by layout
@@ -361,14 +366,27 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     return grads if stacked else grads[0]
 
 
+def shuffle_orders(seed: int, round_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, a C-contiguous (D, epochs, n) intp array, with a shuffle of
+    range(n) in every row and return it: one generator, seeded from (seed,
+    round_index), shuffles row after row in place, model 0's epochs first.
+    Model k's order so depends on its place k in the stack, not on which
+    other models share the call."""
+    out[...] = np.arange(out.shape[-1])
+    rows = out.reshape(-1, out.shape[-1])
+    # numpy's shuffle has its fast path for 8-byte items, hence intp
+    np.random.default_rng((int(seed), int(round_index))).permuted(rows, axis=1, out=rows)
+    return out
+
+
 def local_training(
     params: ParameterSet,
     data: LabeledDataset,
     cfg: TrainingConfig,
     mask=None,
     round_index: int = 0,
-    seeds: Sequence[int] | None = None,
     rows: np.ndarray | None = None,
+    orders: np.ndarray | None = None,
 ) -> ParameterSet:
     """Minibatch SGD for cfg.local_epochs epochs; returns new parameters.
 
@@ -376,12 +394,14 @@ def local_training(
     default every row.  Stacked models train in lockstep, model k on the
     rows[k] rows of a (D, n) rows, and come back stacked: every step does for
     each model exactly the arithmetic it would do alone.  Each batch is
-    gathered from data as it runs.  Model k's shuffle order is derived from
-    (seeds[k], round_index) only, so the call is deterministic; seeds
-    defaults to cfg.rng_seed for every model.  When a mask is given (a
-    SparseMask or a per-layer sequence of 0/1 arrays congruent to the
-    weights), weight gradients and the updated weights are zeroed at masked
-    positions after every step; biases always stay dense.
+    gathered from data as it runs.  orders[k, e] is model k's shuffle of
+    range(n) for epoch e, the positions in its rows it visits in turn: a
+    (D, epochs, n) array for a stack, (epochs, n) for one model.  By default
+    shuffle_orders draws them from (cfg.rng_seed, round_index), so the call
+    is deterministic.  When a mask is given (a SparseMask or a per-layer
+    sequence of 0/1 arrays congruent to the weights), weight gradients and
+    the updated weights are zeroed at masked positions after every step;
+    biases always stay dense.
     """
     mask_layers = None
     if mask is not None:
@@ -404,16 +424,18 @@ def local_training(
     params = _as_stack(params, data.gather(rows[..., :1]))[0]
     rows = rows.reshape(params.weights[0].shape[0], -1)
     d, n = rows.shape
-    seeds = [cfg.rng_seed] * d if seeds is None else list(seeds)
-    if len(seeds) != d:
-        raise ValueError(f"{len(seeds)} shuffle seeds for {d} models")
-    rngs = [np.random.default_rng((int(seed), int(round_index))) for seed in seeds]
+    shape = (d, cfg.local_epochs, n)
+    if orders is None:
+        orders = shuffle_orders(cfg.rng_seed, round_index, np.empty(shape, dtype=np.intp))
+    elif np.shape(orders) != (shape if stacked else shape[1:]):
+        raise ValueError(f"orders of shape {np.shape(orders)} for rows of shape {rows.shape}")
+    orders = np.reshape(orders, shape)
     flat_rows = rows.ravel()
     offsets = np.arange(0, d * n, n)[:, None]
     out = params.copy()
     lr = cfg.learning_rate
-    for _ in range(cfg.local_epochs):
-        order = flat_rows[np.stack([rng.permutation(n) for rng in rngs]) + offsets]
+    for epoch in range(cfg.local_epochs):
+        order = flat_rows[orders[:, epoch] + offsets]
         for start in range(0, n, cfg.batch_size):
             g = gradients(out, data.gather(order[:, start : start + cfg.batch_size]))
             for i in range(out.num_layers):

@@ -45,8 +45,8 @@ from .neuralnet import (
     TrainingConfig,
     local_training,
     loss_and_accuracy,
+    shuffle_orders,
 )
-from .seeds import derive_seed
 
 ARMS = ("sparsefuel", "global-fedavg", "isolated")
 
@@ -235,7 +235,9 @@ class SimulationState:
     holds device uid's current model: a round trains it and writes its
     federation's average over it, in place.  Row uid of decoded holds the
     model device uid's wire bytes decode to, once a round has exchanged
-    models; the stack is allocated once and each round writes into it."""
+    models; the stack is allocated once and each round writes into it.  Row
+    uid of orders holds device uid's shuffles of its training rows, one per
+    epoch, as the last round drew them into the one buffer."""
 
     topology: Topology
     samples: LabeledDataset
@@ -244,20 +246,23 @@ class SimulationState:
     params: ParameterSet
     bytes_total: int = 0
     decoded: ParameterSet = field(init=False, repr=False)
-    _shuffle_seeds: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    orders: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.decoded = ParameterSet(
             [np.empty_like(w) for w in self.params.weights],
             [np.empty_like(b) for b in self.params.biases],
         )
+        self.orders = np.empty((0, 0, 0), dtype=np.intp)
 
-    def shuffle_seeds(self, master: int) -> list[int]:
-        """derive_seed(master, uid) of every device in uid order, derived
-        once per master seed rather than every round."""
-        if master not in self._shuffle_seeds:
-            self._shuffle_seeds[master] = [derive_seed(master, u) for u in range(self.topology.n)]
-        return self._shuffle_seeds[master]
+    def shuffle(self, training: TrainingConfig, round_index: int) -> np.ndarray:
+        """Draw every device's row orders for the round into orders, in uid
+        order, from (training.rng_seed, round_index): the orders do not
+        depend on how the round cuts the devices into chunks or lanes."""
+        shape = (self.topology.n, training.local_epochs, self.train_rows.shape[1])
+        if self.orders.shape != shape:
+            self.orders = np.empty(shape, dtype=np.intp)
+        return shuffle_orders(training.rng_seed, round_index, self.orders)
 
 
 # Lockstep work on a stack of models holds, per model, its parameters and the
@@ -555,8 +560,9 @@ def _run_chunks(
     """Run every lockstep chunk of devices through its whole pipeline, the
     chunks spread over the lanes: compress its rows of state.params, train
     them under the round's mask on its rows of state.train_rows (every
-    device trains on the same number of rows) and write the trained models
-    back; then, when size is given (a round that exchanges models), encode
+    device trains on the same number of rows) in the orders state.shuffle
+    draws for all devices before the lanes start, and write the trained
+    models back; then, when size is given (a round that exchanges models), encode
     them for the wire, decode that into the chunk's rows of state.decoded
     and write each device's wire size into size.  When similarity is scored
     on uncompressed models the whole exchange is dense (broadcast,
@@ -571,7 +577,7 @@ def _run_chunks(
     fits the f32 the bytes carry."""
     params = state.params
     decoded = state.decoded
-    seeds = state.shuffle_seeds(cfg.training.rng_seed)
+    orders = state.shuffle(cfg.training, round_index)
 
     def pipeline(chunk: np.ndarray) -> int | None:
         """Run one chunk; return the lowest uid of its trained models that is
@@ -583,9 +589,9 @@ def _run_chunks(
             state.samples,
             cfg.training,
             mask=cm.mask,
-            round_index=round_index,
-            seeds=[seeds[uid] for uid in uids],
             rows=state.train_rows[chunk],
+            # a chunk is a run of consecutive uids: its orders are a view
+            orders=orders[uids[0] : uids[-1] + 1],
         )
         # the chunks' rows are disjoint, and this chunk's were read above
         for rows, trained in zip(params.weights + params.biases, out.weights + out.biases):

@@ -9,8 +9,12 @@ round, and count the rounds.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
+import glob
 import math
+import os
 import struct
 from collections import Counter, deque
 from typing import Iterable
@@ -271,14 +275,18 @@ def reference_gradients(params: ParameterSet, batch: LabeledDataset) -> Paramete
     return ParameterSet(grad_w, grad_b)
 
 
-def reference_local_training(params, data, cfg, mask=None, round_index=0) -> ParameterSet:
-    """Masked minibatch SGD of one model, shuffled by (cfg.rng_seed, round_index)."""
+def reference_local_training(
+    params, data, cfg, mask=None, round_index=0, order=None
+) -> ParameterSet:
+    """Masked minibatch SGD of one model, epoch e visiting data's rows in
+    order[e]; by default the (epochs, n) orders of a model trained alone,
+    reference_orders(cfg.rng_seed, round_index, 1, ...)[0]."""
     mask_layers = None if mask is None else [np.asarray(m) for m in getattr(mask, "layers", mask)]
-    rng = np.random.default_rng((int(cfg.rng_seed), int(round_index)))
-    out = params.copy()
     n = len(data)
-    for _ in range(cfg.local_epochs):
-        perm = rng.permutation(n)
+    if order is None:
+        order = reference_orders(cfg.rng_seed, round_index, 1, cfg.local_epochs, n)[0]
+    out = params.copy()
+    for perm in order:
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             g = reference_gradients(out, data.subset(idx))
@@ -457,33 +465,52 @@ def reference_quantize_tensor(t: np.ndarray):
     return scale, zero_point, q
 
 
-def reference_idx_draw(spec, subregion_id, m, seed, salt=0) -> LabeledDataset:
-    """One device's idx-label-skew dataset as the sampler drew it when every
-    device held a copy of its samples: the same rng draws, the pool rows
-    indexed directly."""
-    rng = np.random.default_rng((int(seed), int(subregion_id), int(salt)))
-    owned = list(spec.owned_labels[subregion_id])
-    own_pool = np.flatnonzero(np.isin(spec.pool.labels, owned))
-    other_pool = np.flatnonzero(~np.isin(spec.pool.labels, owned))
-    foreign = rng.random(m) < spec.epsilon
-    n_foreign = int(foreign.sum())
-    rows = np.empty(m, dtype=np.int64)
-    rows[~foreign] = rng.permutation(own_pool)[: m - n_foreign]
-    rows[foreign] = rng.permutation(other_pool)[:n_foreign]
-    return LabeledDataset(spec.pool.features[rows], spec.pool.labels[rows])
+# --------------------------------------------------------------------------
+# the randomness scheme one device at a time: a round's shuffle and each
+# world draw is one generator whose stream the devices take in uid order,
+# which these loops take device by device
 
 
-def reference_blob_draw(spec, subregion_id, m, seed, salt=0) -> LabeledDataset:
-    """One device's synthetic-blobs dataset with each sample's label looked
-    up per sample in Python, as the sampler first did."""
-    rng = np.random.default_rng((int(seed), int(subregion_id), int(salt)))
-    classes = spec.blob_classes[subregion_id]
-    picks = rng.integers(0, len(classes), m)
-    means = np.array([c.mean for c in classes])
-    stds = np.array([c.std for c in classes])
-    feats = means[picks] + rng.normal(0.0, 1.0, (m, means.shape[1])) * stds[picks, None]
-    np.clip(feats, 0.0, 1.0, out=feats)
-    return LabeledDataset(feats, np.array([classes[p].label for p in picks]))
+def reference_orders(seed, round_index, d, epochs, n) -> np.ndarray:
+    """shuffle_orders' (d, epochs, n) orders: one rng.permutation(n) per
+    model and epoch from one generator, model 0's epochs first."""
+    rng = np.random.default_rng((int(seed), int(round_index)))
+    return np.array(
+        [[rng.permutation(n) for _ in range(epochs)] for _ in range(d)], dtype=np.intp
+    ).reshape(d, epochs, n)
+
+
+def reference_idx_draw(spec, subregion, m, seed) -> list[LabeledDataset]:
+    """Each device's idx-label-skew dataset, devices in the given
+    subregions: every device's foreign mask in turn, then each device's
+    owned and foreign picks, its row lists found by np.isin."""
+    rng = np.random.default_rng(seed)
+    foreign = [rng.random(m) < spec.epsilon for _ in subregion]
+    datasets = []
+    for j, mixed in zip(subregion, foreign):
+        owned = np.isin(spec.pool.labels, list(spec.owned_labels[j]))
+        rows = np.empty(m, dtype=np.int64)
+        for pool, pick in ((np.flatnonzero(owned), ~mixed), (np.flatnonzero(~owned), mixed)):
+            rows[pick] = pool[rng.choice(len(pool), int(pick.sum()), replace=False)]
+        datasets.append(LabeledDataset(spec.pool.features[rows], spec.pool.labels[rows]))
+    return datasets
+
+
+def reference_blob_draw(spec, subregion, m, seed) -> list[LabeledDataset]:
+    """Each device's float64 synthetic-blobs dataset, devices in the given
+    subregions: every device's classes in turn, then each device's noise,
+    each sample's label looked up per sample in Python."""
+    rng = np.random.default_rng(seed)
+    picks = [rng.integers(0, len(spec.blob_classes[j]), m) for j in subregion]
+    datasets = []
+    for j, pick in zip(subregion, picks):
+        classes = spec.blob_classes[j]
+        means = np.array([c.mean for c in classes])
+        stds = np.array([c.std for c in classes])
+        feats = means[pick] + rng.normal(0.0, 1.0, (m, means.shape[1])) * stds[pick, None]
+        np.clip(feats, 0.0, 1.0, out=feats)
+        datasets.append(LabeledDataset(feats, np.array([classes[p].label for p in pick])))
+    return datasets
 
 
 def forward_features(data: LabeledDataset) -> np.ndarray:
@@ -515,6 +542,42 @@ def stack_models(models):
         [np.stack(ws) for ws in zip(*(m.weights for m in models))],
         [np.stack(bs) for bs in zip(*(m.biases for m in models))],
     )
+
+
+# --------------------------------------------------------------------------
+# the BLAS kernel the digests are pinned on
+
+
+# OpenBLAS's getter of the name of the core it runs, under the names its
+# builds export
+_OPENBLAS_CORENAME = (
+    "scipy_openblas_get_corename64_",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
+
+
+@functools.cache
+def openblas_core() -> str:
+    """The core (kernel set) the OpenBLAS numpy ships with runs, such as
+    SkylakeX or Haswell, found as protocol._blas_threads finds its setter;
+    "unknown" where there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_CORENAME:
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return "unknown"
+
+
+def digest_moved(name) -> str:
+    """The failure message of a metrics-CSV digest that moved: it names the
+    OpenBLAS core, since the digests hold on the SkylakeX core only."""
+    core = openblas_core()
+    return f"{name}: the metrics CSV digest moved under OpenBLAS core {core} (pinned on SkylakeX)"
 
 
 # --------------------------------------------------------------------------

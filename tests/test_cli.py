@@ -464,6 +464,26 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_calibration_leaves_numpy_ma_unimported(self, tmp_path):
+        # calibrate_tau takes its medians by a partition: np.median's NaN
+        # check imports numpy.ma
+        path = tmp_path / "small.cfg"
+        path.write_text(format_config(small_config()))
+        script = (
+            "import sys\n"
+            "from sparsefuel.harness import calibrate_tau, load_config\n"
+            "calibrate_tau(load_config(sys.argv[1]))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_console_script_help(self):
         value = _declared_console_script()
         assert EntryPoint("sparsefuel", value, "console_scripts").load() is main

@@ -13,9 +13,11 @@ from conftest import (
     reference_subregion_of,
     write_idx_pair,
 )
+from sparsefuel import environment
 from sparsefuel.environment import (
     Area,
     BlobClass,
+    DistributionSpec,
     build_topology,
     deploy_devices,
     idx_label_skew_spec,
@@ -193,6 +195,14 @@ def blob_labels(spec, sid):
     return {bc.label for bc in spec.blob_classes[sid]}
 
 
+def draw(spec, subregion, m, seed):
+    """The datasets sample_local_dataset draws for devices in the given
+    subregions, one per device."""
+    store, rows = sample_local_dataset(spec, np.asarray(subregion), m, seed)
+    assert rows.shape == (len(subregion), m) and rows.dtype.kind == "i"
+    return [store.subset(own) for own in rows]
+
+
 class TestSyntheticBlobs:
     def test_blob_labels_partition_the_class_range(self):
         spec = synthetic_blob_spec(k=4, classes_per_subregion=2, seed=0)
@@ -204,29 +214,63 @@ class TestSyntheticBlobs:
 
     def test_sample_uses_only_owned_labels_without_mixing(self):
         spec = synthetic_blob_spec(k=4, classes_per_subregion=2, seed=0)
-        for sid in range(4):
-            data = sample_local_dataset(spec, sid, m=200, seed=11)
+        for sid, data in zip([0, 1, 2, 3, 1], draw(spec, [0, 1, 2, 3, 1], 200, seed=11)):
             assert set(int(v) for v in np.unique(data.labels)) <= blob_labels(spec, sid)
             assert len(data) == 200
             assert data.features.min() >= 0.0 and data.features.max() <= 1.0
 
-    def test_sampling_deterministic_and_salt_sensitive(self):
+    def test_sampling_deterministic_and_seed_and_device_sensitive(self):
+        # two devices of one subregion, one generator: each device its own
+        # samples, the same on every draw from the seed, others from another
         spec = synthetic_blob_spec(k=2, classes_per_subregion=2, seed=4)
-        a = sample_local_dataset(spec, 0, m=50, seed=9)
-        b = sample_local_dataset(spec, 0, m=50, seed=9)
-        c = sample_local_dataset(spec, 0, m=50, seed=9, salt=1)
-        assert np.array_equal(a.features, b.features)
+        a, b = draw(spec, [0, 0], 50, seed=9)
+        again = draw(spec, [0, 0], 50, seed=9)
+        c = draw(spec, [0], 50, seed=10)[0]
+        assert np.array_equal(a.features, again[0].features)
+        assert np.array_equal(b.features, again[1].features)
+        assert not np.array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
 
     def test_draw_matches_the_per_sample_label_reference(self):
         spec = synthetic_blob_spec(k=3, classes_per_subregion=4, feature_dim=3, seed=2)
-        for sid in range(3):
-            for salt in (0, 11):
-                got = sample_local_dataset(spec, sid, m=70, seed=5, salt=salt)
-                want = reference_blob_draw(spec, sid, 70, seed=5, salt=salt)
+        for subregion in ([0, 1, 2], [2, 2, 0, 1, 0], [1]):
+            gots = draw(spec, subregion, 70, seed=5)
+            wants = reference_blob_draw(spec, subregion, 70, seed=5)
+            for got, want in zip(gots, wants, strict=True):
                 assert got.labels.dtype == want.labels.dtype == np.int64
                 assert np.array_equal(got.labels, want.labels)
                 assert got.features.tobytes() == want.features.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 48, 1000, 10**9])
+    def test_the_noise_block_changes_no_bit(self, monkeypatch, block):
+        # subregions of unequal class counts, and the noise drawn and shifted
+        # a few samples at a time or all at once; the store in float32
+        spec = DistributionSpec(
+            "synthetic-blobs",
+            blob_classes=(
+                (BlobClass(0, (0.2, 0.3), 0.1),),
+                (BlobClass(1, (0.7, 0.1), 0.05), BlobClass(2, (0.5, 0.9), 0.2)),
+                tuple(BlobClass(3 + c, (0.1 * c, 0.5), 0.3) for c in range(5)),
+            ),
+        )
+        monkeypatch.setattr(environment, "_DRAW_BLOCK_BYTES", block)
+        subregion = np.array([2, 0, 1, 1, 2, 0, 2])
+        store, rows = sample_local_dataset(spec, subregion, 33, seed=3, dtype=np.float32)
+        assert store.features.dtype == np.float32
+        assert np.array_equal(rows, np.arange(7 * 33).reshape(7, 33))
+        wants = reference_blob_draw(spec, subregion, 33, seed=3)
+        for own, want in zip(rows, wants, strict=True):
+            got = store.subset(own)
+            assert got.features.tobytes() == want.features.astype(np.float32).tobytes()
+            assert np.array_equal(got.labels, want.labels)
+
+    def test_subregions_out_of_range_are_rejected(self):
+        spec = synthetic_blob_spec(k=2, seed=0)
+        for bad in ([0, 2], [-1], [[0, 1]]):
+            with pytest.raises(ValueError, match=r"subregions must be a 1-d array of ids in \[0, 2\)"):
+                sample_local_dataset(spec, np.array(bad), 5, seed=0)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            sample_local_dataset(spec, np.array([0]), 0, seed=0)
 
     def test_synthetic_sampling_ignores_epsilon(self):
         # mixing is an idx-label-skew feature; blobs always draw owned classes
@@ -234,13 +278,12 @@ class TestSyntheticBlobs:
 
         spec = synthetic_blob_spec(k=4, classes_per_subregion=2, seed=0)
         mixed = dataclasses.replace(spec, epsilon=0.5)
-        data = sample_local_dataset(mixed, 0, m=100, seed=2)
+        data = draw(mixed, [0], 100, seed=2)[0]
         assert set(int(v) for v in np.unique(data.labels)) <= blob_labels(spec, 0)
 
     def test_different_subregions_get_disjoint_labels(self):
         spec = synthetic_blob_spec(k=4, classes_per_subregion=2, seed=0)
-        d0 = sample_local_dataset(spec, 0, m=100, seed=1)
-        d3 = sample_local_dataset(spec, 3, m=100, seed=1)
+        d0, d3 = draw(spec, [0, 3], 100, seed=1)
         assert set(np.unique(d0.labels)).isdisjoint(np.unique(d3.labels))
 
     def test_blob_std_must_be_finite_and_positive(self):
@@ -315,8 +358,8 @@ class TestIdx:
         img, lbl = write_idx_pair(tmp_path, images, labels)
         pool = load_idx(img, lbl)
         spec = idx_label_skew_spec(pool, k=2)
-        data = sample_local_dataset(spec, 1, m=20, seed=0)
-        assert set(np.unique(data.labels)) <= set(spec.owned_labels[1])
+        for data in draw(spec, [1, 1, 1], 20, seed=0):
+            assert set(np.unique(data.labels)) <= set(spec.owned_labels[1])
 
     def test_idx_epsilon_mixes_foreign_labels(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -325,7 +368,7 @@ class TestIdx:
         img, lbl = write_idx_pair(tmp_path, images, labels)
         pool = load_idx(img, lbl)
         spec = idx_label_skew_spec(pool, k=2, epsilon=0.5)
-        data = sample_local_dataset(spec, 0, m=300, seed=2)
+        data = draw(spec, [0], 300, seed=2)[0]
         own = set(spec.owned_labels[0])
         foreign = sum(1 for y in data.labels if int(y) not in own)
         assert 0.4 <= foreign / 300 <= 0.6
@@ -338,7 +381,7 @@ class TestIdx:
         img, lbl = write_idx_pair(tmp_path, images, labels)
         pool = load_idx(img, lbl)
         spec = idx_label_skew_spec(pool, k=2, epsilon=0.1)
-        data = sample_local_dataset(spec, 0, m=200, seed=3)
+        data = draw(spec, [0], 200, seed=3)[0]
         own = set(spec.owned_labels[0])
         owned_count = sum(1 for y in data.labels if int(y) in own)
         assert 160 <= owned_count <= 200
@@ -350,7 +393,7 @@ class TestIdx:
         pool = load_idx(img, lbl)
         spec = idx_label_skew_spec(pool, k=2)
         with pytest.raises(ValueError):
-            sample_local_dataset(spec, 0, m=50, seed=0)
+            sample_local_dataset(spec, np.array([0]), 50, seed=0)
 
 
 class TestSampleLocalRows:
@@ -364,17 +407,18 @@ class TestSampleLocalRows:
     @pytest.mark.parametrize("epsilon", [0.0, 0.2, 0.7])
     def test_rows_pick_the_sampled_dataset_bit_for_bit(self, tmp_path, epsilon):
         spec = self._spec(tmp_path, epsilon)
-        for subregion in range(3):
-            for salt in (0, 5, 1_000_002):
-                rows = sample_local_rows(spec, subregion, 40, seed=4, salt=salt)
-                assert rows.dtype == np.int64 and rows.shape == (40,)
-                picked = spec.pool.subset(rows)
-                for data in (
-                    sample_local_dataset(spec, subregion, 40, seed=4, salt=salt),
-                    reference_idx_draw(spec, subregion, 40, seed=4, salt=salt),
-                ):
-                    assert np.array_equal(picked.features, data.features)
-                    assert np.array_equal(picked.labels, data.labels)
+        for subregion in ([0, 1, 2], [2, 0, 2, 1, 1], [1]):
+            rows = sample_local_rows(spec, np.array(subregion), 40, seed=4)
+            assert rows.dtype == np.int64 and rows.shape == (len(subregion), 40)
+            store, drawn = sample_local_dataset(spec, np.array(subregion), 40, seed=4)
+            assert store is spec.pool and np.array_equal(drawn, rows)
+            wants = reference_idx_draw(spec, subregion, 40, seed=4)
+            for own, want in zip(rows, wants, strict=True):
+                # a device's rows are distinct: picks without replacement
+                assert len(set(own.tolist())) == 40
+                picked = spec.pool.subset(own)
+                assert np.array_equal(picked.features, want.features)
+                assert np.array_equal(picked.labels, want.labels)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.3])
     @pytest.mark.parametrize("label_set", [range(6), (1, 4, 5, 9, 200)])
@@ -388,9 +432,10 @@ class TestSampleLocalRows:
             owned = np.isin(spec.pool.labels, spec.owned_labels[subregion])
             assert np.array_equal(spec.own_rows[subregion], np.flatnonzero(owned))
             assert np.array_equal(spec.other_rows[subregion], np.flatnonzero(~owned))
-            for salt in (0, 7):
-                got = spec.pool.subset(sample_local_rows(spec, subregion, 30, seed=1, salt=salt))
-                want = reference_idx_draw(spec, subregion, 30, seed=1, salt=salt)
+            rows = sample_local_rows(spec, np.array([subregion] * 2), 30, seed=1)
+            wants = reference_idx_draw(spec, [subregion] * 2, 30, seed=1)
+            for own, want in zip(rows, wants, strict=True):
+                got = spec.pool.subset(own)
                 assert np.array_equal(got.features, want.features)
                 assert np.array_equal(got.labels, want.labels)
 
@@ -399,11 +444,11 @@ class TestSampleLocalRows:
         errors = []
         for sample in (sample_local_rows, sample_local_dataset):
             with pytest.raises(ValueError, match="pool exhausted for subregion 2") as info:
-                sample(spec, 2, 250, seed=0)
+                sample(spec, np.array([2]), 250, seed=0)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
     def test_synthetic_blobs_have_no_rows(self):
         spec = synthetic_blob_spec(k=2, seed=0)
         with pytest.raises(ValueError, match="synthetic-blobs data has no pool"):
-            sample_local_rows(spec, 0, 10, seed=0)
+            sample_local_rows(spec, np.array([0]), 10, seed=0)

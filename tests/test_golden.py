@@ -5,11 +5,14 @@ and accuracy, bytes, MACs), so an unchanged digest means unchanged behaviour
 byte for byte.  A change that moves floats on purpose must update the digests
 below and say why in CHANGES.md.
 
-The digests hold on one BLAS kernel: they were pinned with numpy 2.4.6 and
-its OpenBLAS 0.3.31 (DYNAMIC_ARCH), which ran its SkylakeX (AVX-512) kernels
-on the x86-64 host.  Runs compute in float32, where a product's rounding
-under another kernel can reach the CSV's six digits: with OpenBLAS's Haswell
-or Sandybridge kernels (OPENBLAS_CORETYPE) some of these digests differ.
+The digests hold on one BLAS kernel: they were re-pinned, when one generator
+per round came to draw every device's shuffle and one per world every
+device's samples, with numpy 2.4.6 and its OpenBLAS 0.3.31 (DYNAMIC_ARCH),
+which ran its SkylakeX (AVX-512) kernels on the x86-64 host.  Runs compute
+in float32, where a product's rounding under another kernel can reach the
+CSV's six digits: with OpenBLAS's Haswell or Sandybridge kernels
+(OPENBLAS_CORETYPE) some of these digests differ, and a digest that moves
+names the core in use.
 """
 
 import dataclasses
@@ -21,7 +24,7 @@ import pytest
 
 from sparsefuel.harness import load_config, metrics_csv_text, run_experiment
 
-from conftest import write_idx_pair
+from conftest import digest_moved, write_idx_pair
 
 QUADRANT_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "quadrant.cfg")
 
@@ -45,53 +48,56 @@ def digest(cfg, arm, seed):
 
 # (arm, seed, psi) -> digest, sparse+quantized wire
 QUADRANT_GOLDEN = {
-    ('sparsefuel', 1, 0.0): '2b95d383b10ef70987694231617ceee488401eb738b4a8fc979484aac5826687',
-    ('sparsefuel', 1, 0.3): '672186248c369a329a219188a57aabc7ad1f544ed98a152916c8e7c2224fbd52',
-    ('sparsefuel', 1, 0.9): '734b664ce9e59c0811f146c5cb98b05b0c22ba0435c1b455565169dfa125aa92',
-    ('sparsefuel', 2, 0.0): '08c09722f81d7e08b2fdfb387599b240d857eceefe8a49d54afae14d7ab00adc',
-    ('sparsefuel', 2, 0.3): '2c961b7f198074d64743c448b7b49bceaa9f5f59462520920893d9eda72190bc',
-    ('sparsefuel', 2, 0.9): '602256d73374e38462c59b201c229ad86ba09aef153f98762bacf695b4ca0081',
-    ('sparsefuel', 3, 0.0): '75d33c4fcd7a74bd74d091d1a9b0586ac2d0fb20fe5989bfd9f9c188e09bda9a',
-    ('sparsefuel', 3, 0.3): '5cd9c694a1e771b5218fe9ade6486e0a9ebad5fdfc9f296a9ebfaa935656d284',
-    ('sparsefuel', 3, 0.9): 'c58755396b08cce75f5411eae816309dd244bfbc9621210a665007050bb38982',
-    ('global-fedavg', 1, 0.0): '4e3ee2a33b45cd000db3823943f8b6c2ce038386883725c21deb7a5c6c57ee33',
-    ('global-fedavg', 1, 0.3): 'e8ca8bdd7b3f787f90256174e91287904066201f7ccd06705becf68818ed9974',
-    ('global-fedavg', 1, 0.9): '0eeb5ab039da14d2a9994ce5c2ea585e7f63f7576de2a42c35f9cd124f719c30',
-    ('global-fedavg', 2, 0.0): 'e7e655c162b80fe505b1a892b8693f5b78b13644af376e499f365d38313c0e47',
-    ('global-fedavg', 2, 0.3): 'e5e19309040d5f03f0dcc684c16831ee855a618925574e163bdd8826362b3449',
-    ('global-fedavg', 2, 0.9): 'fbd048fd04d46270ffce7d276e2e6a159003b39e1616d69be604adc0bae78805',
-    ('global-fedavg', 3, 0.0): 'bb7226db08805385b8a489c60ff0390da5e408713a49b0167563907ac1a85bef',
-    ('global-fedavg', 3, 0.3): '0e9c165301a8f95456f94996a795b79a359c2912f83ce5191c788acde167c70e',
-    ('global-fedavg', 3, 0.9): '21aa79d454afbfb8825b52a1df4e001b54b11d58f5cfeac868dba6f2065044f6',
-    ('isolated', 1, 0.0): 'd8682ff156789fcbdadf4148bc8faed451d5d666a2e9e5ed32642b6e62b482f6',
-    ('isolated', 1, 0.3): '2562c462d43c61772cb58c650c7002d4c6bb81899a0f231033de94b880b1ab8d',
-    ('isolated', 1, 0.9): 'cf8888093c9cbb4195762c9d4c30c80c442fc987407715c4aafd93f00acd9bfc',
-    ('isolated', 2, 0.0): '229f506a223fcc367eb732d677b342e16086669d6e7be6862e4966a08721082c',
-    ('isolated', 2, 0.3): 'ef4468eb8b258efeddb638f2ccf0161099f4280f18e307a98a72039f5463f9b2',
-    ('isolated', 2, 0.9): '7e0af5b928114e627cf8a1d4febeaa79da6c19b7bdd54d45119dc78529d9d4a9',
-    ('isolated', 3, 0.0): '8ffabdb67d389f829954f5d52de41671ccd086f5c3aa571789970be0696f63b0',
-    ('isolated', 3, 0.3): '66f2b3c070eded9c64bf838d2052ff8f7557ee1d70a533e7199d4e7f23ddca39',
-    ('isolated', 3, 0.9): '087964247ce63ff4ce7e6dae1163277fb8a8e167ee2c5624ca7c98e314f74595',
+    ('global-fedavg', 1, 0.0): 'bc5d59b07debfdac5d19be0481127159335c1d7ed5149dfe7eeb3f9afdf90d41',
+    ('global-fedavg', 1, 0.3): '0ae8457cffedb17a7777b6546623e42e610ba5168716879b2fbc93c2bdc2ab71',
+    ('global-fedavg', 1, 0.9): '0c8661a0c6f952a766e1453e2e02313180c480f306fdb2d6b69570339ea95b91',
+    ('global-fedavg', 2, 0.0): '59543ce1ad3af839338bdab0544d2176f067403b35af21673d3d35651123f402',
+    ('global-fedavg', 2, 0.3): 'f6fcf8c66cb3a4a25a5714d3e4473e93652532abc36669bd3f5d83e8c30e3e2c',
+    ('global-fedavg', 2, 0.9): '658997a7537930f0d73e8c82cb37ea7de57a2f9a3ad632fea29bb4a64fd1847f',
+    ('global-fedavg', 3, 0.0): '5cbec54401dabc1691794c57cac101d6d96774bc1dce1d100bcba52438af9762',
+    ('global-fedavg', 3, 0.3): 'db75e35be3fe899ae7305235ee1d80b3dc6724b25ebcd2b184213e89d91fa5a4',
+    ('global-fedavg', 3, 0.9): '21662c29a864c191527f07456a688c43da61cc30eba6c9974d4e467d8e33beb4',
+    ('isolated', 1, 0.0): '512ddd99946433076c8239bdfbbbc4119817b5a2e16e459f9dbe23bab8455084',
+    ('isolated', 1, 0.3): '6337cfc3b444b28d8d5a385e3ac0f31c6ac014b0978727fd71f45315e47a218c',
+    ('isolated', 1, 0.9): '0515b2a3a546c36bf322b7ff37391dffe0bcfca5eb5e5d7af83ab60c268acaae',
+    ('isolated', 2, 0.0): 'fd61cc5658d996bb63644f80649310e01914627cc5fe960143c679d13f844ac1',
+    ('isolated', 2, 0.3): '6b370f74bf57b13114b3123e7fa002e18524a88b990da28a3e13ce4450353a9b',
+    ('isolated', 2, 0.9): 'e99fed6d12c943321f105572ed98c518461ec81468056f9793eb0fcab2ac9db7',
+    ('isolated', 3, 0.0): '78b0a6fa4d689b2b9ca9de55c88751d8babd76055dc34d8852aad8827cfa62ba',
+    ('isolated', 3, 0.3): '2f6405d9a172fdd2cbe56ec91145d95ffc1538d411e5c5c238eabfe66fdd9ee2',
+    ('isolated', 3, 0.9): '709de0b2af3d22b21458511774af02b3adc373f8a38ae2b2230aacb1357033b2',
+    ('sparsefuel', 1, 0.0): 'fd7f137e042effc91bc90a8befe1fe781f86190a8a12dd33f25d3a210c84274c',
+    ('sparsefuel', 1, 0.3): '175f9468e6167131624b1d2c5a3295ae37773f695e6a9d2c595a0864473d400a',
+    ('sparsefuel', 1, 0.9): 'f8de09e6ee8ab7aaf3b1b8ac42ed07eabdbf9ce00053432de4c4f731ef642c24',
+    ('sparsefuel', 2, 0.0): '557cdf4011f6d4821ea0e961775cd41228766cf16f807c2fa46a27484a776bf4',
+    ('sparsefuel', 2, 0.3): '76f476c195096abda2d74836610d3a3deec1cad4f92f1794964c6d1a55cf7bf8',
+    ('sparsefuel', 2, 0.9): '18535da35b197fe2ac7404d7c820aadf76360a5d9ae1f1b8f14cc7efd63c922e',
+    ('sparsefuel', 3, 0.0): 'd75c98ddd850f707339fdb140564a2d138cbc06a920cea349105f76929d211f0',
+    ('sparsefuel', 3, 0.3): '5ae2d6369ed394bc5ecccbf7190fcdb1817d4f12fc68a8156369c58da85217d5',
+    ('sparsefuel', 3, 0.9): '077e93f6b1e4bf445679aa5e7b90c1f7532f523face1cfa6230c814aec0c0919',
 }
 
 # (kind, psi, similarity_uses_compressed) -> digest, sparsefuel arm, seed 1
 WIRE_GOLDEN = {
-    ('dense', 0.0, True): '28de9567380a55028f87ed384379f9159d66ad600f058f865139240f77115e12',
-    ('sparse', 0.3, True): '5ca5e28bcfb91d3b506dcd6aba61d40a6e9b9bc347fb90831b84969c7cf7e94e',
-    ('quantized', 0.0, True): 'fbd61cbeac06d2892eb9ac09c13ab169427556e5c5c32461eb9b751f409926ed',
-    ('sparse+quantized', 0.3, False): '8b3721b2443cf69179831bace9ca64d4bda1d2183bf2b02790250aa946abbbc0',
+    ('dense', 0.0, True): 'dea017d7418880aabbd1f75f57e5d274ae9d28b4f7e3d532ae380e4293daaf77',
+    ('quantized', 0.0, True): '713d4b63565b05b2bf2adcb5eb7291626043d99ded2cee314aa5ef59fc49807e',
+    ('sparse', 0.3, True): '47af52db3dcc9a98ecf8249129232a2dc9f6b4160354c4340f4836624d8e6af3',
+    ('sparse+quantized', 0.3, False): 'cc85a72ba6a328a95e5be1591c9674ac50a523b874643e98edd66ef07e82a6de',
 }
 
 
 @pytest.mark.parametrize("arm, seed, psi", sorted(QUADRANT_GOLDEN))
 def test_quadrant_digest(arm, seed, psi):
-    assert digest(quadrant_case(psi=psi), arm, seed) == QUADRANT_GOLDEN[(arm, seed, psi)]
+    got = digest(quadrant_case(psi=psi), arm, seed)
+    assert got == QUADRANT_GOLDEN[(arm, seed, psi)], digest_moved(f"{arm}, seed {seed}, psi {psi}")
 
 
 @pytest.mark.parametrize("kind, psi, similarity_uses_compressed", sorted(WIRE_GOLDEN))
 def test_wire_variant_digest(kind, psi, similarity_uses_compressed):
     cfg = quadrant_case(kind, psi, similarity_uses_compressed)
-    assert digest(cfg, "sparsefuel", 1) == WIRE_GOLDEN[(kind, psi, similarity_uses_compressed)]
+    got = digest(cfg, "sparsefuel", 1)
+    want = WIRE_GOLDEN[(kind, psi, similarity_uses_compressed)]
+    assert got == want, digest_moved(f"{kind}, psi {psi}, compressed similarity {similarity_uses_compressed}")
 
 
 # A 36-64-8 MLP at batch 32 needs 4 * (2888 params + 32 * 108 activations)
@@ -99,7 +105,7 @@ def test_wire_variant_digest(kind, psi, similarity_uses_compressed):
 # train as one chunk.
 IDX_LAYERS = (36, 64, 8)
 IDX_DEVICES = 9
-IDX_GOLDEN = 'a27c3ee6406651e2a12e03bd026863961f6c25750653b595fb8e1a037362550f'
+IDX_GOLDEN = 'be57a25eccc950e778e8044d42c2f6ff4af0d082e050eab14fc9cfc22c463825'
 
 
 def idx_case(tmp_path):
@@ -128,4 +134,4 @@ def idx_case(tmp_path):
 
 
 def test_idx_label_skew_digest(tmp_path):
-    assert digest(idx_case(tmp_path), "sparsefuel", 1) == IDX_GOLDEN
+    assert digest(idx_case(tmp_path), "sparsefuel", 1) == IDX_GOLDEN, digest_moved("idx-label-skew")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sparsefuel import harness
 from sparsefuel.compression import KINDS, decompress, from_bytes
-from sparsefuel.environment import PLACEMENTS, sample_local_dataset
+from sparsefuel.environment import PLACEMENTS
 from sparsefuel.harness import (
     KEY_TABLE,
     ConfigError,
@@ -38,7 +38,7 @@ from sparsefuel.harness import (
 from sparsefuel.protocol import DEVICE_DTYPE, evaluate_objective
 from sparsefuel.seeds import derive_seed
 
-from conftest import reference_idx_draw, small_config, write_idx_pair
+from conftest import reference_blob_draw, reference_idx_draw, small_config, write_idx_pair
 
 
 class TestParseConfig:
@@ -321,12 +321,15 @@ class TestBuildWorld:
         assert len(records) == 2
 
     def test_synthetic_store_holds_each_devices_draw(self):
+        # one generator draws the devices' samples, another the test sets:
+        # one test set per subregion, drawn as devices of subregions 0..k-1
         cfg = small_config()
         world = build_world(cfg, seed=5)
-        data_seed = derive_seed(5, 2)
-        for uid, (j, rows) in enumerate(zip(world.topology.subregion, world.rows, strict=True)):
-            got = world.samples.subset(rows)
-            want = sample_local_dataset(world.spec, j, 60, data_seed, salt=uid)
+        wants = reference_blob_draw(world.spec, world.topology.subregion, 60, derive_seed(5, 2))
+        gots = [world.samples.subset(rows) for rows in world.rows]
+        wants += reference_blob_draw(world.spec, range(4), 80, derive_seed(5, 3))
+        gots += world.test_sets
+        for got, want in zip(gots, wants, strict=True):
             # the store holds the float64 draw in the devices' dtype
             assert got.features.dtype == DEVICE_DTYPE
             assert np.array_equal(got.features, want.features.astype(DEVICE_DTYPE))
@@ -364,10 +367,12 @@ class TestBuildWorld:
         cfg = self._idx_config(tmp_path, layers=(4, 6, 2))
         cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, epsilon=0.3))
         world = build_world(cfg, seed=2)
-        data_seed = derive_seed(2, 2)
-        for uid, (j, rows) in enumerate(zip(world.topology.subregion, world.rows, strict=True)):
-            got = world.samples.subset(rows)
-            want = reference_idx_draw(world.spec, j, 8, data_seed, salt=uid)
+        subregion = world.topology.subregion
+        wants = reference_idx_draw(world.spec, subregion, 8, derive_seed(2, 2))
+        gots = [world.samples.subset(rows) for rows in world.rows]
+        wants += reference_idx_draw(world.spec, range(2), 4, derive_seed(2, 3))
+        gots += world.test_sets
+        for got, want in zip(gots, wants, strict=True):
             assert np.array_equal(got.features, want.features)
             assert np.array_equal(got.labels, want.labels)
 
@@ -554,6 +559,23 @@ class TestCalibrateTau:
         cfg = dataclasses.replace(cfg, environment=env, data=data)
         with pytest.raises(ValueError, match="intra- and inter-region"):
             calibrate_tau(cfg, seed=0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.5, 2.25, 5e-324]),
+            min_size=1,
+            max_size=41,
+        )
+    )
+    def test_median_is_numpys_bit_for_bit(self, values):
+        # odd and even lengths, length 1, ties, signed zeros and sums that
+        # overflow: the partition median is np.median's float
+        values = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = harness._median(values), np.median(values)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, got, want)
 
 
 class TestSaveCheckpoints:

@@ -45,6 +45,7 @@ from sparsefuel.neuralnet import (
     init_parameters,
     local_training,
     loss_and_accuracy,
+    shuffle_orders,
 )
 from sparsefuel.protocol import (
     ARMS,
@@ -56,13 +57,13 @@ from sparsefuel.protocol import (
     make_state,
     run_round,
 )
-from sparsefuel.seeds import derive_seed
 
 from conftest import (
     cast_models,
     quadrant_config,
     reference_local_training,
     reference_loss,
+    reference_orders,
     sample_store,
     small_config,
     stack_models,
@@ -96,15 +97,15 @@ def random_mask(arch, seed, keep=0.7):
 
 class TestLockstepTraining:
     def test_stack_matches_reference_per_device(self):
-        # five devices, each with its own start model, data, shuffle seed and
-        # mask, their 37 rows each laid one after another in a 185-row store;
-        # 37 rows at batch 16 leave a partial last batch of 5
+        # five devices, each with its own start model, data, place in the
+        # shuffle and mask, their 37 rows each laid one after another in a
+        # 185-row store; 37 rows at batch 16 leave a partial last batch of 5
         arch = Architecture((3, 7, 4))
         models = [init_parameters(arch, 10 + k) for k in range(5)]
         data = [toy_data(20 + k, 37, dim=3) for k in range(5)]
         masks = [random_mask(arch, 30 + k) for k in range(5)]
-        seeds = [derive_seed(99, k) for k in range(5)]
-        cfg = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=0)
+        cfg = TrainingConfig(local_epochs=2, batch_size=16, learning_rate=0.1, rng_seed=99)
+        orders = reference_orders(99, 3, 5, 2, 37)
         store, rows = sample_store(data)
         assert len(store) == 185 and np.shape(rows) == (5, 37)
         out = local_training(
@@ -113,14 +114,11 @@ class TestLockstepTraining:
             cfg,
             mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
             round_index=3,
-            seeds=seeds,
             rows=np.array(rows),
         )
         assert out.stacked and out.weights[0].shape == (5, 7, 3)
         for k in range(5):
-            want = reference_local_training(
-                models[k], data[k], dataclasses.replace(cfg, rng_seed=seeds[k]), masks[k], round_index=3
-            )
+            want = reference_local_training(models[k], data[k], cfg, masks[k], order=orders[k])
             assert_same_model(out[k], want)
 
     def test_single_model_without_mask_matches_reference(self):
@@ -141,24 +139,19 @@ class TestLockstepTraining:
         rows = np.array([rng.choice(50, 23, replace=False) for _ in range(4)])
         models = [init_parameters(arch, 70 + k) for k in range(4)]
         masks = [random_mask(arch, 80 + k) for k in range(4)]
-        seeds = [derive_seed(3, k) for k in range(4)]
-        cfg = TrainingConfig(local_epochs=2, batch_size=8, learning_rate=0.1, rng_seed=0)
+        cfg = TrainingConfig(local_epochs=2, batch_size=8, learning_rate=0.1, rng_seed=3)
+        orders = reference_orders(3, 4, 4, 2, 23)
         out = local_training(
             stack_models(models),
             store,
             cfg,
             mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
             round_index=4,
-            seeds=seeds,
             rows=rows,
         )
         for k in range(4):
             want = reference_local_training(
-                models[k],
-                store.subset(rows[k]),
-                dataclasses.replace(cfg, rng_seed=seeds[k]),
-                masks[k],
-                round_index=4,
+                models[k], store.subset(rows[k]), cfg, masks[k], order=orders[k]
             )
             assert_same_model(out[k], want)
         single = local_training(models[0], store, cfg, round_index=4, rows=rows[0])
@@ -194,12 +187,36 @@ class TestLockstepTraining:
         with pytest.raises(ValueError, match="empty dataset"):
             local_training(models, store, cfg, rows=np.zeros((2, 0)))
 
-    def test_seed_count_must_match_stack(self):
+    def test_orders_must_match_the_stack(self):
         models = stack_models([init_parameters(Architecture((2, 3)), k) for k in range(2)])
         store = toy_data(1, 8)
-        cfg = TrainingConfig(local_epochs=1, batch_size=2, learning_rate=0.1, rng_seed=0)
-        with pytest.raises(ValueError, match="2 models"):
-            local_training(models, store, cfg, seeds=[1, 2, 3], rows=np.arange(8).reshape(2, 4))
+        cfg = TrainingConfig(local_epochs=2, batch_size=2, learning_rate=0.1, rng_seed=0)
+        rows = np.arange(8).reshape(2, 4)
+        for shape in ((3, 2, 4), (2, 1, 4), (2, 2, 3), (2, 4)):
+            with pytest.raises(ValueError, match="^orders of shape"):
+                local_training(models, store, cfg, rows=rows, orders=np.zeros(shape, np.intp))
+        with pytest.raises(ValueError, match="^orders of shape"):
+            local_training(models[0], store, cfg, rows=rows[0], orders=np.zeros((1, 2, 4), np.intp))
+
+    def test_given_orders_are_the_drawn_orders(self):
+        # training on shuffle_orders' draw is training on the default draw,
+        # and each row of that draw is the per-model reference's shuffle
+        arch = Architecture((2, 5, 3))
+        models = stack_models([init_parameters(arch, k) for k in range(3)])
+        store = toy_data(2, 30, classes=3)
+        rows = np.arange(30).reshape(3, 10)
+        cfg = TrainingConfig(local_epochs=3, batch_size=4, learning_rate=0.1, rng_seed=8)
+        drawn = shuffle_orders(8, 6, np.empty((3, 3, 10), dtype=np.intp))
+        assert drawn.dtype == np.intp and np.array_equal(drawn, reference_orders(8, 6, 3, 3, 10))
+        want = local_training(models, store, cfg, round_index=6, rows=rows)
+        assert_same_model(local_training(models, store, cfg, rows=rows, orders=drawn), want)
+        # other orders train otherwise, and one model takes its own (epochs, n)
+        assert not np.array_equal(
+            local_training(models, store, cfg, rows=rows, orders=drawn[::-1]).weights[0],
+            want.weights[0],
+        )
+        single = local_training(models[1], store, cfg, rows=rows[1], orders=drawn[1])
+        assert_same_model(single, want[1])
 
     def test_stacked_loss_is_per_pair_loss(self):
         arch = Architecture((2, 5, 4))
@@ -267,12 +284,13 @@ def line_state(arch=WIDE):
 def reference_round(state, round_index):
     """Per-device training and wire round trip: (trained, decoded) by uid."""
     trained, decoded = {}, {}
+    epochs, rows = TRAINING.local_epochs, state.train_rows.shape[1]
+    orders = reference_orders(TRAINING.rng_seed, round_index, N, epochs, rows)
     for uid in range(N):
         cm = compress(state.params[uid], STRATEGY)
-        tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, uid))
         train = state.samples.subset(state.train_rows[uid])
         trained[uid] = reference_local_training(
-            decompress(cm), train, tcfg, mask=cm.mask, round_index=round_index
+            decompress(cm), train, TRAINING, mask=cm.mask, order=orders[uid]
         )
         wire = encode_wire(trained[uid], STRATEGY, cm.mask)
         decoded[uid] = decompress(from_bytes(to_bytes(wire)))
@@ -345,10 +363,10 @@ class TestDeviceBank:
         cfg = dataclasses.replace(protocol_config(), strategy=CompressionStrategy("dense"))
         starts = state.params.copy()
         run_round(state, cfg, 1, arm="isolated")
+        orders = reference_orders(TRAINING.rng_seed, 1, 5, TRAINING.local_epochs, 20)
         for uid in range(5):
-            tcfg = dataclasses.replace(TRAINING, rng_seed=derive_seed(TRAINING.rng_seed, uid))
             train = state.samples.subset(state.train_rows[uid])
-            want = reference_local_training(starts[uid], train, tcfg, round_index=1)
+            want = reference_local_training(starts[uid], train, TRAINING, order=orders[uid])
             assert_same_model(state.params[uid], want)
 
     def test_splits_keep_the_row_order(self):
@@ -440,11 +458,12 @@ def test_quadrant_trains_in_one_chunk_like_the_reference():
     assert lockstep_chunk(world.init_params, training.batch_size) >= 64
     starts = state.params.copy()
     run_round(state, world.protocol, 1, arm="isolated")
+    orders = reference_orders(training.rng_seed, 1, 64, training.local_epochs, m - n_val)
+    assert np.array_equal(state.orders, orders)
     for uid in range(64):
         cm = compress(starts[uid], world.protocol.strategy)
-        tcfg = dataclasses.replace(training, rng_seed=derive_seed(training.rng_seed, uid))
         train = world.samples.subset(state.train_rows[uid])
-        want = reference_local_training(decompress(cm), train, tcfg, mask=cm.mask, round_index=1)
+        want = reference_local_training(decompress(cm), train, training, cm.mask, order=orders[uid])
         assert_same_model(state.params[uid], want)
 
 
@@ -509,12 +528,11 @@ class TestLanes:
         assert get_threads() == before
 
         state = line_state(ALONE)
-        failing_seed = state.shuffle_seeds(TRAINING.rng_seed)[5]
 
-        def failing(*args, seeds, **kwargs):
-            if seeds[0] == failing_seed:
+        def failing(*args, rows, **kwargs):
+            if np.array_equal(rows, state.train_rows[5:6]):
                 raise ValueError("chunk failed")
-            return train(*args, seeds=seeds, **kwargs)
+            return train(*args, rows=rows, **kwargs)
 
         monkeypatch.setattr(protocol, "local_training", failing)
         with pytest.raises(ValueError, match="^chunk failed$"):
@@ -539,6 +557,28 @@ class TestLanes:
             monkeypatch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
             runs.add(metrics_csv_text(run_experiment_result(cfg, seed=7).records))
         assert len(runs) == 1
+
+    def test_the_orders_are_the_same_in_chunks_of_one_device(self, monkeypatch):
+        # a round draws every device's orders before its lanes start: three
+        # rounds of configs/quadrant.cfg, repeated, in one chunk on two lanes
+        # and in chunks of one device each on one lane and on two, give one
+        # CSV, and the last round's orders are the per-device reference's
+        cfg = load_config(str(REPO_ROOT / "configs" / "quadrant.cfg"))
+        cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, rounds=3))
+        model = cast_models(init_parameters(Architecture(cfg.layers), 0), DEVICE_DTYPE)
+        runs, orders = set(), []
+        for lanes, budget in [(2, LOCKSTEP_BUDGET_BYTES)] * 2 + [(1, 1), (2, 1)]:
+            monkeypatch.setattr(protocol, "_LANES", lanes)
+            monkeypatch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
+            chunks = protocol._lockstep_chunks(64, model, cfg.protocol.batch_size)
+            assert len(chunks) == (64 if budget == 1 else 1)
+            result = run_experiment_result(cfg, seed=7)
+            runs.add(metrics_csv_text(result.records))
+            orders.append(result.state.orders)
+        assert len(runs) == 1
+        seed, shape = result.world.protocol.training.rng_seed, result.state.train_rows.shape
+        want = reference_orders(seed, 3, 64, cfg.protocol.local_epochs, shape[1])
+        assert all(np.array_equal(got, want) for got in orders)
 
     def test_a_one_chunk_round_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(protocol, "_LANES", ALL_LANES)
@@ -781,13 +821,13 @@ class TestDivergence:
     def _faulty(monkeypatch, diverged=()):
         """Train as usual, then make the trained model of each device in
         `diverged` infinite."""
-        shuffle = line_state(ALONE).shuffle_seeds(TRAINING.rng_seed)
-        infinite = {shuffle[uid] for uid in diverged}
+        train_rows = line_state(ALONE).train_rows
+        infinite = [train_rows[uid] for uid in diverged]
         train = protocol.local_training
 
-        def faulty(*args, seeds, **kwargs):
-            out = train(*args, seeds=seeds, **kwargs)
-            if seeds[0] in infinite:
+        def faulty(*args, rows, **kwargs):
+            out = train(*args, rows=rows, **kwargs)
+            if any(np.array_equal(rows[0], own) for own in infinite):
                 out.biases[-1][0, 0] = np.inf
             return out
 

@@ -339,7 +339,6 @@ class TestClassMajorHead:
         data = store.gather(table)
         # a batch that does not divide rows leaves a partial last batch
         cfg = TrainingConfig(local_epochs=2, batch_size=batch, learning_rate=0.5, rng_seed=seed)
-        seeds = [seed + k for k in range(models)]
 
         def results():
             return [
@@ -347,7 +346,7 @@ class TestClassMajorHead:
                 neuralnet.loss_and_accuracy(stack[0], data.subset(0)),
                 neuralnet.gradients(stack, data),
                 neuralnet.gradients(stack[0], data.subset(0)),
-                local_training(stack, store, cfg, round_index=1, seeds=seeds, rows=table),
+                local_training(stack, store, cfg, round_index=1, rows=table),
                 local_training(stack[0], store, cfg, round_index=1, rows=table[0]),
             ]
 
@@ -459,12 +458,11 @@ class TestEightBitFeatures:
         models = stack_models([init_parameters(arch, seed + k) for k in range(d)])
         rows = np.arange(d * n).reshape(d, n)
         cfg = TrainingConfig(local_epochs=2, batch_size=3, learning_rate=0.5, rng_seed=seed)
-        seeds = [seed + k for k in range(d)]
         for run in (
             lambda s: loss_and_accuracy(models[0], s),
             lambda s: loss_and_accuracy(models, s.gather(rows)),
             lambda s: gradients(models, s.gather(rows)),
-            lambda s: local_training(models, s, cfg, round_index=1, seeds=seeds, rows=rows),
+            lambda s: local_training(models, s, cfg, round_index=1, rows=rows),
         ):
             assert _same_bits(run(store), run(twin))
 
@@ -493,12 +491,11 @@ class TestEightBitFeatures:
         )
         rows = np.arange(d * n).reshape(d, n)
         cfg = TrainingConfig(local_epochs=2, batch_size=3, learning_rate=0.5, rng_seed=seed)
-        seeds = [seed + k for k in range(d)]
         for run in (
             lambda s: loss_and_accuracy(models[0], s),
             lambda s: loss_and_accuracy(models, s.gather(rows)),
             lambda s: gradients(models, s.gather(rows)),
-            lambda s: local_training(models, s, cfg, round_index=1, seeds=seeds, rows=rows),
+            lambda s: local_training(models, s, cfg, round_index=1, rows=rows),
         ):
             got, want = run(store), run(twin)
             assert _same_bits(got, want)

@@ -42,7 +42,6 @@ from sparsefuel.protocol import (
     make_state,
     run_round,
 )
-from sparsefuel.seeds import derive_seed
 
 from conftest import (
     reference_evaluate_objective,
@@ -118,11 +117,14 @@ class TestCrossSimilarity:
         spec = synthetic_blob_spec(k=4, classes_per_subregion=2, seed=3)
         arch = Architecture((2, 8, 8))
         cfg = TrainingConfig(local_epochs=5, batch_size=16, learning_rate=0.1, rng_seed=0)
-        models, vals = [], []
-        for sid, salt in ((0, 0), (0, 1), (3, 2)):
-            data = sample_local_dataset(spec, sid, m=120, seed=7, salt=salt)
-            models.append(local_training(init_parameters(arch, salt), data, cfg))
-            vals.append(sample_local_dataset(spec, sid, m=60, seed=8, salt=salt))
+        # two devices of subregion 0 and one of subregion 3
+        subregion = np.array([0, 0, 3])
+        store, rows = sample_local_dataset(spec, subregion, 120, seed=7)
+        models = [
+            local_training(init_parameters(arch, k), store, cfg, rows=own) for k, own in enumerate(rows)
+        ]
+        store, rows = sample_local_dataset(spec, subregion, 60, seed=8)
+        vals = [store.subset(own) for own in rows]
         same_region = cross_similarity(models[0], models[1], vals[0], vals[1])
         cross_region = cross_similarity(models[0], models[2], vals[0], vals[2])
         assert cross_region > same_region
@@ -492,11 +494,8 @@ class TestRunRound:
         # expected: compress -> decompress -> masked local training, no averaging loss
         baseline = self._state(1)
         cm = compress(baseline.params[0], cfg.strategy)
-        tcfg = dataclasses.replace(
-            cfg.training, rng_seed=derive_seed(cfg.training.rng_seed, 0)
-        )
         train = baseline.samples.subset(baseline.train_rows[0])
-        expected = local_training(decompress(cm), train, tcfg, mask=cm.mask, round_index=1)
+        expected = local_training(decompress(cm), train, cfg.training, mask=cm.mask, round_index=1)
         got = state.params[0]
         for x, y in zip(got.weights + got.biases, expected.weights + expected.biases):
             assert np.array_equal(x, y)

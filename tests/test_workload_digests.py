@@ -3,10 +3,11 @@ CSV of one seed-7 experiment of each workload in perfbench/workloads.py.
 
 These are the digests perfbench/run.py prints for the same runs, so a change
 that moves them moves what the benchmark measures.  Like the golden digests
-in test_golden.py, they were pinned with numpy 2.4.6 and its OpenBLAS 0.3.31,
-on its SkylakeX (AVX-512) kernels on an x86-64 host.  Under its Haswell or
-Sandybridge kernels the quadrant and idx-global digests differ; field-4096's
-holds.
+in test_golden.py, they were re-pinned, when one generator per round came to
+draw every device's shuffle and one per world every device's samples, with
+numpy 2.4.6 and its OpenBLAS 0.3.31, on its SkylakeX (AVX-512) kernels on an
+x86-64 host.  Under its Haswell or Sandybridge kernels the quadrant and
+idx-global digests differ, and a digest that moves names the core in use.
 """
 
 import hashlib
@@ -17,14 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import digest_moved
 from sparsefuel.harness import build_world, metrics_csv_text, run_experiment_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
-    "quadrant": "a7a36f12520dba3a4d88036709cfb50c331f9d28c7f625b26f70f77d244baa65",
-    "idx-global": "a81cadfb1f0db0af10863673a0b18a6ff8d7f93f63731b473d047912b51bf1b2",
-    "field-4096": "d5f967b1803ac7dc5fe0b34b1fe3ea89089301b345600bbed709612630644c4f",
+    "quadrant": "24e1704f8979ed6b24a34f8a930a0827f0bfd38f31a9ab23777f96711b269aca",
+    "idx-global": "f24827bbfdf5e038bddcb77cb0261995c0ee4df291052d5c65d2b01627cbe2d5",
+    "field-4096": "9c542474466857f0054c7361ac651e560086da9ed18eb7a4baecbe3eddbc30fb",
 }
 
 
@@ -42,7 +44,7 @@ def load_workloads():
 def test_seed_7_workload_csv_digest(name, tmp_path):
     wl, _ = load_workloads().load(name, 7, str(tmp_path))
     csv_text = metrics_csv_text(run_experiment_result(wl.cfg, wl.arm, 7).records)
-    assert hashlib.sha256(csv_text.encode()).hexdigest() == DIGESTS[name]
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == DIGESTS[name], digest_moved(name)
 
 
 def test_idx_global_world_holds_the_pool_bytes(tmp_path):
