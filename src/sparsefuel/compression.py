@@ -101,15 +101,10 @@ class QuantizedTensor:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.uint8)
-        # checked as Python numbers, one per tensor of a stack: numpy's call
-        # overhead would dominate the check of one parsed tensor's scalars
-        many = isinstance(self.scale, np.ndarray)
-        scales, zero_points = (
-            np.ravel(x).tolist() if many else [x] for x in (self.scale, self.zero_point)
-        )
-        if not all(0 <= z <= 255 for z in zero_points):
+        zero_point = np.asarray(self.zero_point)
+        if not ((zero_point >= 0) & (zero_point <= 255)).all():
             raise ValueError(f"zero_point must be in [0, 255], got {self.zero_point}")
-        if not all(map(math.isfinite, scales)):
+        if not np.isfinite(self.scale).all():
             raise ValueError("scale must be finite")
 
     def __getitem__(self, k) -> "QuantizedTensor":
@@ -145,7 +140,7 @@ class CompressedModel:
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with ties away from zero (np.round ties to even)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 def _floor_count(psi: float, n: int) -> int:
@@ -206,8 +201,7 @@ def _quantize_tensor(t: np.ndarray, lead: tuple[int, ...]) -> QuantizedTensor:
 def quantize_affine(params: ParameterSet) -> list[QuantizedTensor]:
     """Quantize every tensor (weights and biases) of each model (one, or a
     stack) to u8 independently; the tensors in order W0, b0, W1, b1, ..."""
-    lead = params.weights[0].shape[:-2] if params.weights else ()
-    return [_quantize_tensor(t, lead) for wb in zip(params.weights, params.biases) for t in wb]
+    return [_quantize_tensor(t, params.flat.shape[:-1]) for t in params.tensors]
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -272,7 +266,7 @@ def _arrays(model: CompressedModel) -> list[np.ndarray]:
     kinds, the float values of the others."""
     if _KIND_FLAGS[model.kind][1]:
         return [qt.values for qt in model.qparams]
-    return [t for wb in zip(model.params.weights, model.params.biases) for t in wb]
+    return model.params.tensors
 
 
 def tensor_shapes(model: CompressedModel) -> list[tuple[int, int]]:
@@ -428,7 +422,7 @@ def encode_wire(
     This never prunes: masked training has kept pruned positions at exactly
     zero, so the round's existing mask is reused.  Quantization is applied
     fresh (training de-quantizes the values).  The wire model shares the
-    given arrays and mask, it does not copy them.
+    given parameters' buffer and the mask, it does not copy them.
     """
     if strategy.prunes and mask is None:
         raise ValueError(f"kind {strategy.kind!r} requires the round's prune mask")
@@ -448,28 +442,28 @@ def decode_wire(wire: CompressedModel) -> ParameterSet:
     as +0.0 (or the zero point) whatever the wire model holds there: masked
     training leaves -0.0 at negative pruned weights, and the bytes carry only
     the kept values.  Non-finite values come back as they are; the codec is
-    what rejects them.  The result may share the wire model's float32
-    arrays: copy it before writing to it.
+    what rejects them.  The result is one buffer, for the dense kind the wire
+    model's own when that is float32: copy it before writing to it.
     """
     prunes, quantizes = _KIND_FLAGS[wire.kind]
+    if not quantizes:
+        flat = wire.params.flat.astype(np.float32, copy=prunes)
+        out = ParameterSet.from_flat(flat, wire.params.layer_sizes)
+        if prunes:
+            # a pruned weight is not on the wire: it parses as 0.0
+            for w, m in zip(out.weights, wire.mask.layers):
+                np.copyto(w, 0.0, where=m == 0)
+        return out
     arrays = _arrays(wire)
     if prunes:
-        # a pruned weight is not on the wire: it parses as 0.0, or as its
-        # tensor's zero point (a column of them for a stack)
-        fills = [0.0] * len(wire.mask.layers)
-        if quantizes:
-            fills = [
-                np.asarray(qt.zero_point, dtype=np.uint8)[..., None, None]
-                for qt in wire.qparams[0::2]
-            ]
-        arrays[0::2] = [np.where(m, a, f) for m, a, f in zip(wire.mask.layers, arrays[0::2], fills)]
-    if quantizes:
-        tensors = [
-            _dequantize_tensor(
-                a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32), np.float32
-            )
-            for a, qt in zip(arrays, wire.qparams)
+        # a pruned weight parses as its tensor's zero point (a column of
+        # them for a stack)
+        arrays[0::2] = [
+            np.where(m, a, np.asarray(qt.zero_point, dtype=np.uint8)[..., None, None])
+            for m, a, qt in zip(wire.mask.layers, arrays[0::2], wire.qparams[0::2])
         ]
-    else:
-        tensors = [a.astype(np.float32, copy=False) for a in arrays]
+    tensors = [
+        _dequantize_tensor(a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32), np.float32)
+        for a, qt in zip(arrays, wire.qparams)
+    ]
     return ParameterSet(tensors[0::2], tensors[1::2])

@@ -10,7 +10,7 @@ randomness comes from explicit seeds, so identical calls are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,10 @@ class ParameterSet:
     D MLPs of one architecture stacked on a leading axis: weights (D, out, in)
     and biases (D, out).
 
+    The tensors are views of one buffer, flat: (P,) for one model, (D, P) for
+    a stack, each model's P parameters in the codec's order W0, b0, W1, b1, ...
+    The constructor copies the tensors into a new buffer; from_flat wraps one.
+
     Every tensor holds one dtype: float32 when every tensor given is float32,
     else float64 (tensors of any other dtype are coerced).
 
@@ -60,13 +64,13 @@ class ParameterSet:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases):
             raise ValueError("weights and biases must have the same layer count")
         tensors = [np.asarray(t) for t in (*self.weights, *self.biases)]
-        float32 = bool(tensors) and all(t.dtype == np.float32 for t in tensors)
-        tensors = [t.astype(np.float32 if float32 else np.float64, copy=False) for t in tensors]
+        dtype = np.float32 if {t.dtype for t in tensors} == {np.dtype(np.float32)} else np.float64
         self.weights, self.biases = tensors[: len(self.weights)], tensors[len(self.weights) :]
         lead = self.weights[0].shape[:-2] if self.weights else ()
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -82,6 +86,31 @@ class ParameterSet:
                 raise ValueError(
                     f"layer {i}: fan-in {w.shape[-1]} does not match previous fan-out"
                 )
+        parts = [np.empty(lead + (0,), dtype)] + [t.reshape(lead + (-1,)) for t in self.tensors]
+        flat = np.concatenate(parts, axis=-1, dtype=dtype, casting="unsafe")
+        # the tensors become views of flat
+        vars(self).update(vars(ParameterSet.from_flat(flat, self.layer_sizes)))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layer_sizes: tuple[int, ...]) -> "ParameterSet":
+        """The MLP of these layer sizes held in a (P,) buffer, or the stack
+        of them in a (D, P) one, as views of the buffer: nothing is copied."""
+        self = cls.__new__(cls)
+        self.flat, self.weights, self.biases = flat, [], []
+        lead, start = flat.shape[:-1], 0
+        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+            stop = start + fan_out * fan_in
+            self.weights.append(flat[..., start:stop].reshape(lead + (fan_out, fan_in)))
+            self.biases.append(flat[..., stop : stop + fan_out])
+            start = stop + fan_out
+        if flat.ndim not in (1, 2) or flat.shape[-1] != start:
+            raise ValueError(f"a buffer of shape {flat.shape} holds no {start}-parameter models")
+        return self
+
+    @property
+    def tensors(self) -> list[np.ndarray]:
+        """The tensors in the codec's order W0, b0, W1, b1, ..."""
+        return [t for wb in zip(self.weights, self.biases) for t in wb]
 
     @property
     def num_layers(self) -> int:
@@ -89,24 +118,23 @@ class ParameterSet:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     @property
     def stacked(self) -> bool:
-        return bool(self.weights) and self.weights[0].ndim == 3
+        return self.flat.ndim == 2
 
-    def architecture(self) -> Architecture:
-        if not self.weights:
-            raise ValueError("empty parameter set has no architecture")
-        sizes = (self.weights[0].shape[-1],) + tuple(w.shape[-2] for w in self.weights)
-        return Architecture(sizes)
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        """(input dim, hidden dims ..., class count); () for the empty set."""
+        return tuple([w.shape[-1] for w in self.weights[:1]] + [w.shape[-2] for w in self.weights])
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return ParameterSet.from_flat(self.flat.copy(), self.layer_sizes)
 
     def __getitem__(self, k) -> "ParameterSet":
-        """Model k of a stack (a view), or a sub-stack for a slice or index array."""
-        return ParameterSet([w[k] for w in self.weights], [b[k] for b in self.biases])
+        """Model k or the sub-stack of a slice or None (views) or index array (a copy)."""
+        return ParameterSet.from_flat(self.flat[k], self.layer_sizes)
 
 
 @dataclass
@@ -203,7 +231,7 @@ def _as_stack(
         raise ValueError(
             f"input has shape {x.shape}, expected ({models}, *, {fan_in}) for this stack of models"
         )
-    dtype = params.weights[0].dtype
+    dtype = params.flat.dtype
     x = x / dtype.type(255) if x.dtype == np.uint8 else x.astype(dtype, copy=False)
     return params, x, labels
 
@@ -352,17 +380,15 @@ def gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
     # get without the class-major head: OpenBLAS picks its kernel by layout
     delta = np.divide(columns.T.reshape(d, n, -1), n, out=outputs[-1])
 
-    grad_w = [np.empty(0)] * params.num_layers
-    grad_b = [np.empty(0)] * params.num_layers
+    grads = ParameterSet.from_flat(np.empty_like(params.flat), params.layer_sizes)
     for i in range(last, -1, -1):
-        grad_w[i] = delta.transpose(0, 2, 1) @ outputs[i]
-        grad_b[i] = _bias_gradient(delta)
+        np.matmul(delta.transpose(0, 2, 1), outputs[i], out=grads.weights[i])
+        grads.biases[i][...] = _bias_gradient(delta)
         if i > 0:
             # a ReLU output is positive exactly where its input is (NaN in,
             # NaN out, and NaN > 0 is false), so it gives the ReLU's mask
             delta = delta @ params.weights[i]
             delta *= outputs[i] > 0.0
-    grads = ParameterSet(grad_w, grad_b)
     return grads if stacked else grads[0]
 
 
@@ -399,11 +425,11 @@ def local_training(
     (D, epochs, n) array for a stack, (epochs, n) for one model.  By default
     shuffle_orders draws them from (cfg.rng_seed, round_index), so the call
     is deterministic.  When a mask is given (a SparseMask or a per-layer
-    sequence of 0/1 arrays congruent to the weights), weight gradients and
-    the updated weights are zeroed at masked positions after every step;
-    biases always stay dense.
+    sequence of 0/1 arrays congruent to the weights; any other entry raises
+    ValueError), the updated weights are zeroed at masked positions after
+    every step; biases always stay dense.
     """
-    mask_layers = None
+    keep = None
     if mask is not None:
         mask_layers = [np.asarray(m) for m in getattr(mask, "layers", mask)]
         if len(mask_layers) != params.num_layers:
@@ -411,6 +437,11 @@ def local_training(
         for m, w in zip(mask_layers, params.weights):
             if m.shape != w.shape:
                 raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
+        # the mask as one buffer in the models' layout, every bias kept
+        ones = [np.ones_like(b) for b in params.biases]
+        keep = ParameterSet([m.astype(params.flat.dtype) for m in mask_layers], ones).flat
+        if ((keep != 0) & (keep != 1)).any():
+            raise ValueError("mask entries must be 0 or 1")
 
     stacked = params.stacked
     rows = np.arange(len(data)) if rows is None else np.asarray(rows)
@@ -422,7 +453,7 @@ def local_training(
         raise ValueError(f"rows must be integers that index the dataset's {len(data)} samples")
     # the shapes are checked on each model's first row alone
     params = _as_stack(params, data.gather(rows[..., :1]))[0]
-    rows = rows.reshape(params.weights[0].shape[0], -1)
+    rows = rows.reshape(len(params.flat), -1)
     d, n = rows.shape
     shape = (d, cfg.local_epochs, n)
     if orders is None:
@@ -438,11 +469,9 @@ def local_training(
         order = flat_rows[orders[:, epoch] + offsets]
         for start in range(0, n, cfg.batch_size):
             g = gradients(out, data.gather(order[:, start : start + cfg.batch_size]))
-            for i in range(out.num_layers):
-                # g is this step's own array: scaling it in place saves a
-                # temporary and computes the same lr * g
-                out.weights[i] -= np.multiply(g.weights[i], lr, out=g.weights[i])
-                if mask_layers is not None:
-                    out.weights[i] *= mask_layers[i]
-                out.biases[i] -= np.multiply(g.biases[i], lr, out=g.biases[i])
+            # g is this step's own array: scaling it in place saves a
+            # temporary and computes the same lr * g
+            out.flat -= np.multiply(g.flat, lr, out=g.flat)
+            if keep is not None:
+                out.flat *= keep
     return out if stacked else out[0]

@@ -18,7 +18,6 @@ import contextvars
 import ctypes
 import functools
 import glob
-import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -136,7 +135,7 @@ def cross_similarity(
     val_j: LabeledDataset,
 ) -> float:
     """Pairwise dissimilarity: j's loss on i's validation split plus i's on j's."""
-    if model_i.architecture() != model_j.architecture():
+    if model_i.layer_sizes != model_j.layer_sizes:
         raise ValueError("cannot compare models with different architectures")
     loss_ij, _ = loss_and_accuracy(model_j, val_i)
     loss_ji, _ = loss_and_accuracy(model_i, val_j)
@@ -192,36 +191,29 @@ def fed_avg(
         raise ValueError("weights must be positive")
     if rows is None:
         models, rows = [m[None] for m in models], [0] * len(models)
-    tensors = lambda stack: stack.weights + stack.biases  # noqa: E731
-    if len({tuple(t.shape for t in tensors(s)) for s in {id(s): s for s in models}.values()}) > 1:
+    if len({tuple(t.shape for t in s.tensors) for s in {id(s): s for s in models}.values()}) > 1:
         raise ValueError("cannot average models with different architectures")
     # blocks are gathered from the last member's stack (a round's leader,
     # its lowest uid, comes first), then mended where a member is another's
     main = models[-1]
-    cuts = list(itertools.accumulate((t[0].size for t in tensors(main)), initial=0))
-    flat = lambda k: [t[rows[k]].ravel() for t in tensors(models[k])]  # noqa: E731
-    base = np.concatenate(flat(0))
+    base = models[0].flat[rows[0]]
     scale = np.asarray(weights, dtype=base.dtype)[:, None]
     size = max(1, LOCKSTEP_BUDGET_BYTES // 8 // base.nbytes)
     acc, buf = np.zeros_like(base), np.empty((min(size, len(rows)) + 1, base.size), base.dtype)
     for lo in range(0, len(rows), size):
         block = buf[1 : 1 + min(size, len(rows) - lo)]
         if len(block) == 1:
-            for t, a, b in zip(flat(lo), cuts, cuts[1:]):
-                np.subtract(t, base[a:b], out=block[0, a:b])
+            np.subtract(models[lo].flat[rows[lo]], base, out=block[0])
             acc += np.multiply(block[0], scale[lo], out=block[0])
             continue
-        for t, a, b in zip(tensors(main), cuts, cuts[1:]):
-            t.reshape(len(t), -1).take(rows[lo : lo + size], 0, block[:, a:b])
+        main.flat.take(rows[lo : lo + size], 0, block)
         for k in (k for k, s in enumerate(models[lo : lo + size], lo) if s is not main):
-            block[k - lo] = np.concatenate(flat(k))
+            block[k - lo] = models[k].flat[rows[k]]
         block -= base
         block *= scale[lo : lo + len(block)]
         buf[0] = acc
         np.add.reduce(buf[: len(block) + 1], axis=0, out=acc)
-    average = base + acc / float(sum(weights))
-    out = [average[a:b].reshape(t.shape[1:]) for t, a, b in zip(tensors(main), cuts, cuts[1:])]
-    return ParameterSet(out[: main.num_layers], out[main.num_layers :])
+    return ParameterSet.from_flat(base + acc / float(sum(weights)), main.layer_sizes)
 
 
 @dataclass
@@ -249,10 +241,8 @@ class SimulationState:
     orders: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.decoded = ParameterSet(
-            [np.empty_like(w) for w in self.params.weights],
-            [np.empty_like(b) for b in self.params.biases],
-        )
+        params = self.params
+        self.decoded = ParameterSet.from_flat(np.empty_like(params.flat), params.layer_sizes)
         self.orders = np.empty((0, 0, 0), dtype=np.intp)
 
     def shuffle(self, training: TrainingConfig, round_index: int) -> np.ndarray:
@@ -288,8 +278,7 @@ LOCKSTEP_BUDGET_BYTES = 5 * 1024 * 1024 // 2
 def lockstep_chunk(model: ParameterSet, rows: int) -> int:
     """How many models of this architecture and dtype run in lockstep on
     `rows` input rows each within LOCKSTEP_BUDGET_BYTES (at least one)."""
-    floats = model.num_params + rows * sum(model.architecture().layer_sizes)
-    per_model = model.weights[0].itemsize * floats
+    per_model = model.flat.itemsize * (model.num_params + rows * sum(model.layer_sizes))
     return max(1, LOCKSTEP_BUDGET_BYTES // per_model)
 
 
@@ -335,12 +324,8 @@ def make_state(
         raise ValueError(f"rows must be integers that index the store's {len(samples)} samples")
     table = table.astype(np.int64, copy=False)
     n_val = min(m - 1, max(1, int(validation_fraction * m)))
-    params = ParameterSet(
-        *(
-            [np.repeat(t.astype(DEVICE_DTYPE)[None], topology.n, axis=0) for t in tensors]
-            for tensors in (init_params.weights, init_params.biases)
-        )
-    )
+    flat = np.repeat(init_params.flat.astype(DEVICE_DTYPE)[None], topology.n, axis=0)
+    params = ParameterSet.from_flat(flat, init_params.layer_sizes)
     return SimulationState(topology, samples, table[:, n_val:], table[:, :n_val], params)
 
 
@@ -413,9 +398,7 @@ def run_round(
         for fed in partition.federations:
             uids = fed.members[gfield.source[fed.members] == fed.leader].tolist()
             stacks = [params if uid == fed.leader else decoded for uid in uids]
-            average = fed_avg(stacks, [m] * len(uids), uids)
-            for rows, avg in zip(params.weights + params.biases, average.weights + average.biases):
-                rows[uids] = avg
+            params.flat[uids] = fed_avg(stacks, [m] * len(uids), uids).flat
             bytes_disseminate += (len(uids) - 1) * dense_size
     state.bytes_total += bytes_broadcast + bytes_collect + bytes_disseminate
     return RoundStats(
@@ -576,7 +559,6 @@ def _run_chunks(
     decode as they are, and its quantizer scale, at most (2 * f32 max) / 255,
     fits the f32 the bytes carry."""
     params = state.params
-    decoded = state.decoded
     orders = state.shuffle(cfg.training, round_index)
 
     def pipeline(chunk: np.ndarray) -> int | None:
@@ -594,9 +576,8 @@ def _run_chunks(
             orders=orders[uids[0] : uids[-1] + 1],
         )
         # the chunks' rows are disjoint, and this chunk's were read above
-        for rows, trained in zip(params.weights + params.biases, out.weights + out.biases):
-            rows[uids] = trained
-        finite = _finite_rows(out)
+        params.flat[uids] = out.flat
+        finite = np.isfinite(out.flat).all(axis=1)
         if not finite.all():
             return uids[int(np.argmin(finite))]
         if size is not None:
@@ -604,11 +585,7 @@ def _run_chunks(
                 wire = encode_wire(out, cfg.strategy, cm.mask)
             else:
                 wire = CompressedModel("dense", params=out)
-            received = decode_wire(wire)
-            for rows, got in zip(
-                decoded.weights + decoded.biases, received.weights + received.biases
-            ):
-                rows[uids] = got
+            state.decoded.flat[uids] = decode_wire(wire).flat
             size[uids] = serialized_size(wire)
         return None
 
@@ -621,12 +598,6 @@ def _run_chunks(
         )
 
 
-def _finite_rows(stack: ParameterSet) -> np.ndarray:
-    """Whether each model of a stack holds finite values only."""
-    tensors = stack.weights + stack.biases
-    return np.logical_and.reduce([np.isfinite(t.reshape(len(t), -1)).all(1) for t in tensors])
-
-
 def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
     """cross_similarity of every topology edge, scored in lockstep on the
     decoded models: each edge is two (sender model, receiver validation
@@ -634,19 +605,14 @@ def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
     one gather of the chunk's senders from the decoded stack and of its
     receivers' validation rows from the sample store."""
     edges = state.topology.edges
-    decoded = state.decoded
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round
     senders = np.concatenate([edges[:, 1], edges[:, 0]])
     receivers = np.concatenate([edges[:, 0], edges[:, 1]])
     losses = np.empty(len(senders))
     for pick in _lockstep_chunks(len(senders), state.params[0], state.val_rows.shape[1]):
-        models = ParameterSet(
-            [np.take(w, senders[pick], axis=0) for w in decoded.weights],
-            [np.take(b, senders[pick], axis=0) for b in decoded.biases],
-        )
         vals = state.samples.gather(state.val_rows[receivers[pick]])
-        losses[pick], _ = loss_and_accuracy(models, vals)
+        losses[pick], _ = loss_and_accuracy(state.decoded[senders[pick]], vals)
     return DissimilarityMatrix(edges, losses[: len(edges)] + losses[len(edges) :])
 
 

@@ -16,6 +16,7 @@ from sparsefuel.compression import (
     QuantizedTensor,
     SerializationError,
     SparseMask,
+    _round_half_away,
     compress,
     decode_wire,
     decompress,
@@ -31,6 +32,7 @@ from sparsefuel.compression import (
 )
 from sparsefuel.neuralnet import Architecture, ParameterSet, init_parameters
 
+from conftest import _round_half_away as reference_round_half_away
 from conftest import (
     cast_models,
     reference_prune_magnitude,
@@ -225,6 +227,49 @@ class TestQuantize:
         params = ParameterSet([np.array([[1.0, np.nan]])], [np.zeros(1)])
         with pytest.raises(ValueError):
             quantize_affine(params)
+
+    def test_stack_with_one_bad_zero_point_or_scale_raises(self):
+        values = np.zeros((3, 2, 2), dtype=np.uint8)
+        scale, zero_point = np.full(3, 0.5), np.array([0, 128, 255])
+        QuantizedTensor(scale, zero_point, values)
+        for bad in (-1, 256):
+            zps = zero_point.copy()
+            zps[1] = bad
+            with pytest.raises(ValueError, match=r"^zero_point must be in \[0, 255\], got \["):
+                QuantizedTensor(scale, zps, values)
+        for bad in (np.nan, np.inf):
+            scales = scale.copy()
+            scales[2] = bad
+            with pytest.raises(ValueError, match="^scale must be finite$"):
+                QuantizedTensor(scales, zero_point, values)
+        # a parsed tensor's Python scalars take the same check
+        with pytest.raises(ValueError, match=r"^zero_point must be in \[0, 255\], got 300$"):
+            QuantizedTensor(0.5, 300, values[0])
+        with pytest.raises(ValueError, match="^scale must be finite$"):
+            QuantizedTensor(float("nan"), 0, values[0])
+
+    # every half step in [-600, 600] and its neighbouring floats, the
+    # signed zeros, and floats of every magnitude
+    _HALF_STEPS = st.integers(-1200, 1200).map(lambda k: k / 2)
+    _NEAR_HALF_STEPS = st.tuples(_HALF_STEPS, st.sampled_from([-np.inf, np.inf])).map(
+        lambda h: float(np.nextafter(h[0], h[1]))
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        xs=st.lists(
+            st.one_of(_HALF_STEPS, _NEAR_HALF_STEPS, st.sampled_from([0.0, -0.0]), st.floats()),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_round_half_away_matches_the_reference(self, xs):
+        x = np.array(xs)
+        got, want = _round_half_away(x), reference_round_half_away(x)
+        # the same levels, NaN for NaN; only -0.0 may keep its sign
+        assert np.array_equal(got, want, equal_nan=True)
+        same_sign = np.signbit(got) == np.signbit(want)
+        assert np.all(same_sign | ((x == 0.0) & np.signbit(x)) | np.isnan(x))
 
 
 class TestCompressDecompress:

@@ -15,7 +15,7 @@ from conftest import (
     stack_models,
 )
 from sparsefuel import neuralnet
-from sparsefuel.compression import SparseMask
+from sparsefuel.compression import CompressedModel, SparseMask, from_bytes, to_bytes
 from sparsefuel.neuralnet import (
     Architecture,
     LabeledDataset,
@@ -403,6 +403,21 @@ class TestLocalTraining:
             assert np.all(w[m == 0] == 0.0)
             assert np.any(w[m == 1] != 0.0)
 
+    def test_mask_that_is_not_zero_one_raises(self):
+        params = init_parameters(Architecture((2, 4, 2)), 1)
+        cfg = TrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.1, rng_seed=2)
+        half = [np.full(w.shape, 0.5) for w in params.weights]
+        with pytest.raises(ValueError, match="^mask entries must be 0 or 1$"):
+            local_training(params, self._toy(), cfg, mask=half)
+        stack = stack_models([params, params])
+        masks = [np.ones((2,) + w.shape) for w in params.weights]
+        masks[1][1, 0, 0] = 2.0
+        rows = np.arange(20).reshape(2, 10)
+        with pytest.raises(ValueError, match="^mask entries must be 0 or 1$"):
+            local_training(stack, self._toy(), cfg, mask=masks, rows=rows)
+        masks[1][1, 0, 0] = 1.0
+        local_training(stack, self._toy(), cfg, mask=masks, rows=rows)
+
     def test_separable_blobs_reach_full_accuracy(self):
         data = self._toy(m=100)
         params = init_parameters(Architecture((2, 8, 2)), 4)
@@ -512,6 +527,62 @@ class TestParameterSet:
         dup = params.copy()
         dup.weights[0][0, 0] += 1.0
         assert params.weights[0][0, 0] != dup.weights[0][0, 0]
+        stack = stack_models([params, params])
+        dup = stack.copy()
+        dup.flat += 1.0
+        assert not np.shares_memory(dup.flat, stack.flat)
+        assert np.array_equal(stack.flat[0], params.flat)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensors_are_views_of_flat_in_codec_order(self, dtype):
+        one = cast_models(init_parameters(Architecture((3, 5, 4, 2)), 0), dtype)
+        two = cast_models(init_parameters(Architecture((3, 5, 4, 2)), 1), dtype)
+        stack = stack_models([one, two])
+        for params in (one, stack):
+            assert params.flat.dtype == dtype and params.flat.flags.c_contiguous
+            order = [t for wb in zip(params.weights, params.biases) for t in wb]
+            assert all(np.shares_memory(t, params.flat) for t in order)
+            rows = params.flat.reshape((-1, params.flat.shape[-1]))
+            packed = np.concatenate([t.reshape(len(rows), -1) for t in order], axis=1)
+            assert np.array_equal(rows, packed)
+        assert stack.flat.shape == (2, one.flat.size)
+        assert one.flat.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+
+    def test_constructor_copies_its_inputs(self):
+        w, b = np.ones((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32)
+        params = ParameterSet([w], [b])
+        w[0, 0], b[0] = 7.0, 7.0
+        assert params.weights[0][0, 0] == 1.0 and params.biases[0][0] == 0.0
+        assert not np.shares_memory(params.weights[0], w)
+
+    def test_from_flat_wraps_without_a_copy(self):
+        flat = np.arange(2 * 13, dtype=np.float32).reshape(2, 13)
+        params = ParameterSet.from_flat(flat, (2, 3, 1))
+        assert params.flat is flat and params.stacked
+        assert params.weights[0].shape == (2, 3, 2) and params.biases[1].shape == (2, 1)
+        params.biases[1][1, 0] = -1.0
+        assert flat[1, -1] == -1.0
+        with pytest.raises(ValueError):
+            ParameterSet.from_flat(flat[:, :12], (2, 3, 1))
+
+    def test_int_or_slice_index_writes_through_and_index_array_does_not(self):
+        stack = stack_models([init_parameters(Architecture((2, 3, 2)), s) for s in range(3)])
+        stack[1].weights[0][0, 0] = 9.0
+        stack[0:2].biases[1][0, 1] = 8.0
+        stack[2][None].flat[0, -1] = 7.0
+        assert stack.weights[0][1, 0, 0] == 9.0 and stack.biases[1][0, 1] == 8.0
+        assert stack.flat[2, -1] == 7.0
+        before = stack.flat.copy()
+        picked = stack[[2, 0]]
+        picked.flat[:] = 0.0
+        assert np.array_equal(stack.flat, before)
+
+    def test_empty_set_round_trips_through_bytes(self):
+        empty = ParameterSet([], [])
+        assert empty.flat.shape == (0,) and empty.num_layers == 0 and not empty.stacked
+        back = from_bytes(to_bytes(CompressedModel("dense", params=empty)))
+        assert back.params.num_layers == 0 and back.params.flat.size == 0
+        assert back.params.copy().num_params == 0
 
     def test_num_params(self):
         params = init_parameters(Architecture((4, 3, 2)), 0)

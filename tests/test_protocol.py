@@ -485,6 +485,19 @@ class TestRunRound:
         samples, rows = sample_store(datasets or [toy_dataset(100 + i) for i in range(n)])
         return make_state(topo, samples, rows, init, validation_fraction=0.2)
 
+    def test_model_stacks_are_flat_float32_buffers_that_a_round_writes_in_place(self):
+        state = self._state(3)
+        params, decoded = state.params.flat, state.decoded.flat
+        for flat in (params, decoded):
+            assert flat.shape == (3, state.params[0].num_params) and flat.dtype == np.float32
+            assert flat.flags.c_contiguous
+        before = params.copy()
+        run_round(state, toy_protocol_config(), round_index=0)
+        assert state.params.flat is params and state.decoded.flat is decoded
+        assert not np.array_equal(params, before) and np.isfinite(decoded).all()
+        for stack, flat in ((state.params, params), (state.decoded, decoded)):
+            assert all(np.shares_memory(t, flat) for t in stack.weights + stack.biases)
+
     def test_single_device_round_is_pure_local_training(self):
         cfg = toy_protocol_config()
         state = self._state(1)
