@@ -207,26 +207,44 @@ def quantize_affine(params: ParameterSet) -> list[QuantizedTensor]:
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _dequantize_tensor(values: np.ndarray, zero_point, scale, dtype) -> np.ndarray:
-    """(q - zero_point) * scale, one row per tensor of a stack with scale and
-    zero point as columns, computed in float64 and written as dtype.  A
-    float32 value is that product rounded once (for an f32 scale the product
-    is exact in float64); a level past the f32 range, which a grid spanning
-    [-max, max] reaches half a step beyond max, saturates at the f32 max."""
+def _dequantize_tensor(values: np.ndarray, zero_point, scale, dtype, out: np.ndarray) -> None:
+    """Write (q - zero_point) * scale into out, one row per tensor of a stack
+    with scale and zero point as columns, computed in float64 and rounded to
+    dtype.  A float32 value is that product rounded once (for an f32 scale
+    the product is exact in float64); a level past the f32 range, which a
+    grid spanning [-max, max] reaches half a step beyond max, saturates at
+    the f32 max."""
     flat = values.reshape(np.shape(scale) + (-1,)).astype(np.float64)
     flat = (flat - np.asarray(zero_point)[..., None]) * np.asarray(scale)[..., None]
     if dtype == np.float32:
         np.clip(flat, -_F32_MAX, _F32_MAX, out=flat)
-    return flat.astype(dtype, copy=False).reshape(values.shape)
+    out[...] = (flat if out.dtype == dtype else flat.astype(dtype)).reshape(out.shape)
+
+
+def _float_buffer(arrays: list[np.ndarray], dtypes: list) -> ParameterSet:
+    """A new, unwritten model (or stack) whose tensors have the shapes of the
+    arrays, in order W0, b0, ...: float32 when every dtype is, else float64."""
+    weights = arrays[0::2]
+    if any(w.ndim < 2 for w in weights):
+        raise ValueError("every weight must be a matrix, or a stack of them")
+    lead = weights[0].shape[:-2] if weights else ()
+    sizes = (weights[0].shape[-1], *(w.shape[-2] for w in weights)) if weights else ()
+    width = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+    dtype = np.float32 if set(map(np.dtype, dtypes)) == {np.dtype(np.float32)} else np.float64
+    out = ParameterSet.from_flat(np.empty(lead + (width,), dtype), sizes)
+    if [t.shape for t in out.tensors] != [a.shape for a in arrays]:
+        raise ValueError("the tensors are not the weights and biases of one MLP")
+    return out
 
 
 def dequantize(qparams: list[QuantizedTensor]) -> ParameterSet:
-    """Map u8 tensors (in order W0, b0, ...) back to parameters, each in its
-    tensor's dtype: float32 or float64 as quantized, float32 as parsed."""
-    tensors = [
-        _dequantize_tensor(qt.values, qt.zero_point, qt.scale, qt.dtype) for qt in qparams
-    ]
-    return ParameterSet(tensors[0::2], tensors[1::2])
+    """Map u8 tensors (in order W0, b0, ...) back to parameters, each rounded
+    to its tensor's dtype (float32 or float64 as quantized, float32 as
+    parsed) and written into its view of one buffer."""
+    out = _float_buffer([qt.values for qt in qparams], [qt.dtype for qt in qparams])
+    for t, qt in zip(out.tensors, qparams):
+        _dequantize_tensor(qt.values, qt.zero_point, qt.scale, qt.dtype, t)
+    return out
 
 
 def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedModel:
@@ -462,8 +480,7 @@ def decode_wire(wire: CompressedModel) -> ParameterSet:
             np.where(m, a, np.asarray(qt.zero_point, dtype=np.uint8)[..., None, None])
             for m, a, qt in zip(wire.mask.layers, arrays[0::2], wire.qparams[0::2])
         ]
-    tensors = [
-        _dequantize_tensor(a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32), np.float32)
-        for a, qt in zip(arrays, wire.qparams)
-    ]
-    return ParameterSet(tensors[0::2], tensors[1::2])
+    out = _float_buffer(arrays, [np.float32] * len(arrays))
+    for t, a, qt in zip(out.tensors, arrays, wire.qparams):
+        _dequantize_tensor(a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32), np.float32, t)
+    return out

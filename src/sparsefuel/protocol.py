@@ -127,6 +127,13 @@ class ProtocolConfig:
         if not np.isfinite(self.tau) or self.tau <= 0:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
+    @property
+    def dense_wire(self) -> bool:
+        """Whether every model goes on the wire as its float32 values (the
+        dense kind, or similarity scored on uncompressed models), which a
+        receiver decodes as they are: it holds the sender's row of the stack."""
+        return self.strategy.kind == "dense" or not self.similarity_uses_compressed
+
 
 def cross_similarity(
     model_i: ParameterSet,
@@ -224,12 +231,14 @@ class SimulationState:
     Every device holds m rows of the store, split the same way: row uid of
     val_rows holds device uid's validation rows and row uid of train_rows its
     training rows, both views of one (n, m) row table.  Row uid of params
-    holds device uid's current model: a round trains it and writes its
-    federation's average over it, in place.  Row uid of decoded holds the
-    model device uid's wire bytes decode to, once a round has exchanged
-    models; the stack is allocated once and each round writes into it.  Row
-    uid of orders holds device uid's shuffles of its training rows, one per
-    epoch, as the last round drew them into the one buffer."""
+    holds device uid's current model, in DEVICE_DTYPE: a round trains it and
+    writes its federation's average over it, in place.  Row uid of decoded
+    holds the model device uid's wire bytes decode to, once a round has
+    exchanged models.  A dense wire decodes to the float32 rows as they are,
+    so decoded is then params itself; a wire that prunes or quantizes decodes
+    into a stack of its own, allocated by its first round and written by every
+    one after.  Row uid of orders holds device uid's shuffles of its training
+    rows, one per epoch, as the last round drew them into the one buffer."""
 
     topology: Topology
     samples: LabeledDataset
@@ -241,8 +250,9 @@ class SimulationState:
     orders: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        params = self.params
-        self.decoded = ParameterSet.from_flat(np.empty_like(params.flat), params.layer_sizes)
+        if self.params.flat.dtype != DEVICE_DTYPE:
+            raise ValueError(f"the model stack must hold {np.dtype(DEVICE_DTYPE)}")
+        self.decoded = self.params
         self.orders = np.empty((0, 0, 0), dtype=np.intp)
 
     def shuffle(self, training: TrainingConfig, round_index: int) -> np.ndarray:
@@ -390,8 +400,9 @@ def run_round(
         # tree reaches (a forced federation's devices with no wire path to
         # the leader keep their trained models), in uid order, contributing
         # its own model as trained and every other member the model its wire
-        # bytes decode to; the average goes back down the tree into their
-        # rows, which no later federation reads: federations are disjoint
+        # bytes decode to (on a dense wire, its row of params); the average
+        # goes back down the tree into their rows, which no later federation
+        # reads: federations are disjoint
         bytes_collect = int(size @ np.maximum(gfield.hops, 0))
         # every member weighs its sample count, the same m for every device
         m = state.train_rows.shape[1] + state.val_rows.shape[1]
@@ -546,11 +557,12 @@ def _run_chunks(
     device trains on the same number of rows) in the orders state.shuffle
     draws for all devices before the lanes start, and write the trained
     models back; then, when size is given (a round that exchanges models), encode
-    them for the wire, decode that into the chunk's rows of state.decoded
-    and write each device's wire size into size.  When similarity is scored
-    on uncompressed models the whole exchange is dense (broadcast,
-    collection and the averaged members alike): a receiver scores the model
-    it was sent.
+    them for the wire, decode a wire that prunes or quantizes into the chunk's
+    rows of state.decoded and write each device's wire size into size.  A
+    dense wire decodes to the trained rows as they are, so it is not decoded:
+    state.decoded is then state.params.  When similarity is scored on
+    uncompressed models the whole exchange is dense (broadcast, collection
+    and the averaged members alike): a receiver scores the model it was sent.
 
     Raises FloatingPointError when a trained model is not finite, naming the
     round, the lowest uid of such a model over all chunks and the learning
@@ -560,33 +572,39 @@ def _run_chunks(
     fits the f32 the bytes carry."""
     params = state.params
     orders = state.shuffle(cfg.training, round_index)
+    # a dense wire's receivers read params; any other decodes into a stack of its own
+    if size is not None and cfg.dense_wire:
+        state.decoded = params
+    elif size is not None and state.decoded is params:
+        state.decoded = ParameterSet.from_flat(np.empty_like(params.flat), params.layer_sizes)
 
     def pipeline(chunk: np.ndarray) -> int | None:
         """Run one chunk; return the lowest uid of its trained models that is
         not finite."""
-        uids = chunk.tolist()
-        cm = compress(params[uids], cfg.strategy)
+        # a chunk is a run of consecutive uids: its rows of each stack are a view
+        rows = slice(int(chunk[0]), int(chunk[-1]) + 1)
+        cm = compress(params[rows], cfg.strategy)
         out = local_training(
             decompress(cm),
             state.samples,
             cfg.training,
             mask=cm.mask,
-            rows=state.train_rows[chunk],
-            # a chunk is a run of consecutive uids: its orders are a view
-            orders=orders[uids[0] : uids[-1] + 1],
+            rows=state.train_rows[rows],
+            orders=orders[rows],
         )
-        # the chunks' rows are disjoint, and this chunk's were read above
-        params.flat[uids] = out.flat
+        # the chunks' rows are disjoint, and training read a copy of this one's
+        params.flat[rows] = out.flat
         finite = np.isfinite(out.flat).all(axis=1)
         if not finite.all():
-            return uids[int(np.argmin(finite))]
+            return rows.start + int(np.argmin(finite))
         if size is not None:
             if cfg.similarity_uses_compressed:
                 wire = encode_wire(out, cfg.strategy, cm.mask)
             else:
                 wire = CompressedModel("dense", params=out)
-            state.decoded.flat[uids] = decode_wire(wire).flat
-            size[uids] = serialized_size(wire)
+            if not cfg.dense_wire:
+                state.decoded.flat[rows] = decode_wire(wire).flat
+            size[rows] = serialized_size(wire)
         return None
 
     chunks = _lockstep_chunks(state.topology.n, params[0], cfg.training.batch_size)
@@ -600,10 +618,11 @@ def _run_chunks(
 
 def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
     """cross_similarity of every topology edge, scored in lockstep on the
-    decoded models: each edge is two (sender model, receiver validation
-    split) pairs, and the pairs run in chunks of one forward pass each, on
-    one gather of the chunk's senders from the decoded stack and of its
-    receivers' validation rows from the sample store."""
+    decoded models (on a dense wire, the rows of params): each edge is two
+    (sender model, receiver validation split) pairs, and the pairs run in
+    chunks of one forward pass each, on one gather of the chunk's senders
+    from the decoded stack and of its receivers' validation rows from the
+    sample store."""
     edges = state.topology.edges
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round

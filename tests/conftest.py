@@ -22,6 +22,16 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+from sparsefuel import fields, protocol
+from sparsefuel.compression import (
+    CompressedModel,
+    compress,
+    decode_wire,
+    decompress,
+    encode_wire,
+    nonzero_macs,
+    serialized_size,
+)
 from sparsefuel.environment import build_topology
 from sparsefuel.fields import FieldGraph
 from sparsefuel.harness import (
@@ -420,6 +430,72 @@ def reference_evaluate_objective(partition, models, test_sets, subregion):
         leader = max(counts, key=lambda u: (counts[u], -u))
         losses[j], accs[j] = score(leader, j)
     return objective, accs, losses
+
+
+# --------------------------------------------------------------------------
+# the round as it ran while every exchange, a dense one too, decoded its wire
+# into a model stack of its own
+
+
+def reference_two_stack_round(state, cfg, round_index, arm="sparsefuel"):
+    """run_round of an arm that exchanges models, as it ran with a second
+    stack: every chunk's wire decoded into its rows of decoded, similarity
+    scored edge by edge on decoded rows, and every member but the leader
+    averaged from its decoded row.  The chunks run one after another, each
+    reading a copy of its rows of params.  Returns the round's stats and
+    the decoded stack."""
+    params, topo, n = state.params, state.topology, state.topology.n
+    decoded = ParameterSet.from_flat(np.empty_like(params.flat), params.layer_sizes)
+    orders = state.shuffle(cfg.training, round_index)
+    size = np.zeros(n, dtype=np.int64)
+    for chunk in protocol._lockstep_chunks(n, params[0], cfg.training.batch_size):
+        uids = chunk.tolist()
+        cm = compress(params[uids], cfg.strategy)
+        out = protocol.local_training(
+            decompress(cm),
+            state.samples,
+            cfg.training,
+            mask=cm.mask,
+            rows=state.train_rows[chunk],
+            orders=orders[chunk],
+        )
+        params.flat[uids] = out.flat
+        if cfg.similarity_uses_compressed:
+            wire = encode_wire(out, cfg.strategy, cm.mask)
+        else:
+            wire = CompressedModel("dense", params=out)
+        decoded.flat[uids] = decode_wire(wire).flat
+        size[uids] = serialized_size(wire)
+
+    ds, bytes_broadcast = None, 0
+    if arm == "sparsefuel":
+        bytes_broadcast = int(size @ np.bincount(topo.edges.ravel(), minlength=n))
+        vals = [state.samples.subset(own) for own in state.val_rows]
+        scores = [
+            protocol.cross_similarity(decoded[i], decoded[j], vals[i], vals[j])
+            for i, j in topo.edges.tolist()
+        ]
+        ds = protocol.DissimilarityMatrix(topo.edges, scores)
+        gfield, partition = protocol._elect(protocol.similarity_graph(topo, ds, cfg.tau))
+    else:
+        gfield = fields.g_block(FieldGraph.from_topology(topo), [0])
+        partition = protocol.FederationPartition(np.zeros(n, dtype=np.int64))
+
+    macs = nonzero_macs(params[partition.representative().leader])
+    dense_size = serialized_size(CompressedModel("dense", params=params[0]))
+    m = state.train_rows.shape[1] + state.val_rows.shape[1]
+    bytes_disseminate = 0
+    for fed in partition.federations:
+        uids = fed.members[gfield.source[fed.members] == fed.leader].tolist()
+        stacks = [params if uid == fed.leader else decoded for uid in uids]
+        params.flat[uids] = protocol.fed_avg(stacks, [m] * len(uids), uids).flat
+        bytes_disseminate += (len(uids) - 1) * dense_size
+    bytes_collect = int(size @ np.maximum(gfield.hops, 0))
+    stats = protocol.RoundStats(
+        partition, bytes_broadcast, bytes_collect, bytes_disseminate, macs, ds
+    )
+    state.bytes_total += stats.bytes_round
+    return stats, decoded
 
 
 # --------------------------------------------------------------------------

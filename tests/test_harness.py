@@ -432,6 +432,8 @@ class TestRunExperiment:
     def test_a_run_holds_its_models_and_float_features_in_float32(self):
         result = run_experiment_result(small_config(), seed=1)
         state, world = result.state, result.world
+        # the small world's wire quantizes: it decodes into a stack of its own
+        assert not world.protocol.dense_wire and state.decoded is not state.params
         for stack in (state.params, state.decoded):
             assert {t.dtype for t in stack.weights + stack.biases} == {np.dtype(np.float32)}
         assert state.samples is world.samples

@@ -64,6 +64,7 @@ from conftest import (
     reference_local_training,
     reference_loss,
     reference_orders,
+    reference_two_stack_round,
     sample_store,
     small_config,
     stack_models,
@@ -657,6 +658,101 @@ class TestLanes:
         for _ in range(20):
             with pytest.raises(ValueError, match="^item 3$"):
                 protocol._in_lanes(task, list(range(8)))
+
+
+# The wires that are dense, the dense kind and a compressing kind scored on
+# uncompressed models, and the wire that quantizes and prunes.
+WIRES = {
+    "dense": ProtocolConfig(4.0, CompressionStrategy("dense"), TRAINING, True),
+    "uncompressed-similarity": ProtocolConfig(4.0, STRATEGY, TRAINING, False),
+    "sparse+quantized": protocol_config(),
+}
+
+
+def assert_same_stats(got, want):
+    counts = ("bytes_broadcast", "bytes_collect", "bytes_disseminate", "macs")
+    assert [getattr(got, k) for k in counts] == [getattr(want, k) for k in counts]
+    assert np.array_equal(got.partition.leader_of, want.partition.leader_of)
+    assert (got.dissimilarity is None) == (want.dissimilarity is None)
+    if got.dissimilarity is not None:
+        assert np.array_equal(got.dissimilarity.edges, want.dissimilarity.edges)
+        assert np.array_equal(got.dissimilarity.values, want.dissimilarity.values)
+
+
+class TestOneStack:
+    """A round whose wire is dense holds one model stack: its receivers read
+    the rows of params, which are what its wire decodes to, and the round is
+    bit for bit the one that decoded every wire into a stack of its own.  A
+    wire that prunes or quantizes still decodes into its own stack."""
+
+    @pytest.mark.parametrize("lanes", [1, ALL_LANES])
+    @pytest.mark.parametrize("arm", ["sparsefuel", "global-fedavg"])
+    @pytest.mark.parametrize("wire", sorted(WIRES))
+    def test_a_round_is_the_two_stack_round(self, monkeypatch, wire, arm, lanes):
+        # eleven devices in chunks of 4, 4 and 3
+        monkeypatch.setattr(protocol, "_LANES", lanes)
+        cfg = WIRES[wire]
+        got_state, want_state = line_state(), line_state()
+        for round_index in (1, 2):
+            got = run_round(got_state, cfg, round_index, arm=arm)
+            want, decoded = reference_two_stack_round(want_state, cfg, round_index, arm=arm)
+            assert_same_model(got_state.params, want_state.params)
+            assert_same_stats(got, want)
+            assert (got_state.decoded is got_state.params) == cfg.dense_wire
+            if not cfg.dense_wire:
+                assert_same_model(got_state.decoded, decoded)
+        assert got_state.bytes_total == want_state.bytes_total
+
+    @pytest.mark.parametrize("wire", sorted(WIRES))
+    def test_fed_avg_reads_the_leader_from_params_and_the_rest_as_decoded(self, monkeypatch, wire):
+        cfg, state = WIRES[wire], line_state()
+        average, calls = protocol.fed_avg, []
+
+        def recording(models, weights, rows):
+            read = np.stack([m.flat[uid] for m, uid in zip(models, rows)])
+            calls.append((models, read, state.params.flat[rows]))
+            return average(models, weights, rows)
+
+        monkeypatch.setattr(protocol, "fed_avg", recording)
+        run_round(state, cfg, 1, arm="global-fedavg")
+        ((models, read, trained),) = calls
+        assert len(models) == N and models[0] is state.params
+        assert read[0].tobytes() == trained[0].tobytes()
+        if cfg.dense_wire:
+            assert state.decoded is state.params and all(m is state.params for m in models)
+            assert read.tobytes() == trained.tobytes()
+        else:
+            # every other member gives its decoded row, not its row as trained
+            assert state.decoded is not state.params
+            assert all(m is state.decoded for m in models[1:])
+            assert not any(np.array_equal(r, t) for r, t in zip(read[1:], trained[1:]))
+
+    @pytest.mark.parametrize("wire", sorted(WIRES))
+    def test_a_dense_round_allocates_no_second_stack(self, monkeypatch, wire):
+        # 32 devices that each train alone hold a stack of ten lockstep
+        # budgets, more than two lanes' training temporaries: set-up and
+        # a round together peak above two stacks where the wire decodes into
+        # a stack of its own, and below where the receivers read params
+        monkeypatch.setattr(protocol, "_LANES", 2)
+        cfg = WIRES[wire]
+        points = [(i, 0) for i in range(32)]
+        samples, rows = sample_store([toy_data(400 + uid, 20) for uid in range(32)])
+        topo = topology_at(points, r_c=1.0)
+        init = init_parameters(ALONE, 0)
+        tracemalloc.start()
+        try:
+            state = make_state(topo, samples, rows, init, 0.2)
+            run_round(state, cfg, 1, arm="global-fedavg")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack_bytes = state.params.flat.nbytes
+        assert stack_bytes > 9 * LOCKSTEP_BUDGET_BYTES
+        if cfg.dense_wire:
+            assert state.decoded is state.params and peak < 2 * stack_bytes
+        else:
+            assert state.decoded.flat.shape == state.params.flat.shape
+            assert peak >= 2 * stack_bytes
 
 
 @pytest.fixture

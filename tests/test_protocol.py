@@ -486,17 +486,29 @@ class TestRunRound:
         return make_state(topo, samples, rows, init, validation_fraction=0.2)
 
     def test_model_stacks_are_flat_float32_buffers_that_a_round_writes_in_place(self):
+        # a dense round's receivers read params; a quantizing round decodes
+        # into a stack of its own, allocated by its first round
         state = self._state(3)
-        params, decoded = state.params.flat, state.decoded.flat
-        for flat in (params, decoded):
-            assert flat.shape == (3, state.params[0].num_params) and flat.dtype == np.float32
-            assert flat.flags.c_contiguous
+        params = state.params.flat
+        assert params.shape == (3, state.params[0].num_params) and params.dtype == np.float32
+        assert params.flags.c_contiguous
         before = params.copy()
         run_round(state, toy_protocol_config(), round_index=0)
+        assert state.params.flat is params and state.decoded is state.params
+        assert not np.array_equal(params, before)
+        quantized = toy_protocol_config(strategy=CompressionStrategy("quantized"))
+        run_round(state, quantized, round_index=1)
+        decoded = state.decoded.flat
+        assert decoded.shape == params.shape and decoded.dtype == np.float32
+        assert decoded.flags.c_contiguous and not np.shares_memory(decoded, params)
+        before = decoded.copy()
+        run_round(state, quantized, round_index=2)
         assert state.params.flat is params and state.decoded.flat is decoded
-        assert not np.array_equal(params, before) and np.isfinite(decoded).all()
+        assert not np.array_equal(decoded, before)
         for stack, flat in ((state.params, params), (state.decoded, decoded)):
             assert all(np.shares_memory(t, flat) for t in stack.weights + stack.biases)
+        run_round(state, toy_protocol_config(), round_index=3)
+        assert state.decoded is state.params
 
     def test_single_device_round_is_pure_local_training(self):
         cfg = toy_protocol_config()
@@ -599,7 +611,8 @@ class TestTreeRound:
     def _recorded_round(monkeypatch, state, cfg, arm):
         """The round's stats and, per fed_avg call, the (stack, uid) rows it
         averaged (the leader's row of params, every other member's of
-        decoded) and the average it returned."""
+        decoded, which is params on a dense wire) and the average it
+        returned."""
         calls = []
         average = protocol.fed_avg
 
@@ -626,14 +639,17 @@ class TestTreeRound:
         from params."""
         return {rows[0][1]: out for rows, out in calls}
 
-    def _assert_tree_blocks_agree(self, state, calls, gfield):
+    def _assert_tree_blocks_agree(self, state, cfg, calls, gfield):
         singletons = {uid: frozenset([uid]) for uid in range(len(gfield.hops))}
         collected = fields.c_block(gfield, singletons, frozenset.union, frozenset())
         assert [[uid for _, uid in rows] for rows, _ in calls] == [
             sorted(collected[leader]) for leader in sorted(collected)
         ]
+        # a dense wire's members are all rows of params, the one stack
+        assert (state.decoded is state.params) == cfg.dense_wire
+        others = "params" if cfg.dense_wire else "decoded"
         for rows, _ in calls:
-            assert [name for name, _ in rows] == ["params"] + ["decoded"] * (len(rows) - 1)
+            assert [name for name, _ in rows] == ["params"] + [others] * (len(rows) - 1)
         delivered = fields.broadcast_block(gfield, self._averages(calls))
         for uid, model in delivered.items():
             got = state.params[uid]
@@ -653,7 +669,7 @@ class TestTreeRound:
 
         assert stats.partition.leader_of.tolist() == [0] * 5
         gfield = fields.g_block(fields.FieldGraph.from_topology(state.topology), [0])
-        delivered = self._assert_tree_blocks_agree(state, calls, gfield)
+        delivered = self._assert_tree_blocks_agree(state, cfg, calls, gfield)
         assert sorted(delivered) == [0, 1, 2]
         average = self._averages(calls)[0]
         for uid in range(5):
@@ -678,7 +694,7 @@ class TestTreeRound:
         assert members == [[0], [1, 2, 3, 5, 6], [4], [7]]
         graph = protocol.similarity_graph(state.topology, stats.dissimilarity, cfg.tau)
         gfield = fields.g_block(graph, np.flatnonzero(fields.s_block(graph)))
-        delivered = self._assert_tree_blocks_agree(state, calls, gfield)
+        delivered = self._assert_tree_blocks_agree(state, cfg, calls, gfield)
         assert sorted(delivered) == list(range(8))
 
     @pytest.mark.parametrize("arm", protocol.ARMS)
@@ -785,6 +801,8 @@ class TestWireFaults:
         (wire,) = wires
         blob = to_bytes(wire[2])
         assert size[2] == len(blob)
+        # a dense wire's receivers read the sent rows of params themselves
+        assert (state.decoded is state.params) == cfg.dense_wire
         sent, got = state.params[2], state.decoded[2]
         want = decompress(from_bytes(blob))
         for s, a, b in zip(sent.weights + sent.biases, got.weights + got.biases, want.weights + want.biases):
