@@ -18,6 +18,12 @@ Serialized layout (all integers little-endian):
 Bias vectors are never pruned; under the sparse kinds they carry an all-ones
 bitmap.  Quantized tensors are dequantized as (q - zero_point) * scale.  What
 a receiver decodes from the wire is float32, as the bytes carry it.
+
+In memory every payload has the models' flat layout (ParameterSet): one
+(P,) or (D, P) buffer in the order above.  A keep mask (SparseMask) is a
+uint8 buffer, 1 at every kept position and every bias; a quantized model
+(QuantizedParams) is a u8 buffer of levels beside (..., T) scales and zero
+points, one column per tensor.  Each operation is one pass over whole rows.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuralnet import ParameterSet
+from .neuralnet import ParameterSet, SparseMask
 
 # every wire kind, in kind-code order, with its (prunes, quantizes) flags: the
 # one place that decides what each kind does
@@ -68,60 +74,40 @@ class CompressionStrategy:
 
 
 @dataclass
-class SparseMask:
-    """Per-layer keep masks (1 = kept) congruent to the weight matrices of one
-    model, or of D models stacked on a leading axis."""
+class QuantizedParams:
+    """One model, or a stack of D, quantized to u8 with an affine (scale,
+    zero_point) map per tensor: levels is the model as u8 views of one
+    buffer, and scale and zero_point are (T,) or (D, T), column t for tensor
+    t in serialization order W0, b0, W1, b1, ...  dtype is the float type it
+    dequantizes to: the quantized model's, and float32 for one parsed."""
 
-    layers: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        self.layers = [np.asarray(m, dtype=np.uint8) for m in self.layers]
-        for m in self.layers:
-            if m.ndim not in (2, 3):
-                raise ValueError("mask layers must be 2-d (or a stack of them)")
-            if m.max(initial=0) > 1:
-                raise ValueError("mask entries must be 0 or 1")
-
-    def __getitem__(self, k) -> "SparseMask":
-        """Model k's masks (views) of a stack."""
-        return SparseMask([m[k] for m in self.layers])
-
-
-@dataclass
-class QuantizedTensor:
-    """One tensor quantized to u8 with an affine (scale, zero_point) map, or D
-    such tensors stacked on a leading axis with a (D,) scale and zero point.
-    dtype is the float type it dequantizes to: that of the tensor it was
-    quantized from, and float32 for a tensor parsed from bytes."""
-
-    scale: float | np.ndarray
-    zero_point: int | np.ndarray
-    values: np.ndarray
+    levels: ParameterSet
+    scale: np.ndarray
+    zero_point: np.ndarray
     dtype: type = np.float64
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.uint8)
-        zero_point = np.asarray(self.zero_point)
-        if not ((zero_point >= 0) & (zero_point <= 255)).all():
+        self.scale, self.zero_point = np.asarray(self.scale), np.asarray(self.zero_point)
+        if not ((self.zero_point >= 0) & (self.zero_point <= 255)).all():
             raise ValueError(f"zero_point must be in [0, 255], got {self.zero_point}")
         if not np.isfinite(self.scale).all():
             raise ValueError("scale must be finite")
 
-    def __getitem__(self, k) -> "QuantizedTensor":
-        """Tensor k (views) of a stack."""
-        return QuantizedTensor(self.scale[k], self.zero_point[k], self.values[k], self.dtype)
+    def __getitem__(self, k) -> "QuantizedParams":
+        """Model k (views) of a stack."""
+        return QuantizedParams(self.levels[k], self.scale[k], self.zero_point[k], self.dtype)
 
 
 @dataclass
 class CompressedModel:
     """One model, or a stack of D models, in one of the four wire kinds;
-    payload fields match the kind.  qparams holds the tensors in
-    serialization order W0, b0, W1, b1, ..."""
+    payload fields match the kind: params for the float kinds, qparams for
+    the quantizing ones, and a mask for the pruning ones."""
 
     kind: str
     params: ParameterSet | None = None
     mask: SparseMask | None = None
-    qparams: list[QuantizedTensor] | None = None
+    qparams: QuantizedParams | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -131,16 +117,21 @@ class CompressedModel:
         if payload != (prunes, quantizes, not quantizes):
             raise ValueError(f"payload does not match kind {self.kind!r}")
 
+    @property
+    def payload(self) -> ParameterSet:
+        """The values the bytes carry: u8 levels for the quantizing kinds, else floats."""
+        return self.params if self.qparams is None else self.qparams.levels
+
     def __getitem__(self, k) -> "CompressedModel":
         """Model k of a stack, as views of it."""
-        params, mask = (None if x is None else x[k] for x in (self.params, self.mask))
-        qparams = None if self.qparams is None else [qt[k] for qt in self.qparams]
-        return CompressedModel(self.kind, params, mask, qparams)
+        parts = (self.params, self.mask, self.qparams)
+        return CompressedModel(self.kind, *(None if x is None else x[k] for x in parts))
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with ties away from zero (np.round ties to even)."""
-    return np.trunc(x + np.copysign(0.5, x))
+    y = np.copysign(0.5, x)
+    return np.trunc(np.add(y, x, out=y), out=y)
 
 
 def _floor_count(psi: float, n: int) -> int:
@@ -159,92 +150,73 @@ def prune_magnitude(params: ParameterSet, psi: float) -> tuple[ParameterSet, Spa
     if not (0.0 <= psi <= 1.0):
         raise ValueError(f"psi must be in [0, 1], got {psi}")
     pruned = params.copy()
-    mask_layers = []
-    for w in pruned.weights:
+    mask = SparseMask.from_flat(np.ones(params.flat.shape, dtype=np.uint8), params.layer_sizes)
+    for w, m in zip(pruned.weights, mask.layers):
         # one row of flat weights per model; a stable sort on |w| keeps ties
         # in flat (row-major) order, so the first k entries of a row prune
-        # lower (row, col) indices first
+        # lower (row, col) indices first, written through m into the mask
         flat = np.abs(w).reshape(w.shape[:-2] + (-1,))
         order = np.argsort(flat, axis=-1, kind="stable")
-        mask = np.ones(flat.shape, dtype=np.uint8)
-        np.put_along_axis(mask, order[..., : _floor_count(psi, flat.shape[-1])], 0, axis=-1)
-        mask = mask.reshape(w.shape)
-        w *= mask
-        mask_layers.append(mask)
-    return pruned, SparseMask(mask_layers)
+        drop = order[..., : _floor_count(psi, flat.shape[-1])]
+        np.put_along_axis(m.reshape(flat.shape), drop, 0, axis=-1)
+        w *= m
+    return pruned, mask
 
 
-def _quantize_tensor(t: np.ndarray, lead: tuple[int, ...]) -> QuantizedTensor:
-    """Quantize each tensor stacked on the `lead` axes of t (none for one
-    tensor) over its own range.
+def _widths(layer_sizes: tuple[int, ...]) -> np.ndarray:
+    """Each tensor's count of values, in order W0, b0, W1, b1, ..."""
+    return np.array([n for i, o in zip(layer_sizes, layer_sizes[1:]) for n in (o * i, o)], int)
+
+
+def quantize_affine(params: ParameterSet) -> QuantizedParams:
+    """Quantize every tensor (weights and biases) of each model (one, or a
+    stack) to u8 over its own range.
 
     The range always includes 0 (Jacob et al., CVPR 2018), so 0 sits on the
     grid and a single-sign tensor still spreads over all 256 levels.  The
-    range, scale and levels are computed in float64 whatever t's dtype, so
-    each value's level lies within half a step of it.  An empty or
+    range, scale and levels are computed in float64 whatever the models'
+    dtype, so each value's level lies within half a step of it.  An empty or
     all-zero range, or one so narrow (subnormal) that a step underflows,
     gets the unit scale.
     """
-    flat = t.reshape(lead + (-1,))
+    flat = params.flat
     if not np.isfinite(flat).all():
         raise ValueError("cannot quantize non-finite values")
-    lo = flat.min(axis=-1, initial=0.0).astype(np.float64)
-    hi = flat.max(axis=-1, initial=0.0).astype(np.float64)
-    scale = np.asarray((hi - lo) / 255.0)
+    widths = _widths(params.layer_sizes)
+    # each tensor's range over its segment of a row; an empty tensor has no
+    # segment (reduceat would read its neighbour) and keeps the range [0, 0]
+    lo, hi = (np.zeros(flat.shape[:-1] + widths.shape) for _ in range(2))
+    filled = widths > 0
+    starts = (np.cumsum(widths) - widths)[filled]
+    lo[..., filled] = np.minimum(np.minimum.reduceat(flat, starts, axis=-1), 0.0)
+    hi[..., filled] = np.maximum(np.maximum.reduceat(flat, starts, axis=-1), 0.0)
+    scale = (hi - lo) / 255.0
     scale[scale == 0.0] = 1.0
     zero_point = _round_half_away(-lo / scale)
-    q = np.clip(_round_half_away(flat / scale[..., None]) + zero_point[..., None], 0, 255)
-    q = q.astype(np.uint8).reshape(t.shape)
-    return QuantizedTensor(scale[()], zero_point.astype(np.int64)[()], q, t.dtype.type)
-
-
-def quantize_affine(params: ParameterSet) -> list[QuantizedTensor]:
-    """Quantize every tensor (weights and biases) of each model (one, or a
-    stack) to u8 independently; the tensors in order W0, b0, W1, b1, ..."""
-    return [_quantize_tensor(t, params.flat.shape[:-1]) for t in params.tensors]
+    levels = _round_half_away(flat / np.repeat(scale, widths, axis=-1))
+    levels += np.repeat(zero_point, widths, axis=-1)
+    levels = np.clip(levels, 0, 255, out=levels).astype(np.uint8)
+    levels = ParameterSet.from_flat(levels, params.layer_sizes)
+    return QuantizedParams(levels, scale, zero_point.astype(np.int64), flat.dtype.type)
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _dequantize_tensor(values: np.ndarray, zero_point, scale, dtype, out: np.ndarray) -> None:
-    """Write (q - zero_point) * scale into out, one row per tensor of a stack
-    with scale and zero point as columns, computed in float64 and rounded to
-    dtype.  A float32 value is that product rounded once (for an f32 scale
-    the product is exact in float64); a level past the f32 range, which a
-    grid spanning [-max, max] reaches half a step beyond max, saturates at
-    the f32 max."""
-    flat = values.reshape(np.shape(scale) + (-1,)).astype(np.float64)
-    flat = (flat - np.asarray(zero_point)[..., None]) * np.asarray(scale)[..., None]
+def dequantize(qparams: QuantizedParams) -> ParameterSet:
+    """Map u8 levels back to parameters: (q - zero_point) * scale, computed
+    in float64 and rounded once to qparams.dtype (float32 or float64 as
+    quantized, float32 as parsed).  A float32 value is that product rounded
+    once (for an f32 scale the product is exact in float64); a level past
+    the f32 range, which a grid spanning [-max, max] reaches half a step
+    beyond max, saturates at the f32 max."""
+    levels, dtype = qparams.levels, qparams.dtype
+    widths = _widths(levels.layer_sizes)
+    flat = levels.flat - np.repeat(qparams.zero_point.astype(np.float64), widths, axis=-1)
+    flat *= np.repeat(qparams.scale, widths, axis=-1)
     if dtype == np.float32:
         np.clip(flat, -_F32_MAX, _F32_MAX, out=flat)
-    out[...] = (flat if out.dtype == dtype else flat.astype(dtype)).reshape(out.shape)
-
-
-def _float_buffer(arrays: list[np.ndarray], dtypes: list) -> ParameterSet:
-    """A new, unwritten model (or stack) whose tensors have the shapes of the
-    arrays, in order W0, b0, ...: float32 when every dtype is, else float64."""
-    weights = arrays[0::2]
-    if any(w.ndim < 2 for w in weights):
-        raise ValueError("every weight must be a matrix, or a stack of them")
-    lead = weights[0].shape[:-2] if weights else ()
-    sizes = (weights[0].shape[-1], *(w.shape[-2] for w in weights)) if weights else ()
-    width = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
-    dtype = np.float32 if set(map(np.dtype, dtypes)) == {np.dtype(np.float32)} else np.float64
-    out = ParameterSet.from_flat(np.empty(lead + (width,), dtype), sizes)
-    if [t.shape for t in out.tensors] != [a.shape for a in arrays]:
-        raise ValueError("the tensors are not the weights and biases of one MLP")
-    return out
-
-
-def dequantize(qparams: list[QuantizedTensor]) -> ParameterSet:
-    """Map u8 tensors (in order W0, b0, ...) back to parameters, each rounded
-    to its tensor's dtype (float32 or float64 as quantized, float32 as
-    parsed) and written into its view of one buffer."""
-    out = _float_buffer([qt.values for qt in qparams], [qt.dtype for qt in qparams])
-    for t, qt in zip(out.tensors, qparams):
-        _dequantize_tensor(qt.values, qt.zero_point, qt.scale, qt.dtype, t)
-    return out
+    return ParameterSet.from_flat(flat.astype(dtype, copy=False), levels.layer_sizes)
 
 
 def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedModel:
@@ -264,7 +236,7 @@ def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedM
 
 def decompress(model: CompressedModel) -> ParameterSet:
     """Reconstruct the parameters of any compressed kind: a copy of the float
-    kinds' values, or the quantized tensors dequantized in their dtype."""
+    kinds' values, or the quantized levels dequantized in their dtype."""
     if model.params is not None:
         return model.params.copy()
     return dequantize(model.qparams)
@@ -279,67 +251,57 @@ def nonzero_macs(model: ParameterSet | CompressedModel) -> int:
 # ---- serialization ----
 
 
-def _arrays(model: CompressedModel) -> list[np.ndarray]:
-    """The payload arrays in order W0, b0, ...: the u8 values of the quantizing
-    kinds, the float values of the others."""
-    if _KIND_FLAGS[model.kind][1]:
-        return [qt.values for qt in model.qparams]
-    return model.params.tensors
-
-
 def tensor_shapes(model: CompressedModel) -> list[tuple[int, int]]:
     """(rows, cols) per tensor in order W0, b0, ...; cols == 0 for vectors.
     For a stack, the shapes of each of its models."""
-    return [
-        (a.shape[-1], 0) if t % 2 else a.shape[-2:] for t, a in enumerate(_arrays(model))
-    ]
+    sizes = model.payload.layer_sizes
+    return [shape for i, o in zip(sizes, sizes[1:]) for shape in ((o, i), (o, 0))]
 
 
 def serialized_size(model: CompressedModel) -> int | np.ndarray:
     """Exact byte length of to_bytes(model), computed arithmetically; for a
     stack, the (D,) lengths of its models."""
-    arrays = _arrays(model)
-    lead = arrays[0].shape[:-2] if arrays else ()
-    size = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR * len(arrays)
-    for i, (rows, cols) in enumerate(tensor_shapes(model)):
-        n = kept = rows * (cols or 1)
-        if model.mask is not None:
-            # keep-bitmap; biases always survive whole
-            size += (n + 7) // 8
-            if cols:
-                kept = model.mask.layers[i // 2].sum(axis=(-2, -1), dtype=np.int64)
-        # quantized: scale f32, zero point u8, one u8 per value; else f32 values
-        size += 5 + kept if model.qparams is not None else 4 * kept
+    payload = model.payload
+    widths = _widths(payload.layer_sizes)
+    size = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR * len(widths)
+    kept = payload.flat.shape[-1]
+    if model.mask is not None:
+        # a keep-bitmap per tensor; the mask keeps every bias
+        size += int(((widths + 7) // 8).sum())
+        kept = model.mask.flat.sum(axis=-1, dtype=np.int64)
+    # quantized: scale f32, zero point u8, one u8 per value; else f32 values
+    size = size + (5 * len(widths) + kept if model.qparams is not None else 4 * kept)
+    lead = payload.flat.shape[:-1]
     return np.broadcast_to(size, lead).copy() if lead else int(size)
 
 
 def payload_size(model: CompressedModel) -> int | np.ndarray:
     """Serialized size minus the header and per-tensor shape metadata."""
-    n_tensors = len(tensor_shapes(model))
+    n_tensors = len(model.payload.tensors)
     return serialized_size(model) - HEADER_BYTES - SHAPE_BYTES_PER_TENSOR * n_tensors
 
 
 def to_bytes(model: CompressedModel) -> bytes:
     """Serialize one model (model k of a stack is model[k]) to the canonical
     byte format described in the module docstring."""
+    if model.payload.flat.ndim != 1:
+        raise ValueError("to_bytes serializes one model: model k of a stack is model[k]")
     prunes, quantizes = _KIND_FLAGS[model.kind]
     shapes = tensor_shapes(model)
+    ends = np.cumsum(_widths(model.payload.layer_sizes)).tolist()
     chunks = [struct.pack("<4sIII", MAGIC, FORMAT_VERSION, KINDS.index(model.kind), len(shapes))]
-    for t, (array, (rows, cols)) in enumerate(zip(_arrays(model), shapes)):
+    for t, ((rows, cols), start, end) in enumerate(zip(shapes, [0] + ends, ends)):
         chunks.append(struct.pack("<II", rows, cols))
-        flat = array.ravel()
+        values = model.payload.flat[start:end]
         if prunes:
-            # biases always survive whole
-            if cols:
-                bits = model.mask.layers[t // 2].ravel().astype(bool)
-            else:
-                bits = np.ones(rows, dtype=bool)
+            # the tensor's bits of the keep buffer (all ones for a bias)
+            bits = model.mask.flat[start:end]
             chunks.append(np.packbits(bits).tobytes())
-            flat = flat[bits]
+            values = values[bits.view(bool)]
         if quantizes:
-            qt = model.qparams[t]
-            chunks.append(struct.pack("<fB", np.float32(qt.scale), qt.zero_point))
-        chunks.append(flat.tobytes() if quantizes else flat.astype("<f4").tobytes())
+            q = model.qparams
+            chunks.append(struct.pack("<fB", np.float32(q.scale[t]), q.zero_point[t]))
+        chunks.append(values.tobytes() if quantizes else values.astype("<f4").tobytes())
     return b"".join(chunks)
 
 
@@ -374,13 +336,17 @@ def from_bytes(buf: bytes) -> CompressedModel:
         raise SerializationError(f"tensor count {n_tensors} is not a weight/bias pairing")
 
     prunes, quantizes = _KIND_FLAGS[kind]
-    tensors: list = []
-    mask_layers: list[np.ndarray] = []
+    dtype = np.dtype(np.uint8 if quantizes else "<f4")
+    # per tensor: its keep bits, its kept values, and its (scale, zero point)
+    bits: list[np.ndarray] = [np.empty(0, np.uint8)]
+    values: list[np.ndarray] = [np.empty(0, dtype)]
+    maps: list[tuple[float, int]] = []
+    layer_sizes: list[int] = []
 
-    fan_out = 0
     for t in range(n_tensors):
         rows, cols = struct.unpack("<II", take(8))
         is_weight = t % 2 == 0
+        fan_out = layer_sizes[-1] if layer_sizes else 0
         if is_weight and cols == 0:
             raise SerializationError(f"tensor {t}: expected a matrix, got a vector")
         if not is_weight and cols != 0:
@@ -392,43 +358,38 @@ def from_bytes(buf: bytes) -> CompressedModel:
         if not is_weight and rows != fan_out:
             raise SerializationError(f"tensor {t}: bias length {rows} != weight rows {fan_out}")
         if is_weight:
-            fan_out = rows
+            layer_sizes += [cols, rows] if t == 0 else [rows]
         n = rows * cols if cols else rows
-        shape = (rows, cols) if cols else (rows,)
 
-        kept = slice(None)
+        count = n
         if prunes:
-            raw = np.frombuffer(take((n + 7) // 8), dtype=np.uint8)
-            kept = np.unpackbits(raw)[:n].astype(bool)
-            if is_weight:
-                mask_layers.append(kept.astype(np.uint8).reshape(shape))
-            elif not kept.all():
+            bits.append(np.unpackbits(np.frombuffer(take((n + 7) // 8), np.uint8))[:n])
+            if not (is_weight or bits[-1].all()):
                 raise SerializationError(f"tensor {t}: bias bitmap must be all ones")
-        count = int(kept.sum()) if prunes else n
-        dtype = np.dtype(np.uint8 if quantizes else "<f4")
-        if quantizes:
-            scale, zero_point = struct.unpack("<fB", take(5))
-            if not math.isfinite(scale):
-                raise SerializationError(f"tensor {t}: quantization scale {scale} is not finite")
-        # the payload is read before its tensor is allocated, so a damaged
-        # shape cannot ask for more memory than the blob holds
-        vals = np.frombuffer(take(dtype.itemsize * count), dtype=dtype)
-        if not quantizes and not np.isfinite(vals).all():
+            count = int(bits[-1].sum())
+        maps.append(struct.unpack("<fB", take(5)) if quantizes else (1.0, 0))
+        if not math.isfinite(maps[-1][0]):
+            raise SerializationError(f"tensor {t}: quantization scale {maps[-1][0]} is not finite")
+        # the payload is read before the model's buffer is allocated, so a
+        # damaged shape cannot ask for more memory than the blob holds
+        values.append(np.frombuffer(take(dtype.itemsize * count), dtype=dtype))
+        if not quantizes and not np.isfinite(values[-1]).all():
             raise SerializationError(f"tensor {t}: values are not all finite")
-        full = np.full(n, zero_point if quantizes else 0, dtype=dtype)
-        full[kept] = vals
-        full = full.reshape(shape)
-        if quantizes:
-            full = QuantizedTensor(float(scale), int(zero_point), full, np.float32)
-        tensors.append(full)
 
     if pos != len(buf):
         raise SerializationError(f"{len(buf) - pos} trailing bytes after payload")
 
-    mask = SparseMask(mask_layers) if prunes else None
+    # a pruned position holds 0.0, or its tensor's zero point
+    scale, zero_point = np.array(maps, dtype=np.float64).reshape(-1, 2).T
+    flat = np.repeat(zero_point.astype(dtype), _widths(tuple(layer_sizes)))
+    keep = np.concatenate(bits) if prunes else np.ones(flat.shape, dtype=np.uint8)
+    flat[keep.view(bool)] = np.concatenate(values)
+    mask = SparseMask.from_flat(keep, layer_sizes) if prunes else None
+    payload = ParameterSet.from_flat(flat, layer_sizes)
     if quantizes:
-        return CompressedModel(kind, qparams=tensors, mask=mask)
-    return CompressedModel(kind, params=ParameterSet(tensors[0::2], tensors[1::2]), mask=mask)
+        qparams = QuantizedParams(payload, scale, zero_point.astype(np.int64), np.float32)
+        return CompressedModel(kind, qparams=qparams, mask=mask)
+    return CompressedModel(kind, params=payload, mask=mask)
 
 
 def encode_wire(
@@ -457,30 +418,20 @@ def decode_wire(wire: CompressedModel) -> ParameterSet:
 
     Float values are copied as f32, and scales of the quantizing kinds are
     rounded to f32 as the bytes carry them.  Pruned weight positions decode
-    as +0.0 (or the zero point) whatever the wire model holds there: masked
-    training leaves -0.0 at negative pruned weights, and the bytes carry only
-    the kept values.  Non-finite values come back as they are; the codec is
-    what rejects them.  The result is one buffer, for the dense kind the wire
-    model's own when that is float32: copy it before writing to it.
+    as +0.0 whatever the wire model holds there: masked training leaves
+    -0.0 at negative pruned weights, and the bytes carry only the kept
+    values (a pruned level parses as its tensor's zero point).  Non-finite
+    values come back as they are; the codec is what rejects them.  The
+    result is one buffer, for the dense kind the wire model's own when that
+    is float32: copy it before writing to it.
     """
     prunes, quantizes = _KIND_FLAGS[wire.kind]
-    if not quantizes:
+    if quantizes:
+        q = wire.qparams
+        out = dequantize(QuantizedParams(q.levels, np.float32(q.scale), q.zero_point, np.float32))
+    else:
         flat = wire.params.flat.astype(np.float32, copy=prunes)
         out = ParameterSet.from_flat(flat, wire.params.layer_sizes)
-        if prunes:
-            # a pruned weight is not on the wire: it parses as 0.0
-            for w, m in zip(out.weights, wire.mask.layers):
-                np.copyto(w, 0.0, where=m == 0)
-        return out
-    arrays = _arrays(wire)
     if prunes:
-        # a pruned weight parses as its tensor's zero point (a column of
-        # them for a stack)
-        arrays[0::2] = [
-            np.where(m, a, np.asarray(qt.zero_point, dtype=np.uint8)[..., None, None])
-            for m, a, qt in zip(wire.mask.layers, arrays[0::2], wire.qparams[0::2])
-        ]
-    out = _float_buffer(arrays, [np.float32] * len(arrays))
-    for t, a, qt in zip(out.tensors, arrays, wire.qparams):
-        _dequantize_tensor(a, qt.zero_point, np.asarray(qt.scale, dtype=np.float32), np.float32, t)
+        np.copyto(out.flat, 0.0, where=wire.mask.flat == 0)
     return out

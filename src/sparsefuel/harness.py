@@ -9,6 +9,7 @@ one MetricsRecord per round and can be replayed bit-identically from
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -417,19 +418,26 @@ class ExperimentResult:
     world: World
 
 
+@contextlib.contextmanager
+def _experiment(cfg: ExperimentConfig, seed: int | None):
+    """Build one experiment's world and start state, for the block to run its
+    rounds on with the heap kept mapped and OpenBLAS held at one thread."""
+    world = build_world(cfg, seed)
+    fraction = cfg.data.validation_fraction
+    state = make_state(world.topology, world.samples, world.rows, world.init_params, fraction)
+    keep_heap_mapped()
+    with one_blas_thread():
+        yield world, state
+
+
 def run_experiment_result(
     cfg: ExperimentConfig, arm: str = "sparsefuel", seed: int | None = None
 ) -> ExperimentResult:
     """Run all rounds of one arm and keep the final state around."""
     if arm not in ARMS:
         raise ConfigError(f"unknown arm {arm!r}, expected one of {ARMS}")
-    world = build_world(cfg, seed)
-    state = make_state(
-        world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
-    )
     records: list[MetricsRecord] = []
-    keep_heap_mapped()
-    with one_blas_thread():
+    with _experiment(cfg, seed) as (world, state):
         for t in range(1, cfg.protocol.rounds + 1):
             started = time.perf_counter()
             stats = run_round(state, world.protocol, t, arm)
@@ -534,12 +542,7 @@ def calibrate_tau(
     """
     if warmup_rounds < 0:
         raise ValueError("warmup_rounds must be >= 0")
-    world = build_world(cfg, seed)
-    state = make_state(
-        world.topology, world.samples, world.rows, world.init_params, cfg.data.validation_fraction
-    )
-    keep_heap_mapped()
-    with one_blas_thread():
+    with _experiment(cfg, seed) as (world, state):
         for t in range(1, warmup_rounds + 1):
             run_round(state, world.protocol, t, arm="isolated")
         stats = run_round(state, world.protocol, warmup_rounds + 1, arm="sparsefuel")

@@ -138,6 +138,38 @@ class ParameterSet:
 
 
 @dataclass
+class SparseMask:
+    """The keep mask (1 = kept) of one MLP, or of D stacked, in their flat
+    layout: one uint8 (P,) or (D, P) buffer, 1 at every bias; layers are the
+    views of its weight positions.  The constructor copies per-layer masks
+    into a new buffer, entries 0 or 1 as given; from_flat wraps one."""
+
+    layers: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+    layer_sizes: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        layers = [np.asarray(m) for m in self.layers]
+        if any(((m != 0) & (m != 1)).any() for m in layers):
+            raise ValueError("mask entries must be 0 or 1")
+        # the layers take the shape checks of one MLP's weights, or a stack's
+        keep = ParameterSet(layers, [np.ones(m.shape[:-1]) for m in layers])
+        vars(self).update(vars(SparseMask.from_flat(keep.flat.astype(np.uint8), keep.layer_sizes)))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layer_sizes: tuple[int, ...]) -> "SparseMask":
+        """The mask held in a uint8 buffer of this layout: nothing is copied or checked."""
+        self = cls.__new__(cls)
+        self.flat, self.layer_sizes = flat, tuple(layer_sizes)
+        self.layers = ParameterSet.from_flat(flat, layer_sizes).weights
+        return self
+
+    def __getitem__(self, k) -> "SparseMask":
+        """Model k's mask (views) of a stack."""
+        return SparseMask.from_flat(self.flat[k], self.layer_sizes)
+
+
+@dataclass
 class LabeledDataset:
     """Feature matrix (n x d) with integer class labels (n,), or D datasets of
     one length stacked on a leading axis: features (D, n, d), labels (D, n).
@@ -424,24 +456,18 @@ def local_training(
     range(n) for epoch e, the positions in its rows it visits in turn: a
     (D, epochs, n) array for a stack, (epochs, n) for one model.  By default
     shuffle_orders draws them from (cfg.rng_seed, round_index), so the call
-    is deterministic.  When a mask is given (a SparseMask or a per-layer
-    sequence of 0/1 arrays congruent to the weights; any other entry raises
-    ValueError), the updated weights are zeroed at masked positions after
-    every step; biases always stay dense.
+    is deterministic.  When a mask is given (a SparseMask, or a sequence of
+    per-layer masks, which becomes one), the updated weights are zeroed at
+    masked positions after every step: the models are multiplied by its keep
+    buffer, whose bias positions are 1.
     """
     keep = None
     if mask is not None:
-        mask_layers = [np.asarray(m) for m in getattr(mask, "layers", mask)]
-        if len(mask_layers) != params.num_layers:
-            raise ValueError("mask layer count does not match parameters")
-        for m, w in zip(mask_layers, params.weights):
-            if m.shape != w.shape:
-                raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
-        # the mask as one buffer in the models' layout, every bias kept
-        ones = [np.ones_like(b) for b in params.biases]
-        keep = ParameterSet([m.astype(params.flat.dtype) for m in mask_layers], ones).flat
-        if ((keep != 0) & (keep != 1)).any():
-            raise ValueError("mask entries must be 0 or 1")
+        mask = mask if isinstance(mask, SparseMask) else SparseMask(mask)
+        shapes = [[t.shape for t in ts] for ts in (mask.layers, params.weights)]
+        if shapes[0] != shapes[1]:
+            raise ValueError(f"mask shapes {shapes[0]} != weight shapes {shapes[1]}")
+        keep = mask.flat
 
     stacked = params.stacked
     rows = np.arange(len(data)) if rows is None else np.asarray(rows)

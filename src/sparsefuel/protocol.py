@@ -265,23 +265,23 @@ class SimulationState:
         return shuffle_orders(training.rng_seed, round_index, self.orders)
 
 
-# Lockstep work on a stack of models holds, per model, its parameters and the
-# activations of its rows of input, in the models' dtype (float32 in a run);
-# a stack is cut into chunks of at most this many bytes so that only one
-# chunk's temporaries live at a time in each lane.  Every lockstep step costs
-# a fixed Python and numpy overhead, which larger chunks pay less often, but
-# every lane holds its own chunk's temporaries, and the chunks share two
-# lanes best in even counts.  Of 1.25, 2, 2.5, 3 and 4 MiB (float32, seed 7,
-# medians of three 12 s runs each, two lanes on a 2-core Xeon), 2.5 MiB gave
-# the fastest rounds:
-# - idx-global trains its 784-64-10 MLPs eight to a chunk, 8 chunks: 670
-#   device-rounds/s and a peak RSS of 99 MB, against 567 and 88 at 1.25 MiB
-#   (16 chunks of 4), 609 and 94 at 2 MiB (11 chunks), 616 and 104 at 3 MiB
-#   (7 chunks) and 609 and 112 at 4 MiB (5 chunks)
-# - quadrant's 64 devices train as one chunk at every budget, and its
-#   similarity runs in two passes of 208 pairs (three at 1.25 MiB, one at 3
-#   and 4 MiB): 6917 device-rounds/s, and 6887 to 6948 at the other budgets,
-#   within the runs' spread
+# Lockstep work on a stack of models is cut into chunks of at most this many
+# bytes as the budget counts them: per model, its parameters and the
+# activations of one pass over its rows of input, in the models' dtype
+# (float32 in a run).  A training lane holds more while it runs its chunk:
+# the decompressed input, training's copy and its gradient (three copies of
+# the chunk's parameters), one batch's features and activations, the row
+# orders it gathers and, on a quantizing wire, the quantizer's float64
+# temporaries.  Under tracemalloc (seed 7, one chunk after a warm-up round)
+# a lane peaked 1.0 MiB above its start on quadrant's one chunk of 64 models
+# (0.25 MiB as counted) and 7.4 MiB, three budgets, on an idx-global chunk
+# of 8 (2.4 MiB as counted).  Larger chunks pay each lockstep step's fixed
+# Python and numpy overhead less often, and chunks share two lanes best in
+# even counts.  Of 1.25, 2, 2.5, 3 and 4 MiB (float32, seed 7, medians of
+# three 12 s runs, two lanes on a 2-core Xeon), 2.5 MiB gave the fastest
+# rounds: idx-global trains 8 chunks of eight at 670 device-rounds/s and a
+# 99 MB peak RSS (567-616 and 88-112 MB at the others), and quadrant's 64
+# devices train as one chunk at every budget at 6917 (6887-6948).
 LOCKSTEP_BUDGET_BYTES = 5 * 1024 * 1024 // 2
 
 

@@ -24,6 +24,7 @@ import pytest
 
 from sparsefuel import fields, protocol
 from sparsefuel.compression import (
+    KINDS,
     CompressedModel,
     compress,
     decode_wire,
@@ -539,6 +540,75 @@ def reference_quantize_tensor(t: np.ndarray):
     zero_point = int(_round_half_away(-lo / scale))
     q = np.clip(_round_half_away(t / scale) + zero_point, 0, 255).astype(np.uint8)
     return scale, zero_point, q
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def reference_dequantize_tensor(values: np.ndarray, zero_point, scale, dtype) -> np.ndarray:
+    """One tensor's (values - zero_point) * scale, computed in float64 and
+    rounded once to dtype; in float32 a level past the f32 range saturates
+    at the f32 max."""
+    x = (values.astype(np.float64) - zero_point) * scale
+    if dtype == np.float32:
+        x = np.clip(x, -_F32_MAX, _F32_MAX)
+    return x.astype(dtype)
+
+
+def _reference_wire_tensors(model: CompressedModel):
+    """One model's wire tensors in order W0, b0, ...: each tensor's payload
+    values (u8 levels or floats), its keep bits (every bias kept) and its
+    (scale, zero_point) column, or None for the float kinds."""
+    q = model.qparams
+    for t, values in enumerate(model.payload.tensors):
+        if model.mask is None:
+            bits = None
+        elif t % 2:
+            bits = np.ones(values.shape, dtype=bool)
+        else:
+            bits = model.mask.layers[t // 2].astype(bool)
+        yield values, bits, None if q is None else (q.scale[t], q.zero_point[t])
+
+
+def reference_to_bytes(model: CompressedModel) -> bytes:
+    """to_bytes of one model, one tensor at a time."""
+    tensors = list(_reference_wire_tensors(model))
+    chunks = [struct.pack("<4sIII", b"SPFL", 1, KINDS.index(model.kind), len(tensors))]
+    for values, bits, qmap in tensors:
+        chunks.append(struct.pack("<II", *(values.shape if values.ndim == 2 else (values.size, 0))))
+        if bits is not None:
+            chunks.append(np.packbits(bits.ravel()).tobytes())
+            values = values[bits]
+        if qmap is not None:
+            chunks.append(struct.pack("<fB", np.float32(qmap[0]), int(qmap[1])))
+        chunks.append(values.tobytes() if qmap is not None else values.astype("<f4").tobytes())
+    return b"".join(chunks)
+
+
+def reference_serialized_size(model: CompressedModel) -> int:
+    """serialized_size of one model, one tensor at a time."""
+    size = 16
+    for values, bits, qmap in _reference_wire_tensors(model):
+        kept = values.size if bits is None else int(bits.sum())
+        size += 8 + (0 if bits is None else (values.size + 7) // 8)
+        size += 4 * kept if qmap is None else 5 + kept
+    return size
+
+
+def reference_decode_wire(model: CompressedModel) -> list[np.ndarray]:
+    """The float32 tensors a receiver parses from one model's bytes, one
+    tensor at a time: a pruned level is its tensor's zero point, a pruned
+    float 0.0, and levels dequantize with the f32 scale."""
+    decoded = []
+    for values, bits, qmap in _reference_wire_tensors(model):
+        if qmap is None:
+            floats = values if bits is None else np.where(bits, values, 0.0)
+            decoded.append(floats.astype(np.float32))
+        else:
+            scale, zero_point = np.float32(qmap[0]), int(qmap[1])
+            levels = values if bits is None else np.where(bits, values, np.uint8(zero_point))
+            decoded.append(reference_dequantize_tensor(levels, zero_point, scale, np.float32))
+    return decoded
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from sparsefuel.compression import (
     SHAPE_BYTES_PER_TENSOR,
     CompressedModel,
     CompressionStrategy,
-    QuantizedTensor,
+    QuantizedParams,
     SerializationError,
     SparseMask,
     _round_half_away,
@@ -35,8 +35,12 @@ from sparsefuel.neuralnet import Architecture, ParameterSet, init_parameters
 from conftest import _round_half_away as reference_round_half_away
 from conftest import (
     cast_models,
+    reference_decode_wire,
+    reference_dequantize_tensor,
     reference_prune_magnitude,
     reference_quantize_tensor,
+    reference_serialized_size,
+    reference_to_bytes,
     stack_models,
 )
 
@@ -125,12 +129,11 @@ class TestQuantize:
     def test_symmetric_unit_range_example(self):
         params = ParameterSet([np.array([[-1.0, 0.0, 1.0]])], [np.zeros(1)])
         q = quantize_affine(params)
-        t = q[0]
-        assert t.scale == 2.0 / 255.0
-        assert t.zero_point == 128
-        assert list(t.values.ravel()) == [0, 128, 255]
+        assert q.scale[0] == 2.0 / 255.0
+        assert q.zero_point[0] == 128
+        assert list(q.levels.weights[0].ravel()) == [0, 128, 255]
         deq = dequantize(q).weights[0]
-        assert abs(deq[0, 1] - 0.0) <= t.scale / 2
+        assert abs(deq[0, 1] - 0.0) <= q.scale[0] / 2
 
     def test_constant_tensor_example(self):
         # the range is widened to include 0, so a constant c != 0 gets the
@@ -138,42 +141,38 @@ class TestQuantize:
         for c in (0.5, 0.3, -0.3, 1e-6, -250.0):
             params = ParameterSet([np.full((2, 2), c)], [np.zeros(2)])
             q = quantize_affine(params)
-            t = q[0]
-            assert t.scale == abs(c) / 255.0
-            assert t.zero_point == (0 if c > 0 else 255)
-            assert len(set(t.values.ravel().tolist())) == 1
+            assert q.scale[0] == abs(c) / 255.0
+            assert q.zero_point[0] == (0 if c > 0 else 255)
+            assert len(set(q.levels.weights[0].ravel().tolist())) == 1
             deq = dequantize(q).weights[0]
             assert len(set(deq.ravel().tolist())) == 1
-            assert abs(deq[0, 0] - c) <= t.scale / 2
+            assert abs(deq[0, 0] - c) <= q.scale[0] / 2
 
     def test_all_zero_tensor_keeps_unit_scale(self):
         params = ParameterSet([np.zeros((1, 3))], [np.zeros(1)])
         q = quantize_affine(params)
-        for t in q:
-            assert t.scale == 1.0
-            assert t.zero_point == 0
-            assert np.all(t.values == t.zero_point)
+        for t, values in enumerate(q.levels.tensors):
+            assert q.scale[t] == 1.0
+            assert q.zero_point[t] == 0
+            assert np.all(values == q.zero_point[t])
         assert np.all(dequantize(q).weights[0] == 0.0)
         # so does a range too narrow for 255 steps, which all land on 0
         for w in ([[5e-324, 1e-323]], [[-5e-324, 5e-324]]):
             q = quantize_affine(ParameterSet([np.array(w)], [np.zeros(1)]))
-            assert q[0].scale == 1.0
+            assert q.scale[0] == 1.0
             assert np.all(dequantize(q).weights[0] == 0.0)
 
     def test_single_sign_tensor_spreads_over_the_grid(self):
         for values in ([1.0, 1.5, 2.0], [-2.0, -1.5, -1.0]):
             params = ParameterSet([np.array([values])], [np.zeros(1)])
             q = quantize_affine(params)
-            t = q[0]
             deq = dequantize(q).weights[0]
-            assert len(set(t.values.ravel().tolist())) == 3
-            assert np.abs(deq - params.weights[0]).max() <= t.scale / 2
+            assert len(set(q.levels.weights[0].ravel().tolist())) == 3
+            assert np.abs(deq - params.weights[0]).max() <= q.scale[0] / 2
 
     def test_all_values_at_zero_point_dequantize_to_zeros(self):
-        q = [
-            QuantizedTensor(0.01, 7, np.full((2, 3), 7, dtype=np.uint8)),
-            QuantizedTensor(0.5, 200, np.full((2,), 200, dtype=np.uint8)),
-        ]
+        levels = ParameterSet.from_flat(np.array([7] * 6 + [200] * 2, dtype=np.uint8), (3, 2))
+        q = QuantizedParams(levels, np.array([0.01, 0.5]), np.array([7, 200]))
         deq = dequantize(q)
         assert np.all(deq.weights[0] == 0.0)
         assert np.all(deq.biases[0] == 0.0)
@@ -188,14 +187,14 @@ class TestQuantize:
             q = quantize_affine(params)
             deq = dequantize(q)
             for orig, back, t in (
-                (params.weights[0], deq.weights[0], q[0]),
-                (params.biases[0], deq.biases[0], q[1]),
+                (params.weights[0], deq.weights[0], 0),
+                (params.biases[0], deq.biases[0], 1),
             ):
-                assert np.abs(orig - back).max() <= t.scale / 2 + 1e-9
+                assert np.abs(orig - back).max() <= q.scale[t] / 2 + 1e-9
             q2 = quantize_affine(deq)
-            for a, b in zip(q, q2):
-                assert np.array_equal(a.values, b.values)
-                assert a.zero_point == b.zero_point
+            for t, (a, b) in enumerate(zip(q.levels.tensors, q2.levels.tensors)):
+                assert np.array_equal(a, b)
+                assert q.zero_point[t] == q2.zero_point[t]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(w=_float32_tensors())
@@ -207,21 +206,22 @@ class TestQuantize:
         q = quantize_affine(params)
         deq = dequantize(q)
         for orig, back, t in (
-            (params.weights[0], deq.weights[0], q[0]),
-            (params.biases[0], deq.biases[0], q[1]),
+            (params.weights[0], deq.weights[0], 0),
+            (params.biases[0], deq.biases[0], 1),
         ):
-            assert t.dtype == back.dtype == np.float32 and np.isfinite(back).all()
+            scale, values = q.scale[t], q.levels.tensors[t]
+            assert q.dtype == back.dtype == np.float32 and np.isfinite(back).all()
             x = orig.astype(np.float64)
-            grid = (t.values.astype(np.float64) - t.zero_point) * t.scale
-            assert np.abs(grid - x).max() <= t.scale * (0.5 + 1e-12)
+            grid = (values.astype(np.float64) - q.zero_point[t]) * scale
+            assert np.abs(grid - x).max() <= scale * (0.5 + 1e-12)
             assert np.array_equal(back, np.clip(grid, -F32_MAX, F32_MAX).astype(np.float32))
             # and so lies within half a step and half an f32 ulp of its value
             ulp = np.maximum(np.abs(back).astype(np.float64) * 2.0**-23, 2.0**-149)
-            assert np.all(np.abs(back - x) <= t.scale * (0.5 + 1e-12) + ulp / 2)
+            assert np.all(np.abs(back - x) <= scale * (0.5 + 1e-12) + ulp / 2)
         q2 = quantize_affine(deq)
-        for a, b in zip(q, q2):
-            assert np.array_equal(a.values, b.values)
-            assert a.zero_point == b.zero_point
+        for t, (a, b) in enumerate(zip(q.levels.tensors, q2.levels.tensors)):
+            assert np.array_equal(a, b)
+            assert q.zero_point[t] == q2.zero_point[t]
 
     def test_non_finite_raises(self):
         params = ParameterSet([np.array([[1.0, np.nan]])], [np.zeros(1)])
@@ -229,24 +229,27 @@ class TestQuantize:
             quantize_affine(params)
 
     def test_stack_with_one_bad_zero_point_or_scale_raises(self):
-        values = np.zeros((3, 2, 2), dtype=np.uint8)
-        scale, zero_point = np.full(3, 0.5), np.array([0, 128, 255])
-        QuantizedTensor(scale, zero_point, values)
+        # three 1-2 models: tensor 0 (the weight) is column 0 of each map
+        levels = ParameterSet.from_flat(np.zeros((3, 4), dtype=np.uint8), (1, 2))
+        scale = np.full((3, 2), 0.5)
+        zero_point = np.array([[0, 0], [128, 0], [255, 0]])
+        QuantizedParams(levels, scale, zero_point)
         for bad in (-1, 256):
             zps = zero_point.copy()
-            zps[1] = bad
+            zps[1, 0] = bad
             with pytest.raises(ValueError, match=r"^zero_point must be in \[0, 255\], got \["):
-                QuantizedTensor(scale, zps, values)
+                QuantizedParams(levels, scale, zps)
         for bad in (np.nan, np.inf):
             scales = scale.copy()
-            scales[2] = bad
+            scales[2, 0] = bad
             with pytest.raises(ValueError, match="^scale must be finite$"):
-                QuantizedTensor(scales, zero_point, values)
-        # a parsed tensor's Python scalars take the same check
-        with pytest.raises(ValueError, match=r"^zero_point must be in \[0, 255\], got 300$"):
-            QuantizedTensor(0.5, 300, values[0])
+                QuantizedParams(levels, scales, zero_point)
+        # a single model's columns take the same check
+        message = r"^zero_point must be in \[0, 255\], got \[300   0\]$"
+        with pytest.raises(ValueError, match=message):
+            QuantizedParams(levels[0], np.array([0.5, 0.5]), np.array([300, 0]))
         with pytest.raises(ValueError, match="^scale must be finite$"):
-            QuantizedTensor(float("nan"), 0, values[0])
+            QuantizedParams(levels[0], np.array([float("nan"), 0.5]), np.array([0, 0]))
 
     # every half step in [-600, 600] and its neighbouring floats, the
     # signed zeros, and floats of every magnitude
@@ -384,14 +387,24 @@ class TestWireFormat:
             model = compress(params, CompressionStrategy(kind, 0.3))
             back = from_bytes(to_bytes(model))
             assert back.kind == kind
-            for t_in, t_out in zip(model.qparams, back.qparams):
-                assert t_out.scale == np.float32(t_in.scale)
-                assert t_out.zero_point == t_in.zero_point
-                assert np.array_equal(t_out.values, t_in.values)
+            q_in, q_out = model.qparams, back.qparams
+            for t, (v_in, v_out) in enumerate(zip(q_in.levels.tensors, q_out.levels.tensors)):
+                assert q_out.scale[t] == np.float32(q_in.scale[t])
+                assert q_out.zero_point[t] == q_in.zero_point[t]
+                assert np.array_equal(v_out, v_in)
             # masked weight positions come back as q == zero_point
             a, b = decompress(model), decompress(back)
             for x, y in zip(a.weights + a.biases, b.weights + b.biases):
                 assert np.allclose(x, y, rtol=1e-5, atol=1e-7)
+
+    def test_a_stack_is_serialized_one_model_at_a_time(self):
+        params = init_parameters(Architecture((2, 3, 2)), 0)
+        stack = stack_models([params, params])
+        for kind in KINDS:
+            model = compress(stack, CompressionStrategy(kind, 0.3))
+            with pytest.raises(ValueError, match="^to_bytes serializes one model"):
+                to_bytes(model)
+            assert to_bytes(model[1]) == to_bytes(compress(params, CompressionStrategy(kind, 0.3)))
 
     def test_dense_round_trip_is_exact_at_f32(self):
         params = init_parameters(Architecture((3, 4, 2)), 4)
@@ -573,8 +586,10 @@ def _reference_wire(model: ParameterSet, strategy: CompressionStrategy, mask=Non
     mask = mask if strategy.prunes else None
     if not strategy.quantizes:
         return CompressedModel(strategy.kind, params=model, mask=mask)
-    tensors = [t for wb in zip(model.weights, model.biases) for t in wb]
-    qparams = [QuantizedTensor(*reference_quantize_tensor(t), t.dtype.type) for t in tensors]
+    scale, zero_point, values = zip(*(reference_quantize_tensor(t) for t in model.tensors))
+    flat = np.concatenate([np.empty(0, np.uint8)] + [v.ravel() for v in values])
+    levels = ParameterSet.from_flat(flat, model.layer_sizes)
+    qparams = QuantizedParams(levels, np.array(scale), np.array(zero_point), model.flat.dtype.type)
     return CompressedModel(strategy.kind, qparams=qparams, mask=mask)
 
 
@@ -589,10 +604,12 @@ def _assert_same_wire(got: CompressedModel, want: CompressedModel) -> None:
         for a, b in zip(*(m.params.weights + m.params.biases for m in (got, want))):
             assert a.tobytes() == b.tobytes()
     else:
-        for a, b in zip(got.qparams, want.qparams, strict=True):
-            assert np.float64(a.scale).tobytes() == np.float64(b.scale).tobytes()
-            assert a.zero_point == b.zero_point
-            assert a.values.dtype == np.uint8 and np.array_equal(a.values, b.values)
+        a, b = got.qparams, want.qparams
+        assert a.dtype == b.dtype
+        for t, (x, y) in enumerate(zip(a.levels.tensors, b.levels.tensors, strict=True)):
+            assert np.float64(a.scale[t]).tobytes() == np.float64(b.scale[t]).tobytes()
+            assert a.zero_point[t] == b.zero_point[t]
+            assert x.dtype == np.uint8 and np.array_equal(x, y)
     assert to_bytes(got) == to_bytes(want)
     for a, b in zip(*(m.weights + m.biases for m in (decompress(got), decompress(want)))):
         assert a.tobytes() == b.tobytes()
@@ -664,3 +681,64 @@ def test_decode_wire_is_the_byte_round_trip_of_every_row(kind, psi, seed):
         assert sizes[k] == len(blob) == serialized_size(wire[k])
         assert payload_size(wire)[k] == payload_size(wire[k])
 
+
+
+@st.composite
+def flat_models(draw):
+    """A float32 or float64 model, or a stack of them, and a keep mask for
+    it: layers of width 1 to 3, the empty set, and a last layer of 0 rows
+    (from_bytes accepts one: its two tensors hold no values).  The weights
+    are masked, as training leaves them, or not."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    sizes = draw(st.one_of(st.just(()), st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    sizes = tuple(sizes[:-1]) + ((0,) if sizes and draw(st.booleans()) else tuple(sizes[-1:]))
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    width = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+    # the float kinds carry f32, so a float64 value past its range would not
+    finite = st.floats(-F32_MAX, F32_MAX, width=np.dtype(dtype).itemsize * 8)
+    flat = draw(hnp.arrays(dtype, lead + (width,), elements=finite))
+    params = ParameterSet.from_flat(flat, sizes)
+    keep = draw(hnp.arrays(np.uint8, lead + (width,), elements=st.integers(0, 1)))
+    for b in ParameterSet.from_flat(keep, sizes).biases:
+        b[...] = 1
+    mask = SparseMask.from_flat(keep, sizes)
+    if draw(st.booleans()):
+        params.flat *= keep
+    return params, mask
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=flat_models())
+def test_flat_payloads_match_the_per_tensor_references(case):
+    # every pass over the flat buffers gives, bit for bit, what quantizing,
+    # dequantizing, decoding, pricing and serializing each tensor of each
+    # model on its own gives
+    params, mask = case
+    q, deq = quantize_affine(params), dequantize(quantize_affine(params))
+    models = range(len(params.flat)) if params.stacked else [()]
+    for k in models:
+        for t, tensor in enumerate(params[k].tensors):
+            scale, zero_point, values = reference_quantize_tensor(tensor)
+            assert np.float64(q[k].scale[t]).tobytes() == np.float64(scale).tobytes()
+            assert q[k].zero_point[t] == zero_point
+            got = q[k].levels.tensors[t]
+            assert got.dtype == np.uint8 and np.array_equal(got, values)
+            want = reference_dequantize_tensor(values, zero_point, scale, params.flat.dtype)
+            assert deq[k].tensors[t].dtype == want.dtype
+            assert deq[k].tensors[t].tobytes() == want.tobytes()
+    for kind in KINDS:
+        wire = encode_wire(params, CompressionStrategy(kind, 0.5), mask)
+        decoded, sizes = decode_wire(wire), np.asarray(serialized_size(wire))
+        assert sizes.shape == params.flat.shape[:-1]
+        for k in models:
+            blob = to_bytes(wire[k])
+            assert blob == reference_to_bytes(wire[k])
+            assert sizes[k] == reference_serialized_size(wire[k]) == len(blob)
+            want = reference_decode_wire(wire[k])
+            for a, b in zip(decoded[k].tensors, want, strict=True):
+                assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            # the parsed model's buffers give the same bytes and decode
+            back = from_bytes(blob)
+            assert to_bytes(back) == blob
+            assert decode_wire(back).flat.tobytes() == decoded[k].flat.tobytes()

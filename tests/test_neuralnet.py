@@ -418,6 +418,17 @@ class TestLocalTraining:
         masks[1][1, 0, 0] = 1.0
         local_training(stack, self._toy(), cfg, mask=masks, rows=rows)
 
+    def test_sparse_mask_checks_its_entries_as_given(self):
+        # 0.5 would cast to 0 and -255 wrap to 1 as uint8: each is refused
+        for layer in ([[0.5, 1.0]], [[-255, 1]], [[np.nan, 1.0]]):
+            with pytest.raises(ValueError, match="^mask entries must be 0 or 1$"):
+                SparseMask([np.array(layer)])
+        # 0/1 entries of any dtype become one uint8 buffer, every bias kept
+        for layer in ([[1.0, 0.0], [0.0, 1.0]], [[True, False], [False, True]]):
+            mask = SparseMask([np.array(layer)])
+            assert mask.flat.dtype == np.uint8 and mask.flat.tolist() == [1, 0, 0, 1, 1, 1]
+            assert np.shares_memory(mask.layers[0], mask.flat)
+
     def test_separable_blobs_reach_full_accuracy(self):
         data = self._toy(m=100)
         params = init_parameters(Architecture((2, 8, 2)), 4)
