@@ -183,13 +183,13 @@ def quantize_affine(params: ParameterSet) -> QuantizedParams:
     if not np.isfinite(flat).all():
         raise ValueError("cannot quantize non-finite values")
     widths = _widths(params.layer_sizes)
-    # each tensor's range over its segment of a row; an empty tensor has no
-    # segment (reduceat would read its neighbour) and keeps the range [0, 0]
-    lo, hi = (np.zeros(flat.shape[:-1] + widths.shape) for _ in range(2))
-    filled = widths > 0
-    starts = (np.cumsum(widths) - widths)[filled]
-    lo[..., filled] = np.minimum(np.minimum.reduceat(flat, starts, axis=-1), 0.0)
-    hi[..., filled] = np.maximum(np.maximum.reduceat(flat, starts, axis=-1), 0.0)
+    # each tensor's range over its segment of a row, in one reduction each:
+    # initial=0.0 is both the include-zero rule and an empty tensor's [0, 0]
+    lo, hi = (np.empty(flat.shape[:-1] + widths.shape) for _ in range(2))
+    for t, (stop, width) in enumerate(zip(np.cumsum(widths).tolist(), widths.tolist())):
+        segment = flat[..., stop - width : stop]
+        lo[..., t] = segment.min(axis=-1, initial=0.0)
+        hi[..., t] = segment.max(axis=-1, initial=0.0)
     scale = (hi - lo) / 255.0
     scale[scale == 0.0] = 1.0
     zero_point = _round_half_away(-lo / scale)
@@ -235,10 +235,11 @@ def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedM
 
 
 def decompress(model: CompressedModel) -> ParameterSet:
-    """Reconstruct the parameters of any compressed kind: a copy of the float
-    kinds' values, or the quantized levels dequantized in their dtype."""
+    """Reconstruct the parameters of any compressed kind: the float kinds'
+    own model.params, not a copy (callers only read it; local_training
+    trains a copy), or the quantized levels dequantized in their dtype."""
     if model.params is not None:
-        return model.params.copy()
+        return model.params
     return dequantize(model.qparams)
 
 

@@ -290,15 +290,17 @@ class World:
 
     The devices' samples are held once: rows is an (n, m) table, every
     device holding m = data.samples_per_device rows, and device uid's local
-    dataset is samples.subset(rows[uid]).  The samples and the test sets hold
-    pixel bytes (IDX) or DEVICE_DTYPE floats (synthetic).
+    dataset is samples.gather(rows[uid]); subregion j's test set is likewise
+    tests.gather(test_rows[j]).  An IDX world's stores are its pool itself,
+    pixel bytes; a synthetic world's hold its draws as DEVICE_DTYPE floats.
     """
 
     topology: Topology
     spec: DistributionSpec
     samples: LabeledDataset
     rows: np.ndarray
-    test_sets: list[LabeledDataset]
+    tests: LabeledDataset
+    test_rows: np.ndarray
     init_params: ParameterSet
     protocol: ProtocolConfig
 
@@ -372,7 +374,6 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
         # the sample counts are checked when the config is parsed, so the one
         # failure left is an IDX pool too small for them
         raise ConfigError(str(exc)) from None
-    test_sets = [tests.subset(own) for own in test_rows]
     init = init_parameters(Architecture(cfg.layers), derive_seed(master, 4))
     protocol = ProtocolConfig(
         tau=cfg.protocol.tau,
@@ -385,7 +386,7 @@ def build_world(cfg: ExperimentConfig, seed: int | None = None) -> World:
         ),
         similarity_uses_compressed=cfg.protocol.similarity_uses_compressed,
     )
-    return World(topology, spec, samples, rows, test_sets, init, protocol)
+    return World(topology, spec, samples, rows, tests, test_rows, init, protocol)
 
 
 # ---- running experiments ----
@@ -438,11 +439,12 @@ def run_experiment_result(
         raise ConfigError(f"unknown arm {arm!r}, expected one of {ARMS}")
     records: list[MetricsRecord] = []
     with _experiment(cfg, seed) as (world, state):
+        subregion = world.topology.subregion
         for t in range(1, cfg.protocol.rounds + 1):
             started = time.perf_counter()
             stats = run_round(state, world.protocol, t, arm)
             objective, accs, losses = evaluate_objective(
-                stats.partition, state.params, world.test_sets, world.topology.subregion
+                stats.partition, state.params, world.tests, world.test_rows, subregion
             )
             wall_ms = (time.perf_counter() - started) * 1000.0
             records.append(

@@ -204,9 +204,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.labels.size
 
-    def subset(self, idx: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.features[idx], self.labels[idx])
-
     def gather(self, rows: np.ndarray) -> "LabeledDataset":
         """The samples at an int array of rows of this 2-d dataset, in the
         array's shape: a (D, n) table of rows gives a stack of D datasets."""

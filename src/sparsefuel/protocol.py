@@ -269,12 +269,12 @@ class SimulationState:
 # bytes as the budget counts them: per model, its parameters and the
 # activations of one pass over its rows of input, in the models' dtype
 # (float32 in a run).  A training lane holds more while it runs its chunk:
-# the decompressed input, training's copy and its gradient (three copies of
-# the chunk's parameters), one batch's features and activations, the row
-# orders it gathers and, on a quantizing wire, the quantizer's float64
-# temporaries.  Under tracemalloc (seed 7, one chunk after a warm-up round)
-# a lane peaked 1.0 MiB above its start on quadrant's one chunk of 64 models
-# (0.25 MiB as counted) and 7.4 MiB, three budgets, on an idx-global chunk
+# training's copy and its gradient, on a quantizing wire the dequantized
+# input too, one batch's features and activations, the row orders it
+# gathers and, when quantizing, the quantizer's float64 temporaries.  Under
+# tracemalloc (seed 7, one chunk after a warm-up round) a lane peaked 1.0
+# MiB above its start on quadrant's one chunk of 64 models (0.25 MiB as
+# counted) and 5.9 MiB, 2.45 budgets, on an idx-global chunk
 # of 8 (2.4 MiB as counted).  Larger chunks pay each lockstep step's fixed
 # Python and numpy overhead less often, and chunks share two lanes best in
 # even counts.  Of 1.25, 2, 2.5, 3 and 4 MiB (float32, seed 7, medians of
@@ -616,64 +616,64 @@ def _run_chunks(
         )
 
 
+def _lockstep_scores(
+    models: ParameterSet, model_rows, store: LabeledDataset, row_table, table_rows
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (loss, accuracy) arrays of loss_and_accuracy for every pair p of
+    models[model_rows[p]] and the store rows row_table[table_rows[p]], in
+    chunks of one forward pass each, on one gather of the chunk's models
+    from the stack and of its rows from the store (int arrays all three)."""
+    loss, acc = np.empty(len(model_rows)), np.empty(len(model_rows))
+    for pick in _lockstep_chunks(len(model_rows), models[0], row_table.shape[1]):
+        data = store.gather(row_table[table_rows[pick]])
+        loss[pick], acc[pick] = loss_and_accuracy(models[model_rows[pick]], data)
+    return loss, acc
+
+
 def _edge_dissimilarity(state: SimulationState) -> DissimilarityMatrix:
     """cross_similarity of every topology edge, scored in lockstep on the
     decoded models (on a dense wire, the rows of params): each edge is two
-    (sender model, receiver validation split) pairs, and the pairs run in
-    chunks of one forward pass each, on one gather of the chunk's senders
-    from the decoded stack and of its receivers' validation rows from the
-    sample store."""
+    (sender model, receiver validation split) pairs."""
     edges = state.topology.edges
     # pair e scores edge e's second device's model on its first's split, pair
     # e + |E| the other way round
     senders = np.concatenate([edges[:, 1], edges[:, 0]])
     receivers = np.concatenate([edges[:, 0], edges[:, 1]])
-    losses = np.empty(len(senders))
-    for pick in _lockstep_chunks(len(senders), state.params[0], state.val_rows.shape[1]):
-        vals = state.samples.gather(state.val_rows[receivers[pick]])
-        losses[pick], _ = loss_and_accuracy(state.decoded[senders[pick]], vals)
+    losses, _ = _lockstep_scores(state.decoded, senders, state.samples, state.val_rows, receivers)
     return DissimilarityMatrix(edges, losses[: len(edges)] + losses[len(edges) :])
 
 
 def evaluate_objective(
     partition: FederationPartition,
     models: ParameterSet,
-    test_sets: Sequence[LabeledDataset],
+    tests: LabeledDataset,
+    test_rows: np.ndarray,
     subregion: np.ndarray,
 ) -> tuple[float, list[float], list[float]]:
     """Objective plus per-subregion accuracy and loss.
 
-    A federation's model is models[leader], its leader's row of the model
-    stack; the objective sums its mean loss on test_sets[subregion[leader]].
-    A subregion's metrics come from the federation holding the plurality of
-    its devices (ties to the lowest leader uid), nan for a subregion with no
-    devices.  The test sets share one length and dtype; each distinct
-    (leader, subregion) pair is scored once, in the calling thread, in
-    lockstep chunks of leader rows on stacked sets.
+    Subregion j's test set is the store rows test_rows[j], a row of a (k, t)
+    table.  A federation's model is models[leader], its leader's row of the
+    model stack; the objective sums its mean loss on test set
+    subregion[leader].  A subregion's metrics come from the federation
+    holding the plurality of its devices (ties to the lowest leader uid), nan
+    for a subregion with no devices.  Each distinct (leader, subregion) pair
+    is scored once, in the calling thread, the sorted pairs in lockstep.
     """
-    if len({(len(t), t.features.dtype) for t in test_sets}) > 1:
-        raise ValueError("all test sets must have the same length and dtype")
     # one count of the (subregion, leader) pairs, each as subregion * n + leader,
     # ranked by device count, then by falling leader: a subregion's last is its plurality
     n = len(partition.leader_of)
     pairs, counts = np.unique(subregion * n + partition.leader_of, return_counts=True)
     ranked = pairs[np.lexsort((-pairs, counts))]
-    plurality = {j: u for j, u in (divmod(p, n) for p in ranked.tolist()) if j < len(test_sets)}
+    plurality = {j: u for j, u in (divmod(p, n) for p in ranked.tolist()) if j < len(test_rows)}
     fed_leaders = [f.leader for f in partition.federations]
     federation_pairs = list(zip(fed_leaders, subregion[fed_leaders].tolist()))
     distinct = sorted(set(federation_pairs) | {(u, j) for j, u in plurality.items()})
-    # a lone array is viewed as a stack of one, not copied
-    stack = lambda arrays: arrays[0][None] if len(arrays) == 1 else np.stack(arrays)  # noqa: E731
-    scores: dict[tuple[int, int], tuple[float, float]] = {}
-    for pick in _lockstep_chunks(len(distinct), models[0], len(test_sets[0])):
-        chunk = [distinct[c] for c in pick]
-        leaders, ts = [u for u, _ in chunk], [test_sets[j] for _, j in chunk]
-        picked = models[leaders[0]][None] if len(leaders) == 1 else models[leaders]
-        data = LabeledDataset(stack([t.features for t in ts]), stack([t.labels for t in ts]))
-        loss, acc = loss_and_accuracy(picked, data)
-        scores.update(zip(chunk, zip(loss.tolist(), acc.tolist())))
+    leaders, regions = np.array(distinct).reshape(-1, 2).T
+    loss, acc = _lockstep_scores(models, leaders, tests, test_rows, regions)
+    scores = dict(zip(distinct, zip(loss.tolist(), acc.tolist())))
     objective = 0.0
     for pair in federation_pairs:
         objective += scores[pair][0]
-    region = [scores.get((plurality.get(j), j), (float("nan"),) * 2) for j in range(len(test_sets))]
+    region = [scores.get((plurality.get(j), j), (float("nan"),) * 2) for j in range(len(test_rows))]
     return objective, [acc for _, acc in region], [loss for loss, _ in region]

@@ -300,7 +300,7 @@ def reference_local_training(
     for perm in order:
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            g = reference_gradients(out, data.subset(idx))
+            g = reference_gradients(out, data.gather(idx))
             for i in range(out.num_layers):
                 out.weights[i] -= cfg.learning_rate * g.weights[i]
                 if mask_layers is not None:
@@ -471,7 +471,7 @@ def reference_two_stack_round(state, cfg, round_index, arm="sparsefuel"):
     ds, bytes_broadcast = None, 0
     if arm == "sparsefuel":
         bytes_broadcast = int(size @ np.bincount(topo.edges.ravel(), minlength=n))
-        vals = [state.samples.subset(own) for own in state.val_rows]
+        vals = [state.samples.gather(own) for own in state.val_rows]
         scores = [
             protocol.cross_similarity(decoded[i], decoded[j], vals[i], vals[j])
             for i, j in topo.edges.tolist()
@@ -673,6 +673,13 @@ def sample_store(datasets):
     )
     ends = np.cumsum([len(d) for d in datasets])
     return samples, [np.arange(end - len(d), end) for d, end in zip(datasets, ends)]
+
+
+def store_table(datasets):
+    """sample_store of datasets of one length, its row ranges as one (k, t)
+    int64 row table: the test store and rows a world holds."""
+    samples, rows = sample_store(datasets)
+    return samples, np.array(rows, dtype=np.int64)
 
 
 def cast_models(params: ParameterSet, dtype) -> ParameterSet:

@@ -283,6 +283,13 @@ class TestCompressDecompress:
         for a, b in zip(out.weights + out.biases, params.weights + params.biases):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_float_kinds_decompress_to_their_own_values(self, kind):
+        # no copy: a lane's one float copy of its chunk is training's own
+        params = stack_models([init_parameters(Architecture((3, 5, 2)), s) for s in (1, 2)])
+        model = compress(params, CompressionStrategy(kind, 0.5))
+        assert np.shares_memory(decompress(model).flat, model.params.flat)
+
     def test_sparse_quantized_zero_counts_per_layer(self):
         params = init_parameters(Architecture((10, 20, 5)), 2)
         model = compress(params, CompressionStrategy("sparse+quantized", 0.5))
@@ -635,9 +642,10 @@ def _stacked_compress_case(kind, psi, models):
     dtype = models[0].weights[0].dtype
     stacked = compress(stack_models(models), strategy)
     # a train-like drift of every model under its mask, for encode_wire to
-    # put back on the wire without pruning again
+    # put back on the wire without pruning again (a copy: a float kind
+    # decompresses to its own values)
     rng = np.random.default_rng(5)
-    drifted = decompress(stacked)
+    drifted = decompress(stacked).copy()
     for w in drifted.weights:
         w *= rng.uniform(0.1, 2.0, w.shape)
     wire = encode_wire(drifted, strategy, stacked.mask)
@@ -660,7 +668,7 @@ def test_decode_wire_is_the_byte_round_trip_of_every_row(kind, psi, seed):
     # a drift like masked training's: updated weights are multiplied by the
     # mask, which leaves -0.0 at the pruned positions of negative weights
     rng = np.random.default_rng(seed)
-    trained = decompress(stacked)
+    trained = decompress(stacked).copy()
     for t in trained.weights + trained.biases:
         t += rng.normal(0.0, rng.uniform(0.01, 1.0), t.shape)
     if strategy.prunes:
@@ -687,8 +695,9 @@ def test_decode_wire_is_the_byte_round_trip_of_every_row(kind, psi, seed):
 def flat_models(draw):
     """A float32 or float64 model, or a stack of them, and a keep mask for
     it: layers of width 1 to 3, the empty set, and a last layer of 0 rows
-    (from_bytes accepts one: its two tensors hold no values).  The weights
-    are masked, as training leaves them, or not."""
+    (from_bytes accepts one: its two tensors hold no values).  One tensor
+    may hold zeros alone, of either sign.  The weights are masked, as
+    training leaves them, or not."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     sizes = draw(st.one_of(st.just(()), st.lists(st.integers(1, 3), min_size=2, max_size=4)))
     sizes = tuple(sizes[:-1]) + ((0,) if sizes and draw(st.booleans()) else tuple(sizes[-1:]))
@@ -698,6 +707,9 @@ def flat_models(draw):
     finite = st.floats(-F32_MAX, F32_MAX, width=np.dtype(dtype).itemsize * 8)
     flat = draw(hnp.arrays(dtype, lead + (width,), elements=finite))
     params = ParameterSet.from_flat(flat, sizes)
+    if params.tensors and draw(st.booleans()):
+        zeros = draw(st.sampled_from(params.tensors))
+        zeros[...] = np.where(draw(hnp.arrays(np.bool_, zeros.shape)), -0.0, 0.0)
     keep = draw(hnp.arrays(np.uint8, lead + (width,), elements=st.integers(0, 1)))
     for b in ParameterSet.from_flat(keep, sizes).biases:
         b[...] = 1

@@ -200,7 +200,7 @@ def draw(spec, subregion, m, seed):
     subregions, one per device."""
     store, rows = sample_local_dataset(spec, np.asarray(subregion), m, seed)
     assert rows.shape == (len(subregion), m) and rows.dtype.kind == "i"
-    return [store.subset(own) for own in rows]
+    return [store.gather(own) for own in rows]
 
 
 class TestSyntheticBlobs:
@@ -260,7 +260,7 @@ class TestSyntheticBlobs:
         assert np.array_equal(rows, np.arange(7 * 33).reshape(7, 33))
         wants = reference_blob_draw(spec, subregion, 33, seed=3)
         for own, want in zip(rows, wants, strict=True):
-            got = store.subset(own)
+            got = store.gather(own)
             assert got.features.tobytes() == want.features.astype(np.float32).tobytes()
             assert np.array_equal(got.labels, want.labels)
 
@@ -416,7 +416,7 @@ class TestSampleLocalRows:
             for own, want in zip(rows, wants, strict=True):
                 # a device's rows are distinct: picks without replacement
                 assert len(set(own.tolist())) == 40
-                picked = spec.pool.subset(own)
+                picked = spec.pool.gather(own)
                 assert np.array_equal(picked.features, want.features)
                 assert np.array_equal(picked.labels, want.labels)
 
@@ -435,7 +435,7 @@ class TestSampleLocalRows:
             rows = sample_local_rows(spec, np.array([subregion] * 2), 30, seed=1)
             wants = reference_idx_draw(spec, [subregion] * 2, 30, seed=1)
             for own, want in zip(rows, wants, strict=True):
-                got = spec.pool.subset(own)
+                got = spec.pool.gather(own)
                 assert np.array_equal(got.features, want.features)
                 assert np.array_equal(got.labels, want.labels)
 

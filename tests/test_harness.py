@@ -290,8 +290,9 @@ class TestBuildWorld:
         # every device's 60 rows, as one table
         assert world.rows.shape == (9, 60) and world.rows.dtype == np.int64
         assert len(world.samples) == 9 * 60
-        assert len(world.test_sets) == cfg.num_subregions == 4
-        assert all(len(t.labels) == 80 for t in world.test_sets)
+        # every subregion's 80 test rows, as one table of its own store
+        assert world.test_rows.shape == (cfg.num_subregions, 80) == (4, 80)
+        assert world.test_rows.dtype == np.int64 and len(world.tests) == 4 * 80
 
     def _idx_config(self, tmp_path, layers):
         rng = np.random.default_rng(0)
@@ -313,22 +314,26 @@ class TestBuildWorld:
     def test_idx_world_builds_and_runs(self, tmp_path):
         cfg = self._idx_config(tmp_path, layers=(4, 6, 2))
         world = build_world(cfg, seed=1)
-        # the store is the pool itself, and every device's 8 rows are one table
+        # the store is the pool itself, and every device's 8 rows are one
+        # table; the test sets are rows of the same store, in one table
         assert world.samples is world.spec.pool
         assert world.samples.features.shape == (40, 4)
         assert world.rows.shape == (4, 8) and world.rows.dtype == np.int64
+        assert world.tests is world.samples
+        assert world.test_rows.shape == (2, 4) and world.test_rows.dtype == np.int64
         records = run_experiment(cfg, seed=1)
         assert len(records) == 2
 
     def test_synthetic_store_holds_each_devices_draw(self):
-        # one generator draws the devices' samples, another the test sets:
-        # one test set per subregion, drawn as devices of subregions 0..k-1
+        # one generator draws the devices' samples, another the test sets
+        # into a store of their own: one test set per subregion, drawn as
+        # devices of subregions 0..k-1, row j of test_rows indexing set j
         cfg = small_config()
         world = build_world(cfg, seed=5)
         wants = reference_blob_draw(world.spec, world.topology.subregion, 60, derive_seed(5, 2))
-        gots = [world.samples.subset(rows) for rows in world.rows]
+        gots = [world.samples.gather(rows) for rows in world.rows]
         wants += reference_blob_draw(world.spec, range(4), 80, derive_seed(5, 3))
-        gots += world.test_sets
+        gots += [world.tests.gather(rows) for rows in world.test_rows]
         for got, want in zip(gots, wants, strict=True):
             # the store holds the float64 draw in the devices' dtype
             assert got.features.dtype == DEVICE_DTYPE
@@ -358,7 +363,7 @@ class TestBuildWorld:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = world.samples.features.nbytes + sum(t.features.nbytes for t in world.test_sets)
+        held = world.samples.features.nbytes + world.tests.features.nbytes
         assert world.samples.features.shape == (devices * 200, 64)
         assert world.samples.features.nbytes == 16 * 200 * 64 * 8
         assert peak <= 1.5 * held
@@ -369,20 +374,21 @@ class TestBuildWorld:
         world = build_world(cfg, seed=2)
         subregion = world.topology.subregion
         wants = reference_idx_draw(world.spec, subregion, 8, derive_seed(2, 2))
-        gots = [world.samples.subset(rows) for rows in world.rows]
+        gots = [world.samples.gather(rows) for rows in world.rows]
         wants += reference_idx_draw(world.spec, range(2), 4, derive_seed(2, 3))
-        gots += world.test_sets
+        gots += [world.tests.gather(rows) for rows in world.test_rows]
         for got, want in zip(gots, wants, strict=True):
             assert np.array_equal(got.features, want.features)
             assert np.array_equal(got.labels, want.labels)
 
     def test_idx_world_holds_its_samples_once(self, tmp_path):
         # 16 devices draw 80 samples each from a pool of 400: per-device
-        # copies would take 3.2 times the pool.  The pool and the test sets
-        # are held as their uint8 bytes.  Everything else the world and the
-        # state allocate (devices' rows and models, labels, the spec's row
-        # lists) may take 245,760 B, a quarter of the samples' float64 sizes:
-        # per-device uint8 copies (327,680 B) or a float64 pool would not fit
+        # copies would take 3.2 times the pool.  The pool is held as its
+        # uint8 bytes, and the test sets are rows of it.  Everything else the
+        # world and the state allocate (devices' rows and models, the test
+        # rows, labels, the spec's row lists) may take 245,760 B, a quarter
+        # of the samples' float64 sizes: per-device uint8 copies (327,680 B)
+        # or a float64 pool would not fit
         images = np.random.default_rng(3).integers(0, 256, (400, 16, 16), dtype=np.uint8)
         labels = np.repeat(np.arange(4, dtype=np.uint8), 100)
         img, lbl = write_idx_pair(tmp_path, images, labels)
@@ -413,8 +419,9 @@ class TestBuildWorld:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = world.samples.features.nbytes + sum(t.features.nbytes for t in world.test_sets)
-        assert held == 400 * 256 + 4 * 20 * 256
+        assert world.tests is world.samples
+        held = world.samples.features.nbytes
+        assert held == 400 * 256
         assert peak <= held + 245_760
 
     def test_idx_feature_dim_mismatch(self, tmp_path):
@@ -438,7 +445,7 @@ class TestRunExperiment:
             assert {t.dtype for t in stack.weights + stack.biases} == {np.dtype(np.float32)}
         assert state.samples is world.samples
         assert world.samples.features.dtype == np.float32
-        assert all(t.features.dtype == np.float32 for t in world.test_sets)
+        assert world.tests.features.dtype == np.float32
         # the initial model is drawn in float64, so its random stream is as it was
         assert world.init_params.weights[0].dtype == np.float64
 
@@ -490,7 +497,8 @@ class TestRunExperiment:
             for rows in params.weights + params.biases:
                 assert all(np.array_equal(rows[uid], rows[fed.leader]) for uid in fed.members)
         subregion = result.world.topology.subregion
-        objective, _, _ = evaluate_objective(partition, params, result.world.test_sets, subregion)
+        tests, test_rows = result.world.tests, result.world.test_rows
+        objective, _, _ = evaluate_objective(partition, params, tests, test_rows, subregion)
         assert objective == result.records[-1].objective
 
 

@@ -152,12 +152,12 @@ class TestLockstepTraining:
         )
         for k in range(4):
             want = reference_local_training(
-                models[k], store.subset(rows[k]), cfg, masks[k], order=orders[k]
+                models[k], store.gather(rows[k]), cfg, masks[k], order=orders[k]
             )
             assert_same_model(out[k], want)
         single = local_training(models[0], store, cfg, round_index=4, rows=rows[0])
         assert not single.stacked
-        want = reference_local_training(models[0], store.subset(rows[0]), cfg, round_index=4)
+        want = reference_local_training(models[0], store.gather(rows[0]), cfg, round_index=4)
         assert_same_model(single, want)
 
     def test_rows_must_match_the_models_and_the_store(self):
@@ -289,7 +289,7 @@ def reference_round(state, round_index):
     orders = reference_orders(TRAINING.rng_seed, round_index, N, epochs, rows)
     for uid in range(N):
         cm = compress(state.params[uid], STRATEGY)
-        train = state.samples.subset(state.train_rows[uid])
+        train = state.samples.gather(state.train_rows[uid])
         trained[uid] = reference_local_training(
             decompress(cm), train, TRAINING, mask=cm.mask, order=orders[uid]
         )
@@ -366,7 +366,7 @@ class TestDeviceBank:
         run_round(state, cfg, 1, arm="isolated")
         orders = reference_orders(TRAINING.rng_seed, 1, 5, TRAINING.local_epochs, 20)
         for uid in range(5):
-            train = state.samples.subset(state.train_rows[uid])
+            train = state.samples.gather(state.train_rows[uid])
             want = reference_local_training(starts[uid], train, TRAINING, order=orders[uid])
             assert_same_model(state.params[uid], want)
 
@@ -434,7 +434,7 @@ class TestLockstepRound:
     def test_batched_similarity_matches_per_edge_cross_similarity(self):
         state = line_state()
         _, decoded = reference_round(state, round_index=1)
-        vals = [state.samples.subset(own) for own in state.val_rows]
+        vals = [state.samples.gather(own) for own in state.val_rows]
         stats = run_round(state, protocol_config(), 1)
         edges = state.topology.edges
         assert np.array_equal(stats.dissimilarity.edges, edges)
@@ -463,7 +463,7 @@ def test_quadrant_trains_in_one_chunk_like_the_reference():
     assert np.array_equal(state.orders, orders)
     for uid in range(64):
         cm = compress(starts[uid], world.protocol.strategy)
-        train = world.samples.subset(state.train_rows[uid])
+        train = world.samples.gather(state.train_rows[uid])
         want = reference_local_training(decompress(cm), train, training, cm.mask, order=orders[uid])
         assert_same_model(state.params[uid], want)
 

@@ -154,7 +154,7 @@ class TestGradients:
         acc_w = [np.zeros_like(w) for w in params.weights]
         acc_b = [np.zeros_like(b) for b in params.biases]
         for i in range(n):
-            gi = gradients(params, data.subset(np.array([i])))
+            gi = gradients(params, data.gather(np.array([i])))
             for a, g in zip(acc_w + acc_b, gi.weights + gi.biases):
                 a += g / n
         for a, g in zip(acc_w + acc_b, full.weights + full.biases):
@@ -343,9 +343,9 @@ class TestClassMajorHead:
         def results():
             return [
                 neuralnet.loss_and_accuracy(stack, data),
-                neuralnet.loss_and_accuracy(stack[0], data.subset(0)),
+                neuralnet.loss_and_accuracy(stack[0], store.gather(table[0])),
                 neuralnet.gradients(stack, data),
-                neuralnet.gradients(stack[0], data.subset(0)),
+                neuralnet.gradients(stack[0], store.gather(table[0])),
                 local_training(stack, store, cfg, round_index=1, rows=table),
                 local_training(stack[0], store, cfg, round_index=1, rows=table[0]),
             ]

@@ -48,6 +48,7 @@ from conftest import (
     reference_fed_avg,
     sample_store,
     stack_models,
+    store_table,
     topology_at,
 )
 
@@ -124,7 +125,7 @@ class TestCrossSimilarity:
             local_training(init_parameters(arch, k), store, cfg, rows=own) for k, own in enumerate(rows)
         ]
         store, rows = sample_local_dataset(spec, subregion, 60, seed=8)
-        vals = [store.subset(own) for own in rows]
+        vals = [store.gather(own) for own in rows]
         same_region = cross_similarity(models[0], models[1], vals[0], vals[1])
         cross_region = cross_similarity(models[0], models[2], vals[0], vals[2])
         assert cross_region > same_region
@@ -347,8 +348,9 @@ class TestEvaluateObjective:
         zero = ParameterSet([np.zeros((c, 2))], [np.zeros(c)])
         partition = FederationPartition(np.arange(k))
         tests = [toy_dataset(j, m=30, n_classes=c) for j in range(k)]
+        models = model_stack({j: zero.copy() for j in range(k)}, k)
         objective, accs, losses = evaluate_objective(
-            partition, model_stack({j: zero.copy() for j in range(k)}, k), tests, np.arange(k)
+            partition, models, *store_table(tests), np.arange(k)
         )
         assert abs(objective - k * math.log(c)) <= 1e-9
         assert len(accs) == len(losses) == k
@@ -366,7 +368,8 @@ class TestEvaluateObjective:
             w[j, 0] = 20.0
             models[j] = ParameterSet([w], [np.zeros(2)])
         partition = FederationPartition(np.arange(k))
-        objective, accs, _ = evaluate_objective(partition, model_stack(models, k), tests, np.arange(k))
+        stack = model_stack(models, k)
+        objective, accs, _ = evaluate_objective(partition, stack, *store_table(tests), np.arange(k))
         assert objective < 0.01
         assert accs == [1.0, 1.0]
 
@@ -376,6 +379,7 @@ class TestEvaluateObjective:
         subregion = np.array([0, 0, 0, 0, 1, 1])
         tests = [toy_dataset(j, m=20) for j in range(2)]
         models = {u: init_parameters(Architecture((2, 3, 4)), u) for u in (0, 2, 4)}
+        store, test_rows = store_table(tests)
         calls = []
         score = protocol.loss_and_accuracy
 
@@ -387,7 +391,7 @@ class TestEvaluateObjective:
         for leader_of in (np.array([0, 0, 2, 0, 4, 4]), np.array([0, 2, 2, 2, 4, 4])):
             calls.clear()
             objective, accs, losses = evaluate_objective(
-                FederationPartition(leader_of), model_stack(models, 6), tests, subregion
+                FederationPartition(leader_of), model_stack(models, 6), store, test_rows, subregion
             )
             assert len(calls) == len(set(calls)) == 3
             loss = {u: loss_and_accuracy(models[u], tests[subregion[u]]) for u in models}
@@ -404,21 +408,15 @@ class TestEvaluateObjective:
         test = LabeledDataset(np.tile([[1.0, 0.0]], (10, 1)), np.zeros(10, dtype=np.int64))
         right = ParameterSet([np.array([[20.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
         wrong = ParameterSet([np.array([[0.0, 0.0], [20.0, 0.0]])], [np.zeros(2)])
-        _, accs, _ = evaluate_objective(partition, model_stack({1: right, 3: wrong}, 4), [test], subregion)
+        store, test_rows = store_table([test])
+        _, accs, _ = evaluate_objective(
+            partition, model_stack({1: right, 3: wrong}, 4), store, test_rows, subregion
+        )
         assert accs == [1.0]
-        _, accs, _ = evaluate_objective(partition, model_stack({1: wrong, 3: right}, 4), [test], subregion)
+        _, accs, _ = evaluate_objective(
+            partition, model_stack({1: wrong, 3: right}, 4), store, test_rows, subregion
+        )
         assert accs == [0.0]
-
-    def test_test_sets_of_unequal_length_or_dtype_are_rejected(self):
-        # a run's test sets all hold data.test_samples rows of one dtype, so
-        # every pair is scored in one lockstep pass over stacked sets
-        partition = FederationPartition(np.array([0, 1]))
-        models = stack_models([init_parameters(Architecture((2, 3, 4)), u) for u in range(2)])
-        test = toy_dataset(0, m=20)
-        pixels = LabeledDataset((test.features * 255).astype(np.uint8), test.labels)
-        for other in (toy_dataset(1, m=21), pixels):
-            with pytest.raises(ValueError, match="^all test sets must have the same length and dtype$"):
-                evaluate_objective(partition, models, [test, other], np.array([0, 1]))
 
     @staticmethod
     def _assert_same(got, want):
@@ -439,7 +437,7 @@ class TestEvaluateObjective:
         subregion = np.array([0, 0, 0, 0, 1, 1, 2, 2, 1])
         partition = FederationPartition(np.array([0, 4, 0, 4, 4, 4, 6, 4, 8]))
         models = stack_models([init_parameters(Architecture((2, 5, 4)), 40 + u) for u in range(9)])
-        tests = [toy_dataset(j, m=20) for j in range(4)]
+        tests, test_rows = store_table([toy_dataset(j, m=20) for j in range(4)])
         scored = []
         score = protocol.loss_and_accuracy
 
@@ -448,12 +446,13 @@ class TestEvaluateObjective:
             return score(params, data)
 
         monkeypatch.setattr(protocol, "loss_and_accuracy", recording)
-        got = evaluate_objective(partition, models, tests, subregion)
+        got = evaluate_objective(partition, models, tests, test_rows, subregion)
         assert len(scored) == len(set(scored)) == 5
         assert [m for m, _ in scored].count(model_bytes(models[4])) == 2
         assert math.isnan(got[1][3]) and math.isnan(got[2][3])
         monkeypatch.setattr(protocol, "loss_and_accuracy", score)
-        self._assert_same(got, reference_evaluate_objective(partition, models, tests, subregion))
+        sets = [tests.gather(rows) for rows in test_rows]
+        self._assert_same(got, reference_evaluate_objective(partition, models, sets, subregion))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -468,13 +467,14 @@ class TestEvaluateObjective:
         leader_of = [u if leaders[u] >= n or leaders[leaders[u]] != leaders[u] else leaders[u] for u in range(n)]
         subregion = np.array(subregions[:n])
         models = stack_models([init_parameters(Architecture((2, 3, 4)), u) for u in range(n)])
-        tests = [toy_dataset(10 + j, m=length) for j in range(4)]
+        tests, test_rows = store_table([toy_dataset(10 + j, m=length) for j in range(4)])
         partition = FederationPartition(np.array(leader_of))
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
-            got = evaluate_objective(partition, models, tests, subregion)
-        self._assert_same(got, reference_evaluate_objective(partition, models, tests, subregion))
+            got = evaluate_objective(partition, models, tests, test_rows, subregion)
+        sets = [tests.gather(rows) for rows in test_rows]
+        self._assert_same(got, reference_evaluate_objective(partition, models, sets, subregion))
 
 
 class TestRunRound:
@@ -519,7 +519,7 @@ class TestRunRound:
         # expected: compress -> decompress -> masked local training, no averaging loss
         baseline = self._state(1)
         cm = compress(baseline.params[0], cfg.strategy)
-        train = baseline.samples.subset(baseline.train_rows[0])
+        train = baseline.samples.gather(baseline.train_rows[0])
         expected = local_training(decompress(cm), train, cfg.training, mask=cm.mask, round_index=1)
         got = state.params[0]
         for x, y in zip(got.weights + got.biases, expected.weights + expected.biases):
@@ -727,13 +727,16 @@ class TestTreeRound:
             return score(params, data)
 
         monkeypatch.setattr(protocol, "loss_and_accuracy", recording)
-        tests = [toy_dataset(900, m=30)]
+        test = toy_dataset(900, m=30)
+        tests, test_rows = store_table([test])
         subregion = state.topology.subregion
-        objective, _, _ = evaluate_objective(stats.partition, state.params, tests, subregion)
+        objective, _, _ = evaluate_objective(
+            stats.partition, state.params, tests, test_rows, subregion
+        )
         leader_of_row = {model_bytes(state.params[u]): u for u in want}
         leaders = [leader_of_row[model_bytes(m[d])] for m in scored for d in range(len(m.weights[0]))]
         assert sorted(leaders) == sorted(want)
-        assert objective == sum(score(model, tests[0])[0] for model in want.values())
+        assert objective == sum(score(model, test)[0] for model in want.values())
 
 
 class TestWireFaults:

@@ -81,6 +81,12 @@ def test_traced_quadrant_round_reports_training_and_scoring(arm, monkeypatch):
     calls = [span[0] for span in tracer.spans]
     assert calls.count("decompress") == calls.count("local_training")
     assert metrics["neuralnet.train_ms_per_round"] > 0
+    # evaluation scores through protocol.loss_and_accuracy: every
+    # evaluate_objective span holds a scoring span, timed as evaluation
+    assert metrics["harness.evaluate_ms_per_round"] > 0
+    evaluations = {i for i, span in enumerate(tracer.spans) if span[0] == "evaluate_objective"}
+    scorers = {span[3] for span in tracer.spans if span[0] == "loss_and_accuracy"}
+    assert evaluations and evaluations <= scorers
     assert metrics["neuralnet.sgd_steps_per_round"] > 0
     # build_topology's span value reads Topology.adjacency: the quadrant
     # world's 208 radio links, whatever the arm
