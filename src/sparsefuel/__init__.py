@@ -47,7 +47,6 @@ from .harness import (
     load_config,
     metrics_csv_text,
     parse_config,
-    run_experiment,
     run_experiment_result,
     write_metrics_csv,
 )

@@ -467,13 +467,6 @@ def run_experiment_result(
     return ExperimentResult(records, state, world)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, arm: str = "sparsefuel", seed: int | None = None
-) -> list[MetricsRecord]:
-    """Run one arm of the experiment and return per-round metrics."""
-    return run_experiment_result(cfg, arm, seed).records
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 

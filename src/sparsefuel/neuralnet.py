@@ -188,7 +188,12 @@ class LabeledDataset:
         if features.dtype not in (np.uint8, np.float32, np.float64):
             features = features.astype(np.float64)
         self.features = features
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):
+            self.labels = labels.astype(np.int64, copy=False)
+        # a label the cast truncates (or NaN, inf) is no class index
+        if labels.dtype.kind not in "biu" and not np.array_equal(self.labels, labels):
+            raise ValueError("labels must be whole numbers")
         if self.features.ndim not in (2, 3):
             raise ValueError("features must be a 2-d array (or a stack of them)")
         if self.labels.ndim != self.features.ndim - 1:

@@ -171,56 +171,47 @@ def form_federations(
 
 
 def fed_avg(
-    models: Sequence[ParameterSet],
-    weights: Sequence[float] | None = None,
-    rows: Sequence[int] | None = None,
+    first: ParameterSet, models: ParameterSet, rows: np.ndarray, weights: Sequence[float]
 ) -> ParameterSet:
-    """Weighted elementwise mean, folded in the given (uid) order.
+    """Weighted elementwise mean of the model first and the rows of the
+    stack models, folded in that order: weights[0] weighs first and
+    weights[1 + k] row rows[k].  In a round, first is the leader's model as
+    trained and the rows are every other member's decoded model, in uid order.
 
-    models are single models; or, given rows, stacks of one shape, member k
-    being row rows[k] of models[k].  The mean is anchored on the first member
-    (sum of weighted deltas), so copies of one model average to it exactly.
-    It is computed in the first member's dtype, the weights included: the
-    fold of float32 models runs in float32.
-    Each member is one flat row of its tensors, a weight and a bias at least,
-    and np.add.reduce(axis=0) sums the deltas in blocks of at most
-    LOCKSTEP_BUDGET_BYTES / 8 bytes, the running sum as row 0: numpy adds
-    rows two or more wide in order (one wide, pairwise), so the bits are
-    those of adding each delta in turn.  A row wider than a block is
-    subtracted, weighted and added in place.
+    The mean is anchored on first (sum of weighted deltas), so copies of one
+    model average to it exactly; first's own delta, +0.0 for a finite model,
+    adds nothing, so it is left out.  The fold runs in the models' dtype, the
+    weights included, and divides by the weights' sequential float64 sum.
+    Each member is one flat row of its tensors, and np.add.reduce(axis=0)
+    sums the deltas in blocks of at most LOCKSTEP_BUDGET_BYTES / 8 bytes,
+    the running sum as row 0: numpy adds rows two or more wide in order (one
+    wide, pairwise), so the bits are those of adding each delta in turn.  A
+    row wider than a block is subtracted, weighted and added in place.
     """
-    if not models:
-        raise ValueError("cannot average zero models")
-    weights = [1.0] * len(models) if weights is None else weights
-    if len(weights) != len(models) or (rows is not None and len(rows) != len(models)):
-        raise ValueError("one weight per model required, and one row when rows are given")
-    if any(not w > 0 for w in weights):
-        raise ValueError("weights must be positive")
-    if rows is None:
-        models, rows = [m[None] for m in models], [0] * len(models)
-    if len({tuple(t.shape for t in s.tensors) for s in {id(s): s for s in models}.values()}) > 1:
-        raise ValueError("cannot average models with different architectures")
-    # blocks are gathered from the last member's stack (a round's leader,
-    # its lowest uid, comes first), then mended where a member is another's
-    main = models[-1]
-    base = models[0].flat[rows[0]]
-    scale = np.asarray(weights, dtype=base.dtype)[:, None]
+    base, weights = first.flat, np.asarray(weights, dtype=np.float64)
+    if (base.shape, base.dtype, first.layer_sizes) != (
+        models.flat.shape[1:], models.flat.dtype, models.layer_sizes
+    ):
+        raise ValueError("first must be one model of the stack's architecture and dtype")
+    if not base.size:
+        raise ValueError("cannot average models with no parameters")
+    if weights.shape != (len(rows) + 1,) or not (weights > 0).all():
+        raise ValueError("one positive weight per member required: first, then each row")
+    scale = weights[1:, None].astype(base.dtype)
     size = max(1, LOCKSTEP_BUDGET_BYTES // 8 // base.nbytes)
     acc, buf = np.zeros_like(base), np.empty((min(size, len(rows)) + 1, base.size), base.dtype)
     for lo in range(0, len(rows), size):
         block = buf[1 : 1 + min(size, len(rows) - lo)]
         if len(block) == 1:
-            np.subtract(models[lo].flat[rows[lo]], base, out=block[0])
+            np.subtract(models.flat[rows[lo]], base, out=block[0])
             acc += np.multiply(block[0], scale[lo], out=block[0])
             continue
-        main.flat.take(rows[lo : lo + size], 0, block)
-        for k in (k for k, s in enumerate(models[lo : lo + size], lo) if s is not main):
-            block[k - lo] = models[k].flat[rows[k]]
+        models.flat.take(rows[lo : lo + size], 0, block)
         block -= base
         block *= scale[lo : lo + len(block)]
         buf[0] = acc
         np.add.reduce(buf[: len(block) + 1], axis=0, out=acc)
-    return ParameterSet.from_flat(base + acc / float(sum(weights)), main.layer_sizes)
+    return ParameterSet.from_flat(base + acc / float(np.cumsum(weights)[-1]), first.layer_sizes)
 
 
 @dataclass
@@ -407,9 +398,10 @@ def run_round(
         # every member weighs its sample count, the same m for every device
         m = state.train_rows.shape[1] + state.val_rows.shape[1]
         for fed in partition.federations:
-            uids = fed.members[gfield.source[fed.members] == fed.leader].tolist()
-            stacks = [params if uid == fed.leader else decoded for uid in uids]
-            params.flat[uids] = fed_avg(stacks, [m] * len(uids), uids).flat
+            # the leader, its federation's lowest uid, anchors the fold
+            uids = fed.members[gfield.source[fed.members] == fed.leader]
+            weights = np.full(len(uids), m)
+            params.flat[uids] = fed_avg(params[fed.leader], decoded, uids[1:], weights).flat
             bytes_disseminate += (len(uids) - 1) * dense_size
     state.bytes_total += bytes_broadcast + bytes_collect + bytes_disseminate
     return RoundStats(

@@ -442,7 +442,8 @@ def reference_two_stack_round(state, cfg, round_index, arm="sparsefuel"):
     """run_round of an arm that exchanges models, as it ran with a second
     stack: every chunk's wire decoded into its rows of decoded, similarity
     scored edge by edge on decoded rows, and every member but the leader
-    averaged from its decoded row.  The chunks run one after another, each
+    averaged from its decoded row, one member at a time by
+    reference_fed_avg.  The chunks run one after another, each
     reading a copy of its rows of params.  Returns the round's stats and
     the decoded stack."""
     params, topo, n = state.params, state.topology, state.topology.n
@@ -488,8 +489,8 @@ def reference_two_stack_round(state, cfg, round_index, arm="sparsefuel"):
     bytes_disseminate = 0
     for fed in partition.federations:
         uids = fed.members[gfield.source[fed.members] == fed.leader].tolist()
-        stacks = [params if uid == fed.leader else decoded for uid in uids]
-        params.flat[uids] = protocol.fed_avg(stacks, [m] * len(uids), uids).flat
+        models = [params[uid] if uid == fed.leader else decoded[uid] for uid in uids]
+        params.flat[uids] = reference_fed_avg(models, [m] * len(uids)).flat
         bytes_disseminate += (len(uids) - 1) * dense_size
     bytes_collect = int(size @ np.maximum(gfield.hops, 0))
     stats = protocol.RoundStats(
@@ -695,6 +696,12 @@ def stack_models(models):
         [np.stack(ws) for ws in zip(*(m.weights for m in models))],
         [np.stack(bs) for bs in zip(*(m.biases for m in models))],
     )
+
+
+def viewed_row(stack, model):
+    """The row of the model stack that a single model is a view of."""
+    (row,) = [k for k in range(len(stack.flat)) if np.shares_memory(model.flat, stack.flat[k])]
+    return row
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from sparsefuel.fields import (
     min_flood,
     s_block,
 )
-from sparsefuel.harness import run_experiment, run_experiment_result, write_metrics_csv
+from sparsefuel.harness import run_experiment_result, write_metrics_csv
 from sparsefuel.neuralnet import Architecture, ParameterSet, gradients, init_parameters
 
 from conftest import (
@@ -288,7 +288,7 @@ def test_compressed_broadcast_volume(fixture_runs):
     compressed = fixture_runs.run(seed=1).records[0].bytes_broadcast
     tau = fixture_runs.calibration(1).tau
     dense_cfg = quadrant_config(psi=0.0, kind="dense", tau=tau, rounds=2)
-    dense = run_experiment(dense_cfg, seed=1)[0].bytes_broadcast
+    dense = run_experiment_result(dense_cfg, seed=1).records[0].bytes_broadcast
     ratio = compressed / dense
     # blob sizes for the (2, 16, 8) network: 228 vs 784 bytes per broadcast
     exact = compressed * 784 == dense * 228

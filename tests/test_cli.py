@@ -448,9 +448,9 @@ class TestSubprocess:
         # benchmark gates; neither a run nor an IDX world needs it
         script = (
             "import dataclasses, sys\n"
-            "from sparsefuel.harness import build_world, load_config, run_experiment\n"
+            "from sparsefuel.harness import build_world, load_config, run_experiment_result\n"
             "cfg = load_config(sys.argv[1])\n"
-            "run_experiment(dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, rounds=1)))\n"
+            "run_experiment_result(dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, rounds=1)))\n"
             "build_world(load_config(sys.argv[2]))\n"
             "print('numpy.ma' in sys.modules)\n"
         )

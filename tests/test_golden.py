@@ -22,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from sparsefuel.harness import load_config, metrics_csv_text, run_experiment
+from sparsefuel.harness import load_config, metrics_csv_text, run_experiment_result
 
 from conftest import digest_moved, write_idx_pair
 
@@ -43,7 +43,7 @@ def quadrant_case(kind="sparse+quantized", psi=0.3, similarity_uses_compressed=T
 
 
 def digest(cfg, arm, seed):
-    return hashlib.sha256(metrics_csv_text(run_experiment(cfg, arm=arm, seed=seed)).encode()).hexdigest()
+    return hashlib.sha256(metrics_csv_text(run_experiment_result(cfg, arm=arm, seed=seed).records).encode()).hexdigest()
 
 
 # (arm, seed, psi) -> digest, sparse+quantized wire

@@ -30,7 +30,6 @@ from sparsefuel.harness import (
     metrics_csv_text,
     parse_config,
     resolve_radius,
-    run_experiment,
     run_experiment_result,
     save_checkpoints,
     write_metrics_csv,
@@ -321,7 +320,7 @@ class TestBuildWorld:
         assert world.rows.shape == (4, 8) and world.rows.dtype == np.int64
         assert world.tests is world.samples
         assert world.test_rows.shape == (2, 4) and world.test_rows.dtype == np.int64
-        records = run_experiment(cfg, seed=1)
+        records = run_experiment_result(cfg, seed=1).records
         assert len(records) == 2
 
     def test_synthetic_store_holds_each_devices_draw(self):
@@ -451,7 +450,7 @@ class TestRunExperiment:
 
     def test_record_schema_and_byte_accounting(self):
         cfg = small_config(rounds=3)
-        records = run_experiment(cfg, seed=0)
+        records = run_experiment_result(cfg, seed=0).records
         assert [r.round_index for r in records] == [1, 2, 3]
         total = 0
         for r in records:
@@ -464,25 +463,25 @@ class TestRunExperiment:
             assert math.isfinite(r.objective) and r.objective >= 0
 
     def test_isolated_arm_moves_no_bytes(self):
-        records = run_experiment(small_config(), arm="isolated", seed=0)
+        records = run_experiment_result(small_config(), arm="isolated", seed=0).records
         assert all(r.bytes_round == 0 for r in records)
         assert all(r.federation_count == 9 for r in records)
         assert records[-1].bytes_total == 0
 
     def test_global_fedavg_arm_is_one_federation(self):
-        records = run_experiment(small_config(), arm="global-fedavg", seed=0)
+        records = run_experiment_result(small_config(), arm="global-fedavg", seed=0).records
         assert all(r.federation_count == 1 for r in records)
         assert all(r.bytes_broadcast == 0 for r in records)
         assert all(r.bytes_collect > 0 for r in records)
 
     def test_unknown_arm_rejected(self):
         with pytest.raises(ConfigError, match="unknown arm 'p2p'"):
-            run_experiment(small_config(), arm="p2p", seed=0)
+            run_experiment_result(small_config(), arm="p2p", seed=0)
 
     def test_repeat_runs_are_identical(self):
         cfg = small_config()
-        a = run_experiment(cfg, seed=5)
-        b = run_experiment(cfg, seed=5)
+        a = run_experiment_result(cfg, seed=5).records
+        b = run_experiment_result(cfg, seed=5).records
         assert metrics_csv_text(a) == metrics_csv_text(b)
 
     def test_result_carries_final_partition_and_models(self):
@@ -508,7 +507,7 @@ class TestMetricsCsv:
             metrics_csv_text([])
 
     def test_schema_for_four_regions(self):
-        records = run_experiment(small_config(), seed=0)
+        records = run_experiment_result(small_config(), seed=0).records
         text = metrics_csv_text(records)
         lines = text.splitlines()
         assert lines[0] == (
@@ -540,7 +539,7 @@ class TestMetricsCsv:
         assert line == "1,2,0.125,0.333333,1.23457e+06,10,10,99,0"
 
     def test_write_matches_text(self, tmp_path):
-        records = run_experiment(small_config(), seed=0)
+        records = run_experiment_result(small_config(), seed=0).records
         path = tmp_path / "out.csv"
         write_metrics_csv(records, str(path))
         assert path.read_bytes() == metrics_csv_text(records).encode()

@@ -69,6 +69,7 @@ from conftest import (
     small_config,
     stack_models,
     topology_at,
+    viewed_row,
 )
 
 
@@ -708,24 +709,46 @@ class TestOneStack:
         cfg, state = WIRES[wire], line_state()
         average, calls = protocol.fed_avg, []
 
-        def recording(models, weights, rows):
-            read = np.stack([m.flat[uid] for m, uid in zip(models, rows)])
-            calls.append((models, read, state.params.flat[rows]))
-            return average(models, weights, rows)
+        def recording(first, models, rows, weights):
+            leader, trained = viewed_row(state.params, first), state.params.flat.copy()
+            rows = np.asarray(rows)
+            calls.append((leader, first.flat.copy(), models, rows, models.flat[rows], trained))
+            return average(first, models, rows, weights)
 
         monkeypatch.setattr(protocol, "fed_avg", recording)
         run_round(state, cfg, 1, arm="global-fedavg")
-        ((models, read, trained),) = calls
-        assert len(models) == N and models[0] is state.params
-        assert read[0].tobytes() == trained[0].tobytes()
+        ((leader, first, models, rows, read, trained),) = calls
+        # the leader, device 0, is a view of its row of params as trained
+        assert leader == 0 and first.tobytes() == trained[0].tobytes()
+        assert rows.tolist() == list(range(1, N))
         if cfg.dense_wire:
-            assert state.decoded is state.params and all(m is state.params for m in models)
-            assert read.tobytes() == trained.tobytes()
+            assert state.decoded is state.params and models is state.params
+            assert read.tobytes() == trained[1:].tobytes()
         else:
             # every other member gives its decoded row, not its row as trained
-            assert state.decoded is not state.params
-            assert all(m is state.decoded for m in models[1:])
-            assert not any(np.array_equal(r, t) for r, t in zip(read[1:], trained[1:]))
+            assert state.decoded is not state.params and models is state.decoded
+            assert not any(np.array_equal(r, t) for r, t in zip(read, trained[1:]))
+
+    @pytest.mark.parametrize("arm", ["sparsefuel", "global-fedavg"])
+    def test_no_fold_reads_a_leaders_decoded_row(self, monkeypatch, arm):
+        # NaN written into each leader's row of decoded just before its
+        # federation folds reaches no average: a leader gives its row of
+        # params as trained, and the round is still the reference's
+        cfg = WIRES["sparse+quantized"]
+        got_state, want_state = line_state(), line_state()
+        average = protocol.fed_avg
+
+        def poisoning(first, models, rows, weights):
+            assert models is got_state.decoded and models is not got_state.params
+            models.flat[viewed_row(got_state.params, first)] = np.nan
+            return average(first, models, rows, weights)
+
+        monkeypatch.setattr(protocol, "fed_avg", poisoning)
+        got = run_round(got_state, cfg, 1, arm=arm)
+        want, _ = reference_two_stack_round(want_state, cfg, 1, arm=arm)
+        assert_same_model(got_state.params, want_state.params)
+        assert_same_stats(got, want)
+        assert np.isnan(got_state.decoded.flat[got.partition.leader_of[0]]).all()
 
     @pytest.mark.parametrize("wire", sorted(WIRES))
     def test_a_dense_round_allocates_no_second_stack(self, monkeypatch, wire):

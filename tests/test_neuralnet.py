@@ -598,3 +598,18 @@ class TestParameterSet:
     def test_num_params(self):
         params = init_parameters(Architecture((4, 3, 2)), 0)
         assert params.num_params == 4 * 3 + 3 + 3 * 2 + 2
+
+
+class TestLabeledDataset:
+    def test_labels_that_are_not_whole_numbers_are_refused(self):
+        x = np.zeros((2, 2))
+        # the int64 cast would keep the classes [1, 0]
+        for labels in ([1.5, 0.2], [1.0, np.nan], [np.inf, 0.0], np.array([0.5, 1.0], np.float32)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                LabeledDataset(x, labels)
+
+    def test_whole_labels_become_int64_classes(self):
+        x = np.zeros((3, 2))
+        for labels in ([2.0, 0.0, -0.0], np.array([2, 0, 0], np.uint8), np.array([2, 0, 0])):
+            data = LabeledDataset(x, labels)
+            assert data.labels.dtype == np.int64 and data.labels.tolist() == [2, 0, 0]

@@ -20,7 +20,13 @@ from sparsefuel.compression import (
 )
 from sparsefuel.environment import sample_local_dataset, synthetic_blob_spec
 from sparsefuel.cli import main
-from sparsefuel.harness import ConfigError, format_config, load_config, parse_config, run_experiment
+from sparsefuel.harness import (
+    ConfigError,
+    format_config,
+    load_config,
+    parse_config,
+    run_experiment_result,
+)
 from sparsefuel.neuralnet import (
     Architecture,
     LabeledDataset,
@@ -50,6 +56,7 @@ from conftest import (
     stack_models,
     store_table,
     topology_at,
+    viewed_row,
 )
 
 
@@ -221,59 +228,69 @@ class TestFedAvg:
     def test_uniform_mean_example(self):
         a = ParameterSet([np.array([[1.0, 3.0]])], [np.array([1.0])])
         b = ParameterSet([np.array([[3.0, 5.0]])], [np.array([3.0])])
-        out = fed_avg([a, b])
+        out = fed_avg(a, stack_models([b]), [0], [1.0, 1.0])
         assert np.array_equal(out.weights[0], [[2.0, 4.0]])
         assert np.array_equal(out.biases[0], [2.0])
 
     def test_n_copies_return_the_model_exactly(self):
         params = init_parameters(Architecture((3, 7, 4)), 5)
-        out = fed_avg([params.copy() for _ in range(10)])
+        out = fed_avg(params, stack_models([params] * 9), np.arange(9), [1.0] * 10)
         for x, y in zip(out.weights + out.biases, params.weights + params.biases):
             assert np.array_equal(x, y)
 
     def test_sample_count_weighting(self):
         a = ParameterSet([np.array([[0.0]])], [np.array([0.0])])
         b = ParameterSet([np.array([[4.0]])], [np.array([8.0])])
-        out = fed_avg([a, b], weights=[1, 3])
+        out = fed_avg(a, stack_models([b]), [0], [1, 3])
         assert np.allclose(out.weights[0], [[3.0]])
         assert np.allclose(out.biases[0], [6.0])
 
     def test_output_stays_within_elementwise_envelope(self):
         rng = np.random.default_rng(2)
         models = [init_parameters(Architecture((3, 5, 2)), s) for s in range(4)]
-        out = fed_avg(models, weights=[float(rng.uniform(0.5, 3)) for _ in models])
+        weights = [float(rng.uniform(0.5, 3)) for _ in models]
+        out = fed_avg(models[0], stack_models(models[1:]), [0, 1, 2], weights)
         for li in range(len(out.weights)):
             stack = np.stack([m.weights[li] for m in models])
             assert np.all(out.weights[li] >= stack.min(axis=0) - 1e-12)
             assert np.all(out.weights[li] <= stack.max(axis=0) + 1e-12)
 
     def test_empty_and_mismatched_inputs_raise(self):
-        with pytest.raises(ValueError):
-            fed_avg([])
         a = init_parameters(Architecture((2, 3)), 0)
-        b = init_parameters(Architecture((3, 3)), 0)
+        stack = stack_models([a, a])
+        # one positive weight per member: first, then each row
+        wrong = ([1.0], [1.0] * 2, [1.0] * 4, [1.0, 0.0, 1.0], [1.0, -1.0, 1.0], [np.nan] * 3)
+        for weights in wrong:
+            with pytest.raises(ValueError):
+                fed_avg(a, stack, [0, 1], weights)
+        # first of another layout: another architecture of as many
+        # parameters, or a stack; or of another dtype
+        other = init_parameters(Architecture((8, 1)), 0)
+        assert other.num_params == a.num_params
+        as_float32 = ParameterSet.from_flat(a.flat.astype(np.float32), a.layer_sizes)
+        for first in (other, stack, as_float32):
+            with pytest.raises(ValueError):
+                fed_avg(first, stack, [0, 1], [1.0] * 3)
+        # models without parameters
+        empty = ParameterSet([], [])
         with pytest.raises(ValueError):
-            fed_avg([a, b])
+            fed_avg(empty, ParameterSet.from_flat(np.zeros((2, 0)), ()), [0, 1], [1.0] * 3)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         members=st.integers(1, 70),
-        leader_at=st.sampled_from(["first", "middle", "last"]),
         layers=st.lists(st.integers(1, 6), min_size=2, max_size=4),
         block_rows=st.sampled_from([1, 2, 3, None]),
         seed=st.integers(0, 2**32 - 1),
         zeros=st.sampled_from([(0.0,), (-0.0,), (0.0, -0.0)]),
         weighted=st.booleans(),
     )
-    def test_fold_matches_the_member_loop(
-        self, members, leader_at, layers, block_rows, seed, zeros, weighted
-    ):
-        self._fold_case(np.float64, members, leader_at, layers, block_rows, seed, zeros, weighted)
+    def test_fold_matches_the_member_loop(self, members, layers, block_rows, seed, zeros, weighted):
+        self._fold_case(np.float64, members, layers, block_rows, seed, zeros, weighted)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         members=st.integers(1, 70),
-        leader_at=st.sampled_from(["first", "middle", "last"]),
         layers=st.lists(st.integers(1, 6), min_size=2, max_size=4),
         block_rows=st.sampled_from([1, 2, 3, None]),
         seed=st.integers(0, 2**32 - 1),
@@ -281,18 +298,18 @@ class TestFedAvg:
         weighted=st.booleans(),
     )
     def test_fold_matches_the_member_loop_at_float32(
-        self, members, leader_at, layers, block_rows, seed, zeros, weighted
+        self, members, layers, block_rows, seed, zeros, weighted
     ):
         # a run's stacks: the fold and its weights in float32, blocks sized
         # by the float32 rows
-        self._fold_case(np.float32, members, leader_at, layers, block_rows, seed, zeros, weighted)
+        self._fold_case(np.float32, members, layers, block_rows, seed, zeros, weighted)
 
     @staticmethod
-    def _fold_case(dtype, members, leader_at, layers, block_rows, seed, zeros, weighted):
-        # the leader's row of params and every other member's of decoded,
-        # folded in blocks of 1-3 rows or, at the default budget, all in one
-        # block; layer sizes of 1 give 1-unit output layers and (1, 1)
-        # weights; some entries are +-0.0 and some members copy the first
+    def _fold_case(dtype, members, layers, block_rows, seed, zeros, weighted):
+        # the first member's row of params and every other member's of
+        # decoded, folded in blocks of 1-3 rows or, at the default budget,
+        # all in one block; layer sizes of 1 give 1-unit output layers and
+        # (1, 1) weights; some entries are +-0.0 and some members copy the first
         rng = np.random.default_rng(seed)
         n = members + int(rng.integers(0, 4))
         arch = Architecture(tuple(layers))
@@ -308,38 +325,34 @@ class TestFedAvg:
 
         params, decoded = stack(), stack()
         uids = sorted(rng.choice(n, members, replace=False).tolist())
-        leader = uids[{"first": 0, "middle": members // 2, "last": -1}[leader_at]]
-        first = params if uids[0] == leader else decoded
         for u in uids[1:]:
             if rng.random() < 0.2:
-                for t, src in zip(decoded.weights + decoded.biases, first.weights + first.biases):
-                    t[u] = src[uids[0]]
+                decoded.flat[u] = params.flat[uids[0]]
         weights = rng.uniform(0.5, 4.0, members).tolist() if weighted else [300] * members
-        models = [params[u] if u == leader else decoded[u] for u in uids]
-        want = reference_fed_avg(models, weights)
+        want = reference_fed_avg([params[uids[0]]] + [decoded[u] for u in uids[1:]], weights)
         itemsize = np.dtype(dtype).itemsize
         with pytest.MonkeyPatch.context() as patch:
             if block_rows is not None:
                 # a block holds LOCKSTEP_BUDGET_BYTES / 8 bytes of flat model rows
                 budget = 8 * itemsize * params.num_params // n * block_rows
                 patch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
-            stacked = fed_avg([params if u == leader else decoded for u in uids], weights, uids)
-            single = fed_avg(models, weights)
-        for got in (stacked, single):
-            for x, y in zip(got.weights + got.biases, want.weights + want.biases):
-                assert x.shape == y.shape and x.dtype == y.dtype == dtype
-                assert x.tobytes() == y.tobytes()
+            got = fed_avg(params[uids[0]], decoded, np.array(uids[1:], dtype=np.int64), weights)
+        for x, y in zip(got.weights + got.biases, want.weights + want.biases):
+            assert x.shape == y.shape and x.dtype == y.dtype == dtype
+            assert x.tobytes() == y.tobytes()
 
     def test_rows_must_match_and_index_the_stacks(self):
         stack = ParameterSet([np.zeros((3, 2, 2))], [np.zeros((3, 2))])
         with pytest.raises(ValueError):
-            fed_avg([stack, stack], [1.0, 1.0], [0, 1, 2])
-        for rows in ([0, 3], [3, 0]):
-            with pytest.raises(IndexError):
-                fed_avg([stack, stack], [1.0, 1.0], rows)
-        other = ParameterSet([np.zeros((4, 2, 2))], [np.zeros((4, 2))])
-        with pytest.raises(ValueError):
-            fed_avg([stack, other], [1.0, 1.0], [0, 1])
+            fed_avg(stack[0], stack, [1, 2], [1.0, 1.0])
+        # rows outside the stack, gathered in one block or, under a budget
+        # of one byte, one row at a time
+        for budget in (protocol.LOCKSTEP_BUDGET_BYTES, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(protocol, "LOCKSTEP_BUDGET_BYTES", budget)
+                for rows in ([0, 3], [3, 0], [3]):
+                    with pytest.raises(IndexError):
+                        fed_avg(stack[0], stack, rows, [1.0] * (len(rows) + 1))
 
 
 class TestEvaluateObjective:
@@ -610,21 +623,23 @@ class TestTreeRound:
     @staticmethod
     def _recorded_round(monkeypatch, state, cfg, arm):
         """The round's stats and, per fed_avg call, the (stack, uid) rows it
-        averaged (the leader's row of params, every other member's of
-        decoded, which is params on a dense wire) and the average it
-        returned."""
+        averaged (the leader's row of params, which first views, then every
+        other member's of decoded, which is params on a dense wire) and the
+        average it returned."""
         calls = []
         average = protocol.fed_avg
+        n = state.topology.n
 
         def row(stack, uid):
             for name in ("params", "decoded"):
-                if stack is getattr(state, name) and 0 <= uid < state.topology.n:
+                if stack is getattr(state, name) and 0 <= uid < n:
                     return name, uid
             raise AssertionError("fed_avg got a model that is no row of a stack")
 
-        def recording(models, weights, rows):
-            members = [row(stack, uid) for stack, uid in zip(models, rows)]
-            out = average(models, weights, rows)
+        def recording(first, models, rows, weights):
+            members = [("params", viewed_row(state.params, first))]
+            members += [row(models, uid) for uid in np.asarray(rows).tolist()]
+            out = average(first, models, rows, weights)
             calls.append((members, out))
             return out
 
@@ -851,7 +866,7 @@ class TestDivergence:
     @pytest.mark.parametrize("arm", protocol.ARMS)
     def test_every_arm_and_kind_fails_with_one_message(self, arm, kind):
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as raised:
-            run_experiment(self._config(kind), arm=arm)
+            run_experiment_result(self._config(kind), arm=arm)
         assert str(raised.value) == self.MESSAGE
 
     def test_the_cli_exits_2_with_the_message(self, tmp_path, capsys):

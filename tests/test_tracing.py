@@ -88,6 +88,12 @@ def test_traced_quadrant_round_reports_training_and_scoring(arm, monkeypatch):
     scorers = {span[3] for span in tracer.spans if span[0] == "loss_and_accuracy"}
     assert evaluations and evaluations <= scorers
     assert metrics["neuralnet.sgd_steps_per_round"] > 0
+    # FedAvg is timed as its own stage, one fed_avg span per federation
+    # inside the round, on exactly the arms that exchange models
+    assert (metrics["protocol.fedavg_ms_per_round"] > 0) == ("fed_avg" in names)
+    folds = [span for span in tracer.spans if span[0] == "fed_avg"]
+    assert len(folds) == (len(result.records[0].partition) if "fed_avg" in names else 0)
+    assert all(tracer.spans[span[3]][0] == "run_round" for span in folds)
     # build_topology's span value reads Topology.adjacency: the quadrant
     # world's 208 radio links, whatever the arm
     assert metrics["environment.topology_edges"] == 208
