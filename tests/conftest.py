@@ -47,7 +47,6 @@ from sparsefuel.neuralnet import (
     ParameterSet,
     _as_stack,
     _bias_gradient,
-    _forward_batch,
     loss_and_accuracy,
 )
 
@@ -324,7 +323,22 @@ def reference_loss(params: ParameterSet, data: LabeledDataset) -> float:
 # --------------------------------------------------------------------------
 # the batch-major output head: loss_and_accuracy and gradients as they were
 # before the head went class-major, with numpy's argmax and softmax sum along
-# the class axis of (D, n, classes) logits
+# the class axis of (D, n, classes) logits, on the forward pass that adds a
+# broadcast bias and takes the ReLU against the scalar 0.0
+
+
+def reference_forward_batch(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output of stacked models on stacked batches, the
+    input first: the forward pass before its bias and zero went full-size."""
+    outputs = [x]
+    last = params.num_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = outputs[-1] @ w.transpose(0, 2, 1)
+        a += b[:, None, :]
+        if i != last:
+            np.maximum(a, 0.0, out=a)
+        outputs.append(a)
+    return outputs
 
 
 def reference_row_max(logits: np.ndarray) -> np.ndarray:
@@ -349,7 +363,7 @@ def reference_loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
     """Mean cross-entropy and argmax accuracy, by the batch-major head."""
     stacked = params.stacked
     params, x, labels = _as_stack(params, data)
-    logits = _forward_batch(params, x)[-1]
+    logits = reference_forward_batch(params, x)[-1]
     acc = (logits.argmax(axis=2) == labels).mean(axis=1)
     logits -= reference_row_max(logits)
     logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
@@ -360,13 +374,15 @@ def reference_loss_and_accuracy(params: ParameterSet, data: LabeledDataset):
     return float(loss[0]), float(acc[0])
 
 
-def reference_stacked_gradients(params: ParameterSet, batch: LabeledDataset) -> ParameterSet:
+def reference_stacked_gradients(
+    params: ParameterSet, batch: LabeledDataset, out: ParameterSet | None = None
+) -> ParameterSet:
     """gradients by the batch-major head: the same backward pass on the
-    same batch-major delta."""
+    same batch-major delta, copied into out when one is given."""
     stacked = params.stacked
     params, x, labels = _as_stack(params, batch)
     d, n = labels.shape
-    outputs = _forward_batch(params, x)
+    outputs = reference_forward_batch(params, x)
     delta = reference_softmax(outputs[-1])
     delta.reshape(d * n, -1)[np.arange(d * n), labels.ravel()] -= 1.0
     delta /= n
@@ -379,7 +395,11 @@ def reference_stacked_gradients(params: ParameterSet, batch: LabeledDataset) -> 
             delta = delta @ params.weights[i]
             delta *= outputs[i] > 0.0
     grads = ParameterSet(grad_w, grad_b)
-    return grads if stacked else grads[0]
+    grads = grads if stacked else grads[0]
+    if out is None:
+        return grads
+    out.flat[...] = grads.flat
+    return out
 
 
 # --------------------------------------------------------------------------

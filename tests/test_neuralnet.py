@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     cast_models,
     finite_difference_gradients,
+    reference_forward_batch,
     reference_gradients,
     reference_loss_and_accuracy,
     reference_stacked_gradients,
@@ -25,6 +26,7 @@ from sparsefuel.neuralnet import (
     _class_major,
     _column_sum,
     _first_max,
+    _forward_batch,
     gradients,
     init_parameters,
     local_training,
@@ -159,6 +161,36 @@ class TestGradients:
                 a += g / n
         for a, g in zip(acc_w + acc_b, full.weights + full.biases):
             assert np.allclose(a, g, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_is_filled_and_returned(self, dtype):
+        rng = np.random.default_rng(12)
+        arch = Architecture((3, 5, 4))
+        one = cast_models(init_parameters(arch, 0), dtype)
+        stack = stack_models([one, cast_models(init_parameters(arch, 1), dtype)])
+        store = LabeledDataset(rng.uniform(0, 1, (14, 3)).astype(dtype), rng.integers(0, 4, 14))
+        table = np.arange(14).reshape(2, 7)
+        for params, batch in ((one, store.gather(table[0])), (stack, store.gather(table))):
+            buf = ParameterSet.from_flat(np.full_like(params.flat, np.nan), params.layer_sizes)
+            got = gradients(params, batch, out=buf)
+            assert got is buf
+            assert _same_bits(got, gradients(params, batch))
+
+    def test_out_of_other_shapes_or_dtype_raises(self):
+        params = init_parameters(Architecture((2, 3, 2)), 0)
+        batch = LabeledDataset(np.ones((4, 2)), [0, 1, 1, 0])
+        wrong = [
+            cast_models(params, np.float32),
+            stack_models([params, params]),
+            init_parameters(Architecture((2, 4, 2)), 0),
+            # as many parameters (17) in other layers
+            init_parameters(Architecture((16, 1)), 0),
+            # the models themselves: the backward pass would read overwritten weights
+            params,
+        ]
+        for out in wrong:
+            with pytest.raises(ValueError, match="^out must be"):
+                gradients(params, batch, out=out)
 
 
 # (D, n, width) stacks: quadrant's lockstep chunk, its similarity pass, an
@@ -357,6 +389,83 @@ class TestClassMajorHead:
                 patch.setattr(neuralnet, "gradients", reference_stacked_gradients)
                 want = results()
         assert got[2].weights[0].dtype == got[4].weights[0].dtype == dtype
+        for k, (g, r) in enumerate(zip(got, want)):
+            assert _same_bits(g, r, any_nan=True), k
+
+
+def _relu_specials(dtype) -> np.ndarray:
+    """Special values a ReLU must pass on as np.maximum(a, 0.0) does: both
+    zeros, both infinities, quiet NaNs with payloads of either sign, the
+    least subnormals and the dtype's max."""
+    info = np.finfo(dtype)
+    if dtype == np.float64:
+        nans = np.array([0x7FF8000000000001, 0xFFF80000000ABCDE], np.uint64).view(dtype)
+    else:
+        nans = np.array([0x7FC00001, 0xFFC0ABCD], np.uint32).view(dtype)
+    tiny = info.smallest_subnormal
+    finite = np.array([0.0, -0.0, tiny, -tiny, 2 * tiny, info.max, -info.max], dtype)
+    return np.concatenate([finite, np.array([np.inf, -np.inf], dtype), nans])
+
+
+class TestReluSpecials:
+    """The forward pass's full-size bias and ReLU zero give the bits of
+    conftest's references, which add a broadcast bias and take the ReLU
+    against the scalar 0.0, on 2-layer stacks whose hidden pre-activations
+    hold every special value of _relu_specials that a forward pass can make."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        extra=st.integers(0, 6),
+        classes=st.integers(1, 12),
+        models=st.integers(1, 3),
+        rows=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_broadcast_forward_pass(self, dtype, extra, classes, models, rows, seed):
+        rng = np.random.default_rng(seed)
+        specials = _relu_specials(dtype)
+        hidden = len(specials) + extra
+        # hidden unit h of a row reads x * w_h + b_h; on the first units, a
+        # row of x = 1 and a bias of -0.0 give each special as it is
+        w0 = rng.choice(np.array([1.0, -1.0, 0.5, 3.0], dtype), (models, hidden, 1))
+        w0[:, : len(specials), 0] = specials
+        b0 = rng.choice(np.concatenate([specials, np.array([1.0, -2.0], dtype)]), (models, hidden))
+        b0[:, : len(specials)] = -0.0
+        w1 = rng.normal(size=(models, classes, hidden)).astype(dtype)
+        b1 = rng.normal(size=(models, classes)).astype(dtype)
+        stack = ParameterSet([w0, w1], [b0, b1])
+        x = rng.choice(np.array([1.0, -1.0, 0.0, -0.0, 0.25], dtype), (models * rows, 1))
+        x[::rows] = 1.0
+        store = LabeledDataset(x, rng.integers(0, classes, models * rows))
+        table = np.arange(models * rows).reshape(models, rows)
+        data = store.gather(table)
+
+        with np.errstate(all="ignore"):
+            pre = data.features @ stack.weights[0].transpose(0, 2, 1) + stack.biases[0][:, None, :]
+            # every special reaches the ReLU but -0.0: matmul sums from +0.0,
+            # and a sum is -0.0 only when both its terms are
+            reached = {v.tobytes() for v in pre.ravel()}
+            negative_zero = np.array(-0.0, dtype).tobytes()
+            assert negative_zero not in reached
+            assert {v.tobytes() for v in specials} - reached == {negative_zero}
+            got = _forward_batch(stack, data.features)
+            want = reference_forward_batch(stack, data.features)
+            for i, (g, r) in enumerate(zip(got, want)):
+                assert _same_bits(g, r), i
+            got = [
+                loss_and_accuracy(stack, data),
+                loss_and_accuracy(stack[0], store.gather(table[0])),
+                gradients(stack, data),
+                gradients(stack[0], store.gather(table[0])),
+            ]
+            want = [
+                reference_loss_and_accuracy(stack, data),
+                reference_loss_and_accuracy(stack[0], store.gather(table[0])),
+                reference_stacked_gradients(stack, data),
+                reference_stacked_gradients(stack[0], store.gather(table[0])),
+            ]
+        assert got[2].flat.dtype == dtype
         for k, (g, r) in enumerate(zip(got, want)):
             assert _same_bits(g, r, any_nan=True), k
 
@@ -613,3 +722,43 @@ class TestLabeledDataset:
         for labels in ([2.0, 0.0, -0.0], np.array([2, 0, 0], np.uint8), np.array([2, 0, 0])):
             data = LabeledDataset(x, labels)
             assert data.labels.dtype == np.int64 and data.labels.tolist() == [2, 0, 0]
+
+
+class TestGather:
+    """gather gives the constructor's dataset of the rows it takes, without
+    re-running the constructor's checks."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    def test_matches_the_constructor_on_1d_and_2d_rows(self, dtype):
+        rng = np.random.default_rng(4)
+        store = LabeledDataset((rng.random((12, 3)) * 200).astype(dtype), rng.integers(0, 5, 12))
+        tables = [
+            np.array([3, 0, 11, 3, -1]),
+            np.arange(12).reshape(3, 4)[:, ::-1],
+            np.array([[5], [7]]),
+            np.array([], dtype=np.int64),
+            [2, 4],
+        ]
+        for rows in tables:
+            got = store.gather(rows)
+            want = LabeledDataset(
+                np.take(store.features, rows, axis=0), np.take(store.labels, rows)
+            )
+            assert type(got) is LabeledDataset
+            for a, b in ((got.features, want.features), (got.labels, want.labels)):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    def test_rows_of_other_ranks_raise(self):
+        store = LabeledDataset(np.zeros((4, 2)), [0, 1, 2, 3])
+        for rows in (np.int64(1), 2, np.zeros((1, 2, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="^gather takes"):
+                store.gather(rows)
+        stacked = store.gather(np.arange(4).reshape(2, 2))
+        with pytest.raises(ValueError, match="^gather takes"):
+            stacked.gather(np.array([0]))
+
+    def test_rows_out_of_range_raise_numpys_index_error(self):
+        store = LabeledDataset(np.zeros((4, 2)), [0, 1, 2, 3])
+        for rows in ([4], [[0, 1], [2, -5]]):
+            with pytest.raises(IndexError):
+                store.gather(np.array(rows))
