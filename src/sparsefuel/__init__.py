@@ -7,7 +7,6 @@ from .compression import (
     SparseMask,
     compress,
     decompress,
-    dequantize,
     from_bytes,
     nonzero_macs,
     payload_size,

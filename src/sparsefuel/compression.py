@@ -19,18 +19,20 @@ Bias vectors are never pruned; under the sparse kinds they carry an all-ones
 bitmap.  Quantized tensors are dequantized as (q - zero_point) * scale.  What
 a receiver decodes from the wire is float32, as the bytes carry it.
 
-In memory every payload has the models' flat layout (ParameterSet): one
-(P,) or (D, P) buffer in the order above.  A keep mask (SparseMask) is a
-uint8 buffer, 1 at every kept position and every bias; a quantized model
-(QuantizedParams) is a u8 buffer of levels beside (..., T) scales and zero
-points, one column per tensor.  Each operation is one pass over whole rows.
+In memory a wire model (CompressedModel) is one flat object, every buffer in
+the models' flat layout (ParameterSet): one (P,) or (D, P) buffer in the
+order above.  Its values are what the bytes carry, the float kinds' floats or
+the quantizing kinds' u8 levels; beside the levels sit (..., T) scales and
+zero points, one column per tensor.  A keep mask (SparseMask) is a uint8
+buffer, 1 at every kept position and every bias.  decompress maps any wire
+model back to floats.  Each operation is one pass over whole rows.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,58 +76,45 @@ class CompressionStrategy:
 
 
 @dataclass
-class QuantizedParams:
-    """One model, or a stack of D, quantized to u8 with an affine (scale,
-    zero_point) map per tensor: levels is the model as u8 views of one
-    buffer, and scale and zero_point are (T,) or (D, T), column t for tensor
-    t in serialization order W0, b0, W1, b1, ...  dtype is the float type it
-    dequantizes to: the quantized model's, and float32 for one parsed."""
-
-    levels: ParameterSet
-    scale: np.ndarray
-    zero_point: np.ndarray
-    dtype: type = np.float64
-
-    def __post_init__(self) -> None:
-        self.scale, self.zero_point = np.asarray(self.scale), np.asarray(self.zero_point)
-        if not ((self.zero_point >= 0) & (self.zero_point <= 255)).all():
-            raise ValueError(f"zero_point must be in [0, 255], got {self.zero_point}")
-        if not np.isfinite(self.scale).all():
-            raise ValueError("scale must be finite")
-
-    def __getitem__(self, k) -> "QuantizedParams":
-        """Model k (views) of a stack."""
-        return QuantizedParams(self.levels[k], self.scale[k], self.zero_point[k], self.dtype)
-
-
-@dataclass
 class CompressedModel:
-    """One model, or a stack of D models, in one of the four wire kinds;
-    payload fields match the kind: params for the float kinds, qparams for
-    the quantizing ones, and a mask for the pruning ones."""
+    """One model, or a stack of D models, in one of the four wire kinds.
+
+    values is what the bytes carry: the floats of the float kinds, or the
+    u8 levels of the quantizing kinds.  Those also hold an affine map per
+    tensor, scale and zero_point, (T,) or (D, T), column t for tensor t in
+    serialization order W0, b0, W1, b1, ...; dtype is the float type the
+    levels dequantize to: the quantized model's, and float32 for one
+    parsed.  The pruning kinds hold the keep mask.  Values of the wrong
+    type are refused: a quantizing kind's floats would serialize to more
+    bytes than serialized_size counts, and a float kind's u8 levels would
+    go out without their map."""
 
     kind: str
-    params: ParameterSet | None = None
+    values: ParameterSet
     mask: SparseMask | None = None
-    qparams: QuantizedParams | None = None
+    scale: np.ndarray | None = None
+    zero_point: np.ndarray | None = None
+    dtype: type = np.float64
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown compression kind {self.kind!r}")
         prunes, quantizes = _KIND_FLAGS[self.kind]
-        payload = (self.mask is not None, self.qparams is not None, self.params is not None)
-        if payload != (prunes, quantizes, not quantizes):
+        payload = (self.mask is not None, self.scale is not None, self.zero_point is not None)
+        levels = self.values.flat.dtype == np.uint8
+        if payload != (prunes, quantizes, quantizes) or levels != quantizes:
             raise ValueError(f"payload does not match kind {self.kind!r}")
-
-    @property
-    def payload(self) -> ParameterSet:
-        """The values the bytes carry: u8 levels for the quantizing kinds, else floats."""
-        return self.params if self.qparams is None else self.qparams.levels
+        if quantizes:
+            self.scale, self.zero_point = np.asarray(self.scale), np.asarray(self.zero_point)
+            if not ((self.zero_point >= 0) & (self.zero_point <= 255)).all():
+                raise ValueError(f"zero_point must be in [0, 255], got {self.zero_point}")
+            if not np.isfinite(self.scale).all():
+                raise ValueError("scale must be finite")
 
     def __getitem__(self, k) -> "CompressedModel":
         """Model k of a stack, as views of it."""
-        parts = (self.params, self.mask, self.qparams)
-        return CompressedModel(self.kind, *(None if x is None else x[k] for x in parts))
+        parts = (self.values, self.mask, self.scale, self.zero_point)
+        return CompressedModel(self.kind, *(None if x is None else x[k] for x in parts), self.dtype)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -168,9 +157,9 @@ def _widths(layer_sizes: tuple[int, ...]) -> np.ndarray:
     return np.array([n for i, o in zip(layer_sizes, layer_sizes[1:]) for n in (o * i, o)], int)
 
 
-def quantize_affine(params: ParameterSet) -> QuantizedParams:
+def quantize_affine(params: ParameterSet) -> CompressedModel:
     """Quantize every tensor (weights and biases) of each model (one, or a
-    stack) to u8 over its own range.
+    stack) to u8 over its own range, as a "quantized" wire model.
 
     The range always includes 0 (Jacob et al., CVPR 2018), so 0 sits on the
     grid and a single-sign tensor still spreads over all 256 levels.  The
@@ -197,26 +186,11 @@ def quantize_affine(params: ParameterSet) -> QuantizedParams:
     levels += np.repeat(zero_point, widths, axis=-1)
     levels = np.clip(levels, 0, 255, out=levels).astype(np.uint8)
     levels = ParameterSet.from_flat(levels, params.layer_sizes)
-    return QuantizedParams(levels, scale, zero_point.astype(np.int64), flat.dtype.type)
+    zero_point = zero_point.astype(np.int64)
+    return CompressedModel("quantized", levels, None, scale, zero_point, flat.dtype.type)
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
-
-
-def dequantize(qparams: QuantizedParams) -> ParameterSet:
-    """Map u8 levels back to parameters: (q - zero_point) * scale, computed
-    in float64 and rounded once to qparams.dtype (float32 or float64 as
-    quantized, float32 as parsed).  A float32 value is that product rounded
-    once (for an f32 scale the product is exact in float64); a level past
-    the f32 range, which a grid spanning [-max, max] reaches half a step
-    beyond max, saturates at the f32 max."""
-    levels, dtype = qparams.levels, qparams.dtype
-    widths = _widths(levels.layer_sizes)
-    flat = levels.flat - np.repeat(qparams.zero_point.astype(np.float64), widths, axis=-1)
-    flat *= np.repeat(qparams.scale, widths, axis=-1)
-    if dtype == np.float32:
-        np.clip(flat, -_F32_MAX, _F32_MAX, out=flat)
-    return ParameterSet.from_flat(flat.astype(dtype, copy=False), levels.layer_sizes)
 
 
 def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedModel:
@@ -235,12 +209,24 @@ def compress(params: ParameterSet, strategy: CompressionStrategy) -> CompressedM
 
 
 def decompress(model: CompressedModel) -> ParameterSet:
-    """Reconstruct the parameters of any compressed kind: the float kinds'
-    own model.params, not a copy (callers only read it; local_training
-    trains a copy), or the quantized levels dequantized in their dtype."""
-    if model.params is not None:
-        return model.params
-    return dequantize(model.qparams)
+    """Reconstruct the parameters of any wire kind.  A float kind gives its
+    own values, not a copy (callers only read them; local_training trains
+    a copy).  A quantizing kind maps its levels back as
+    (q - zero_point) * scale, computed in float64 and rounded once to
+    model.dtype (float32 or float64 as quantized, float32 as parsed).  A
+    float32 value is that product rounded once (for an f32 scale the
+    product is exact in float64); a level past the f32 range, which a grid
+    spanning [-max, max] reaches half a step beyond max, saturates at the
+    f32 max."""
+    levels, dtype = model.values, model.dtype
+    if model.scale is None:
+        return levels
+    widths = _widths(levels.layer_sizes)
+    flat = levels.flat - np.repeat(model.zero_point.astype(np.float64), widths, axis=-1)
+    flat *= np.repeat(model.scale, widths, axis=-1)
+    if dtype == np.float32:
+        np.clip(flat, -_F32_MAX, _F32_MAX, out=flat)
+    return ParameterSet.from_flat(flat.astype(dtype, copy=False), levels.layer_sizes)
 
 
 def nonzero_macs(model: ParameterSet | CompressedModel) -> int:
@@ -255,53 +241,52 @@ def nonzero_macs(model: ParameterSet | CompressedModel) -> int:
 def tensor_shapes(model: CompressedModel) -> list[tuple[int, int]]:
     """(rows, cols) per tensor in order W0, b0, ...; cols == 0 for vectors.
     For a stack, the shapes of each of its models."""
-    sizes = model.payload.layer_sizes
+    sizes = model.values.layer_sizes
     return [shape for i, o in zip(sizes, sizes[1:]) for shape in ((o, i), (o, 0))]
 
 
 def serialized_size(model: CompressedModel) -> int | np.ndarray:
     """Exact byte length of to_bytes(model), computed arithmetically; for a
     stack, the (D,) lengths of its models."""
-    payload = model.payload
-    widths = _widths(payload.layer_sizes)
+    values = model.values
+    widths = _widths(values.layer_sizes)
     size = HEADER_BYTES + SHAPE_BYTES_PER_TENSOR * len(widths)
-    kept = payload.flat.shape[-1]
+    kept = values.flat.shape[-1]
     if model.mask is not None:
         # a keep-bitmap per tensor; the mask keeps every bias
         size += int(((widths + 7) // 8).sum())
         kept = model.mask.flat.sum(axis=-1, dtype=np.int64)
     # quantized: scale f32, zero point u8, one u8 per value; else f32 values
-    size = size + (5 * len(widths) + kept if model.qparams is not None else 4 * kept)
-    lead = payload.flat.shape[:-1]
+    size = size + (5 * len(widths) + kept if model.scale is not None else 4 * kept)
+    lead = values.flat.shape[:-1]
     return np.broadcast_to(size, lead).copy() if lead else int(size)
 
 
 def payload_size(model: CompressedModel) -> int | np.ndarray:
     """Serialized size minus the header and per-tensor shape metadata."""
-    n_tensors = len(model.payload.tensors)
+    n_tensors = len(model.values.tensors)
     return serialized_size(model) - HEADER_BYTES - SHAPE_BYTES_PER_TENSOR * n_tensors
 
 
 def to_bytes(model: CompressedModel) -> bytes:
     """Serialize one model (model k of a stack is model[k]) to the canonical
     byte format described in the module docstring."""
-    if model.payload.flat.ndim != 1:
+    if model.values.flat.ndim != 1:
         raise ValueError("to_bytes serializes one model: model k of a stack is model[k]")
     prunes, quantizes = _KIND_FLAGS[model.kind]
     shapes = tensor_shapes(model)
-    ends = np.cumsum(_widths(model.payload.layer_sizes)).tolist()
+    ends = np.cumsum(_widths(model.values.layer_sizes)).tolist()
     chunks = [struct.pack("<4sIII", MAGIC, FORMAT_VERSION, KINDS.index(model.kind), len(shapes))]
     for t, ((rows, cols), start, end) in enumerate(zip(shapes, [0] + ends, ends)):
         chunks.append(struct.pack("<II", rows, cols))
-        values = model.payload.flat[start:end]
+        values = model.values.flat[start:end]
         if prunes:
             # the tensor's bits of the keep buffer (all ones for a bias)
             bits = model.mask.flat[start:end]
             chunks.append(np.packbits(bits).tobytes())
             values = values[bits.view(bool)]
         if quantizes:
-            q = model.qparams
-            chunks.append(struct.pack("<fB", np.float32(q.scale[t]), q.zero_point[t]))
+            chunks.append(struct.pack("<fB", np.float32(model.scale[t]), model.zero_point[t]))
         chunks.append(values.tobytes() if quantizes else values.astype("<f4").tobytes())
     return b"".join(chunks)
 
@@ -386,11 +371,8 @@ def from_bytes(buf: bytes) -> CompressedModel:
     keep = np.concatenate(bits) if prunes else np.ones(flat.shape, dtype=np.uint8)
     flat[keep.view(bool)] = np.concatenate(values)
     mask = SparseMask.from_flat(keep, layer_sizes) if prunes else None
-    payload = ParameterSet.from_flat(flat, layer_sizes)
-    if quantizes:
-        qparams = QuantizedParams(payload, scale, zero_point.astype(np.int64), np.float32)
-        return CompressedModel(kind, qparams=qparams, mask=mask)
-    return CompressedModel(kind, params=payload, mask=mask)
+    maps = (scale, zero_point.astype(np.int64)) if quantizes else (None, None)
+    return CompressedModel(kind, ParameterSet.from_flat(flat, layer_sizes), mask, *maps, np.float32)
 
 
 def encode_wire(
@@ -406,10 +388,8 @@ def encode_wire(
     """
     if strategy.prunes and mask is None:
         raise ValueError(f"kind {strategy.kind!r} requires the round's prune mask")
-    mask = mask if strategy.prunes else None
-    if strategy.quantizes:
-        return CompressedModel(strategy.kind, qparams=quantize_affine(params), mask=mask)
-    return CompressedModel(strategy.kind, params=params, mask=mask)
+    wire = quantize_affine(params) if strategy.quantizes else CompressedModel("dense", params)
+    return replace(wire, kind=strategy.kind, mask=mask if strategy.prunes else None)
 
 
 def decode_wire(wire: CompressedModel) -> ParameterSet:
@@ -428,11 +408,10 @@ def decode_wire(wire: CompressedModel) -> ParameterSet:
     """
     prunes, quantizes = _KIND_FLAGS[wire.kind]
     if quantizes:
-        q = wire.qparams
-        out = dequantize(QuantizedParams(q.levels, np.float32(q.scale), q.zero_point, np.float32))
+        out = decompress(replace(wire, scale=np.float32(wire.scale), dtype=np.float32))
     else:
-        flat = wire.params.flat.astype(np.float32, copy=prunes)
-        out = ParameterSet.from_flat(flat, wire.params.layer_sizes)
+        flat = wire.values.flat.astype(np.float32, copy=prunes)
+        out = ParameterSet.from_flat(flat, wire.values.layer_sizes)
     if prunes:
         np.copyto(out.flat, 0.0, where=wire.mask.flat == 0)
     return out

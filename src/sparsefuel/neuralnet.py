@@ -472,7 +472,7 @@ def local_training(
     params: ParameterSet,
     data: LabeledDataset,
     cfg: TrainingConfig,
-    mask=None,
+    mask: SparseMask | None = None,
     round_index: int = 0,
     rows: np.ndarray | None = None,
     orders: np.ndarray | None = None,
@@ -487,14 +487,12 @@ def local_training(
     range(n) for epoch e, the positions in its rows it visits in turn: a
     (D, epochs, n) array for a stack, (epochs, n) for one model.  By default
     shuffle_orders draws them from (cfg.rng_seed, round_index), so the call
-    is deterministic.  When a mask is given (a SparseMask, or a sequence of
-    per-layer masks, which becomes one), the updated weights are zeroed at
-    masked positions after every step: the models are multiplied by its keep
-    buffer, whose bias positions are 1.
+    is deterministic.  When a mask (a SparseMask) is given, the updated
+    weights are zeroed at masked positions after every step: the models are
+    multiplied by its keep buffer, whose bias positions are 1.
     """
     keep = None
     if mask is not None:
-        mask = mask if isinstance(mask, SparseMask) else SparseMask(mask)
         shapes = [[t.shape for t in ts] for ts in (mask.layers, params.weights)]
         if shapes[0] != shapes[1]:
             raise ValueError(f"mask shapes {shapes[0]} != weight shapes {shapes[1]}")

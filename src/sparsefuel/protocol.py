@@ -370,7 +370,7 @@ def run_round(
         partition = FederationPartition(np.arange(topo.n))
     else:
         # the averaged model goes back down dense; its size is the architecture's
-        dense_size = serialized_size(CompressedModel("dense", params=params[0]))
+        dense_size = serialized_size(CompressedModel("dense", params[0]))
         decoded = state.decoded
 
         if arm == "sparsefuel":
@@ -493,18 +493,17 @@ def one_blas_thread():
 def _in_lanes(task: Callable, items: list) -> list:
     """[task(item) for item in items], the items spread over the lanes.
 
-    Each lane takes the next item no lane has taken yet.  While the lanes
-    run they hold one_blas_thread(), since the lanes already fill the cores.
-    When tasks raise, no lane takes a new item, and once every lane has
-    stopped the first failing item's exception is raised: every item before
-    it was taken and has run, so the serial loop raises the same one.  A
-    pool lane that has not started when the calling thread runs out of items
-    is cancelled.  With one item, one core or no OpenBLAS setter this is the
-    serial loop, and no thread starts.  Concurrent calls run their lanes one
-    at a time.
+    Each lane takes the next item no lane has taken yet.  The tasks run
+    under one_blas_thread(), since the lanes already fill the cores, and so
+    that their bits do not depend on OpenBLAS's thread count.  When tasks
+    raise, no lane takes a new item, and once every lane has stopped the
+    first failing item's exception is raised: every item before it was
+    taken and has run, so the serial loop raises the same one.  A pool lane
+    that has not started when the calling thread runs out of items is
+    cancelled.  With one item, one core or no OpenBLAS setter this is the
+    serial loop, and no thread starts.  Concurrent calls run one at a time,
+    so that each puts back the thread count it found.
     """
-    if len(items) < 2 or _LANES < 2 or _blas_threads() is None:
-        return [task(item) for item in items]
     results: list = [None] * len(items)
     failures: dict[int, BaseException] = {}
     claims = iter(range(len(items)))
@@ -523,6 +522,8 @@ def _in_lanes(task: Callable, items: list) -> list:
 
     global _lane_pool
     with _lanes_lock, one_blas_thread():
+        if len(items) < 2 or _LANES < 2 or _blas_threads() is None:
+            return [task(item) for item in items]
         if _lane_pool is None:
             _lane_pool = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="sparsefuel-lane")
         # each lane runs in a copy of the caller's context, so numpy's
@@ -593,7 +594,7 @@ def _run_chunks(
             if cfg.similarity_uses_compressed:
                 wire = encode_wire(out, cfg.strategy, cm.mask)
             else:
-                wire = CompressedModel("dense", params=out)
+                wire = CompressedModel("dense", out)
             if not cfg.dense_wire:
                 state.decoded.flat[rows] = decode_wire(wire).flat
             size[rows] = serialized_size(wire)

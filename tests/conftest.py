@@ -485,7 +485,7 @@ def reference_two_stack_round(state, cfg, round_index, arm="sparsefuel"):
         if cfg.similarity_uses_compressed:
             wire = encode_wire(out, cfg.strategy, cm.mask)
         else:
-            wire = CompressedModel("dense", params=out)
+            wire = CompressedModel("dense", out)
         decoded.flat[uids] = decode_wire(wire).flat
         size[uids] = serialized_size(wire)
 
@@ -504,7 +504,7 @@ def reference_two_stack_round(state, cfg, round_index, arm="sparsefuel"):
         partition = protocol.FederationPartition(np.zeros(n, dtype=np.int64))
 
     macs = nonzero_macs(params[partition.representative().leader])
-    dense_size = serialized_size(CompressedModel("dense", params=params[0]))
+    dense_size = serialized_size(CompressedModel("dense", params[0]))
     m = state.train_rows.shape[1] + state.val_rows.shape[1]
     bytes_disseminate = 0
     for fed in partition.federations:
@@ -580,15 +580,14 @@ def _reference_wire_tensors(model: CompressedModel):
     """One model's wire tensors in order W0, b0, ...: each tensor's payload
     values (u8 levels or floats), its keep bits (every bias kept) and its
     (scale, zero_point) column, or None for the float kinds."""
-    q = model.qparams
-    for t, values in enumerate(model.payload.tensors):
+    for t, values in enumerate(model.values.tensors):
         if model.mask is None:
             bits = None
         elif t % 2:
             bits = np.ones(values.shape, dtype=bool)
         else:
             bits = model.mask.layers[t // 2].astype(bool)
-        yield values, bits, None if q is None else (q.scale[t], q.zero_point[t])
+        yield values, bits, None if model.scale is None else (model.scale[t], model.zero_point[t])
 
 
 def reference_to_bytes(model: CompressedModel) -> bytes:

@@ -16,7 +16,7 @@ import numpy as np
 from sparsefuel.compression import (
     CompressionStrategy,
     compress,
-    dequantize,
+    decompress,
     nonzero_macs,
     payload_size,
     quantize_affine,
@@ -112,19 +112,15 @@ def test_quantizer_round_trip_and_fixpoint():
             [_test_tensor(rng, (rows,), sigma)],
         )
         q = quantize_affine(original)
-        restored = dequantize(q)
-        for qt, orig, back in zip(
-            q,
-            [original.weights[0], original.biases[0]],
-            [restored.weights[0], restored.biases[0]],
-        ):
+        restored = decompress(q)
+        for t, (orig, back) in enumerate(zip(original.tensors, restored.tensors, strict=True)):
             single_sign += bool(orig.min() > 0.0 or orig.max() < 0.0)
-            bound = qt.scale / 2.0 + 1e-9
+            bound = q.scale[t] / 2.0 + 1e-9
             err = float(np.abs(back - orig).max())
             worst_ratio = max(worst_ratio, err / bound if bound > 0 else 0.0)
         q2 = quantize_affine(restored)
-        for a, b in zip(q, q2):
-            if not (np.array_equal(a.values, b.values) and a.zero_point == b.zero_point):
+        for t, (a, b) in enumerate(zip(q.values.tensors, q2.values.tensors, strict=True)):
+            if not (np.array_equal(a, b) and q.zero_point[t] == q2.zero_point[t]):
                 fixpoint_failures += 1
         n_tensors += 2
     elapsed = time.perf_counter() - start
@@ -188,7 +184,7 @@ def test_pruning_counts_and_macs():
             kept = [int(m.sum()) for m in model.mask.layers]
             expected = [n - math.floor(Fraction(str(psi)) * n) for n in layer_counts]
             per_layer_ok = kept == expected
-            dense_nonzero = [int(np.count_nonzero(w)) for w in model.params.weights]
+            dense_nonzero = [int(np.count_nonzero(w)) for w in model.values.weights]
             zeros_match = dense_nonzero == kept
             macs = nonzero_macs(model)
             macs_ok = abs(macs - (1 - psi) * sum(layer_counts)) <= len(layer_counts)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -13,14 +14,12 @@ from sparsefuel.compression import (
     SHAPE_BYTES_PER_TENSOR,
     CompressedModel,
     CompressionStrategy,
-    QuantizedParams,
     SerializationError,
     SparseMask,
     _round_half_away,
     compress,
     decode_wire,
     decompress,
-    dequantize,
     encode_wire,
     from_bytes,
     nonzero_macs,
@@ -61,6 +60,35 @@ class TestStrategy:
             CompressionStrategy("sparse", 1.5)
         with pytest.raises(ValueError):
             CompressionStrategy("sparse", -0.1)
+
+
+class TestCompressedModel:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_payload_must_match_kind(self, kind):
+        # a kind takes a mask exactly when it prunes, and a scale, a zero
+        # point and u8 values exactly when it quantizes
+        strategy = CompressionStrategy(kind, 0.5)
+        params = init_parameters(Architecture((3, 4, 2)), 0)
+        _, mask = prune_magnitude(params, 0.5)
+        q = quantize_affine(params)
+        values = q.values if strategy.quantizes else params
+        right_mask = mask if strategy.prunes else None
+        right_maps = (q.scale, q.zero_point) if strategy.quantizes else (None, None)
+        CompressedModel(kind, values, right_mask, *right_maps)
+        wrong_maps = [(None, None)] if strategy.quantizes else [(q.scale, q.zero_point)]
+        wrong_maps += [(q.scale, None), (None, q.zero_point)]
+        cases = [(None if strategy.prunes else mask, *right_maps)]
+        cases += [(right_mask, *maps) for maps in wrong_maps]
+        message = re.escape(f"payload does not match kind {kind!r}")
+        for case in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CompressedModel(kind, values, *case)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CompressedModel(kind, params if strategy.quantizes else q.values, right_mask, *right_maps)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="^unknown compression kind 'zip'$"):
+            CompressedModel("zip", ParameterSet([], []))
 
 
 class TestPrune:
@@ -131,8 +159,8 @@ class TestQuantize:
         q = quantize_affine(params)
         assert q.scale[0] == 2.0 / 255.0
         assert q.zero_point[0] == 128
-        assert list(q.levels.weights[0].ravel()) == [0, 128, 255]
-        deq = dequantize(q).weights[0]
+        assert list(q.values.weights[0].ravel()) == [0, 128, 255]
+        deq = decompress(q).weights[0]
         assert abs(deq[0, 1] - 0.0) <= q.scale[0] / 2
 
     def test_constant_tensor_example(self):
@@ -143,37 +171,37 @@ class TestQuantize:
             q = quantize_affine(params)
             assert q.scale[0] == abs(c) / 255.0
             assert q.zero_point[0] == (0 if c > 0 else 255)
-            assert len(set(q.levels.weights[0].ravel().tolist())) == 1
-            deq = dequantize(q).weights[0]
+            assert len(set(q.values.weights[0].ravel().tolist())) == 1
+            deq = decompress(q).weights[0]
             assert len(set(deq.ravel().tolist())) == 1
             assert abs(deq[0, 0] - c) <= q.scale[0] / 2
 
     def test_all_zero_tensor_keeps_unit_scale(self):
         params = ParameterSet([np.zeros((1, 3))], [np.zeros(1)])
         q = quantize_affine(params)
-        for t, values in enumerate(q.levels.tensors):
+        for t, values in enumerate(q.values.tensors):
             assert q.scale[t] == 1.0
             assert q.zero_point[t] == 0
             assert np.all(values == q.zero_point[t])
-        assert np.all(dequantize(q).weights[0] == 0.0)
+        assert np.all(decompress(q).weights[0] == 0.0)
         # so does a range too narrow for 255 steps, which all land on 0
         for w in ([[5e-324, 1e-323]], [[-5e-324, 5e-324]]):
             q = quantize_affine(ParameterSet([np.array(w)], [np.zeros(1)]))
             assert q.scale[0] == 1.0
-            assert np.all(dequantize(q).weights[0] == 0.0)
+            assert np.all(decompress(q).weights[0] == 0.0)
 
     def test_single_sign_tensor_spreads_over_the_grid(self):
         for values in ([1.0, 1.5, 2.0], [-2.0, -1.5, -1.0]):
             params = ParameterSet([np.array([values])], [np.zeros(1)])
             q = quantize_affine(params)
-            deq = dequantize(q).weights[0]
-            assert len(set(q.levels.weights[0].ravel().tolist())) == 3
+            deq = decompress(q).weights[0]
+            assert len(set(q.values.weights[0].ravel().tolist())) == 3
             assert np.abs(deq - params.weights[0]).max() <= q.scale[0] / 2
 
     def test_all_values_at_zero_point_dequantize_to_zeros(self):
         levels = ParameterSet.from_flat(np.array([7] * 6 + [200] * 2, dtype=np.uint8), (3, 2))
-        q = QuantizedParams(levels, np.array([0.01, 0.5]), np.array([7, 200]))
-        deq = dequantize(q)
+        q = CompressedModel("quantized", levels, None, np.array([0.01, 0.5]), np.array([7, 200]))
+        deq = decompress(q)
         assert np.all(deq.weights[0] == 0.0)
         assert np.all(deq.biases[0] == 0.0)
 
@@ -185,14 +213,14 @@ class TestQuantize:
             w.flat[-1] = abs(w.flat[-1]) + 1e-9
             params = ParameterSet([w], [np.array([-0.1, 0.0, 0.2, 0.05])])
             q = quantize_affine(params)
-            deq = dequantize(q)
+            deq = decompress(q)
             for orig, back, t in (
                 (params.weights[0], deq.weights[0], 0),
                 (params.biases[0], deq.biases[0], 1),
             ):
                 assert np.abs(orig - back).max() <= q.scale[t] / 2 + 1e-9
             q2 = quantize_affine(deq)
-            for t, (a, b) in enumerate(zip(q.levels.tensors, q2.levels.tensors)):
+            for t, (a, b) in enumerate(zip(q.values.tensors, q2.values.tensors)):
                 assert np.array_equal(a, b)
                 assert q.zero_point[t] == q2.zero_point[t]
 
@@ -204,12 +232,12 @@ class TestQuantize:
         # writes it rounded once to float32, saturated at the f32 max
         params = ParameterSet([w], [w[:, 0].copy()])
         q = quantize_affine(params)
-        deq = dequantize(q)
+        deq = decompress(q)
         for orig, back, t in (
             (params.weights[0], deq.weights[0], 0),
             (params.biases[0], deq.biases[0], 1),
         ):
-            scale, values = q.scale[t], q.levels.tensors[t]
+            scale, values = q.scale[t], q.values.tensors[t]
             assert q.dtype == back.dtype == np.float32 and np.isfinite(back).all()
             x = orig.astype(np.float64)
             grid = (values.astype(np.float64) - q.zero_point[t]) * scale
@@ -219,7 +247,7 @@ class TestQuantize:
             ulp = np.maximum(np.abs(back).astype(np.float64) * 2.0**-23, 2.0**-149)
             assert np.all(np.abs(back - x) <= scale * (0.5 + 1e-12) + ulp / 2)
         q2 = quantize_affine(deq)
-        for t, (a, b) in enumerate(zip(q.levels.tensors, q2.levels.tensors)):
+        for t, (a, b) in enumerate(zip(q.values.tensors, q2.values.tensors)):
             assert np.array_equal(a, b)
             assert q.zero_point[t] == q2.zero_point[t]
 
@@ -233,23 +261,23 @@ class TestQuantize:
         levels = ParameterSet.from_flat(np.zeros((3, 4), dtype=np.uint8), (1, 2))
         scale = np.full((3, 2), 0.5)
         zero_point = np.array([[0, 0], [128, 0], [255, 0]])
-        QuantizedParams(levels, scale, zero_point)
+        CompressedModel("quantized", levels, None, scale, zero_point)
         for bad in (-1, 256):
             zps = zero_point.copy()
             zps[1, 0] = bad
             with pytest.raises(ValueError, match=r"^zero_point must be in \[0, 255\], got \["):
-                QuantizedParams(levels, scale, zps)
+                CompressedModel("quantized", levels, None, scale, zps)
         for bad in (np.nan, np.inf):
             scales = scale.copy()
             scales[2, 0] = bad
             with pytest.raises(ValueError, match="^scale must be finite$"):
-                QuantizedParams(levels, scales, zero_point)
+                CompressedModel("quantized", levels, None, scales, zero_point)
         # a single model's columns take the same check
         message = r"^zero_point must be in \[0, 255\], got \[300   0\]$"
         with pytest.raises(ValueError, match=message):
-            QuantizedParams(levels[0], np.array([0.5, 0.5]), np.array([300, 0]))
+            CompressedModel("quantized", levels[0], None, np.array([0.5, 0.5]), np.array([300, 0]))
         with pytest.raises(ValueError, match="^scale must be finite$"):
-            QuantizedParams(levels[0], np.array([float("nan"), 0.5]), np.array([0, 0]))
+            CompressedModel("quantized", levels[0], None, np.array([np.nan, 0.5]), np.array([0, 0]))
 
     # every half step in [-600, 600] and its neighbouring floats, the
     # signed zeros, and floats of every magnitude
@@ -288,7 +316,7 @@ class TestCompressDecompress:
         # no copy: a lane's one float copy of its chunk is training's own
         params = stack_models([init_parameters(Architecture((3, 5, 2)), s) for s in (1, 2)])
         model = compress(params, CompressionStrategy(kind, 0.5))
-        assert np.shares_memory(decompress(model).flat, model.params.flat)
+        assert np.shares_memory(decompress(model).flat, model.values.flat)
 
     def test_sparse_quantized_zero_counts_per_layer(self):
         params = init_parameters(Architecture((10, 20, 5)), 2)
@@ -339,7 +367,7 @@ class TestSerializedSize:
             assert serialized_size(model) == len(to_bytes(model))
 
     def test_header_only_model(self):
-        model = CompressedModel("dense", params=ParameterSet([], []))
+        model = CompressedModel("dense", ParameterSet([], []))
         assert serialized_size(model) == 16
         assert len(to_bytes(model)) == 16
 
@@ -372,9 +400,7 @@ class TestWireFormat:
     def test_sparse_bitmap_is_msb_first(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
         mask = SparseMask([np.array([[1, 0], [0, 1]], dtype=np.uint8)])
-        model = CompressedModel(
-            "sparse", params=ParameterSet([w], [np.array([3.0, 4.0])]), mask=mask
-        )
+        model = CompressedModel("sparse", ParameterSet([w], [np.array([3.0, 4.0])]), mask)
         blob = to_bytes(model)
         assert blob[24] == 0b10010000  # weight bitmap, flat [1,0,0,1]
         # surviving weight values follow the weight bitmap
@@ -394,10 +420,9 @@ class TestWireFormat:
             model = compress(params, CompressionStrategy(kind, 0.3))
             back = from_bytes(to_bytes(model))
             assert back.kind == kind
-            q_in, q_out = model.qparams, back.qparams
-            for t, (v_in, v_out) in enumerate(zip(q_in.levels.tensors, q_out.levels.tensors)):
-                assert q_out.scale[t] == np.float32(q_in.scale[t])
-                assert q_out.zero_point[t] == q_in.zero_point[t]
+            for t, (v_in, v_out) in enumerate(zip(model.values.tensors, back.values.tensors)):
+                assert back.scale[t] == np.float32(model.scale[t])
+                assert back.zero_point[t] == model.zero_point[t]
                 assert np.array_equal(v_out, v_in)
             # masked weight positions come back as q == zero_point
             a, b = decompress(model), decompress(back)
@@ -592,12 +617,12 @@ def _reference_wire(model: ParameterSet, strategy: CompressionStrategy, mask=Non
         mask = SparseMask(layers)
     mask = mask if strategy.prunes else None
     if not strategy.quantizes:
-        return CompressedModel(strategy.kind, params=model, mask=mask)
+        return CompressedModel(strategy.kind, model, mask)
     scale, zero_point, values = zip(*(reference_quantize_tensor(t) for t in model.tensors))
     flat = np.concatenate([np.empty(0, np.uint8)] + [v.ravel() for v in values])
     levels = ParameterSet.from_flat(flat, model.layer_sizes)
-    qparams = QuantizedParams(levels, np.array(scale), np.array(zero_point), model.flat.dtype.type)
-    return CompressedModel(strategy.kind, qparams=qparams, mask=mask)
+    maps = np.array(scale), np.array(zero_point)
+    return CompressedModel(strategy.kind, levels, mask, *maps, model.flat.dtype.type)
 
 
 def _assert_same_wire(got: CompressedModel, want: CompressedModel) -> None:
@@ -607,15 +632,14 @@ def _assert_same_wire(got: CompressedModel, want: CompressedModel) -> None:
     if want.mask is not None:
         for a, b in zip(got.mask.layers, want.mask.layers, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    if want.params is not None:
-        for a, b in zip(*(m.params.weights + m.params.biases for m in (got, want))):
+    if want.scale is None:
+        for a, b in zip(*(m.values.weights + m.values.biases for m in (got, want))):
             assert a.tobytes() == b.tobytes()
     else:
-        a, b = got.qparams, want.qparams
-        assert a.dtype == b.dtype
-        for t, (x, y) in enumerate(zip(a.levels.tensors, b.levels.tensors, strict=True)):
-            assert np.float64(a.scale[t]).tobytes() == np.float64(b.scale[t]).tobytes()
-            assert a.zero_point[t] == b.zero_point[t]
+        assert got.dtype == want.dtype
+        for t, (x, y) in enumerate(zip(got.values.tensors, want.values.tensors, strict=True)):
+            assert np.float64(got.scale[t]).tobytes() == np.float64(want.scale[t]).tobytes()
+            assert got.zero_point[t] == want.zero_point[t]
             assert x.dtype == np.uint8 and np.array_equal(x, y)
     assert to_bytes(got) == to_bytes(want)
     for a, b in zip(*(m.weights + m.biases for m in (decompress(got), decompress(want)))):
@@ -726,14 +750,14 @@ def test_flat_payloads_match_the_per_tensor_references(case):
     # dequantizing, decoding, pricing and serializing each tensor of each
     # model on its own gives
     params, mask = case
-    q, deq = quantize_affine(params), dequantize(quantize_affine(params))
+    q, deq = quantize_affine(params), decompress(quantize_affine(params))
     models = range(len(params.flat)) if params.stacked else [()]
     for k in models:
         for t, tensor in enumerate(params[k].tensors):
             scale, zero_point, values = reference_quantize_tensor(tensor)
             assert np.float64(q[k].scale[t]).tobytes() == np.float64(scale).tobytes()
             assert q[k].zero_point[t] == zero_point
-            got = q[k].levels.tensors[t]
+            got = q[k].values.tensors[t]
             assert got.dtype == np.uint8 and np.array_equal(got, values)
             want = reference_dequantize_tensor(values, zero_point, scale, params.flat.dtype)
             assert deq[k].tensors[t].dtype == want.dtype

@@ -7,7 +7,9 @@ never a tolerance.
 
 import ctypes
 import dataclasses
+import os
 import resource
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -114,7 +116,7 @@ class TestLockstepTraining:
             stack_models(models),
             store,
             cfg,
-            mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
+            mask=SparseMask([np.stack(layer) for layer in zip(*(m.layers for m in masks))]),
             round_index=3,
             rows=np.array(rows),
         )
@@ -147,7 +149,7 @@ class TestLockstepTraining:
             stack_models(models),
             store,
             cfg,
-            mask=[np.stack(layer) for layer in zip(*(m.layers for m in masks))],
+            mask=SparseMask([np.stack(layer) for layer in zip(*(m.layers for m in masks))]),
             round_index=4,
             rows=rows,
         )
@@ -366,10 +368,12 @@ class TestDeviceBank:
         starts = state.params.copy()
         run_round(state, cfg, 1, arm="isolated")
         orders = reference_orders(TRAINING.rng_seed, 1, 5, TRAINING.local_epochs, 20)
-        for uid in range(5):
-            train = state.samples.gather(state.train_rows[uid])
-            want = reference_local_training(starts[uid], train, TRAINING, order=orders[uid])
-            assert_same_model(state.params[uid], want)
+        # the reference trains under the pin every round holds
+        with protocol.one_blas_thread():
+            for uid in range(5):
+                train = state.samples.gather(state.train_rows[uid])
+                want = reference_local_training(starts[uid], train, TRAINING, order=orders[uid])
+                assert_same_model(state.params[uid], want)
 
     def test_splits_keep_the_row_order(self):
         rows = np.random.default_rng(7).permutation(60)[:45]
@@ -833,6 +837,26 @@ class TestBlasPin:
                 calibrate_tau(cfg, seed=7, warmup_rounds=1)
         assert blas_at_two() == 2
 
+    def test_a_library_round_holds_one_thread_on_the_serial_path(self, monkeypatch, blas_at_two):
+        # on one lane, and for a round of one chunk, run_round called outside
+        # a run still trains under the pin
+        get_threads = blas_at_two
+        train, seen = protocol.local_training, []
+
+        def counted(*args, **kwargs):
+            seen.append(get_threads())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "local_training", counted)
+        monkeypatch.setattr(protocol, "_LANES", 1)
+        run_round(line_state(), protocol_config(), 1)
+        assert seen == [1] * 3 and get_threads() == 2
+        narrow = line_state(Architecture((2, 8, 4)))
+        assert len(protocol._lockstep_chunks(N, narrow.params[0], TRAINING.batch_size)) == 1
+        monkeypatch.setattr(protocol, "_LANES", ALL_LANES)
+        run_round(narrow, protocol_config(), 1)
+        assert seen == [1] * 4 and get_threads() == 2
+
     def test_nested_holders_give_the_count_back(self, blas_at_two):
         get_threads = blas_at_two
         with protocol.one_blas_thread():
@@ -844,6 +868,53 @@ class TestBlasPin:
             with protocol.one_blas_thread():
                 raise ValueError("inside")
         assert get_threads() == 2
+
+
+# OpenBLAS kernels (OPENBLAS_CORETYPE) whose multi-threaded products round
+# differently from their one-thread ones, and the CPU features each needs
+KERNEL_FEATURES = {"Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",)}
+# the checks that compare a round or training call on the serial path with
+# one computed under one_blas_thread()
+SERIAL_PATH_CHECKS = (
+    "TestDeviceBank::test_wide_model_trains_in_chunks_of_one",
+    "TestLanes::test_one_lane_and_all_lanes_give_the_same_round",
+)
+
+
+@pytest.mark.parametrize("core", sorted(KERNEL_FEATURES))
+def test_serial_path_checks_hold_on_other_openblas_kernels(core):
+    # the serial path's bits do not depend on OpenBLAS's thread count on any
+    # kernel: its checks pass in a child whose OpenBLAS runs the named one
+    if protocol._blas_threads() is None:
+        pytest.skip("numpy ships no OpenBLAS here: there is no kernel to pick")
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    missing = [f for f in KERNEL_FEATURES[core] if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernels: no {', '.join(missing)}")
+    package_parent = str(Path(protocol.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    # the child names the core it ran, so a kernel that was not picked shows
+    script = (
+        "import sys, pytest\n"
+        "code = pytest.main(sys.argv[1:])\n"
+        "from conftest import openblas_core\n"
+        "print(f'core: {openblas_core()}')\n"
+        "sys.exit(code)\n"
+    )
+    checks = [f"{Path(__file__).name}::{name}" for name in SERIAL_PATH_CHECKS]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "-q", "-p", "no:cacheprovider", *checks],
+        cwd=Path(__file__).parent,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1].lower() == f"core: {core.lower()}", proc.stdout
 
 
 def _libc_has_mallopt() -> bool:

@@ -517,15 +517,15 @@ class TestLocalTraining:
         cfg = TrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.1, rng_seed=2)
         half = [np.full(w.shape, 0.5) for w in params.weights]
         with pytest.raises(ValueError, match="^mask entries must be 0 or 1$"):
-            local_training(params, self._toy(), cfg, mask=half)
+            local_training(params, self._toy(), cfg, mask=SparseMask(half))
         stack = stack_models([params, params])
         masks = [np.ones((2,) + w.shape) for w in params.weights]
         masks[1][1, 0, 0] = 2.0
         rows = np.arange(20).reshape(2, 10)
         with pytest.raises(ValueError, match="^mask entries must be 0 or 1$"):
-            local_training(stack, self._toy(), cfg, mask=masks, rows=rows)
+            local_training(stack, self._toy(), cfg, mask=SparseMask(masks), rows=rows)
         masks[1][1, 0, 0] = 1.0
-        local_training(stack, self._toy(), cfg, mask=masks, rows=rows)
+        local_training(stack, self._toy(), cfg, mask=SparseMask(masks), rows=rows)
 
     def test_sparse_mask_checks_its_entries_as_given(self):
         # 0.5 would cast to 0 and -255 wrap to 1 as uint8: each is refused
@@ -700,9 +700,9 @@ class TestParameterSet:
     def test_empty_set_round_trips_through_bytes(self):
         empty = ParameterSet([], [])
         assert empty.flat.shape == (0,) and empty.num_layers == 0 and not empty.stacked
-        back = from_bytes(to_bytes(CompressedModel("dense", params=empty)))
-        assert back.params.num_layers == 0 and back.params.flat.size == 0
-        assert back.params.copy().num_params == 0
+        back = from_bytes(to_bytes(CompressedModel("dense", empty)))
+        assert back.values.num_layers == 0 and back.values.flat.size == 0
+        assert back.values.copy().num_params == 0
 
     def test_num_params(self):
         params = init_parameters(Architecture((4, 3, 2)), 0)

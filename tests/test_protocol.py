@@ -776,11 +776,11 @@ class TestWireFaults:
 
         def poisoned(params, strategy, mask):
             wire = encode(params, strategy, mask)
-            bad = wire.params.copy()
+            bad = wire.values.copy()
             tensors = [t for wb in zip(bad.weights, bad.biases) for t in wb]
             for uid, t, at in where(mask):
                 tensors[t][uid].flat[at] = math.nan
-            return dataclasses.replace(wire, params=bad)
+            return dataclasses.replace(wire, values=bad)
 
         monkeypatch.setattr(protocol, "encode_wire", poisoned)
 
